@@ -55,7 +55,11 @@
 //!   worker's `DATA`/`SKIP` toward the reduction root is held until the
 //!   round's `REDUCE` joins it, turning the two per-round control frames
 //!   into one (see [`Tcp::try_flush`] for the escape hatch when no
-//!   reduction follows, e.g. the multi-process result gather).
+//!   reduction follows, e.g. the multi-process result gather). The root
+//!   parks its `RESULT` the same way, behind its next frame to each peer,
+//!   but only while it turns rounds around faster than a frame costs
+//!   (`hold_result`): a root that computes sends the `RESULT` at once, so
+//!   the ranks run their supersteps in parallel.
 //!
 //! ## Design notes
 //!
@@ -819,10 +823,11 @@ const POLL_WAIT_CAP: Duration = Duration::from_millis(20);
 const YIELD_BUDGET: u32 = 32;
 
 /// Spin iterations before an idle progress loop falls back to the
-/// multiplexed kernel wait — only when cores outnumber workers; an
-/// oversubscribed machine must hand the CPU to the thread that holds
+/// multiplexed kernel wait — only when cores outnumber workers; with no
+/// core to spare the loop must hand the CPU to the thread that holds
 /// progress immediately (polling there starves the producer, exactly
-/// like the [`crate::exchange::SpinBarrier`] heuristic).
+/// like the [`crate::exchange::SpinBarrier`] heuristic). This decides
+/// the spin rung of the idle ladder and nothing else.
 fn poll_spins(workers: usize) -> u32 {
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())
@@ -832,6 +837,27 @@ fn poll_spins(workers: usize) -> u32 {
     } else {
         0
     }
+}
+
+/// What one extra loopback frame costs a round (the root's `write`, the
+/// peer's wake-up and `read`), rounded up. Never coalescing the `RESULT`
+/// moved `bfs_chain` (65 578 rounds) from 0.73 s to 1.03 s on a 2-core
+/// host: 4.6 µs per frame when quiet, more under contention. The regimes
+/// it separates are far apart — the root thinks for under 2 µs in 98 % of
+/// `bfs_chain`'s rounds, never under 32 µs on `sv_compose`, 4–8 ms on
+/// `pr_dense` — so the exact value is uncritical.
+const RESULT_HOLD_MAX_THINK: Duration = Duration::from_micros(20);
+
+/// Should the reduction root park the next `RESULT` so it shares a
+/// super-frame with the root's next frame to each peer? A parked `RESULT`
+/// reaches the peers only after the root has *thought* — computed and
+/// serialized its next `DATA`/`SKIP` — so the peers start their next
+/// superstep one root think time late and the ranks take turns instead of
+/// running in parallel. That buys one frame, so it pays only when the
+/// root's last measured think time (`prev_think`) is below a frame's cost;
+/// unmeasured, the `RESULT` goes out at once.
+fn hold_result(prev_think: Option<Duration>) -> bool {
+    prev_think.is_some_and(|think| think < RESULT_HOLD_MAX_THINK)
 }
 
 /// Idle counter of the batched progress loops: spin briefly (arrival is
@@ -923,7 +949,7 @@ struct Pump<'a> {
     worker: usize,
     coalesce_limit: usize,
     /// Spin iterations before idle loops sleep in the readiness
-    /// multiplexer (0 on oversubscribed machines; see [`poll_spins`]).
+    /// multiplexer (0 without a spare core; see [`poll_spins`]).
     spins: u32,
     links: &'a [Option<TcpStream>],
     send: &'a mut [SendQueue],
@@ -940,11 +966,6 @@ struct Pump<'a> {
 }
 
 impl Pump<'_> {
-    /// No spin budget: every idle wait goes straight to the kernel
-    /// multiplexer so the thread that holds progress gets the core.
-    fn oversubscribed(&self) -> bool {
-        self.spins == 0
-    }
     /// Append one frame to `to`'s send queue. An un-held frame releases
     /// every hold queued before it (that is how the round's `REDUCE`
     /// pulls the held `DATA`/`SKIP` into its super-frame).
@@ -1435,6 +1456,11 @@ struct Endpoint {
     /// Per-peer "still owes this round a frame" scratch, reused by the
     /// batched `take_all_into` and reduction gathers.
     owed: Vec<bool>,
+    /// Reduction root, batched driver: when the last `RESULT` was handed
+    /// to the send queues, until the root's next enqueue ends the interval.
+    result_at: Option<Instant>,
+    /// The last such interval: the think time [`hold_result`] decides on.
+    think: Option<Duration>,
     /// This worker's share of the wire counters.
     stats: TransportStats,
 }
@@ -1446,9 +1472,17 @@ struct OpState<'a> {
     posted: &'a mut Vec<bool>,
     owed: &'a mut Vec<bool>,
     read_watermark: &'a mut usize,
+    result_at: &'a mut Option<Instant>,
 }
 
 impl Endpoint {
+    /// About to enqueue a frame: ends an open think-time measurement.
+    fn close_think(&mut self) {
+        if let Some(at) = self.result_at.take() {
+            self.think = Some(at.elapsed());
+        }
+    }
+
     /// Split this endpoint into the batched driver's progress context and
     /// the op-local leftovers — disjoint borrows, usable side by side.
     fn split(
@@ -1471,6 +1505,7 @@ impl Endpoint {
             send_returns,
             pollfds,
             owed,
+            result_at,
             stats,
             ..
         } = self;
@@ -1495,6 +1530,7 @@ impl Endpoint {
                 posted,
                 owed,
                 read_watermark,
+                result_at,
             },
         )
     }
@@ -1846,6 +1882,7 @@ impl Tcp {
             // Oversize fails at the post site, exactly like the
             // synchronous driver.
             frame_header(TAG_DATA, &data, to)?;
+            ep.close_think();
             let held = self.hold_for_reduce(from, to, data.len());
             let (mut cx, _) = ep.split(from, self.opts.coalesce_limit, self.spins);
             cx.enqueue(to, TAG_DATA, data, Return::Engine, held);
@@ -1900,6 +1937,7 @@ impl Tcp {
     /// the round's frames are actually needed.
     fn try_sync_batched(&self, worker: usize) -> Result<(), TransportError> {
         self.with_endpoint(worker, |ep| {
+            ep.close_think();
             let (mut cx, op) = ep.split(worker, self.opts.coalesce_limit, self.spins);
             for (p, was_posted) in op.posted.iter_mut().enumerate() {
                 let skip = p != worker && !*was_posted;
@@ -2001,6 +2039,8 @@ impl Tcp {
         let deadline = self.io_deadline();
         self.with_endpoint(worker, |ep| {
             let lanes = values.len();
+            ep.close_think();
+            let hold = hold_result(ep.think);
             let (mut cx, opstate) = ep.split(worker, self.opts.coalesce_limit, self.spins);
             let workers = cx.links.len();
             let owed = opstate.owed;
@@ -2076,31 +2116,32 @@ impl Tcp {
                     }
                     cx.idle(&mut backoff, deadline, owed, "gather reduction")?;
                 }
-                // Broadcast the combined result and push it all the way
-                // out — every peer is blocked on it.
+                // Broadcast the combined result. Every peer is blocked on
+                // it, so it normally goes all the way out now and the
+                // peers compute while the root does. Only a root that
+                // turns around faster than a frame costs ([`hold_result`])
+                // parks it instead: its next frame to each peer (the next
+                // round's DATA/SKIP, enqueued un-held) follows at once and
+                // releases it into one super-frame — one wake-up per peer
+                // per round instead of two. The engine's end-of-program
+                // flush pushes the last one.
                 let mut body = cx.pool_buf();
                 for &v in &acc {
                     v.encode(&mut body);
                 }
-                // In oversubscribed mode the RESULT is held so it
-                // coalesces with the root's next frame to each peer (the
-                // next round's DATA/SKIP, enqueued un-held, releases it)
-                // — one wake-up per peer per round instead of two. The
-                // engine's end-of-program flush pushes the last one; on
-                // machines with spare cores the RESULT goes out
-                // immediately instead, because peers could be computing
-                // in parallel the moment they see it.
-                let hold_result = cx.oversubscribed();
                 for p in 1..workers {
                     let mut payload = cx.pool_buf();
                     payload.extend_from_slice(&body);
-                    cx.enqueue(p, TAG_RESULT, payload, Return::Pool, hold_result);
+                    cx.enqueue(p, TAG_RESULT, payload, Return::Pool, hold);
                 }
                 cx.recycle(body);
-                if !hold_result {
+                if !hold {
                     cx.drive_empty(deadline, "broadcast reduction result")?;
                 }
                 cx.stats.round_trips += 1;
+                // The think time runs from here — after the push, so the
+                // measurement does not depend on the decision it feeds.
+                *opstate.result_at = Some(Instant::now());
                 Ok(acc)
             } else {
                 let mut payload = cx.pool_buf();
@@ -2770,6 +2811,103 @@ mod tests {
         let senders: Vec<usize> = received.iter().map(|&(s, _)| s).collect();
         assert_eq!(senders, vec![0, 1], "held frame was flushed to rank 0");
         assert_eq!(received[1].1, vec![42; 8]);
+    }
+
+    /// The hold rule in both regimes, and before the first measurement.
+    #[test]
+    fn hold_result_follows_the_think_time() {
+        assert!(!hold_result(None), "unmeasured: send at once");
+        assert!(hold_result(Some(Duration::from_micros(2))), "bfs_chain");
+        assert!(!hold_result(Some(Duration::from_millis(7))), "pr_dense");
+        assert!(!hold_result(Some(RESULT_HOLD_MAX_THINK)));
+    }
+
+    /// A root that thinks between a reduction and its next post must not
+    /// make its peer wait for that post: the peer's `reduce_round` has to
+    /// return while the root is still thinking. The root refuses to post
+    /// until the peer reports the return, so a `RESULT` parked behind the
+    /// next `DATA` is a deadlock the channel timeout turns into a failure.
+    /// `spins: Some(0)` pins that the spin budget no longer decides this.
+    #[test]
+    fn thinking_root_does_not_hold_result() {
+        const ROUNDS: usize = 6;
+        let opts = TcpOptions {
+            spins: Some(0),
+            io_timeout: Duration::from_secs(5),
+            ..TcpOptions::batched()
+        };
+        let t = Arc::new(Tcp::loopback_with(2, opts).unwrap());
+        let (returned_tx, returned_rx) = std::sync::mpsc::channel();
+        let round = |t: &Tcp, w: usize| {
+            t.post(w, 1 - w, vec![w as u8; 16]);
+            t.sync(w);
+            let mut received = Vec::new();
+            t.take_all_into(w, &mut received);
+            for (s, buf) in received.drain(..) {
+                t.recycle(w, s, buf);
+            }
+            t.reduce_round(w, 0, 1)
+        };
+        let peer = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                for _ in 0..ROUNDS {
+                    round(&t, 1);
+                    returned_tx.send(()).unwrap();
+                }
+                t.flush(1);
+            })
+        };
+        for r in 0..ROUNDS {
+            round(&t, 0);
+            std::thread::sleep(Duration::from_millis(2)); // the think time
+            returned_rx
+                .recv_timeout(Duration::from_secs(2))
+                .unwrap_or_else(|_| {
+                    panic!("round {r}: RESULT is waiting for the root's next post")
+                });
+        }
+        t.flush(0);
+        peer.join().unwrap();
+        assert_eq!(t.worker_stats(0).coalesced_frames, 0, "root held nothing");
+    }
+
+    /// The mirror case: a root that turns around at once still parks the
+    /// `RESULT`, which then shares a super-frame with the next round's
+    /// `DATA` — the frame saving `bfs_chain` lives on.
+    #[test]
+    fn back_to_back_rounds_still_coalesce_result() {
+        const ROUNDS: u64 = 200;
+        let t = Arc::new(Tcp::loopback_with(2, TcpOptions::batched()).unwrap());
+        let mut handles = Vec::new();
+        for w in 0..2usize {
+            let t = Arc::clone(&t);
+            handles.push(std::thread::spawn(move || {
+                let mut received = Vec::new();
+                for _ in 0..ROUNDS {
+                    t.post(w, 1 - w, vec![w as u8; 16]);
+                    t.sync(w);
+                    t.take_all_into(w, &mut received);
+                    for (s, buf) in received.drain(..) {
+                        t.recycle(w, s, buf);
+                    }
+                    let _ = t.reduce_round(w, 0, 1);
+                }
+                t.flush(w);
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        // The root never holds DATA, so every coalesced frame it sent is a
+        // RESULT or the DATA it rode with. Round 1 is unmeasured and a
+        // preempted think costs one hold; half is far below either.
+        let root = t.worker_stats(0);
+        assert!(
+            root.coalesced_frames >= ROUNDS,
+            "root coalesced only {} frames in {ROUNDS} rounds",
+            root.coalesced_frames
+        );
     }
 
     /// The batch payload codec round-trips and rejects malformations with

@@ -420,8 +420,11 @@ pub fn merge_timelines(traces: &[RankTrace]) -> Vec<SuperstepStats> {
 
 /// Render rank traces as Chrome trace-event JSON: an array of complete
 /// (`"ph": "X"`) events, one `tid` (track) per rank, each track named
-/// via a `thread_name` metadata event. Timestamps are µs on the aligned
-/// epoch. Loadable in Perfetto (ui.perfetto.dev) or `chrome://tracing`.
+/// via a `thread_name` metadata event and followed by a `dropped_events`
+/// metadata event carrying [`RankTrace::dropped`] — how many spans the
+/// track is missing past [`EVENT_CAPACITY`]. Timestamps are µs on the
+/// aligned epoch. Loadable in Perfetto (ui.perfetto.dev) or
+/// `chrome://tracing`.
 pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
     let mut json = String::from("[\n");
     let mut first = true;
@@ -438,6 +441,14 @@ pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
                 "  {{\"ph\":\"M\",\"pid\":0,\"tid\":{},\"name\":\"thread_name\",\
                  \"args\":{{\"name\":\"rank {}\"}}}}",
                 t.rank, t.rank
+            ),
+            &mut json,
+        );
+        emit(
+            &format!(
+                "  {{\"ph\":\"M\",\"pid\":0,\"tid\":{},\"name\":\"dropped_events\",\
+                 \"args\":{{\"count\":{}}}}}",
+                t.rank, t.dropped
             ),
             &mut json,
         );
@@ -607,16 +618,26 @@ mod tests {
     }
 
     /// The Chrome export is structurally valid JSON with one named track
-    /// per rank and one complete event per span.
+    /// per rank, each rank's dropped-event count as metadata, and one
+    /// complete event per span.
     #[test]
     fn chrome_trace_json_is_wellformed() {
         let mut traces = vec![sample_trace(0, 100), sample_trace(1, 150)];
+        traces[1].dropped = 7;
         align_epochs(&mut traces);
         let json = chrome_trace_json(&traces);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert_eq!(json.matches("thread_name").count(), 2);
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 6);
+        assert_eq!(json.matches("\"ph\":\"M\"").count(), 4);
+        for (rank, count) in [(0, 0), (1, 7)] {
+            let meta = format!(
+                "{{\"ph\":\"M\",\"pid\":0,\"tid\":{rank},\"name\":\"dropped_events\",\
+                 \"args\":{{\"count\":{count}}}}}"
+            );
+            assert!(json.contains(&meta), "missing {meta} in {json}");
+        }
         assert!(json.contains("\"name\":\"poll-wait\""));
         assert!(!json.contains(",\n]"), "trailing comma: {json}");
     }

@@ -181,24 +181,6 @@ pub enum TransportError {
     },
 }
 
-impl TransportError {
-    /// The peer this failure is attributed to (`usize::MAX` when the
-    /// backend could not tell). Recovery logic keys off this: a fault
-    /// attributed to the acting coordinator's rank means the control
-    /// plane itself is gone and a standby must take over, not just
-    /// re-join.
-    pub fn peer(&self) -> usize {
-        match *self {
-            TransportError::Timeout { peer, .. }
-            | TransportError::Disconnected { peer, .. }
-            | TransportError::Truncated { peer, .. }
-            | TransportError::Protocol { peer, .. }
-            | TransportError::Connect { peer, .. }
-            | TransportError::Io { peer, .. } => peer,
-        }
-    }
-}
-
 impl std::fmt::Display for TransportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -22,6 +22,7 @@
 use crate::backoff::Backoff;
 use pc_bsp::tcp::{configure_stream, read_frame_into, write_frame};
 use pc_bsp::{Codec, Reader, TransportError};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -636,6 +637,45 @@ impl Coordinator {
     }
 }
 
+/// Connect to the rendezvous address, retrying on a jittered exponential
+/// backoff until `deadline`. A stream whose two ends are the same address
+/// counts as a refusal: dialling a loopback port nobody listens on *yet*
+/// (the coordinator is still starting) can be handed that very port as
+/// its source port, and TCP then connects the socket to itself — which
+/// would answer the follower with its own `JOIN` and keep the coordinator
+/// from ever binding the address. `connect` is `TcpStream::connect`
+/// outside the tests.
+fn dial(
+    coordinator: SocketAddr,
+    rank: usize,
+    deadline: Instant,
+    mut connect: impl FnMut(SocketAddr) -> std::io::Result<TcpStream>,
+) -> Result<TcpStream, TransportError> {
+    let mut backoff = Backoff::for_connect(rank as u64);
+    loop {
+        let refused = match connect(coordinator) {
+            Ok(mut s) if matches!((s.local_addr(), s.peer_addr()), (Ok(l), Ok(p)) if l == p) => {
+                // A plain close would park the port in TIME_WAIT and keep
+                // the coordinator out for a minute all the same. Closing
+                // with unread data resets the connection instead, which
+                // frees the port at once — so send ourselves a byte.
+                let _ = s.write(&[0]);
+                "connected to itself (nothing listens there yet)".to_string()
+            }
+            Ok(s) => return Ok(s),
+            Err(e) => e.to_string(),
+        };
+        let now = Instant::now();
+        if now >= deadline {
+            return Err(TransportError::Connect {
+                peer: 0,
+                detail: format!("connect rendezvous {coordinator}: {refused}"),
+            });
+        }
+        backoff.sleep(deadline - now);
+    }
+}
+
 /// A non-zero rank's side of the rendezvous: connect, announce, receive
 /// the peer table, then consume shipped frames.
 #[derive(Debug)]
@@ -677,22 +717,7 @@ impl Follower {
         opts: BootstrapOptions,
     ) -> Result<Self, TransportError> {
         let deadline = Instant::now() + opts.connect_timeout;
-        let mut backoff = Backoff::for_connect(rank as u64);
-        let stream = loop {
-            match TcpStream::connect(coordinator) {
-                Ok(s) => break s,
-                Err(e) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(TransportError::Connect {
-                            peer: 0,
-                            detail: format!("connect rendezvous {coordinator}: {e}"),
-                        });
-                    }
-                    backoff.sleep(deadline - now);
-                }
-            }
-        };
+        let stream = dial(coordinator, rank, deadline, TcpStream::connect)?;
         configure_stream(&stream).map_err(|e| io_err(0, "configure rendezvous stream", e))?;
         let join = encode_join(rank, &data_addr, flags, 0);
         write_frame(&stream, TAG_JOIN, &join, deadline, 0)?;
@@ -906,6 +931,89 @@ mod tests {
             matches!(err, TransportError::Connect { peer: 0, .. }),
             "{err}"
         );
+    }
+
+    /// A loopback TCP socket connected to itself, the way a follower gets
+    /// one by accident: source port == destination port, nobody listening.
+    /// `std` cannot choose a source port, so this goes through libc.
+    #[cfg(target_os = "linux")]
+    fn self_connected(addr: SocketAddr) -> std::io::Result<TcpStream> {
+        use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+        #[repr(C)]
+        struct SockaddrIn {
+            family: u16,
+            port_be: u16,
+            addr_be: u32,
+            zero: [u8; 8],
+        }
+        extern "C" {
+            fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+            fn bind(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
+            fn connect(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
+        }
+        const AF_INET: i32 = 2;
+        const SOCK_STREAM: i32 = 1;
+        let SocketAddr::V4(v4) = addr else {
+            panic!("loopback v4 only")
+        };
+        let sa = SockaddrIn {
+            family: AF_INET as u16,
+            port_be: v4.port().to_be(),
+            addr_be: u32::from(*v4.ip()).to_be(),
+            zero: [0; 8],
+        };
+        let len = std::mem::size_of::<SockaddrIn>() as u32;
+        // SAFETY: plain libc calls; `sa` is a live, correctly laid out
+        // `sockaddr_in` of `len` bytes for both calls that read it, and
+        // the fresh descriptor is owned (and closed) by `OwnedFd`.
+        unsafe {
+            let fd = socket(AF_INET, SOCK_STREAM, 0);
+            if fd < 0 {
+                return Err(std::io::Error::last_os_error());
+            }
+            let fd = OwnedFd::from_raw_fd(fd);
+            if bind(fd.as_raw_fd(), &sa, len) != 0 || connect(fd.as_raw_fd(), &sa, len) != 0 {
+                return Err(std::io::Error::last_os_error());
+            }
+            Ok(TcpStream::from(fd))
+        }
+    }
+
+    /// The 1-in-~800 rendezvous failure, forced: the follower's first
+    /// dial lands on the not-yet-bound rendezvous port from that same
+    /// source port and connects to itself. `dial` must treat that as a
+    /// refusal and reset the socket — so the coordinator can bind the
+    /// address at once, not a TIME_WAIT later — then reach the real
+    /// listener on the retry.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn follower_refuses_a_self_connected_rendezvous_socket() {
+        let rendezvous = free_addr();
+        let mut listener = None;
+        let mut attempts = 0;
+        let stream = dial(
+            rendezvous,
+            1,
+            Instant::now() + Duration::from_secs(5),
+            |addr| {
+                attempts += 1;
+                if attempts == 1 {
+                    let own = self_connected(addr)?;
+                    assert_eq!(own.local_addr()?, own.peer_addr()?);
+                    assert!(TcpListener::bind(addr).is_err(), "the squatter holds it");
+                    return Ok(own);
+                }
+                // `dial` reset the squatter: rank 0 can bind now.
+                listener.get_or_insert_with(|| TcpListener::bind(addr).expect("port was freed"));
+                TcpStream::connect(addr)
+            },
+        )
+        .unwrap();
+        assert_eq!(attempts, 2, "the self-connect took the retry path");
+        assert_eq!(stream.peer_addr().unwrap(), rendezvous);
+        assert_ne!(stream.local_addr().unwrap(), rendezvous);
+        let (_, from) = listener.unwrap().accept().unwrap();
+        assert_eq!(from, stream.local_addr().unwrap());
     }
 
     /// A full recovery rendezvous: one rank "dies" (drops its control

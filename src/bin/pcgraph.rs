@@ -1290,16 +1290,15 @@ fn execute<V>(
                 // Drop every handle on the failed mesh first: closing its
                 // sockets is what unblocks peers still waiting in it.
                 p.cfg.dist = None;
-                let mut fault_peer = fault.peer();
                 drop(role);
                 let t0 = Instant::now();
                 // A rendezvous that itself fails — the acting coordinator
                 // died between re-shipping plans and the mesh completing,
                 // or another rank fell over mid-epoch — is a fresh fault,
-                // not a fatal exit: re-attribute the failed peer and go
-                // around again so the election path can still run. The
-                // shared attempt budget keeps a dead cluster bounded.
-                while let Err(e) = recover(p, opts, ranks, fault_peer) {
+                // not a fatal exit: go around again so the election path
+                // can still run. The shared attempt budget keeps a dead
+                // cluster bounded.
+                while let Err(e) = recover(p, opts, ranks) {
                     attempts += 1;
                     if attempts > max_attempts {
                         bail_bootstrap(format!("recovery rendezvous: {e}"));
@@ -1309,7 +1308,6 @@ fn execute<V>(
                          (attempt {attempts}/{max_attempts})",
                         opts.rank.expect("rank mode")
                     );
-                    fault_peer = e.peer();
                 }
                 // Book the epoch on this rank's role record: the gather
                 // sums recoveries over ranks and takes the max repair
@@ -1328,16 +1326,11 @@ fn execute<V>(
 /// One recovery rendezvous: agree on a fresh peer table over the control
 /// plane, re-ship plans to respawned ranks, rebuild this rank's mesh.
 ///
-/// With failover armed, a fault attributed to the *acting coordinator*
-/// (or a control plane that dies mid-rendezvous — the control link rides
-/// the same process) escalates to an election instead: the standby takes
-/// over, everyone else follows the new advertisement.
-fn recover(
-    p: &mut Prepared,
-    opts: &Opts,
-    ranks: usize,
-    fault_peer: usize,
-) -> Result<(), TransportError> {
+/// With failover armed, a control plane that is dead or dies
+/// mid-rendezvous (the control link rides the acting coordinator's
+/// process) escalates to an election instead: the standby takes over,
+/// everyone else follows the new advertisement.
+fn recover(p: &mut Prepared, opts: &Opts, ranks: usize) -> Result<(), TransportError> {
     let rank = opts.rank.expect("rank mode");
     let armed = failover_armed(opts);
     let (listener, data_addr) = bind_data_listener(opts);
@@ -1392,22 +1385,23 @@ fn recover(
         } => {
             let follower = ctrl.as_mut().expect("recovery keeps the control link");
             // The control link lives in the acting coordinator's process:
-            // a fault naming the acting rank, a failed rejoin, or a lost
-            // CTRL frame all mean the coordinator is gone.
-            let outcome = if armed && fault_peer == *acting {
-                Err("the data-plane fault names the acting coordinator".to_string())
-            } else {
-                match follower.rejoin(data_addr) {
-                    // The coordinator follows every recovery PEERS with a
-                    // fresh CTRL frame.
-                    Ok(_epoch) if armed => match try_recv_ctrl(follower) {
-                        Ok(state) => Ok(Some(state)),
-                        Err(e) => Err(format!("control plane lost after rejoin ({e})")),
-                    },
-                    Ok(_epoch) => Ok(None),
-                    Err(e) if armed => Err(format!("control plane lost during recovery ({e})")),
-                    Err(e) => return Err(e),
-                }
+            // a failed rejoin or a lost CTRL frame means the coordinator
+            // is gone. A data-plane fault that names the acting rank does
+            // not: a live coordinator that saw another rank die tears its
+            // mesh down first, and whoever was waiting on it (everyone,
+            // during a reduction) sees that disconnect instead of the
+            // dead rank's. The control link tells the two apart — it
+            // fails at once when the coordinator's process is gone.
+            let outcome = match follower.rejoin(data_addr) {
+                // The coordinator follows every recovery PEERS with a
+                // fresh CTRL frame.
+                Ok(_epoch) if armed => match try_recv_ctrl(follower) {
+                    Ok(state) => Ok(Some(state)),
+                    Err(e) => Err(format!("control plane lost after rejoin ({e})")),
+                },
+                Ok(_epoch) => Ok(None),
+                Err(e) if armed => Err(format!("control plane lost during recovery ({e})")),
+                Err(e) => return Err(e),
             };
             match outcome {
                 Ok(new_state) => {
@@ -1675,6 +1669,13 @@ fn emit_observability(opts: &Opts, stats: &RunStats) {
             "trace",
             &pc_bsp::trace::chrome_trace_json(&stats.traces),
         );
+        let dropped: u64 = stats.traces.iter().map(|t| t.dropped).sum();
+        if dropped > 0 {
+            eprintln!(
+                "pcgraph: warning: the trace is missing {dropped} events dropped past the \
+                 per-rank buffer (its `dropped_events` metadata has the count per rank)"
+            );
+        }
     }
     if let Some(path) = &opts.stats_json {
         write_artifact(path, "stats", &pc_bench::report::run_stats_json(stats));
