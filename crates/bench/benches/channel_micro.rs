@@ -2,9 +2,11 @@
 //! Figs. 5–7 describe these data paths; the tables measure their
 //! end-to-end effect, these benches isolate the primitive costs):
 //!
-//! * `fig5_scatter_combine` — producing receiver-combined messages by a
-//!   linear scan of a pre-sorted edge array vs the hash-table combining of
-//!   the general message path;
+//! * `fig5_scatter_combine` — producing receiver-combined messages by
+//!   `ScatterCombine`'s shipped gather kernel over its by-destination CSR
+//!   (`sorted_scan`) vs the per-edge `dyn` combiner call over a pair array
+//!   it replaced (`dyn_per_edge`) vs the hash-table combining of the
+//!   general message path;
 //! * `fig6_request_respond` — sort+dedup of request batches vs hash-set
 //!   dedup, and positional vs (id, value) response encoding;
 //! * `fig7_propagation` — worklist label propagation over a local subgraph
@@ -18,6 +20,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pc_bsp::codec::{Codec, Reader};
+use pc_channels::Combine;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -42,21 +45,53 @@ fn fig5_scatter_combine(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig5_scatter_combine");
     let values: Vec<u64> = (0..N_VERTICES as u64).collect();
 
-    // Pre-sorted edge array: the scatter-combine fast path.
+    // The routes as `ScatterCombine` keeps them: a by-destination CSR.
     let mut sorted = edges(1);
     sorted.sort_unstable();
+    let srcs: Vec<u32> = sorted.iter().map(|&(_, src)| src).collect();
+    let run_ends: Vec<u32> = sorted
+        .chunk_by(|a, b| a.0 == b.0)
+        .scan(0u32, |end, run| {
+            *end += run.len() as u32;
+            Some(*end)
+        })
+        .collect();
+    let sum = Combine::sum_u64();
+
+    // What the channel runs per peer per superstep: the shipped gather
+    // kernel, combiner inlined, into a reused scratch.
+    let mut out: Vec<u64> = Vec::new();
     g.bench_function("sorted_scan", |b| {
         b.iter(|| {
-            let mut out: Vec<(u32, u64)> = Vec::with_capacity(N_EDGES / 2);
+            out.clear();
+            sum.gather(&values, &srcs, &run_ends, &mut out);
+            black_box(out.len())
+        })
+    });
+
+    // What it ran before the kernels: the combiner called through its
+    // pointer once per edge over `Option` slots and `(dst, src)` pairs,
+    // into a fresh pair vector.
+    let slots: Vec<Option<u64>> = values.iter().copied().map(Some).collect();
+    g.bench_function("dyn_per_edge", |b| {
+        b.iter(|| {
+            let mut out: Vec<(u32, u64)> = Vec::with_capacity(run_ends.len());
             let mut i = 0;
             while i < sorted.len() {
                 let dst = sorted[i].0;
-                let mut acc = 0u64;
+                let mut acc: Option<u64> = None;
                 while i < sorted.len() && sorted[i].0 == dst {
-                    acc += values[sorted[i].1 as usize];
+                    if let Some(v) = &slots[sorted[i].1 as usize] {
+                        match &mut acc {
+                            Some(a) => sum.apply(a, *v),
+                            None => acc = Some(*v),
+                        }
+                    }
                     i += 1;
                 }
-                out.push((dst, acc));
+                if let Some(v) = acc {
+                    out.push((dst, v));
+                }
             }
             black_box(out)
         })

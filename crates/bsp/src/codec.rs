@@ -83,6 +83,18 @@ pub trait Codec: Sized {
             }),
         }
     }
+
+    /// Append the encodings of `vals` in order: byte for byte what encoding
+    /// them one at a time writes, with the buffer grown once when the width
+    /// is fixed.
+    fn encode_slice(vals: &[Self], buf: &mut Vec<u8>) {
+        if let Some(size) = Self::FIXED_SIZE {
+            buf.reserve(vals.len() * size);
+        }
+        for v in vals {
+            v.encode(buf);
+        }
+    }
 }
 
 thread_local! {
@@ -344,6 +356,24 @@ mod tests {
         v.encode(&mut buf);
         assert_eq!(v.encoded_size(), buf.len());
         assert_eq!(7u32.encoded_size(), 4);
+    }
+
+    #[test]
+    fn encode_slice_matches_one_by_one() {
+        fn check<T: Codec>(vals: &[T]) {
+            let mut one_by_one = vec![0xAAu8];
+            for v in vals {
+                v.encode(&mut one_by_one);
+            }
+            let mut bulk = vec![0xAAu8];
+            T::encode_slice(vals, &mut bulk);
+            assert_eq!(bulk, one_by_one);
+        }
+        check(&[1u32, u32::MAX, 7]);
+        check(&[0.5f64, -0.0, f64::NAN, 1e300]);
+        check(&[(1u32, 2.5f64), (3, -1.0)]);
+        check(&[vec![1u8, 2], vec![], vec![3]]);
+        check::<u64>(&[]);
     }
 
     #[test]

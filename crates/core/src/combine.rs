@@ -10,8 +10,53 @@
 
 use std::sync::Arc;
 
-/// Shared fold step.
-type FoldFn<V> = Arc<dyn Fn(&mut V, V) + Send + Sync>;
+/// The fold step plus the two bulk loops [`crate::ScatterCombine`] runs over
+/// it. Implemented once, for every closure type, so that inside the loops
+/// the step is a direct (inlinable) call: a channel pays one indirect call
+/// per frame through `dyn Fold`, not one per edge — the user's combiner
+/// compiled *into* the edge loop, as iPregel does, without a closure type
+/// parameter on `Combine` and every channel and algorithm that names it.
+trait Fold<V>: Send + Sync {
+    fn apply(&self, acc: &mut V, v: V);
+    /// [`Combine::gather`].
+    fn gather(&self, slots: &[V], srcs: &[u32], run_ends: &[u32], out: &mut Vec<V>);
+    /// [`Combine::absorb`].
+    fn absorb(&self, acc: &mut [V], present: &mut [bool], dsts: &[u32], vals: &mut Vec<V>);
+}
+
+impl<V: Clone, F: Fn(&mut V, V) + Send + Sync> Fold<V> for F {
+    #[inline]
+    fn apply(&self, acc: &mut V, v: V) {
+        self(acc, v);
+    }
+
+    fn gather(&self, slots: &[V], srcs: &[u32], run_ends: &[u32], out: &mut Vec<V>) {
+        out.reserve(run_ends.len());
+        let mut start = 0usize;
+        for &end in run_ends {
+            let run = &srcs[start..end as usize];
+            let mut acc = slots[run[0] as usize].clone();
+            for &src in &run[1..] {
+                self(&mut acc, slots[src as usize].clone());
+            }
+            out.push(acc);
+            start = end as usize;
+        }
+    }
+
+    fn absorb(&self, acc: &mut [V], present: &mut [bool], dsts: &[u32], vals: &mut Vec<V>) {
+        assert_eq!(dsts.len(), vals.len(), "one destination per value");
+        for (&dst, v) in dsts.iter().zip(vals.drain(..)) {
+            let dst = dst as usize;
+            if present[dst] {
+                self(&mut acc[dst], v);
+            } else {
+                acc[dst] = v;
+                present[dst] = true;
+            }
+        }
+    }
+}
 
 /// An identity element plus an associative, commutative fold step.
 ///
@@ -20,7 +65,7 @@ type FoldFn<V> = Arc<dyn Fn(&mut V, V) + Send + Sync>;
 #[derive(Clone)]
 pub struct Combine<V> {
     identity: V,
-    f: FoldFn<V>,
+    f: Arc<dyn Fold<V>>,
 }
 
 impl<V: Clone> Combine<V> {
@@ -43,7 +88,21 @@ impl<V: Clone> Combine<V> {
     /// Fold `v` into `acc`.
     #[inline]
     pub fn apply(&self, acc: &mut V, v: V) {
-        (self.f)(acc, v);
+        self.f.apply(acc, v);
+    }
+
+    /// Sender-side bulk fold over a by-destination CSR: one value per run
+    /// of `srcs` (run `k` ends at `run_ends[k]`, the first starts at 0,
+    /// none is empty), folded left to right from the run's first source.
+    pub fn gather(&self, slots: &[V], srcs: &[u32], run_ends: &[u32], out: &mut Vec<V>) {
+        self.f.gather(slots, srcs, run_ends, out);
+    }
+
+    /// Receiver-side bulk fold: `vals[i]` into `acc[dsts[i]]`, the first
+    /// arrival at a slot (its `present` flag unset) stored as it is.
+    /// Drains `vals`.
+    pub fn absorb(&self, acc: &mut [V], present: &mut [bool], dsts: &[u32], vals: &mut Vec<V>) {
+        self.f.absorb(acc, present, dsts, vals);
     }
 
     /// Combine two values into one.

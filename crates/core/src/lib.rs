@@ -24,8 +24,9 @@
 //!
 //! * [`ScatterCombine`] — the *static messaging pattern*: every vertex
 //!   sends one value along all its pre-registered edges each superstep; a
-//!   pre-sorted edge array lets the worker produce receiver-combined
-//!   messages with a linear scan instead of hashing (§IV-C1);
+//!   by-destination CSR built once lets the worker produce
+//!   receiver-combined messages with a linear scan instead of hashing
+//!   (§IV-C1);
 //! * [`RequestRespond`] — two-round "read an attribute of vertex X"
 //!   conversations with per-worker request deduplication and positional
 //!   (id-free) responses (§IV-C2);

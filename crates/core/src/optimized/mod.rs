@@ -1,8 +1,8 @@
 //! The optimized channels of Table II. Each is a drop-in replacement for a
 //! message-passing pattern, carrying one targeted optimization (§IV-C):
 //!
-//! * [`scatter::ScatterCombine`] — static messaging pattern, pre-sorted
-//!   edge array, sender-side combining by linear scan;
+//! * [`scatter::ScatterCombine`] — static messaging pattern, routes kept
+//!   as a by-destination CSR, sender-side combining by linear scan;
 //! * [`reqresp::RequestRespond`] — request deduplication per worker and
 //!   positional responses, fixing high-degree responder imbalance;
 //! * [`propagation::Propagation`] — intra-worker asynchronous label

@@ -5,29 +5,45 @@
 //! local state — PageRank's rank broadcast, S-V's neighborhood pointer
 //! exchange. An iterative algorithm with this pattern wastes time repeating
 //! the same message-dispatch procedure every superstep; this channel
-//! pre-processes the routes once:
+//! pre-processes the routes once, so that every later superstep is the one
+//! linear scan Fig. 5 draws.
 //!
-//! * at registration, edges are grouped per destination worker and sorted
-//!   by destination vertex (Fig. 5's pre-calculated sorted edge array);
-//! * each superstep, one linear scan of the sorted edges folds the values
-//!   of all local sources per distinct destination (combining without a
-//!   hash table) and emits one message per distinct destination;
-//! * because the destination sequence is static, the ids are transmitted
-//!   **once**; later supersteps ship bare values in the agreed order and
-//!   the receiver zips them with its cached route list — the "removal of
-//!   redundant transmission of vertices' identifiers" that gives the
-//!   paper's ~1/3 message-size reduction on PageRank;
-//! * the receiver writes combined values into a dense slot array by local
-//!   index — no routing table, no hashing.
+//! **Registration.** `add_edge` only appends a `(destination, source)` pair
+//! to the destination worker's staging list. The first `serialize` after a
+//! registration turns each list into a by-destination CSR — `unique_dsts`
+//! (distinct destinations, ascending), `run_ends` (where each destination's
+//! run of sources ends) and `srcs` (4 bytes per edge) — with a stable
+//! counting sort on the destination's local index, O(edges + receiver
+//! vertices), and frees the staging list. Sources registered out of order
+//! are sorted within their run, so a run is always ascending: the fold
+//! order is (destination ascending, source ascending) however the edges
+//! arrived. Edges added later are merged into the CSR the same way, the
+//! existing runs first.
+//!
+//! **Each superstep** the sender runs [`Combine::gather`] once per peer:
+//! fold the slot values of each run's sources and push one value per
+//! destination into a reused scratch — combining without a hash table, and
+//! with the combiner inlined into the loop (one indirect call per peer, not
+//! per edge). The scratch goes to the wire in one `encode_slice`. Because
+//! the destination sequence is static, the ids are transmitted **once**
+//! (`MODE_FULL`); later supersteps ship bare values in the agreed order
+//! (`MODE_VALUES`) and the receiver zips them with its cached route list —
+//! the "removal of redundant transmission of vertices' identifiers" that
+//! gives the paper's ~1/3 message-size reduction on PageRank. The receiver
+//! decodes a frame into a reused scratch and folds it into dense slots by
+//! local index with [`Combine::absorb`] — no routing table, no hashing.
+//! Slots are plain `Vec<M>` beside a presence flag, so a steady-state
+//! superstep allocates nothing.
 //!
 //! If a superstep is *not* complete (some registered vertex didn't
 //! `set_message`, e.g. the algorithm's last iteration), the channel
-//! transparently falls back to explicit `(dst, value)` pairs for that
-//! superstep, preserving correctness for non-static uses.
+//! transparently falls back to explicit `(dst, value)` pairs
+//! (`MODE_PAIRS`) for that superstep — the same CSR scanned with a presence
+//! check per source — preserving correctness for non-static uses.
 
 use crate::channel::{Channel, DeserializeCx, SerializeCx, WorkerEnv};
 use crate::combine::Combine;
-use pc_bsp::codec::Codec;
+use pc_bsp::codec::{Codec, Reader};
 use pc_graph::VertexId;
 
 /// Wire modes for one scatter frame.
@@ -35,27 +51,147 @@ const MODE_VALUES: u8 = 0;
 const MODE_FULL: u8 = 1;
 const MODE_PAIRS: u8 = 2;
 
+/// The static routes toward one destination worker.
+#[derive(Default)]
+struct PeerRoutes {
+    /// `(dst local index at the receiver, src local index here)` pairs
+    /// registered since the last finalize, in registration order.
+    staged: Vec<(u32, u32)>,
+    /// Distinct destinations, ascending — the order values go out in.
+    unique_dsts: Vec<u32>,
+    /// `run_ends[k]` is where `unique_dsts[k]`'s run ends in `srcs` (and
+    /// the next begins); no run is empty.
+    run_ends: Vec<u32>,
+    /// Source local indices grouped by destination, ascending in a run.
+    srcs: Vec<u32>,
+    /// Whether the id sequence has been shipped to this peer.
+    ids_shipped: bool,
+}
+
+impl PeerRoutes {
+    /// Merge the staged pairs into the CSR (`n_dst` = vertices on the
+    /// receiving worker) and free them. A stable counting sort on the
+    /// destination: existing runs keep their place at the front of each
+    /// run, staged sources follow in registration order, and a run that
+    /// ends up out of order is sorted.
+    fn finalize(&mut self, n_dst: usize) {
+        let staged = std::mem::take(&mut self.staged);
+        if staged.is_empty() {
+            return;
+        }
+        let total = u32::try_from(self.srcs.len() + staged.len())
+            .expect("scatter: more than u32::MAX edges toward one worker");
+        // cursor[d + 1] counts d's sources, then (prefix sum) cursor[d] is
+        // where d's run begins, then (placement) where it ends.
+        let mut cursor = vec![0u32; n_dst + 1];
+        let mut begin = 0;
+        for (&dst, &end) in self.unique_dsts.iter().zip(&self.run_ends) {
+            cursor[dst as usize + 1] = end - begin;
+            begin = end;
+        }
+        for &(dst, _) in &staged {
+            cursor[dst as usize + 1] += 1;
+        }
+        let runs = cursor[1..].iter().filter(|&&count| count != 0).count();
+        for d in 0..n_dst {
+            cursor[d + 1] += cursor[d];
+        }
+        let mut srcs = vec![0u32; total as usize];
+        let mut begin = 0;
+        for (&dst, &end) in self.unique_dsts.iter().zip(&self.run_ends) {
+            let run = &self.srcs[begin as usize..end as usize];
+            let at = cursor[dst as usize] as usize;
+            srcs[at..at + run.len()].copy_from_slice(run);
+            cursor[dst as usize] += run.len() as u32;
+            begin = end;
+        }
+        for &(dst, src) in &staged {
+            srcs[cursor[dst as usize] as usize] = src;
+            cursor[dst as usize] += 1;
+        }
+        drop(staged);
+        self.unique_dsts = Vec::with_capacity(runs);
+        self.run_ends = Vec::with_capacity(runs);
+        let mut begin = 0;
+        for (dst, &end) in cursor[..n_dst].iter().enumerate() {
+            if end != begin {
+                let run = &mut srcs[begin as usize..end as usize];
+                if !run.is_sorted() {
+                    run.sort_unstable();
+                }
+                self.unique_dsts.push(dst as u32);
+                self.run_ends.push(end);
+                begin = end;
+            }
+        }
+        self.srcs = srcs;
+    }
+}
+
+/// Dense per-vertex values beside a presence flag: `vals[i]` means
+/// something only while `present[i]`, so emptying the set never touches a
+/// value.
+struct Slots<M> {
+    vals: Vec<M>,
+    present: Vec<bool>,
+}
+
+impl<M: Codec + Clone> Slots<M> {
+    fn new(n: usize, fill: M) -> Self {
+        Slots {
+            vals: vec![fill; n],
+            present: vec![false; n],
+        }
+    }
+
+    fn get(&self, i: u32) -> Option<&M> {
+        self.present[i as usize].then(|| &self.vals[i as usize])
+    }
+
+    fn clear(&mut self) {
+        self.present.fill(false);
+    }
+
+    /// Flags, then the present values only — what a `Vec<Option<M>>` costs.
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.present.encode(buf);
+        for (v, _) in self.vals.iter().zip(&self.present).filter(|(_, &p)| p) {
+            v.encode(buf);
+        }
+    }
+
+    /// Restore into slots of the same length.
+    fn decode(&mut self, r: &mut Reader<'_>) {
+        let present: Vec<bool> = r.get();
+        assert_eq!(present.len(), self.vals.len(), "scatter slot count");
+        for (v, _) in self.vals.iter_mut().zip(&present).filter(|(_, &p)| p) {
+            *v = r.get();
+        }
+        self.present = present;
+    }
+}
+
 /// Sender-combined broadcast channel over a static edge set.
 pub struct ScatterCombine<M> {
     env: WorkerEnv,
     combine: Combine<M>,
-    /// Per destination worker: `(dst local index at receiver, src local
-    /// index here)`, sorted by destination once registration settles.
-    edges: Vec<Vec<(u32, u32)>>,
-    /// Distinct destinations per peer, aligned with the scan output order.
-    unique_dsts: Vec<Vec<u32>>,
-    /// Whether the id sequence has been shipped to each peer.
-    ids_shipped: Vec<bool>,
-    dirty: bool,
-    /// Local vertices with at least one registered edge.
+    /// Routes per destination worker.
+    peers: Vec<PeerRoutes>,
+    /// Local vertices with at least one registered edge, and how many.
     registered: Vec<bool>,
-    /// This superstep's outgoing value per local vertex.
-    slots: Vec<Option<M>>,
+    registered_count: usize,
+    /// This superstep's outgoing value per local vertex, and how many
+    /// registered vertices set one (all of them ⇒ the static pattern is in
+    /// effect).
+    slots: Slots<M>,
+    set_registered: usize,
+    /// One peer's combined values (send) or one frame's values (receive).
+    scratch: Vec<M>,
     /// Cached destination routes per *sender* worker (receive side).
     routes: Vec<Vec<u32>>,
-    /// Receive-side dense slot arrays (double-buffered).
-    incoming: Vec<Option<M>>,
-    readable: Vec<Option<M>>,
+    /// Receive-side slots (double-buffered).
+    incoming: Slots<M>,
+    readable: Slots<M>,
     messages: u64,
 }
 
@@ -64,19 +200,20 @@ impl<M: Codec + Clone + Send> ScatterCombine<M> {
     pub fn new(env: &WorkerEnv, combine: Combine<M>) -> Self {
         let numv = env.local_count();
         let workers = env.workers();
+        let slots = || Slots::new(numv, combine.identity());
         ScatterCombine {
             env: env.clone(),
-            combine,
-            edges: vec![Vec::new(); workers],
-            unique_dsts: vec![Vec::new(); workers],
-            ids_shipped: vec![false; workers],
-            dirty: false,
+            peers: (0..workers).map(|_| PeerRoutes::default()).collect(),
             registered: vec![false; numv],
-            slots: vec![None; numv],
+            registered_count: 0,
+            slots: slots(),
+            set_registered: 0,
+            scratch: Vec::new(),
             routes: vec![Vec::new(); workers],
-            incoming: vec![None; numv],
-            readable: vec![None; numv],
+            incoming: slots(),
+            readable: slots(),
             messages: 0,
+            combine,
         }
     }
 
@@ -85,21 +222,32 @@ impl<M: Codec + Clone + Send> ScatterCombine<M> {
     /// superstep; adding edges later re-triggers preprocessing.
     pub fn add_edge(&mut self, src_local: u32, dst: VertexId) {
         let peer = self.env.worker_of(dst);
-        self.edges[peer].push((self.env.local_of(dst), src_local));
-        self.registered[src_local as usize] = true;
-        self.dirty = true;
+        self.peers[peer]
+            .staged
+            .push((self.env.local_of(dst), src_local));
+        let src = src_local as usize;
+        if !self.registered[src] {
+            self.registered[src] = true;
+            self.registered_count += 1;
+            self.set_registered += usize::from(self.slots.present[src]);
+        }
     }
 
     /// Set the value this vertex scatters along all its registered edges
     /// this superstep.
     pub fn set_message(&mut self, src_local: u32, m: M) {
-        self.slots[src_local as usize] = Some(m);
+        let src = src_local as usize;
+        self.slots.vals[src] = m;
+        if !self.slots.present[src] {
+            self.slots.present[src] = true;
+            self.set_registered += usize::from(self.registered[src]);
+        }
     }
 
     /// The combined value gathered by `local` this superstep, if any
     /// in-neighbor scattered.
     pub fn get_message(&self, local: u32) -> Option<&M> {
-        self.readable[local as usize].as_ref()
+        self.readable.get(local)
     }
 
     /// Combined value or the combiner's identity.
@@ -111,56 +259,64 @@ impl<M: Codec + Clone + Send> ScatterCombine<M> {
 
     /// Total registered edges on this worker.
     pub fn edge_count(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
-    }
-
-    fn finalize_routes(&mut self) {
-        for peer in 0..self.edges.len() {
-            self.edges[peer].sort_unstable();
-            let mut uniq = Vec::new();
-            for &(dst, _) in &self.edges[peer] {
-                if uniq.last() != Some(&dst) {
-                    uniq.push(dst);
-                }
-            }
-            self.unique_dsts[peer] = uniq;
-            self.ids_shipped[peer] = false;
-        }
-        self.dirty = false;
-    }
-
-    /// All registered sources set a message this superstep — the static
-    /// pattern in effect.
-    fn superstep_complete(&self) -> bool {
-        self.registered
+        self.peers
             .iter()
-            .zip(&self.slots)
-            .all(|(&reg, slot)| !reg || slot.is_some())
+            .map(|p| p.srcs.len() + p.staged.len())
+            .sum()
     }
 
-    /// One linear scan of a peer's sorted edges: fold the slot values of
-    /// all sources per distinct destination (Fig. 5's execution logic).
-    fn combined_for_peer(&self, peer: usize) -> Vec<(u32, M)> {
-        let per_peer = &self.edges[peer];
-        let mut out = Vec::with_capacity(self.unique_dsts[peer].len());
-        let mut i = 0usize;
-        while i < per_peer.len() {
-            let dst = per_peer[i].0;
-            let mut acc: Option<M> = None;
-            while i < per_peer.len() && per_peer[i].0 == dst {
-                if let Some(v) = &self.slots[per_peer[i].1 as usize] {
-                    match &mut acc {
-                        Some(a) => self.combine.apply(a, v.clone()),
-                        None => acc = Some(v.clone()),
-                    }
-                }
-                i += 1;
-            }
-            if let Some(v) = acc {
-                out.push((dst, v));
-            }
+    /// Fold any staged edges into the routes. A changed route set is
+    /// re-announced to every peer.
+    fn finalize_routes(&mut self) {
+        if self.peers.iter().all(|p| p.staged.is_empty()) {
+            return;
         }
-        out
+        for (peer, routes) in self.peers.iter_mut().enumerate() {
+            routes.finalize(self.env.topo.local_count(peer));
+            routes.ids_shipped = false;
+        }
+    }
+
+    /// A partial superstep's frame for one peer: scan the CSR skipping the
+    /// sources that set nothing, and write a `(dst, value)` pair per
+    /// destination that gathered anything. Returns the pair count.
+    fn encode_pairs(&self, routes: &PeerRoutes, buf: &mut Vec<u8>) -> u64 {
+        let mut pairs = 0;
+        let mut begin = 0;
+        for (&dst, &end) in routes.unique_dsts.iter().zip(&routes.run_ends) {
+            let mut set = routes.srcs[begin as usize..end as usize]
+                .iter()
+                .filter_map(|&src| self.slots.get(src));
+            if let Some(first) = set.next() {
+                let mut acc = first.clone();
+                for v in set {
+                    self.combine.apply(&mut acc, v.clone());
+                }
+                if pairs == 0 {
+                    MODE_PAIRS.encode(buf);
+                }
+                dst.encode(buf);
+                acc.encode(buf);
+                pairs += 1;
+            }
+            begin = end;
+        }
+        pairs
+    }
+}
+
+/// Fold one frame's values into the incoming slots along `route` and wake
+/// the receivers.
+fn absorb<AV, M: Clone>(
+    combine: &Combine<M>,
+    incoming: &mut Slots<M>,
+    route: &[u32],
+    vals: &mut Vec<M>,
+    cx: &mut DeserializeCx<'_, AV>,
+) {
+    combine.absorb(&mut incoming.vals, &mut incoming.present, route, vals);
+    for &dst_local in route {
+        cx.activate(dst_local);
     }
 }
 
@@ -171,96 +327,110 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
 
     fn before_superstep(&mut self, _step: u64) {
         std::mem::swap(&mut self.readable, &mut self.incoming);
-        self.incoming.iter_mut().for_each(|s| *s = None);
+        self.incoming.clear();
     }
 
     fn serialize(&mut self, cx: &mut SerializeCx<'_>) {
-        if self.dirty {
-            self.finalize_routes();
-        }
-        if self.slots.iter().all(Option::is_none) {
+        self.finalize_routes();
+        if self.set_registered == 0 {
+            self.slots.clear();
             return; // nothing scattered this superstep
         }
-        let complete = self.superstep_complete();
-        for peer in 0..self.edges.len() {
-            if self.edges[peer].is_empty() {
+        let complete = self.set_registered == self.registered_count;
+        for peer in 0..self.peers.len() {
+            if self.peers[peer].srcs.is_empty() {
                 continue;
             }
-            let combined = self.combined_for_peer(peer);
-            if combined.is_empty() {
+            if !complete {
+                // Explicit pairs, id cache untouched.
+                let routes = &self.peers[peer];
+                let mut pairs = 0;
+                cx.frame(peer, |buf| pairs = self.encode_pairs(routes, buf));
+                self.messages += pairs;
                 continue;
             }
-            self.messages += combined.len() as u64;
-            if complete {
-                debug_assert_eq!(combined.len(), self.unique_dsts[peer].len());
-                if self.ids_shipped[peer] {
-                    // Static pattern, routes known: bare values only.
-                    cx.frame(peer, |buf| {
-                        MODE_VALUES.encode(buf);
-                        for (_, m) in &combined {
-                            m.encode(buf);
-                        }
-                    });
-                } else {
-                    // First scatter: ship the id sequence once.
-                    cx.frame(peer, |buf| {
-                        MODE_FULL.encode(buf);
-                        (combined.len() as u32).encode(buf);
-                        for (dst, _) in &combined {
-                            dst.encode(buf);
-                        }
-                        for (_, m) in &combined {
-                            m.encode(buf);
-                        }
-                    });
-                    self.ids_shipped[peer] = true;
-                }
-            } else {
-                // Partial superstep: explicit pairs, cache untouched.
+            let routes = &mut self.peers[peer];
+            let vals = &mut self.scratch;
+            vals.clear();
+            self.combine
+                .gather(&self.slots.vals, &routes.srcs, &routes.run_ends, vals);
+            self.messages += vals.len() as u64;
+            if routes.ids_shipped {
+                // Static pattern, routes known: bare values only.
                 cx.frame(peer, |buf| {
-                    MODE_PAIRS.encode(buf);
-                    for (dst, m) in &combined {
-                        dst.encode(buf);
-                        m.encode(buf);
-                    }
+                    MODE_VALUES.encode(buf);
+                    M::encode_slice(vals, buf);
                 });
+            } else {
+                // First scatter: ship the id sequence once.
+                cx.frame(peer, |buf| {
+                    MODE_FULL.encode(buf);
+                    (vals.len() as u32).encode(buf);
+                    u32::encode_slice(&routes.unique_dsts, buf);
+                    M::encode_slice(vals, buf);
+                });
+                routes.ids_shipped = true;
             }
         }
-        self.slots.iter_mut().for_each(|s| *s = None);
+        self.slots.clear();
+        self.set_registered = 0;
     }
 
     fn deserialize(&mut self, cx: &mut DeserializeCx<'_, AV>) {
+        let ScatterCombine {
+            combine,
+            incoming,
+            routes,
+            scratch: vals,
+            ..
+        } = self;
         for (from, mut r) in cx.frames() {
             let mode: u8 = r.get();
+            let route = &mut routes[from];
+            vals.clear();
             match mode {
                 MODE_FULL => {
                     let count = r.get::<u32>() as usize;
-                    let mut route = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        route.push(r.get::<u32>());
-                    }
-                    for &dst_local in &route {
-                        let m: M = r.get();
-                        absorb(&mut self.incoming, &self.combine, dst_local, m);
-                        cx.activate(dst_local);
-                    }
-                    self.routes[from] = route;
+                    route.clear();
+                    route.extend((0..count).map(|_| r.get::<u32>()));
+                    vals.extend((0..count).map(|_| r.get::<M>()));
+                    absorb(combine, incoming, route, vals, cx);
                 }
                 MODE_VALUES => {
-                    for i in 0..self.routes[from].len() {
-                        let dst_local = self.routes[from][i];
-                        let m: M = r.get();
-                        absorb(&mut self.incoming, &self.combine, dst_local, m);
-                        cx.activate(dst_local);
+                    // The frame must carry exactly one value per cached
+                    // route entry. Fixed width: the byte length says so
+                    // before any value is decoded; otherwise decode what
+                    // the frame holds and count.
+                    let expect = route.len();
+                    match M::FIXED_SIZE {
+                        Some(size) => {
+                            assert!(
+                                r.remaining() == expect * size,
+                                "scatter channel: VALUES frame from worker {from} is {} bytes, \
+                                 the cached route expects {expect} values of {size} bytes",
+                                r.remaining()
+                            );
+                            vals.extend((0..expect).map(|_| r.get::<M>()));
+                        }
+                        None => {
+                            while !r.is_empty() {
+                                vals.push(r.get());
+                            }
+                            assert!(
+                                vals.len() == expect,
+                                "scatter channel: VALUES frame from worker {from} carries {} \
+                                 values, the cached route expects {expect}",
+                                vals.len()
+                            );
+                        }
                     }
-                    debug_assert!(r.is_empty(), "scatter VALUES frame length mismatch");
+                    absorb(combine, incoming, route, vals, cx);
                 }
                 MODE_PAIRS => {
                     while !r.is_empty() {
                         let dst_local: u32 = r.get();
-                        let m: M = r.get();
-                        absorb(&mut self.incoming, &self.combine, dst_local, m);
-                        cx.activate(dst_local);
+                        vals.push(r.get());
+                        absorb(combine, incoming, &[dst_local], vals, cx);
                     }
                 }
                 other => unreachable!("unknown scatter frame mode {other}"),
@@ -275,11 +445,15 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
     fn encode_state(&self, buf: &mut Vec<u8>) -> bool {
         // The registered route tables are built by `compute` in early
         // supersteps and never rebuilt on restore, so they are state just
-        // as much as the staged receive slots are.
-        self.edges.encode(buf);
-        self.unique_dsts.encode(buf);
-        self.ids_shipped.encode(buf);
-        self.dirty.encode(buf);
+        // as much as the staged receive slots are. The counters beside
+        // `registered` and `slots` are recounted on restore.
+        for p in &self.peers {
+            p.staged.encode(buf);
+            p.unique_dsts.encode(buf);
+            p.run_ends.encode(buf);
+            p.srcs.encode(buf);
+            p.ids_shipped.encode(buf);
+        }
         self.registered.encode(buf);
         self.slots.encode(buf);
         self.routes.encode(buf);
@@ -288,23 +462,26 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
         true
     }
 
-    fn decode_state(&mut self, r: &mut pc_bsp::codec::Reader<'_>) {
-        self.edges = r.get();
-        self.unique_dsts = r.get();
-        self.ids_shipped = r.get();
-        self.dirty = r.get();
+    fn decode_state(&mut self, r: &mut Reader<'_>) {
+        for p in &mut self.peers {
+            p.staged = r.get();
+            p.unique_dsts = r.get();
+            p.run_ends = r.get();
+            p.srcs = r.get();
+            p.ids_shipped = r.get();
+        }
         self.registered = r.get();
-        self.slots = r.get();
+        self.slots.decode(r);
         self.routes = r.get();
-        self.incoming = r.get();
+        self.incoming.decode(r);
         self.messages = r.get();
-    }
-}
-
-fn absorb<M: Clone>(slots: &mut [Option<M>], combine: &Combine<M>, dst: u32, m: M) {
-    match &mut slots[dst as usize] {
-        Some(acc) => combine.apply(acc, m),
-        slot @ None => *slot = Some(m),
+        self.registered_count = self.registered.iter().filter(|&&reg| reg).count();
+        self.set_registered = self
+            .registered
+            .iter()
+            .zip(&self.slots.present)
+            .filter(|(&reg, &set)| reg && set)
+            .count();
     }
 }
 
@@ -552,6 +729,299 @@ mod tests {
             };
             assert_eq!(vals[2], expect, "step4 gather at {id}");
             assert_eq!(vals[3], 2, "step5 gather at {id}");
+        }
+    }
+
+    // ---- the channel driven by hand: fold order, frame checks, oracle ----
+
+    use crate::frontier::Frontier;
+    use pc_bsp::buffer::{frame_spans, FrameSpan, FrameWriter, OutBuffers};
+    use pc_bsp::metrics::ByteCounter;
+    use proptest::prelude::*;
+
+    /// One channel per worker with the frames carried by hand, senders in
+    /// ascending order as the sequential driver delivers them.
+    struct Cluster<M> {
+        topo: Arc<Topology>,
+        chans: Vec<ScatterCombine<M>>,
+    }
+
+    impl<M: Codec + Clone + Send> Cluster<M> {
+        fn new(owners: Vec<u16>, workers: usize, combine: Combine<M>) -> Self {
+            let topo = Arc::new(Topology::from_owners(workers, owners));
+            let chans = (0..workers)
+                .map(|worker| {
+                    let env = WorkerEnv {
+                        worker,
+                        topo: Arc::clone(&topo),
+                    };
+                    ScatterCombine::new(&env, combine.clone())
+                })
+                .collect();
+            Cluster { topo, chans }
+        }
+
+        fn add_edge(&mut self, src: VertexId, dst: VertexId) {
+            self.chans[self.topo.worker_of(src)].add_edge(self.topo.local_of(src), dst);
+        }
+
+        fn set(&mut self, src: VertexId, m: M) {
+            self.chans[self.topo.worker_of(src)].set_message(self.topo.local_of(src), m);
+        }
+
+        /// Hand `bufs` (`(sender, raw buffer)`) to worker `w`'s channel.
+        fn deliver(&mut self, w: usize, bufs: &[(usize, Vec<u8>)]) {
+            let mut spans = Vec::new();
+            for (bi, (_, buf)) in bufs.iter().enumerate() {
+                spans.extend(frame_spans(buf).map(|(_, start, end)| FrameSpan {
+                    buf: bi as u32,
+                    start,
+                    end,
+                }));
+            }
+            let ch = &mut self.chans[w];
+            let mut frontier = Frontier::all_active(ch.env.local_count());
+            let env = ch.env.clone();
+            let mut cx = DeserializeCx::<()> {
+                env: &env,
+                spans: &spans,
+                bufs,
+                values: &[],
+                frontier: &mut frontier,
+            };
+            ch.deserialize(&mut cx);
+        }
+
+        /// One exchange round and the superstep boundary after it; returns
+        /// what every vertex (by global id) gathered.
+        fn exchange(&mut self) -> Vec<Option<M>> {
+            let workers = self.chans.len();
+            let mut inbox = vec![Vec::new(); workers];
+            for (w, ch) in self.chans.iter_mut().enumerate() {
+                let mut out = OutBuffers::new(w, workers);
+                let env = ch.env.clone();
+                let mut cx = SerializeCx {
+                    channel_id: 0,
+                    env: &env,
+                    out: &mut out,
+                    bytes: &mut ByteCounter::default(),
+                };
+                Channel::<()>::serialize(ch, &mut cx);
+                for (peer, column) in inbox.iter_mut().enumerate() {
+                    column.push((w, std::mem::take(out.buf(peer))));
+                }
+            }
+            for (w, bufs) in inbox.iter().enumerate() {
+                self.deliver(w, bufs);
+            }
+            for ch in &mut self.chans {
+                Channel::<()>::before_superstep(ch, 0);
+            }
+            (0..self.topo.n() as u32)
+                .map(|v| {
+                    self.chans[self.topo.worker_of(v)]
+                        .get_message(self.topo.local_of(v))
+                        .cloned()
+                })
+                .collect()
+        }
+
+        fn messages(&self) -> u64 {
+            self.chans.iter().map(|c| c.messages).sum()
+        }
+    }
+
+    /// The naive per-edge reference for an `f64` sum: per destination, each
+    /// sending worker (ascending) folds its set sources in ascending local
+    /// order, duplicates included, and the receiver folds those partial
+    /// sums in sender order. Returns the bit patterns and the number of
+    /// partial sums (= combined messages).
+    fn sum_oracle(
+        topo: &Topology,
+        edges: &[(VertexId, VertexId)],
+        set: &[Option<f64>],
+    ) -> (Vec<Option<u64>>, u64) {
+        let mut sorted: Vec<(VertexId, usize, u32)> = edges
+            .iter()
+            .filter(|&&(src, _)| set[src as usize].is_some())
+            .map(|&(src, dst)| (dst, topo.worker_of(src), topo.local_of(src)))
+            .collect();
+        sorted.sort_unstable();
+        let mut gathered = vec![None; topo.n()];
+        let mut partials = 0;
+        for per_sender in sorted.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (dst, sender, _) = per_sender[0];
+            let value = |&(_, _, local): &(VertexId, usize, u32)| {
+                set[topo.locals(sender)[local as usize] as usize].unwrap()
+            };
+            let mut partial = value(&per_sender[0]);
+            for edge in &per_sender[1..] {
+                partial += value(edge);
+            }
+            partials += 1;
+            let total: &mut Option<f64> = &mut gathered[dst as usize];
+            *total = Some(total.map_or(partial, |t| t + partial));
+        }
+        (
+            gathered.into_iter().map(|g| g.map(f64::to_bits)).collect(),
+            partials,
+        )
+    }
+
+    fn bits(gathered: Vec<Option<f64>>) -> Vec<Option<u64>> {
+        gathered.into_iter().map(|g| g.map(f64::to_bits)).collect()
+    }
+
+    #[test]
+    fn fold_order_is_destination_then_source_however_edges_arrive() {
+        // Sums of values this far apart differ in their last bits for
+        // almost every order, so equality pins the order itself.
+        let value = [1e16, 1.0, -1e16, 3.0, 1e-3, 7e8];
+        let set: Vec<Option<f64>> = value.iter().copied().map(Some).collect();
+        let mut c = Cluster::new(vec![0, 1, 0, 1, 0, 1], 2, Combine::sum_f64());
+        // Descending sources, with duplicates, toward two destinations.
+        let mut edges = Vec::new();
+        for dst in [3, 0] {
+            for src in [5, 4, 4, 2, 1, 0, 5] {
+                edges.push((src, dst));
+            }
+        }
+        let scatter = |c: &mut Cluster<f64>, edges: &[(u32, u32)], from: usize| {
+            for &(src, dst) in &edges[from..] {
+                c.add_edge(src, dst);
+            }
+            for (v, &x) in value.iter().enumerate() {
+                c.set(v as u32, x);
+            }
+            bits(c.exchange())
+        };
+        assert_eq!(
+            scatter(&mut c, &edges, 0),
+            sum_oracle(&c.topo, &edges, &set).0
+        );
+        // A second batch after the first finalize: sources below, between
+        // and above the ones a run already holds, again descending, plus a
+        // destination with no run yet.
+        let first = edges.len();
+        edges.extend([(3, 0), (3, 3), (1, 0), (0, 0), (5, 2), (2, 2), (2, 2)]);
+        let expect = sum_oracle(&c.topo, &edges, &set).0;
+        assert_eq!(scatter(&mut c, &edges, first), expect, "ids re-shipped");
+        assert_eq!(scatter(&mut c, &edges, edges.len()), expect, "bare values");
+        assert_eq!(
+            c.chans.iter().map(|ch| ch.edge_count()).sum::<usize>(),
+            edges.len()
+        );
+        assert!(c
+            .chans
+            .iter()
+            .all(|ch| ch.peers.iter().all(|p| p.staged.capacity() == 0)));
+    }
+
+    /// A cluster that has shipped its ids along `0 → 1` and `0 → 2` (all on
+    /// worker 0), then is handed a VALUES frame holding `vals`.
+    fn deliver_values_frame<M: Codec + Clone + Send>(combine: Combine<M>, m: M, vals: &[M]) {
+        let mut c = Cluster::new(vec![0, 0, 0], 1, combine);
+        c.add_edge(0, 1);
+        c.add_edge(0, 2);
+        c.set(0, m);
+        c.exchange();
+        let mut buf = Vec::new();
+        let mut fw = FrameWriter::begin(&mut buf, 0);
+        MODE_VALUES.encode(fw.payload());
+        M::encode_slice(vals, fw.payload());
+        fw.finish();
+        c.deliver(0, &[(0, buf)]);
+    }
+
+    #[test]
+    fn values_frame_matching_the_route_is_absorbed() {
+        deliver_values_frame(Combine::sum_u64(), 1, &[5, 6]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "VALUES frame from worker 0 is 24 bytes, the cached route expects 2 values of 8"
+    )]
+    fn values_frame_longer_than_the_route_is_refused() {
+        deliver_values_frame(Combine::sum_u64(), 1, &[5, 6, 7]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "VALUES frame from worker 0 is 8 bytes, the cached route expects 2 values of 8"
+    )]
+    fn values_frame_shorter_than_the_route_is_refused() {
+        deliver_values_frame(Combine::sum_u64(), 1, &[5]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "VALUES frame from worker 0 carries 3 values, the cached route expects 2"
+    )]
+    fn variable_width_values_frame_is_counted() {
+        let concat = Combine::new(Vec::new(), |acc: &mut Vec<u8>, v: Vec<u8>| acc.extend(v));
+        deliver_values_frame(concat, vec![1], &[vec![1], vec![], vec![2, 3]]);
+    }
+
+    /// A small multiplicative generator for the plan below.
+    fn next(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random multigraphs over random placements, edges registered in
+        /// arbitrary order and in late batches, supersteps where every
+        /// registered vertex scatters (VALUES/FULL frames) mixed with ones
+        /// where only some do (PAIRS frames): every gathered value and the
+        /// message count equal the per-edge oracle's, bit for bit.
+        #[test]
+        fn matches_the_per_edge_oracle(
+            n in 1usize..24,
+            workers in 1usize..5,
+            raw_edges in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..120),
+            steps in proptest::collection::vec(any::<u64>(), 1..7),
+        ) {
+            let owners: Vec<u16> = (0..n).map(|v| ((v * 7 + v / 3) % workers) as u16).collect();
+            let mut c = Cluster::new(owners, workers, Combine::sum_f64());
+            let edges: Vec<(u32, u32)> = raw_edges
+                .iter()
+                .map(|&(s, d)| (s % n as u32, d % n as u32))
+                .collect();
+            let mut registered = 0;
+            let mut expect_messages = 0;
+            for (step, &seed) in steps.iter().enumerate() {
+                let mut rng = seed;
+                // Register the next batch (all that is left on the last step).
+                let left = edges.len() - registered;
+                let batch = if step + 1 == steps.len() { left } else { next(&mut rng) as usize % (left + 1) };
+                for &(src, dst) in &edges[registered..registered + batch] {
+                    c.add_edge(src, dst);
+                }
+                registered += batch;
+                // Two supersteps in three are complete.
+                let partial = next(&mut rng).is_multiple_of(3);
+                let set: Vec<Option<f64>> = (0..n)
+                    .map(|v| {
+                        let skip = partial && next(&mut rng).is_multiple_of(2);
+                        let magnitude = 10f64.powi((next(&mut rng) % 30) as i32 - 15);
+                        (!skip).then_some(magnitude * (1.0 + v as f64))
+                    })
+                    .collect();
+                for (v, m) in set.iter().enumerate() {
+                    if let Some(m) = m {
+                        c.set(v as u32, *m);
+                    }
+                }
+                let (expect, partials) = sum_oracle(&c.topo, &edges[..registered], &set);
+                expect_messages += partials;
+                prop_assert_eq!(bits(c.exchange()), expect, "step {}", step);
+                prop_assert_eq!(c.messages(), expect_messages, "messages after step {}", step);
+            }
         }
     }
 }

@@ -100,3 +100,45 @@ fn scatter_amortizes_ids_across_supersteps() {
         "steady-state per-iteration bytes {per_iter} vs first superstep {first_iter}"
     );
 }
+
+/// FNV-1a over the little-endian bytes of every value, in vertex order.
+fn digest(words: impl Iterator<Item = u64>) -> u64 {
+    let bytes: Vec<u8> = words.flat_map(u64::to_le_bytes).collect();
+    pc_ckpt::fnv64(&bytes)
+}
+
+#[test]
+fn scatter_wire_format_and_fold_order_are_pinned() {
+    // Golden values recorded at 99a0d3f, before ScatterCombine's layout was
+    // rewritten: the frame bytes, the message count and — through the bit
+    // pattern of every f64 rank — the order in which the combiner folds
+    // must survive any change to how the channel stores its routes.
+    let topo_of = |g: &pc_graph::Graph| Arc::new(Topology::hashed(g.n(), 4));
+    let cfg = Config::sequential(4);
+
+    let g = Arc::new(gen::rmat(9, 4000, gen::RmatParams::default(), 3, true));
+    let pr = pc_algos::pagerank::channel_scatter(&g, &topo_of(&g), &cfg, 12);
+    assert_eq!(
+        (
+            pr.stats.total_bytes(),
+            pr.stats.remote_bytes(),
+            pr.stats.messages(),
+            digest(pr.ranks.iter().map(|r| r.to_bits())),
+        ),
+        (94224, 71072, 11040, 13977011249063954941),
+        "pagerank::channel_scatter (total_bytes, remote_bytes, messages, rank digest)"
+    );
+
+    let g = Arc::new(gen::rmat(9, 4000, gen::RmatParams::default(), 3, false));
+    let sv = pc_algos::sv::channel_both(&g, &topo_of(&g), &cfg);
+    assert_eq!(
+        (
+            sv.stats.total_bytes(),
+            sv.stats.remote_bytes(),
+            sv.stats.messages(),
+            digest(sv.labels.iter().map(|&l| u64::from(l))),
+        ),
+        (35900, 19632, 7085, 9494958076861828451),
+        "sv::channel_both (total_bytes, remote_bytes, messages, label digest)"
+    );
+}

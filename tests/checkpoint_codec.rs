@@ -70,6 +70,39 @@ fn decode_typed<T: Codec>(payload: &[u8]) -> Vec<T> {
     out
 }
 
+/// A segment written under the previous format version — byte-identical
+/// but for the version field, digest valid — is refused by that name, not
+/// parsed as if its payload had today's layout.
+#[test]
+fn previous_format_version_is_refused_by_name() {
+    let store = temp_store("oldver");
+    let seg = Segment {
+        superstep: 3,
+        rounds: 9,
+        rank: 0,
+        workers: 1,
+        payload: vec![7; 64],
+    };
+    store.write_segment(&seg).unwrap();
+    let path = store.segment_path(3, 0);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let body = bytes.len() - 8;
+    assert_eq!(bytes[8..12], pc_ckpt::FORMAT_VERSION.to_le_bytes());
+    bytes[8..12].copy_from_slice(&(pc_ckpt::FORMAT_VERSION - 1).to_le_bytes());
+    let digest = fnv64(&bytes[..body]);
+    bytes[body..].copy_from_slice(&digest.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let err = store.read_segment(3, 0).unwrap_err().to_string();
+    assert!(
+        err.contains(&format!(
+            "unsupported format version {}",
+            pc_ckpt::FORMAT_VERSION - 1
+        )),
+        "{err}"
+    );
+    cleanup(&store);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -125,6 +125,61 @@ fn pagerank_scatter_resumes() {
     });
 }
 
+/// Scatters along half of each vertex's out-edges from step 1 and
+/// registers the other half — in descending order — at step `LATE`, so a
+/// run resumed from an epoch before `LATE` calls `add_edge` on a
+/// `ScatterCombine` whose routes came out of `decode_state`.
+struct LateRegistration {
+    g: Arc<pc_graph::Graph>,
+}
+
+const LATE: u64 = 6;
+
+impl pc_channels::Algorithm for LateRegistration {
+    type Value = f64;
+    type Channels = (pc_channels::ScatterCombine<f64>,);
+    pc_channels::dist_value_via_codec!();
+
+    fn channels(&self, env: &pc_channels::WorkerEnv) -> Self::Channels {
+        let sum = pc_channels::Combine::sum_f64();
+        (pc_channels::ScatterCombine::new(env, sum),)
+    }
+
+    fn compute(
+        &self,
+        v: &mut pc_channels::VertexCtx<'_>,
+        value: &mut f64,
+        ch: &mut Self::Channels,
+    ) {
+        let nbrs = self.g.neighbors(v.id);
+        let (early, late) = nbrs.split_at(nbrs.len() / 2);
+        match v.step() {
+            1 => early.iter().for_each(|&t| ch.0.add_edge(v.local, t)),
+            LATE => late.iter().rev().for_each(|&t| ch.0.add_edge(v.local, t)),
+            _ => {}
+        }
+        *value += ch.0.get_or_identity(v.local);
+        if v.step() <= LATE + 1 {
+            ch.0.set_message(v.local, 10f64.powi(v.id as i32 % 24 - 12));
+        } else {
+            v.vote_to_halt();
+        }
+    }
+}
+
+#[test]
+fn scatter_registration_after_restore_resumes() {
+    let g = directed();
+    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+    // Cadence 4 over LATE + 2 = 8 supersteps commits epoch 4 only (8 is
+    // the terminal boundary): the resumed run restores before LATE.
+    resumable("scatter_late_registration", 4, |cfg| {
+        let o = pc_channels::run(&LateRegistration { g: Arc::clone(&g) }, &topo, cfg);
+        let bits: Vec<u64> = o.values.iter().map(|v| v.to_bits()).collect();
+        (bits, o.stats)
+    });
+}
+
 #[test]
 fn pagerank_basic_resumes() {
     let g = directed();

@@ -1,0 +1,122 @@
+//! `ScatterCombine`'s steady state allocates nothing: once the routes are
+//! finalized and the ids shipped, a superstep is a gather into a reused
+//! scratch, one frame per peer into a pooled buffer, and an absorb out of
+//! a reused scratch. Shown with a counting global allocator: sixty extra
+//! supersteps of a scatter-only program cost no more allocations than
+//! sixty extra supersteps of a program with no channels at all (whatever
+//! the engine itself allocates per superstep is in both).
+//!
+//! The comparison starts at 30 supersteps, not at 10: within its first
+//! ~16 rounds the buffer pool trims its prewarmed 4 KiB buffers to the
+//! observed frame sizes once and regrows the ones that then rotate to a
+//! larger peer — a one-off of `pc_bsp::pool`, over by round 20 and the
+//! same with any channel.
+
+use pc_bsp::{Config, Topology};
+use pc_channels::{Algorithm, Combine, ScatterCombine, VertexCtx, WorkerEnv};
+use pc_graph::{gen, Graph};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+thread_local! {
+    /// Allocations (fresh or grown) made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`; the only addition
+// is a bump of a `const`-initialized, destructor-free thread-local, which
+// never allocates or unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations(run: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    run();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// Every vertex scatters a constant along its out-edges for `iters`
+/// supersteps.
+struct RepeatScatter {
+    g: Arc<Graph>,
+    iters: u64,
+}
+
+impl Algorithm for RepeatScatter {
+    type Value = u64;
+    type Channels = (ScatterCombine<u64>,);
+    fn channels(&self, env: &WorkerEnv) -> Self::Channels {
+        (ScatterCombine::new(env, Combine::sum_u64()),)
+    }
+    fn compute(&self, v: &mut VertexCtx<'_>, value: &mut u64, ch: &mut Self::Channels) {
+        if v.step() == 1 {
+            for &t in self.g.neighbors(v.id) {
+                ch.0.add_edge(v.local, t);
+            }
+        }
+        *value += ch.0.get_or_identity(v.local);
+        if v.step() <= self.iters {
+            ch.0.set_message(v.local, 1);
+        } else {
+            v.vote_to_halt();
+        }
+    }
+}
+
+/// The same superstep count with no channel at all.
+struct NoChannels {
+    iters: u64,
+}
+
+impl Algorithm for NoChannels {
+    type Value = u64;
+    type Channels = ();
+    fn channels(&self, _env: &WorkerEnv) -> Self::Channels {}
+    fn compute(&self, v: &mut VertexCtx<'_>, value: &mut u64, _ch: &mut Self::Channels) {
+        *value += 1;
+        if v.step() > self.iters {
+            v.vote_to_halt();
+        }
+    }
+}
+
+#[test]
+fn extra_scatter_supersteps_allocate_nothing() {
+    let g = Arc::new(gen::rmat(10, 8000, gen::RmatParams::default(), 5, true));
+    let topo = Arc::new(Topology::hashed(g.n(), 3));
+    let cfg = Config::sequential(3);
+    let scatter = |iters| {
+        let algo = RepeatScatter {
+            g: Arc::clone(&g),
+            iters,
+        };
+        allocations(|| drop(pc_channels::run(&algo, &topo, &cfg)))
+    };
+    let empty = |iters| allocations(|| drop(pc_channels::run(&NoChannels { iters }, &topo, &cfg)));
+    let (scatter_30, scatter_90) = (scatter(30), scatter(90));
+    let (empty_30, empty_90) = (empty(30), empty(90));
+    assert!(
+        scatter_90 - scatter_30 <= empty_90 - empty_30,
+        "60 extra scatter supersteps cost {} allocations, 60 extra empty ones {} \
+         (30 vs 90 iterations: scatter {scatter_30} -> {scatter_90}, empty {empty_30} -> {empty_90})",
+        scatter_90 - scatter_30,
+        empty_90 - empty_30,
+    );
+}
