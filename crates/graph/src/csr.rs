@@ -33,40 +33,49 @@ impl<W: Copy + Default> Graph<W> {
         edges: &[(VertexId, VertexId, W)],
         directed: bool,
     ) -> Self {
-        for &(u, v, _) in edges {
+        Self::from_edge_iter(n, edges.iter().copied(), directed)
+    }
+
+    /// The one builder: a counting sort by source over a re-iterable edge
+    /// stream, two passes and no copy of it. Rows come out sorted by target;
+    /// edges of equal target keep stream order (parallel weighted edges:
+    /// file order).
+    pub(crate) fn from_edge_iter(
+        n: usize,
+        edges: impl Iterator<Item = (VertexId, VertexId, W)> + Clone,
+        directed: bool,
+    ) -> Self {
+        // Range check and degrees in one pass: `offsets[v + 1]` counts v's
+        // arcs, then the prefix sum turns counts into row starts.
+        let mut offsets = vec![0usize; n + 1];
+        edges.clone().for_each(|(u, v, _)| {
             assert!(
                 (u as usize) < n && (v as usize) < n,
                 "edge ({u},{v}) out of range 0..{n}"
             );
-        }
-        let mut deg = vec![0usize; n];
-        for &(u, v, _) in edges {
-            deg[u as usize] += 1;
+            offsets[u as usize + 1] += 1;
             if !directed && u != v {
-                deg[v as usize] += 1;
+                offsets[v as usize + 1] += 1;
             }
-        }
-        let mut offsets = vec![0usize; n + 1];
+        });
         for i in 0..n {
-            offsets[i + 1] = offsets[i] + deg[i];
+            offsets[i + 1] += offsets[i];
         }
-        let m = offsets[n];
-        let mut targets = vec![0 as VertexId; m];
-        let mut weights = vec![W::default(); m];
-        let mut cursor = offsets.clone();
-        for &(u, v, w) in edges {
+        let mut targets = vec![0 as VertexId; offsets[n]];
+        let mut weights = vec![W::default(); offsets[n]];
+        let mut cursor = offsets[..n].to_vec();
+        let mut put = |u: VertexId, v: VertexId, w: W| {
             let c = &mut cursor[u as usize];
             targets[*c] = v;
             weights[*c] = w;
             *c += 1;
+        };
+        edges.for_each(|(u, v, w)| {
+            put(u, v, w);
             if !directed && u != v {
-                let c = &mut cursor[v as usize];
-                targets[*c] = u;
-                weights[*c] = w;
-                *c += 1;
+                put(v, u, w);
             }
-        }
-        // Sort each adjacency list (by target, then weight) for determinism.
+        });
         let mut g = Graph {
             n,
             offsets,
@@ -78,20 +87,26 @@ impl<W: Copy + Default> Graph<W> {
         g
     }
 
-    fn sort_adjacency(&mut self)
-    where
-        W: Copy,
-    {
-        for v in 0..self.n {
-            let range = self.offsets[v]..self.offsets[v + 1];
-            let mut pairs: Vec<(VertexId, W)> = range
-                .clone()
-                .map(|i| (self.targets[i], self.weights[i]))
-                .collect();
+    /// Stable-sort each row by target. A stream in (source, target) order —
+    /// a file `io::write_edge_list` wrote, `reverse` — fills rows already
+    /// sorted, so a row is sorted only when a scan says it is not, through
+    /// one scratch reused across rows.
+    fn sort_adjacency(&mut self) {
+        let mut pairs: Vec<(VertexId, W)> = Vec::new();
+        for row in self.offsets.windows(2) {
+            let (targets, weights) = (
+                &mut self.targets[row[0]..row[1]],
+                &mut self.weights[row[0]..row[1]],
+            );
+            if targets.is_sorted() {
+                continue;
+            }
+            pairs.clear();
+            pairs.extend(targets.iter().copied().zip(weights.iter().copied()));
             pairs.sort_by_key(|&(t, _)| t);
-            for (i, (t, w)) in range.zip(pairs) {
-                self.targets[i] = t;
-                self.weights[i] = w;
+            for (i, &(t, w)) in pairs.iter().enumerate() {
+                targets[i] = t;
+                weights[i] = w;
             }
         }
     }
@@ -114,24 +129,17 @@ impl<W: Copy + Default> Graph<W> {
     /// The transposed graph (in-edges become out-edges). For undirected
     /// graphs this is a (sorted) copy.
     pub fn reverse(&self) -> Self {
-        let mut edges = Vec::with_capacity(self.targets.len());
-        for u in 0..self.n as VertexId {
-            for (v, w) in self.neighbors_weighted(u) {
-                edges.push((v, u, w));
-            }
-        }
         // The symmetrized edge set of an undirected graph already contains
         // both directions, so rebuild as directed to avoid doubling.
-        Graph::from_weighted_edges(self.n, &edges, true)
+        let transposed = self.arcs().map(|(u, v, w)| (v, u, w));
+        Graph::from_edge_iter(self.n, transposed, true)
     }
 }
 
 impl Graph<()> {
     /// Build an unweighted graph from `(src, dst)` pairs.
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)], directed: bool) -> Self {
-        let weighted: Vec<(VertexId, VertexId, ())> =
-            edges.iter().map(|&(u, v)| (u, v, ())).collect();
-        Graph::from_weighted_edges(n, &weighted, directed)
+        Graph::from_edge_iter(n, edges.iter().map(|&(u, v)| (u, v, ())), directed)
     }
 }
 
@@ -276,7 +284,10 @@ impl<W: Copy> Graph<W> {
     }
 
     /// Iterate `(target, weight)` pairs of `v`'s out-edges.
-    pub fn neighbors_weighted(&self, v: VertexId) -> impl Iterator<Item = (VertexId, W)> + '_ {
+    pub fn neighbors_weighted(
+        &self,
+        v: VertexId,
+    ) -> impl Iterator<Item = (VertexId, W)> + Clone + '_ {
         self.neighbors(v)
             .iter()
             .copied()
@@ -284,7 +295,7 @@ impl<W: Copy> Graph<W> {
     }
 
     /// Iterate all arcs as `(src, dst, weight)`.
-    pub fn arcs(&self) -> impl Iterator<Item = (VertexId, VertexId, W)> + '_ {
+    pub fn arcs(&self) -> impl Iterator<Item = (VertexId, VertexId, W)> + Clone + '_ {
         (0..self.n as VertexId)
             .flat_map(move |u| self.neighbors_weighted(u).map(move |(v, w)| (u, v, w)))
     }
@@ -380,6 +391,20 @@ mod tests {
         let g = Graph::from_edges(2, &[(0, 1), (0, 1)], true);
         assert_eq!(g.neighbors(0), &[1, 1]);
         assert_eq!(g.arc_count(), 2);
+    }
+
+    /// Rows that fill out of target order are sorted, stable on the target:
+    /// parallel edges keep stream order, in both directions when undirected.
+    #[test]
+    fn unsorted_rows_sort_stably_by_target() {
+        let edges = [(0, 2, 7u32), (0, 1, 5), (0, 2, 3), (1, 0, 9), (0, 1, 4)];
+        let g = Graph::from_weighted_edges(3, &edges, true);
+        assert_eq!(g.neighbors(0), &[1, 1, 2, 2]);
+        assert_eq!(g.weights(0), &[5, 4, 7, 3]);
+        let g = Graph::from_weighted_edges(3, &edges, false);
+        assert_eq!(g.neighbors(0), &[1, 1, 1, 2, 2]);
+        assert_eq!(g.weights(0), &[5, 9, 4, 7, 3]);
+        assert_eq!((g.neighbors(2), g.weights(2)), (&[0, 0][..], &[7, 3][..]));
     }
 
     #[test]

@@ -1,36 +1,54 @@
 //! Plain edge-list persistence.
 //!
 //! The paper loads graphs from HDFS; we read/write the ubiquitous
-//! whitespace-separated edge-list format (`src dst [weight]` per line,
-//! `#`-prefixed comments ignored), which is what SNAP/KONECT datasets ship
-//! as, so real data can be dropped in if available.
+//! whitespace-separated edge-list format, which is what SNAP/KONECT datasets
+//! ship as, so real data can be dropped in if available.
+//!
+//! **Format.** One edge per line, `src dst [weight]`: decimal `u32` ids and
+//! an optional `u32` weight (default 1) separated by ASCII blanks (`\r` is
+//! one, so CRLF files load); the rest of the line is ignored, and the
+//! unweighted loader ignores everything after `dst`. Blank lines and lines
+//! that open with `#` or `%` are skipped; the last line needs no newline.
+//!
+//! **Ranges.** The file is cut into `min(available_parallelism,
+//! ⌊len / 1 MiB⌋)` byte ranges (one at least), a scoped thread each, the
+//! first on the calling thread. A range owns every line that *starts*
+//! inside it and reads past its end to finish its last line; the per-range
+//! edge vectors are consumed in range order, so edge order is file order
+//! and the graph does not depend on the range count.
+//!
+//! **Errors.** Any other line — `1 x`, a lone id, an id above `u32::MAX` —
+//! is [`io::ErrorKind::InvalidData`] naming the first such line (1-based,
+//! counted on the error path only) and its first 40 bytes.
+//!
+//! **Memory.** One block per thread (256 KiB, or the longest line) + 8 B
+//! per edge line (12 weighted) + the CSR; the file is never resident.
 
 use crate::csr::{Graph, VertexId, WeightedGraph};
 use pc_bsp::{Codec, Reader};
-use std::io::{self, BufRead, BufWriter, Write};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
+
+/// Smallest range worth a thread of its own.
+const RANGE_BYTES: u64 = 1 << 20;
+/// Largest read buffer a range starts with (it grows only for a longer line).
+const BLOCK_BYTES: u64 = 256 << 10;
+
+/// What [`read_edges`] did, for the caller's load report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoadStats {
+    /// Edge lines parsed (comments and blanks are not counted).
+    pub lines: usize,
+    /// Byte ranges the file was parsed in, one thread each.
+    pub ranges: usize,
+}
 
 /// Read an unweighted edge list. `directed` controls symmetrization.
 /// The vertex count is `max id + 1` unless `min_n` is larger.
 pub fn read_edge_list(path: &Path, directed: bool, min_n: usize) -> io::Result<Graph> {
-    let file = std::fs::File::open(path)?;
-    let mut reader = io::BufReader::new(file);
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-    let mut line = String::new();
-    let mut max_id = 0u32;
-    while reader.read_line(&mut line)? != 0 {
-        if let Some((u, v, _)) = parse_line(&line) {
-            max_id = max_id.max(u).max(v);
-            edges.push((u, v));
-        }
-        line.clear();
-    }
-    let n = min_n.max(if edges.is_empty() {
-        0
-    } else {
-        max_id as usize + 1
-    });
-    Ok(Graph::from_edges(n, &edges, directed))
+    Ok(read_edges(path, directed, min_n)?.0)
 }
 
 /// Read a weighted edge list (third column = weight; defaults to 1).
@@ -39,36 +57,169 @@ pub fn read_weighted_edge_list(
     directed: bool,
     min_n: usize,
 ) -> io::Result<WeightedGraph> {
-    let file = std::fs::File::open(path)?;
-    let mut reader = io::BufReader::new(file);
-    let mut edges: Vec<(VertexId, VertexId, u32)> = Vec::new();
-    let mut line = String::new();
-    let mut max_id = 0u32;
-    while reader.read_line(&mut line)? != 0 {
-        if let Some((u, v, w)) = parse_line(&line) {
-            max_id = max_id.max(u).max(v);
-            edges.push((u, v, w.unwrap_or(1)));
-        }
-        line.clear();
-    }
-    let n = min_n.max(if edges.is_empty() {
-        0
-    } else {
-        max_id as usize + 1
-    });
-    Ok(Graph::from_weighted_edges(n, &edges, directed))
+    Ok(read_edges(path, directed, min_n)?.0)
 }
 
-fn parse_line(line: &str) -> Option<(VertexId, VertexId, Option<u32>)> {
-    let line = line.trim();
-    if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
+/// The loader behind both of the above (see the module doc), with its
+/// [`LoadStats`].
+pub fn read_edges<W: WeightColumn>(
+    path: &Path,
+    directed: bool,
+    min_n: usize,
+) -> io::Result<(Graph<W>, LoadStats)> {
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    read_ranges(path, directed, min_n, RANGE_BYTES, threads)
+}
+
+/// [`read_edges`] with the splitter's two inputs as arguments, so tests can
+/// put range boundaries on any byte whatever the host's core count.
+fn read_ranges<W: WeightColumn>(
+    path: &Path,
+    directed: bool,
+    min_n: usize,
+    range_bytes: u64,
+    max_ranges: usize,
+) -> io::Result<(Graph<W>, LoadStats)> {
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    let ranges = (len / range_bytes).clamp(1, max_ranges as u64);
+    let cut = |i: u64| (i * len.div_ceil(ranges)).min(len);
+    // Each range's edges with the vertex count they imply (largest id + 1).
+    let parse = |i: u64| {
+        let edges = parse_range::<W>(&file, cut(i), cut(i + 1))?;
+        let ids = edges.iter().map(|&(u, v, _)| u.max(v) as usize + 1).max();
+        Ok((edges, ids.unwrap_or(0)))
+    };
+    let chunks: Vec<(Vec<_>, usize)> = std::thread::scope(|s| {
+        let rest: Vec<_> = (1..ranges).map(|i| s.spawn(move || parse(i))).collect();
+        // Range order, so the first error is the file's first bad line.
+        std::iter::once(parse(0))
+            .chain(rest.into_iter().map(|h| h.join().expect("loader thread")))
+            .collect::<io::Result<_>>()
+    })?;
+    let stats = LoadStats {
+        lines: chunks.iter().map(|c| c.0.len()).sum(),
+        ranges: ranges as usize,
+    };
+    let n = chunks.iter().map(|c| c.1).fold(min_n, usize::max);
+    let edges = chunks.iter().flat_map(|c| &c.0).copied();
+    Ok((Graph::from_edge_iter(n, edges, directed), stats))
+}
+
+/// The edges of the lines that start in `start..end`, in file order.
+fn parse_range<W: WeightColumn>(
+    file: &File,
+    start: u64,
+    end: u64,
+) -> io::Result<Vec<(VertexId, VertexId, W)>> {
+    let mut edges = Vec::new();
+    let mut buf = vec![0u8; (end - start).clamp(1, BLOCK_BYTES) as usize];
+    // `buf[..filled]` is the file from `pos`. A range that does not open the
+    // file begins one byte early: the line that byte belongs to is the
+    // previous range's, and the first newline found ends it.
+    let (mut pos, mut filled, mut skip) = (start.saturating_sub(1), 0, start > 0);
+    loop {
+        if filled == buf.len() {
+            buf.resize(2 * filled, 0); // one line fills the whole block
+        }
+        let got = match file.read_at(&mut buf[filled..], pos + filled as u64) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            got => got?,
+        };
+        filled += got;
+        if got == 0 && filled > 0 && buf[filled - 1] != b'\n' {
+            buf[filled] = b'\n'; // the last line ends with the file
+            filled += 1;
+        }
+        // Parse the whole lines held, carry the partial one over.
+        let newline = |b: &u8| *b == b'\n';
+        let whole = buf[..filled].iter().rposition(newline).map_or(0, |i| i + 1);
+        let mut i = 0;
+        if skip && whole > 0 {
+            i = buf.iter().position(newline).map_or(whole, |i| i + 1);
+            skip = false;
+        }
+        while i < whole {
+            if pos + i as u64 >= end {
+                return Ok(edges);
+            }
+            match parse_line(&buf[i..whole], &mut edges) {
+                Some(used) => i += used,
+                None => return Err(bad_line(file, pos + i as u64)),
+            }
+        }
+        if got == 0 {
+            return Ok(edges);
+        }
+        buf.copy_within(whole..filled, 0);
+        pos += whole as u64;
+        filled -= whole;
+    }
+}
+
+fn is_blank(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | 0x0b | 0x0c)
+}
+
+/// The decimal `u32` at `line[*i..]`, which must end at a blank or the
+/// newline; `*i` moves past it and the blanks after it.
+fn number(line: &[u8], i: &mut usize) -> Option<u32> {
+    // `line` ends with a newline, which stops both loops in bounds.
+    let first = *i;
+    let mut x = 0u64;
+    while line[*i].wrapping_sub(b'0') < 10 && x <= u32::MAX as u64 {
+        x = x * 10 + (line[*i] - b'0') as u64;
+        *i += 1;
+    }
+    if *i == first || x > u32::MAX as u64 || !(is_blank(line[*i]) || line[*i] == b'\n') {
         return None;
     }
-    let mut it = line.split_whitespace();
-    let u: VertexId = it.next()?.parse().ok()?;
-    let v: VertexId = it.next()?.parse().ok()?;
-    let w = it.next().and_then(|s| s.parse().ok());
-    Some((u, v, w))
+    while is_blank(line[*i]) {
+        *i += 1;
+    }
+    Some(x as u32)
+}
+
+/// Parse the line that opens `text` (newline-terminated), push its edge
+/// unless it is blank or a comment, and return its length with the newline;
+/// `None` for a malformed line.
+fn parse_line<W: WeightColumn>(
+    text: &[u8],
+    edges: &mut Vec<(VertexId, VertexId, W)>,
+) -> Option<usize> {
+    let mut i = text.iter().position(|&b| !is_blank(b))?;
+    if !matches!(text[i], b'\n' | b'#' | b'%') {
+        let u = number(text, &mut i)?;
+        if text[i] == b'\n' {
+            return None; // a lone id
+        }
+        let v = number(text, &mut i)?;
+        edges.push((u, v, W::parse_column(text, &mut i)?));
+    }
+    Some(i + text[i..].iter().position(|&b| b == b'\n')? + 1)
+}
+
+/// The error for the malformed line at byte `offset`: its 1-based number
+/// (newlines before it, counted here and nowhere else) and first 40 bytes.
+fn bad_line(file: &File, offset: u64) -> io::Error {
+    let mut block = vec![0u8; BLOCK_BYTES as usize];
+    let (mut line, mut pos) = (1, 0);
+    while pos < offset {
+        let part = &mut block[..(offset - pos).min(BLOCK_BYTES) as usize];
+        if let Err(e) = file.read_exact_at(part, pos) {
+            return e;
+        }
+        line += part.iter().filter(|&&b| b == b'\n').count();
+        pos += part.len() as u64;
+    }
+    let got = file.read_at(&mut block[..40], offset).unwrap_or(0);
+    let text = block[..got].split(|&b| b == b'\n').next().unwrap_or(&[]);
+    let found = String::from_utf8_lossy(text);
+    let what = format!(
+        "line {line}: expected `src dst [weight]`, found `{}`",
+        found.trim_end()
+    );
+    io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
 /// Version tag leading every [`encode_graph`] payload, so a future layout
@@ -91,19 +242,17 @@ const CSR_WIRE_VERSION: u8 = 1;
 /// part of the engine's determinism contract).
 pub fn encode_graph<W: Codec + Copy>(g: &Graph<W>, buf: &mut Vec<u8>) {
     let (n, offsets, targets, weights, directed) = g.csr_parts();
+    let m = targets.len();
+    buf.reserve(1 + 8 + 1 + 8 + 8 * n + (4 + W::FIXED_SIZE.unwrap_or(0)) * m);
     buf.push(CSR_WIRE_VERSION);
     (n as u64).encode(buf);
     directed.encode(buf);
-    (targets.len() as u64).encode(buf);
+    (m as u64).encode(buf);
     for &o in &offsets[1..] {
         (o as u64).encode(buf);
     }
-    for &t in targets {
-        t.encode(buf);
-    }
-    for w in weights {
-        w.encode(buf);
-    }
+    VertexId::encode_slice(targets, buf);
+    W::encode_slice(weights, buf);
 }
 
 /// Decode a graph serialized by [`encode_graph`], validating the CSR
@@ -126,62 +275,62 @@ pub fn decode_graph<W: Codec + Copy + Default>(r: &mut Reader<'_>) -> Result<Gra
     let m: u64 = r.get();
     let n = usize::try_from(n).map_err(|_| "vertex count overflows usize".to_string())?;
     let m = usize::try_from(m).map_err(|_| "arc count overflows usize".to_string())?;
-    // Each offset is 8 bytes, each target 4; weights follow. Check before
+    // Each offset is 8 bytes, each target 4, then the weights. Check before
     // allocating so a hostile length cannot trigger a huge allocation.
+    let arc = 4 + W::FIXED_SIZE.unwrap_or(0);
     let need = n
         .checked_mul(8)
-        .and_then(|o| m.checked_mul(4).map(|t| o + t))
+        .and_then(|o| o.checked_add(m.checked_mul(arc)?))
         .ok_or_else(|| "graph size overflows".to_string())?;
     if r.remaining() < need {
         return Err(format!(
-            "graph payload truncated: {} bytes left, {need}+ needed",
+            "graph payload truncated: {} bytes left, {need} needed",
             r.remaining()
         ));
     }
+    // Each array is sized once and filled from its whole byte run.
     let mut offsets = Vec::with_capacity(n + 1);
     offsets.push(0usize);
-    for _ in 0..n {
-        let o: u64 = r.get();
+    for o in r.take(8 * n).chunks_exact(8) {
+        let o = u64::from_le_bytes(o.try_into().expect("chunks of 8"));
         offsets.push(usize::try_from(o).map_err(|_| "offset overflows usize".to_string())?);
     }
-    let mut targets = Vec::with_capacity(m);
-    for _ in 0..m {
-        targets.push(r.get::<u32>());
-    }
-    if let Some(ws) = W::FIXED_SIZE {
-        let wneed = m
-            .checked_mul(ws)
-            .ok_or_else(|| "weight size overflows".to_string())?;
-        if r.remaining() < wneed {
-            return Err(format!(
-                "weights truncated: {} bytes left, {wneed} needed",
-                r.remaining()
-            ));
-        }
-    }
-    let mut weights = Vec::with_capacity(m);
-    for _ in 0..m {
-        weights.push(r.get::<W>());
-    }
+    let le_u32 = |t: &[u8]| u32::from_le_bytes(t.try_into().expect("chunks of 4"));
+    let targets: Vec<VertexId> = r.take(4 * m).chunks_exact(4).map(le_u32).collect();
+    let weights: Vec<W> = (0..m).map(|_| r.get()).collect();
     Graph::from_csr_parts(n, offsets, targets, weights, directed)
 }
 
-/// Weight column formatting: weighted graphs print a third column,
-/// unweighted graphs print none.
-pub trait WeightColumn: Copy {
+/// The weight column of an edge list: weighted graphs read and print a
+/// third column, unweighted graphs neither.
+pub trait WeightColumn: Copy + Default + Send {
     /// Write the weight column (including its leading separator), if any.
     fn write_column(&self, out: &mut dyn Write) -> io::Result<()>;
+    /// Read the column at `line[*i..]` (blanks skipped, newline-terminated);
+    /// `None` when what is there is not a weight.
+    #[doc(hidden)]
+    fn parse_column(line: &[u8], i: &mut usize) -> Option<Self>;
 }
 
 impl WeightColumn for () {
     fn write_column(&self, _out: &mut dyn Write) -> io::Result<()> {
         Ok(())
     }
+    fn parse_column(_line: &[u8], _i: &mut usize) -> Option<Self> {
+        Some(())
+    }
 }
 
 impl WeightColumn for u32 {
     fn write_column(&self, out: &mut dyn Write) -> io::Result<()> {
         write!(out, " {self}")
+    }
+    fn parse_column(line: &[u8], i: &mut usize) -> Option<Self> {
+        if line[*i] == b'\n' {
+            Some(1)
+        } else {
+            number(line, i)
+        }
     }
 }
 
@@ -259,6 +408,254 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// The line parser and CSR builder this module had before the
+    /// chunk-parallel loader, kept verbatim as the oracle: every well-formed
+    /// file must load to the graph this builds.
+    fn reference_load(text: &str, directed: bool, min_n: usize) -> WeightedGraph {
+        fn parse_line(line: &str) -> Option<(VertexId, VertexId, Option<u32>)> {
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
+                return None;
+            }
+            let mut it = line.split_whitespace();
+            let u: VertexId = it.next()?.parse().ok()?;
+            let v: VertexId = it.next()?.parse().ok()?;
+            let w = it.next().and_then(|s| s.parse().ok());
+            Some((u, v, w))
+        }
+        let mut edges: Vec<(VertexId, VertexId, u32)> = Vec::new();
+        let mut max_id = 0u32;
+        for line in text.split_inclusive('\n') {
+            if let Some((u, v, w)) = parse_line(line) {
+                max_id = max_id.max(u).max(v);
+                edges.push((u, v, w.unwrap_or(1)));
+            }
+        }
+        let n = min_n.max(if edges.is_empty() {
+            0
+        } else {
+            max_id as usize + 1
+        });
+        let mut deg = vec![0usize; n];
+        for &(u, v, _) in &edges {
+            deg[u as usize] += 1;
+            if !directed && u != v {
+                deg[v as usize] += 1;
+            }
+        }
+        let mut offsets = vec![0usize; n + 1];
+        for i in 0..n {
+            offsets[i + 1] = offsets[i] + deg[i];
+        }
+        let mut targets = vec![0 as VertexId; offsets[n]];
+        let mut weights = vec![0u32; offsets[n]];
+        let mut cursor = offsets.clone();
+        for &(u, v, w) in &edges {
+            let c = &mut cursor[u as usize];
+            targets[*c] = v;
+            weights[*c] = w;
+            *c += 1;
+            if !directed && u != v {
+                let c = &mut cursor[v as usize];
+                targets[*c] = u;
+                weights[*c] = w;
+                *c += 1;
+            }
+        }
+        for v in 0..n {
+            let range = offsets[v]..offsets[v + 1];
+            let mut pairs: Vec<(VertexId, u32)> =
+                range.clone().map(|i| (targets[i], weights[i])).collect();
+            pairs.sort_by_key(|&(t, _)| t);
+            for (i, (t, w)) in range.zip(pairs) {
+                targets[i] = t;
+                weights[i] = w;
+            }
+        }
+        Graph::from_csr_parts(n, offsets, targets, weights, directed).unwrap()
+    }
+
+    /// Both loaders against the oracle on one file's text: the public entry
+    /// points, and the splitter with a range boundary every `range_bytes`
+    /// bytes however many cores the host has.
+    fn assert_matches_reference(
+        name: &str,
+        text: &str,
+        directed: bool,
+        min_n: usize,
+        range_bytes: u64,
+    ) {
+        let path = tmp(name);
+        std::fs::write(&path, text).unwrap();
+        let want = reference_load(text, directed, min_n);
+        let (n, offsets, targets, _, dir) = want.csr_parts();
+        let unit = vec![(); targets.len()];
+        let want_plain =
+            Graph::from_csr_parts(n, offsets.to_vec(), targets.to_vec(), unit, dir).unwrap();
+        let what = format!("{text:?} in ranges of {range_bytes}");
+        let weighted = read_weighted_edge_list(&path, directed, min_n).unwrap();
+        assert_eq!(weighted, want, "weighted load of {what}");
+        let plain = read_edge_list(&path, directed, min_n).unwrap();
+        assert_eq!(plain, want_plain, "unweighted load of {what}");
+        let (weighted, stats) =
+            read_ranges::<u32>(&path, directed, min_n, range_bytes, usize::MAX).unwrap();
+        assert_eq!(weighted, want, "weighted load of {what}");
+        let ranges = (text.len() as u64 / range_bytes).max(1) as usize;
+        let lines = text
+            .lines()
+            .filter(|l| l.trim_start().starts_with(|c: char| c.is_ascii_digit()));
+        assert_eq!(
+            (stats.ranges, stats.lines),
+            (ranges, lines.count()),
+            "{what}"
+        );
+        let (plain, _) =
+            read_ranges::<()>(&path, directed, min_n, range_bytes, usize::MAX).unwrap();
+        assert_eq!(plain, want_plain, "unweighted load of {what}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Write `(u, v, w, style)` records as an edge list whose formatting is
+    /// drawn from the `style` bits: comment and blank lines in between,
+    /// leading / trailing blanks, tabs and runs of spaces, optional weight,
+    /// extra columns, CRLF, and (from `tail`) no final newline.
+    fn render(records: &[(u32, u32, u32, u64)], tail: u64) -> String {
+        const GAPS: [&str; 4] = [" ", "\t", "   ", " \t "];
+        const PADS: [&str; 4] = ["", " ", "\t", "  \t"];
+        const NOISE: [&str; 6] = ["# 3 4 comment", "%konect 1 2", "", "  \t ", "#", " # 7 8"];
+        fn take(bits: &mut u64, n: u64) -> usize {
+            let r = *bits % n;
+            *bits /= n;
+            r as usize
+        }
+        let mut text = String::new();
+        for &(u, v, w, mut bits) in records {
+            let mut pick = |n| take(&mut bits, n);
+            if pick(4) == 0 {
+                text += NOISE[pick(6)];
+                text += ["\n", "\r\n"][pick(2)];
+            }
+            text += PADS[pick(4)];
+            text += &[format!("{u}"), format!("00{u}")][pick(2)];
+            text += GAPS[pick(4)];
+            text += &v.to_string();
+            if pick(2) == 0 {
+                text += GAPS[pick(4)];
+                text += &w.to_string();
+                if pick(3) == 0 {
+                    text += GAPS[pick(4)];
+                    text += "9 extra";
+                }
+            }
+            text += PADS[pick(4)];
+            text += ["\n", "\r\n"][pick(2)];
+        }
+        let mut bits = tail;
+        let mut pick = |n| take(&mut bits, n);
+        if pick(3) == 0 {
+            text += NOISE[pick(6)];
+            text += "\n";
+        }
+        if pick(2) == 0 && text.ends_with('\n') {
+            text.pop();
+        }
+        text
+    }
+
+    /// Range boundaries on every byte of small files: mid-number, on the
+    /// newline, inside a comment, more ranges than lines, one range.
+    #[test]
+    fn loaders_match_reference_at_every_range_boundary() {
+        for (i, text) in [
+            "",
+            "\n",
+            "# only a comment",
+            "0 1",
+            "0 1\n",
+            "\r\n3 3\r\n",
+            "2 2 5\n2 2 4\n0 2 9\n0 2 1\n2 0 3 extra cols\n",
+            "  7\t1   \n\n\n%x 5 5\n1 7 2 3 4\n10 11",
+        ]
+        .iter()
+        .enumerate()
+        {
+            let name = format!("boundary_{i}");
+            for range_bytes in 1..=text.len() as u64 + 1 {
+                assert_matches_reference(&name, text, range_bytes % 2 == 0, 0, range_bytes);
+                assert_matches_reference(&name, text, range_bytes % 2 == 1, 12, range_bytes);
+            }
+            // A cap that does not divide the length leaves empty ranges at
+            // the end of the file.
+            let path = tmp(&name);
+            std::fs::write(&path, text).unwrap();
+            for cap in 2..9 {
+                let (g, stats) = read_ranges::<u32>(&path, true, 0, 1, cap).unwrap();
+                assert_eq!(g, reference_load(text, true, 0), "{text:?} in {cap} ranges");
+                assert_eq!(stats.ranges, text.len().clamp(1, cap));
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// A block is at most a range long, so small ranges also drive the
+    /// refill, carry-over and grow-for-a-long-line paths of `parse_range`.
+    #[test]
+    fn lines_longer_than_a_block_load() {
+        let long = format!(
+            "# {}\n{}1 2\t{}\n3 4",
+            "c".repeat(300),
+            " ".repeat(200),
+            "9 ".repeat(150)
+        );
+        for range_bytes in [1, 7, 64, 250, 1000] {
+            assert_matches_reference("long_lines", &long, true, 0, range_bytes);
+        }
+    }
+
+    /// Aim 3: a line that is not blank, comment or `u v [w]` fails the load
+    /// with its 1-based line number and text, however the file was split.
+    #[test]
+    fn malformed_lines_are_invalid_data_with_line_number() {
+        fn check<W: WeightColumn + std::fmt::Debug>(text: &str, line: usize, found: &str) {
+            let path = tmp(&format!("malformed_{}", std::any::type_name::<W>()));
+            std::fs::write(&path, text).unwrap();
+            for range_bytes in [1, 2, 3, 5, 8, 13, 1 << 20] {
+                let err = read_ranges::<W>(&path, true, 0, range_bytes, usize::MAX).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                let want = format!("line {line}: expected `src dst [weight]`, found `{found}`");
+                assert_eq!(err.to_string(), want, "{text:?} in ranges of {range_bytes}");
+            }
+            std::fs::remove_file(&path).ok();
+        }
+        let long = format!("0 1\n2 {}\n", "7".repeat(60));
+        for (text, line, found) in [
+            ("0 1\n# c\n\n1 x\n2 3\n", 4, "1 x"),
+            ("0 1\r\n 17 \r\n2 3\n", 2, " 17"),
+            ("5", 1, "5"),
+            ("0 1\n1 2\n4294967296 7\n", 3, "4294967296 7"),
+            ("0 4294967295\n0 4294967296\n", 2, "0 4294967296"),
+            ("0 1\n1 2x\nbad\n", 2, "1 2x"),
+            ("0 1\n-1 2\n", 2, "-1 2"),
+            ("0 1\n1,2\n", 2, "1,2"),
+            ("0 1\n+1 2\n", 2, "+1 2"),
+            (long.as_str(), 2, &long[4..44]),
+        ] {
+            check::<()>(text, line, found);
+            check::<u32>(text, line, found);
+        }
+        // A third column is the weighted loader's business only.
+        check::<u32>("0 1 2\n0 1 0.5\n", 2, "0 1 0.5");
+        check::<u32>("0 1 2\n0 1 4294967296", 2, "0 1 4294967296");
+        assert_matches_reference("third_column", "0 1 2\n", true, 0, 1);
+        let path = tmp("third_column_plain");
+        std::fs::write(&path, "0 1 2\n0 2 0.5\n").unwrap();
+        assert_eq!(
+            read_edge_list(&path, true, 0).unwrap().neighbors(0),
+            &[1, 2]
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
     fn wire_roundtrip<W: Codec + Copy + Default + PartialEq + std::fmt::Debug>(g: &Graph<W>) {
         let mut buf = Vec::new();
         encode_graph(g, &mut buf);
@@ -312,6 +709,25 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// Random multigraphs (parallel edges with distinct weights,
+        /// self-loops) in random formatting load to what the reference
+        /// loader builds, through both loaders, in one range and in many
+        /// (the override: a 1-core runner still splits the file).
+        #[test]
+        fn prop_loaders_match_reference(
+            records in proptest::collection::vec(
+                (0u32..24, 0u32..24, 0u32..4, proptest::any::<u64>()),
+                0..40,
+            ),
+            tail in proptest::any::<u64>(),
+            directed in proptest::any::<bool>(),
+            min_n in 0usize..30,
+            range_bytes in 1u64..48,
+        ) {
+            let text = render(&records, tail);
+            assert_matches_reference("prop_reference", &text, directed, min_n, range_bytes);
+        }
+
         /// Partition shipping's round trip: build a weighted graph from an
         /// arbitrary (unsorted, duplicate-carrying) edge list, encode,
         /// decode — the result is an identical graph, weights included.

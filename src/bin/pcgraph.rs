@@ -31,7 +31,7 @@ use pc_dist::launch::{
 use pc_dist::{ship, Backoff};
 use pc_graph::{io, partition, stats, Graph, WeightedGraph};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -682,13 +682,27 @@ impl Gdata {
     }
 }
 
+/// Read `--input` and report the load on stderr (stdout is the result).
+fn read_input<W: io::WeightColumn>(path: &Path, directed: bool) -> Arc<Graph<W>> {
+    let t0 = Instant::now();
+    let (g, load) = io::read_edges(path, directed, 0).unwrap_or_else(|e| {
+        eprintln!("pcgraph: cannot read {}: {e}", path.display());
+        exit(EXIT_RUNTIME)
+    });
+    eprintln!(
+        "load: {} lines, {} vertices, {} arcs in {} ms ({} ranges)",
+        load.lines,
+        g.n(),
+        g.arc_count(),
+        t0.elapsed().as_millis(),
+        load.ranges
+    );
+    Arc::new(g)
+}
+
 fn load_unweighted(opts: &Opts, want_directed: bool) -> Arc<Graph> {
     if let Some(path) = &opts.input {
-        let g = io::read_edge_list(path, opts.directed && want_directed, 0).unwrap_or_else(|e| {
-            eprintln!("pcgraph: cannot read {}: {e}", path.display());
-            exit(EXIT_RUNTIME)
-        });
-        return Arc::new(g);
+        return read_input(path, opts.directed && want_directed);
     }
     let name = opts.gen.as_deref().unwrap_or("wikipedia");
     use pc_graph::gen::*;
@@ -721,11 +735,7 @@ fn load_unweighted(opts: &Opts, want_directed: bool) -> Arc<Graph> {
 
 fn load_weighted(opts: &Opts) -> Arc<WeightedGraph> {
     if let Some(path) = &opts.input {
-        let g = io::read_weighted_edge_list(path, opts.directed, 0).unwrap_or_else(|e| {
-            eprintln!("pcgraph: cannot read {}: {e}", path.display());
-            exit(EXIT_RUNTIME)
-        });
-        return Arc::new(g);
+        return read_input(path, opts.directed);
     }
     use pc_graph::gen::*;
     Arc::new(rmat_weighted(

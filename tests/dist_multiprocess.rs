@@ -131,6 +131,12 @@ fn launcher_ships_partitions_from_an_input_file() {
         err.contains("verify: distributed run matches"),
         "verification line missing\n{err}"
     );
+    // Rank 0 reports the load on stderr: 54 edge lines (the comment is
+    // not one), ids up to 73, every edge both ways.
+    assert!(
+        err.contains("load: 54 lines, 74 vertices, 108 arcs in ") && err.contains(" (1 ranges)"),
+        "load line missing\n{err}"
+    );
     assert!(
         String::from_utf8_lossy(&out.stdout).contains("components"),
         "rank 0 printed no result"
@@ -255,6 +261,23 @@ fn engine_errors_exit_nonzero() {
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr_of(&out).contains("rank 0 failed"));
+    // A malformed line is not skipped: same exit, naming the line.
+    let path = std::env::temp_dir().join(format!("pc_dist_bad_{}.txt", std::process::id()));
+    std::fs::write(&path, "# header\n0 1\n1 x\n2 3\n").unwrap();
+    for algo in ["wcc", "sssp"] {
+        let out = pcgraph()
+            .args([algo, "--input", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1));
+        let err = stderr_of(&out);
+        assert!(
+            err.contains("cannot read") && err.contains("line 3: ") && err.contains("found `1 x`"),
+            "{algo}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{algo} printed a result");
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// A rank pointed at a dead coordinator fails fast with the bootstrap
