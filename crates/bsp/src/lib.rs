@@ -147,7 +147,8 @@ pub struct RankRole {
 /// When a [`Config`] carries one of these, the engine's worker drivers
 /// snapshot their state (vertex values, frontier, channel state, byte and
 /// pool counters) into `dir` every `every` supersteps, with worker 0
-/// committing a manifest once all workers pass the checkpoint barrier.
+/// committing a manifest once all workers acked their segment durable
+/// (one boundary later: the writes run beside the supersteps).
 /// The mechanics (segment files, digests, atomic commit, GC) live in the
 /// `pc-ckpt` crate; this is just the knob the engine reads.
 #[derive(Debug, Clone)]

@@ -45,10 +45,16 @@ pub enum SpanKind {
     /// (recorded by the transport, attributed to the superstep that was
     /// in flight).
     PollWait,
-    /// Snapshot write + checkpoint barrier at a checkpoint boundary.
+    /// One checkpoint boundary: wait for the previous epoch's write,
+    /// snapshot in place, ack reduction, hand-off to the writer. Carries
+    /// `[snapshot_us, stall_us]` in [`TraceEvent::args`].
     Checkpoint,
     /// Restoring a committed checkpoint before the first superstep.
     Recovery,
+    /// The end-of-run drain of the last epoch still with the writer (wait,
+    /// ack reduction, commit). Not an epoch: it has no snapshot, only
+    /// `stall_us`.
+    CheckpointDrain,
 }
 
 impl SpanKind {
@@ -61,6 +67,17 @@ impl SpanKind {
             SpanKind::PollWait => "poll-wait",
             SpanKind::Checkpoint => "checkpoint",
             SpanKind::Recovery => "recovery",
+            SpanKind::CheckpointDrain => "checkpoint-drain",
+        }
+    }
+
+    /// What [`TraceEvent::args`] holds for this kind, if anything: the
+    /// checkpoint spans split their duration into the in-place snapshot
+    /// and the wait for the previous epoch's write.
+    pub fn arg_names(&self) -> Option<[&'static str; 2]> {
+        match self {
+            SpanKind::Checkpoint | SpanKind::CheckpointDrain => Some(["snapshot_us", "stall_us"]),
+            _ => None,
         }
     }
 
@@ -72,6 +89,7 @@ impl SpanKind {
             SpanKind::PollWait => 3,
             SpanKind::Checkpoint => 4,
             SpanKind::Recovery => 5,
+            SpanKind::CheckpointDrain => 6,
         }
     }
 
@@ -83,6 +101,7 @@ impl SpanKind {
             3 => SpanKind::PollWait,
             4 => SpanKind::Checkpoint,
             5 => SpanKind::Recovery,
+            6 => SpanKind::CheckpointDrain,
             other => panic!("unknown span kind code {other}"),
         }
     }
@@ -101,6 +120,9 @@ pub struct TraceEvent {
     pub start_us: u64,
     /// Duration in µs.
     pub dur_us: u64,
+    /// Two µs figures splitting `dur_us`, named by [`SpanKind::arg_names`]
+    /// (zero for kinds that name none).
+    pub args: [u64; 2],
 }
 
 impl Codec for TraceEvent {
@@ -109,16 +131,26 @@ impl Codec for TraceEvent {
         self.superstep.encode(buf);
         self.start_us.encode(buf);
         self.dur_us.encode(buf);
+        // Only the kinds that name their args ship them: a compute or
+        // poll-wait span — nearly all of a stream — stays 25 bytes.
+        if self.kind.arg_names().is_some() {
+            self.args.encode(buf);
+        }
     }
     fn decode(r: &mut Reader<'_>) -> Self {
+        let kind = SpanKind::from_code(r.get());
         TraceEvent {
-            kind: SpanKind::from_code(r.get()),
+            kind,
             superstep: r.get(),
             start_us: r.get(),
             dur_us: r.get(),
+            args: if kind.arg_names().is_some() {
+                r.get()
+            } else {
+                [0; 2]
+            },
         }
     }
-    const FIXED_SIZE: Option<usize> = Some(1 + 3 * 8);
 }
 
 /// Per-superstep counters — the row the `--superstep-table` summary and
@@ -276,12 +308,24 @@ impl Tracer {
     /// Close a span opened at `start_us` (from [`Tracer::now_us`]) and
     /// record it; returns the span's duration in µs.
     pub fn end(&mut self, kind: SpanKind, superstep: u64, start_us: u64) -> u64 {
+        self.end_with(kind, superstep, start_us, [0; 2])
+    }
+
+    /// [`Tracer::end`] for a kind that carries [`TraceEvent::args`].
+    pub fn end_with(
+        &mut self,
+        kind: SpanKind,
+        superstep: u64,
+        start_us: u64,
+        args: [u64; 2],
+    ) -> u64 {
         let dur_us = self.now_us().saturating_sub(start_us);
         self.record(TraceEvent {
             kind,
             superstep,
             start_us,
             dur_us,
+            args,
         });
         dur_us
     }
@@ -311,6 +355,7 @@ impl Tracer {
                         superstep,
                         start_us,
                         dur_us,
+                        args: [0; 2],
                     });
                 }
             }
@@ -453,10 +498,13 @@ pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
             &mut json,
         );
         for e in &t.events {
+            let extra = e.kind.arg_names().map_or(String::new(), |[a, b]| {
+                format!(",\"{a}\":{},\"{b}\":{}", e.args[0], e.args[1])
+            });
             emit(
                 &format!(
                     "  {{\"ph\":\"X\",\"pid\":0,\"tid\":{},\"name\":\"{}\",\
-                     \"ts\":{},\"dur\":{},\"args\":{{\"superstep\":{}}}}}",
+                     \"ts\":{},\"dur\":{},\"args\":{{\"superstep\":{}{extra}}}}}",
                     t.rank,
                     e.kind.as_str(),
                     e.start_us,
@@ -520,18 +568,21 @@ mod tests {
                     superstep: 1,
                     start_us: 10,
                     dur_us: 5,
+                    args: [0; 2],
                 },
                 TraceEvent {
                     kind: SpanKind::Exchange,
                     superstep: 1,
                     start_us: 15,
                     dur_us: 8,
+                    args: [0; 2],
                 },
                 TraceEvent {
                     kind: SpanKind::PollWait,
                     superstep: 2,
                     start_us: 30,
                     dur_us: 100,
+                    args: [0; 2],
                 },
             ],
             timeline: vec![
@@ -584,6 +635,7 @@ mod tests {
             SpanKind::PollWait,
             SpanKind::Checkpoint,
             SpanKind::Recovery,
+            SpanKind::CheckpointDrain,
         ] {
             assert_eq!(SpanKind::from_code(kind.code()), kind);
             assert!(!kind.as_str().is_empty());
@@ -640,6 +692,28 @@ mod tests {
         }
         assert!(json.contains("\"name\":\"poll-wait\""));
         assert!(!json.contains(",\n]"), "trailing comma: {json}");
+        assert!(
+            !json.contains("stall_us"),
+            "only checkpoint spans carry args"
+        );
+    }
+
+    /// A checkpoint span's args split its duration into the snapshot and
+    /// the wait for the previous epoch's write.
+    #[test]
+    fn checkpoint_spans_carry_snapshot_and_stall() {
+        let mut t = Tracer::new(0);
+        t.end_with(SpanKind::Checkpoint, 5, 0, [400, 30]);
+        t.end_with(SpanKind::CheckpointDrain, 9, 0, [0, 12]);
+        let trace = t.finish();
+        let mut wire = Vec::new();
+        trace.encode(&mut wire);
+        assert_eq!(RankTrace::decode(&mut Reader::new(&wire)), trace);
+        let json = chrome_trace_json(&[trace]);
+        assert!(json.contains("\"name\":\"checkpoint\",\"ts\":0,\"dur\":"));
+        assert!(json.contains("{\"superstep\":5,\"snapshot_us\":400,\"stall_us\":30}"));
+        assert!(json.contains("\"name\":\"checkpoint-drain\""));
+        assert!(json.contains("{\"superstep\":9,\"snapshot_us\":0,\"stall_us\":12}"));
     }
 
     /// The event buffer is bounded: past capacity events are counted,
@@ -654,6 +728,7 @@ mod tests {
                 superstep: i as u64,
                 start_us: 0,
                 dur_us: 0,
+                args: [0; 2],
             });
         }
         assert_eq!(t.events.len(), cap);

@@ -18,12 +18,13 @@
 //!
 //! A checkpoint of superstep `s` is **either complete or invisible**:
 //!
-//! * every rank writes its segment to `*.tmp`, fsyncs, and atomically
-//!   renames it into place — a crash mid-write leaves at worst a `.tmp`
-//!   straggler that is never read;
-//! * rank 0 writes the `MANIFEST` (same tmp + fsync + rename discipline)
-//!   only after *all* ranks have passed the checkpoint barrier, so a
-//!   step directory without a digest-valid manifest is not a checkpoint;
+//! * a segment reaches its final name only by `*.tmp` → fsync → atomic
+//!   rename — a crash mid-write leaves at worst a `.tmp` straggler that
+//!   is never read;
+//! * the `MANIFEST` (same tmp + fsync + rename discipline) is written
+//!   only after *every* rank has acked that its segment of that epoch is
+//!   durable, so a step directory without a digest-valid manifest is not
+//!   a checkpoint;
 //! * the manifest pins each segment's content digest, so a torn or
 //!   truncated segment is detected at restore time and the restore falls
 //!   back to the previous complete epoch ([`Store::latest_restorable`]).
@@ -35,6 +36,47 @@
 //! The *contents* of a segment payload belong to the engine
 //! (`pc_channels::engine` encodes vertex values, frontier, channel state
 //! and counters); this crate only frames, digests and commits them.
+//!
+//! ## Who writes when
+//!
+//! Nothing but the snapshot itself happens on a worker's superstep path.
+//! At the boundary of epoch *e* a worker
+//!
+//! 1. takes back the buffer of epoch *e−1* from its [`Writer`]
+//!    ([`Writer::finish`]) — a wait only when the disk needed longer than
+//!    one checkpoint interval of compute, and the point where a write
+//!    that failed surfaces (fatally: a rank that could not persist its
+//!    state never acks it);
+//! 2. encodes epoch *e* in place into that buffer, straight behind the
+//!    header [`begin_segment`] put there, and closes it with
+//!    [`seal_segment`] — no second copy of the state exists;
+//! 3. joins the boundary's one reduction, which acks "my segment of
+//!    *e−1* is durable" (the first boundary has nothing to ack and does
+//!    not reduce);
+//! 4. hands the buffer to the writer ([`Writer::submit`]), whose thread
+//!    digests it and does tmp → `write` → `fsync` → rename → directory
+//!    `fsync` while the next supersteps compute. Worker 0's job first
+//!    commits the epoch that was just acked ([`Store::commit_epoch`]:
+//!    read every rank's trailer, write `MANIFEST` *e−1*, collect
+//!    garbage) — a small fsync that would otherwise queue behind every
+//!    rank's segment write on the superstep path.
+//!
+//! When the run ends, one more `finish` + reduction + commit drains the
+//! last epoch, so a finished run leaves every epoch it took committed
+//! and an epoch still costs exactly one reduction.
+//!
+//! **Commit lag.** An epoch becomes restorable one boundary after it was
+//! taken. With a checkpoint every `k` supersteps a failure therefore
+//! replays at most `2k − 1` supersteps (`k − 1` when the commit was
+//! synchronous): a kill during epoch *e*'s write, or after it and before
+//! the next boundary's commit, restores *e−1*. The segments of the
+//! uncommitted epoch stay where they are — [`Store::gc`] spares anything
+//! newer than the newest commit — and the replay overwrites them.
+//!
+//! **Why `Drop` joins.** A worker that unwinds (a peer died; `pcgraph`
+//! catches the panic, rebuilds the mesh and re-enters the engine) drops
+//! its `Writer`, and the drop waits for the job in flight. Otherwise the
+//! replayed epoch and the stale job would race for the same `.tmp`.
 
 use pc_bsp::{Codec, Reader};
 use std::collections::HashMap;
@@ -43,6 +85,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Magic prefix of a segment file ("pcSEG\x01" padded).
@@ -248,14 +291,16 @@ const ADVERT_NAME: &str = "COORDINATOR";
 
 /// Checkpoint I/O counters of one [`Store`] (shared by its clones): how
 /// many bytes hit or left the disk and how long the store spent doing it.
-/// The engine's `checkpoint`/`recovery` trace spans time the *barrier-
-/// inclusive* checkpoint path; these isolate the file I/O inside it.
+/// The engine's `checkpoint` trace span times what a boundary costs the
+/// superstep path (snapshot, ack, any wait for the writer); these time
+/// the file I/O itself, wherever it runs — a segment's on its [`Writer`]'s
+/// thread, beside the supersteps.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IoStats {
     /// Bytes written (segment/manifest bodies plus their digest trailers).
     pub bytes_written: u64,
-    /// Microseconds spent in atomic writes (create + write + fsync +
-    /// rename).
+    /// Microseconds spent in atomic writes (digest + create + write +
+    /// fsync + rename), summed over the threads that made them.
     pub write_us: u64,
     /// Bytes read back (validated reads: restores, digest-checked scans).
     pub bytes_read: u64,
@@ -391,11 +436,31 @@ impl Store {
     }
 
     /// Write one rank's segment (atomically); returns its content digest.
+    /// Frames a copy of the payload — the engine, which encodes its state
+    /// behind [`begin_segment`] in the first place, goes through
+    /// [`Store::write_framed`] without one.
     pub fn write_segment(&self, seg: &Segment) -> Result<u64, CkptError> {
+        let mut framed = Vec::with_capacity(SEGMENT_HEADER_LEN + seg.payload.len());
+        begin_segment(
+            &mut framed,
+            seg.superstep,
+            seg.rounds,
+            seg.rank,
+            seg.workers,
+        );
+        framed.extend_from_slice(&seg.payload);
+        seal_segment(&mut framed);
+        self.write_framed(&framed)
+    }
+
+    /// Write a segment that is already framed ([`begin_segment`] … payload
+    /// … [`seal_segment`]) to the path its header names, atomically;
+    /// returns its content digest.
+    pub fn write_framed(&self, framed: &[u8]) -> Result<u64, CkptError> {
+        let seg = SegmentView::parse(framed).expect("write_framed takes a sealed segment");
         let step = self.step_dir(seg.superstep);
         fs::create_dir_all(&step).map_err(|e| io_err(&step, "create step dir", e))?;
-        let buf = encode_segment_body(seg);
-        self.write_atomic(&self.segment_path(seg.superstep, seg.rank), &buf)
+        self.write_atomic(&self.segment_path(seg.superstep, seg.rank), framed)
     }
 
     /// The digest a segment file carries (its last 8 bytes). Rank 0 reads
@@ -430,33 +495,13 @@ impl Store {
             path: path.clone(),
             detail,
         };
-        let mut r = Reader::new(&body);
-        if r.remaining() < 40 {
-            return Err(corrupt("segment header truncated".into()));
-        }
-        let magic: u64 = r.get();
-        if magic != SEGMENT_MAGIC {
-            return Err(corrupt(format!("bad magic {magic:#018x}")));
-        }
-        let version: u32 = r.get();
-        if version != FORMAT_VERSION {
-            return Err(corrupt(format!("unsupported format version {version}")));
-        }
+        let view = SegmentView::parse(&body).map_err(corrupt)?;
         let seg = Segment {
-            superstep: r.get(),
-            rounds: r.get(),
-            rank: r.get(),
-            workers: r.get(),
-            payload: {
-                let len: u64 = r.get();
-                if r.remaining() as u64 != len {
-                    return Err(corrupt(format!(
-                        "payload length {len} but {} bytes follow",
-                        r.remaining()
-                    )));
-                }
-                r.take(len as usize).to_vec()
-            },
+            superstep: view.superstep,
+            rounds: view.rounds,
+            rank: view.rank,
+            workers: view.workers,
+            payload: view.payload.to_vec(),
         };
         if seg.superstep != superstep || seg.rank != rank {
             return Err(corrupt(format!(
@@ -485,6 +530,24 @@ impl Store {
         m.rounds.encode(&mut buf);
         m.digests.encode(&mut buf);
         self.write_atomic(&self.manifest_path(m.superstep), &buf)?;
+        Ok(())
+    }
+
+    /// Commit an epoch whose segments every rank has acked as durable:
+    /// pin each segment's digest (read from its trailer, not re-hashed)
+    /// in the manifest, then collect the epochs this one supersedes
+    /// (best effort, as [`Store::gc`] is).
+    pub fn commit_epoch(&self, epoch: &Epoch) -> Result<(), CkptError> {
+        let digests = (0..epoch.id.workers)
+            .map(|rank| self.segment_digest(epoch.superstep, rank))
+            .collect::<Result<_, _>>()?;
+        self.commit(&Manifest {
+            id: epoch.id.clone(),
+            superstep: epoch.superstep,
+            rounds: epoch.rounds,
+            digests,
+        })?;
+        let _ = self.gc(KEEP_COMMITTED);
         Ok(())
     }
 
@@ -720,24 +783,34 @@ impl Store {
     /// digest, the epoch and the designated standby) last — the same
     /// complete-or-invisible discipline as a checkpoint epoch, so a rank
     /// killed mid-replication leaves the previous replica intact.
-    pub fn write_replica(&self, replica: &ControlReplica) -> Result<(), CkptError> {
+    ///
+    /// The plans are borrowed: the coordinator keeps the one encoded copy
+    /// it ships from, and [`Store::read_replica`] is what hands back an
+    /// owned [`ControlReplica`].
+    pub fn write_replica(
+        &self,
+        id: &RunId,
+        epoch: u32,
+        standby: u32,
+        plans: &[Vec<u8>],
+    ) -> Result<(), CkptError> {
         assert_eq!(
-            replica.plans.len() as u32,
-            replica.id.workers,
+            plans.len() as u32,
+            id.workers,
             "replica must carry one plan per rank"
         );
         let dir = self.replica_dir();
         fs::create_dir_all(&dir).map_err(|e| io_err(&dir, "create replica dir", e))?;
-        let mut digests = Vec::with_capacity(replica.plans.len());
-        for (rank, plan) in replica.plans.iter().enumerate() {
+        let mut digests = Vec::with_capacity(plans.len());
+        for (rank, plan) in plans.iter().enumerate() {
             digests.push(self.write_atomic(&self.replica_plan_path(rank as u32), plan)?);
         }
         let mut buf = Vec::new();
         CTRL_MAGIC.encode(&mut buf);
         FORMAT_VERSION.encode(&mut buf);
-        replica.id.encode(&mut buf);
-        replica.epoch.encode(&mut buf);
-        replica.standby.encode(&mut buf);
+        id.encode(&mut buf);
+        epoch.encode(&mut buf);
+        standby.encode(&mut buf);
         digests.encode(&mut buf);
         self.write_atomic(&self.replica_ctrl_path(), &buf)?;
         Ok(())
@@ -898,20 +971,166 @@ impl Store {
     }
 }
 
-/// A segment's on-disk body (header + payload, digest trailer excluded)
-/// — the one encoding both the writer and the digest re-check use, so
-/// the two can never drift apart and silently disable restores.
-fn encode_segment_body(seg: &Segment) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(48 + seg.payload.len());
-    SEGMENT_MAGIC.encode(&mut buf);
-    FORMAT_VERSION.encode(&mut buf);
-    seg.superstep.encode(&mut buf);
-    seg.rounds.encode(&mut buf);
-    seg.rank.encode(&mut buf);
-    seg.workers.encode(&mut buf);
-    (seg.payload.len() as u64).encode(&mut buf);
-    buf.extend_from_slice(&seg.payload);
-    buf
+/// Bytes [`begin_segment`] puts in front of a payload: magic, format
+/// version, superstep, rounds, rank, workers, payload length.
+pub const SEGMENT_HEADER_LEN: usize = 44;
+/// Where in that header the payload length sits.
+const PAYLOAD_LEN_AT: usize = SEGMENT_HEADER_LEN - 8;
+
+/// Start a segment in `buf`: whatever it held is dropped (its capacity
+/// is what the caller came for) and the header goes in front, payload
+/// length still open. The caller appends the payload and closes with
+/// [`seal_segment`]; what `buf` holds then is, byte for byte, the file
+/// minus its digest trailer — the one encoding [`Store::write_segment`],
+/// [`Store::write_framed`] and the restore path's validation share.
+pub fn begin_segment(buf: &mut Vec<u8>, superstep: u64, rounds: u64, rank: u32, workers: u32) {
+    buf.clear();
+    SEGMENT_MAGIC.encode(buf);
+    FORMAT_VERSION.encode(buf);
+    superstep.encode(buf);
+    rounds.encode(buf);
+    rank.encode(buf);
+    workers.encode(buf);
+    0u64.encode(buf);
+    debug_assert_eq!(buf.len(), SEGMENT_HEADER_LEN);
+}
+
+/// Close a segment opened with [`begin_segment`]: everything behind the
+/// header is the payload, and its length is patched into the header.
+pub fn seal_segment(buf: &mut [u8]) {
+    let payload = (buf.len() - SEGMENT_HEADER_LEN) as u64;
+    buf[PAYLOAD_LEN_AT..SEGMENT_HEADER_LEN].copy_from_slice(&payload.to_le_bytes());
+}
+
+/// A sealed segment (a file's body, digest trailer excluded) taken apart
+/// again — the one reader of what [`begin_segment`] and [`seal_segment`]
+/// lay out, for the restore path and for [`Store::write_framed`] alike.
+struct SegmentView<'a> {
+    superstep: u64,
+    rounds: u64,
+    rank: u32,
+    workers: u32,
+    payload: &'a [u8],
+}
+
+impl<'a> SegmentView<'a> {
+    fn parse(body: &'a [u8]) -> Result<Self, String> {
+        if body.len() < SEGMENT_HEADER_LEN {
+            return Err("segment header truncated".into());
+        }
+        let mut r = Reader::new(body);
+        let magic: u64 = r.get();
+        if magic != SEGMENT_MAGIC {
+            return Err(format!("bad magic {magic:#018x}"));
+        }
+        let version: u32 = r.get();
+        if version != FORMAT_VERSION {
+            return Err(format!("unsupported format version {version}"));
+        }
+        let (superstep, rounds, rank, workers) = (r.get(), r.get(), r.get(), r.get());
+        let len: u64 = r.get();
+        if r.remaining() as u64 != len {
+            return Err(format!(
+                "payload length {len} but {} bytes follow",
+                r.remaining()
+            ));
+        }
+        Ok(SegmentView {
+            superstep,
+            rounds,
+            rank,
+            workers,
+            payload: r.take(len as usize),
+        })
+    }
+}
+
+/// An epoch on its way to being committed: its [`Manifest`] minus the
+/// digests, which [`Store::commit_epoch`] reads off the segments.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Epoch {
+    /// The run the epoch belongs to.
+    pub id: RunId,
+    /// Superstep the epoch was taken after.
+    pub superstep: u64,
+    /// Exchange rounds completed at that point.
+    pub rounds: u64,
+}
+
+/// What one [`Writer`] job did.
+#[derive(Debug)]
+pub struct Written {
+    /// The segment buffer, back for the next epoch to encode into.
+    pub buf: Vec<u8>,
+    /// The segment's content digest, once the file is durable under its
+    /// final name.
+    pub segment: Result<u64, CkptError>,
+    /// Outcome of the commit that rode along (`Ok` when none did).
+    pub commit: Result<(), CkptError>,
+}
+
+/// One worker's background checkpoint I/O: at most one job in flight,
+/// on a thread of its own, so a segment's digest, `write` and `fsync`s
+/// overlap the supersteps that follow its snapshot (the module docs'
+/// "Who writes when"). The buffer travels with the job — into
+/// [`Writer::submit`], back out of [`Writer::finish`] — so an epoch
+/// allocates nothing once the first one has sized it.
+#[derive(Debug)]
+pub struct Writer {
+    store: Store,
+    in_flight: Option<JoinHandle<Written>>,
+}
+
+impl Writer {
+    /// A writer into `store`, idle.
+    pub fn new(store: Store) -> Writer {
+        Writer {
+            store,
+            in_flight: None,
+        }
+    }
+
+    /// Start writing a sealed segment ([`Store::write_framed`]). With
+    /// `commit`, the job first commits that (earlier, fully acked) epoch
+    /// — [`Store::commit_epoch`] — and the two outcomes are independent.
+    /// The previous job must have been [`Writer::finish`]ed.
+    pub fn submit(&mut self, framed: Vec<u8>, commit: Option<Epoch>) {
+        assert!(self.in_flight.is_none(), "one checkpoint job at a time");
+        let store = self.store.clone();
+        let job = move || {
+            let commit = commit.map_or(Ok(()), |epoch| store.commit_epoch(&epoch));
+            let segment = store.write_framed(&framed);
+            Written {
+                buf: framed,
+                segment,
+                commit,
+            }
+        };
+        let handle = std::thread::Builder::new()
+            .name("pc-ckpt-writer".into())
+            .spawn(job)
+            .expect("cannot spawn the checkpoint writer thread");
+        self.in_flight = Some(handle);
+    }
+
+    /// Wait for the job in flight, if any, and take its result.
+    pub fn finish(&mut self) -> Option<Written> {
+        let handle = self.in_flight.take()?;
+        Some(
+            handle
+                .join()
+                .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+        )
+    }
+}
+
+impl Drop for Writer {
+    /// Joins the job in flight (see the module docs' "Why `Drop` joins").
+    fn drop(&mut self) {
+        if let Some(handle) = self.in_flight.take() {
+            let _ = handle.join();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -976,7 +1195,7 @@ mod tests {
         };
         store.write_segment(&seg).unwrap();
         let after_write = store.io_stats();
-        let body_len = encode_segment_body(&seg).len() as u64;
+        let body_len = (SEGMENT_HEADER_LEN + payload.len()) as u64;
         assert_eq!(after_write.bytes_written, body_len + DIGEST_LEN as u64);
         assert_eq!(after_write.bytes_read, 0);
         let clone = store.clone();
@@ -1006,6 +1225,127 @@ mod tests {
         assert_eq!(store.segment_digest(8, 2).unwrap(), digest);
         assert_eq!(store.read_segment(8, 2).unwrap(), seg);
         let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// A segment framed in place is the file `write_segment` writes for
+    /// the same fields: one encoding, whoever lays it out.
+    #[test]
+    fn framing_in_place_writes_the_same_file() {
+        let (a, b) = (tmp_store("framed_a"), tmp_store("framed_b"));
+        let seg = Segment {
+            superstep: 8,
+            rounds: 31,
+            rank: 2,
+            workers: 4,
+            payload: (0..=255u8).cycle().take(1000).collect(),
+        };
+        let mut framed = vec![0xEE; 7]; // stale bytes of an earlier epoch
+        begin_segment(&mut framed, 8, 31, 2, 4);
+        framed.extend_from_slice(&seg.payload);
+        seal_segment(&mut framed);
+        assert_eq!(framed.len(), SEGMENT_HEADER_LEN + seg.payload.len());
+        let digest = a.write_framed(&framed).unwrap();
+        assert_eq!(b.write_segment(&seg).unwrap(), digest);
+        assert_eq!(
+            fs::read(a.segment_path(8, 2)).unwrap(),
+            fs::read(b.segment_path(8, 2)).unwrap()
+        );
+        assert_eq!(a.read_segment(8, 2).unwrap(), seg);
+        for store in [a, b] {
+            let _ = fs::remove_dir_all(store.dir());
+        }
+    }
+
+    fn framed(superstep: u64, rank: u32, workers: u32, payload_len: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        begin_segment(&mut buf, superstep, superstep * 3, rank, workers);
+        buf.resize(SEGMENT_HEADER_LEN + payload_len, rank as u8);
+        seal_segment(&mut buf);
+        buf
+    }
+
+    /// The writer's round trip: the buffer comes back (the same
+    /// allocation), the digest is the file's, and a commit riding on a
+    /// job makes the *earlier* epoch visible while the job's own segment
+    /// stays uncommitted.
+    #[test]
+    fn writer_hands_the_buffer_back_and_commits_the_acked_epoch() {
+        let store = tmp_store("writer");
+        let id = run_id(1);
+        let mut writer = Writer::new(store.clone());
+        assert!(writer.finish().is_none(), "an idle writer has nothing");
+
+        let first = framed(2, 0, 1, 4096);
+        let (ptr, cap) = (first.as_ptr(), first.capacity());
+        writer.submit(first, None);
+        let done = writer.finish().unwrap();
+        assert_eq!((done.buf.as_ptr(), done.buf.capacity()), (ptr, cap));
+        assert_eq!(
+            done.segment.unwrap(),
+            store.segment_digest(2, 0).unwrap(),
+            "the job reports the digest the file carries"
+        );
+        done.commit.unwrap();
+        assert_eq!(store.committed_steps().unwrap(), Vec::<u64>::new());
+
+        let acked = Epoch {
+            id: id.clone(),
+            superstep: 2,
+            rounds: 6,
+        };
+        writer.submit(framed(4, 0, 1, 4096), Some(acked));
+        let done = writer.finish().unwrap();
+        done.segment.unwrap();
+        done.commit.unwrap();
+        assert_eq!(store.committed_steps().unwrap(), vec![2]);
+        assert_eq!(store.latest_restorable(&id).unwrap().unwrap().superstep, 2);
+        assert!(
+            store.read_segment(4, 0).is_ok(),
+            "gc spares the newer epoch"
+        );
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// Dropping a writer with a job in flight waits for it: afterwards
+    /// no `.tmp` is left for a replayed epoch to collide with, and the
+    /// segment is either absent or digest-valid — never half a file
+    /// under its final name.
+    #[test]
+    fn dropping_a_writer_joins_the_job_in_flight() {
+        let store = tmp_store("writer_drop");
+        let mut writer = Writer::new(store.clone());
+        writer.submit(framed(6, 3, 4, 8 << 20), None);
+        drop(writer);
+        let path = store.segment_path(6, 3);
+        assert!(
+            !path.with_extension("tmp").exists(),
+            "the job was still writing when drop returned"
+        );
+        if path.exists() {
+            assert_eq!(store.read_segment(6, 3).unwrap().payload.len(), 8 << 20);
+        }
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// A job that cannot write reports a typed error at `finish` — and
+    /// still hands the buffer back — instead of panicking its thread.
+    #[test]
+    fn writer_failure_is_a_typed_error_at_finish() {
+        let store = tmp_store("writer_fail");
+        fs::remove_dir_all(store.dir()).unwrap();
+        fs::write(store.dir(), b"not a directory").unwrap();
+        let mut writer = Writer::new(store.clone());
+        let acked = Epoch {
+            id: run_id(1),
+            superstep: 2,
+            rounds: 6,
+        };
+        writer.submit(framed(4, 0, 1, 64), Some(acked));
+        let done = writer.finish().unwrap();
+        assert_eq!(done.buf.len(), SEGMENT_HEADER_LEN + 64);
+        assert!(matches!(done.segment, Err(CkptError::Io { .. })));
+        assert!(matches!(done.commit, Err(CkptError::Io { .. })));
+        let _ = fs::remove_file(store.dir());
     }
 
     #[test]
@@ -1219,7 +1559,8 @@ mod tests {
             standby: 1,
             plans: vec![vec![0xAA; 40], vec![0xBB; 7], Vec::new()],
         };
-        store.write_replica(&replica).unwrap();
+        let write = |r: &ControlReplica| store.write_replica(&r.id, r.epoch, r.standby, &r.plans);
+        write(&replica).unwrap();
         assert_eq!(store.read_replica(&id).unwrap(), Some(replica.clone()));
         // Refresh at a later epoch replaces it atomically.
         let fresher = ControlReplica {
@@ -1227,7 +1568,7 @@ mod tests {
             standby: 2,
             ..replica
         };
-        store.write_replica(&fresher).unwrap();
+        write(&fresher).unwrap();
         assert_eq!(store.read_replica(&id).unwrap(), Some(fresher));
         let _ = fs::remove_dir_all(store.dir());
     }
@@ -1237,12 +1578,7 @@ mod tests {
         let store = tmp_store("replica_torn");
         let id = run_id(2);
         store
-            .write_replica(&ControlReplica {
-                id: id.clone(),
-                epoch: 1,
-                standby: 1,
-                plans: vec![vec![1; 64], vec![2; 64]],
-            })
+            .write_replica(&id, 1, 1, &[vec![1; 64], vec![2; 64]])
             .unwrap();
         let victim = store.replica_dir().join("plan-0001.bin");
         let bytes = fs::read(&victim).unwrap();
@@ -1258,12 +1594,7 @@ mod tests {
     fn replica_of_another_run_is_incompatible() {
         let store = tmp_store("replica_foreign");
         store
-            .write_replica(&ControlReplica {
-                id: run_id(2),
-                epoch: 1,
-                standby: 1,
-                plans: vec![vec![1; 8], vec![2; 8]],
-            })
+            .write_replica(&run_id(2), 1, 1, &[vec![1; 8], vec![2; 8]])
             .unwrap();
         let other = RunId {
             workers: 2,
@@ -1296,14 +1627,7 @@ mod tests {
         };
         store.advertise(&takeover).unwrap();
         assert_eq!(store.read_advertisement().unwrap(), Some(takeover));
-        store
-            .write_replica(&ControlReplica {
-                id: id.clone(),
-                epoch: 2,
-                standby: 1,
-                plans: vec![vec![3; 16]],
-            })
-            .unwrap();
+        store.write_replica(&id, 2, 1, &[vec![3; 16]]).unwrap();
         store.wipe().unwrap();
         assert_eq!(store.read_advertisement().unwrap(), None);
         assert_eq!(store.read_replica(&id).unwrap(), None);

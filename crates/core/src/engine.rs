@@ -52,7 +52,7 @@ use pc_bsp::topology::Topology;
 use pc_bsp::trace::{self, RankTrace, SpanKind, SuperstepStats, Tracer};
 use pc_bsp::transport::{ExchangeTransport, InProcess};
 use pc_bsp::{CkptPolicy, Config, ExecMode, RankRole, Tcp, TransportKind};
-use pc_ckpt::{Manifest, RunId, Segment, Store, KEEP_COMMITTED};
+use pc_ckpt::{Epoch, Manifest, RunId, Store, Writer};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -343,35 +343,37 @@ impl<'a, A: Algorithm> WorkerState<'a, A> {
         });
     }
 
-    /// Serialize this worker's complete superstep-boundary state: vertex
-    /// values, the advanced frontier, per-channel byte counters, pool
-    /// counters and every channel's own state. The inverse of
-    /// [`WorkerState::restore_snapshot`].
-    fn encode_snapshot(&mut self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        (self.values.len() as u64).encode(&mut buf);
+    /// Append this worker's complete superstep-boundary state to `buf`:
+    /// vertex values, the advanced frontier, per-channel byte counters,
+    /// pool counters and every channel's own state, each channel writing
+    /// straight into `buf` behind a length patched in afterwards. The
+    /// inverse of [`WorkerState::restore_snapshot`].
+    fn encode_snapshot(&mut self, buf: &mut Vec<u8>) {
+        (self.values.len() as u64).encode(buf);
         for v in &self.values {
-            A::encode_value(v, &mut buf);
+            A::encode_value(v, buf);
         }
-        self.frontier.current().to_vec().encode(&mut buf);
-        (self.bytes.len() as u32).encode(&mut buf);
+        let current = self.frontier.current();
+        (current.len() as u32).encode(buf);
+        u32::encode_slice(current, buf);
+        (self.bytes.len() as u32).encode(buf);
         for b in &self.bytes {
-            b.remote.encode(&mut buf);
-            b.local.encode(&mut buf);
+            b.remote.encode(buf);
+            b.local.encode(buf);
         }
         let pool = self.pool.stats();
-        pool.hits.encode(&mut buf);
-        pool.misses.encode(&mut buf);
+        pool.hits.encode(buf);
+        pool.misses.encode(buf);
         let n_channels = self.channels.len() as u32;
-        n_channels.encode(&mut buf);
-        let mut state = Vec::new();
+        n_channels.encode(buf);
         self.channels.for_each(&mut |_, ch| {
-            state.clear();
-            assert!(ch.encode_state(&mut state), "channel lost its state codec");
-            (state.len() as u64).encode(&mut buf);
-            buf.extend_from_slice(&state);
+            let len_at = buf.len();
+            0u64.encode(buf);
+            let state_at = buf.len();
+            assert!(ch.encode_state(buf), "channel lost its state codec");
+            let len = (buf.len() - state_at) as u64;
+            buf[len_at..state_at].copy_from_slice(&len.to_le_bytes());
         });
-        buf
     }
 
     /// Restore a freshly constructed worker from a snapshot taken after
@@ -507,15 +509,22 @@ fn assemble<V: Clone + Default>(
 }
 
 /// One worker's view of the run's checkpoint policy: the opened store,
-/// the run identity pinned into every manifest, and the epoch (if any)
-/// this run resumes from. Every worker computes the same `restore`
-/// decision — [`Store::latest_restorable`] validates the manifest *and*
-/// all segments, so a torn segment fails the epoch for everyone alike.
+/// the run identity pinned into every manifest, the epoch (if any) this
+/// run resumes from, and the background writer with the epoch it holds.
+/// Every worker computes the same `restore` decision —
+/// [`Store::latest_restorable`] validates the manifest *and* all
+/// segments, so a torn segment fails the epoch for everyone alike.
 struct CkptCtx {
     store: Store,
     every: u64,
     id: RunId,
     restore: Option<Manifest>,
+    writer: Writer,
+    /// `(superstep, rounds)` of the epoch handed to `writer` and not yet
+    /// acked: written or being written, invisible until the next
+    /// boundary (or the end-of-run drain) commits it. The same on every
+    /// worker, so all of them agree on when there is something to ack.
+    unacked: Option<(u64, u64)>,
 }
 
 impl CkptCtx {
@@ -531,58 +540,93 @@ impl CkptCtx {
             .latest_restorable(&id)
             .unwrap_or_else(|e| panic!("checkpoint restore scan failed: {e}"));
         CkptCtx {
+            writer: Writer::new(store.clone()),
             store,
             every: policy.every.max(1),
             id,
             restore,
+            unacked: None,
         }
     }
 
-    /// Write this worker's segment for the boundary after `supersteps`,
-    /// wait for every worker to do the same (one transport reduction —
-    /// no buffers move, so pool accounting is untouched), then let
-    /// worker 0 commit the manifest and garbage-collect superseded
-    /// epochs. Checkpoint I/O failures are fatal, not recoverable: a rank
-    /// that cannot persist its state must not ack the barrier.
+    /// Take the segment buffer back from the writer, waiting for the
+    /// epoch it holds to be durable. Checkpoint I/O failures are fatal,
+    /// not recoverable, and the writer's surface here: a rank
+    /// that could not persist its state must not go on to ack it.
+    fn settle(&mut self) -> Vec<u8> {
+        let Some(done) = self.writer.finish() else {
+            return Vec::new();
+        };
+        done.segment
+            .unwrap_or_else(|e| panic!("checkpoint segment write failed: {e}"));
+        done.commit
+            .unwrap_or_else(|e| panic!("checkpoint commit failed: {e}"));
+        done.buf
+    }
+
+    /// Ack the settled epoch, if there is one: one transport reduction
+    /// (no buffers move, so pool accounting is untouched) after which
+    /// every worker's segment of it is known to be durable. Worker 0 gets
+    /// the epoch back, to commit.
+    fn ack<T: ExchangeTransport + ?Sized>(&mut self, hub: &T, w: usize) -> Option<Epoch> {
+        let (superstep, rounds) = self.unacked.take()?;
+        let acks = hub.reduce(w, &[1])[0];
+        debug_assert_eq!(acks, self.id.workers as u64, "checkpoint ack lost a worker");
+        (w == 0).then(|| Epoch {
+            id: self.id.clone(),
+            superstep,
+            rounds,
+        })
+    }
+
+    /// The boundary after `supersteps`: settle the previous epoch, encode
+    /// this one in place into the buffer that came back, ack the previous
+    /// one, and hand the buffer to the writer — on worker 0 together with
+    /// the commit of the epoch just acked. Nothing here waits for a disk
+    /// unless the previous write outlasted a whole checkpoint interval.
+    /// Returns `[snapshot_us, stall_us]` by `clock` (zeros without one).
     fn take<A: Algorithm, T: ExchangeTransport + ?Sized>(
-        &self,
+        &mut self,
         s: &mut WorkerState<'_, A>,
         hub: &T,
+        (supersteps, rounds): (u64, u64),
+        clock: Option<&Tracer>,
+    ) -> [u64; 2] {
+        let now = || clock.map_or(0, Tracer::now_us);
+        let w = s.worker();
+        let t0 = now();
+        let mut buf = self.settle();
+        let t1 = now();
+        pc_ckpt::begin_segment(&mut buf, supersteps, rounds, w as u32, self.id.workers);
+        s.encode_snapshot(&mut buf);
+        pc_ckpt::seal_segment(&mut buf);
+        let t2 = now();
+        let commit = self.ack(hub, w);
+        self.writer.submit(buf, commit);
+        self.unacked = Some((supersteps, rounds));
+        [t2 - t1, t1 - t0]
+    }
+
+    /// End of the run: settle, ack and commit the epoch still with the
+    /// writer, so a finished run leaves every epoch it took committed.
+    /// Nothing else is writing by then, so worker 0 commits inline.
+    /// Returns `stall_us` by `clock`.
+    fn drain<T: ExchangeTransport + ?Sized>(
+        &mut self,
+        hub: &T,
         w: usize,
-        workers: usize,
-        supersteps: u64,
-        rounds: u64,
-    ) {
-        let payload = s.encode_snapshot();
-        self.store
-            .write_segment(&Segment {
-                superstep: supersteps,
-                rounds,
-                rank: w as u32,
-                workers: workers as u32,
-                payload,
-            })
-            .unwrap_or_else(|e| panic!("checkpoint segment write failed: {e}"));
-        let acks = hub.reduce(w, &[1])[0];
-        debug_assert_eq!(acks as usize, workers, "checkpoint barrier lost a worker");
-        if w == 0 {
-            let digests: Vec<u64> = (0..workers)
-                .map(|r| {
-                    self.store
-                        .segment_digest(supersteps, r as u32)
-                        .unwrap_or_else(|e| panic!("checkpoint digest read failed: {e}"))
-                })
-                .collect();
+        clock: Option<&Tracer>,
+    ) -> u64 {
+        let now = || clock.map_or(0, Tracer::now_us);
+        let t0 = now();
+        self.settle();
+        let stall_us = now() - t0;
+        if let Some(epoch) = self.ack(hub, w) {
             self.store
-                .commit(&Manifest {
-                    id: self.id.clone(),
-                    superstep: supersteps,
-                    rounds,
-                    digests,
-                })
+                .commit_epoch(&epoch)
                 .unwrap_or_else(|e| panic!("checkpoint commit failed: {e}"));
-            let _ = self.store.gc(KEEP_COMMITTED);
         }
+        stall_us
     }
 }
 
@@ -705,7 +749,7 @@ fn drive_worker<A: Algorithm, T: ExchangeTransport + ?Sized>(
     // cadence. Both decisions are pure functions of the shared checkpoint
     // directory and the loop counters, so every worker takes them
     // identically and the barrier structure stays in lock-step.
-    let ckpt = cfg
+    let mut ckpt = cfg
         .ckpt
         .as_ref()
         .map(|p| CkptCtx::open::<A>(p, topo, cfg.workers));
@@ -812,15 +856,15 @@ fn drive_worker<A: Algorithm, T: ExchangeTransport + ?Sized>(
         if total_active == 0 {
             break;
         }
-        if let Some(ck) = &ckpt {
+        if let Some(ck) = &mut ckpt {
             // Snapshot only at boundaries the run continues past (the
             // terminal state is about to be gathered anyway), and never
             // re-snapshot the boundary a restore just reproduced.
             if supersteps.is_multiple_of(ck.every) && supersteps > last_ckpt {
                 let t0 = tracer.as_ref().map(|t| t.now_us());
-                ck.take(&mut s, hub, w, cfg.workers, supersteps, rounds);
+                let args = ck.take(&mut s, hub, (supersteps, rounds), tracer.as_ref());
                 if let (Some(t), Some(t0)) = (tracer.as_mut(), t0) {
-                    t.end(SpanKind::Checkpoint, supersteps, t0);
+                    t.end_with(SpanKind::Checkpoint, supersteps, t0, args);
                 }
                 last_ckpt = supersteps;
             }
@@ -830,6 +874,15 @@ fn drive_worker<A: Algorithm, T: ExchangeTransport + ?Sized>(
             "exceeded max_supersteps = {}",
             cfg.max_supersteps
         );
+    }
+    // The last epoch taken is still with the writer, unacked: drain it
+    // (its own span name — it is not an epoch) while the mesh is up.
+    if let Some(ck) = ckpt.as_mut().filter(|ck| ck.unacked.is_some()) {
+        let t0 = tracer.as_ref().map(|t| t.now_us());
+        let stall_us = ck.drain(hub, w, tracer.as_ref());
+        if let (Some(t), Some(t0)) = (tracer.as_mut(), t0) {
+            t.end_with(SpanKind::CheckpointDrain, supersteps, t0, [0, stall_us]);
+        }
     }
     // Nothing follows the final reduction, so frames a batched transport
     // still holds for coalescing (the last round's reduction result)
@@ -1483,12 +1536,14 @@ mod tests {
                     superstep: 1,
                     start_us: 5,
                     dur_us: 9,
+                    args: [0; 2],
                 },
                 TraceEvent {
                     kind: SpanKind::PollWait,
                     superstep: 2,
                     start_us: 20,
                     dur_us: 300,
+                    args: [0; 2],
                 },
             ],
             timeline: vec![SuperstepStats {

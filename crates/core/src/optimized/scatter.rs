@@ -449,14 +449,17 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
         // `registered` and `slots` are recounted on restore.
         for p in &self.peers {
             p.staged.encode(buf);
-            p.unique_dsts.encode(buf);
-            p.run_ends.encode(buf);
-            p.srcs.encode(buf);
+            encode_u32s(&p.unique_dsts, buf);
+            encode_u32s(&p.run_ends, buf);
+            encode_u32s(&p.srcs, buf);
             p.ids_shipped.encode(buf);
         }
         self.registered.encode(buf);
         self.slots.encode(buf);
-        self.routes.encode(buf);
+        (self.routes.len() as u32).encode(buf);
+        for ids in &self.routes {
+            encode_u32s(ids, buf);
+        }
         self.incoming.encode(buf);
         self.messages.encode(buf);
         true
@@ -482,6 +485,19 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
             .zip(&self.slots.present)
             .filter(|(&reg, &set)| reg && set)
             .count();
+    }
+}
+
+/// `Vec<u32>::encode`, byte for byte, as one `resize` and a copy loop the
+/// compiler turns into a block move: the route tables are most of a
+/// checkpoint segment (4 B per registered edge), and a snapshot is on the
+/// superstep path.
+fn encode_u32s(vals: &[u32], buf: &mut Vec<u8>) {
+    (vals.len() as u32).encode(buf);
+    let at = buf.len();
+    buf.resize(at + 4 * vals.len(), 0);
+    for (dst, v) in buf[at..].chunks_exact_mut(4).zip(vals) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
 }
 

@@ -207,12 +207,14 @@ pub struct CtrlState {
     pub plans: Option<Vec<Vec<u8>>>,
 }
 
-/// Encode a `CTRL` frame payload.
-pub fn encode_ctrl(state: &CtrlState) -> Vec<u8> {
+/// Encode a `CTRL` frame payload — what [`decode_ctrl`] turns back into
+/// a [`CtrlState`]. The plans are borrowed: the coordinator serializes
+/// straight out of the one encoded copy it keeps for re-shipping.
+pub fn encode_ctrl(epoch: u32, standby: u32, plans: Option<&[Vec<u8>]>) -> Vec<u8> {
     let mut buf = Vec::new();
-    state.epoch.encode(&mut buf);
-    state.standby.encode(&mut buf);
-    match &state.plans {
+    epoch.encode(&mut buf);
+    standby.encode(&mut buf);
+    match plans {
         None => false.encode(&mut buf),
         Some(plans) => {
             true.encode(&mut buf);
@@ -1098,13 +1100,14 @@ mod tests {
             standby: 2,
             plans: None,
         };
-        assert_eq!(decode_ctrl(&encode_ctrl(&bare), 1).unwrap(), bare);
+        let encode = |s: &CtrlState| encode_ctrl(s.epoch, s.standby, s.plans.as_deref());
+        assert_eq!(decode_ctrl(&encode(&bare), 1).unwrap(), bare);
         let full = CtrlState {
             epoch: 7,
             standby: 1,
             plans: Some(vec![vec![1, 2, 3], Vec::new(), vec![9; 300]]),
         };
-        assert_eq!(decode_ctrl(&encode_ctrl(&full), 1).unwrap(), full);
+        assert_eq!(decode_ctrl(&encode(&full), 1).unwrap(), full);
         assert!(matches!(
             decode_ctrl(&[1, 2], 1),
             Err(TransportError::Protocol { .. })

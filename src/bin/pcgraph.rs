@@ -20,7 +20,7 @@ use pc_bsp::{
     CkptPolicy, Config, ExecMode, MirrorPlan, RunStats, Tcp, TcpOptions, Topology, TransportError,
     TransportKind,
 };
-use pc_ckpt::{Advertisement, ControlReplica, RunId, Store};
+use pc_ckpt::{Advertisement, RunId, Store};
 use pc_dist::bootstrap::{
     decode_ctrl, encode_ctrl, BootstrapOptions, Coordinator, CtrlState, Follower, TAG_CTRL,
     TAG_PLAN,
@@ -523,12 +523,7 @@ fn publish_ctrl(
     let epoch = coordinator.epoch();
     let standby = pick_standby(opts, acting, ranks);
     store
-        .write_replica(&ControlReplica {
-            id: id.clone(),
-            epoch,
-            standby,
-            plans: plans.to_vec(),
-        })
+        .write_replica(id, epoch, standby, plans)
         .unwrap_or_else(|e| {
             eprintln!("pcgraph: cannot persist control replica: {e}");
             exit(EXIT_RUNTIME)
@@ -547,12 +542,8 @@ fn publish_ctrl(
             exit(EXIT_RUNTIME)
         });
     for rank in (0..ranks).filter(|&r| r != acting) {
-        let state = CtrlState {
-            epoch,
-            standby,
-            plans: (rank as u32 == standby).then(|| plans.to_vec()),
-        };
-        if let Err(e) = coordinator.send(rank, TAG_CTRL, &encode_ctrl(&state)) {
+        let frame = encode_ctrl(epoch, standby, (rank as u32 == standby).then_some(plans));
+        if let Err(e) = coordinator.send(rank, TAG_CTRL, &frame) {
             eprintln!(
                 "pcgraph: rank {acting}: cannot ship CTRL to rank {rank} ({e}); \
                  deferring to the next recovery epoch"

@@ -4,7 +4,7 @@
 //!
 //! * **Transparency** — a threaded run that checkpoints (but never
 //!   fails) reports values, bytes, messages, supersteps, rounds and pool
-//!   traffic identical to one that does not: the checkpoint barrier is a
+//!   traffic identical to one that does not: the checkpoint ack is a
 //!   pure transport reduction and never touches the exchange path.
 //! * **Resume** — pointing a second run at the directory the first one
 //!   left behind restores the last committed epoch (vertex values,
@@ -17,6 +17,13 @@
 //! A third arm covers the torn-write discipline end to end: truncating a
 //! segment of the newest committed epoch makes the resume fall back to
 //! the previous complete epoch, with identical results.
+//!
+//! Two more cover an epoch that was in flight when the run died —
+//! segments go to disk on a background writer and are committed one
+//! boundary later, so a kill can leave the newest epoch (a) complete and
+//! digest-valid but without its `MANIFEST`, or (b) as nothing but a
+//! `.tmp`. Either way it is invisible: the resume restores the epoch
+//! before it, replays, and rewrites it.
 
 mod common;
 
@@ -103,6 +110,39 @@ fn resumable<V: PartialEq + std::fmt::Debug>(
         &plain_stats,
         &torn_stats,
     );
+
+    // In flight: the newest epoch as a kill between snapshot and commit
+    // (a), or in the middle of the write (b), leaves it. The epoch before
+    // it is what gets restored, and the replay commits the newest again.
+    let committed = store.committed_steps().unwrap();
+    assert_eq!(committed.last(), Some(&newest), "{name}: torn arm's replay");
+    for what in ["segments without a manifest", "nothing but a .tmp"] {
+        std::fs::remove_file(store.manifest_path(newest)).unwrap();
+        if what == "nothing but a .tmp" {
+            for rank in 0..WORKERS as u32 {
+                std::fs::remove_file(store.segment_path(newest, rank)).unwrap();
+            }
+            let tmp = store.segment_path(newest, 0).with_extension("tmp");
+            std::fs::write(tmp, b"half a snapshot").unwrap();
+        }
+        assert_eq!(
+            store.committed_steps().unwrap(),
+            committed[..committed.len() - 1],
+            "{name}: an epoch with {what} is not a checkpoint"
+        );
+        let (values, stats) = run(&cfg);
+        assert_eq!(values, plain_values, "{name}: resume past {what} diverges");
+        assert_stats_agree(
+            &format!("{name} (plain vs resumed past {what})"),
+            &plain_stats,
+            &stats,
+        );
+        assert_eq!(
+            store.committed_steps().unwrap(),
+            committed,
+            "{name}: {what}"
+        );
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -229,6 +269,23 @@ fn wcc_propagation_resumes() {
         let o = pc_algos::wcc::channel_propagation(&g, &topo, cfg);
         (o.labels, o.stats)
     });
+}
+
+/// A run with a single boundary never reaches a second one to commit the
+/// first at: the end-of-run drain does, so the finished run still leaves
+/// its epoch committed (`benchmark/`'s layer pass reads it back).
+#[test]
+fn the_only_epoch_is_committed_by_the_end_of_run_drain() {
+    let g = undirected();
+    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+    let dir = temp_dir("drain");
+    let _ = std::fs::remove_dir_all(&dir);
+    let o = pc_algos::wcc::channel_propagation(&g, &topo, &ckpt_cfg(1, &dir));
+    assert_eq!(o.stats.supersteps, 2);
+    let store = Store::open(&dir).unwrap();
+    assert_eq!(store.committed_steps().unwrap(), vec![1]);
+    assert!(store.read_manifest(1).is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,0 +1,125 @@
+//! A checkpoint write that fails on the background writer is still the
+//! typed, bounded failure it was when the write was synchronous.
+//!
+//! Mid-run — after epoch 4 is durable on both workers, while superstep 5
+//! computes — the checkpoint directory is moved aside and a regular file
+//! put in its place, so every later checkpoint file operation fails. The
+//! writer reports that at the next boundary's `finish()`, and each worker
+//! panics with the fatal `checkpoint segment write failed` *before* it
+//! acks: no reduction is left waiting for a worker that died (the test
+//! returning at all is the no-hang check), and the epoch whose write
+//! failed never gets a `MANIFEST` — nor does epoch 4, whose commit rode
+//! the same failed job.
+
+use pc_bsp::{CkptPolicy, Config, Topology};
+use pc_channels::{Algorithm, Combine, ScatterCombine, VertexCtx, WorkerEnv};
+use pc_ckpt::Store;
+use pc_graph::{gen, Graph};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+const WORKERS: usize = 2;
+/// The superstep whose compute pulls the directory away.
+const SABOTAGE_AT: u64 = 5;
+
+/// Every vertex scatters a constant for twelve supersteps; vertex 0 also
+/// sabotages the checkpoint directory once.
+struct Sabotaged {
+    g: Arc<Graph>,
+    dir: PathBuf,
+}
+
+fn moved(dir: &Path) -> PathBuf {
+    dir.with_extension("moved")
+}
+
+impl Sabotaged {
+    /// Wait until both workers' segments of epoch 4 are in place — the
+    /// rename is the writer's last fallible step, and worker 0's job
+    /// commits epoch 2 before it writes — then swap the directory for a
+    /// regular file.
+    fn sabotage(&self) {
+        let store = Store::open(&self.dir).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !(0..WORKERS as u32).all(|r| store.segment_path(4, r).exists()) {
+            assert!(Instant::now() < deadline, "epoch 4 never reached the disk");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::fs::rename(&self.dir, moved(&self.dir)).unwrap();
+        std::fs::write(&self.dir, b"not a directory").unwrap();
+    }
+}
+
+impl Algorithm for Sabotaged {
+    type Value = u64;
+    type Channels = (ScatterCombine<u64>,);
+    pc_channels::dist_value_via_codec!();
+
+    fn channels(&self, env: &WorkerEnv) -> Self::Channels {
+        (ScatterCombine::new(env, Combine::sum_u64()),)
+    }
+    fn compute(&self, v: &mut VertexCtx<'_>, value: &mut u64, ch: &mut Self::Channels) {
+        if v.step() == 1 {
+            for &t in self.g.neighbors(v.id) {
+                ch.0.add_edge(v.local, t);
+            }
+        }
+        if v.step() == SABOTAGE_AT && v.id == 0 {
+            self.sabotage();
+        }
+        *value += ch.0.get_or_identity(v.local);
+        if v.step() <= 12 {
+            ch.0.set_message(v.local, 1);
+        } else {
+            v.vote_to_halt();
+        }
+    }
+}
+
+#[test]
+fn a_failed_background_write_is_the_same_fatal_panic() {
+    let dir = std::env::temp_dir().join(format!("pc_ckpt_writer_fail_{}", std::process::id()));
+    let cleanup = || {
+        let _ = std::fs::remove_dir_all(moved(&dir));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_file(&dir);
+    };
+    cleanup();
+    let g = Arc::new(gen::rmat(9, 4000, gen::RmatParams::default(), 7, true));
+    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+    let cfg = Config {
+        ckpt: Some(CkptPolicy {
+            every: 2,
+            dir: dir.clone(),
+        }),
+        ..Config::with_workers(WORKERS)
+    };
+    let algo = Sabotaged {
+        g: Arc::clone(&g),
+        dir: dir.clone(),
+    };
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        drop(pc_channels::run(&algo, &topo, &cfg))
+    }))
+    .expect_err("the run survived losing its checkpoint directory");
+    let message = panic
+        .downcast_ref::<String>()
+        .expect("the engine panics with a formatted message");
+    assert!(
+        message.starts_with("checkpoint segment write failed: i/o error"),
+        "{message}"
+    );
+
+    // What reached the disk before the swap: epoch 2 committed, epoch 4
+    // durable on both workers but never committed, and no trace of the
+    // epoch whose write failed.
+    let before = Store::open(moved(&dir)).unwrap();
+    assert_eq!(before.committed_steps().unwrap(), vec![2]);
+    for rank in 0..WORKERS as u32 {
+        assert!(before.read_segment(4, rank).is_ok());
+    }
+    assert!(!before.step_dir(6).exists());
+    assert!(dir.is_file(), "a checkpoint write got past the sabotage");
+    cleanup();
+}

@@ -104,3 +104,58 @@ fn traced_multirank_run_reconciles_and_stays_transparent() {
         );
     }
 }
+
+/// A checkpointing run's trace carries exactly one `checkpoint` span per
+/// epoch on every rank — each splitting its duration into the in-place
+/// snapshot and the wait for the previous epoch's write — and the
+/// end-of-run drain under a name of its own, so counting `checkpoint`
+/// spans still counts epochs.
+#[test]
+fn checkpoint_spans_count_epochs_and_the_drain_is_not_one() {
+    use pc_bsp::{CkptPolicy, SpanKind};
+    let workers = 4;
+    let g = Arc::new(gen::rmat(8, 1800, RmatParams::default(), 12, true));
+    let topo = Arc::new(Topology::hashed(g.n(), workers));
+    let dir = std::env::temp_dir().join(format!("pc_trace_ckpt_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (_, stats) = run_multirank_traced_batched(workers, &|cfg: &Config| {
+        let cfg = Config {
+            ckpt: Some(CkptPolicy {
+                every: 3,
+                dir: dir.clone(),
+            }),
+            ..cfg.clone()
+        };
+        let o = pc_algos::pagerank::channel_scatter(&g, &topo, &cfg, 12);
+        (o.ranks, o.stats)
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Thirteen supersteps at cadence 3: epochs 3, 6, 9, 12.
+    assert_eq!(stats.supersteps, 13);
+    assert_eq!(stats.traces.len(), workers);
+    for tr in &stats.traces {
+        let of = |kind| tr.events.iter().filter(move |e| e.kind == kind);
+        let epochs: Vec<u64> = of(SpanKind::Checkpoint).map(|e| e.superstep).collect();
+        assert_eq!(epochs, [3, 6, 9, 12], "rank {}", tr.rank);
+        assert_eq!(of(SpanKind::CheckpointDrain).count(), 1, "rank {}", tr.rank);
+        for e in of(SpanKind::Checkpoint).chain(of(SpanKind::CheckpointDrain)) {
+            let [snapshot_us, stall_us] = e.args;
+            assert!(
+                snapshot_us + stall_us <= e.dur_us,
+                "rank {}: {e:?}",
+                tr.rank
+            );
+        }
+    }
+    let json = trace::chrome_trace_json(&stats.traces);
+    assert_eq!(
+        json.matches("\"name\":\"checkpoint\",").count(),
+        4 * workers
+    );
+    assert_eq!(
+        json.matches("\"name\":\"checkpoint-drain\",").count(),
+        workers
+    );
+    assert_eq!(json.matches("\"snapshot_us\":").count(), 5 * workers);
+}
