@@ -64,9 +64,7 @@ impl Algorithm for Bfs {
 
     fn compute(&self, v: &mut VertexCtx<'_>, value: &mut Level, ch: &mut Self::Channels) {
         if v.step() == 1 {
-            for &t in self.g.neighbors(v.id) {
-                ch.0.add_edge(v.local, t);
-            }
+            ch.0.add_edges(v.local, self.g.neighbors(v.id));
             if v.id == self.src {
                 ch.0.set_value(v.local, 0);
             }

@@ -204,12 +204,8 @@ impl Algorithm for SccProp {
         }
         let (fwd, bwd) = ch;
         if v.step() == 1 {
-            for &t in self.g.neighbors(v.id) {
-                fwd.add_edge(v.local, t);
-            }
-            for &t in self.rev.neighbors(v.id) {
-                bwd.add_edge(v.local, t);
-            }
+            fwd.add_edges(v.local, self.g.neighbors(v.id));
+            bwd.add_edges(v.local, self.rev.neighbors(v.id));
         } else {
             // Detect on the converged floods of the previous superstep.
             let f = fwd.get_value(v.local).label;

@@ -161,9 +161,7 @@ impl Algorithm for SsspProp {
 
     fn compute(&self, v: &mut VertexCtx<'_>, value: &mut Dist, ch: &mut Self::Channels) {
         if v.step() == 1 {
-            for (t, w) in self.g.neighbors_weighted(v.id) {
-                ch.0.add_weighted_edge(v.local, t, w);
-            }
+            ch.0.add_weighted_edges(v.local, self.g.neighbors(v.id), self.g.weights(v.id));
             if v.id == self.src {
                 ch.0.set_value(v.local, 0);
             }

@@ -83,9 +83,7 @@ impl Algorithm for WccProp {
 
     fn compute(&self, v: &mut VertexCtx<'_>, label: &mut VertexId, ch: &mut Self::Channels) {
         if v.step() == 1 {
-            for &t in self.g.neighbors(v.id) {
-                ch.0.add_edge(v.local, t);
-            }
+            ch.0.add_edges(v.local, self.g.neighbors(v.id));
             ch.0.set_value(v.local, v.id);
         } else {
             *label = *ch.0.get_value(v.local);
@@ -123,12 +121,10 @@ impl Algorithm for WccMirror {
         let hub = self.g.degree(v.id) >= ch.1.threshold();
         if v.step() == 1 {
             *label = v.id;
-            for &t in self.g.neighbors(v.id) {
-                if hub {
-                    ch.1.add_edge(v.local, t);
-                } else {
-                    ch.0.add_edge(v.local, t);
-                }
+            if hub {
+                ch.1.add_edges(v.local, self.g.neighbors(v.id));
+            } else {
+                ch.0.add_edges(v.local, self.g.neighbors(v.id));
             }
             // Everyone sits in the propagation network as a *receiver*;
             // hubs just have no propagation out-edges.

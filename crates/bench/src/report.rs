@@ -206,7 +206,9 @@ pub fn run_stats_json(stats: &RunStats) -> String {
         let _ = writeln!(json, "      \"stall_us\": {},", r.stall_us);
         let _ = writeln!(json, "      \"pool_misses\": {},", r.pool_misses);
         let _ = writeln!(json, "      \"compute_us\": {},", r.compute_us);
-        let _ = writeln!(json, "      \"exchange_us\": {}", r.exchange_us);
+        let _ = writeln!(json, "      \"exchange_us\": {},", r.exchange_us);
+        let _ = writeln!(json, "      \"compute_max_us\": {},", r.compute_max_us);
+        let _ = writeln!(json, "      \"exchange_max_us\": {}", r.exchange_max_us);
         let _ = writeln!(
             json,
             "    }}{}",
@@ -310,6 +312,8 @@ mod tests {
                 pool_misses: 0,
                 compute_us: 3,
                 exchange_us: 9,
+                compute_max_us: 2,
+                exchange_max_us: 6,
             },
             SuperstepStats {
                 superstep: 2,
@@ -332,6 +336,8 @@ mod tests {
         assert_eq!(full.matches("\"superstep\":").count(), 2, "{full}");
         assert!(full.contains("\"name\": \"prop\""), "{full}");
         assert!(full.contains("\"stall_us\": 7"), "{full}");
+        assert!(full.contains("\"compute_max_us\": 2,"), "{full}");
+        assert!(full.contains("\"exchange_max_us\": 6\n"), "{full}");
         assert!(full.contains("\"recoveries\": 4"), "{full}");
         assert!(full.contains("\"recovery_us\": 12500"), "{full}");
         assert!(empty.contains("\"recoveries\": 0"), "{empty}");

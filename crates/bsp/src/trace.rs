@@ -155,7 +155,10 @@ impl Codec for TraceEvent {
 
 /// Per-superstep counters — the row the `--superstep-table` summary and
 /// `RunStats::timeline` are made of. On a worker these are that worker's
-/// share; after [`merge_timelines`] they are run-global sums.
+/// share; after [`merge_timelines`] they are run-global sums, except
+/// `rounds` (identical everywhere) and the two `*_max_us` fields, which
+/// are the slowest worker's — a sum over workers cannot tell "everyone
+/// busy" from "one worker busy while the rest wait for it".
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SuperstepStats {
     /// Superstep number (1-based).
@@ -178,6 +181,10 @@ pub struct SuperstepStats {
     /// µs spent in exchange rounds (serialize → deserialize, reductions
     /// excluded).
     pub exchange_us: u64,
+    /// The largest `compute_us` of any one worker.
+    pub compute_max_us: u64,
+    /// The largest `exchange_us` of any one worker.
+    pub exchange_max_us: u64,
 }
 
 impl SuperstepStats {
@@ -195,6 +202,8 @@ impl SuperstepStats {
         self.pool_misses += other.pool_misses;
         self.compute_us += other.compute_us;
         self.exchange_us += other.exchange_us;
+        self.compute_max_us = self.compute_max_us.max(other.compute_max_us);
+        self.exchange_max_us = self.exchange_max_us.max(other.exchange_max_us);
     }
 }
 
@@ -209,6 +218,8 @@ impl Codec for SuperstepStats {
         self.pool_misses.encode(buf);
         self.compute_us.encode(buf);
         self.exchange_us.encode(buf);
+        self.compute_max_us.encode(buf);
+        self.exchange_max_us.encode(buf);
     }
     fn decode(r: &mut Reader<'_>) -> Self {
         SuperstepStats {
@@ -221,9 +232,11 @@ impl Codec for SuperstepStats {
             pool_misses: r.get(),
             compute_us: r.get(),
             exchange_us: r.get(),
+            compute_max_us: r.get(),
+            exchange_max_us: r.get(),
         }
     }
-    const FIXED_SIZE: Option<usize> = Some(9 * 8);
+    const FIXED_SIZE: Option<usize> = Some(11 * 8);
 }
 
 /// One worker's (rank's) complete trace: its event stream, per-superstep
@@ -524,7 +537,7 @@ pub fn superstep_table(timeline: &[SuperstepStats]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:>9} {:>7} {:>10} {:>10} {:>12} {:>10} {:>10} {:>11} {:>11}",
+        "{:>9} {:>7} {:>10} {:>10} {:>12} {:>10} {:>10} {:>11} {:>11} {:>15}",
         "superstep",
         "rounds",
         "active",
@@ -533,12 +546,13 @@ pub fn superstep_table(timeline: &[SuperstepStats]) -> String {
         "stall µs",
         "pool miss",
         "compute µs",
-        "exchange µs"
+        "exchange µs",
+        "max cmp/xch µs"
     );
     for r in timeline {
         let _ = writeln!(
             out,
-            "{:>9} {:>7} {:>10} {:>10} {:>12} {:>10} {:>10} {:>11} {:>11}",
+            "{:>9} {:>7} {:>10} {:>10} {:>12} {:>10} {:>10} {:>11} {:>11} {:>15}",
             r.superstep,
             r.rounds,
             r.active,
@@ -547,7 +561,8 @@ pub fn superstep_table(timeline: &[SuperstepStats]) -> String {
             r.stall_us,
             r.pool_misses,
             r.compute_us,
-            r.exchange_us
+            r.exchange_us,
+            format!("{}/{}", r.compute_max_us, r.exchange_max_us)
         );
     }
     out
@@ -596,6 +611,8 @@ mod tests {
                     pool_misses: 1,
                     compute_us: 5,
                     exchange_us: 8,
+                    compute_max_us: 5,
+                    exchange_max_us: 8,
                 },
                 SuperstepStats {
                     superstep: 2,
@@ -607,6 +624,8 @@ mod tests {
                     pool_misses: 0,
                     compute_us: 2,
                     exchange_us: 4,
+                    compute_max_us: 2,
+                    exchange_max_us: 4,
                 },
             ],
         }
@@ -654,12 +673,24 @@ mod tests {
         assert_eq!(traces[1].events[0].start_us, 260);
     }
 
-    /// Merged timelines sum counters per superstep and keep the (global,
-    /// identical) round count.
+    /// Merged timelines sum counters per superstep, keep the (global,
+    /// identical) round count, and keep the slowest rank's compute and
+    /// exchange beside their sums.
     #[test]
     fn merge_timelines_sums_per_superstep() {
-        let traces = vec![sample_trace(0, 0), sample_trace(1, 0)];
+        let mut traces = vec![sample_trace(0, 0), sample_trace(1, 0)];
+        // Rank 1 computes superstep 1 for 75× as long as rank 0.
+        traces[1].timeline[0].compute_us = 375;
+        traces[1].timeline[0].compute_max_us = 375;
         let merged = merge_timelines(&traces);
+        assert_eq!(
+            (merged[0].compute_us, merged[0].compute_max_us),
+            (380, 375),
+            "the sum hides what the max shows"
+        );
+        assert_eq!((merged[0].exchange_us, merged[0].exchange_max_us), (16, 8));
+        let table = superstep_table(&merged);
+        assert!(table.lines().nth(1).unwrap().ends_with(" 375/8"), "{table}");
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0].superstep, 1);
         assert_eq!(merged[0].active, 14);

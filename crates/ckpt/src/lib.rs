@@ -96,8 +96,10 @@ pub const MANIFEST_MAGIC: u64 = 0x0100_4e41_4d63_7000;
 pub const CTRL_MAGIC: u64 = 0x0100_4c54_4363_7000;
 /// Magic prefix of the coordinator advertisement ("pcADV\x01" padded).
 pub const ADVERT_MAGIC: u64 = 0x0100_5644_4163_7000;
-/// On-disk format version; bumped on any layout change.
-pub const FORMAT_VERSION: u32 = 2;
+/// On-disk format version; bumped on any layout change. 3: the `Mirror`
+/// and `Propagation` channels write flat adjacency tables (2 was PR 14's
+/// scatter route tables).
+pub const FORMAT_VERSION: u32 = 3;
 /// Committed epochs the garbage collector keeps: the newest one plus one
 /// fallback for the torn-write path.
 pub const KEEP_COMMITTED: usize = 2;

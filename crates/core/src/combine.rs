@@ -10,18 +10,57 @@
 
 use std::sync::Arc;
 
-/// The fold step plus the two bulk loops [`crate::ScatterCombine`] runs over
-/// it. Implemented once, for every closure type, so that inside the loops
-/// the step is a direct (inlinable) call: a channel pays one indirect call
-/// per frame through `dyn Fold`, not one per edge — the user's combiner
-/// compiled *into* the edge loop, as iPregel does, without a closure type
-/// parameter on `Combine` and every channel and algorithm that names it.
+/// What a bulk fold over a run of destinations draws its values from.
+pub(crate) enum Vals<'a, V> {
+    /// The same value for every destination: a broadcast, or an unweighted
+    /// relaxation.
+    One(&'a V),
+    /// One value per destination, in the run's order.
+    Each(&'a [V]),
+}
+
+/// The fold step plus the bulk loops the optimized channels run over it.
+/// Implemented once, for every closure type, so that inside the loops the
+/// step is a direct (inlinable) call: a channel pays one indirect call per
+/// frame or adjacency row through `dyn Fold`, not one per edge — the
+/// user's combiner compiled *into* the edge loop, as iPregel does, without
+/// a closure type parameter on `Combine` and every channel and algorithm
+/// that names it.
 trait Fold<V>: Send + Sync {
     fn apply(&self, acc: &mut V, v: V);
     /// [`Combine::gather`].
     fn gather(&self, slots: &[V], srcs: &[u32], run_ends: &[u32], out: &mut Vec<V>);
     /// [`Combine::absorb`].
     fn absorb(&self, acc: &mut [V], present: &mut [bool], dsts: &[u32], vals: &mut Vec<V>);
+    /// [`Combine::stage`].
+    fn stage(
+        &self,
+        acc: &mut [V],
+        present: &mut [bool],
+        dsts: &[u32],
+        vals: Vals<'_, V>,
+        touched: &mut Vec<u32>,
+    );
+    /// [`Combine::relax`].
+    fn relax(&self, values: &mut [V], dsts: &[u32], vals: Vals<'_, V>, changed: &mut Vec<u32>)
+    where
+        V: PartialEq;
+}
+
+/// Pair a run of destinations with its values and hand each pair to
+/// `step` — the loop [`Fold::stage`] and [`Fold::relax`] share, compiled
+/// once per value source.
+#[inline(always)]
+fn for_each_pair<V: Clone>(dsts: &[u32], vals: Vals<'_, V>, mut step: impl FnMut(u32, V)) {
+    match vals {
+        Vals::One(v) => dsts.iter().for_each(|&dst| step(dst, v.clone())),
+        Vals::Each(vs) => {
+            assert_eq!(dsts.len(), vs.len(), "one destination per value");
+            dsts.iter()
+                .zip(vs)
+                .for_each(|(&dst, v)| step(dst, v.clone()));
+        }
+    }
 }
 
 impl<V: Clone, F: Fn(&mut V, V) + Send + Sync> Fold<V> for F {
@@ -55,6 +94,41 @@ impl<V: Clone, F: Fn(&mut V, V) + Send + Sync> Fold<V> for F {
                 present[dst] = true;
             }
         }
+    }
+
+    fn stage(
+        &self,
+        acc: &mut [V],
+        present: &mut [bool],
+        dsts: &[u32],
+        vals: Vals<'_, V>,
+        touched: &mut Vec<u32>,
+    ) {
+        for_each_pair(dsts, vals, |dst, v| {
+            let d = dst as usize;
+            if present[d] {
+                self(&mut acc[d], v);
+            } else {
+                acc[d] = v;
+                present[d] = true;
+                touched.push(dst);
+            }
+        });
+    }
+
+    fn relax(&self, values: &mut [V], dsts: &[u32], vals: Vals<'_, V>, changed: &mut Vec<u32>)
+    where
+        V: PartialEq,
+    {
+        for_each_pair(dsts, vals, |dst, v| {
+            let cur = &mut values[dst as usize];
+            let mut next = cur.clone();
+            self(&mut next, v);
+            if next != *cur {
+                *cur = next;
+                changed.push(dst);
+            }
+        });
     }
 }
 
@@ -103,6 +177,35 @@ impl<V: Clone> Combine<V> {
     /// Drains `vals`.
     pub fn absorb(&self, acc: &mut [V], present: &mut [bool], dsts: &[u32], vals: &mut Vec<V>) {
         self.f.absorb(acc, present, dsts, vals);
+    }
+
+    /// [`Combine::absorb`] that also reports first arrivals: `dst` is pushed
+    /// onto `touched` when its `present` flag was unset — the dirty list of
+    /// a send-side stage, the wake-up list of a receive side.
+    pub(crate) fn stage(
+        &self,
+        acc: &mut [V],
+        present: &mut [bool],
+        dsts: &[u32],
+        vals: Vals<'_, V>,
+        touched: &mut Vec<u32>,
+    ) {
+        self.f.stage(acc, present, dsts, vals, touched);
+    }
+
+    /// Relax a run of destinations: fold each value into `values[dst]` and
+    /// push `dst` onto `changed` whenever that moved the value (once per
+    /// move, so a destination can appear more than once).
+    pub(crate) fn relax(
+        &self,
+        values: &mut [V],
+        dsts: &[u32],
+        vals: Vals<'_, V>,
+        changed: &mut Vec<u32>,
+    ) where
+        V: PartialEq,
+    {
+        self.f.relax(values, dsts, vals, changed);
     }
 
     /// Combine two values into one.
@@ -228,6 +331,44 @@ mod tests {
         c.apply(&mut acc, 4);
         assert_eq!(acc, 4);
         assert_eq!(c.join(9, 4), 4);
+    }
+
+    #[test]
+    fn stage_reports_first_arrivals_and_folds_the_rest() {
+        let sum = Combine::sum_u64();
+        let (mut acc, mut present, mut touched) = (vec![0u64; 4], vec![false; 4], Vec::new());
+        sum.stage(
+            &mut acc,
+            &mut present,
+            &[2, 0, 2],
+            Vals::One(&5),
+            &mut touched,
+        );
+        sum.stage(
+            &mut acc,
+            &mut present,
+            &[0, 3],
+            Vals::Each(&[1, 7]),
+            &mut touched,
+        );
+        assert_eq!(acc, [6, 0, 10, 7]);
+        assert_eq!(present, [true, false, true, true]);
+        assert_eq!(touched, [2, 0, 3]);
+    }
+
+    #[test]
+    fn relax_reports_every_move() {
+        let min = Combine::min_u32();
+        let (mut values, mut changed) = (vec![9u32, 4, 9], Vec::new());
+        min.relax(&mut values, &[0, 1, 2], Vals::One(&5), &mut changed);
+        min.relax(
+            &mut values,
+            &[2, 2, 1],
+            Vals::Each(&[3, 6, 4]),
+            &mut changed,
+        );
+        assert_eq!(values, [5, 4, 3]);
+        assert_eq!(changed, [0, 2, 2]);
     }
 
     #[test]

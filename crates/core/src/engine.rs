@@ -851,6 +851,8 @@ fn drive_worker<A: Algorithm, T: ExchangeTransport + ?Sized>(
                 pool_misses: s.pool.stats().misses - base.pool_misses,
                 compute_us,
                 exchange_us,
+                compute_max_us: compute_us,
+                exchange_max_us: exchange_us,
             });
         }
         if total_active == 0 {
@@ -1556,6 +1558,8 @@ mod tests {
                 pool_misses: 1,
                 compute_us: 9,
                 exchange_us: 3,
+                compute_max_us: 9,
+                exchange_max_us: 3,
             }],
         };
         for trace in [None, Some(&tr)] {

@@ -10,13 +10,27 @@
 //! block-centric computation (Blogel): within every exchange round, each
 //! worker performs a BFS-like traversal of *its own* subgraph, pushing
 //! labels as far as they go locally; only updates to remote vertices
-//! become messages. Remote updates are combined in dense per-peer slot
-//! arrays with dirty lists ([`PeerStage`]) — the hottest combiner path
-//! does no hashing and serializes in deterministic first-touch order.
-//! The engine keeps the round loop running (via [`Channel::again`]) until
-//! no worker has pending work — so an entire label-propagation fixpoint
-//! completes inside a single superstep, in a few exchange rounds instead
-//! of `O(diameter)` supersteps.
+//! become messages. The engine keeps the round loop running (via
+//! [`Channel::again`]) until no worker has pending work — so an entire
+//! label-propagation fixpoint completes inside a single superstep, in a
+//! few exchange rounds instead of `O(diameter)` supersteps.
+//!
+//! **Staging → `finalize` → relax.** `add_edge(s)` only appends to a
+//! staged list. The first `serialize` after a registration (`finalize`)
+//! merges it into one flat adjacency ([`super::flat`]): per source vertex
+//! a row of `(owning worker, local index there, edge value)` columns,
+//! every destination resolved once, each registration batch grouped by
+//! owning worker. Popping a vertex off the worklist then walks its row as
+//! a few runs, one bulk fold each — its own worker's run relaxed straight
+//! into `values` (changed vertices re-queued), any other worker's folded
+//! into that peer's dense stage ([`PeerStage`]) — with the combiner
+//! compiled into the loop. A received frame is one more bulk relaxation.
+//!
+//! **Cost model.** Registration O(edges) in bulk, `finalize` O(staged
+//! edges + the rows they touch); a round costs O(vertices popped + their
+//! edges + messages in and out) — nothing in it is proportional to the
+//! number of peers, vertices or slots, and after the first superstep it
+//! allocates nothing: BFS down a path is ~10⁵ rounds of one vertex each.
 //!
 //! The vertex value is the channel's state: seed with
 //! [`Propagation::set_value`], read the converged result with
@@ -29,73 +43,34 @@
 //! to each edge value. Both are supported here: `Propagation<M>` is the
 //! simplified (unweighted) form, and [`Propagation::weighted`] constructs
 //! the full form with per-edge values of type `E` (e.g. asynchronous
-//! shortest paths with `f = |w, d| d + w` and a `min` combiner).
+//! shortest paths with `f = |w, d| d + w` and a `min` combiner). The edge
+//! function is applied a row at a time — one indirect call maps a popped
+//! vertex's edge values into a scratch, the bulk folds take it from there.
 
+use super::flat::{check, encode_vec, peer_runs, Adjacency, PeerStage, Staged};
 use crate::channel::{Channel, DeserializeCx, SerializeCx, WorkerEnv};
-use crate::combine::Combine;
-use pc_bsp::codec::Codec;
+use crate::combine::{Combine, Vals};
+use pc_bsp::codec::{Codec, Reader};
 use pc_graph::VertexId;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Edge transformation `aᵢ = f(eᵢ, vᵢ)` of the propagation model (Fig. 7).
-type EdgeFn<E, M> = Arc<dyn Fn(&E, &M) -> M + Send + Sync>;
-
-/// Outgoing remote updates for one peer, combined per target without
-/// hashing: a dense slot array indexed by the *receiver's* local vertex
-/// index plus a dirty list of occupied slots (the same design the
-/// scatter channel uses on its receive side). The combiner hot path is a
-/// bounds-checked array access; serialization walks only the dirty list,
-/// in deterministic first-touch order.
-///
-/// The slot array is allocated lazily on the first update to that peer,
-/// so a worker only pays O(peer's vertices) memory for peers it actually
-/// exchanges labels with — under locality-preserving partitions most
-/// worker pairs never do.
-struct PeerStage<M> {
-    receiver_vertices: usize,
-    slots: Vec<Option<M>>,
-    dirty: Vec<u32>,
-}
-
-impl<M: Clone> PeerStage<M> {
-    fn new(receiver_vertices: usize) -> Self {
-        PeerStage {
-            receiver_vertices,
-            slots: Vec::new(),
-            dirty: Vec::new(),
-        }
-    }
-
-    /// Fold `m` into the slot for `dst_local` on the receiving worker.
-    #[inline]
-    fn stage(&mut self, combine: &Combine<M>, dst_local: u32, m: M) {
-        if self.slots.is_empty() {
-            self.slots.resize(self.receiver_vertices, None);
-        }
-        match &mut self.slots[dst_local as usize] {
-            Some(acc) => combine.apply(acc, m),
-            slot @ None => {
-                *slot = Some(m);
-                self.dirty.push(dst_local);
-            }
-        }
-    }
-}
+/// The edge transformation `aᵢ = f(eᵢ, vᵢ)` of the propagation model
+/// (Fig. 7) over one adjacency row: appends `f(e, v)` for every `e`.
+type RowFn<E, M> = Arc<dyn Fn(&[E], &M, &mut Vec<M>) + Send + Sync>;
 
 /// Asynchronous label-propagation channel with values of type `M` and
 /// per-edge values of type `E` (`()` in the simplified form).
 pub struct Propagation<M, E = ()> {
     env: WorkerEnv,
     combine: Combine<M>,
-    /// The per-edge transformation applied before folding at the target.
-    edge_fn: EdgeFn<E, M>,
-    /// Edges registered but not yet split into local/remote form.
-    pending_edges: Vec<(u32, VertexId, E)>,
-    /// Out-neighbors on this worker, by local index, with edge values.
-    local_adj: Vec<Vec<(u32, E)>>,
-    /// Out-neighbors on other workers as `(peer, local index there, edge)`.
-    remote_adj: Vec<Vec<(u16, u32, E)>>,
+    /// The per-edge transformation applied before folding at the target;
+    /// `None` in the simplified form, where a value travels unchanged.
+    edge_fn: Option<RowFn<E, M>>,
+    /// Edges registered since the last `finalize`.
+    staged: Staged<E>,
+    /// Out-neighbors per local vertex, local and remote alike.
+    adj: Adjacency<E>,
     values: Vec<M>,
     queue: VecDeque<u32>,
     in_queue: Vec<bool>,
@@ -103,21 +78,30 @@ pub struct Propagation<M, E = ()> {
     changed: Vec<u32>,
     is_changed: Vec<bool>,
     /// Outgoing remote updates, combined per `(peer, target)` in dense
-    /// per-peer slot arrays — no hashing on the combiner hot path.
+    /// per-peer slots, and the peers holding any.
     staging: Vec<PeerStage<M>>,
+    dirty_peers: Vec<u16>,
+    /// One row's mapped edge values, the vertices one bulk relaxation
+    /// moved, and one received frame.
+    mapped: Vec<M>,
+    moved: Vec<u32>,
+    frame_dsts: Vec<u32>,
+    frame_vals: Vec<M>,
     /// In block mode the channel never extends the round loop: one local
     /// convergence + one boundary exchange per superstep, like Blogel's
     /// B-compute. The default (asynchronous) mode keeps exchanging rounds
     /// inside the superstep until the global fixpoint.
     synchronous: bool,
     messages: u64,
+    /// Rows `finalize` has examined so far (see `Mirror`'s).
+    rows_examined: u64,
 }
 
 impl<M: Codec + Clone + PartialEq + Send> Propagation<M> {
     /// Create this worker's instance (simplified, unweighted form). Values
     /// start at the combiner's identity.
     pub fn new(env: &WorkerEnv, combine: Combine<M>) -> Self {
-        Propagation::weighted(env, combine, |_: &(), v: &M| v.clone())
+        Propagation::with_edge_fn(env, combine, None)
     }
 
     /// Blogel-style block-centric variant: local propagation still runs to
@@ -134,7 +118,14 @@ impl<M: Codec + Clone + PartialEq + Send> Propagation<M> {
     /// Register a propagation edge from local vertex `src_local` to the
     /// vertex with global id `dst` (labels flow `src → dst`).
     pub fn add_edge(&mut self, src_local: u32, dst: VertexId) {
-        self.pending_edges.push((src_local, dst, ()));
+        self.add_edges(src_local, &[dst]);
+    }
+
+    /// Register propagation edges from local vertex `src_local` to every
+    /// vertex of `dsts` (global ids) — a whole adjacency row in one call.
+    pub fn add_edges(&mut self, src_local: u32, dsts: &[VertexId]) {
+        self.staged
+            .push(src_local, dsts, std::iter::repeat_n((), dsts.len()));
     }
 }
 
@@ -147,31 +138,49 @@ impl<M: Codec + Clone + PartialEq + Send, E: Clone + Send> Propagation<M, E> {
         combine: Combine<M>,
         edge_fn: impl Fn(&E, &M) -> M + Send + Sync + 'static,
     ) -> Self {
+        let row_fn = move |edges: &[E], v: &M, out: &mut Vec<M>| {
+            out.extend(edges.iter().map(|e| edge_fn(e, v)));
+        };
+        Propagation::with_edge_fn(env, combine, Some(Arc::new(row_fn)))
+    }
+
+    fn with_edge_fn(env: &WorkerEnv, combine: Combine<M>, edge_fn: Option<RowFn<E, M>>) -> Self {
         let numv = env.local_count();
-        let workers = env.workers();
         Propagation {
             env: env.clone(),
-            combine: combine.clone(),
-            edge_fn: Arc::new(edge_fn),
-            pending_edges: Vec::new(),
-            local_adj: vec![Vec::new(); numv],
-            remote_adj: vec![Vec::new(); numv],
-            values: (0..numv).map(|_| combine.identity()).collect(),
+            edge_fn,
+            staged: Staged::default(),
+            adj: Adjacency::new(numv),
+            values: vec![combine.identity(); numv],
             queue: VecDeque::new(),
             in_queue: vec![false; numv],
             changed: Vec::new(),
             is_changed: vec![false; numv],
-            staging: (0..workers)
+            staging: (0..env.workers())
                 .map(|peer| PeerStage::new(env.topo.local_count(peer)))
                 .collect(),
+            dirty_peers: Vec::new(),
+            mapped: Vec::new(),
+            moved: Vec::new(),
+            frame_dsts: Vec::new(),
+            frame_vals: Vec::new(),
             synchronous: false,
             messages: 0,
+            rows_examined: 0,
+            combine,
         }
     }
 
     /// Register a weighted propagation edge (full model).
     pub fn add_weighted_edge(&mut self, src_local: u32, dst: VertexId, edge: E) {
-        self.pending_edges.push((src_local, dst, edge));
+        self.staged.push(src_local, &[dst], [edge]);
+    }
+
+    /// Register weighted propagation edges `src_local → dsts[i]` carrying
+    /// `edges[i]` — a whole weighted adjacency row in one call.
+    pub fn add_weighted_edges(&mut self, src_local: u32, dsts: &[VertexId], edges: &[E]) {
+        assert_eq!(dsts.len(), edges.len(), "one value per edge");
+        self.staged.push(src_local, dsts, edges.iter().cloned());
     }
 
     /// Seed/overwrite the value of a local vertex and schedule it for
@@ -210,50 +219,60 @@ impl<M: Codec + Clone + PartialEq + Send, E: Clone + Send> Propagation<M, E> {
         }
     }
 
-    /// Fold `m` into `local`'s value; enqueue on change.
-    fn absorb(&mut self, local: u32, m: M) {
-        let cur = &mut self.values[local as usize];
-        let next = self.combine.join(cur.clone(), m);
-        if next != *cur {
-            *cur = next;
+    /// Every vertex a bulk relaxation moved changed this superstep and
+    /// propagates onward.
+    fn requeue_moved(&mut self) {
+        for i in 0..self.moved.len() {
+            let local = self.moved[i];
             self.mark_changed(local);
             self.enqueue(local);
         }
+        self.moved.clear();
     }
 
-    fn split_pending_edges(&mut self) {
-        for (src, dst, e) in std::mem::take(&mut self.pending_edges) {
-            let peer = self.env.worker_of(dst);
-            let dst_local = self.env.local_of(dst);
-            if peer == self.env.worker {
-                self.local_adj[src as usize].push((dst_local, e));
-            } else {
-                self.remote_adj[src as usize].push((peer as u16, dst_local, e));
-            }
+    /// Merge the staged edges into the adjacency.
+    fn finalize(&mut self) {
+        if self.staged.is_empty() {
+            return;
         }
+        let staged = std::mem::take(&mut self.staged);
+        self.rows_examined += self.adj.merge(&self.env.topo, staged, |_, _, _| {});
     }
 
     /// The local BFS-like traversal of Fig. 7: drain the worklist, folding
     /// each changed vertex's value into its local out-neighbors directly
-    /// and recording remote updates in the staging tables.
+    /// and recording remote updates in the per-peer stages.
     fn propagate_locally(&mut self) {
+        let me = self.env.worker;
         while let Some(u) = self.queue.pop_front() {
             self.in_queue[u as usize] = false;
+            let (peers, dsts, edges) = self.adj.row(u);
+            if peers.is_empty() {
+                continue;
+            }
             let val = self.values[u as usize].clone();
-            // Local neighbors: immediate asynchronous update.
-            let nbrs = std::mem::take(&mut self.local_adj[u as usize]);
-            for (dst, e) in &nbrs {
-                let a = (self.edge_fn)(e, &val);
-                self.absorb(*dst, a);
+            if let Some(f) = &self.edge_fn {
+                self.mapped.clear();
+                f(edges, &val, &mut self.mapped);
             }
-            self.local_adj[u as usize] = nbrs;
-            // Remote neighbors: combine into the per-peer dense stage.
-            let remotes = std::mem::take(&mut self.remote_adj[u as usize]);
-            for (peer, dst_local, e) in &remotes {
-                let a = (self.edge_fn)(e, &val);
-                self.staging[*peer as usize].stage(&self.combine, *dst_local, a);
+            for (peer, run) in peer_runs(peers) {
+                let vals = match &self.edge_fn {
+                    Some(_) => Vals::Each(&self.mapped[run.clone()]),
+                    None => Vals::One(&val),
+                };
+                if peer == me {
+                    // Local neighbors: immediate asynchronous update.
+                    self.combine
+                        .relax(&mut self.values, &dsts[run], vals, &mut self.moved);
+                } else {
+                    // Remote neighbors: combine into the peer's stage.
+                    if self.staging[peer].is_empty() {
+                        self.dirty_peers.push(peer as u16);
+                    }
+                    self.staging[peer].stage(&self.combine, &dsts[run], vals);
+                }
             }
-            self.remote_adj[u as usize] = remotes;
+            self.requeue_moved();
         }
     }
 }
@@ -266,39 +285,37 @@ impl<AV, M: Codec + Clone + PartialEq + Send, E: Codec + Clone + Send> Channel<A
     }
 
     fn serialize(&mut self, cx: &mut SerializeCx<'_>) {
-        if !self.pending_edges.is_empty() {
-            self.split_pending_edges();
-        }
+        self.finalize();
         self.propagate_locally();
-        for peer in 0..self.staging.len() {
-            let stage = &mut self.staging[peer];
-            if stage.dirty.is_empty() {
-                continue;
-            }
-            self.messages += stage.dirty.len() as u64;
-            let slots = &mut stage.slots;
-            let dirty = &mut stage.dirty;
-            cx.frame(peer, |buf| {
-                // Walk only the touched slots, draining them for the next
-                // round; first-touch order keeps the wire deterministic.
-                for dst_local in dirty.drain(..) {
-                    let m = slots[dst_local as usize]
-                        .take()
-                        .expect("dirty slot is occupied");
+        for peer in self.dirty_peers.drain(..) {
+            let stage = &mut self.staging[peer as usize];
+            self.messages += stage.len() as u64;
+            // Walk only the touched slots, emptying them for the next
+            // round; first-touch order keeps the wire deterministic.
+            cx.frame(peer as usize, |buf| {
+                stage.drain(|dst_local, m| {
                     dst_local.encode(buf);
                     m.encode(buf);
-                }
+                })
             });
         }
     }
 
     fn deserialize(&mut self, cx: &mut DeserializeCx<'_, AV>) {
         for (_from, mut r) in cx.frames() {
+            self.frame_dsts.clear();
+            self.frame_vals.clear();
             while !r.is_empty() {
-                let dst_local: u32 = r.get();
-                let m: M = r.get();
-                self.absorb(dst_local, m);
+                self.frame_dsts.push(r.get());
+                self.frame_vals.push(r.get());
             }
+            self.combine.relax(
+                &mut self.values,
+                &self.frame_dsts,
+                Vals::Each(&self.frame_vals),
+                &mut self.moved,
+            );
+            self.requeue_moved();
         }
         // Everyone whose value changed this superstep must observe the new
         // value next superstep.
@@ -317,46 +334,48 @@ impl<AV, M: Codec + Clone + PartialEq + Send, E: Codec + Clone + Send> Channel<A
     }
 
     fn encode_state(&self, buf: &mut Vec<u8>) -> bool {
-        // Adjacency (with edge values — hence the `E: Codec` bound on
-        // this impl), converged values, and the block-mode worklist that
-        // may legitimately carry over a superstep boundary. The combiner
-        // and edge function are rebuilt by the algorithm's constructor.
-        self.pending_edges.encode(buf);
-        self.local_adj.encode(buf);
-        self.remote_adj.encode(buf);
-        self.values.encode(buf);
+        // Staged registrations, the adjacency (with edge values — hence
+        // the `E: Codec` bound on this impl), converged values, and the
+        // worklist and changed list (block mode legitimately carries a
+        // worklist over a superstep boundary); their membership flags are
+        // rebuilt from them. The per-peer stages are empty whenever
+        // `serialize` is not running. The combiner and edge function are
+        // rebuilt by the algorithm's constructor.
+        debug_assert!(self.dirty_peers.is_empty());
+        self.staged.encode(buf);
+        self.adj.encode(buf);
+        encode_vec(&self.values, buf);
         (self.queue.len() as u32).encode(buf);
-        for &v in &self.queue {
-            v.encode(buf);
-        }
-        self.in_queue.encode(buf);
-        self.changed.encode(buf);
-        self.is_changed.encode(buf);
-        (self.staging.len() as u32).encode(buf);
-        for stage in &self.staging {
-            stage.slots.encode(buf);
-            stage.dirty.encode(buf);
-        }
+        let (head, tail) = self.queue.as_slices();
+        u32::encode_slice(head, buf);
+        u32::encode_slice(tail, buf);
+        encode_vec(&self.changed, buf);
         self.messages.encode(buf);
         true
     }
 
-    fn decode_state(&mut self, r: &mut pc_bsp::codec::Reader<'_>) {
-        self.pending_edges = r.get();
-        self.local_adj = r.get();
-        self.remote_adj = r.get();
+    fn decode_state(&mut self, r: &mut Reader<'_>) {
+        let numv = self.env.local_count();
+        let ok = |cond: bool, what: &str| check(cond, "propagation", what);
+        self.staged = Staged::decode(r, numv, self.env.n(), "propagation");
+        self.adj = Adjacency::decode(r, numv, &self.env.topo, "propagation");
         self.values = r.get();
-        let qlen: u32 = r.get();
-        self.queue = (0..qlen).map(|_| r.get::<u32>()).collect();
-        self.in_queue = r.get();
+        ok(self.values.len() == numv, "value count");
+        let queue: Vec<u32> = r.get();
         self.changed = r.get();
-        self.is_changed = r.get();
-        let stages: u32 = r.get();
-        assert_eq!(stages as usize, self.staging.len(), "stage count drifted");
-        for stage in &mut self.staging {
-            stage.slots = r.get();
-            stage.dirty = r.get();
-        }
+        let members = |list: &[u32], what: &str| {
+            let mut flags = vec![false; numv];
+            for &v in list {
+                ok(
+                    (v as usize) < numv && !std::mem::replace(&mut flags[v as usize], true),
+                    what,
+                );
+            }
+            flags
+        };
+        self.in_queue = members(&queue, "worklist entry");
+        self.is_changed = members(&self.changed, "changed entry");
+        self.queue = queue.into();
         self.messages = r.get();
     }
 }
@@ -614,5 +633,86 @@ mod tests {
             assert_eq!(v, id as u32);
         }
         assert_eq!(out.stats.messages(), 0);
+    }
+
+    // ---- the channel driven by hand: linearity, late registration, state ----
+
+    use crate::optimized::testkit::Cluster;
+
+    fn min_label_cluster(n: usize, workers: usize) -> Cluster<Propagation<u32>> {
+        Cluster::new(Topology::hashed(n, workers), |env| {
+            Propagation::new(env, Combine::min_u32())
+        })
+    }
+
+    fn at(c: &mut Cluster<Propagation<u32>>, v: u32) -> (&mut Propagation<u32>, u32) {
+        let (w, local) = (c.topo.worker_of(v), c.topo.local_of(v));
+        (&mut c.chans[w], local)
+    }
+
+    fn labels(c: &mut Cluster<Propagation<u32>>) -> Vec<u32> {
+        (0..c.topo.n() as u32)
+            .map(|v| {
+                let (ch, local) = at(c, v);
+                *ch.get_value(local)
+            })
+            .collect()
+    }
+
+    /// The linearity guard (see `Mirror`'s): `finalize` examines the rows
+    /// that gained edges, once each; rounds and supersteps that register
+    /// nothing examine nothing; a late registration examines the rows it
+    /// touches and merges into the adjacency the fixpoint then runs over.
+    #[test]
+    fn finalize_examines_only_the_rows_that_gained_edges() {
+        // Two chains, 0–1–…–19 and 20–21–…–39.
+        let g = Graph::from_edges(
+            40,
+            &(0..39u32)
+                .filter(|&i| i != 19)
+                .map(|i| (i, i + 1))
+                .collect::<Vec<_>>(),
+            false,
+        );
+        let mut c = min_label_cluster(40, 3);
+        for v in g.vertices() {
+            let (ch, local) = at(&mut c, v);
+            ch.add_edges(local, g.neighbors(v));
+            ch.set_value(local, v);
+        }
+        c.exchange();
+        let examined = |c: &Cluster<Propagation<u32>>| -> u64 {
+            c.chans.iter().map(|ch| ch.rows_examined).sum()
+        };
+        assert_eq!(examined(&c), 40, "every vertex has a row, examined once");
+        assert_eq!(labels(&mut c), reference::connected_components(&g));
+        // Late: one undirected edge joins the chains, registered one
+        // direction per call; the smaller label must cross it.
+        for (a, b) in [(19, 20), (20, 19)] {
+            let (ch, local) = at(&mut c, a);
+            ch.add_edge(local, b);
+            let label = *ch.get_value(local);
+            ch.set_value(local, label);
+        }
+        c.exchange();
+        assert_eq!(examined(&c), 42, "the two rows that gained an edge");
+        assert_eq!(labels(&mut c), vec![0; 40]);
+        assert!(c
+            .chans
+            .iter()
+            .all(|ch| ch.staged.is_empty() && ch.dirty_peers.is_empty()));
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt propagation channel state: adjacency target")]
+    fn restored_adjacency_must_point_at_vertices_that_exist() {
+        let make = |env: &WorkerEnv| Propagation::<u32>::new(env, Combine::min_u32());
+        let mut big = Cluster::new(Topology::from_owners(2, vec![0, 0, 1, 1, 1]), make);
+        big.chans[0].add_edges(0, &[4]);
+        big.exchange();
+        let mut state = Vec::new();
+        assert!(Channel::<()>::encode_state(&big.chans[0], &mut state));
+        let mut small = Cluster::new(Topology::from_owners(2, vec![0, 0, 1]), make);
+        Channel::<()>::decode_state(&mut small.chans[0], &mut Reader::new(&state));
     }
 }

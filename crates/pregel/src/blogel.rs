@@ -34,9 +34,7 @@ impl Algorithm for BlogelWcc {
 
     fn compute(&self, v: &mut VertexCtx<'_>, value: &mut VertexId, ch: &mut Self::Channels) {
         if v.step() == 1 {
-            for &t in self.g.neighbors(v.id) {
-                ch.0.add_edge(v.local, t);
-            }
+            ch.0.add_edges(v.local, self.g.neighbors(v.id));
             ch.0.set_value(v.local, v.id);
         }
         *value = *ch.0.get_value(v.local);

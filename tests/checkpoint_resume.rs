@@ -259,6 +259,156 @@ fn wcc_mirror_resumes_with_a_shipped_plan() {
     });
 }
 
+/// A channel that is snapshotted into a freshly constructed instance at
+/// the top of every `serialize` — after `compute` has staged its
+/// registrations, seeds and broadcasts, before the channel's `finalize`
+/// has merged or routed any of them. The engine only snapshots at
+/// superstep boundaries, where those lists are empty; this is the state
+/// `encode_state` must carry for a snapshot taken anywhere else.
+struct Respawned<C> {
+    inner: C,
+    fresh: Box<dyn Fn() -> C + Send>,
+}
+
+impl<C> Respawned<C> {
+    fn new(fresh: impl Fn() -> C + Send + 'static) -> Self {
+        Respawned {
+            inner: fresh(),
+            fresh: Box::new(fresh),
+        }
+    }
+}
+
+impl<AV, C: pc_channels::Channel<AV>> pc_channels::Channel<AV> for Respawned<C> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn before_superstep(&mut self, step: u64) {
+        self.inner.before_superstep(step);
+    }
+    fn serialize(&mut self, cx: &mut pc_channels::SerializeCx<'_>) {
+        let mut state = Vec::new();
+        assert!(self.inner.encode_state(&mut state));
+        self.inner = (self.fresh)();
+        let mut r = pc_bsp::Reader::new(&state);
+        self.inner.decode_state(&mut r);
+        assert!(r.is_empty(), "{}: state left undecoded", self.inner.name());
+        let mut again = Vec::new();
+        self.inner.encode_state(&mut again);
+        assert!(
+            state == again,
+            "{}: state moved in a round trip",
+            self.inner.name()
+        );
+        self.inner.serialize(cx);
+    }
+    fn deserialize(&mut self, cx: &mut pc_channels::DeserializeCx<'_, AV>) {
+        self.inner.deserialize(cx);
+    }
+    fn again(&self) -> bool {
+        self.inner.again()
+    }
+    fn message_count(&self) -> u64 {
+        self.inner.message_count()
+    }
+    fn mirror_stats(&self) -> (u64, u64) {
+        self.inner.mirror_stats()
+    }
+}
+
+/// `pc_algos::wcc`'s mirror variant over [`Respawned`] channels.
+struct RespawnedWccMirror {
+    g: Arc<pc_graph::Graph>,
+    tau: usize,
+}
+
+impl pc_channels::Algorithm for RespawnedWccMirror {
+    type Value = u32;
+    type Channels = (
+        Respawned<pc_channels::Propagation<u32>>,
+        Respawned<pc_channels::Mirror<u32>>,
+    );
+
+    fn channels(&self, env: &pc_channels::WorkerEnv) -> Self::Channels {
+        let (prop_env, mirror_env, tau) = (env.clone(), env.clone(), self.tau);
+        let min = pc_channels::Combine::min_u32;
+        (
+            Respawned::new(move || pc_channels::Propagation::new(&prop_env, min())),
+            Respawned::new(move || pc_channels::Mirror::new(&mirror_env, min(), tau)),
+        )
+    }
+
+    fn compute(
+        &self,
+        v: &mut pc_channels::VertexCtx<'_>,
+        label: &mut u32,
+        ch: &mut Self::Channels,
+    ) {
+        let (prop, mirror) = (&mut ch.0.inner, &mut ch.1.inner);
+        let hub = self.g.degree(v.id) >= mirror.threshold();
+        if v.step() == 1 {
+            *label = v.id;
+            if hub {
+                mirror.add_edges(v.local, self.g.neighbors(v.id));
+                mirror.send_to_neighbors(v.local, v.id, v.id);
+            } else {
+                prop.add_edges(v.local, self.g.neighbors(v.id));
+            }
+            prop.set_value(v.local, v.id);
+            return;
+        }
+        let mut next = (*label).min(*prop.get_value(v.local));
+        if let Some(&m) = mirror.get_message(v.local) {
+            next = next.min(m);
+        }
+        if next < *prop.get_value(v.local) {
+            prop.set_value(v.local, next);
+        }
+        if next < *label {
+            *label = next;
+            if hub {
+                mirror.send_to_neighbors(v.local, v.id, next);
+            }
+        }
+        v.vote_to_halt();
+    }
+}
+
+/// Staged edges, staged seeds and staged broadcasts survive a snapshot
+/// taken between registration and the first `finalize` — with the mirror
+/// tables shipped by a plan and shipped in-band — and the run is
+/// indistinguishable from one that was never snapshotted.
+#[test]
+fn wcc_mirror_survives_a_snapshot_before_the_first_finalize() {
+    let g = undirected();
+    let owners = pc_graph::partition::ldg_deg(&*g, WORKERS, 2);
+    let tau = pc_graph::partition::default_mirror_threshold(&*g);
+    let plan = pc_graph::partition::build_mirror_plan(
+        &*g,
+        &Topology::from_owners(WORKERS, owners.clone()),
+        tau,
+    );
+    assert!(!plan.hubs.is_empty());
+    let in_band = Topology::from_owners(WORKERS, owners);
+    let wired = in_band.clone().with_mirror(Arc::new(plan));
+    for (name, topo) in [("plan", Arc::new(wired)), ("in-band", Arc::new(in_band))] {
+        let cfg = Config::with_workers(WORKERS);
+        let plain = pc_algos::wcc::channel_mirror(&g, &topo, &cfg, tau);
+        let algo = RespawnedWccMirror {
+            g: Arc::clone(&g),
+            tau,
+        };
+        let respawned = pc_channels::run(&algo, &topo, &cfg);
+        assert_eq!(respawned.values, plain.labels, "{name}");
+        assert!(plain.stats.mirrored_msgs() > 0, "{name}");
+        assert_stats_agree(
+            &format!("wcc mirror, {name} tables (plain vs snapshotted mid-superstep)"),
+            &plain.stats,
+            &respawned.stats,
+        );
+    }
+}
+
 #[test]
 fn wcc_propagation_resumes() {
     let g = undirected();

@@ -239,9 +239,14 @@ fn pagerank_survives_sigkill_after_checkpoint() {
 #[test]
 fn wcc_survives_sigkill_after_checkpoint() {
     let dir = temp_ckpt_dir("wcc");
-    let done = kill_one_rank_with_effect("wcc", &["--variant", "basic"], Some(("2", &dir)), || {
-        has_manifest(&dir)
-    });
+    // A road network (later flags win over the helper's `--gen wikipedia
+    // --scale 10`): hash-min needs one superstep per hop, ~100 of them
+    // here. On the small-world default it converges in 5 — two epochs,
+    // and a few milliseconds between the first MANIFEST and the end of
+    // the run for the kill to land in: about one full-suite run in three
+    // used up all six retries.
+    let extra = ["--variant", "basic", "--gen", "road", "--scale", "12"];
+    let done = kill_one_rank_with_effect("wcc", &extra, Some(("2", &dir)), || has_manifest(&dir));
     assert!(
         done.success,
         "launcher failed\n--- stderr ---\n{}",

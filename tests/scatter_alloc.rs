@@ -1,19 +1,26 @@
-//! `ScatterCombine`'s steady state allocates nothing: once the routes are
-//! finalized and the ids shipped, a superstep is a gather into a reused
-//! scratch, one frame per peer into a pooled buffer, and an absorb out of
-//! a reused scratch. Shown with a counting global allocator: sixty extra
+//! The optimized channels' steady state allocates nothing, shown with a
+//! counting global allocator.
+//!
+//! `ScatterCombine`: once the routes are finalized and the ids shipped, a
+//! superstep is a gather into a reused scratch, one frame per peer into a
+//! pooled buffer, and an absorb out of a reused scratch — sixty extra
 //! supersteps of a scatter-only program cost no more allocations than
 //! sixty extra supersteps of a program with no channels at all (whatever
-//! the engine itself allocates per superstep is in both).
+//! the engine itself allocates per superstep is in both). `Mirror`: the
+//! same comparison for a program that broadcasts along registered edges
+//! every superstep, hubs as ghosts and the rest as sender-combined direct
+//! messages. `Propagation`: a BFS down a path is one vertex popped and at
+//! most one message per exchange round, all inside one superstep — a
+//! thousand extra rounds cost no allocation at all.
 //!
-//! The comparison starts at 30 supersteps, not at 10: within its first
+//! The comparisons start at 30 supersteps, not at 10: within its first
 //! ~16 rounds the buffer pool trims its prewarmed 4 KiB buffers to the
 //! observed frame sizes once and regrows the ones that then rotate to a
 //! larger peer — a one-off of `pc_bsp::pool`, over by round 20 and the
 //! same with any channel.
 
 use pc_bsp::{Config, Topology};
-use pc_channels::{Algorithm, Combine, ScatterCombine, VertexCtx, WorkerEnv};
+use pc_channels::{Algorithm, Combine, Mirror, ScatterCombine, VertexCtx, WorkerEnv};
 use pc_graph::{gen, Graph};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -118,5 +125,93 @@ fn extra_scatter_supersteps_allocate_nothing() {
          (30 vs 90 iterations: scatter {scatter_30} -> {scatter_90}, empty {empty_30} -> {empty_90})",
         scatter_90 - scatter_30,
         empty_90 - empty_30,
+    );
+}
+
+/// Every vertex broadcasts a constant along its out-edges for `iters`
+/// supersteps through a `Mirror` with τ = 16.
+struct RepeatMirror {
+    g: Arc<Graph>,
+    iters: u64,
+}
+
+impl Algorithm for RepeatMirror {
+    type Value = u64;
+    type Channels = (Mirror<u64>,);
+    fn channels(&self, env: &WorkerEnv) -> Self::Channels {
+        (Mirror::new(env, Combine::sum_u64(), 16),)
+    }
+    fn compute(&self, v: &mut VertexCtx<'_>, value: &mut u64, ch: &mut Self::Channels) {
+        if v.step() == 1 {
+            ch.0.add_edges(v.local, self.g.neighbors(v.id));
+        }
+        *value += ch.0.get_or_identity(v.local);
+        if v.step() <= self.iters {
+            ch.0.send_to_neighbors(v.local, v.id, 1);
+        } else {
+            v.vote_to_halt();
+        }
+    }
+}
+
+#[test]
+fn extra_mirror_supersteps_allocate_nothing() {
+    let g = Arc::new(gen::rmat(10, 8000, gen::RmatParams::default(), 5, true));
+    assert!(g.vertices().any(|v| g.degree(v) >= 16) && g.vertices().any(|v| g.degree(v) == 2));
+    let topo = Arc::new(Topology::hashed(g.n(), 3));
+    let cfg = Config::sequential(3);
+    let mirror = |iters| {
+        let algo = RepeatMirror {
+            g: Arc::clone(&g),
+            iters,
+        };
+        allocations(|| drop(pc_channels::run(&algo, &topo, &cfg)))
+    };
+    let empty = |iters| allocations(|| drop(pc_channels::run(&NoChannels { iters }, &topo, &cfg)));
+    let (mirror_30, mirror_90) = (mirror(30), mirror(90));
+    let (empty_30, empty_90) = (empty(30), empty(90));
+    assert!(
+        mirror_90 - mirror_30 <= empty_90 - empty_30,
+        "60 extra mirror supersteps cost {} allocations, 60 extra empty ones {} \
+         (30 vs 90 iterations: mirror {mirror_30} -> {mirror_90}, empty {empty_30} -> {empty_90})",
+        mirror_90 - mirror_30,
+        empty_90 - empty_30,
+    );
+}
+
+/// BFS over the `Propagation` channel down the same path from its middle
+/// and from one end: the same graph and registration, a thousand more
+/// rounds of one popped vertex and at most one message each. Two workers,
+/// as `bfs_chain` has ranks: with three, a round returns one buffer of
+/// three to the pool, whose trim then shrinks and regrows it every round
+/// (0.84 reallocations per round, with any channel — `pc_bsp::pool`'s to
+/// fix, not hidden here).
+#[test]
+fn extra_propagation_rounds_allocate_nothing() {
+    let g = Arc::new(gen::chain(4000));
+    // Hashed placement: every other hop crosses workers and ends a round.
+    let topo = Arc::new(Topology::hashed(g.n(), 2));
+    let cfg = Config::sequential(2);
+    let bfs = |src| {
+        let mut rounds = 0;
+        let allocs = allocations(|| {
+            rounds = pc_algos::kernels::bfs(&g, &topo, &cfg, src).stats.rounds;
+        });
+        (allocs, rounds)
+    };
+    // From the middle the two wavefronts share rounds; from an end the
+    // walk is twice as long.
+    let (short_allocs, short_rounds) = bfs(2000);
+    let (long_allocs, long_rounds) = bfs(0);
+    assert!(
+        short_rounds > 500 && long_rounds > short_rounds + 800,
+        "{short_rounds} {long_rounds}"
+    );
+    assert!(
+        long_allocs <= short_allocs,
+        "{} extra rounds cost {} allocations ({short_rounds} rounds: {short_allocs}, \
+         {long_rounds} rounds: {long_allocs})",
+        long_rounds - short_rounds,
+        long_allocs - short_allocs,
     );
 }
