@@ -7,21 +7,24 @@
 //! and take phases, and worker `j` drains its column in one lock.
 //!
 //! Steady-state cost is the design constraint (the engine crosses this
-//! module two times per exchange round):
+//! module's barrier once per exchange round):
 //!
 //! * [`SpinBarrier`] — a sense-reversing barrier that spins briefly, then
 //!   yields, then parks. Roughly an order of magnitude cheaper than
 //!   `std::sync::Barrier` (which takes a mutex on every arrival) when
 //!   workers arrive close together, while still not burning CPU when the
 //!   machine is oversubscribed.
-//! * [`SharedReduce`] — double-buffered per-worker reduction slots. The
-//!   two generations alternate, so a reduction needs only **one** barrier
-//!   crossing: the slot a worker writes for reduction `k+2` cannot be read
-//!   by a peer still working on reduction `k`, because a full barrier
-//!   (reduction `k+1`'s) separates them.
-//! * [`Hub::reduce_round`] — the fused round epilogue: the per-channel
-//!   `again` OR-mask and the active-vertex sum publish in one reduction
-//!   instead of two.
+//! * Generations — every exchange and every reduction is one generation
+//!   with one barrier crossing, and both the [`SharedReduce`] slots and
+//!   the two mailboxes alternate by generation parity: the slot or column
+//!   a worker writes for generation `k+2` cannot be read by a peer still
+//!   working on generation `k`, because a full barrier (generation
+//!   `k+1`'s) separates them. So a fast worker's next `post` never lands
+//!   in a column a slow worker is still draining.
+//! * The exchange *is* the reduction: [`Hub::sync`] publishes the
+//!   worker's two round words (the `again` OR-mask and the active-vertex
+//!   count) in the same crossing that ends the round's posting, and
+//!   [`Hub::take_all_into`] returns their combination with the buffers.
 //! * Per-sender return stacks ([`Hub::recycle`] / [`Hub::reclaim_into`])
 //!   cycle consumed receive buffers back to their sender's
 //!   [`crate::pool::BufferPool`], closing the zero-allocation loop.
@@ -344,41 +347,52 @@ impl SharedReduce {
     }
 }
 
-/// Shared rendezvous object for one threaded run: barrier + mailbox +
+/// Shared rendezvous object for one threaded run: barrier + mailboxes +
 /// reduction slots + buffer return stacks.
 #[derive(Debug)]
 pub struct Hub {
     workers: usize,
     barrier: SpinBarrier,
-    mailbox: Mailbox,
+    /// One mailbox per generation parity (see the module docs).
+    mailboxes: [Mailbox; 2],
     reduce: SharedReduce,
-    /// Per-worker reduction counters (each written only by its owner);
-    /// drive the generation parity of [`SharedReduce`].
-    reductions: Vec<CachePadded<AtomicU64>>,
+    /// Per-worker generation counters (each written only by its owner):
+    /// one generation per exchange and per reduction. They drive the
+    /// parity of [`SharedReduce`] and of the mailboxes.
+    generations: Vec<CachePadded<AtomicU64>>,
     /// `returns[k]`: consumed receive buffers awaiting reclamation by
     /// their sender `k`.
     returns: Vec<CachePadded<Mutex<Vec<Vec<u8>>>>>,
+    /// `lent[k]`: buffers worker `k` posted that are not yet recycled.
+    lent: Vec<CachePadded<AtomicU64>>,
 }
 
+/// Reduction lanes per worker: the two round words of an exchange, and at
+/// most that many values per [`Hub::reduce`].
+const LANES: usize = 2;
+
 impl Hub {
-    /// Create a hub for `workers` workers with `lanes` reduction lanes.
-    pub fn new(workers: usize, lanes: usize) -> Self {
-        Hub::with_budget(workers, lanes, None)
+    /// Create a hub for `workers` workers.
+    pub fn new(workers: usize) -> Self {
+        Hub::with_budget(workers, None)
     }
 
     /// [`Hub::new`] with an explicit barrier spin budget (see
     /// [`SpinBarrier::with_budget`]).
-    pub fn with_budget(workers: usize, lanes: usize, budget: Option<u32>) -> Self {
+    pub fn with_budget(workers: usize, budget: Option<u32>) -> Self {
         Hub {
             workers,
             barrier: SpinBarrier::with_budget(workers, budget),
-            mailbox: Mailbox::new(workers),
-            reduce: SharedReduce::new(workers, lanes),
-            reductions: (0..workers)
+            mailboxes: [Mailbox::new(workers), Mailbox::new(workers)],
+            reduce: SharedReduce::new(workers, LANES),
+            generations: (0..workers)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
             returns: (0..workers)
                 .map(|_| CachePadded::new(Mutex::new(Vec::new())))
+                .collect(),
+            lent: (0..workers)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
         }
     }
@@ -386,11 +400,6 @@ impl Hub {
     /// Number of workers synchronizing on this hub.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Block until all workers arrive.
-    pub fn sync(&self) {
-        self.barrier.wait();
     }
 
     /// Global barrier crossings so far (total waits ÷ workers).
@@ -403,69 +412,86 @@ impl Hub {
         self.barrier.total_spins()
     }
 
-    /// The mailbox.
-    pub fn mailbox(&self) -> &Mailbox {
-        &self.mailbox
+    /// `worker`'s current generation. All workers run the same sequence
+    /// of exchanges and reductions, so the per-worker counters stay in
+    /// lock-step without sharing a cache line.
+    fn generation(&self, worker: usize) -> u64 {
+        self.generations[worker].load(Ordering::Relaxed)
     }
 
-    /// Hand consumed receive buffers back to the worker that sent them.
-    pub fn recycle(&self, sender: usize, bufs: impl IntoIterator<Item = Vec<u8>>) {
-        self.returns[sender].lock().extend(bufs);
+    /// Close `worker`'s current generation.
+    fn advance(&self, worker: usize) {
+        self.generations[worker].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Move every buffer returned to `worker` into its pool.
+    /// Post a buffer from `from` to `to` for the current exchange.
+    pub fn post(&self, from: usize, to: usize, data: Vec<u8>) {
+        self.lent[from].fetch_add(1, Ordering::Relaxed);
+        self.mailboxes[self.generation(from) as usize & 1].post(from, to, data);
+    }
+
+    /// End `worker`'s posting for this exchange and publish its two round
+    /// words (`[again, active]`): one barrier crossing, after which every
+    /// buffer and every worker's words are visible.
+    pub fn sync(&self, worker: usize, words: [u64; 2]) {
+        let generation = self.generation(worker);
+        self.reduce.set(generation, worker, 0, words[0]);
+        self.reduce.set(generation, worker, 1, words[1]);
+        self.barrier.wait();
+    }
+
+    /// Drain every buffer addressed to `worker` this exchange into `out`
+    /// (sender order) and return the round words combined over all
+    /// workers: lane 0 OR-ed, lane 1 summed.
+    pub fn take_all_into(&self, worker: usize, out: &mut Vec<(usize, Vec<u8>)>) -> [u64; 2] {
+        let generation = self.generation(worker);
+        self.mailboxes[generation as usize & 1].take_all_into(worker, out);
+        let words = [
+            self.reduce.or(generation, 0),
+            self.reduce.sum(generation, 1),
+        ];
+        self.advance(worker);
+        words
+    }
+
+    /// Hand a consumed receive buffer back to the worker that sent it.
+    pub fn recycle(&self, sender: usize, buf: Vec<u8>) {
+        self.returns[sender].lock().push(buf);
+        // Release: the push above is visible to whoever sees the count.
+        self.lent[sender].fetch_sub(1, Ordering::Release);
+    }
+
+    /// Move every buffer `worker` posted into its pool, first waiting for
+    /// receivers still deserializing to recycle them. With one barrier
+    /// per round a sender can be a round ahead of its slowest receiver;
+    /// waiting here keeps pool traffic what the sequential driver, which
+    /// returns buffers within the round, reports.
     pub fn reclaim_into(&self, worker: usize, pool: &mut BufferPool) {
+        // Acquire pairs with `recycle`'s Release.
+        while self.lent[worker].load(Ordering::Acquire) != 0 {
+            std::thread::yield_now();
+        }
         let mut returned = self.returns[worker].lock();
         pool.put_all(returned.drain(..));
     }
 
-    /// This worker's next reduction generation. All workers perform the
-    /// same reduction sequence, so the per-worker counters stay in
-    /// lock-step without sharing a cache line.
-    fn next_generation(&self, worker: usize) -> u64 {
-        self.reductions[worker].fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Reduction protocol: publish this worker's `values` (one per lane),
-    /// cross the barrier once, read the global sums.
+    /// Reduction protocol: publish this worker's `values` (one per lane,
+    /// at most two), cross the barrier once, read the global sums.
     ///
     /// Every worker must call the reduction methods in the same order with
     /// the same number of lanes.
     pub fn reduce(&self, worker: usize, values: &[u64]) -> Vec<u64> {
-        let generation = self.next_generation(worker);
+        assert!(values.len() <= LANES, "a hub reduction has {LANES} lanes");
+        let generation = self.generation(worker);
         for (lane, &v) in values.iter().enumerate() {
             self.reduce.set(generation, worker, lane, v);
         }
-        self.sync();
-        (0..values.len())
+        self.barrier.wait();
+        let sums = (0..values.len())
             .map(|lane| self.reduce.sum(generation, lane))
-            .collect()
-    }
-
-    /// Like [`Hub::reduce`] but combining lane values with bitwise OR —
-    /// used for per-channel `again()` bitmasks.
-    pub fn reduce_or(&self, worker: usize, values: &[u64]) -> Vec<u64> {
-        let generation = self.next_generation(worker);
-        for (lane, &v) in values.iter().enumerate() {
-            self.reduce.set(generation, worker, lane, v);
-        }
-        self.sync();
-        (0..values.len())
-            .map(|lane| self.reduce.or(generation, lane))
-            .collect()
-    }
-
-    /// The fused round epilogue: OR-combine `again` and sum `active` in a
-    /// single barrier crossing. Requires a hub with ≥ 2 lanes.
-    pub fn reduce_round(&self, worker: usize, again: u64, active: u64) -> (u64, u64) {
-        let generation = self.next_generation(worker);
-        self.reduce.set(generation, worker, 0, again);
-        self.reduce.set(generation, worker, 1, active);
-        self.sync();
-        (
-            self.reduce.or(generation, 0),
-            self.reduce.sum(generation, 1),
-        )
+            .collect();
+        self.advance(worker);
+        sums
     }
 }
 
@@ -559,7 +585,7 @@ mod tests {
 
     #[test]
     fn hub_reduce_across_threads() {
-        let hub = Arc::new(Hub::new(4, 2));
+        let hub = Arc::new(Hub::new(4));
         let mut handles = Vec::new();
         for w in 0..4 {
             let hub = Arc::clone(&hub);
@@ -582,69 +608,81 @@ mod tests {
         }
     }
 
+    /// The round words ride the exchange: lane 0 OR-ed, lane 1 summed,
+    /// the same answer on every worker, in one barrier crossing.
     #[test]
     fn hub_fused_round_reduction() {
-        let hub = Arc::new(Hub::new(3, 2));
+        let hub = Arc::new(Hub::new(3));
         let mut handles = Vec::new();
         for w in 0..3 {
             let hub = Arc::clone(&hub);
             handles.push(std::thread::spawn(move || {
                 let mut seen = Vec::new();
+                let mut got = Vec::new();
                 for round in 0..50u64 {
                     let again = if w == 1 && round % 2 == 0 { 0b10 } else { 0 };
-                    let (mask, active) = hub.reduce_round(w, again, w as u64 + round);
-                    seen.push((mask, active));
+                    hub.sync(w, [again, w as u64 + round]);
+                    seen.push(hub.take_all_into(w, &mut got));
                 }
                 seen
             }));
         }
-        let results: Vec<Vec<(u64, u64)>> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let results: Vec<Vec<[u64; 2]>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         for round in 0..50u64 {
             let expect_mask = if round % 2 == 0 { 0b10 } else { 0 };
             let expect_active = (0..3).map(|w| w as u64 + round).sum::<u64>();
             for r in &results {
                 assert_eq!(
                     r[round as usize],
-                    (expect_mask, expect_active),
+                    [expect_mask, expect_active],
                     "round {round}"
                 );
             }
         }
+        assert_eq!(hub.barrier_crossings(), 50);
     }
 
+    /// Back-to-back exchanges with one crossing each: a fast worker's
+    /// next post goes to the other mailbox, so a slow worker still
+    /// draining this one never sees it. Every round every worker gets
+    /// exactly its three buffers of that round.
     #[test]
     fn hub_exchange_across_threads() {
-        let hub = Arc::new(Hub::new(3, 1));
+        let hub = Arc::new(Hub::new(3));
         let mut handles = Vec::new();
         for w in 0..3usize {
             let hub = Arc::clone(&hub);
             handles.push(std::thread::spawn(move || {
-                // Everyone sends its id to everyone (including itself).
-                for to in 0..3 {
-                    hub.mailbox().post(w, to, vec![w as u8]);
-                }
-                hub.sync();
                 let mut got = Vec::new();
-                hub.mailbox().take_all_into(w, &mut got);
-                hub.sync();
-                got
+                for round in 0..200u8 {
+                    // Everyone sends its id to everyone (including itself).
+                    for to in 0..3 {
+                        hub.post(w, to, vec![w as u8, round]);
+                    }
+                    hub.sync(w, [0, 1]);
+                    if w == 2 {
+                        std::thread::yield_now(); // a slow drainer
+                    }
+                    assert_eq!(hub.take_all_into(w, &mut got), [0, 3]);
+                    let expect: Vec<(usize, Vec<u8>)> =
+                        (0..3).map(|from| (from, vec![from as u8, round])).collect();
+                    assert_eq!(got, expect, "worker {w} round {round}");
+                }
             }));
         }
         for h in handles {
-            let got = h.join().unwrap();
-            assert_eq!(got.len(), 3);
-            for (from, bytes) in got {
-                assert_eq!(bytes, vec![from as u8]);
-            }
+            h.join().unwrap();
         }
     }
 
     #[test]
     fn hub_recycles_buffers_to_sender_pool() {
-        let hub = Hub::new(2, 1);
+        let hub = Hub::new(2);
         let mut pool = BufferPool::new();
-        hub.recycle(0, vec![vec![1, 2, 3], vec![4; 100]]);
+        hub.post(0, 1, vec![1, 2, 3]);
+        hub.post(0, 0, vec![4; 100]);
+        hub.recycle(0, vec![1, 2, 3]);
+        hub.recycle(0, vec![4; 100]);
         hub.reclaim_into(0, &mut pool);
         assert_eq!(pool.available(), 2);
         let buf = pool.get();
@@ -783,20 +821,22 @@ mod tests {
 
     #[test]
     fn barrier_crossings_counted_globally() {
-        let hub = Arc::new(Hub::new(2, 2));
+        let hub = Arc::new(Hub::new(2));
         let mut handles = Vec::new();
         for w in 0..2 {
             let hub = Arc::clone(&hub);
             handles.push(std::thread::spawn(move || {
+                let mut got = Vec::new();
                 for _ in 0..5 {
-                    hub.sync();
+                    hub.sync(w, [0, 1]);
+                    hub.take_all_into(w, &mut got);
                 }
-                let _ = hub.reduce_round(w, 0, 1);
+                let _ = hub.reduce(w, &[1]);
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(hub.barrier_crossings(), 6, "5 syncs + 1 fused reduction");
+        assert_eq!(hub.barrier_crossings(), 6, "5 exchanges + 1 reduction");
     }
 }

@@ -10,9 +10,9 @@
 //! * [`pool`] — per-worker buffer pools that make the steady-state
 //!   exchange path allocation-free (buffers cycle sender → receiver →
 //!   sender instead of being dropped and reallocated every round),
-//! * [`exchange`] — the pairwise mailbox through which workers swap buffers
-//!   at superstep boundaries, plus the sense-reversing barrier and
-//!   double-buffered single-crossing reductions used by the threaded
+//! * [`exchange`] — the pairwise mailboxes through which workers swap
+//!   buffers, plus the sense-reversing barrier and double-buffered
+//!   reduction slots that make each round one crossing in the threaded
 //!   execution mode,
 //! * [`transport`] — the pluggable [`ExchangeTransport`] rendezvous
 //!   surface behind which the backends live: [`transport::InProcess`]
@@ -71,8 +71,9 @@ pub enum TransportKind {
     #[default]
     InProcess,
     /// A full mesh of loopback TCP sockets ([`tcp::Tcp`]): real
-    /// length-prefixed wire traffic, reductions as gather/broadcast
-    /// rounds on worker 0. Synchronous: one blocking write per frame.
+    /// length-prefixed wire traffic, every round closed by one `END`
+    /// frame per peer carrying the round's reduction words. Synchronous:
+    /// one blocking write per frame.
     Tcp,
     /// The same socket mesh under the non-blocking batched driver
     /// ([`TcpOptions::batched`]): pipelined sends, per-peer send queues,

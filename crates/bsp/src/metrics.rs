@@ -54,10 +54,15 @@ pub struct ChannelMetrics {
 ///
 /// The in-process transport counts mailbox traffic (payload bytes, one
 /// frame per post); the TCP transport counts real socket traffic including
-/// the 5-byte frame headers and the control frames of its gather/broadcast
-/// reductions. `round_trips` counts global reductions — a gather/broadcast
-/// exchange with worker 0 on the TCP backend, one barrier-synchronized
-/// slot exchange on the in-process backend.
+/// the 5-byte frame headers, the `END` frame that closes every round
+/// toward every peer, and the control frames of its gather/broadcast
+/// reductions. `round_trips` counts [`ExchangeTransport::reduce`] calls —
+/// the checkpoint acks, nothing in the round loop (a round's `again` and
+/// active-count words ride its own exchange): a gather/broadcast exchange
+/// with worker 0 on the TCP backend, one barrier-synchronized slot
+/// exchange on the in-process backend.
+///
+/// [`ExchangeTransport::reduce`]: crate::transport::ExchangeTransport::reduce
 ///
 /// The trailing fields belong to the batched TCP driver and stay zero
 /// everywhere else: `coalesced_frames` counts logical frames that rode
@@ -71,10 +76,13 @@ pub struct ChannelMetrics {
 pub struct TransportStats {
     /// Bytes put on the wire (or through the mailbox) by all workers.
     pub wire_bytes: u64,
-    /// Frames sent by all workers (data, skip and reduction frames); a
+    /// Frames sent by all workers (data, end and reduction frames); a
     /// coalesced super-frame counts as one.
     pub frames: u64,
-    /// Global reduction round-trips.
+    /// Standalone global reductions ([`ExchangeTransport::reduce`]
+    /// calls: checkpoint acks).
+    ///
+    /// [`ExchangeTransport::reduce`]: crate::transport::ExchangeTransport::reduce
     pub round_trips: u64,
     /// Logical frames carried inside coalesced super-frames (batched TCP
     /// driver; 0 elsewhere).

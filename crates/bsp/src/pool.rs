@@ -46,9 +46,9 @@ const TRIM_WINDOW: usize = 32;
 /// Minimum history before trimming kicks in (avoids trimming during
 /// warm-up, when footprints are still growing toward steady state).
 const TRIM_MIN_SAMPLES: usize = 8;
-/// Capacity slack over the p90 footprint. `Vec` growth doubles, so pooled
-/// capacity legitimately sits up to ~2× the bytes a round actually
-/// writes; only capacity beyond this slack is released.
+/// Capacity slack over the p90 footprint. `Vec` growth doubles, so a
+/// buffer's capacity legitimately sits up to ~2× the bytes it carries;
+/// only capacity beyond this slack is released.
 const TRIM_SLACK: usize = 2;
 
 /// A freelist of byte buffers owned by one worker.
@@ -61,22 +61,28 @@ const TRIM_SLACK: usize = 2;
 ///
 /// A pool that never frees pins the peak: one giant superstep leaves
 /// giant buffers in the freelist forever. The pool therefore tracks the
-/// byte footprint of recent rounds (bytes returned per round, measured
-/// before buffers are cleared) and, at every [`BufferPool::end_round`],
-/// releases pooled *capacity* down to [`TRIM_SLACK`] × the p90 of that
-/// window. Trimming shrinks buffers in place (`Vec::shrink_to`) rather
-/// than dropping them, so hit/miss accounting — and with it the
-/// cross-mode determinism contract on [`PoolStats`] — is completely
-/// unaffected by when or whether a trim happens.
+/// footprint of recent rounds — the largest buffer each round returned,
+/// measured before it is cleared — and, at every
+/// [`BufferPool::end_round`], shrinks every pooled buffer beyond
+/// [`TRIM_SLACK`] × the p90 of that window down to it. The bound is per
+/// buffer, the size a buffer in use needs, not a budget for the free
+/// bytes in total: every buffer the pool hands out sits in some peer's
+/// out-slot until that peer is written to, so with several peers and one
+/// small frame per round a total budget shrank the very buffers the next
+/// rounds needed, and they regrew every round. Trimming shrinks buffers
+/// in place (`Vec::shrink_to`) rather than dropping them, so hit/miss
+/// accounting — and with it the cross-mode determinism contract on
+/// [`PoolStats`] — is completely unaffected by when or whether a trim
+/// happens.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     free: Vec<Vec<u8>>,
     stats: PoolStats,
     /// Total capacity currently parked in `free`.
     free_bytes: usize,
-    /// Bytes returned (buffer lengths at `put`) since the last
+    /// Largest buffer length returned (at `put`) since the last
     /// `end_round`.
-    round_put_bytes: usize,
+    round_max_put: usize,
     /// Footprints of the last [`TRIM_WINDOW`] rounds.
     footprints: std::collections::VecDeque<usize>,
     /// Reusable sort scratch for the p90 computation, so `end_round`
@@ -126,10 +132,10 @@ impl BufferPool {
     }
 
     /// Return a consumed buffer to the pool. The buffer's length (the
-    /// bytes the round actually used) is charged to the current round's
-    /// footprint before the buffer is cleared.
+    /// bytes the round actually used) feeds the current round's footprint
+    /// before the buffer is cleared.
     pub fn put(&mut self, mut buf: Vec<u8>) {
-        self.round_put_bytes += buf.len();
+        self.round_max_put = self.round_max_put.max(buf.len());
         buf.clear();
         self.free_bytes += buf.capacity();
         self.free.push(buf);
@@ -149,8 +155,8 @@ impl BufferPool {
         if self.footprints.len() == TRIM_WINDOW {
             self.footprints.pop_front();
         }
-        self.footprints.push_back(self.round_put_bytes);
-        self.round_put_bytes = 0;
+        self.footprints.push_back(self.round_max_put);
+        self.round_max_put = 0;
         if self.footprints.len() < TRIM_MIN_SAMPLES {
             return;
         }
@@ -161,27 +167,17 @@ impl BufferPool {
             // just force reallocation at the next burst.
             return;
         }
-        let target = TRIM_SLACK * p90;
-        if self.free_bytes <= target {
-            return;
-        }
-        // Shrink the largest buffers first; keep every Vec in the list so
-        // hit/miss traffic is untouched.
-        self.free
-            .sort_unstable_by_key(|b| std::cmp::Reverse(b.capacity()));
-        let mut free_bytes = self.free_bytes;
+        // Keep every Vec in the list so hit/miss traffic is untouched.
+        let keep = TRIM_SLACK * p90;
         for buf in &mut self.free {
-            if free_bytes <= target {
-                break;
-            }
             let cap = buf.capacity();
-            let keep = cap.saturating_sub(free_bytes - target);
-            buf.shrink_to(keep);
-            let released = cap - buf.capacity();
-            free_bytes -= released;
-            self.trimmed_bytes += released as u64;
+            if cap > keep {
+                buf.shrink_to(keep);
+                let released = cap - buf.capacity();
+                self.free_bytes -= released;
+                self.trimmed_bytes += released as u64;
+            }
         }
-        self.free_bytes = free_bytes;
     }
 
     /// The 90th percentile of the recorded round footprints.

@@ -19,10 +19,15 @@
 //!
 //! * `HELLO`  — mesh handshake; payload is the sender's rank (`u32`).
 //! * `DATA`   — one exchange buffer, exactly as the engine posted it.
-//! * `SKIP`   — "nothing for you this round"; emitted by [`Tcp::sync`] so
-//!   every receiver sees exactly one frame per peer per round and knows
-//!   the round is complete without a barrier.
-//! * `REDUCE` — a worker's reduction contribution, gathered by worker 0.
+//! * `END`    — "this round is complete from me"; emitted by [`Tcp::sync`]
+//!   to every peer, after that peer's optional `DATA`, so every receiver
+//!   sees exactly one `END` per peer per round and knows the round is
+//!   complete without a barrier. Its 16-byte payload is the sender's two
+//!   round words (`again: u64`, `active: u64`, little-endian): the round's
+//!   reduction rides its exchange, and every rank combines the words
+//!   itself — no rank relays anything.
+//! * `REDUCE` — a worker's [`ExchangeTransport::reduce`] contribution,
+//!   gathered by worker 0 (only outside the round loop: checkpoint acks).
 //! * `RESULT` — the combined reduction, broadcast by worker 0.
 //! * `BATCH`  — a coalesced super-frame (batched driver only): several
 //!   logical frames to the same peer packed behind one header. The
@@ -52,14 +57,8 @@
 //!   of the previous one; partial reads *and* partial writes resume from
 //!   per-peer cursors inside the same loop. Small frames that share a
 //!   peer are coalesced into one `BATCH` super-frame — in particular a
-//!   worker's `DATA`/`SKIP` toward the reduction root is held until the
-//!   round's `REDUCE` joins it, turning the two per-round control frames
-//!   into one (see [`Tcp::try_flush`] for the escape hatch when no
-//!   reduction follows, e.g. the multi-process result gather). The root
-//!   parks its `RESULT` the same way, behind its next frame to each peer,
-//!   but only while it turns rounds around faster than a frame costs
-//!   (`hold_result`): a root that computes sends the `RESULT` at once, so
-//!   the ranks run their supersteps in parallel.
+//!   small `DATA` is held until its `END` joins it at `sync`, so a round
+//!   costs every peer one frame. A large `DATA` streams out at `post`.
 //!
 //! ## Design notes
 //!
@@ -75,10 +74,13 @@
 //!   [`BufferPool`] next round, so pool hit/miss traffic matches the
 //!   in-process backend byte for byte. Receive buffers cycle through a
 //!   private per-worker freelist refilled by `recycle`.
-//! * **Reductions are a gather/broadcast round on worker 0** (the paper's
-//!   master-less reductions need shared memory): workers send `REDUCE` to
-//!   rank 0, rank 0 combines and broadcasts `RESULT`. One round-trip per
-//!   reduction, counted in [`TransportStats::round_trips`].
+//! * **A round is one all-to-all hop.** Every rank sends every peer its
+//!   `END` and waits for every peer's, so all ranks send, then all wait —
+//!   no rank waits for another to relay a result. Standalone reductions
+//!   ([`ExchangeTransport::reduce`]) are a gather/broadcast round on
+//!   worker 0 instead: workers send `REDUCE` to rank 0, rank 0 combines
+//!   and broadcasts `RESULT`. One round-trip per reduction, counted in
+//!   [`TransportStats::round_trips`].
 //! * **Nothing blocks forever.** Every socket operation polls with a
 //!   short kernel timeout against an explicit deadline and fails with a
 //!   typed [`TransportError`] when it expires; a late peer within the
@@ -101,8 +103,8 @@ use std::time::{Duration, Instant};
 pub const TAG_HELLO: u8 = b'H';
 /// Frame tag: one posted exchange buffer.
 pub const TAG_DATA: u8 = b'D';
-/// Frame tag: empty round marker (no payload).
-pub const TAG_SKIP: u8 = b'S';
+/// Frame tag: end of the sender's round (payload = its two round words).
+pub const TAG_END: u8 = b'E';
 /// Frame tag: reduction contribution (worker → rank 0).
 pub const TAG_REDUCE: u8 = b'R';
 /// Frame tag: combined reduction result (rank 0 → worker).
@@ -111,10 +113,78 @@ pub const TAG_RESULT: u8 = b'r';
 /// for the payload layout and [`encode_batch`] / [`decode_batch`]).
 pub const TAG_BATCH: u8 = b'B';
 
-/// Reduction op: lane-wise sum.
-const OP_SUM: u8 = 0;
-/// Reduction op: lane 0 OR, lane 1 sum (the fused round epilogue).
-const OP_FUSED: u8 = 1;
+/// Payload bytes of an `END` frame: two little-endian `u64` words.
+pub const END_LEN: usize = 16;
+
+/// Append an `END` payload carrying `words`.
+fn encode_end(words: [u64; 2], buf: &mut Vec<u8>) {
+    words[0].encode(buf);
+    words[1].encode(buf);
+}
+
+/// Fold `peer`'s `END` payload into `acc`: lane 0 OR-ed, lane 1 summed.
+/// Anything but exactly [`END_LEN`] bytes is a protocol violation.
+fn fold_end(acc: &mut [u64; 2], payload: &[u8], peer: usize) -> Result<(), TransportError> {
+    if payload.len() != END_LEN {
+        return Err(TransportError::Protocol {
+            peer,
+            detail: format!("END carries {} bytes, expected {END_LEN}", payload.len()),
+        });
+    }
+    let mut r = Reader::new(payload);
+    acc[0] |= r.get::<u64>();
+    acc[1] += r.get::<u64>();
+    Ok(())
+}
+
+/// Append a `REDUCE` payload: `lanes: u32`, then one `u64` per lane.
+fn encode_reduce(values: &[u64], buf: &mut Vec<u8>) {
+    (values.len() as u32).encode(buf);
+    u64::encode_slice(values, buf);
+}
+
+/// Add `peer`'s `REDUCE` frame into `acc`, lane by lane. A frame of
+/// another tag or shape is a protocol violation.
+fn fold_reduce(
+    acc: &mut [u64],
+    tag: u8,
+    payload: &[u8],
+    peer: usize,
+) -> Result<(), TransportError> {
+    let lanes = acc.len();
+    if tag != TAG_REDUCE
+        || payload.len() != 4 + 8 * lanes
+        || payload[..4] != (lanes as u32).to_le_bytes()
+    {
+        return Err(TransportError::Protocol {
+            peer,
+            detail: format!(
+                "expected a {lanes}-lane REDUCE, got tag {tag:#04x} with {} bytes",
+                payload.len()
+            ),
+        });
+    }
+    let mut r = Reader::new(&payload[4..]);
+    for slot in acc {
+        *slot += r.get::<u64>();
+    }
+    Ok(())
+}
+
+/// Decode rank 0's `RESULT` frame of a `lanes`-lane reduction.
+fn decode_result(tag: u8, payload: &[u8], lanes: usize) -> Result<Vec<u64>, TransportError> {
+    if tag != TAG_RESULT || payload.len() != 8 * lanes {
+        return Err(TransportError::Protocol {
+            peer: 0,
+            detail: format!(
+                "expected a {lanes}-lane RESULT, got tag {tag:#04x} with {} bytes",
+                payload.len()
+            ),
+        });
+    }
+    let mut r = Reader::new(payload);
+    Ok((0..lanes).map(|_| r.get()).collect())
+}
 
 /// Kernel-level poll granularity for blocking socket calls. Deadlines are
 /// enforced on top of this, so no operation can hang.
@@ -215,11 +285,15 @@ fn configure_batched(stream: &TcpStream) -> std::io::Result<()> {
     stream.set_nonblocking(true)
 }
 
+/// Type an I/O failure. A peer that died with our bytes unread resets the
+/// connection instead of closing it: that is a disconnect too.
 fn io_err(peer: usize, during: &'static str, e: std::io::Error) -> TransportError {
-    TransportError::Io {
-        peer,
-        kind: e.kind(),
-        during,
+    use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset};
+    match e.kind() {
+        BrokenPipe | ConnectionAborted | ConnectionReset => {
+            TransportError::Disconnected { peer, during }
+        }
+        kind => TransportError::Io { peer, kind, during },
     }
 }
 
@@ -499,10 +573,9 @@ struct QueuedFrame {
     tag: u8,
     payload: Vec<u8>,
     ret: Return,
-    /// Held for coalescing: a small root-bound `DATA`/`SKIP` waits here
-    /// until the round's `REDUCE` (any un-held frame) queues behind it,
-    /// so the two go out as one super-frame. [`Tcp::try_flush`] releases
-    /// holds when no reduction follows.
+    /// Held for coalescing: a small `DATA` waits here until the round's
+    /// `END` (any un-held frame) queues behind it, so the two go out as
+    /// one super-frame.
     held: bool,
 }
 
@@ -839,27 +912,6 @@ fn poll_spins(workers: usize) -> u32 {
     }
 }
 
-/// What one extra loopback frame costs a round (the root's `write`, the
-/// peer's wake-up and `read`), rounded up. Never coalescing the `RESULT`
-/// moved `bfs_chain` (65 578 rounds) from 0.73 s to 1.03 s on a 2-core
-/// host: 4.6 µs per frame when quiet, more under contention. The regimes
-/// it separates are far apart — the root thinks for under 2 µs in 98 % of
-/// `bfs_chain`'s rounds, never under 32 µs on `sv_compose`, 4–8 ms on
-/// `pr_dense` — so the exact value is uncritical.
-const RESULT_HOLD_MAX_THINK: Duration = Duration::from_micros(20);
-
-/// Should the reduction root park the next `RESULT` so it shares a
-/// super-frame with the root's next frame to each peer? A parked `RESULT`
-/// reaches the peers only after the root has *thought* — computed and
-/// serialized its next `DATA`/`SKIP` — so the peers start their next
-/// superstep one root think time late and the ranks take turns instead of
-/// running in parallel. That buys one frame, so it pays only when the
-/// root's last measured think time (`prev_think`) is below a frame's cost;
-/// unmeasured, the `RESULT` goes out at once.
-fn hold_result(prev_think: Option<Duration>) -> bool {
-    prev_think.is_some_and(|think| think < RESULT_HOLD_MAX_THINK)
-}
-
 /// Idle counter of the batched progress loops: spin briefly (arrival is
 /// usually imminent on a local mesh with spare cores), then sleep in the
 /// readiness multiplexer via [`Pump::idle`].
@@ -967,8 +1019,8 @@ struct Pump<'a> {
 
 impl Pump<'_> {
     /// Append one frame to `to`'s send queue. An un-held frame releases
-    /// every hold queued before it (that is how the round's `REDUCE`
-    /// pulls the held `DATA`/`SKIP` into its super-frame).
+    /// every hold queued before it (that is how the round's `END` pulls
+    /// the held `DATA` into its super-frame).
     fn enqueue(&mut self, to: usize, tag: u8, payload: Vec<u8>, ret: Return, held: bool) {
         let q = &mut self.send[to];
         if !held {
@@ -1000,6 +1052,14 @@ impl Pump<'_> {
         self.send
             .iter()
             .any(|q| q.staged_pending() > 0 || q.ready() > 0)
+    }
+
+    /// True while an engine-posted buffer still waits to be staged: until
+    /// it is, its `Vec` is not back on `send_returns` for the next drain.
+    fn engine_frames_queued(&self) -> bool {
+        self.send
+            .iter()
+            .any(|q| q.frames.iter().any(|f| f.ret == Return::Engine))
     }
 
     /// One non-blocking pass over every mesh link: push staged send
@@ -1085,7 +1145,8 @@ impl Pump<'_> {
 
     /// One idle step of a progress loop that made no progress: surface a
     /// peer that closed while still owing a frame, enforce the deadline
-    /// (blaming the first peer still owed something), then back off in
+    /// (blaming the first peer still owed something, else the first one
+    /// this worker still owes bytes), then back off in
     /// three escalating phases — a brief spin when cores are spare, a
     /// bounded run of scheduler handoffs ([`YIELD_BUDGET`]), and finally
     /// one multiplexed kernel sleep over every mesh link
@@ -1105,7 +1166,11 @@ impl Pump<'_> {
             }
         }
         if Instant::now() >= deadline {
-            let peer = owed.iter().position(|&o| o).unwrap_or(usize::MAX);
+            let peer = owed
+                .iter()
+                .position(|&o| o)
+                .or_else(|| self.send.iter().position(|q| !q.is_idle()))
+                .unwrap_or(usize::MAX);
             return Err(TransportError::Timeout { peer, during });
         }
         backoff.idle_rounds += 1;
@@ -1198,10 +1263,9 @@ impl Pump<'_> {
         Ok(())
     }
 
-    /// Drive the pump until every send queue is empty and on the wire
-    /// (held frames must have been released first). Used by the
-    /// reduction broadcast — peers are blocked on the `RESULT`, so it
-    /// must not linger staged — and by [`Tcp::try_flush`].
+    /// Drive the pump until every send queue is empty and on the wire.
+    /// Used by the reduction broadcast — peers are blocked on the
+    /// `RESULT`, so it must not linger staged — and by [`Tcp::try_flush`].
     fn drive_empty(
         &mut self,
         deadline: Instant,
@@ -1214,14 +1278,6 @@ impl Pump<'_> {
             if moved > 0 {
                 backoff.reset();
                 continue;
-            }
-            if Instant::now() >= deadline {
-                let peer = self
-                    .send
-                    .iter()
-                    .position(|q| !q.is_idle())
-                    .unwrap_or(usize::MAX);
-                return Err(TransportError::Timeout { peer, during });
             }
             self.idle(&mut backoff, deadline, no_owed, during)?;
         }
@@ -1451,16 +1507,16 @@ struct Endpoint {
     /// Reused pollfd scratch of the readiness multiplexer (batched
     /// driver; see [`Pump::poll_wait`]).
     pollfds: Vec<PollFd>,
-    /// Scratch for reduction payload encoding.
+    /// Scratch for control payload encoding (synchronous driver).
     scratch: Vec<u8>,
     /// Per-peer "still owes this round a frame" scratch, reused by the
     /// batched `take_all_into` and reduction gathers.
     owed: Vec<bool>,
-    /// Reduction root, batched driver: when the last `RESULT` was handed
-    /// to the send queues, until the root's next enqueue ends the interval.
-    result_at: Option<Instant>,
-    /// The last such interval: the think time [`hold_result`] decides on.
-    think: Option<Duration>,
+    /// Per-peer "sent its `DATA` this round" scratch of the batched
+    /// `take_all_into`: a second `DATA` before the `END` is a violation.
+    got_data: Vec<bool>,
+    /// This worker's own round words, published by the last `sync`.
+    words: [u64; 2],
     /// This worker's share of the wire counters.
     stats: TransportStats,
 }
@@ -1471,18 +1527,12 @@ struct OpState<'a> {
     self_slot: &'a mut Option<Vec<u8>>,
     posted: &'a mut Vec<bool>,
     owed: &'a mut Vec<bool>,
+    got_data: &'a mut Vec<bool>,
+    words: &'a mut [u64; 2],
     read_watermark: &'a mut usize,
-    result_at: &'a mut Option<Instant>,
 }
 
 impl Endpoint {
-    /// About to enqueue a frame: ends an open think-time measurement.
-    fn close_think(&mut self) {
-        if let Some(at) = self.result_at.take() {
-            self.think = Some(at.elapsed());
-        }
-    }
-
     /// Split this endpoint into the batched driver's progress context and
     /// the op-local leftovers — disjoint borrows, usable side by side.
     fn split(
@@ -1505,7 +1555,8 @@ impl Endpoint {
             send_returns,
             pollfds,
             owed,
-            result_at,
+            got_data,
+            words,
             stats,
             ..
         } = self;
@@ -1529,8 +1580,9 @@ impl Endpoint {
                 self_slot,
                 posted,
                 owed,
+                got_data,
+                words,
                 read_watermark,
-                result_at,
             },
         )
     }
@@ -1662,6 +1714,7 @@ impl Tcp {
                     large: (0..workers).map(|_| None).collect(),
                     closed: vec![false; workers],
                     owed: vec![false; workers],
+                    got_data: vec![false; workers],
                     ..Endpoint::default()
                 })
             })
@@ -1817,14 +1870,6 @@ impl Tcp {
         Instant::now() + self.opts.io_timeout
     }
 
-    /// True when a batched frame from `from` to `to` should wait for the
-    /// round's reduction contribution: small `DATA`/`SKIP` frames toward
-    /// the reduction root coalesce with the `REDUCE` that every round
-    /// sends there anyway, halving the root-bound frame count.
-    fn hold_for_reduce(&self, from: usize, to: usize, len: usize) -> bool {
-        to == 0 && from != 0 && len <= self.opts.coalesce_limit
-    }
-
     /// Fallible [`ExchangeTransport::post`].
     pub fn try_post(&self, from: usize, to: usize, data: Vec<u8>) -> Result<(), TransportError> {
         if self.opts.batched {
@@ -1862,7 +1907,8 @@ impl Tcp {
 
     /// Batched [`Tcp::try_post`]: enqueue and immediately drive socket
     /// progress, so serializing the next destination overlaps this one's
-    /// wire transfer instead of stalling on `write_all`.
+    /// wire transfer instead of stalling on `write_all`. A small `DATA`
+    /// is held for the round's `END` to join it in one super-frame.
     fn try_post_batched(
         &self,
         from: usize,
@@ -1882,8 +1928,7 @@ impl Tcp {
             // Oversize fails at the post site, exactly like the
             // synchronous driver.
             frame_header(TAG_DATA, &data, to)?;
-            ep.close_think();
-            let held = self.hold_for_reduce(from, to, data.len());
+            let held = data.len() <= self.opts.coalesce_limit;
             let (mut cx, _) = ep.split(from, self.opts.coalesce_limit, self.spins);
             cx.enqueue(to, TAG_DATA, data, Return::Engine, held);
             cx.pump(false)?;
@@ -1891,11 +1936,11 @@ impl Tcp {
         })
     }
 
-    /// Fallible [`ExchangeTransport::sync`]: emit `SKIP` markers to every
-    /// peer not posted to, completing the round on all receivers.
-    pub fn try_sync(&self, worker: usize) -> Result<(), TransportError> {
+    /// Fallible [`ExchangeTransport::sync`]: write an `END` carrying
+    /// `words` to every peer, completing the round on all receivers.
+    pub fn try_sync(&self, worker: usize, words: [u64; 2]) -> Result<(), TransportError> {
         if self.opts.batched {
-            return self.try_sync_batched(worker);
+            return self.try_sync_batched(worker, words);
         }
         let deadline = self.io_deadline();
         self.with_endpoint(worker, |ep| {
@@ -1905,107 +1950,109 @@ impl Tcp {
                 early,
                 read_pool,
                 posted,
+                scratch,
                 stats,
                 ..
             } = ep;
-            for (p, &was_posted) in posted.iter().enumerate() {
-                if p == worker || was_posted {
-                    continue;
-                }
+            scratch.clear();
+            encode_end(words, scratch);
+            for p in (0..links.len()).filter(|&p| p != worker) {
                 write_frame_draining(
-                    links,
-                    pending,
-                    early,
-                    read_pool,
-                    worker,
-                    p,
-                    TAG_SKIP,
-                    &[],
-                    deadline,
+                    links, pending, early, read_pool, worker, p, TAG_END, scratch, deadline,
                 )?;
                 stats.frames += 1;
-                stats.wire_bytes += FRAME_HEADER;
+                stats.wire_bytes += FRAME_HEADER + END_LEN as u64;
             }
             posted.fill(false);
+            ep.words = words;
             Ok(())
         })
     }
 
-    /// Batched [`Tcp::try_sync`]: queue the round's `SKIP` markers and
-    /// drive whatever progress the kernel will take right now — the
-    /// blocking "drive until quiesced" happens in `take_all_into`, where
-    /// the round's frames are actually needed.
-    fn try_sync_batched(&self, worker: usize) -> Result<(), TransportError> {
+    /// Batched [`Tcp::try_sync`]: queue the round's `END`s — each releases
+    /// the held `DATA` before it into one super-frame — and drive whatever
+    /// progress the kernel will take right now. The blocking "drive until
+    /// quiesced" happens in `take_all_into`, where the round's frames are
+    /// actually needed.
+    fn try_sync_batched(&self, worker: usize, words: [u64; 2]) -> Result<(), TransportError> {
         self.with_endpoint(worker, |ep| {
-            ep.close_think();
             let (mut cx, op) = ep.split(worker, self.opts.coalesce_limit, self.spins);
-            for (p, was_posted) in op.posted.iter_mut().enumerate() {
-                let skip = p != worker && !*was_posted;
-                *was_posted = false;
-                if skip {
-                    let held = self.hold_for_reduce(worker, p, 0);
-                    cx.enqueue(p, TAG_SKIP, Vec::new(), Return::Pool, held);
-                }
+            for p in (0..op.posted.len()).filter(|&p| p != worker) {
+                let mut payload = cx.pool_buf();
+                encode_end(words, &mut payload);
+                cx.enqueue(p, TAG_END, payload, Return::Pool, false);
             }
+            op.posted.fill(false);
+            *op.words = words;
             cx.pump(false)?;
             Ok(())
         })
     }
 
     /// Batched [`Tcp::try_take_all_into`]: the round's "drive until
-    /// quiesced" loop — push queued sends and collect exactly one
-    /// `DATA`/`SKIP` per peer, in whatever order peers deliver, then
-    /// emit in ascending rank order like every other backend.
+    /// quiesced" loop — push queued sends and collect every peer's
+    /// optional `DATA` and its `END`, in whatever order peers deliver,
+    /// then emit in ascending rank order like every other backend. Frames
+    /// a fast peer already sent for its next round stay queued behind its
+    /// `END`. The take also waits until this worker's own posted buffers
+    /// are staged, so they are back for its next drain.
     fn try_take_all_into_batched(
         &self,
         worker: usize,
         out: &mut Vec<(usize, Vec<u8>)>,
-    ) -> Result<(), TransportError> {
+    ) -> Result<[u64; 2], TransportError> {
         let deadline = self.io_deadline();
         out.clear();
         self.with_endpoint(worker, |ep| {
             let (mut cx, op) = ep.split(worker, self.opts.coalesce_limit, self.spins);
             let workers = cx.links.len();
-            let owed = op.owed;
+            let (owed, got_data) = (op.owed, op.got_data);
             let mut outstanding = 0;
             for (p, slot) in owed.iter_mut().enumerate() {
                 *slot = p != worker;
                 outstanding += *slot as usize;
             }
+            got_data.fill(false);
             if let Some(buf) = op.self_slot.take() {
                 out.push((worker, buf));
             }
+            let mut words = *op.words;
             let mut round_max = 0usize;
             let mut backoff = Backoff::new();
             cx.pump(true)?;
-            while outstanding > 0 {
+            loop {
                 let mut consumed = false;
                 #[allow(clippy::needless_range_loop)] // disjoint owed/cx index access
                 for p in 0..workers {
-                    if !owed[p] {
-                        continue;
-                    }
-                    let Some((tag, buf)) = cx.early[p].pop_front() else {
-                        continue;
-                    };
-                    match tag {
-                        TAG_DATA => {
-                            round_max = round_max.max(buf.len());
-                            out.push((p, buf));
+                    while owed[p] {
+                        let Some((tag, buf)) = cx.early[p].pop_front() else {
+                            break;
+                        };
+                        match tag {
+                            TAG_DATA if !got_data[p] => {
+                                got_data[p] = true;
+                                round_max = round_max.max(buf.len());
+                                out.push((p, buf));
+                            }
+                            TAG_END => {
+                                let folded = fold_end(&mut words, &buf, p);
+                                cx.recycle(buf);
+                                folded?;
+                                owed[p] = false;
+                                outstanding -= 1;
+                            }
+                            other => {
+                                let expected = if got_data[p] { "END" } else { "DATA or END" };
+                                return Err(TransportError::Protocol {
+                                    peer: p,
+                                    detail: format!("expected {expected}, got tag {other:#04x}"),
+                                });
+                            }
                         }
-                        TAG_SKIP => cx.recycle(buf),
-                        other => {
-                            return Err(TransportError::Protocol {
-                                peer: p,
-                                detail: format!("expected DATA/SKIP, got tag {other:#04x}"),
-                            })
-                        }
+                        consumed = true;
                     }
-                    owed[p] = false;
-                    outstanding -= 1;
-                    consumed = true;
                 }
-                if outstanding == 0 {
+                if outstanding == 0 && !cx.engine_frames_queued() {
                     break;
                 }
                 if consumed {
@@ -2023,24 +2070,19 @@ impl Tcp {
             }
             out.sort_unstable_by_key(|&(sender, _)| sender);
             *op.read_watermark = round_max.max(*op.read_watermark - *op.read_watermark / 4);
-            Ok(())
+            Ok(words)
         })
     }
 
-    /// Batched generic reduction: same gather/broadcast protocol as the
-    /// synchronous driver, driven by the readiness loop. The worker's
-    /// `REDUCE` releases any held root-bound frame and coalesces with it.
-    fn try_reduce_op_batched(
+    /// Batched reduction: same gather/broadcast protocol as the
+    /// synchronous driver, driven by the readiness loop.
+    fn try_reduce_batched(
         &self,
         worker: usize,
-        op: u8,
         values: &[u64],
     ) -> Result<Vec<u64>, TransportError> {
         let deadline = self.io_deadline();
         self.with_endpoint(worker, |ep| {
-            let lanes = values.len();
-            ep.close_think();
-            let hold = hold_result(ep.think);
             let (mut cx, opstate) = ep.split(worker, self.opts.coalesce_limit, self.spins);
             let workers = cx.links.len();
             let owed = opstate.owed;
@@ -2050,13 +2092,6 @@ impl Tcp {
                 for (p, slot) in owed.iter_mut().enumerate() {
                     *slot = p != 0;
                     outstanding += *slot as usize;
-                }
-                // A previous round's RESULT may still be held for
-                // coalescing (channel-free supersteps have no post/sync
-                // to release it); peers cannot send this round's REDUCE
-                // before they see it, so push it now.
-                for q in cx.send.iter_mut() {
-                    q.unhold();
                 }
                 let mut backoff = Backoff::new();
                 cx.pump(true)?;
@@ -2070,32 +2105,9 @@ impl Tcp {
                         let Some((tag, payload)) = cx.early[p].pop_front() else {
                             continue;
                         };
-                        if tag != TAG_REDUCE {
-                            return Err(TransportError::Protocol {
-                                peer: p,
-                                detail: format!("expected REDUCE, got tag {tag:#04x}"),
-                            });
-                        }
-                        let mut r = Reader::new(&payload);
-                        let peer_op: u8 = r.get();
-                        let peer_lanes: u32 = r.get();
-                        if peer_op != op || peer_lanes as usize != lanes {
-                            return Err(TransportError::Protocol {
-                                peer: p,
-                                detail: format!(
-                                    "reduction shape mismatch: op {peer_op}/{op}, \
-                                     lanes {peer_lanes}/{lanes}"
-                                ),
-                            });
-                        }
-                        for (lane, slot) in acc.iter_mut().enumerate() {
-                            let v: u64 = r.get();
-                            match (op, lane) {
-                                (OP_FUSED, 0) => *slot |= v,
-                                _ => *slot += v,
-                            }
-                        }
+                        let folded = fold_reduce(&mut acc, tag, &payload, p);
                         cx.recycle(payload);
+                        folded?;
                         owed[p] = false;
                         outstanding -= 1;
                         consumed = true;
@@ -2116,40 +2128,19 @@ impl Tcp {
                     }
                     cx.idle(&mut backoff, deadline, owed, "gather reduction")?;
                 }
-                // Broadcast the combined result. Every peer is blocked on
-                // it, so it normally goes all the way out now and the
-                // peers compute while the root does. Only a root that
-                // turns around faster than a frame costs ([`hold_result`])
-                // parks it instead: its next frame to each peer (the next
-                // round's DATA/SKIP, enqueued un-held) follows at once and
-                // releases it into one super-frame — one wake-up per peer
-                // per round instead of two. The engine's end-of-program
-                // flush pushes the last one.
-                let mut body = cx.pool_buf();
-                for &v in &acc {
-                    v.encode(&mut body);
-                }
+                // Every peer is blocked on the result: push it all the
+                // way out now.
                 for p in 1..workers {
                     let mut payload = cx.pool_buf();
-                    payload.extend_from_slice(&body);
-                    cx.enqueue(p, TAG_RESULT, payload, Return::Pool, hold);
+                    u64::encode_slice(&acc, &mut payload);
+                    cx.enqueue(p, TAG_RESULT, payload, Return::Pool, false);
                 }
-                cx.recycle(body);
-                if !hold {
-                    cx.drive_empty(deadline, "broadcast reduction result")?;
-                }
+                cx.drive_empty(deadline, "broadcast reduction result")?;
                 cx.stats.round_trips += 1;
-                // The think time runs from here — after the push, so the
-                // measurement does not depend on the decision it feeds.
-                *opstate.result_at = Some(Instant::now());
                 Ok(acc)
             } else {
                 let mut payload = cx.pool_buf();
-                op.encode(&mut payload);
-                (lanes as u32).encode(&mut payload);
-                for &v in values {
-                    v.encode(&mut payload);
-                }
+                encode_reduce(values, &mut payload);
                 cx.enqueue(0, TAG_REDUCE, payload, Return::Pool, false);
                 owed.fill(false);
                 owed[0] = true;
@@ -2168,25 +2159,18 @@ impl Tcp {
                     }
                     cx.idle(&mut backoff, deadline, owed, "await reduction result")?;
                 };
-                if tag != TAG_RESULT {
-                    return Err(TransportError::Protocol {
-                        peer: 0,
-                        detail: format!("expected RESULT, got tag {tag:#04x}"),
-                    });
-                }
-                let mut r = Reader::new(&payload);
-                let result = (0..lanes).map(|_| r.get()).collect();
+                let result = decode_result(tag, &payload, values.len());
                 cx.recycle(payload);
-                Ok(result)
+                result
             }
         })
     }
 
-    /// Fallible [`ExchangeTransport::flush`]: release frames held for
-    /// coalescing and drive every send queue onto the wire. Needed when a
-    /// round's posts are *not* followed by a reduction (the multi-process
-    /// result gather); a no-op for the synchronous driver, whose writes
-    /// complete inside `post`/`sync`.
+    /// Fallible [`ExchangeTransport::flush`]: drive every send queue onto
+    /// the wire. Needed when this worker stops driving the transport while
+    /// its last frames may still be queued (after the last round, and in
+    /// the multi-process result gather); a no-op for the synchronous
+    /// driver, whose writes complete inside `post`/`sync`.
     pub fn try_flush(&self, worker: usize) -> Result<(), TransportError> {
         if !self.opts.batched {
             return Ok(());
@@ -2194,21 +2178,18 @@ impl Tcp {
         let deadline = self.io_deadline();
         self.with_endpoint(worker, |ep| {
             let (mut cx, _) = ep.split(worker, self.opts.coalesce_limit, self.spins);
-            for q in cx.send.iter_mut() {
-                q.unhold();
-            }
             cx.drive_empty(deadline, "flush send queues")
         })
     }
 
-    /// Fallible [`ExchangeTransport::take_all_into`]: exactly one frame
-    /// per peer per round, ascending rank order, self-delivery in rank
-    /// place.
+    /// Fallible [`ExchangeTransport::take_all_into`]: every peer's
+    /// optional `DATA` and its `END`, ascending rank order, self-delivery
+    /// in rank place; returns the combined round words.
     pub fn try_take_all_into(
         &self,
         worker: usize,
         out: &mut Vec<(usize, Vec<u8>)>,
-    ) -> Result<(), TransportError> {
+    ) -> Result<[u64; 2], TransportError> {
         if self.opts.batched {
             return self.try_take_all_into_batched(worker, out);
         }
@@ -2222,8 +2203,10 @@ impl Tcp {
                 early,
                 pending,
                 read_watermark,
+                words,
                 ..
             } = ep;
+            let mut words = *words;
             let mut round_max = 0usize;
             for (p, link) in links.iter().enumerate() {
                 if p == worker {
@@ -2233,49 +2216,49 @@ impl Tcp {
                     continue;
                 }
                 let stream = link.as_ref().expect("mesh link missing");
-                let (tag, buf) = next_frame(
-                    stream,
-                    &mut pending[p],
-                    &mut early[p],
-                    read_pool,
-                    deadline,
-                    p,
-                )?;
-                match tag {
-                    TAG_DATA => {
-                        round_max = round_max.max(buf.len());
-                        out.push((p, buf));
-                    }
-                    TAG_SKIP => read_pool.push(buf),
-                    other => {
-                        return Err(TransportError::Protocol {
-                            peer: p,
-                            detail: format!("expected DATA/SKIP, got tag {other:#04x}"),
-                        })
-                    }
+                let mut next = || {
+                    next_frame(
+                        stream,
+                        &mut pending[p],
+                        &mut early[p],
+                        read_pool,
+                        deadline,
+                        p,
+                    )
+                };
+                let (mut tag, mut buf) = next()?;
+                let mut expected = "DATA or END";
+                if tag == TAG_DATA {
+                    round_max = round_max.max(buf.len());
+                    out.push((p, buf));
+                    (tag, buf) = next()?;
+                    expected = "END";
                 }
+                if tag != TAG_END {
+                    return Err(TransportError::Protocol {
+                        peer: p,
+                        detail: format!("expected {expected}, got tag {tag:#04x}"),
+                    });
+                }
+                fold_end(&mut words, &buf, p)?;
+                read_pool.push(buf);
             }
             // Decay toward the current round's largest frame: a one-off
             // spike stops dominating within a few dozen rounds, while a
             // sustained large working set holds the watermark up.
             *read_watermark = round_max.max(*read_watermark - *read_watermark / 4);
-            Ok(())
+            Ok(words)
         })
     }
 
-    /// Fallible generic reduction (gather on rank 0, broadcast back).
-    fn try_reduce_op(
-        &self,
-        worker: usize,
-        op: u8,
-        values: &[u64],
-    ) -> Result<Vec<u64>, TransportError> {
+    /// Fallible [`ExchangeTransport::reduce`]: gather on rank 0, broadcast
+    /// back.
+    pub fn try_reduce(&self, worker: usize, values: &[u64]) -> Result<Vec<u64>, TransportError> {
         if self.opts.batched {
-            return self.try_reduce_op_batched(worker, op, values);
+            return self.try_reduce_batched(worker, values);
         }
         let deadline = self.io_deadline();
         self.with_endpoint(worker, |ep| {
-            let lanes = values.len();
             let Endpoint {
                 links,
                 pending,
@@ -2297,37 +2280,11 @@ impl Tcp {
                         deadline,
                         p,
                     )?;
-                    if tag != TAG_REDUCE {
-                        return Err(TransportError::Protocol {
-                            peer: p,
-                            detail: format!("expected REDUCE, got tag {tag:#04x}"),
-                        });
-                    }
-                    let mut r = Reader::new(&payload);
-                    let peer_op: u8 = r.get();
-                    let peer_lanes: u32 = r.get();
-                    if peer_op != op || peer_lanes as usize != lanes {
-                        return Err(TransportError::Protocol {
-                            peer: p,
-                            detail: format!(
-                                "reduction shape mismatch: op {peer_op}/{op}, \
-                                 lanes {peer_lanes}/{lanes}"
-                            ),
-                        });
-                    }
-                    for (lane, slot) in acc.iter_mut().enumerate() {
-                        let v: u64 = r.get();
-                        match (op, lane) {
-                            (OP_FUSED, 0) => *slot |= v,
-                            _ => *slot += v,
-                        }
-                    }
+                    fold_reduce(&mut acc, tag, &payload, p)?;
                     read_pool.push(payload);
                 }
                 scratch.clear();
-                for &v in &acc {
-                    v.encode(scratch);
-                }
+                u64::encode_slice(&acc, scratch);
                 for p in 1..links.len() {
                     write_frame_draining(
                         links, pending, early, read_pool, worker, p, TAG_RESULT, scratch, deadline,
@@ -2339,11 +2296,7 @@ impl Tcp {
                 Ok(acc)
             } else {
                 scratch.clear();
-                op.encode(scratch);
-                (lanes as u32).encode(scratch);
-                for &v in values {
-                    v.encode(scratch);
-                }
+                encode_reduce(values, scratch);
                 write_frame_draining(
                     links, pending, early, read_pool, worker, 0, TAG_REDUCE, scratch, deadline,
                 )?;
@@ -2358,34 +2311,11 @@ impl Tcp {
                     deadline,
                     0,
                 )?;
-                if tag != TAG_RESULT {
-                    return Err(TransportError::Protocol {
-                        peer: 0,
-                        detail: format!("expected RESULT, got tag {tag:#04x}"),
-                    });
-                }
-                let mut r = Reader::new(&payload);
-                let result = (0..lanes).map(|_| r.get()).collect();
+                let result = decode_result(tag, &payload, values.len());
                 read_pool.push(payload);
-                Ok(result)
+                result
             }
         })
-    }
-
-    /// Fallible [`ExchangeTransport::reduce`].
-    pub fn try_reduce(&self, worker: usize, values: &[u64]) -> Result<Vec<u64>, TransportError> {
-        self.try_reduce_op(worker, OP_SUM, values)
-    }
-
-    /// Fallible [`ExchangeTransport::reduce_round`].
-    pub fn try_reduce_round(
-        &self,
-        worker: usize,
-        again: u64,
-        active: u64,
-    ) -> Result<(u64, u64), TransportError> {
-        let r = self.try_reduce_op(worker, OP_FUSED, &[again, active])?;
-        Ok((r[0], r[1]))
     }
 }
 
@@ -2434,15 +2364,16 @@ impl ExchangeTransport for Tcp {
             .unwrap_or_else(|e| self.fail(e))
     }
 
-    fn sync(&self, worker: usize) {
-        self.try_sync(worker).unwrap_or_else(|e| self.fail(e))
+    fn sync(&self, worker: usize, words: [u64; 2]) {
+        self.try_sync(worker, words)
+            .unwrap_or_else(|e| self.fail(e))
     }
 
     fn flush(&self, worker: usize) {
         self.try_flush(worker).unwrap_or_else(|e| self.fail(e))
     }
 
-    fn take_all_into(&self, worker: usize, out: &mut Vec<(usize, Vec<u8>)>) {
+    fn take_all_into(&self, worker: usize, out: &mut Vec<(usize, Vec<u8>)>) -> [u64; 2] {
         self.try_take_all_into(worker, out)
             .unwrap_or_else(|e| self.fail(e))
     }
@@ -2480,11 +2411,6 @@ impl ExchangeTransport for Tcp {
             .unwrap_or_else(|e| self.fail(e))
     }
 
-    fn reduce_round(&self, worker: usize, again: u64, active: u64) -> (u64, u64) {
-        self.try_reduce_round(worker, again, active)
-            .unwrap_or_else(|e| self.fail(e))
-    }
-
     fn stats(&self) -> TransportStats {
         let mut total = TransportStats::default();
         for ep in &self.endpoints {
@@ -2509,7 +2435,29 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    /// Full mesh exchange + fused reduction across real sockets.
+    /// One exchange round of three workers: post to self and to the
+    /// successor (the third peer gets only an `END`), then `sync`/`take`.
+    /// Every worker must see exactly its predecessor's and its own buffer,
+    /// in sender order, and the round words of all three combined.
+    fn ring_round(t: &Tcp, w: usize, round: u8, received: &mut Vec<(usize, Vec<u8>)>) {
+        t.post(w, w, vec![round, w as u8]);
+        t.post(w, (w + 1) % 3, vec![round, w as u8, 7]);
+        t.sync(w, [1 << w, w as u64 + 1]);
+        assert_eq!(t.take_all_into(w, received), [0b111, 6]);
+        let mut senders = Vec::new();
+        for (s, buf) in received.drain(..) {
+            assert_eq!(buf[0], round);
+            assert_eq!(buf[1], s as u8);
+            senders.push(s);
+            t.recycle(w, s, buf);
+        }
+        let mut expect = vec![(w + 2) % 3, w];
+        expect.sort_unstable();
+        assert_eq!(senders, expect, "worker {w} round {round}");
+    }
+
+    /// Full mesh exchange with its round words, plus a standalone
+    /// reduction, across real sockets.
     #[test]
     fn tcp_exchange_and_reduce_round() {
         let t = Arc::new(Tcp::loopback(3).unwrap());
@@ -2518,42 +2466,18 @@ mod tests {
             let t = Arc::clone(&t);
             handles.push(std::thread::spawn(move || {
                 let mut received = Vec::new();
-                let mut seen = Vec::new();
                 for round in 0..5u8 {
-                    // Send to self and to (w+1) % 3 only; others get SKIP.
-                    t.post(w, w, vec![round, w as u8]);
-                    t.post(w, (w + 1) % 3, vec![round, w as u8, 7]);
-                    t.sync(w);
-                    t.take_all_into(w, &mut received);
-                    let mut senders = Vec::new();
-                    for (s, buf) in received.drain(..) {
-                        assert_eq!(buf[0], round);
-                        assert_eq!(buf[1], s as u8);
-                        senders.push(s);
-                        t.recycle(w, s, buf);
-                    }
-                    seen.push(senders);
-                    let (mask, active) = t.reduce_round(w, 1 << w, w as u64 + 1);
-                    assert_eq!(mask, 0b111);
-                    assert_eq!(active, 6);
+                    ring_round(&t, w, round, &mut received);
+                    assert_eq!(t.reduce(w, &[w as u64 + 1]), vec![6]);
                 }
-                seen
             }));
         }
-        for (w, h) in handles.into_iter().enumerate() {
-            let seen = h.join().unwrap();
-            // Every round: one buffer from the predecessor, one from self,
-            // in ascending sender order.
-            let pred = (w + 2) % 3;
-            let mut expect = vec![pred, w];
-            expect.sort_unstable();
-            for senders in seen {
-                assert_eq!(senders, expect, "worker {w}");
-            }
+        for h in handles {
+            h.join().unwrap();
         }
         let stats = t.stats();
         assert!(stats.wire_bytes > 0);
-        assert_eq!(stats.round_trips, 5);
+        assert_eq!(stats.round_trips, 5, "only reduce counts a round trip");
     }
 
     /// One giant round must not pin giant receive buffers on the
@@ -2570,12 +2494,11 @@ mod tests {
                 for round in 0..40usize {
                     let size = if round == 0 { 1 << 20 } else { 256 };
                     t.post(w, 1 - w, vec![w as u8; size]);
-                    t.sync(w);
+                    t.sync(w, [0, 1]);
                     t.take_all_into(w, &mut received);
                     for (s, buf) in received.drain(..) {
                         t.recycle(w, s, buf);
                     }
-                    let _ = t.reduce(w, &[1]);
                 }
             }));
         }
@@ -2594,7 +2517,7 @@ mod tests {
     /// The multi-process shape: each rank owns its own `Tcp::mesh` object
     /// (separate listener, shared address table) and the meshes
     /// interoperate over real sockets exactly like the loopback shape —
-    /// exchange, SKIP markers, fused reductions.
+    /// exchange, `END` frames, round words.
     #[test]
     fn mesh_endpoints_in_separate_objects_interoperate() {
         let listeners: Vec<TcpListener> = (0..3)
@@ -2610,23 +2533,7 @@ mod tests {
                 assert_eq!(t.local_rank(), Some(rank));
                 let mut received = Vec::new();
                 for round in 0..4u8 {
-                    t.post(rank, rank, vec![round, rank as u8]);
-                    t.post(rank, (rank + 1) % 3, vec![round, rank as u8, 9]);
-                    t.sync(rank);
-                    t.take_all_into(rank, &mut received);
-                    let mut senders = Vec::new();
-                    for (s, buf) in received.drain(..) {
-                        assert_eq!(buf[0], round);
-                        assert_eq!(buf[1], s as u8);
-                        senders.push(s);
-                        t.recycle(rank, s, buf);
-                    }
-                    let mut expect = vec![(rank + 2) % 3, rank];
-                    expect.sort_unstable();
-                    assert_eq!(senders, expect, "rank {rank} round {round}");
-                    let (mask, active) = t.reduce_round(rank, 1 << rank, rank as u64 + 1);
-                    assert_eq!(mask, 0b111);
-                    assert_eq!(active, 6);
+                    ring_round(&t, rank, round, &mut received);
                 }
                 t.worker_stats(rank)
             }));
@@ -2651,8 +2558,7 @@ mod tests {
 
     /// The exchange/reduction pattern of `tcp_exchange_and_reduce_round`,
     /// under the batched driver: identical observable behavior, plus
-    /// coalescing actually happening (the root-bound `DATA`/`SKIP` rides
-    /// with each round's `REDUCE`).
+    /// coalescing actually happening (each `DATA` rides with its `END`).
     #[test]
     fn batched_exchange_and_reduce_round() {
         let t = Arc::new(Tcp::loopback_with(3, TcpOptions::batched()).unwrap());
@@ -2662,39 +2568,17 @@ mod tests {
             let t = Arc::clone(&t);
             handles.push(std::thread::spawn(move || {
                 let mut received = Vec::new();
-                let mut seen = Vec::new();
                 for round in 0..5u8 {
-                    t.post(w, w, vec![round, w as u8]);
-                    t.post(w, (w + 1) % 3, vec![round, w as u8, 7]);
-                    t.sync(w);
-                    t.take_all_into(w, &mut received);
-                    let mut senders = Vec::new();
-                    for (s, buf) in received.drain(..) {
-                        assert_eq!(buf[0], round);
-                        assert_eq!(buf[1], s as u8);
-                        senders.push(s);
-                        t.recycle(w, s, buf);
-                    }
-                    seen.push(senders);
-                    let (mask, active) = t.reduce_round(w, 1 << w, w as u64 + 1);
-                    assert_eq!(mask, 0b111);
-                    assert_eq!(active, 6);
+                    ring_round(&t, w, round, &mut received);
+                    assert_eq!(t.reduce(w, &[w as u64 + 1]), vec![6]);
                 }
-                // The final RESULT may be held for coalescing; nothing
-                // follows, so push it (what the engine does after its
-                // superstep loop).
+                // Nothing follows the last round: push what is still
+                // queued (what the engine does after its superstep loop).
                 t.flush(w);
-                seen
             }));
         }
-        for (w, h) in handles.into_iter().enumerate() {
-            let seen = h.join().unwrap();
-            let pred = (w + 2) % 3;
-            let mut expect = vec![pred, w];
-            expect.sort_unstable();
-            for senders in seen {
-                assert_eq!(senders, expect, "worker {w}");
-            }
+        for h in handles {
+            h.join().unwrap();
         }
         let stats = t.stats();
         assert!(stats.wire_bytes > 0);
@@ -2719,12 +2603,12 @@ mod tests {
                     let mut received = Vec::new();
                     for _ in 0..10 {
                         t.post(w, (w + 1) % 3, vec![w as u8; 16]);
-                        t.sync(w);
+                        t.sync(w, [0, 1]);
                         t.take_all_into(w, &mut received);
                         for (s, buf) in received.drain(..) {
                             t.recycle(w, s, buf);
                         }
-                        let _ = t.reduce_round(w, 0, 1);
+                        let _ = t.reduce(w, &[1]);
                     }
                     t.flush(w);
                 }));
@@ -2766,8 +2650,9 @@ mod tests {
                         buf[0] = w as u8;
                         t.post(w, peer, buf);
                     }
-                    t.sync(w);
-                    t.take_all_into(w, &mut received);
+                    t.sync(w, [1 << w, 1]);
+                    let words = t.take_all_into(w, &mut received);
+                    assert_eq!(words, [0b111, WORKERS as u64]);
                     assert_eq!(received.len(), WORKERS);
                     for (s, buf) in received.drain(..) {
                         assert_eq!(buf.len(), LEN);
@@ -2775,9 +2660,6 @@ mod tests {
                         assert!(buf[1..].iter().all(|&b| b == s as u8 ^ round));
                         t.recycle(w, s, buf);
                     }
-                    let (mask, active) = t.reduce_round(w, 1 << w, 1);
-                    assert_eq!(mask, 0b111);
-                    assert_eq!(active, WORKERS as u64);
                 }
                 t.flush(w);
             }));
@@ -2787,23 +2669,23 @@ mod tests {
         }
     }
 
-    /// A round with no reduction after it (the multi-process result
-    /// gather): `flush` releases frames held for coalescing, so the
-    /// receiver is not left waiting on a parked send queue.
+    /// The multi-process result gather: a worker that stops driving the
+    /// transport after its last round calls `flush`, so the frames still
+    /// in its send queue reach the receiver.
     #[test]
     fn batched_flush_releases_held_frames() {
         let t = Arc::new(Tcp::loopback_with(2, TcpOptions::batched()).unwrap());
         let t1 = Arc::clone(&t);
         let sender = std::thread::spawn(move || {
             t1.post(1, 0, vec![42; 8]);
-            t1.sync(1);
+            t1.sync(1, [0, 0]);
             t1.flush(1);
             let mut received = Vec::new();
             t1.take_all_into(1, &mut received);
             assert!(received.is_empty() || received[0].0 == 0);
         });
         t.post(0, 0, vec![9]);
-        t.sync(0);
+        t.sync(0, [0, 0]);
         t.flush(0);
         let mut received = Vec::new();
         t.take_all_into(0, &mut received);
@@ -2813,23 +2695,15 @@ mod tests {
         assert_eq!(received[1].1, vec![42; 8]);
     }
 
-    /// The hold rule in both regimes, and before the first measurement.
+    /// A worker that thinks between rounds must not make its peer wait
+    /// for its next post: its `END` leaves at `sync`, so the peer's `take`
+    /// returns while the worker is still thinking. The worker refuses to
+    /// post until the peer reports the return, so an `END` parked behind
+    /// the next `DATA` is a deadlock the channel timeout turns into a
+    /// failure. `spins: Some(0)` pins that the spin budget does not decide
+    /// this.
     #[test]
-    fn hold_result_follows_the_think_time() {
-        assert!(!hold_result(None), "unmeasured: send at once");
-        assert!(hold_result(Some(Duration::from_micros(2))), "bfs_chain");
-        assert!(!hold_result(Some(Duration::from_millis(7))), "pr_dense");
-        assert!(!hold_result(Some(RESULT_HOLD_MAX_THINK)));
-    }
-
-    /// A root that thinks between a reduction and its next post must not
-    /// make its peer wait for that post: the peer's `reduce_round` has to
-    /// return while the root is still thinking. The root refuses to post
-    /// until the peer reports the return, so a `RESULT` parked behind the
-    /// next `DATA` is a deadlock the channel timeout turns into a failure.
-    /// `spins: Some(0)` pins that the spin budget no longer decides this.
-    #[test]
-    fn thinking_root_does_not_hold_result() {
+    fn thinking_worker_does_not_hold_end() {
         const ROUNDS: usize = 6;
         let opts = TcpOptions {
             spins: Some(0),
@@ -2840,13 +2714,12 @@ mod tests {
         let (returned_tx, returned_rx) = std::sync::mpsc::channel();
         let round = |t: &Tcp, w: usize| {
             t.post(w, 1 - w, vec![w as u8; 16]);
-            t.sync(w);
+            t.sync(w, [0, 1]);
             let mut received = Vec::new();
-            t.take_all_into(w, &mut received);
+            assert_eq!(t.take_all_into(w, &mut received), [0, 2]);
             for (s, buf) in received.drain(..) {
                 t.recycle(w, s, buf);
             }
-            t.reduce_round(w, 0, 1)
         };
         let peer = {
             let t = Arc::clone(&t);
@@ -2863,20 +2736,17 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2)); // the think time
             returned_rx
                 .recv_timeout(Duration::from_secs(2))
-                .unwrap_or_else(|_| {
-                    panic!("round {r}: RESULT is waiting for the root's next post")
-                });
+                .unwrap_or_else(|_| panic!("round {r}: END is waiting for the next post"));
         }
         t.flush(0);
         peer.join().unwrap();
-        assert_eq!(t.worker_stats(0).coalesced_frames, 0, "root held nothing");
     }
 
-    /// The mirror case: a root that turns around at once still parks the
-    /// `RESULT`, which then shares a super-frame with the next round's
-    /// `DATA` — the frame saving `bfs_chain` lives on.
+    /// A small `DATA` is held until its `END` joins it: back-to-back
+    /// rounds send every peer exactly one super-frame each, while a `DATA`
+    /// above the coalescing limit streams out on its own.
     #[test]
-    fn back_to_back_rounds_still_coalesce_result() {
+    fn small_data_coalesces_with_its_end() {
         const ROUNDS: u64 = 200;
         let t = Arc::new(Tcp::loopback_with(2, TcpOptions::batched()).unwrap());
         let mut handles = Vec::new();
@@ -2884,14 +2754,18 @@ mod tests {
             let t = Arc::clone(&t);
             handles.push(std::thread::spawn(move || {
                 let mut received = Vec::new();
-                for _ in 0..ROUNDS {
-                    t.post(w, 1 - w, vec![w as u8; 16]);
-                    t.sync(w);
+                for round in 0..=ROUNDS {
+                    let len = if round == ROUNDS {
+                        DEFAULT_COALESCE_LIMIT + 1
+                    } else {
+                        16
+                    };
+                    t.post(w, 1 - w, vec![w as u8; len]);
+                    t.sync(w, [0, 1]);
                     t.take_all_into(w, &mut received);
                     for (s, buf) in received.drain(..) {
                         t.recycle(w, s, buf);
                     }
-                    let _ = t.reduce_round(w, 0, 1);
                 }
                 t.flush(w);
             }));
@@ -2899,15 +2773,13 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        // The root never holds DATA, so every coalesced frame it sent is a
-        // RESULT or the DATA it rode with. Round 1 is unmeasured and a
-        // preempted think costs one hold; half is far below either.
-        let root = t.worker_stats(0);
-        assert!(
-            root.coalesced_frames >= ROUNDS,
-            "root coalesced only {} frames in {ROUNDS} rounds",
-            root.coalesced_frames
-        );
+        for w in 0..2 {
+            let stats = t.worker_stats(w);
+            assert_eq!(stats.coalesced_frames, 2 * ROUNDS, "worker {w}");
+            // The small rounds' super-frames, the large DATA and its END
+            // (plus the connecting side's HELLO).
+            assert_eq!(stats.frames, ROUNDS + 2 + w as u64, "worker {w}");
+        }
     }
 
     /// The batch payload codec round-trips and rejects malformations with
@@ -2916,7 +2788,7 @@ mod tests {
     fn batch_codec_roundtrip_and_validation() {
         let frames = vec![
             (TAG_DATA, vec![1, 2, 3]),
-            (TAG_SKIP, Vec::new()),
+            (TAG_END, vec![0; END_LEN]),
             (TAG_REDUCE, vec![9; 40]),
         ];
         let payload = encode_batch(&frames);
@@ -2963,23 +2835,7 @@ mod tests {
                 let t = Tcp::mesh(rank, addrs, listener, TcpOptions::batched()).unwrap();
                 let mut received = Vec::new();
                 for round in 0..4u8 {
-                    t.post(rank, rank, vec![round, rank as u8]);
-                    t.post(rank, (rank + 1) % 3, vec![round, rank as u8, 9]);
-                    t.sync(rank);
-                    t.take_all_into(rank, &mut received);
-                    let mut senders = Vec::new();
-                    for (s, buf) in received.drain(..) {
-                        assert_eq!(buf[0], round);
-                        assert_eq!(buf[1], s as u8);
-                        senders.push(s);
-                        t.recycle(rank, s, buf);
-                    }
-                    let mut expect = vec![(rank + 2) % 3, rank];
-                    expect.sort_unstable();
-                    assert_eq!(senders, expect, "rank {rank} round {round}");
-                    let (mask, active) = t.reduce_round(rank, 1 << rank, rank as u64 + 1);
-                    assert_eq!(mask, 0b111);
-                    assert_eq!(active, 6);
+                    ring_round(&t, rank, round, &mut received);
                 }
                 t.flush(rank);
                 t.worker_stats(rank)
@@ -3013,7 +2869,7 @@ mod tests {
                     let mut buf = pool.get();
                     buf.extend_from_slice(&[w as u8; 16]);
                     t.post(w, 1 - w, buf);
-                    t.sync(w);
+                    t.sync(w, [0, 1]);
                     t.take_all_into(w, &mut received);
                     for (s, b) in received.drain(..) {
                         t.recycle(w, s, b);
@@ -3047,7 +2903,7 @@ mod tests {
                     let mut buf = pool.get();
                     buf.extend_from_slice(&[w as u8; 16]);
                     t.post(w, 1 - w, buf);
-                    t.sync(w);
+                    t.sync(w, [0, 1]);
                     t.take_all_into(w, &mut received);
                     for (s, b) in received.drain(..) {
                         t.recycle(w, s, b);

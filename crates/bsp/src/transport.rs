@@ -5,23 +5,27 @@
 //! rendezvous surface every backend must provide:
 //!
 //! * `post` / `sync` / `take_all_into` — the per-round pairwise buffer
-//!   exchange of Fig. 2/4 (post everything, flush the round, drain what
-//!   arrived in deterministic sender order),
+//!   exchange of Fig. 2/4 (post everything, end the round, drain what
+//!   arrived in deterministic sender order). The exchange is also the
+//!   round's reduction: `sync` carries the worker's two round words
+//!   (`[again, active]`) and `take_all_into` returns their combination
+//!   over all workers, so a round is one rendezvous,
 //! * `recycle` / `reclaim_into` — the buffer return path that keeps the
 //!   steady-state exchange allocation-free,
-//! * `reduce` / `reduce_round` — the global reductions that decide channel
-//!   and vertex activity.
+//! * `reduce` — a standalone global sum, for decisions taken outside the
+//!   round loop (the checkpoint ack).
 //!
 //! Three backends ship:
 //!
-//! * [`InProcess`] — the shared-memory [`Hub`] (mailbox + sense-reversing
+//! * [`InProcess`] — the shared-memory [`Hub`] (mailboxes + sense-reversing
 //!   barrier + double-buffered reduction slots). This is the simulated
 //!   cluster: fastest, zero copies, no sockets.
 //! * [`crate::tcp::Tcp`] — every worker behind a real loopback socket,
-//!   length-prefixed frames, reductions as a gather/broadcast round on
-//!   worker 0. Observationally identical to `InProcess` (same values,
-//!   bytes, supersteps, rounds — see `tests/transport_conformance.rs`),
-//!   one process-boundary step away from a distributed deployment.
+//!   length-prefixed frames, each round ending with one `END` frame per
+//!   peer that carries the sender's words. Observationally identical to
+//!   `InProcess` (same values, bytes, supersteps, rounds — see
+//!   `tests/transport_conformance.rs`), one process-boundary step away
+//!   from a distributed deployment.
 //! * The same mesh under [`crate::tcp::TcpOptions::batched`] — the
 //!   non-blocking batched driver: per-peer send queues with pipelined
 //!   partial writes, small frames coalesced into super-frames, buffered
@@ -37,10 +41,16 @@
 //!    sequence is lock-step by construction).
 //! 2. At most one `post` per `(from, to)` pair per round; `sync` ends the
 //!    round's posting; after `sync`, `take_all_into(w)` yields every
-//!    buffer addressed to `w`, ordered by sender id.
-//! 3. `recycle`d buffers eventually come back through `reclaim_into` on
-//!    the worker whose pool fed the matching `post` (capacity reuse, not
-//!    correctness — a transport may drop them at a memory cost).
+//!    buffer addressed to `w`, ordered by sender id, and returns the
+//!    round words of all workers combined: lane 0 OR-ed, lane 1 summed.
+//!    A worker may start its next round's `post`s as soon as its `take`
+//!    returns, while peers are still taking; the backend must keep the
+//!    two rounds apart.
+//! 3. Every buffer a worker posted comes back to it by its next
+//!    `reclaim_into` (which may wait for it): the receiver's `recycle`s it
+//!    home, or the transport hands the `Vec` back once its bytes are on
+//!    the wire. Either way pool hit/miss traffic is what the sequential
+//!    driver, which returns buffers within the round, reports.
 
 use crate::exchange::Hub;
 use crate::metrics::TransportStats;
@@ -61,21 +71,25 @@ pub trait ExchangeTransport: Sync {
     /// round. At most once per `(from, to)` pair per round.
     fn post(&self, from: usize, to: usize, data: Vec<u8>);
 
-    /// End `worker`'s posting for this round. After every worker's `sync`,
-    /// the round's buffers are observable via [`Self::take_all_into`].
-    fn sync(&self, worker: usize);
+    /// End `worker`'s posting for this round and publish its two round
+    /// words, `[again, active]`. After every worker's `sync`, the round's
+    /// buffers and words are observable via [`Self::take_all_into`].
+    fn sync(&self, worker: usize, words: [u64; 2]);
 
     /// Push any buffered outgoing frames to the wire. A no-op for
-    /// backends that send eagerly; the batched TCP driver uses it to
-    /// release frames held for coalescing when no reduction will follow
-    /// this round (e.g. the multi-process result gather).
+    /// backends that send eagerly; the batched TCP driver needs it when
+    /// this worker stops driving the transport (after its last round, and
+    /// in the multi-process result gather) while its last frames may still
+    /// sit in a send queue.
     fn flush(&self, worker: usize) {
         let _ = worker;
     }
 
     /// Drain every buffer addressed to `worker` this round into `out`
-    /// (cleared first), ordered by sender id.
-    fn take_all_into(&self, worker: usize, out: &mut Vec<(usize, Vec<u8>)>);
+    /// (cleared first), ordered by sender id, and return the round words
+    /// of all workers (this one included) combined: lane 0 OR-ed, lane 1
+    /// summed.
+    fn take_all_into(&self, worker: usize, out: &mut Vec<(usize, Vec<u8>)>) -> [u64; 2];
 
     /// Hand a consumed receive buffer back from `worker` (the receiver)
     /// toward `sender`'s pool.
@@ -84,13 +98,10 @@ pub trait ExchangeTransport: Sync {
     /// Move every buffer returned toward `worker` into its pool.
     fn reclaim_into(&self, worker: usize, pool: &mut BufferPool);
 
-    /// Global sum-reduction: publish `values` (one per lane), return the
-    /// per-lane sums over all workers. Synchronizes all workers.
+    /// Global sum-reduction: publish `values` (one per lane, at most two),
+    /// return the per-lane sums over all workers. Synchronizes all
+    /// workers. Counted in [`TransportStats::round_trips`].
     fn reduce(&self, worker: usize, values: &[u64]) -> Vec<u64>;
-
-    /// The fused round epilogue: OR-combine `again`, sum `active`, one
-    /// synchronization. Returns `(global_again, global_active)`.
-    fn reduce_round(&self, worker: usize, again: u64, active: u64) -> (u64, u64);
 
     /// Wire-level counters accumulated so far, aggregated over workers.
     fn stats(&self) -> TransportStats;
@@ -242,7 +253,7 @@ impl InProcess {
     /// [`crate::exchange::SpinBarrier::with_budget`]).
     pub fn with_budget(workers: usize, budget: Option<u32>) -> Self {
         InProcess {
-            hub: Hub::with_budget(workers, 2, budget),
+            hub: Hub::with_budget(workers, budget),
             counters: (0..workers)
                 .map(|_| CachePadded::new(WorkerCounters::default()))
                 .collect(),
@@ -271,19 +282,19 @@ impl ExchangeTransport for InProcess {
         let c = &self.counters[from];
         c.wire_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
         c.frames.fetch_add(1, Ordering::Relaxed);
-        self.hub.mailbox().post(from, to, data);
+        self.hub.post(from, to, data);
     }
 
-    fn sync(&self, _worker: usize) {
-        self.hub.sync();
+    fn sync(&self, worker: usize, words: [u64; 2]) {
+        self.hub.sync(worker, words);
     }
 
-    fn take_all_into(&self, worker: usize, out: &mut Vec<(usize, Vec<u8>)>) {
-        self.hub.mailbox().take_all_into(worker, out);
+    fn take_all_into(&self, worker: usize, out: &mut Vec<(usize, Vec<u8>)>) -> [u64; 2] {
+        self.hub.take_all_into(worker, out)
     }
 
     fn recycle(&self, _worker: usize, sender: usize, buf: Vec<u8>) {
-        self.hub.recycle(sender, std::iter::once(buf));
+        self.hub.recycle(sender, buf);
     }
 
     fn reclaim_into(&self, worker: usize, pool: &mut BufferPool) {
@@ -295,13 +306,6 @@ impl ExchangeTransport for InProcess {
             self.round_trips.fetch_add(1, Ordering::Relaxed);
         }
         self.hub.reduce(worker, values)
-    }
-
-    fn reduce_round(&self, worker: usize, again: u64, active: u64) -> (u64, u64) {
-        if worker == 0 {
-            self.round_trips.fetch_add(1, Ordering::Relaxed);
-        }
-        self.hub.reduce_round(worker, again, active)
     }
 
     fn stats(&self) -> TransportStats {
@@ -347,7 +351,7 @@ mod tests {
     use std::sync::Arc;
 
     /// The InProcess wrapper preserves the Hub's exchange semantics and
-    /// counts frames/bytes/round-trips.
+    /// counts frames/bytes; round trips count `reduce` calls only.
     #[test]
     fn in_process_exchange_and_counters() {
         let t = Arc::new(InProcess::new(3));
@@ -358,21 +362,20 @@ mod tests {
                 for to in 0..3 {
                     t.post(w, to, vec![w as u8; w + 1]);
                 }
-                t.sync(w);
+                t.sync(w, [1 << w, w as u64]);
                 let mut got = Vec::new();
-                t.take_all_into(w, &mut got);
+                let words = t.take_all_into(w, &mut got);
                 let senders: Vec<usize> = got.iter().map(|&(s, _)| s).collect();
                 assert_eq!(senders, vec![0, 1, 2], "sender order is deterministic");
                 for (s, buf) in got {
                     t.recycle(w, s, buf);
                 }
-                t.reduce_round(w, 1 << w, w as u64)
+                assert_eq!(t.reduce(w, &[1]), vec![3]);
+                words
             }));
         }
         for h in handles {
-            let (mask, active) = h.join().unwrap();
-            assert_eq!(mask, 0b111);
-            assert_eq!(active, 3);
+            assert_eq!(h.join().unwrap(), [0b111, 3]);
         }
         let stats = t.stats();
         assert_eq!(stats.frames, 9);

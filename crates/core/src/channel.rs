@@ -8,7 +8,8 @@
 //! [`Channel::deserialize`] the frames addressed to it. A channel that
 //! answers `true` from [`Channel::again`] keeps the round loop going —
 //! that is how request/respond gets its second phase and how propagation
-//! converges inside a single superstep.
+//! converges inside a single superstep (and `false` is a promise; see the
+//! late-serialize contract on [`Channel::again`]).
 
 use crate::frontier::Frontier;
 use pc_bsp::buffer::{FrameSpan, FrameWriter, OutBuffers};
@@ -203,6 +204,16 @@ pub trait Channel<AV>: Send {
     /// Request another exchange round within this superstep. The engine
     /// ORs this across workers, so answering `true` on any worker keeps the
     /// channel active everywhere.
+    ///
+    /// **The late-serialize contract.** The threaded engine learns the OR
+    /// only from the next round's own exchange, so it serializes a channel
+    /// *before* that exchange only where `again()` said `true`. Where it
+    /// said `false` but another worker said `true`, the channel's
+    /// `serialize` still runs for that round — after the exchange, so its
+    /// state (a phase counter, say) stays in step with the other workers —
+    /// and it must write no frame: answering `false` promises nothing to
+    /// send next round. The engine asserts this and panics with the
+    /// channel's name.
     fn again(&self) -> bool {
         false
     }

@@ -25,6 +25,31 @@
 //! OR-reduced across workers and active-vertex counts are sum-reduced, so
 //! all workers leave the loops together.
 //!
+//! ## One rendezvous per round
+//!
+//! A threaded round synchronizes exactly once: the reduction rides the
+//! exchange. Round `k`'s exchange carries every worker's `[again,
+//! active]` words from round `k-1`, so each round is *speculative*:
+//!
+//! * round 1 of a superstep serializes every channel;
+//! * round `k ≥ 2` serializes only the channels whose `again()` was true
+//!   *on this worker* (`L`) — always a subset of the global mask `G` the
+//!   exchange then reveals, so nothing is ever rolled back;
+//! * after the take, the channels in `G & !L` are serialized late (which
+//!   keeps stateful channels such as `RequestRespond`'s phase counter
+//!   aligned) and must emit nothing — the [`Channel::again`] contract,
+//!   asserted with the channel's name; then `G` is deserialized;
+//! * a superstep ends with one **confirming exchange**: the exchange that
+//!   reveals `G = 0`. It moves no buffers, touches neither the pool nor
+//!   any channel, is not counted as a round (so `rounds` is what the
+//!   sequential engine reports), and its summed active count is the next
+//!   superstep's — a channel-free superstep is that exchange alone.
+//!
+//! The sequential driver runs the same speculative sequence, so it checks
+//! the same contract.
+//!
+//! [`Channel::again`]: crate::channel::Channel::again
+//!
 //! The steady-state loop is allocation-free and synchronization-lean:
 //!
 //! * active vertices live in an epoch-stamped [`Frontier`] worklist, so a
@@ -37,9 +62,8 @@
 //!   otherwise pin;
 //! * frame routing reuses per-channel [`FrameSpan`] tables instead of
 //!   rebuilding nested vectors every round;
-//! * a threaded round synchronizes exactly twice (the post/take
-//!   rendezvous + the fused `again`/active-count reduction of
-//!   [`ExchangeTransport::reduce_round`]).
+//! * a threaded round synchronizes exactly once, and a superstep ends with
+//!   one confirming exchange (above).
 
 use crate::channel::{ChannelSet, DeserializeCx, SerializeCx, VertexCtx, WorkerEnv};
 use crate::frontier::Frontier;
@@ -222,8 +246,13 @@ impl<'a, A: Algorithm> WorkerState<'a, A> {
         }
     }
 
-    /// Serialize the channels named in `mask` into the out-buffers.
-    fn serialize_phase(&mut self, mask: u64) {
+    /// Serialize the channels named in `mask` into the out-buffers. A
+    /// `late` serialize runs after the round's exchange, for channels
+    /// whose `again()` was false on this worker but true elsewhere: each
+    /// must emit nothing (the buffers were already posted), and one that
+    /// does is a broken [`Channel::again`](crate::channel::Channel::again)
+    /// contract.
+    fn serialize_phase(&mut self, mask: u64, late: bool) {
         let WorkerState {
             env,
             channels,
@@ -242,6 +271,14 @@ impl<'a, A: Algorithm> WorkerState<'a, A> {
                 bytes: &mut bytes[i as usize],
             };
             ch.serialize(&mut cx);
+            assert!(
+                !late || out.pending_bytes() == 0,
+                "channel '{}' emitted a frame in a round it did not ask for: \
+                 its again() was false on worker {} after the previous round, \
+                 so this round's serialize must write nothing",
+                ch.name(),
+                env.worker
+            );
         });
     }
 
@@ -641,31 +678,39 @@ fn run_sequential<A: Algorithm>(algo: &A, topo: &Arc<Topology>, cfg: &Config) ->
         .map(|w| WorkerState::new(algo, topo, w))
         .collect();
     let mut stats = RunStats::default();
-    // Round scratch, allocated once: per-receiver inboxes and the drain
-    // list. Buffers inside cycle back to their sender's pool every round.
+    // Round scratch, allocated once: per-receiver inboxes, the drain list
+    // and each worker's own `again` mask. Buffers inside cycle back to
+    // their sender's pool every round.
     let mut inbox: Vec<BufList> = vec![Vec::new(); workers];
     let mut drained: BufList = Vec::new();
+    let mut local = vec![0u64; workers];
     let start = Instant::now();
     loop {
         for s in &mut states {
             s.compute_phase();
         }
         stats.supersteps += 1;
-        let mut mask = states[0].channel_mask();
-        while mask != 0 {
-            for s in &mut states {
-                s.serialize_phase(mask);
-            }
-            for s in &mut states {
+        // The threaded drivers' speculative rounds (module docs), minus
+        // the transport: each worker serializes what it asked for itself,
+        // learns the global mask from everyone's words, then serializes
+        // the rest late.
+        local.fill(states[0].channel_mask());
+        loop {
+            for (s, &mask) in states.iter_mut().zip(&local) {
+                s.serialize_phase(mask, false);
                 let from = s.worker();
                 s.drain(&mut drained);
                 for (peer, buf) in drained.drain(..) {
                     inbox[peer].push((from, buf));
                 }
             }
-            let mut again = 0u64;
+            let global = local.iter().fold(0, |acc, &mask| acc | mask);
+            if global == 0 {
+                break;
+            }
             for (w, s) in states.iter_mut().enumerate() {
-                again |= s.deserialize_phase(&inbox[w], mask);
+                s.serialize_phase(global & !local[w], true);
+                local[w] = s.deserialize_phase(&inbox[w], global);
             }
             // Consumed buffers go home: straight back to the sender's
             // pool, to be swapped in again at the next drain.
@@ -678,7 +723,6 @@ fn run_sequential<A: Algorithm>(algo: &A, topo: &Arc<Topology>, cfg: &Config) ->
                 s.pool.end_round();
             }
             stats.rounds += 1;
-            mask = again;
         }
         let active: u64 = states.iter_mut().map(|s| s.end_superstep()).sum();
         if active == 0 {
@@ -791,36 +835,37 @@ fn drive_worker<A: Algorithm, T: ExchangeTransport + ?Sized>(
         if let (Some(t), Some(t0)) = (tracer.as_mut(), t0) {
             compute_us = t.end(SpanKind::Compute, supersteps, t0);
         }
-        let mut mask = s.channel_mask();
-        let mut total_active;
-        if mask == 0 {
-            // Channel-free superstep: one reduction decides global
-            // activity.
-            let t0 = tracer.as_ref().map(|t| t.now_us());
-            total_active = hub.reduce(w, &[s.pending_active()])[0];
-            if let (Some(t), Some(t0)) = (tracer.as_mut(), t0) {
-                t.end(SpanKind::Barrier, supersteps, t0);
-            }
-        } else {
-            total_active = 0;
-        }
-        // All workers computed identical masks, so the round loop stays in
-        // lock-step. Each iteration synchronizes exactly twice: the
-        // post/take rendezvous and the fused again/active reduction.
-        while mask != 0 {
+        // The speculative round loop (module docs). Every worker runs the
+        // same exchanges, so the loop stays in lock-step; each exchange
+        // is the one synchronization of its round. Round 1 serializes
+        // every channel, and its lane-0 word — the full mask, the same on
+        // every worker — makes it a round unless there are no channels.
+        let mut local = s.channel_mask();
+        let total_active = loop {
             let tx = tracer.as_ref().map(|t| t.now_us());
-            s.serialize_phase(mask);
-            // Buffers recycled by last round's receivers come home before
-            // we drain, so the swap hits the pool.
-            hub.reclaim_into(w, &mut s.pool);
-            s.drain(&mut drained);
-            let from = s.worker();
-            for (peer, buf) in drained.drain(..) {
-                hub.post(from, peer, buf);
+            if local != 0 {
+                s.serialize_phase(local, false);
+                // Buffers recycled by last round's receivers come home
+                // before we drain, so the swap hits the pool.
+                hub.reclaim_into(w, &mut s.pool);
+                s.drain(&mut drained);
+                for (peer, buf) in drained.drain(..) {
+                    hub.post(w, peer, buf);
+                }
             }
-            hub.sync(w);
-            hub.take_all_into(w, &mut received);
-            let again = s.deserialize_phase(&received, mask);
+            hub.sync(w, [local, s.pending_active()]);
+            let [global, active] = hub.take_all_into(w, &mut received);
+            if global == 0 {
+                // The confirming exchange: no worker asked for a round,
+                // so no worker posted anything.
+                debug_assert!(received.is_empty());
+                if let (Some(t), Some(tx)) = (tracer.as_mut(), tx) {
+                    t.end(SpanKind::Barrier, supersteps, tx);
+                }
+                break active;
+            }
+            s.serialize_phase(global & !local, true);
+            local = s.deserialize_phase(&received, global);
             for (sender, buf) in received.drain(..) {
                 hub.recycle(w, sender, buf);
             }
@@ -828,15 +873,8 @@ fn drive_worker<A: Algorithm, T: ExchangeTransport + ?Sized>(
             if let (Some(t), Some(tx)) = (tracer.as_mut(), tx) {
                 exchange_us += t.end(SpanKind::Exchange, supersteps, tx);
             }
-            let tb = tracer.as_ref().map(|t| t.now_us());
-            let (gmask, active) = hub.reduce_round(w, again, s.pending_active());
-            if let (Some(t), Some(tb)) = (tracer.as_mut(), tb) {
-                t.end(SpanKind::Barrier, supersteps, tb);
-            }
             rounds += 1;
-            mask = gmask;
-            total_active = active;
-        }
+        };
         s.end_superstep();
         if let (Some(t), Some(base)) = (tracer.as_mut(), base) {
             let (messages, remote_bytes) = s.traffic_totals();
@@ -886,9 +924,10 @@ fn drive_worker<A: Algorithm, T: ExchangeTransport + ?Sized>(
             t.end_with(SpanKind::CheckpointDrain, supersteps, t0, [0, stall_us]);
         }
     }
-    // Nothing follows the final reduction, so frames a batched transport
-    // still holds for coalescing (the last round's reduction result)
-    // must be pushed out before this worker leaves the protocol.
+    // Peers may still be waiting for this worker's last frames (the final
+    // confirming exchange's, or the checkpoint drain's), which a batched
+    // transport can still hold in a send queue: push them out before this
+    // worker leaves the protocol.
     hub.flush(w);
     let trace = tracer.map(|mut t| {
         // Waits incurred by the final flush still belong to the last
@@ -1144,11 +1183,11 @@ fn run_rank<A: Algorithm>(
         &mut frame,
     );
     t.post(w, root, frame);
-    t.sync(w);
-    // No reduction follows the gather round, so the batched driver's
-    // held-for-coalescing frames must be pushed out explicitly — without
-    // this, rank 0 would wait on frames parked in its peers' send queues
-    // until the io deadline.
+    t.sync(w, [0, 0]);
+    // Nothing follows the gather round, so the batched driver's queued
+    // frames must be pushed out explicitly — without this, rank 0 could
+    // wait on frames parked in its peers' send queues until the io
+    // deadline.
     t.flush(w);
     let mut received: BufList = Vec::new();
     t.take_all_into(w, &mut received);
@@ -1159,8 +1198,7 @@ fn run_rank<A: Algorithm>(
         ..Default::default()
     };
     if w != root {
-        // Non-root ranks keep their local view; `received` only drained
-        // the round's SKIP markers.
+        // Non-root ranks keep their local view; `received` is empty.
         stats.transport = local_tstats;
         stats.recoveries = role.recoveries;
         stats.recovery_us = role.recovery_us;
@@ -1392,11 +1430,12 @@ mod tests {
         assert_eq!(b.stats.transport_name, "tcp");
         // Wire accounting differs by design: the hub counts every posted
         // payload (loop-back included), tcp counts real socket traffic
-        // (headers, skip markers and reduction frames; self-delivery
-        // never touches the wire). Both must be live.
+        // (headers and END frames; self-delivery never touches the wire).
+        // Both must be live. Without checkpoints nothing runs a
+        // standalone reduction: every round's words ride its exchange.
         assert!(b.stats.transport.wire_bytes > 0);
         assert!(b.stats.transport.frames > 0);
-        assert!(b.stats.transport.round_trips > 0);
+        assert_eq!(b.stats.transport.round_trips, 0);
         assert!(a.stats.transport.frames > 0);
     }
 
@@ -1878,15 +1917,61 @@ mod tests {
     fn threaded_rounds_cross_barrier_twice() {
         let topo = Arc::new(Topology::hashed(64, 4));
         let out = run(&PulseAlgo { steps: 50 }, &topo, &Config::with_workers(4));
-        // Each superstep has one exchange round (2 crossings) and the last
-        // superstep of the run adds nothing extra; allow the final
-        // channel-free accounting margin.
-        let per_round = out.stats.crossings_per_round();
-        assert!(
-            per_round <= 2.1,
-            "expected ≤2 barrier crossings per round, measured {per_round}"
+        // One crossing per round plus one confirming exchange per
+        // superstep: with one round per superstep, exactly two per round.
+        assert_eq!(out.stats.rounds, 50);
+        assert_eq!(
+            out.stats.barrier_crossings,
+            out.stats.rounds + out.stats.supersteps
         );
-        assert!(out.stats.barrier_crossings > 0);
+        assert_eq!(out.stats.crossings_per_round(), 2.0);
+    }
+
+    /// A channel that asks for a second round on worker 0 only, but
+    /// writes a frame every time it is serialized — also in the late
+    /// serialize worker 1 runs for it in round 2, after its own `again()`
+    /// said no. The engine refuses it by name. (The sequential driver runs
+    /// the threaded drivers' speculative sequence, so it checks the same
+    /// contract, and a panic cannot strand a peer at a barrier.)
+    struct Greedy {
+        env: WorkerEnv,
+        rounds: u64,
+    }
+    impl Channel<u64> for Greedy {
+        fn name(&self) -> &'static str {
+            "greedy"
+        }
+        fn serialize(&mut self, cx: &mut SerializeCx<'_>) {
+            cx.frame(0, |buf| self.rounds.encode(buf));
+        }
+        fn deserialize(&mut self, _cx: &mut DeserializeCx<'_, u64>) {
+            self.rounds += 1;
+        }
+        fn again(&self) -> bool {
+            self.env.worker == 0 && self.rounds == 1
+        }
+    }
+
+    struct GreedyAlgo;
+    impl Algorithm for GreedyAlgo {
+        type Value = u64;
+        type Channels = (Greedy,);
+        fn channels(&self, env: &WorkerEnv) -> Self::Channels {
+            (Greedy {
+                env: env.clone(),
+                rounds: 0,
+            },)
+        }
+        fn compute(&self, v: &mut VertexCtx<'_>, _value: &mut u64, _ch: &mut Self::Channels) {
+            v.vote_to_halt();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "channel 'greedy' emitted a frame in a round it did not ask for")]
+    fn late_serialized_channel_that_emits_is_refused_by_name() {
+        let topo = Arc::new(Topology::hashed(16, 2));
+        run(&GreedyAlgo, &topo, &Config::sequential(2));
     }
 
     /// Sparse-frontier regression guard: after step 1 only vertex 0 stays

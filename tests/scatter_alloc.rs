@@ -181,37 +181,38 @@ fn extra_mirror_supersteps_allocate_nothing() {
 
 /// BFS over the `Propagation` channel down the same path from its middle
 /// and from one end: the same graph and registration, a thousand more
-/// rounds of one popped vertex and at most one message each. Two workers,
-/// as `bfs_chain` has ranks: with three, a round returns one buffer of
-/// three to the pool, whose trim then shrinks and regrows it every round
-/// (0.84 reallocations per round, with any channel — `pc_bsp::pool`'s to
-/// fix, not hidden here).
+/// rounds of one popped vertex and at most one message each. With three
+/// or more workers a round returns one buffer of several to the pool,
+/// which its trim must not shrink below the size a buffer in use needs
+/// (it used to: 0.84 reallocations per round).
 #[test]
 fn extra_propagation_rounds_allocate_nothing() {
     let g = Arc::new(gen::chain(4000));
-    // Hashed placement: every other hop crosses workers and ends a round.
-    let topo = Arc::new(Topology::hashed(g.n(), 2));
-    let cfg = Config::sequential(2);
-    let bfs = |src| {
-        let mut rounds = 0;
-        let allocs = allocations(|| {
-            rounds = pc_algos::kernels::bfs(&g, &topo, &cfg, src).stats.rounds;
-        });
-        (allocs, rounds)
-    };
-    // From the middle the two wavefronts share rounds; from an end the
-    // walk is twice as long.
-    let (short_allocs, short_rounds) = bfs(2000);
-    let (long_allocs, long_rounds) = bfs(0);
-    assert!(
-        short_rounds > 500 && long_rounds > short_rounds + 800,
-        "{short_rounds} {long_rounds}"
-    );
-    assert!(
-        long_allocs <= short_allocs,
-        "{} extra rounds cost {} allocations ({short_rounds} rounds: {short_allocs}, \
-         {long_rounds} rounds: {long_allocs})",
-        long_rounds - short_rounds,
-        long_allocs - short_allocs,
-    );
+    for workers in [2, 3, 4] {
+        // Hashed placement: most hops cross workers and end a round.
+        let topo = Arc::new(Topology::hashed(g.n(), workers));
+        let cfg = Config::sequential(workers);
+        let bfs = |src| {
+            let mut rounds = 0;
+            let allocs = allocations(|| {
+                rounds = pc_algos::kernels::bfs(&g, &topo, &cfg, src).stats.rounds;
+            });
+            (allocs, rounds)
+        };
+        // From the middle the two wavefronts share rounds; from an end
+        // the walk is twice as long.
+        let (short_allocs, short_rounds) = bfs(2000);
+        let (long_allocs, long_rounds) = bfs(0);
+        assert!(
+            short_rounds > 500 && long_rounds > short_rounds + 800,
+            "{workers} workers: {short_rounds} {long_rounds}"
+        );
+        assert!(
+            long_allocs <= short_allocs,
+            "{workers} workers: {} extra rounds cost {} allocations ({short_rounds} \
+             rounds: {short_allocs}, {long_rounds} rounds: {long_allocs})",
+            long_rounds - short_rounds,
+            long_allocs - short_allocs,
+        );
+    }
 }

@@ -198,6 +198,107 @@ fn pointer_jumping_conforms() {
     });
 }
 
+/// `bfs_chain` in miniature: BFS down a label-permuted path over four
+/// workers — hundreds of rounds of at most one message, in each of which
+/// the workers that relaxed nothing serialize `Propagation` late, after
+/// the exchange told them another worker asked for the round.
+#[test]
+fn permuted_path_bfs_conforms() {
+    let n = 300usize;
+    let mut label: Vec<u32> = (0..n as u32).collect();
+    let mut x = 7u64;
+    for i in (1..n).rev() {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        label.swap(i, (x >> 33) as usize % (i + 1));
+    }
+    let edges: Vec<(u32, u32)> = label.windows(2).map(|w| (w[0], w[1])).collect();
+    let g = Arc::new(pc_graph::Graph::from_edges(n, &edges, false));
+    let topo = Arc::new(Topology::hashed(n, WORKERS));
+    conform("bfs_permuted_path", |cfg| {
+        let o = pc_algos::kernels::bfs(&g, &topo, cfg, label[0]);
+        assert!(o.stats.rounds > 100, "{} rounds", o.stats.rounds);
+        (o.level, o.stats)
+    });
+}
+
+mod partial {
+    use pc_channels::{Algorithm, RequestRespond, VertexCtx, WorkerEnv};
+
+    /// Only vertices on workers 0 and 1 request, and only from each
+    /// other: workers 2 and 3 see no request traffic, answer `again() ==
+    /// false` after the request round, and serialize `RequestRespond`'s
+    /// respond round late.
+    pub struct PartialRequests {
+        pub targets: Vec<Option<u32>>,
+    }
+
+    impl Algorithm for PartialRequests {
+        type Value = u64;
+        type Channels = (RequestRespond<u64, u64>,);
+        pc_channels::dist_value_via_codec!();
+        fn channels(&self, env: &WorkerEnv) -> Self::Channels {
+            (RequestRespond::new(env, |v: &u64| *v),)
+        }
+        fn compute(&self, v: &mut VertexCtx<'_>, value: &mut u64, ch: &mut Self::Channels) {
+            let target = self.targets[v.id as usize];
+            if v.step() == 1 {
+                *value = 3 * v.id as u64 + 1;
+                if let Some(t) = target {
+                    ch.0.add_request(t);
+                    return;
+                }
+            } else if let Some(t) = target {
+                *value += ch.0.get_respond(t).copied().expect("requested last step");
+            }
+            v.vote_to_halt();
+        }
+    }
+}
+
+#[test]
+fn partial_reqresp_conforms() {
+    let n = 120usize;
+    let topo = Arc::new(Topology::hashed(n, WORKERS));
+    let askers: Vec<u32> = (0..n as u32).filter(|&v| topo.worker_of(v) < 2).collect();
+    let mut targets = vec![None; n];
+    for (i, &v) in askers.iter().enumerate() {
+        targets[v as usize] = Some(askers[(i * 7 + 3) % askers.len()]);
+    }
+    let algo = partial::PartialRequests { targets };
+    conform("reqresp_partial", |cfg| {
+        let o = pc_channels::run(&algo, &topo, cfg);
+        assert_eq!(o.stats.rounds, 3, "request + respond, then one empty round");
+        (o.values, o.stats)
+    });
+}
+
+/// A program with no channels: every superstep is its confirming
+/// exchange alone, which must still sum the active counts right.
+#[test]
+fn channel_free_supersteps_conform() {
+    struct CountDown;
+    impl pc_channels::Algorithm for CountDown {
+        type Value = u64;
+        type Channels = ();
+        pc_channels::dist_value_via_codec!();
+        fn channels(&self, _env: &pc_channels::WorkerEnv) -> Self::Channels {}
+        fn compute(&self, v: &mut pc_channels::VertexCtx<'_>, value: &mut u64, _ch: &mut ()) {
+            *value += v.id as u64;
+            if v.step() > (v.id as u64 % 5) {
+                v.vote_to_halt();
+            }
+        }
+    }
+    let topo = Arc::new(Topology::hashed(90, WORKERS));
+    conform("channel_free", |cfg| {
+        let o = pc_channels::run(&CountDown, &topo, cfg);
+        assert_eq!((o.stats.supersteps, o.stats.rounds), (5, 0));
+        (o.values, o.stats)
+    });
+}
+
 // ---------------------------------------------------------------------
 // Wire-order probe: the order frames arrive in must be identical across
 // backends, not just the values they converge to.
@@ -419,8 +520,8 @@ proptest! {
             1..24,
         ),
     ) {
-        use pc_bsp::tcp::{decode_batch, encode_batch, TAG_DATA, TAG_REDUCE, TAG_RESULT, TAG_SKIP};
-        let tags = [TAG_DATA, TAG_SKIP, TAG_REDUCE, TAG_RESULT];
+        use pc_bsp::tcp::{decode_batch, encode_batch, TAG_DATA, TAG_END, TAG_REDUCE, TAG_RESULT};
+        let tags = [TAG_DATA, TAG_END, TAG_REDUCE, TAG_RESULT];
         let frames: Vec<(u8, Vec<u8>)> = frames
             .into_iter()
             .map(|(t, payload)| (tags[t], payload))

@@ -113,11 +113,11 @@ fn peer_closing_between_frames_is_disconnect() {
     with_watchdog(Duration::from_secs(20), || {
         let (a, b) = socket_pair();
         let deadline = Instant::now() + Duration::from_secs(10);
-        write_frame(&a, tcp::TAG_SKIP, &[], deadline, 0).unwrap();
+        write_frame(&a, tcp::TAG_END, &[0; tcp::END_LEN], deadline, 0).unwrap();
         drop(a);
         let mut got = Vec::new();
         let tag = read_frame_into(&b, &mut got, deadline, 5).unwrap();
-        assert_eq!(tag, tcp::TAG_SKIP);
+        assert_eq!(tag, tcp::TAG_END);
         match read_frame_into(&b, &mut got, deadline, 5) {
             Err(TransportError::Disconnected { peer, .. }) => assert_eq!(peer, 5),
             other => panic!("expected Disconnected, got {other:?}"),
@@ -173,13 +173,12 @@ fn late_peer_completes_round_identically() {
                     let mut seen = Vec::new();
                     for round in 0..3u8 {
                         t.post(w, 1 - w, vec![round, w as u8]);
-                        t.sync(w);
-                        t.take_all_into(w, &mut received);
+                        t.sync(w, [u64::from(round), 1]);
+                        let [mask, active] = t.take_all_into(w, &mut received);
                         for (s, buf) in received.drain(..) {
                             seen.push((s, buf.clone()));
                             t.recycle(w, s, buf);
                         }
-                        let (mask, active) = t.reduce_round(w, u64::from(round), 1);
                         seen.push((usize::MAX, vec![mask as u8, active as u8]));
                     }
                     seen
@@ -244,8 +243,9 @@ fn giant_frames_do_not_deadlock() {
                         buf[0] = w as u8; // sender fingerprint
                         t.post(w, peer, buf);
                     }
-                    t.sync(w);
-                    t.take_all_into(w, &mut received);
+                    t.sync(w, [1 << w, 1]);
+                    let words = t.take_all_into(w, &mut received);
+                    assert_eq!(words, [0b111, WORKERS as u64]);
                     assert_eq!(received.len(), WORKERS);
                     for (s, buf) in received.drain(..) {
                         assert_eq!(buf.len(), LEN);
@@ -253,9 +253,6 @@ fn giant_frames_do_not_deadlock() {
                         assert!(buf[1..].iter().all(|&b| b == s as u8 ^ round));
                         t.recycle(w, s, buf);
                     }
-                    let (mask, active) = t.reduce_round(w, 1 << w, 1);
-                    assert_eq!(mask, 0b111);
-                    assert_eq!(active, WORKERS as u64);
                 }
             }));
         }
@@ -272,29 +269,91 @@ fn giant_frames_do_not_deadlock() {
 // coalesced directories are errors, never hangs and never bad reads.
 // ---------------------------------------------------------------------
 
-/// A 2-rank batched mesh where rank 1 is a raw socket under test
-/// control: it completes the `HELLO` handshake like a real peer and then
-/// writes whatever bytes the test wants rank 0 to choke on.
-fn batched_mesh_with_fake_peer(io_timeout: Duration) -> (Tcp, TcpStream) {
+/// A 2-rank mesh where rank 1 is a raw socket under test control: it
+/// completes the `HELLO` handshake like a real peer and then writes
+/// whatever bytes the test wants rank 0 to choke on.
+fn mesh_with_fake_peer(opts: TcpOptions) -> (Tcp, TcpStream) {
     let l0 = TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let l1 = TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let addrs = vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()];
-    let t = Tcp::mesh(
-        0,
-        addrs.clone(),
-        l0,
-        TcpOptions {
-            connect_timeout: Duration::from_secs(5),
-            io_timeout,
-            ..TcpOptions::batched()
-        },
-    )
-    .unwrap();
+    let opts = TcpOptions {
+        connect_timeout: Duration::from_secs(5),
+        ..opts
+    };
+    let t = Tcp::mesh(0, addrs.clone(), l0, opts).unwrap();
     let fake = TcpStream::connect(addrs[0]).unwrap();
     configure_stream(&fake).unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
     write_frame(&fake, tcp::TAG_HELLO, &1u32.to_le_bytes(), deadline, 0).unwrap();
     (t, fake)
+}
+
+/// [`mesh_with_fake_peer`] under the batched driver.
+fn batched_mesh_with_fake_peer(io_timeout: Duration) -> (Tcp, TcpStream) {
+    mesh_with_fake_peer(TcpOptions {
+        io_timeout,
+        ..TcpOptions::batched()
+    })
+}
+
+// ---------------------------------------------------------------------
+// `END` faults, under both drivers: every peer owes every round exactly
+// one `END`, after at most one `DATA`. A peer that breaks that owes a
+// typed error, never a hang.
+// ---------------------------------------------------------------------
+
+/// Rank 0 ends its round, then the fake peer writes `wire` (and closes
+/// when `close`); rank 0's take must fail with what `check` accepts.
+fn end_fault(wire: &[(u8, &[u8])], close: bool, check: fn(&TransportError) -> bool) {
+    for opts in [TcpOptions::default(), TcpOptions::batched()] {
+        let wire: Vec<(u8, Vec<u8>)> = wire.iter().map(|&(t, p)| (t, p.to_vec())).collect();
+        with_watchdog(Duration::from_secs(20), move || {
+            let (t, fake) = mesh_with_fake_peer(TcpOptions {
+                io_timeout: Duration::from_secs(10),
+                ..opts
+            });
+            t.try_sync(0, [0, 1]).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            for (tag, payload) in &wire {
+                write_frame(&fake, *tag, payload, deadline, 0).unwrap();
+            }
+            let fake = (!close).then_some(fake);
+            let mut out = Vec::new();
+            match t.try_take_all_into(0, &mut out) {
+                Err(e) if check(&e) => {}
+                other => panic!("batched={}: unexpected {other:?}", opts.batched),
+            }
+            drop(fake);
+        });
+    }
+}
+
+/// A peer that sends its `DATA` and dies before its `END`.
+#[test]
+fn peer_dying_before_its_end_is_disconnect() {
+    end_fault(&[(tcp::TAG_DATA, &[1, 2, 3])], true, |e| {
+        matches!(e, TransportError::Disconnected { peer: 1, .. })
+    });
+}
+
+/// An `END` whose payload is not the two round words.
+#[test]
+fn truncated_end_is_protocol_violation() {
+    end_fault(
+        &[(tcp::TAG_END, &[0; 8])],
+        false,
+        |e| matches!(e, TransportError::Protocol { peer: 1, detail } if detail.contains("END carries 8 bytes")),
+    );
+}
+
+/// A second `DATA` where the round's `END` belongs.
+#[test]
+fn second_data_before_end_is_protocol_violation() {
+    end_fault(
+        &[(tcp::TAG_DATA, &[1]), (tcp::TAG_DATA, &[2])],
+        false,
+        |e| matches!(e, TransportError::Protocol { peer: 1, detail } if detail.contains("expected END")),
+    );
 }
 
 /// A super-frame header and part of its payload, then EOF: a partial
@@ -336,11 +395,13 @@ fn batched_peer_stalling_between_sub_frames_times_out() {
         let (t, fake) = batched_mesh_with_fake_peer(Duration::from_millis(400));
         // A well-formed batch of two 8-byte sub-frames, cut after the
         // first sub-frame's payload.
-        let payload =
-            tcp::encode_batch(&[(tcp::TAG_DATA, vec![1u8; 8]), (tcp::TAG_SKIP, vec![2u8; 8])]);
+        let payload = tcp::encode_batch(&[
+            (tcp::TAG_DATA, vec![1u8; 8]),
+            (tcp::TAG_END, vec![2u8; tcp::END_LEN]),
+        ]);
         let mut wire = vec![tcp::TAG_BATCH];
         wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        wire.extend_from_slice(&payload[..payload.len() - 8]);
+        wire.extend_from_slice(&payload[..payload.len() - tcp::END_LEN]);
         (&fake).write_all(&wire).unwrap();
         let started = Instant::now();
         let mut out = Vec::new();
@@ -440,7 +501,12 @@ fn batched_peer_hangup_after_handshake_is_disconnect() {
 fn batched_byte_dribble_storm_reassembles_and_counts_polls() {
     with_watchdog(Duration::from_secs(60), || {
         let (t, fake) = batched_mesh_with_fake_peer(Duration::from_secs(30));
-        let payload = tcp::encode_batch(&[(tcp::TAG_DATA, (0..61u8).collect::<Vec<u8>>())]);
+        let mut words = 5u64.to_le_bytes().to_vec();
+        words.extend_from_slice(&7u64.to_le_bytes());
+        let payload = tcp::encode_batch(&[
+            (tcp::TAG_DATA, (0..61u8).collect::<Vec<u8>>()),
+            (tcp::TAG_END, words),
+        ]);
         let mut wire = vec![tcp::TAG_BATCH];
         wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         wire.extend_from_slice(&payload);
@@ -452,8 +518,10 @@ fn batched_byte_dribble_storm_reassembles_and_counts_polls() {
             fake // hold the socket open until the reader is done
         });
         let mut out = Vec::new();
-        t.try_take_all_into(0, &mut out)
+        let words = t
+            .try_take_all_into(0, &mut out)
             .expect("dribbled super-frame must decode");
+        assert_eq!(words, [5, 7], "the peer's round words");
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, 1);
         assert_eq!(out[0].1, (0..61u8).collect::<Vec<u8>>());
@@ -490,8 +558,9 @@ fn batched_giant_all_to_all_completes_over_multiplexed_waits() {
                         buf[0] = w as u8;
                         t.post(w, peer, buf);
                     }
-                    t.sync(w);
-                    t.take_all_into(w, &mut received);
+                    t.sync(w, [1 << w, 1]);
+                    let words = t.take_all_into(w, &mut received);
+                    assert_eq!(words, [0b111, WORKERS as u64]);
                     assert_eq!(received.len(), WORKERS);
                     for (s, buf) in received.drain(..) {
                         assert_eq!(buf.len(), LEN);
@@ -499,15 +568,10 @@ fn batched_giant_all_to_all_completes_over_multiplexed_waits() {
                         assert!(buf[1..].iter().all(|&b| b == s as u8 ^ round));
                         t.recycle(w, s, buf);
                     }
-                    let (mask, active) = t.reduce_round(w, 1 << w, 1);
-                    assert_eq!(mask, 0b111);
-                    assert_eq!(active, WORKERS as u64);
-                    // Oversubscribed, the root holds each RESULT to
-                    // coalesce with the next round's frames; no more
-                    // rounds follow the last one here, so release it the
-                    // way the engine's end-of-program epilogue does.
-                    t.flush(w);
                 }
+                // No more rounds follow: push what is still queued, the
+                // way the engine's end-of-program epilogue does.
+                t.flush(w);
             }));
         }
         for h in handles {
