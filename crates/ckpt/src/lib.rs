@@ -14,6 +14,8 @@
 //!                       rank-0001.seg
 //!                       ...
 //!                       MANIFEST          commit record (written last)
+//! <dir>/tables/rank-0000-s0000000002.seg  per-rank registration tables,
+//!              rank-0001-s0000000002.seg  named by the epoch that wrote them
 //! ```
 //!
 //! A checkpoint of superstep `s` is **either complete or invisible**:
@@ -29,13 +31,35 @@
 //!   truncated segment is detected at restore time and the restore falls
 //!   back to the previous complete epoch ([`Store::latest_restorable`]).
 //!
-//! Every file carries a trailing [`fnv64`] digest over its own bytes, and
-//! the manifest additionally records each segment's digest — validation
-//! never trusts file lengths or headers alone.
+//! Every file carries a trailing [`digest`] over its own bytes, and the
+//! manifest additionally records each segment's digest — validation never
+//! trusts file lengths or headers alone. The digest reads eight bytes at a
+//! time into four independent lanes, so hashing keeps up with the disk;
+//! any change confined to one aligned 8-byte word (every single-bit flip
+//! included) always changes it.
 //!
 //! The *contents* of a segment payload belong to the engine
 //! (`pc_channels::engine` encodes vertex values, frontier, channel state
 //! and counters); this crate only frames, digests and commits them.
+//!
+//! ## Registration tables
+//!
+//! Most of a worker's checkpointable state on a static-messaging workload
+//! is route tables its channels build once, in the first supersteps, and
+//! never change again. They live in a **tables file** of their own,
+//! written by the epoch at which they last changed and by no other: a
+//! segment's header links the tables file it was encoded against by
+//! `(superstep, digest)`, the manifest pins the segment's digest, so an
+//! epoch pins its tables transitively. A restore validates both files and
+//! decodes the tables before the state ([`Store::read_snapshot`]).
+//!
+//! **Lifetime.** A tables file lives as long as a kept committed epoch
+//! names it; [`Store::gc`] deletes the others, except those newer than the
+//! newest commit (an epoch in flight may name them). One tables file
+//! usually serves every epoch of a run, so bit rot in it costs every epoch
+//! that names it: the restore scan then finds no restorable epoch of that
+//! lineage and falls back to whatever older epoch names an intact file, or
+//! starts cold — typed, never a partial restore.
 //!
 //! ## Who writes when
 //!
@@ -53,10 +77,13 @@
 //! 3. joins the boundary's one reduction, which acks "my segment of
 //!    *e−1* is durable" (the first boundary has nothing to ack and does
 //!    not reduce);
-//! 4. hands the buffer to the writer ([`Writer::submit`]), whose thread
-//!    digests it and does tmp → `write` → `fsync` → rename → directory
-//!    `fsync` while the next supersteps compute. Worker 0's job first
-//!    commits the epoch that was just acked ([`Store::commit_epoch`]:
+//! 4. hands the buffer to the writer ([`Writer::submit`]) — with a tables
+//!    file in front of it when the worker's tables changed since it last
+//!    wrote one — whose thread digests each and does tmp → `write` →
+//!    `fsync` → rename → directory `fsync` while the next supersteps
+//!    compute: tables first, then the segment, its header linked to the
+//!    worker's newest tables file before it is digested. Worker 0's job
+//!    first commits the epoch that was just acked ([`Store::commit_epoch`]:
 //!    read every rank's trailer, write `MANIFEST` *e−1*, collect
 //!    garbage) — a small fsync that would otherwise queue behind every
 //!    rank's segment write on the superstep path.
@@ -71,7 +98,10 @@
 //! synchronous): a kill during epoch *e*'s write, or after it and before
 //! the next boundary's commit, restores *e−1*. The segments of the
 //! uncommitted epoch stay where they are — [`Store::gc`] spares anything
-//! newer than the newest commit — and the replay overwrites them.
+//! newer than the newest commit — and the replay overwrites them. A
+//! commit collects garbage as of itself: committed epochs newer than it
+//! belong to an earlier attempt the replay is rewriting (they did not
+//! restore), so they are left to it, in-flight `.tmp`s included.
 //!
 //! **Why `Drop` joins.** A worker that unwinds (a peer died; `pcgraph`
 //! catches the panic, rebuilds the mesh and re-enters the engine) drops
@@ -96,17 +126,76 @@ pub const MANIFEST_MAGIC: u64 = 0x0100_4e41_4d63_7000;
 pub const CTRL_MAGIC: u64 = 0x0100_4c54_4363_7000;
 /// Magic prefix of the coordinator advertisement ("pcADV\x01" padded).
 pub const ADVERT_MAGIC: u64 = 0x0100_5644_4163_7000;
-/// On-disk format version; bumped on any layout change. 3: the `Mirror`
-/// and `Propagation` channels write flat adjacency tables (2 was PR 14's
-/// scatter route tables).
-pub const FORMAT_VERSION: u32 = 3;
+/// Magic prefix of a registration-tables file ("pcTAB\x01" padded).
+pub const TABLES_MAGIC: u64 = 0x0100_4241_5463_7000;
+/// On-disk format version; bumped on any layout change. 4: every file is
+/// checked by the word-at-a-time [`digest`], and channel registration
+/// tables moved out of the segments into tables files the segments link
+/// (3 had the `Mirror` and `Propagation` flat adjacency tables in every
+/// segment).
+pub const FORMAT_VERSION: u32 = 4;
 /// Committed epochs the garbage collector keeps: the newest one plus one
 /// fallback for the torn-write path.
 pub const KEEP_COMMITTED: usize = 2;
 
-/// FNV-1a 64-bit digest — small, dependency-free, and plenty for
-/// detecting torn writes and bit rot (this is not an adversarial setting:
-/// checkpoints live on the operator's own disk).
+/// Odd multipliers of [`digest`]'s lanes (odd, so a lane step is a
+/// bijection of the lane).
+const LANE_MUL: [u64; 4] = [
+    0x9e37_79b9_7f4a_7c15,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0x85eb_ca77_c2b2_ae63,
+];
+
+/// One multiply–xorshift step: a bijection of `lane` for a fixed `word`
+/// and of `word` for a fixed `lane`.
+#[inline(always)]
+fn lane_step(lane: u64, word: u64, mul: u64) -> u64 {
+    let h = (lane ^ word).wrapping_mul(mul);
+    h ^ (h >> 29)
+}
+
+/// The content digest every checkpoint file carries in its trailer: four
+/// independent multiply–xorshift lanes over 32-byte blocks, seeded with
+/// the length; the tail's whole and partial (zero-padded) words go one to
+/// a lane; the lanes are folded with rotations and a final avalanche.
+///
+/// Every step is a bijection of the state it updates, so a change
+/// confined to one aligned 8-byte word — every single-bit flip — always
+/// changes the digest; anything else (swapped words, truncation, a
+/// different length) changes it with overwhelming probability. It detects
+/// torn writes and bit rot; it is not meant to resist an adversary
+/// (checkpoints live on the operator's own disk).
+pub fn digest(bytes: &[u8]) -> u64 {
+    let word = |b: &[u8]| {
+        let mut w = [0u8; 8];
+        w[..b.len()].copy_from_slice(b);
+        u64::from_le_bytes(w)
+    };
+    let len = bytes.len() as u64;
+    let mut lanes: [u64; 4] = std::array::from_fn(|i| LANE_MUL[i] ^ len.rotate_left(16 * i as u32));
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let w = u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+            *lane = lane_step(*lane, w, LANE_MUL[i]);
+        }
+    }
+    for (i, tail) in blocks.remainder().chunks(8).enumerate() {
+        lanes[i] = lane_step(lanes[i], word(tail), LANE_MUL[i]);
+    }
+    let mut h = len;
+    for (i, &lane) in lanes.iter().enumerate() {
+        h = lane_step(h, lane.rotate_left(16 * i as u32), LANE_MUL[3 - i]);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^ (h >> 33)
+}
+
+/// FNV-1a 64-bit digest, one byte at a time. No file format uses it any
+/// more ([`digest`] replaced it); it stays for small inputs such as the
+/// benchmark's stdout digests.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -229,6 +318,27 @@ pub struct Manifest {
     pub digests: Vec<u64>,
 }
 
+/// A segment's link to the registration-tables file it was encoded
+/// against: the file's name (the superstep that wrote it, beside the
+/// segment's rank) and its content digest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TablesRef {
+    /// Superstep the tables file was written at.
+    pub superstep: u64,
+    /// The tables file's content digest.
+    pub digest: u64,
+}
+
+/// What a worker restores from: its segment and, when the segment links
+/// one, the tables file's link and payload.
+#[derive(Debug)]
+pub struct Snapshot {
+    /// The validated segment.
+    pub segment: Segment,
+    /// The tables file the segment names, validated against its link.
+    pub tables: Option<(TablesRef, Vec<u8>)>,
+}
+
 /// One rank's state snapshot. The payload bytes are produced and consumed
 /// by the engine; this crate treats them as opaque.
 #[derive(Debug, Clone, PartialEq)]
@@ -290,6 +400,8 @@ const REPLICA_DIR: &str = "replica";
 const CTRL_NAME: &str = "CTRL";
 /// File name of the coordinator advertisement at the store root.
 const ADVERT_NAME: &str = "COORDINATOR";
+/// Directory (under the store root) holding the registration tables.
+const TABLES_DIR: &str = "tables";
 
 /// Checkpoint I/O counters of one [`Store`] (shared by its clones): how
 /// many bytes hit or left the disk and how long the store spent doing it.
@@ -375,11 +487,22 @@ impl Store {
         self.step_dir(superstep).join(MANIFEST_NAME)
     }
 
-    /// Write `bytes + fnv64(bytes)` to `path` atomically: tmp file, data
+    /// Directory holding every rank's registration tables.
+    pub fn tables_dir(&self) -> PathBuf {
+        self.dir.join(TABLES_DIR)
+    }
+
+    /// Path of the tables file `rank` wrote at `superstep`.
+    pub fn tables_path(&self, superstep: u64, rank: u32) -> PathBuf {
+        self.tables_dir()
+            .join(format!("rank-{rank:04}-s{superstep:010}.seg"))
+    }
+
+    /// Write `bytes + digest(bytes)` to `path` atomically: tmp file, data
     /// fsync, rename, directory fsync. Returns the digest.
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<u64, CkptError> {
         let started = Instant::now();
-        let digest = fnv64(bytes);
+        let digest = digest(bytes);
         let tmp = path.with_extension("tmp");
         {
             let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, "create tmp file", e))?;
@@ -407,40 +530,65 @@ impl Store {
         Ok(digest)
     }
 
-    /// Read `path` and validate its trailing digest; returns the body
-    /// and the (verified) content digest, so callers comparing against a
-    /// manifest never need to re-hash.
+    /// Read `path` and validate its trailing digest; returns the body —
+    /// the buffer the file was read into, trailer cut off — and the
+    /// (verified) content digest, so callers comparing against a manifest
+    /// never need to re-hash.
     fn read_validated(&self, path: &Path) -> Result<(Vec<u8>, u64), CkptError> {
         let started = Instant::now();
-        let bytes = fs::read(path).map_err(|e| io_err(path, "read checkpoint file", e))?;
-        if bytes.len() < DIGEST_LEN {
+        let mut bytes = fs::read(path).map_err(|e| io_err(path, "read checkpoint file", e))?;
+        let read = bytes.len();
+        let Some(body) = read.checked_sub(DIGEST_LEN) else {
             return Err(CkptError::Corrupt {
                 path: path.to_path_buf(),
-                detail: format!("{} bytes is too short to carry a digest", bytes.len()),
+                detail: format!("{read} bytes is too short to carry a digest"),
             });
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - DIGEST_LEN);
-        let stored = u64::from_le_bytes(trailer.try_into().unwrap());
-        let actual = fnv64(body);
+        };
+        let stored = u64::from_le_bytes(bytes[body..].try_into().expect("a digest-wide trailer"));
+        let actual = digest(&bytes[..body]);
         if stored != actual {
             return Err(CkptError::Corrupt {
                 path: path.to_path_buf(),
                 detail: format!("digest mismatch: stored {stored:#018x}, content {actual:#018x}"),
             });
         }
-        self.io
-            .bytes_read
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        bytes.truncate(body);
+        self.io.bytes_read.fetch_add(read as u64, Ordering::Relaxed);
         self.io
             .read_us
             .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-        Ok((body.to_vec(), stored))
+        Ok((bytes, stored))
+    }
+
+    /// Read and validate a sealed file ([`begin_segment`] or
+    /// [`begin_tables`]) of kind `magic`; returns its header, its payload
+    /// — the read buffer with the header drained off the front, not a
+    /// copy — and its content digest.
+    fn read_framed(&self, path: &Path, magic: u64) -> Result<(Header, Vec<u8>, u64), CkptError> {
+        let (mut body, digest) = self.read_validated(path)?;
+        let corrupt = |detail: String| CkptError::Corrupt {
+            path: path.to_path_buf(),
+            detail,
+        };
+        let header = Header::parse(&body).map_err(corrupt)?;
+        if header.magic != magic {
+            return Err(corrupt(format!("bad magic {:#018x}", header.magic)));
+        }
+        let follow = body.len() - SEGMENT_HEADER_LEN;
+        if header.payload_len != follow as u64 {
+            return Err(corrupt(format!(
+                "payload length {} but {follow} bytes follow",
+                header.payload_len
+            )));
+        }
+        body.drain(..SEGMENT_HEADER_LEN);
+        Ok((header, body, digest))
     }
 
     /// Write one rank's segment (atomically); returns its content digest.
-    /// Frames a copy of the payload — the engine, which encodes its state
-    /// behind [`begin_segment`] in the first place, goes through
-    /// [`Store::write_framed`] without one.
+    /// The segment links no tables file. Frames a copy of the payload —
+    /// the engine, which encodes its state behind [`begin_segment`] in
+    /// the first place, goes through its [`Writer`] without one.
     pub fn write_segment(&self, seg: &Segment) -> Result<u64, CkptError> {
         let mut framed = Vec::with_capacity(SEGMENT_HEADER_LEN + seg.payload.len());
         begin_segment(
@@ -455,14 +603,42 @@ impl Store {
         self.write_framed(&framed)
     }
 
-    /// Write a segment that is already framed ([`begin_segment`] … payload
-    /// … [`seal_segment`]) to the path its header names, atomically;
-    /// returns its content digest.
+    /// Write a file that is already framed ([`begin_segment`] or
+    /// [`begin_tables`] … payload … [`seal_segment`]) to the path its
+    /// header names, atomically; returns its content digest.
     pub fn write_framed(&self, framed: &[u8]) -> Result<u64, CkptError> {
-        let seg = SegmentView::parse(framed).expect("write_framed takes a sealed segment");
-        let step = self.step_dir(seg.superstep);
-        fs::create_dir_all(&step).map_err(|e| io_err(&step, "create step dir", e))?;
-        self.write_atomic(&self.segment_path(seg.superstep, seg.rank), framed)
+        let h = Header::parse(framed).expect("write_framed takes a sealed file");
+        let (dir, during, path) = if h.magic == TABLES_MAGIC {
+            let path = self.tables_path(h.superstep, h.rank);
+            (self.tables_dir(), "create tables dir", path)
+        } else {
+            let path = self.segment_path(h.superstep, h.rank);
+            (self.step_dir(h.superstep), "create step dir", path)
+        };
+        fs::create_dir_all(&dir).map_err(|e| io_err(&dir, during, e))?;
+        self.write_atomic(&path, framed)
+    }
+
+    /// A [`Writer`] job's files: `tables` first when there are any (they
+    /// become `link`), then the segment, linked to `link`. Returns the
+    /// segment's digest, or the first write that failed.
+    fn write_linked(
+        &self,
+        framed: &mut [u8],
+        tables: Option<&[u8]>,
+        link: &mut Option<TablesRef>,
+    ) -> Result<u64, CkptError> {
+        if let Some(tables) = tables {
+            let h = Header::parse(tables).expect("a writer job takes sealed tables");
+            *link = Some(TablesRef {
+                superstep: h.superstep,
+                digest: self.write_framed(tables)?,
+            });
+        }
+        if let Some(link) = *link {
+            link_tables(framed, link);
+        }
+        self.write_framed(framed)
     }
 
     /// The digest a segment file carries (its last 8 bytes). Rank 0 reads
@@ -479,39 +655,71 @@ impl Store {
         Ok(u64::from_le_bytes(trailer))
     }
 
-    /// Read and fully validate one rank's segment.
+    /// Read and fully validate one rank's segment (the segment alone; the
+    /// tables file it links is [`Store::read_snapshot`]'s business).
     pub fn read_segment(&self, superstep: u64, rank: u32) -> Result<Segment, CkptError> {
         Ok(self.read_segment_with_digest(superstep, rank)?.0)
     }
 
     /// [`Store::read_segment`] plus the segment's verified content
-    /// digest (what the manifest pins), without re-hashing.
+    /// digest (what the manifest pins), without re-hashing, and its
+    /// tables link.
     fn read_segment_with_digest(
         &self,
         superstep: u64,
         rank: u32,
-    ) -> Result<(Segment, u64), CkptError> {
+    ) -> Result<(Segment, u64, Option<TablesRef>), CkptError> {
         let path = self.segment_path(superstep, rank);
-        let (body, digest) = self.read_validated(&path)?;
-        let corrupt = |detail: String| CkptError::Corrupt {
-            path: path.clone(),
-            detail,
-        };
-        let view = SegmentView::parse(&body).map_err(corrupt)?;
-        let seg = Segment {
-            superstep: view.superstep,
-            rounds: view.rounds,
-            rank: view.rank,
-            workers: view.workers,
-            payload: view.payload.to_vec(),
-        };
-        if seg.superstep != superstep || seg.rank != rank {
-            return Err(corrupt(format!(
-                "segment claims superstep {}/rank {}, expected {superstep}/{rank}",
-                seg.superstep, seg.rank
-            )));
+        let (h, payload, digest) = self.read_framed(&path, SEGMENT_MAGIC)?;
+        if h.superstep != superstep || h.rank != rank {
+            return Err(CkptError::Corrupt {
+                path,
+                detail: format!(
+                    "segment claims superstep {}/rank {}, expected {superstep}/{rank}",
+                    h.superstep, h.rank
+                ),
+            });
         }
-        Ok((seg, digest))
+        let seg = Segment {
+            superstep,
+            rounds: h.rounds,
+            rank,
+            workers: h.workers,
+            payload,
+        };
+        Ok((seg, digest, h.tables))
+    }
+
+    /// The payload of the tables file `link` names for `rank` of a
+    /// `workers`-wide run, validated against the link's digest.
+    fn read_tables(&self, link: TablesRef, rank: u32, workers: u32) -> Result<Vec<u8>, CkptError> {
+        let path = self.tables_path(link.superstep, rank);
+        let (h, payload, digest) = self.read_framed(&path, TABLES_MAGIC)?;
+        let detail = if digest != link.digest {
+            format!(
+                "tables digest {digest:#018x} does not match the segment's link {:#018x}",
+                link.digest
+            )
+        } else if (h.superstep, h.rank, h.workers) != (link.superstep, rank, workers) {
+            format!(
+                "tables claim superstep {}/rank {} of {}, expected {}/{rank} of {workers}",
+                h.superstep, h.rank, h.workers, link.superstep
+            )
+        } else {
+            return Ok(payload);
+        };
+        Err(CkptError::Corrupt { path, detail })
+    }
+
+    /// Everything `rank` restores from at epoch `superstep`: its segment
+    /// and the tables file the segment links, both validated. One read
+    /// buffer per file, handed out as the payload.
+    pub fn read_snapshot(&self, superstep: u64, rank: u32) -> Result<Snapshot, CkptError> {
+        let (segment, _, link) = self.read_segment_with_digest(superstep, rank)?;
+        let tables = link
+            .map(|link| Ok((link, self.read_tables(link, rank, segment.workers)?)))
+            .transpose()?;
+        Ok(Snapshot { segment, tables })
     }
 
     /// Commit one epoch: write its manifest atomically. After this
@@ -549,7 +757,7 @@ impl Store {
             rounds: epoch.rounds,
             digests,
         })?;
-        let _ = self.gc(KEEP_COMMITTED);
+        let _ = self.gc_through(epoch.superstep, KEEP_COMMITTED);
         Ok(())
     }
 
@@ -638,9 +846,10 @@ impl Store {
     }
 
     /// The newest epoch that can actually be restored for `id`: its
-    /// manifest is digest-valid, names the same run, and **every** rank's
-    /// segment validates against the manifest's pinned digest. A torn or
-    /// truncated segment fails that epoch and the scan falls back to the
+    /// manifest is digest-valid, names the same run, **every** rank's
+    /// segment validates against the manifest's pinned digest, and every
+    /// tables file a segment links validates against the link. A torn or
+    /// truncated file fails that epoch and the scan falls back to the
     /// previous committed one — all ranks scanning the same directory
     /// reach the same answer.
     ///
@@ -679,14 +888,15 @@ impl Store {
             if cached {
                 return Ok(Some(manifest));
             }
-            let all_valid = (0..manifest.id.workers).all(|rank| {
-                matches!(
-                    self.read_segment_with_digest(step, rank),
-                    Ok((ref seg, digest))
-                        if digest == manifest.digests[rank as usize]
-                            && seg.rounds == manifest.rounds
-                            && seg.workers == manifest.id.workers
-                )
+            let workers = manifest.id.workers;
+            let all_valid = (0..workers).all(|rank| {
+                let Ok((seg, digest, link)) = self.read_segment_with_digest(step, rank) else {
+                    return false;
+                };
+                digest == manifest.digests[rank as usize]
+                    && seg.rounds == manifest.rounds
+                    && seg.workers == workers
+                    && link.is_none_or(|link| self.read_tables(link, rank, workers).is_ok())
             });
             if all_valid {
                 self.validated.lock().unwrap().insert(step, file_digest);
@@ -708,48 +918,101 @@ impl Store {
     /// otherwise carry it forever. Uncommitted epochs are left untouched
     /// — a newer in-flight checkpoint legitimately holds tmp files
     /// mid-write.
+    ///
+    /// Then the tables files go the same way ([`Store::sweep_tables`]).
     pub fn gc(&self, keep: usize) -> Result<(), CkptError> {
+        self.gc_through(u64::MAX, keep)
+    }
+
+    /// [`Store::gc`] as of the commit of epoch `newest`: committed epochs
+    /// newer than it are a previous attempt's, ones the replay now in
+    /// flight is rewriting (a resume falls back past them only when they
+    /// do not restore), so they count as in flight — neither kept nor
+    /// swept.
+    fn gc_through(&self, newest: u64, keep: usize) -> Result<(), CkptError> {
         self.validated.lock().unwrap().clear();
-        let committed = self.committed_steps()?;
+        let mut committed = self.committed_steps()?;
+        committed.retain(|&step| step <= newest);
         for &step in &committed {
             self.sweep_orphan_tmps(step);
         }
-        if committed.len() <= keep {
-            // Still remove uncommitted stragglers older than the oldest
-            // kept committed epoch (a crashed run's partial epoch).
-            if let Some(&oldest_kept) = committed.first() {
-                for step in self.step_dirs()? {
-                    if step < oldest_kept && !committed.contains(&step) {
-                        let _ = fs::remove_dir_all(self.step_dir(step));
-                    }
-                }
-            }
+        let kept = &committed[committed.len().saturating_sub(keep)..];
+        let Some(&oldest_kept) = kept.first() else {
             return Ok(());
-        }
-        let cutoff = committed[committed.len() - keep];
+        };
+        // Superseded epochs, and uncommitted stragglers older than the
+        // oldest kept epoch (a crashed run's partial epoch).
         for step in self.step_dirs()? {
-            if step < cutoff {
+            if step < oldest_kept {
                 let _ = fs::remove_dir_all(self.step_dir(step));
             }
         }
+        self.sweep_tables(kept);
         Ok(())
+    }
+
+    /// Delete every tables file (and abandoned `.tmp`) that no segment of
+    /// the `kept` committed epochs links and that is not newer than the
+    /// newest of them — a newer one may belong to an epoch in flight.
+    /// Best effort: when a kept segment's header cannot be read, nothing
+    /// is deleted, since what it links is unknown.
+    fn sweep_tables(&self, kept: &[u64]) {
+        let Some(&newest) = kept.last() else {
+            return;
+        };
+        let mut linked = Vec::new();
+        for &step in kept {
+            let Ok(manifest) = self.read_manifest(step) else {
+                return;
+            };
+            for rank in 0..manifest.id.workers {
+                match self.segment_header(step, rank) {
+                    Ok(h) => linked.extend(h.tables.map(|t| (rank, t.superstep))),
+                    Err(_) => return,
+                }
+            }
+        }
+        let Ok(entries) = fs::read_dir(self.tables_dir()) else {
+            return;
+        };
+        for entry in entries.flatten() {
+            let name = entry.file_name();
+            let Some((rank, step, is_tmp)) = name.to_str().and_then(parse_tables_name) else {
+                continue;
+            };
+            if step <= newest && (is_tmp || !linked.contains(&(rank, step))) {
+                let _ = fs::remove_file(entry.path());
+            }
+        }
+    }
+
+    /// The header of one rank's segment, read without the rest of it.
+    fn segment_header(&self, superstep: u64, rank: u32) -> Result<Header, CkptError> {
+        use std::io::Read;
+        let path = self.segment_path(superstep, rank);
+        let mut head = [0u8; SEGMENT_HEADER_LEN];
+        fs::File::open(&path)
+            .and_then(|mut f| f.read_exact(&mut head))
+            .map_err(|e| io_err(&path, "read segment header", e))?;
+        Header::parse(&head).map_err(|detail| CkptError::Corrupt { path, detail })
     }
 
     /// Remove every checkpoint epoch (the launcher wipes the directory at
     /// the start of a fresh job so stale epochs cannot be restored into
     /// it, and cleans up after a successful one). `remove_dir_all` takes
-    /// each epoch wholesale, orphaned tmp files included. The control
-    /// replica and coordinator advertisement go with them: a fresh job
-    /// must not discover a previous job's coordinator.
+    /// each epoch wholesale, orphaned tmp files included, and the tables
+    /// files with them. The control replica and coordinator advertisement
+    /// go too: a fresh job must not discover a previous job's coordinator.
     pub fn wipe(&self) -> Result<(), CkptError> {
         self.validated.lock().unwrap().clear();
         for step in self.step_dirs()? {
             fs::remove_dir_all(self.step_dir(step))
                 .map_err(|e| io_err(&self.step_dir(step), "remove step dir", e))?;
         }
-        let replica = self.replica_dir();
-        if replica.exists() {
-            fs::remove_dir_all(&replica).map_err(|e| io_err(&replica, "remove replica dir", e))?;
+        for dir in [self.tables_dir(), self.replica_dir()] {
+            if dir.exists() {
+                fs::remove_dir_all(&dir).map_err(|e| io_err(&dir, "remove checkpoint dir", e))?;
+            }
         }
         let advert = self.advertisement_path();
         match fs::remove_file(&advert) {
@@ -973,56 +1236,103 @@ impl Store {
     }
 }
 
-/// Bytes [`begin_segment`] puts in front of a payload: magic, format
-/// version, superstep, rounds, rank, workers, payload length.
-pub const SEGMENT_HEADER_LEN: usize = 44;
+/// `(rank, superstep, is_tmp)` of a tables file name
+/// (`rank-0003-s0000000002.seg`, or its `.tmp`), as
+/// [`Store::tables_path`] spells it.
+fn parse_tables_name(name: &str) -> Option<(u32, u64, bool)> {
+    let (stem, is_tmp) = match name.strip_suffix(".tmp") {
+        Some(stem) => (stem, true),
+        None => (name.strip_suffix(".seg")?, false),
+    };
+    let (rank, step) = stem.strip_prefix("rank-")?.split_once("-s")?;
+    Some((rank.parse().ok()?, step.parse().ok()?, is_tmp))
+}
+
+/// Bytes [`begin_segment`] and [`begin_tables`] put in front of a
+/// payload: magic, format version, superstep, rounds, rank, workers, the
+/// linked tables file (superstep, digest), payload length.
+pub const SEGMENT_HEADER_LEN: usize = 60;
+/// Where in that header the tables link sits.
+const TABLES_LINK_AT: usize = 36;
 /// Where in that header the payload length sits.
 const PAYLOAD_LEN_AT: usize = SEGMENT_HEADER_LEN - 8;
+/// The link superstep of a file that links no tables file.
+const NO_TABLES: u64 = u64::MAX;
 
-/// Start a segment in `buf`: whatever it held is dropped (its capacity
-/// is what the caller came for) and the header goes in front, payload
-/// length still open. The caller appends the payload and closes with
-/// [`seal_segment`]; what `buf` holds then is, byte for byte, the file
-/// minus its digest trailer — the one encoding [`Store::write_segment`],
-/// [`Store::write_framed`] and the restore path's validation share.
+/// Open a segment at the end of `buf`: its header, linking no tables
+/// file, with the payload length still open. The caller appends the
+/// payload and closes the segment with [`seal_segment`]; its bytes are
+/// then, byte for byte, the file minus its digest trailer — the one
+/// encoding [`Store::write_segment`], [`Store::write_framed`] and the
+/// restore path's validation share. A [`Writer`] links the segments it
+/// writes to their worker's newest tables file.
 pub fn begin_segment(buf: &mut Vec<u8>, superstep: u64, rounds: u64, rank: u32, workers: u32) {
-    buf.clear();
-    SEGMENT_MAGIC.encode(buf);
+    begin(buf, SEGMENT_MAGIC, superstep, rounds, rank, workers);
+}
+
+/// Open a tables file at the end of `buf` the way [`begin_segment`]
+/// opens a segment: `rank`'s registration tables as of the boundary after
+/// `superstep`, closed with [`seal_segment`] and followed by that
+/// boundary's segment in the buffer handed to [`Writer::submit`].
+pub fn begin_tables(buf: &mut Vec<u8>, superstep: u64, rank: u32, workers: u32) {
+    begin(buf, TABLES_MAGIC, superstep, 0, rank, workers);
+}
+
+fn begin(buf: &mut Vec<u8>, magic: u64, superstep: u64, rounds: u64, rank: u32, workers: u32) {
+    let at = buf.len();
+    magic.encode(buf);
     FORMAT_VERSION.encode(buf);
     superstep.encode(buf);
     rounds.encode(buf);
     rank.encode(buf);
     workers.encode(buf);
+    debug_assert_eq!(buf.len() - at, TABLES_LINK_AT);
+    NO_TABLES.encode(buf);
     0u64.encode(buf);
-    debug_assert_eq!(buf.len(), SEGMENT_HEADER_LEN);
+    0u64.encode(buf);
+    debug_assert_eq!(buf.len() - at, SEGMENT_HEADER_LEN);
 }
 
-/// Close a segment opened with [`begin_segment`]: everything behind the
-/// header is the payload, and its length is patched into the header.
+/// Close a file opened with [`begin_segment`] or [`begin_tables`] at the
+/// front of `buf` (the file's bytes, from its header to the end): all of
+/// `buf` behind the header is the payload, and its length is patched into
+/// the header.
 pub fn seal_segment(buf: &mut [u8]) {
     let payload = (buf.len() - SEGMENT_HEADER_LEN) as u64;
     buf[PAYLOAD_LEN_AT..SEGMENT_HEADER_LEN].copy_from_slice(&payload.to_le_bytes());
 }
 
-/// A sealed segment (a file's body, digest trailer excluded) taken apart
-/// again — the one reader of what [`begin_segment`] and [`seal_segment`]
-/// lay out, for the restore path and for [`Store::write_framed`] alike.
-struct SegmentView<'a> {
+/// Point a sealed segment at the tables file it was encoded against.
+fn link_tables(framed: &mut [u8], tables: TablesRef) {
+    let link = &mut framed[TABLES_LINK_AT..PAYLOAD_LEN_AT];
+    link[..8].copy_from_slice(&tables.superstep.to_le_bytes());
+    link[8..].copy_from_slice(&tables.digest.to_le_bytes());
+}
+
+/// A sealed file's header taken apart again — the one reader of what
+/// [`begin_segment`], [`begin_tables`] and [`seal_segment`] lay out, for
+/// the restore path, the garbage collector and [`Store::write_framed`].
+struct Header {
+    /// [`SEGMENT_MAGIC`] or [`TABLES_MAGIC`].
+    magic: u64,
     superstep: u64,
     rounds: u64,
     rank: u32,
     workers: u32,
-    payload: &'a [u8],
+    tables: Option<TablesRef>,
+    payload_len: u64,
 }
 
-impl<'a> SegmentView<'a> {
-    fn parse(body: &'a [u8]) -> Result<Self, String> {
-        if body.len() < SEGMENT_HEADER_LEN {
-            return Err("segment header truncated".into());
+impl Header {
+    /// Parse the header at the front of `bytes` (a whole file body, or
+    /// its first [`SEGMENT_HEADER_LEN`] bytes alone).
+    fn parse(bytes: &[u8]) -> Result<Header, String> {
+        if bytes.len() < SEGMENT_HEADER_LEN {
+            return Err("header truncated".into());
         }
-        let mut r = Reader::new(body);
+        let mut r = Reader::new(bytes);
         let magic: u64 = r.get();
-        if magic != SEGMENT_MAGIC {
+        if magic != SEGMENT_MAGIC && magic != TABLES_MAGIC {
             return Err(format!("bad magic {magic:#018x}"));
         }
         let version: u32 = r.get();
@@ -1030,19 +1340,18 @@ impl<'a> SegmentView<'a> {
             return Err(format!("unsupported format version {version}"));
         }
         let (superstep, rounds, rank, workers) = (r.get(), r.get(), r.get(), r.get());
-        let len: u64 = r.get();
-        if r.remaining() as u64 != len {
-            return Err(format!(
-                "payload length {len} but {} bytes follow",
-                r.remaining()
-            ));
-        }
-        Ok(SegmentView {
+        let (link, digest): (u64, u64) = (r.get(), r.get());
+        Ok(Header {
+            magic,
             superstep,
             rounds,
             rank,
             workers,
-            payload: r.take(len as usize),
+            tables: (link != NO_TABLES).then_some(TablesRef {
+                superstep: link,
+                digest,
+            }),
+            payload_len: r.get(),
         })
     }
 }
@@ -1062,10 +1371,14 @@ pub struct Epoch {
 /// What one [`Writer`] job did.
 #[derive(Debug)]
 pub struct Written {
-    /// The segment buffer, back for the next epoch to encode into.
+    /// The buffer, back for the next epoch to encode into.
     pub buf: Vec<u8>,
+    /// The tables file the segment links: the one this job wrote, or the
+    /// one linked before it.
+    pub tables: Option<TablesRef>,
     /// The segment's content digest, once the file is durable under its
-    /// final name.
+    /// final name — or the first write that failed: a segment whose
+    /// tables file did not reach the disk is not written.
     pub segment: Result<u64, CkptError>,
     /// Outcome of the commit that rode along (`Ok` when none did).
     pub commit: Result<(), CkptError>,
@@ -1081,29 +1394,47 @@ pub struct Written {
 pub struct Writer {
     store: Store,
     in_flight: Option<JoinHandle<Written>>,
+    /// The tables file the next segment links: the newest one a job
+    /// wrote, or the one a restore found ([`Writer::link`]).
+    tables: Option<TablesRef>,
 }
 
 impl Writer {
-    /// A writer into `store`, idle.
+    /// A writer into `store`, idle, linking no tables file.
     pub fn new(store: Store) -> Writer {
         Writer {
             store,
             in_flight: None,
+            tables: None,
         }
     }
 
-    /// Start writing a sealed segment ([`Store::write_framed`]). With
-    /// `commit`, the job first commits that (earlier, fully acked) epoch
-    /// — [`Store::commit_epoch`] — and the two outcomes are independent.
-    /// The previous job must have been [`Writer::finish`]ed.
-    pub fn submit(&mut self, framed: Vec<u8>, commit: Option<Epoch>) {
+    /// Link the segments submitted from now on to `tables` until a job
+    /// writes newer ones — for a restored worker, the file its restored
+    /// segment linked, so unchanged tables are not written again.
+    pub fn link(&mut self, tables: Option<TablesRef>) {
+        self.tables = tables;
+    }
+
+    /// Start writing an epoch's sealed files ([`Store::write_framed`]),
+    /// back to back in `buf`: a tables file in its first `tables_len`
+    /// bytes when the worker's tables changed since the last one (written
+    /// first), then the segment, linked to the worker's newest tables
+    /// file. With `commit`, the job first commits that (earlier, fully
+    /// acked) epoch — [`Store::commit_epoch`] — and the two outcomes are
+    /// independent. The previous job must have been [`Writer::finish`]ed.
+    pub fn submit(&mut self, mut buf: Vec<u8>, tables_len: usize, commit: Option<Epoch>) {
         assert!(self.in_flight.is_none(), "one checkpoint job at a time");
         let store = self.store.clone();
+        let mut link = self.tables;
         let job = move || {
             let commit = commit.map_or(Ok(()), |epoch| store.commit_epoch(&epoch));
-            let segment = store.write_framed(&framed);
+            let (tables, segment) = buf.split_at_mut(tables_len);
+            let tables = (!tables.is_empty()).then_some(&*tables);
+            let segment = store.write_linked(segment, tables, &mut link);
             Written {
-                buf: framed,
+                buf,
+                tables: link,
                 segment,
                 commit,
             }
@@ -1118,11 +1449,11 @@ impl Writer {
     /// Wait for the job in flight, if any, and take its result.
     pub fn finish(&mut self) -> Option<Written> {
         let handle = self.in_flight.take()?;
-        Some(
-            handle
-                .join()
-                .unwrap_or_else(|p| std::panic::resume_unwind(p)),
-        )
+        let done = handle
+            .join()
+            .unwrap_or_else(|p| std::panic::resume_unwind(p));
+        self.tables = done.tables;
+        Some(done)
     }
 }
 
@@ -1241,12 +1572,13 @@ mod tests {
             workers: 4,
             payload: (0..=255u8).cycle().take(1000).collect(),
         };
-        let mut framed = vec![0xEE; 7]; // stale bytes of an earlier epoch
-        begin_segment(&mut framed, 8, 31, 2, 4);
-        framed.extend_from_slice(&seg.payload);
-        seal_segment(&mut framed);
+        let mut buf = vec![0xEE; 7]; // a file in front of it
+        begin_segment(&mut buf, 8, 31, 2, 4);
+        buf.extend_from_slice(&seg.payload);
+        let framed = &mut buf[7..];
+        seal_segment(framed);
         assert_eq!(framed.len(), SEGMENT_HEADER_LEN + seg.payload.len());
-        let digest = a.write_framed(&framed).unwrap();
+        let digest = a.write_framed(framed).unwrap();
         assert_eq!(b.write_segment(&seg).unwrap(), digest);
         assert_eq!(
             fs::read(a.segment_path(8, 2)).unwrap(),
@@ -1279,7 +1611,7 @@ mod tests {
 
         let first = framed(2, 0, 1, 4096);
         let (ptr, cap) = (first.as_ptr(), first.capacity());
-        writer.submit(first, None);
+        writer.submit(first, 0, None);
         let done = writer.finish().unwrap();
         assert_eq!((done.buf.as_ptr(), done.buf.capacity()), (ptr, cap));
         assert_eq!(
@@ -1295,7 +1627,7 @@ mod tests {
             superstep: 2,
             rounds: 6,
         };
-        writer.submit(framed(4, 0, 1, 4096), Some(acked));
+        writer.submit(framed(4, 0, 1, 4096), 0, Some(acked));
         let done = writer.finish().unwrap();
         done.segment.unwrap();
         done.commit.unwrap();
@@ -1316,7 +1648,7 @@ mod tests {
     fn dropping_a_writer_joins_the_job_in_flight() {
         let store = tmp_store("writer_drop");
         let mut writer = Writer::new(store.clone());
-        writer.submit(framed(6, 3, 4, 8 << 20), None);
+        writer.submit(framed(6, 3, 4, 8 << 20), 0, None);
         drop(writer);
         let path = store.segment_path(6, 3);
         assert!(
@@ -1342,12 +1674,114 @@ mod tests {
             superstep: 2,
             rounds: 6,
         };
-        writer.submit(framed(4, 0, 1, 64), Some(acked));
+        writer.submit(framed(4, 0, 1, 64), 0, Some(acked));
         let done = writer.finish().unwrap();
         assert_eq!(done.buf.len(), SEGMENT_HEADER_LEN + 64);
         assert!(matches!(done.segment, Err(CkptError::Io { .. })));
         assert!(matches!(done.commit, Err(CkptError::Io { .. })));
         let _ = fs::remove_file(store.dir());
+    }
+
+    fn tables(superstep: u64, fill: u8) -> Vec<u8> {
+        let mut buf = Vec::new();
+        begin_tables(&mut buf, superstep, 0, 1);
+        buf.resize(SEGMENT_HEADER_LEN + 512, fill);
+        seal_segment(&mut buf);
+        buf
+    }
+
+    /// One job on rank 0 of a one-rank run: a segment of `superstep`,
+    /// maybe tables in front of it, maybe the commit of `commit`. Returns
+    /// the tables file the segment links.
+    fn job(
+        writer: &mut Writer,
+        superstep: u64,
+        tables: Option<Vec<u8>>,
+        commit: Option<u64>,
+    ) -> Option<TablesRef> {
+        let commit = commit.map(|superstep| Epoch {
+            id: run_id(1),
+            superstep,
+            rounds: superstep * 3,
+        });
+        let mut buf = tables.unwrap_or_default();
+        let tables_len = buf.len();
+        buf.extend(framed(superstep, 0, 1, 64));
+        writer.submit(buf, tables_len, commit);
+        let done = writer.finish().unwrap();
+        done.segment.unwrap();
+        done.commit.unwrap();
+        done.tables
+    }
+
+    /// A job with tables writes them first and links its segment to them;
+    /// later jobs link the same file until newer tables come, and a
+    /// restore gets the linked payload back. A torn tables file fails
+    /// every epoch that links it.
+    #[test]
+    fn segments_link_their_workers_newest_tables_file() {
+        let store = tmp_store("tables_link");
+        let id = run_id(1);
+        let mut writer = Writer::new(store.clone());
+        assert_eq!(job(&mut writer, 2, None, None), None);
+        let first = job(&mut writer, 4, Some(tables(4, 0xAA)), Some(2)).unwrap();
+        assert_eq!(first.superstep, 4);
+        assert_eq!(job(&mut writer, 6, None, Some(4)), Some(first));
+        job(&mut writer, 8, None, Some(6));
+        assert_eq!(store.committed_steps().unwrap(), vec![4, 6]);
+
+        let snap = store.read_snapshot(6, 0).unwrap();
+        assert_eq!(snap.segment, store.read_segment(6, 0).unwrap());
+        assert_eq!(snap.tables, Some((first, vec![0xAA; 512])));
+        assert_eq!(store.latest_restorable(&id).unwrap().unwrap().superstep, 6);
+
+        let victim = store.tables_path(4, 0);
+        let bytes = fs::read(&victim).unwrap();
+        fs::write(&victim, &bytes[..bytes.len() - 1]).unwrap();
+        store.gc(KEEP_COMMITTED).unwrap(); // clears the validated-epoch cache
+        assert_eq!(store.latest_restorable(&id).unwrap(), None);
+        assert!(matches!(
+            store.read_snapshot(6, 0),
+            Err(CkptError::Corrupt { .. })
+        ));
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// `gc` keeps the tables files a kept committed epoch links and the
+    /// ones newer than the newest commit; every other one goes, abandoned
+    /// `.tmp`s included.
+    #[test]
+    fn gc_keeps_linked_tables_and_drops_orphans() {
+        let store = tmp_store("tables_gc");
+        let mut writer = Writer::new(store.clone());
+        let tables_on_disk = || {
+            let mut names: Vec<String> = fs::read_dir(store.tables_dir())
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        let (t2, t6, t8) = (
+            "rank-0000-s0000000002.seg",
+            "rank-0000-s0000000006.seg",
+            "rank-0000-s0000000008.seg",
+        );
+        job(&mut writer, 2, Some(tables(2, 1)), None);
+        fs::write(store.tables_path(1, 0).with_extension("tmp"), b"abandoned").unwrap();
+        fs::write(store.tables_path(99, 0).with_extension("tmp"), b"in flight").unwrap();
+        let in_flight = "rank-0000-s0000000099.tmp";
+        job(&mut writer, 4, None, Some(2));
+        assert_eq!(tables_on_disk(), [t2, in_flight]);
+        // Newer than the newest commit (4): kept although nothing links it.
+        job(&mut writer, 6, Some(tables(6, 2)), Some(4));
+        job(&mut writer, 8, Some(tables(8, 3)), Some(6));
+        assert_eq!(tables_on_disk(), [t2, t6, t8, in_flight]);
+        // Committed 8: the kept epochs 6 and 8 link t6 and t8 only.
+        job(&mut writer, 10, None, Some(8));
+        assert_eq!(store.committed_steps().unwrap(), vec![6, 8]);
+        assert_eq!(tables_on_disk(), [t6, t8, in_flight]);
+        let _ = fs::remove_dir_all(store.dir());
     }
 
     #[test]
@@ -1470,6 +1904,42 @@ mod tests {
         assert!(store.read_segment(4, 0).is_ok());
         assert!(store.read_segment(4, 1).is_ok());
         assert_eq!(store.latest_restorable(&id).unwrap().unwrap().superstep, 4);
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// A run that starts below committed epochs which did not restore
+    /// replays through them, rewriting them: committing its own epochs
+    /// must neither sweep their tmps mid-write nor keep them in place of
+    /// the epoch just committed.
+    #[test]
+    fn a_commit_leaves_newer_stale_epochs_to_the_replay() {
+        let store = tmp_store("gc_stale");
+        let id = run_id(1);
+        write_epoch(&store, &id, 6, 18);
+        write_epoch(&store, &id, 8, 24);
+        let rewrite = store.segment_path(6, 0).with_extension("tmp");
+        fs::write(&rewrite, b"the replay's epoch 6, mid-write").unwrap();
+        for (superstep, rounds) in [(2, 6), (4, 12)] {
+            store
+                .write_segment(&Segment {
+                    superstep,
+                    rounds,
+                    rank: 0,
+                    workers: 1,
+                    payload: vec![1; 16],
+                })
+                .unwrap();
+            store
+                .commit_epoch(&Epoch {
+                    id: id.clone(),
+                    superstep,
+                    rounds,
+                })
+                .unwrap();
+        }
+        assert!(rewrite.exists(), "a tmp of the replay was swept");
+        assert!(store.step_dir(2).exists(), "a kept epoch was collected");
+        assert_eq!(store.committed_steps().unwrap(), vec![2, 4, 6, 8]);
         let _ = fs::remove_dir_all(store.dir());
     }
 
@@ -1634,6 +2104,25 @@ mod tests {
         assert_eq!(store.read_advertisement().unwrap(), None);
         assert_eq!(store.read_replica(&id).unwrap(), None);
         let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// The digest is the on-disk format, so it is pinned; and a change
+    /// confined to one aligned word — here every single-bit flip of every
+    /// length up to three blocks and a tail — always moves it.
+    #[test]
+    fn digest_is_pinned_and_catches_every_bit_flip() {
+        assert_eq!(digest(b""), 0xabcb_c85e_090f_2cc4);
+        assert_eq!(digest(b"pc-ckpt format 4"), 0x0eef_5dd4_a978_ae0f);
+        let bytes: Vec<u8> = (0..100u8).map(|b| b.wrapping_mul(37)).collect();
+        for len in 0..=bytes.len() {
+            let mut flipped = bytes[..len].to_vec();
+            let base = digest(&flipped);
+            for bit in 0..len * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(digest(&flipped), base, "length {len}, bit {bit}");
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
     }
 
     #[test]

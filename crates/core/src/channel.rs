@@ -234,9 +234,10 @@ pub trait Channel<AV>: Send {
     /// Serialize this channel's cross-superstep state for a checkpoint
     /// taken at a superstep boundary (all exchange rounds finished, the
     /// frontier advanced, nothing in flight). Everything a restored
-    /// instance cannot rebuild from [`crate::Algorithm::channels`] alone
-    /// must be written: registered routes, staged receive state for the
-    /// next superstep's `before_superstep`, the message counter.
+    /// instance cannot rebuild from [`crate::Algorithm::channels`] and
+    /// its tables ([`Channel::encode_tables`]) must be written: staged
+    /// registrations, staged receive state for the next superstep's
+    /// `before_superstep`, the message counter.
     ///
     /// Return `true` when the state was written; the default returns
     /// `false`, marking the channel as not checkpointable (the engine
@@ -247,9 +248,38 @@ pub trait Channel<AV>: Send {
         false
     }
 
+    /// **The tables contract.** A channel's checkpointable state divides
+    /// into *tables* — what registration builds (routes, adjacency, hub
+    /// and ghost tables) and what stays fixed for many epochs — and the
+    /// per-epoch rest [`Channel::encode_state`] writes. The engine writes
+    /// a worker's tables to a file of their own only at the boundaries
+    /// where this counter (summed over the worker's channels) moved since
+    /// the last such file, and every epoch links the newest one.
+    ///
+    /// So a channel must bump its generation whenever its tables change,
+    /// and only then; it starts at 0, meaning "as constructed" — a
+    /// channel whose generation never moved is restored by construction
+    /// alone. Channels without tables keep the defaults and write nothing.
+    fn tables_generation(&self) -> u64 {
+        0
+    }
+
+    /// Serialize the tables (the generation included) for a tables file.
+    fn encode_tables(&self, buf: &mut Vec<u8>) {
+        let _ = buf;
+    }
+
+    /// Restore tables written by [`Channel::encode_tables`], generation
+    /// included, into a freshly constructed instance — before
+    /// [`Channel::decode_state`] restores the rest.
+    fn decode_tables(&mut self, r: &mut Reader<'_>) {
+        let _ = r;
+    }
+
     /// Restore state written by [`Channel::encode_state`] into a freshly
-    /// constructed instance. Only called when `encode_state` returned
-    /// `true`; the default is therefore unreachable.
+    /// constructed instance (whose tables, if it had any, are already
+    /// restored). Only called when `encode_state` returned `true`; the
+    /// default is therefore unreachable.
     fn decode_state(&mut self, r: &mut Reader<'_>) {
         let _ = r;
         unreachable!(

@@ -65,7 +65,7 @@
 //! * a threaded round synchronizes exactly once, and a superstep ends with
 //!   one confirming exchange (above).
 
-use crate::channel::{ChannelSet, DeserializeCx, SerializeCx, VertexCtx, WorkerEnv};
+use crate::channel::{Channel, ChannelSet, DeserializeCx, SerializeCx, VertexCtx, WorkerEnv};
 use crate::frontier::Frontier;
 use pc_bsp::buffer::{frame_spans, FrameSpan, OutBuffers};
 use pc_bsp::codec::{Codec, Reader};
@@ -401,20 +401,80 @@ impl<'a, A: Algorithm> WorkerState<'a, A> {
         let pool = self.pool.stats();
         pool.hits.encode(buf);
         pool.misses.encode(buf);
-        let n_channels = self.channels.len() as u32;
-        n_channels.encode(buf);
-        self.channels.for_each(&mut |_, ch| {
-            let len_at = buf.len();
-            0u64.encode(buf);
-            let state_at = buf.len();
+        self.encode_channels(buf, |ch, buf| {
             assert!(ch.encode_state(buf), "channel lost its state codec");
-            let len = (buf.len() - state_at) as u64;
-            buf[len_at..state_at].copy_from_slice(&len.to_le_bytes());
         });
     }
 
-    /// Restore a freshly constructed worker from a snapshot taken after
-    /// `superstep` (the checkpoint's superstep boundary).
+    /// Sum of the channels' tables generations: it moves exactly when
+    /// some channel's registration tables changed.
+    fn tables_generation(&mut self) -> u64 {
+        let mut generation = 0;
+        self.channels
+            .for_each(&mut |_, ch| generation += ch.tables_generation());
+        generation
+    }
+
+    /// Append every channel's registration tables to `buf` — a tables
+    /// file's payload, the inverse of [`WorkerState::restore_tables`].
+    fn encode_tables(&mut self, buf: &mut Vec<u8>) {
+        self.encode_channels(buf, |ch, buf| ch.encode_tables(buf));
+    }
+
+    /// Restore the channels' registration tables into a freshly
+    /// constructed worker, before its snapshot.
+    fn restore_tables(&mut self, payload: &[u8]) {
+        let mut r = Reader::new(payload);
+        self.decode_channels(&mut r, |ch, r| ch.decode_tables(r));
+        assert!(r.is_empty(), "trailing bytes in worker tables");
+    }
+
+    /// The channel count, then one section per channel: what `encode`
+    /// writes straight into `buf`, behind a length patched in afterwards.
+    fn encode_channels(
+        &mut self,
+        buf: &mut Vec<u8>,
+        encode: fn(&mut dyn Channel<A::Value>, &mut Vec<u8>),
+    ) {
+        (self.channels.len() as u32).encode(buf);
+        self.channels.for_each(&mut |_, ch| {
+            let len_at = buf.len();
+            0u64.encode(buf);
+            let section_at = buf.len();
+            encode(ch, buf);
+            let len = (buf.len() - section_at) as u64;
+            buf[len_at..section_at].copy_from_slice(&len.to_le_bytes());
+        });
+    }
+
+    /// Read what [`WorkerState::encode_channels`] wrote, each section by
+    /// its channel's `decode`, which must consume all of it.
+    fn decode_channels(
+        &mut self,
+        r: &mut Reader<'_>,
+        decode: fn(&mut dyn Channel<A::Value>, &mut Reader<'_>),
+    ) {
+        let n_channels: u32 = r.get();
+        assert_eq!(
+            n_channels as usize,
+            self.channels.len(),
+            "channel count drifted"
+        );
+        self.channels.for_each(&mut |i, ch| {
+            let len: u64 = r.get();
+            let mut section = Reader::new(r.take(len as usize));
+            decode(ch, &mut section);
+            assert!(
+                section.is_empty(),
+                "channel {i} left {} unread snapshot bytes",
+                section.remaining()
+            );
+        });
+    }
+
+    /// Restore a freshly constructed worker (its tables already restored)
+    /// from a snapshot taken after `superstep` (the checkpoint's superstep
+    /// boundary).
     fn restore_snapshot(&mut self, payload: &[u8], superstep: u64) {
         let mut r = Reader::new(payload);
         let numv: u64 = r.get();
@@ -439,23 +499,7 @@ impl<'a, A: Algorithm> WorkerState<'a, A> {
             hits: r.get(),
             misses: r.get(),
         });
-        let n_channels: u32 = r.get();
-        assert_eq!(
-            n_channels as usize,
-            self.channels.len(),
-            "channel count drifted"
-        );
-        self.channels.for_each(&mut |i, ch| {
-            let len: u64 = r.get();
-            let slice = r.take(len as usize);
-            let mut cr = Reader::new(slice);
-            ch.decode_state(&mut cr);
-            assert!(
-                cr.is_empty(),
-                "channel {i} left {} unread snapshot bytes",
-                cr.remaining()
-            );
-        });
+        self.decode_channels(&mut r, |ch, r| ch.decode_state(r));
         assert!(r.is_empty(), "trailing bytes in worker snapshot");
         self.step = superstep;
     }
@@ -550,7 +594,8 @@ fn assemble<V: Clone + Default>(
 /// run resumes from, and the background writer with the epoch it holds.
 /// Every worker computes the same `restore` decision —
 /// [`Store::latest_restorable`] validates the manifest *and* all
-/// segments, so a torn segment fails the epoch for everyone alike.
+/// segments and the tables files they link, so a torn file fails the
+/// epoch for everyone alike.
 struct CkptCtx {
     store: Store,
     every: u64,
@@ -562,6 +607,10 @@ struct CkptCtx {
     /// boundary (or the end-of-run drain) commits it. The same on every
     /// worker, so all of them agree on when there is something to ack.
     unacked: Option<(u64, u64)>,
+    /// The worker's tables generation as of the newest tables file handed
+    /// to `writer` (or restored): a boundary writes tables only when the
+    /// generation moved.
+    tables_generation: u64,
 }
 
 impl CkptCtx {
@@ -583,19 +632,42 @@ impl CkptCtx {
             id,
             restore,
             unacked: None,
+            tables_generation: 0,
         }
+    }
+
+    /// Restore worker `s` from the epoch this run resumes from, if any:
+    /// the tables its segment links first, then the segment. The writer
+    /// goes on linking the restored tables file until they change, so a
+    /// respawned rank does not write again what is already durable.
+    /// Returns the restored `(superstep, rounds)`.
+    fn resume<A: Algorithm>(&mut self, s: &mut WorkerState<'_, A>) -> Option<(u64, u64)> {
+        let m = self.restore.as_ref()?;
+        let snap = self
+            .store
+            .read_snapshot(m.superstep, s.worker() as u32)
+            .unwrap_or_else(|e| panic!("checkpoint read failed: {e}"));
+        if let Some((_, tables)) = &snap.tables {
+            s.restore_tables(tables);
+        }
+        s.restore_snapshot(&snap.segment.payload, m.superstep);
+        self.writer.link(snap.tables.map(|(link, _)| link));
+        self.tables_generation = s.tables_generation();
+        Some((m.superstep, m.rounds))
     }
 
     /// Take the segment buffer back from the writer, waiting for the
     /// epoch it holds to be durable. Checkpoint I/O failures are fatal,
     /// not recoverable, and the writer's surface here: a rank
-    /// that could not persist its state must not go on to ack it.
+    /// that could not persist its state must not go on to ack it. The
+    /// error names the file that failed (a segment, or the tables file in
+    /// front of it).
     fn settle(&mut self) -> Vec<u8> {
         let Some(done) = self.writer.finish() else {
             return Vec::new();
         };
         done.segment
-            .unwrap_or_else(|e| panic!("checkpoint segment write failed: {e}"));
+            .unwrap_or_else(|e| panic!("checkpoint write failed: {e}"));
         done.commit
             .unwrap_or_else(|e| panic!("checkpoint commit failed: {e}"));
         done.buf
@@ -617,11 +689,13 @@ impl CkptCtx {
     }
 
     /// The boundary after `supersteps`: settle the previous epoch, encode
-    /// this one in place into the buffer that came back, ack the previous
-    /// one, and hand the buffer to the writer — on worker 0 together with
-    /// the commit of the epoch just acked. Nothing here waits for a disk
-    /// unless the previous write outlasted a whole checkpoint interval.
-    /// Returns `[snapshot_us, stall_us]` by `clock` (zeros without one).
+    /// this one in place into the buffer that came back (behind the
+    /// tables, if they changed since the last tables file), ack the
+    /// previous one, and hand the buffer to the writer — on worker 0
+    /// together with the commit of the epoch just acked. Nothing
+    /// here waits for a disk unless the previous write outlasted a whole
+    /// checkpoint interval. Returns `[snapshot_us, stall_us]` by `clock`
+    /// (zeros without one).
     fn take<A: Algorithm, T: ExchangeTransport + ?Sized>(
         &mut self,
         s: &mut WorkerState<'_, A>,
@@ -634,12 +708,21 @@ impl CkptCtx {
         let t0 = now();
         let mut buf = self.settle();
         let t1 = now();
+        buf.clear();
+        let generation = s.tables_generation();
+        if generation != self.tables_generation {
+            self.tables_generation = generation;
+            pc_ckpt::begin_tables(&mut buf, supersteps, w as u32, self.id.workers);
+            s.encode_tables(&mut buf);
+            pc_ckpt::seal_segment(&mut buf);
+        }
+        let tables_len = buf.len();
         pc_ckpt::begin_segment(&mut buf, supersteps, rounds, w as u32, self.id.workers);
         s.encode_snapshot(&mut buf);
-        pc_ckpt::seal_segment(&mut buf);
+        pc_ckpt::seal_segment(&mut buf[tables_len..]);
         let t2 = now();
         let commit = self.ack(hub, w);
-        self.writer.submit(buf, commit);
+        self.writer.submit(buf, tables_len, commit);
         self.unacked = Some((supersteps, rounds));
         [t2 - t1, t1 - t0]
     }
@@ -798,20 +881,14 @@ fn drive_worker<A: Algorithm, T: ExchangeTransport + ?Sized>(
         .as_ref()
         .map(|p| CkptCtx::open::<A>(p, topo, cfg.workers));
     let mut last_ckpt = 0u64;
-    if let Some(ck) = &ckpt {
+    if let Some(ck) = &mut ckpt {
         s.assert_checkpointable();
-        if let Some(m) = &ck.restore {
-            let t0 = tracer.as_ref().map(|t| t.now_us());
-            let seg = ck
-                .store
-                .read_segment(m.superstep, w as u32)
-                .unwrap_or_else(|e| panic!("checkpoint segment read failed: {e}"));
-            s.restore_snapshot(&seg.payload, m.superstep);
-            supersteps = m.superstep;
-            rounds = m.rounds;
-            last_ckpt = m.superstep;
+        let t0 = tracer.as_ref().map(|t| t.now_us());
+        if let Some(restored) = ck.resume(&mut s) {
+            (supersteps, rounds) = restored;
+            last_ckpt = supersteps;
             if let (Some(t), Some(t0)) = (tracer.as_mut(), t0) {
-                t.end(SpanKind::Recovery, m.superstep, t0);
+                t.end(SpanKind::Recovery, supersteps, t0);
             }
         }
     }

@@ -383,10 +383,10 @@ impl<M: Codec + Clone> Slots<M> {
         }
     }
 
-    /// Restore into slots of the same length.
-    pub(crate) fn decode(&mut self, r: &mut Reader<'_>) {
+    /// Restore into slots of the same length, refusing any other.
+    pub(crate) fn decode(&mut self, r: &mut Reader<'_>, channel: &str) {
         let present: Vec<bool> = r.get();
-        assert_eq!(present.len(), self.vals.len(), "channel slot count");
+        check(present.len() == self.vals.len(), channel, "slot count");
         for (v, _) in self.vals.iter_mut().zip(&present).filter(|(_, &p)| p) {
             *v = r.get();
         }

@@ -176,6 +176,10 @@ pub struct Mirror<M> {
     /// Rows `finalize` has examined so far — the linearity witness: it
     /// grows by the rows that gained edges, never by the rows that exist.
     rows_examined: u64,
+    /// Bumped whenever the tables — degrees, out-edges, hub and ghost
+    /// tables — change: at every registration (it moves a degree, and
+    /// `finalize` merges it) and with every table section received.
+    generation: u64,
 }
 
 impl<M: Codec + Clone + Send> Mirror<M> {
@@ -217,6 +221,7 @@ impl<M: Codec + Clone + Send> Mirror<M> {
             mirrored: 0,
             saved: 0,
             rows_examined: 0,
+            generation: 0,
             combine,
         };
         if let Some(plan) = env.topo.mirror_plan() {
@@ -255,6 +260,10 @@ impl<M: Codec + Clone + Send> Mirror<M> {
     /// Register broadcast edges from local vertex `src_local` to every
     /// vertex of `dsts` (global ids) — a whole adjacency row in one call.
     pub fn add_edges(&mut self, src_local: u32, dsts: &[VertexId]) {
+        if dsts.is_empty() {
+            return;
+        }
+        self.generation += 1;
         let src = src_local as usize;
         self.degree[src] = u32::try_from(self.degree[src] as usize + dsts.len())
             .expect("more than u32::MAX edges registered by one vertex");
@@ -405,11 +414,13 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for Mirror<M> {
             frame_dsts,
             frame_vals,
             woken,
+            generation,
             ..
         } = self;
         let Slots { vals: acc, present } = incoming;
         for (_from, mut r) in cx.frames() {
             let table_count: u32 = r.get();
+            *generation += u64::from(table_count > 0);
             for _ in 0..table_count {
                 let hub: VertexId = r.get();
                 let targets = r.get::<u32>();
@@ -448,19 +459,12 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for Mirror<M> {
     fn encode_state(&self, buf: &mut Vec<u8>) -> bool {
         // Staged registrations and broadcasts (empty at a superstep
         // boundary, where the engine snapshots; written so a snapshot is
-        // sound wherever it is taken outside `serialize`), the out-edge,
-        // hub and ghost tables, not-yet-shipped table entries and the
-        // staged receive slots. The routed per-peer stages are empty
-        // whenever `serialize` is not running.
+        // sound wherever it is taken outside `serialize`), not-yet-shipped
+        // table entries, the staged receive slots and the counters. The
+        // routed per-peer stages are empty whenever `serialize` is not
+        // running.
         self.staged.encode(buf);
         encode_vec(&self.casts, buf);
-        encode_vec(&self.degree, buf);
-        self.out.encode(buf);
-        encode_vec(&self.hub_peers, buf);
-        self.hubs.encode(buf);
-        encode_vec(&self.ghosts.index, buf);
-        encode_vec(&self.ghosts.targets, buf);
-        self.ghosts.rows.encode(buf);
         for tables in &self.pending {
             encode_vec(&tables.hubs, buf);
             encode_vec(&tables.targets, buf);
@@ -472,16 +476,26 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for Mirror<M> {
         true
     }
 
-    fn decode_state(&mut self, r: &mut Reader<'_>) {
+    fn tables_generation(&self) -> u64 {
+        self.generation
+    }
+
+    fn encode_tables(&self, buf: &mut Vec<u8>) {
+        self.generation.encode(buf);
+        encode_vec(&self.degree, buf);
+        self.out.encode(buf);
+        encode_vec(&self.hub_peers, buf);
+        self.hubs.encode(buf);
+        encode_vec(&self.ghosts.index, buf);
+        encode_vec(&self.ghosts.targets, buf);
+        self.ghosts.rows.encode(buf);
+    }
+
+    fn decode_tables(&mut self, r: &mut Reader<'_>) {
         let topo = &self.env.topo;
         let numv = self.env.local_count();
         let ok = |cond: bool, what: &str| check(cond, "mirror", what);
-        self.staged = Staged::decode(r, numv, topo.n(), "mirror");
-        self.casts = r.get();
-        ok(
-            self.casts.iter().all(|&(src, _)| (src as usize) < numv),
-            "broadcast source",
-        );
+        self.generation = r.get();
         self.degree = r.get();
         ok(self.degree.len() == numv, "degree count");
         self.out = Adjacency::decode(r, numv, topo, "mirror");
@@ -508,6 +522,18 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for Mirror<M> {
             rows,
             targets,
         };
+    }
+
+    fn decode_state(&mut self, r: &mut Reader<'_>) {
+        let topo = &self.env.topo;
+        let numv = self.env.local_count();
+        let ok = |cond: bool, what: &str| check(cond, "mirror", what);
+        self.staged = Staged::decode(r, numv, topo.n(), "mirror");
+        self.casts = r.get();
+        ok(
+            self.casts.iter().all(|&(src, _)| (src as usize) < numv),
+            "broadcast source",
+        );
         for (peer, tables) in self.pending.iter_mut().enumerate() {
             *tables = PendingTables {
                 hubs: r.get(),
@@ -530,7 +556,7 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for Mirror<M> {
                 "pending table target",
             );
         }
-        self.incoming.decode(r);
+        self.incoming.decode(r, "mirror");
         self.messages = r.get();
         self.mirrored = r.get();
         self.saved = r.get();
@@ -880,6 +906,27 @@ mod tests {
         assert!(m.holders() >= 1, "5 registered 4 ≥ τ edges: a hub");
     }
 
+    /// The tables contract: the generation moves with a registration and
+    /// with a table section received in-band — here on workers that
+    /// register nothing themselves — and not with broadcasts alone.
+    #[test]
+    fn the_generation_moves_with_the_tables_only() {
+        let mut m = MinCluster::new(8, 2, 1);
+        let generations = |m: &MinCluster| -> Vec<u64> {
+            let chans = m.c.chans.iter();
+            chans.map(Channel::<()>::tables_generation).collect()
+        };
+        assert_eq!(generations(&m), [0, 0]);
+        m.register(0, &[1, 2, 3, 4, 5, 6, 7]);
+        m.broadcast_all();
+        let after = generations(&m);
+        let owner = m.c.topo.worker_of(0);
+        assert!(after[owner] > 0, "registered: {after:?}");
+        assert!(after[1 - owner] > 0, "received tables only: {after:?}");
+        m.broadcast_all();
+        assert_eq!(generations(&m), after, "broadcasts alone");
+    }
+
     #[test]
     #[should_panic(expected = "corrupt mirror channel state: adjacency target")]
     fn restored_tables_must_point_at_vertices_that_exist() {
@@ -887,11 +934,11 @@ mod tests {
         let mut big = Cluster::new(Topology::from_owners(2, vec![0, 0, 1, 1, 1]), make);
         big.chans[0].add_edges(0, &[4]);
         big.exchange();
-        let mut state = Vec::new();
-        assert!(Channel::<()>::encode_state(&big.chans[0], &mut state));
+        let mut tables = Vec::new();
+        Channel::<()>::encode_tables(&big.chans[0], &mut tables);
         // Same two vertices here, but the peer the edge points into is
         // two vertices short.
         let mut small = Cluster::new(Topology::from_owners(2, vec![0, 0, 1]), make);
-        Channel::<()>::decode_state(&mut small.chans[0], &mut Reader::new(&state));
+        Channel::<()>::decode_tables(&mut small.chans[0], &mut Reader::new(&tables));
     }
 }

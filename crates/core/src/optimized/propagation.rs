@@ -95,6 +95,9 @@ pub struct Propagation<M, E = ()> {
     messages: u64,
     /// Rows `finalize` has examined so far (see `Mirror`'s).
     rows_examined: u64,
+    /// Bumped whenever the adjacency (the tables) changes: at every
+    /// `finalize` that merges staged edges.
+    generation: u64,
 }
 
 impl<M: Codec + Clone + PartialEq + Send> Propagation<M> {
@@ -167,6 +170,7 @@ impl<M: Codec + Clone + PartialEq + Send, E: Clone + Send> Propagation<M, E> {
             synchronous: false,
             messages: 0,
             rows_examined: 0,
+            generation: 0,
             combine,
         }
     }
@@ -237,6 +241,7 @@ impl<M: Codec + Clone + PartialEq + Send, E: Clone + Send> Propagation<M, E> {
         }
         let staged = std::mem::take(&mut self.staged);
         self.rows_examined += self.adj.merge(&self.env.topo, staged, |_, _, _| {});
+        self.generation += 1;
     }
 
     /// The local BFS-like traversal of Fig. 7: drain the worklist, folding
@@ -334,16 +339,14 @@ impl<AV, M: Codec + Clone + PartialEq + Send, E: Codec + Clone + Send> Channel<A
     }
 
     fn encode_state(&self, buf: &mut Vec<u8>) -> bool {
-        // Staged registrations, the adjacency (with edge values — hence
-        // the `E: Codec` bound on this impl), converged values, and the
-        // worklist and changed list (block mode legitimately carries a
-        // worklist over a superstep boundary); their membership flags are
-        // rebuilt from them. The per-peer stages are empty whenever
-        // `serialize` is not running. The combiner and edge function are
-        // rebuilt by the algorithm's constructor.
+        // Staged registrations, converged values, and the worklist and
+        // changed list (block mode legitimately carries a worklist over a
+        // superstep boundary); their membership flags are rebuilt from
+        // them. The per-peer stages are empty whenever `serialize` is not
+        // running. The combiner and edge function are rebuilt by the
+        // algorithm's constructor.
         debug_assert!(self.dirty_peers.is_empty());
         self.staged.encode(buf);
-        self.adj.encode(buf);
         encode_vec(&self.values, buf);
         (self.queue.len() as u32).encode(buf);
         let (head, tail) = self.queue.as_slices();
@@ -354,11 +357,26 @@ impl<AV, M: Codec + Clone + PartialEq + Send, E: Codec + Clone + Send> Channel<A
         true
     }
 
+    fn tables_generation(&self) -> u64 {
+        self.generation
+    }
+
+    fn encode_tables(&self, buf: &mut Vec<u8>) {
+        // The adjacency, edge values included — hence the `E: Codec`
+        // bound on this impl.
+        self.generation.encode(buf);
+        self.adj.encode(buf);
+    }
+
+    fn decode_tables(&mut self, r: &mut Reader<'_>) {
+        self.generation = r.get();
+        self.adj = Adjacency::decode(r, self.env.local_count(), &self.env.topo, "propagation");
+    }
+
     fn decode_state(&mut self, r: &mut Reader<'_>) {
         let numv = self.env.local_count();
         let ok = |cond: bool, what: &str| check(cond, "propagation", what);
         self.staged = Staged::decode(r, numv, self.env.n(), "propagation");
-        self.adj = Adjacency::decode(r, numv, &self.env.topo, "propagation");
         self.values = r.get();
         ok(self.values.len() == numv, "value count");
         let queue: Vec<u32> = r.get();
@@ -710,9 +728,9 @@ mod tests {
         let mut big = Cluster::new(Topology::from_owners(2, vec![0, 0, 1, 1, 1]), make);
         big.chans[0].add_edges(0, &[4]);
         big.exchange();
-        let mut state = Vec::new();
-        assert!(Channel::<()>::encode_state(&big.chans[0], &mut state));
+        let mut tables = Vec::new();
+        Channel::<()>::encode_tables(&big.chans[0], &mut tables);
         let mut small = Cluster::new(Topology::from_owners(2, vec![0, 0, 1]), make);
-        Channel::<()>::decode_state(&mut small.chans[0], &mut Reader::new(&state));
+        Channel::<()>::decode_tables(&mut small.chans[0], &mut Reader::new(&tables));
     }
 }

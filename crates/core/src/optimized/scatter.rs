@@ -41,7 +41,7 @@
 //! (`MODE_PAIRS`) for that superstep — the same CSR scanned with a presence
 //! check per source — preserving correctness for non-static uses.
 
-use super::flat::Slots;
+use super::flat::{check, encode_vec, Slots};
 use crate::channel::{Channel, DeserializeCx, SerializeCx, WorkerEnv};
 use crate::combine::Combine;
 use pc_bsp::codec::{Codec, Reader};
@@ -151,6 +151,9 @@ pub struct ScatterCombine<M> {
     incoming: Slots<M>,
     readable: Slots<M>,
     messages: u64,
+    /// Bumped whenever the tables — the per-peer CSR and the cached
+    /// `routes` — change (the `Channel::tables_generation` contract).
+    generation: u64,
 }
 
 impl<M: Codec + Clone + Send> ScatterCombine<M> {
@@ -171,6 +174,7 @@ impl<M: Codec + Clone + Send> ScatterCombine<M> {
             incoming: slots(),
             readable: slots(),
             messages: 0,
+            generation: 0,
             combine,
         }
     }
@@ -240,6 +244,7 @@ impl<M: Codec + Clone + Send> ScatterCombine<M> {
             routes.finalize(self.env.topo.local_count(peer));
             routes.ids_shipped = false;
         }
+        self.generation += 1;
     }
 
     /// A partial superstep's frame for one peer: scan the CSR skipping the
@@ -347,6 +352,7 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
             incoming,
             routes,
             scratch: vals,
+            generation,
             ..
         } = self;
         for (from, mut r) in cx.frames() {
@@ -358,6 +364,7 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
                     let count = r.get::<u32>() as usize;
                     route.clear();
                     route.extend((0..count).map(|_| r.get::<u32>()));
+                    *generation += 1;
                     vals.extend((0..count).map(|_| r.get::<M>()));
                     absorb(combine, incoming, route, vals, cx);
                 }
@@ -408,41 +415,100 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
     }
 
     fn encode_state(&self, buf: &mut Vec<u8>) -> bool {
-        // The registered route tables are built by `compute` in early
-        // supersteps and never rebuilt on restore, so they are state just
-        // as much as the staged receive slots are. The counters beside
-        // `registered` and `slots` are recounted on restore.
+        // Per epoch: edges staged since the last finalize (none at a
+        // superstep boundary, where the engine snapshots), whether the ids
+        // went out, and the slots. `registered` is recounted on restore
+        // from the routes and the staged edges — every registered edge is
+        // in one or the other — and the counters beside it with it.
         for p in &self.peers {
             p.staged.encode(buf);
-            encode_u32s(&p.unique_dsts, buf);
-            encode_u32s(&p.run_ends, buf);
-            encode_u32s(&p.srcs, buf);
             p.ids_shipped.encode(buf);
         }
-        self.registered.encode(buf);
         self.slots.encode(buf);
-        (self.routes.len() as u32).encode(buf);
-        for ids in &self.routes {
-            encode_u32s(ids, buf);
-        }
         self.incoming.encode(buf);
         self.messages.encode(buf);
         true
     }
 
-    fn decode_state(&mut self, r: &mut Reader<'_>) {
-        for p in &mut self.peers {
-            p.staged = r.get();
+    fn tables_generation(&self) -> u64 {
+        self.generation
+    }
+
+    fn encode_tables(&self, buf: &mut Vec<u8>) {
+        // Built by `compute` in early supersteps and never rebuilt on
+        // restore: the by-destination CSR toward every peer and the
+        // destination routes cached from every sender.
+        self.generation.encode(buf);
+        for p in &self.peers {
+            encode_vec(&p.unique_dsts, buf);
+            encode_vec(&p.run_ends, buf);
+            encode_vec(&p.srcs, buf);
+        }
+        for ids in &self.routes {
+            encode_vec(ids, buf);
+        }
+    }
+
+    fn decode_tables(&mut self, r: &mut Reader<'_>) {
+        let topo = &self.env.topo;
+        let numv = self.env.local_count();
+        let ok = |cond: bool, what: &str| check(cond, "scatter", what);
+        self.generation = r.get();
+        for (peer, p) in self.peers.iter_mut().enumerate() {
             p.unique_dsts = r.get();
             p.run_ends = r.get();
             p.srcs = r.get();
+            ok(p.unique_dsts.len() == p.run_ends.len(), "run count");
+            ok(
+                p.unique_dsts.is_sorted_by(|a, b| a < b)
+                    && p.unique_dsts
+                        .last()
+                        .is_none_or(|&dst| (dst as usize) < topo.local_count(peer)),
+                "route destination",
+            );
+            let mut begin = 0;
+            ok(
+                p.run_ends
+                    .iter()
+                    .all(|&end| std::mem::replace(&mut begin, end) < end)
+                    && begin as usize == p.srcs.len(),
+                "route runs",
+            );
+            ok(
+                p.srcs.iter().all(|&src| (src as usize) < numv),
+                "route source",
+            );
+        }
+        for ids in &mut self.routes {
+            *ids = r.get();
+            ok(ids.iter().all(|&dst| (dst as usize) < numv), "cached route");
+        }
+    }
+
+    fn decode_state(&mut self, r: &mut Reader<'_>) {
+        let topo = &self.env.topo;
+        let numv = self.env.local_count();
+        for (peer, p) in self.peers.iter_mut().enumerate() {
+            p.staged = r.get();
+            check(
+                p.staged.iter().all(|&(dst, src)| {
+                    (dst as usize) < topo.local_count(peer) && (src as usize) < numv
+                }),
+                "scatter",
+                "staged edge",
+            );
             p.ids_shipped = r.get();
         }
-        self.registered = r.get();
-        self.slots.decode(r);
-        self.routes = r.get();
-        self.incoming.decode(r);
+        self.slots.decode(r, "scatter");
+        self.incoming.decode(r, "scatter");
         self.messages = r.get();
+        self.registered.fill(false);
+        for p in &self.peers {
+            let staged = p.staged.iter().map(|&(_, src)| src);
+            for src in p.srcs.iter().copied().chain(staged) {
+                self.registered[src as usize] = true;
+            }
+        }
         self.registered_count = self.registered.iter().filter(|&&reg| reg).count();
         self.set_registered = self
             .registered
@@ -450,19 +516,6 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
             .zip(&self.slots.present)
             .filter(|(&reg, &set)| reg && set)
             .count();
-    }
-}
-
-/// `Vec<u32>::encode`, byte for byte, as one `resize` and a copy loop the
-/// compiler turns into a block move: the route tables are most of a
-/// checkpoint segment (4 B per registered edge), and a snapshot is on the
-/// superstep path.
-fn encode_u32s(vals: &[u32], buf: &mut Vec<u8>) {
-    (vals.len() as u32).encode(buf);
-    let at = buf.len();
-    buf.resize(at + 4 * vals.len(), 0);
-    for (dst, v) in buf[at..].chunks_exact_mut(4).zip(vals) {
-        dst.copy_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -899,6 +952,43 @@ mod tests {
     fn variable_width_values_frame_is_counted() {
         let concat = Combine::new(Vec::new(), |acc: &mut Vec<u8>, v: Vec<u8>| acc.extend(v));
         deliver_values_frame(concat, vec![1], &[vec![1], vec![], vec![2, 3]]);
+    }
+
+    /// The tables contract: the generation moves when a finalize merges
+    /// staged edges and when a receiver caches a shipped route list — here
+    /// on a worker that registers nothing itself — and not in a superstep
+    /// that ships bare values.
+    #[test]
+    fn the_generation_moves_with_the_tables_only() {
+        let mut c = Cluster::new(vec![0, 1], 2, Combine::sum_u64());
+        let generations = |c: &Cluster<u64>| -> Vec<u64> {
+            let chans = c.chans().iter();
+            chans.map(Channel::<()>::tables_generation).collect()
+        };
+        assert_eq!(generations(&c), [0, 0]);
+        c.add_edge(0, 1);
+        c.set(0, 5);
+        c.exchange();
+        assert_eq!(generations(&c), [1, 1], "merged on 0, cached on 1");
+        c.set(0, 6);
+        c.exchange();
+        assert_eq!(generations(&c), [1, 1], "bare values");
+    }
+
+    /// Tables from a worker whose peer holds more vertices than this
+    /// topology gives it: the route into the missing vertex is refused at
+    /// decode, not indexed out of bounds at the first gather.
+    #[test]
+    #[should_panic(expected = "corrupt scatter channel state: route destination")]
+    fn restored_routes_must_point_at_vertices_that_exist() {
+        let make = |env: &WorkerEnv| ScatterCombine::new(env, Combine::min_u32());
+        let mut big = testkit::Cluster::new(Topology::from_owners(2, vec![0, 0, 1, 1, 1]), make);
+        big.chans[0].add_edge(0, 4);
+        big.exchange();
+        let mut tables = Vec::new();
+        Channel::<()>::encode_tables(&big.chans[0], &mut tables);
+        let mut small = testkit::Cluster::new(Topology::from_owners(2, vec![0, 0, 1]), make);
+        Channel::<()>::decode_tables(&mut small.chans[0], &mut Reader::new(&tables));
     }
 
     /// A small multiplicative generator for the plan below.

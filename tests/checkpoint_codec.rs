@@ -1,12 +1,13 @@
 //! Property-based coverage of the checkpoint codec (`pc_ckpt`): segment
 //! and manifest round trips must be byte-exact for arbitrary payloads —
 //! including payloads built from every value type the shipped algorithms
-//! checkpoint — and a torn (truncated) segment must make the restore
-//! scan fall back to the previous complete epoch, never crash or
-//! restore garbage.
+//! checkpoint — a torn (truncated) segment must make the restore scan
+//! fall back to the previous complete epoch, never crash or restore
+//! garbage, and every kind of damage the file digest is there to catch
+//! must be a typed `Corrupt`, never a panic.
 
 use pc_bsp::{Codec, Reader};
-use pc_ckpt::{fnv64, Manifest, RunId, Segment, Store};
+use pc_ckpt::{digest, CkptError, Manifest, RunId, Segment, Store};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -70,9 +71,9 @@ fn decode_typed<T: Codec>(payload: &[u8]) -> Vec<T> {
     out
 }
 
-/// A segment written under the previous format version — byte-identical
-/// but for the version field, digest valid — is refused by that name, not
-/// parsed as if its payload had today's layout.
+/// A segment written under the previous format version (3) —
+/// byte-identical but for the version field, digest valid — is refused by
+/// that name, not parsed as if its payload had today's layout.
 #[test]
 fn previous_format_version_is_refused_by_name() {
     let store = temp_store("oldver");
@@ -88,19 +89,23 @@ fn previous_format_version_is_refused_by_name() {
     let mut bytes = std::fs::read(&path).unwrap();
     let body = bytes.len() - 8;
     assert_eq!(bytes[8..12], pc_ckpt::FORMAT_VERSION.to_le_bytes());
-    bytes[8..12].copy_from_slice(&(pc_ckpt::FORMAT_VERSION - 1).to_le_bytes());
-    let digest = fnv64(&bytes[..body]);
-    bytes[body..].copy_from_slice(&digest.to_le_bytes());
+    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+    let trailer = digest(&bytes[..body]);
+    bytes[body..].copy_from_slice(&trailer.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     let err = store.read_segment(3, 0).unwrap_err().to_string();
-    assert!(
-        err.contains(&format!(
-            "unsupported format version {}",
-            pc_ckpt::FORMAT_VERSION - 1
-        )),
-        "{err}"
-    );
+    assert!(err.contains("unsupported format version 3"), "{err}");
     cleanup(&store);
+}
+
+/// `bytes` written as segment 1 of rank 0, then read back: it must be
+/// refused as a typed `Corrupt` — not an I/O error, not a panic.
+fn assert_refused(store: &Store, bytes: &[u8], what: &str) {
+    std::fs::write(store.segment_path(1, 0), bytes).unwrap();
+    match store.read_segment(1, 0) {
+        Err(CkptError::Corrupt { .. }) => {}
+        other => panic!("{what}: {other:?}"),
+    }
 }
 
 proptest! {
@@ -136,7 +141,7 @@ proptest! {
         let store = temp_store("man");
         let algo = format!("prop::Algo<{algo_seed:#x}>");
         let digests: Vec<u64> =
-            (0..workers as u64).map(|r| fnv64(&(seed ^ r).to_le_bytes())).collect();
+            (0..workers as u64).map(|r| digest(&(seed ^ r).to_le_bytes())).collect();
         let m = Manifest {
             id: RunId { workers, n, algo },
             superstep,
@@ -193,6 +198,60 @@ proptest! {
         prop_assert_eq!(decode_typed::<u64>(&store.read_segment(4, 2).unwrap().payload), dists_u64);
         prop_assert_eq!(decode_typed::<bool>(&store.read_segment(4, 3).unwrap().payload), cores_bool);
         prop_assert_eq!(decode_typed::<(u64, u64)>(&store.read_segment(4, 4).unwrap().payload), msf_pairs);
+        cleanup(&store);
+    }
+
+    /// Each kind of damage changes the digest, and a validated read turns
+    /// it into a typed `Corrupt`: every single-bit flip of the file (its
+    /// trailer included), two swapped 8-byte words, every truncation, and
+    /// a buffer of equal content but another length.
+    #[test]
+    fn every_damage_is_a_typed_corrupt(
+        payload in proptest::collection::vec(any::<u8>(), 0..80),
+        fill in any::<u8>(),
+        swap_a in any::<usize>(),
+        swap_b in any::<usize>(),
+    ) {
+        let store = temp_store("damage");
+        let seg = Segment { superstep: 1, rounds: 3, rank: 0, workers: 1, payload };
+        store.write_segment(&seg).unwrap();
+        let path = store.segment_path(1, 0);
+        let file = std::fs::read(&path).unwrap();
+        let body = file.len() - 8;
+        prop_assert_eq!(&file[body..], &digest(&file[..body]).to_le_bytes()[..]);
+
+        for bit in 0..file.len() * 8 {
+            let mut flipped = file.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if bit < body * 8 {
+                prop_assert!(digest(&flipped[..body]) != digest(&file[..body]), "bit {}", bit);
+            }
+            assert_refused(&store, &flipped, &format!("bit {bit} flipped"));
+        }
+
+        let words = body / 8;
+        let (a, b) = (swap_a % words, swap_b % words);
+        let mut swapped = file.clone();
+        let (wa, wb) = (file[8 * a..8 * a + 8].to_vec(), file[8 * b..8 * b + 8].to_vec());
+        swapped[8 * a..8 * a + 8].copy_from_slice(&wb);
+        swapped[8 * b..8 * b + 8].copy_from_slice(&wa);
+        if wa != wb {
+            prop_assert!(digest(&swapped[..body]) != digest(&file[..body]), "words {} and {}", a, b);
+            assert_refused(&store, &swapped, &format!("words {a} and {b} swapped"));
+        }
+
+        for cut in 0..file.len() {
+            assert_refused(&store, &file[..cut], &format!("cut to {cut} bytes"));
+        }
+
+        let same: Vec<u64> = (0..100).map(|len| digest(&vec![fill; len])).collect();
+        for (len, d) in same.iter().enumerate() {
+            prop_assert!(!same[..len].contains(d), "{} bytes of {}", len, fill);
+        }
+        let mut longer = file[..body].to_vec();
+        longer.push(fill);
+        longer.extend_from_slice(&file[body..]);
+        assert_refused(&store, &longer, "one byte longer");
         cleanup(&store);
     }
 

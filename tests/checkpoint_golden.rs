@@ -1,51 +1,40 @@
 //! Golden pin of the checkpoint directory's bytes.
 //!
 //! The on-disk format is a contract with every directory already written:
-//! a segment's framing, the engine's payload layout and each channel's
-//! `encode_state` must not move unless `FORMAT_VERSION` does. For two
-//! fixed 4-worker runs at cadence 2 — PageRank over `ScatterCombine`, and
-//! S-V with request-respond and scatter composed — this pins which epochs
-//! the finished run leaves committed and the `fnv64` of every `MANIFEST`
-//! and `rank-*.seg` in them.
+//! a file's framing, the engine's payload layout, each channel's
+//! `encode_state`/`encode_tables` and the file digest must not move unless
+//! `FORMAT_VERSION` does. For two fixed 4-worker runs at cadence 2 —
+//! PageRank over `ScatterCombine`, and S-V with request-respond and
+//! scatter composed — this pins which epochs the finished run leaves
+//! committed, the [`digest`] of every `MANIFEST` and `rank-*.seg` in them,
+//! and the tables files: exactly one per rank (the registration tables are
+//! written once, not per epoch), each pinned the same way.
 //!
-//! The pinned values were recorded at commit 25525bc (the synchronous
-//! writer) under format version 2. Version 3 changed the `Mirror` and
-//! `Propagation` channels' state, which neither run has: what these two
-//! runs write must differ from the version-2 bytes in the version word
-//! alone. So the pins stay the version-2 ones, and each file is compared
-//! after putting that word back — and what follows from it: a file's
-//! trailing digest, and in a `MANIFEST` the per-rank digests it pins.
+//! Recorded under format version 4. The pins of versions 2 and 3 were
+//! compared after writing the version-2 word back into each file, since
+//! version 3 changed nothing these runs write; version 4 changes their
+//! bytes themselves — the trailing digests, the segment header's tables
+//! link, and which state sits in a segment and which in a tables file — so
+//! that normalization no longer applies and the pins were re-recorded.
 
 use pc_bsp::{CkptPolicy, Config, Topology};
-use pc_ckpt::{fnv64, Store};
+use pc_ckpt::{digest, Store};
 use pc_graph::gen;
+use std::path::Path;
 use std::sync::Arc;
 
 const WORKERS: usize = 4;
 
 /// `(committed step, MANIFEST digest, per-rank segment digests)`.
 type Epoch = (u64, u64, [u64; WORKERS]);
+/// Per rank: `(superstep its tables file was written at, file digest)`.
+type Tables = [(u64, u64); WORKERS];
 
-/// The file as format version 2 would have written it: the version word
-/// (after the 8-byte magic) set back, a `MANIFEST`'s trailing list of
-/// per-rank segment digests replaced by `pinned_segments`, and the file's
-/// own trailing digest recomputed. Returns the rewritten file's trailing
-/// digest and the digest of the whole file.
-fn as_version_2(path: &std::path::Path, pinned_segments: &[u64]) -> (u64, u64) {
-    let mut bytes = std::fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    assert_eq!(bytes[8..12], pc_ckpt::FORMAT_VERSION.to_le_bytes());
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-    let body = bytes.len() - 8;
-    let pins = body - 8 * pinned_segments.len();
-    for (slot, digest) in bytes[pins..body].chunks_exact_mut(8).zip(pinned_segments) {
-        slot.copy_from_slice(&digest.to_le_bytes());
-    }
-    let trailer = fnv64(&bytes[..body]);
-    bytes[body..].copy_from_slice(&trailer.to_le_bytes());
-    (trailer, fnv64(&bytes))
+fn file_digest(path: &Path) -> u64 {
+    digest(&std::fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display())))
 }
 
-fn pinned(name: &str, run: impl Fn(&Config), want: &[Epoch]) {
+fn pinned(name: &str, run: impl Fn(&Config), want: &[Epoch], want_tables: Tables) {
     let dir = std::env::temp_dir().join(format!("pc_ckpt_golden_{name}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     run(&Config {
@@ -61,16 +50,21 @@ fn pinned(name: &str, run: impl Fn(&Config), want: &[Epoch]) {
         .unwrap()
         .into_iter()
         .map(|step| {
-            let segs: [(u64, u64); WORKERS] =
-                std::array::from_fn(|r| as_version_2(&store.segment_path(step, r as u32), &[]));
-            let (_, manifest) = as_version_2(&store.manifest_path(step), &segs.map(|s| s.0));
-            (step, manifest, segs.map(|s| s.1))
+            let segs = std::array::from_fn(|r| file_digest(&store.segment_path(step, r as u32)));
+            (step, file_digest(&store.manifest_path(step)), segs)
         })
         .collect();
+    let files = std::fs::read_dir(store.tables_dir()).unwrap().count();
+    let got_tables: Tables = std::array::from_fn(|r| {
+        let step = want_tables[r].0;
+        (step, file_digest(&store.tables_path(step, r as u32)))
+    });
     let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(files, WORKERS, "{name}: one tables file per rank");
     assert_eq!(
-        got, want,
-        "{name}: the checkpoint directory's bytes moved:\n{got:#018x?}"
+        (got, got_tables),
+        (want.to_vec(), want_tables),
+        "{name}: the checkpoint directory's bytes moved"
     );
 }
 
@@ -84,24 +78,30 @@ fn pagerank_scatter_directory_is_pinned() {
         &[
             (
                 6,
-                0x5c0975dc4b21d12c,
+                0x230d2c8a20af90b1,
                 [
-                    0x6ad1e10bbaa821b5,
-                    0x506744d395043877,
-                    0x5ce199769ed46d4e,
-                    0xde2197228e2df5cd,
+                    0xb2d5610f9b6839a9,
+                    0x174443b679718f2c,
+                    0x34f923d5fe15fdb1,
+                    0x459dd7da724752f2,
                 ],
             ),
             (
                 8,
-                0x5322319e38134e99,
+                0x4a20786a168c4577,
                 [
-                    0x8a151063d8a305f6,
-                    0xe03a3bff7b46b1af,
-                    0x8dabfa36fc1f8ee9,
-                    0x7f0294b811fd8dac,
+                    0xe3906dd6302e6aab,
+                    0xd5ed047530b5c884,
+                    0x0a1557829d53eea5,
+                    0xd165c3ed68e79fc7,
                 ],
             ),
+        ],
+        [
+            (2, 0xed746fc2ba65b144),
+            (2, 0x5eeb558e88fe5e1c),
+            (2, 0x480f5ee96d8c5864),
+            (2, 0xfa7dbedc9a0d7bd3),
         ],
     );
 }
@@ -116,24 +116,30 @@ fn sv_both_directory_is_pinned() {
         &[
             (
                 14,
-                0xe7eb48a8058a9b2a,
+                0x8d3484eff6320f31,
                 [
-                    0x4528a71feeaa9472,
-                    0xca7c361033ad3a9a,
-                    0x94db5460fe32c55c,
-                    0xc9792f7e0636293a,
+                    0xf93207ad59131d70,
+                    0x0da0b6a3f69a56e3,
+                    0x94658ba441714762,
+                    0x6c4722095beb6788,
                 ],
             ),
             (
                 16,
-                0xb634eaf093ada395,
+                0xe55e90b8095696d3,
                 [
-                    0xd7ec0b37a7bc5d53,
-                    0x56249f6fd57be193,
-                    0x9c0cce45306da3ed,
-                    0x14b16fc7be879e17,
+                    0xfc38399a38a8c582,
+                    0x0e20fee68364bea7,
+                    0x56db35a63ed86bfc,
+                    0xcc2344aec1e2e962,
                 ],
             ),
+        ],
+        [
+            (2, 0x4b80fdfbf1e2763a),
+            (2, 0x6f2281730799b7e3),
+            (2, 0x64ba1d06ae9c0d4a),
+            (2, 0x45b1e6db72ccb51b),
         ],
     );
 }

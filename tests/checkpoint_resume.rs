@@ -147,6 +147,85 @@ fn resumable<V: PartialEq + std::fmt::Debug>(
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Resume from *every* epoch a run commits, not only the newest one it
+/// leaves behind. A run capped at `max_supersteps = e + every` dies at
+/// that boundary, right after its snapshot; the writer's drop finishes
+/// the job that commits `e`, so `e` is the newest committed epoch (the
+/// last epoch is the one the end-of-run drain commits). Resuming from it
+/// must reproduce the plain run's values and statistics — and leave the
+/// tables files an uninterrupted run leaves: a resumed worker restores
+/// its tables generation, so it does not write again what is durable.
+fn resumes_from_every_epoch<V: PartialEq + std::fmt::Debug>(
+    name: &str,
+    every: u64,
+    run: impl Fn(&Config) -> (V, RunStats),
+) {
+    let dir = temp_dir(&format!("{name}_every_epoch"));
+    let (plain_values, plain_stats) = run(&Config::with_workers(WORKERS));
+    let last = plain_stats.supersteps;
+    let epochs: Vec<u64> = (every..last).step_by(every as usize).collect();
+    assert!(epochs.len() >= 3, "{name}: only epochs {epochs:?}");
+    let cfg = ckpt_cfg(every, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    run(&cfg);
+    let uninterrupted = tables_files(&Store::open(&dir).unwrap());
+    for &epoch in &epochs {
+        let _ = std::fs::remove_dir_all(&dir);
+        if epoch + every < last {
+            let capped = Config {
+                max_supersteps: epoch + every,
+                ..cfg.clone()
+            };
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&capped)));
+            assert!(died.is_err(), "{name}: the capped run finished");
+        } else {
+            run(&cfg);
+        }
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(
+            store.committed_steps().unwrap().last(),
+            Some(&epoch),
+            "{name}: the newest committed epoch"
+        );
+        let (values, stats) = run(&cfg);
+        assert_eq!(
+            values, plain_values,
+            "{name}: resumed from epoch {epoch}, values diverge"
+        );
+        assert_stats_agree(
+            &format!("{name} (plain vs resumed from epoch {epoch})"),
+            &plain_stats,
+            &stats,
+        );
+        assert_eq!(
+            tables_files(&store),
+            uninterrupted,
+            "{name}: tables files after resuming from epoch {epoch}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pagerank_scatter_resumes_from_every_epoch() {
+    let g = directed();
+    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+    resumes_from_every_epoch("pagerank_scatter", 2, |cfg| {
+        let o = pc_algos::pagerank::channel_scatter(&g, &topo, cfg, 9);
+        (o.ranks, o.stats)
+    });
+}
+
+#[test]
+fn sv_both_resumes_from_every_epoch() {
+    let g = undirected();
+    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+    resumes_from_every_epoch("sv_both", 2, |cfg| {
+        let o = pc_algos::sv::channel_both(&g, &topo, cfg);
+        (o.labels, o.stats)
+    });
+}
+
 fn undirected() -> Arc<pc_graph::Graph> {
     Arc::new(gen::rmat(8, 1400, gen::RmatParams::default(), 11, false).symmetrized())
 }
@@ -166,14 +245,15 @@ fn pagerank_scatter_resumes() {
 }
 
 /// Scatters along half of each vertex's out-edges from step 1 and
-/// registers the other half — in descending order — at step `LATE`, so a
-/// run resumed from an epoch before `LATE` calls `add_edge` on a
-/// `ScatterCombine` whose routes came out of `decode_state`.
+/// registers the other half — in descending order — at step `late`, so a
+/// run resumed from an epoch before `late` calls `add_edge` on a
+/// `ScatterCombine` whose routes came out of a restore. Scatters through
+/// step `last`, then halts: `last + 1` supersteps.
 struct LateRegistration {
     g: Arc<pc_graph::Graph>,
+    late: u64,
+    last: u64,
 }
-
-const LATE: u64 = 6;
 
 impl pc_channels::Algorithm for LateRegistration {
     type Value = f64;
@@ -193,13 +273,13 @@ impl pc_channels::Algorithm for LateRegistration {
     ) {
         let nbrs = self.g.neighbors(v.id);
         let (early, late) = nbrs.split_at(nbrs.len() / 2);
-        match v.step() {
-            1 => early.iter().for_each(|&t| ch.0.add_edge(v.local, t)),
-            LATE => late.iter().rev().for_each(|&t| ch.0.add_edge(v.local, t)),
-            _ => {}
+        if v.step() == 1 {
+            early.iter().for_each(|&t| ch.0.add_edge(v.local, t));
+        } else if v.step() == self.late {
+            late.iter().rev().for_each(|&t| ch.0.add_edge(v.local, t));
         }
         *value += ch.0.get_or_identity(v.local);
-        if v.step() <= LATE + 1 {
+        if v.step() <= self.last {
             ch.0.set_message(v.local, 10f64.powi(v.id as i32 % 24 - 12));
         } else {
             v.vote_to_halt();
@@ -207,17 +287,133 @@ impl pc_channels::Algorithm for LateRegistration {
     }
 }
 
-#[test]
-fn scatter_registration_after_restore_resumes() {
+/// A [`LateRegistration`] run over [`directed`], values as bits.
+fn late_registration(late: u64, last: u64) -> impl Fn(&Config) -> (Vec<u64>, RunStats) {
     let g = directed();
     let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    // Cadence 4 over LATE + 2 = 8 supersteps commits epoch 4 only (8 is
-    // the terminal boundary): the resumed run restores before LATE.
-    resumable("scatter_late_registration", 4, |cfg| {
-        let o = pc_channels::run(&LateRegistration { g: Arc::clone(&g) }, &topo, cfg);
-        let bits: Vec<u64> = o.values.iter().map(|v| v.to_bits()).collect();
-        (bits, o.stats)
-    });
+    move |cfg| {
+        let algo = LateRegistration {
+            g: Arc::clone(&g),
+            late,
+            last,
+        };
+        let o = pc_channels::run(&algo, &topo, cfg);
+        (o.values.iter().map(|v| v.to_bits()).collect(), o.stats)
+    }
+}
+
+/// The tables files in `store`, by name, sorted.
+fn tables_files(store: &Store) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(store.tables_dir())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Every rank's tables file of `superstep`, by name.
+fn tables_of(superstep: u64) -> Vec<String> {
+    (0..WORKERS)
+        .map(|rank| format!("rank-{rank:04}-s{superstep:010}.seg"))
+        .collect()
+}
+
+#[test]
+fn scatter_registration_after_restore_resumes() {
+    // Cadence 4 over 8 supersteps commits epoch 4 only (8 is the terminal
+    // boundary): the resumed run restores before the late registration.
+    resumable("scatter_late_registration", 4, late_registration(6, 7));
+}
+
+/// A late registration moves the generation: the boundary after it
+/// writes a second tables file, the epochs before it keep linking the
+/// first, and a resume from any of them — before, at or after the late
+/// registration — reproduces the plain run.
+#[test]
+fn a_late_registration_writes_a_second_tables_file_and_every_epoch_restores() {
+    let run = late_registration(6, 7);
+    let dir = temp_dir("late_tables");
+    let _ = std::fs::remove_dir_all(&dir);
+    run(&ckpt_cfg(2, &dir));
+    let store = Store::open(&dir).unwrap();
+    assert_eq!(store.committed_steps().unwrap(), vec![4, 6]);
+    let mut both = [tables_of(2), tables_of(6)].concat();
+    both.sort();
+    assert_eq!(tables_files(&store), both);
+    for (epoch, tables) in [(4, 2), (6, 6)] {
+        let snap = store.read_snapshot(epoch, 0).unwrap();
+        assert_eq!(snap.tables.unwrap().0.superstep, tables, "epoch {epoch}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    resumes_from_every_epoch("scatter_late_tables", 2, run);
+}
+
+/// A torn tables file fails every epoch that links it — the scan falls
+/// back to an epoch linking an intact one, or finds none and the run
+/// starts cold; a typed decision either way, with identical results.
+#[test]
+fn a_torn_tables_file_falls_back_or_cold_starts() {
+    let run = late_registration(6, 7);
+    let dir = temp_dir("torn_tables");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (plain_values, plain_stats) = run(&Config::with_workers(WORKERS));
+    let cfg = ckpt_cfg(2, &dir);
+    run(&cfg);
+    let store = Store::open(&dir).unwrap();
+    let id = store.read_manifest(6).unwrap().id;
+    // A fresh store per scan: a store caches the epochs it validated.
+    let restorable = || Store::open(&dir).unwrap().latest_restorable(&id).unwrap();
+    let tear = |superstep: u64, rank: u32| {
+        let victim = store.tables_path(superstep, rank);
+        let bytes = std::fs::read(&victim).unwrap();
+        std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
+    };
+    // Epoch 6 links the second tables file, epoch 4 the first.
+    tear(6, 3);
+    assert_eq!(restorable().unwrap().superstep, 4);
+    let (values, stats) = run(&cfg);
+    assert_eq!(values, plain_values, "fallback to epoch 4");
+    assert_stats_agree("plain vs fallback past torn tables", &plain_stats, &stats);
+    // The replay wrote epoch 6's tables again; now tear one of each.
+    assert_eq!(restorable().unwrap().superstep, 6);
+    tear(2, 0);
+    tear(6, 0);
+    assert_eq!(restorable(), None);
+    let (values, stats) = run(&cfg);
+    assert_eq!(values, plain_values, "cold start");
+    assert_stats_agree("plain vs cold start past torn tables", &plain_stats, &stats);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `gc` keeps a tables file as long as a kept epoch links it — PageRank's
+/// one file outlives the epoch that wrote it — and drops it once none
+/// does: after a late registration, the first file is an orphan.
+#[test]
+fn gc_keeps_linked_tables_files_and_drops_orphans() {
+    let g = directed();
+    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+    let dir = temp_dir("gc_tables");
+    let _ = std::fs::remove_dir_all(&dir);
+    pc_algos::pagerank::channel_scatter(&g, &topo, &ckpt_cfg(2, &dir), 9);
+    let store = Store::open(&dir).unwrap();
+    assert_eq!(store.committed_steps().unwrap(), vec![6, 8]);
+    assert!(!store.step_dir(2).exists());
+    assert_eq!(
+        tables_files(&store),
+        tables_of(2),
+        "linked by epochs 6 and 8"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+    late_registration(4, 11)(&ckpt_cfg(2, &dir));
+    assert_eq!(store.committed_steps().unwrap(), vec![8, 10]);
+    assert_eq!(
+        tables_files(&store),
+        tables_of(4),
+        "the first file is an orphan"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -287,17 +483,23 @@ impl<AV, C: pc_channels::Channel<AV>> pc_channels::Channel<AV> for Respawned<C> 
         self.inner.before_superstep(step);
     }
     fn serialize(&mut self, cx: &mut pc_channels::SerializeCx<'_>) {
-        let mut state = Vec::new();
-        assert!(self.inner.encode_state(&mut state));
+        let encode = |ch: &C| {
+            let (mut tables, mut state) = (Vec::new(), Vec::new());
+            ch.encode_tables(&mut tables);
+            assert!(ch.encode_state(&mut state));
+            (tables, state)
+        };
+        let (tables, state) = encode(&self.inner);
         self.inner = (self.fresh)();
+        let mut r = pc_bsp::Reader::new(&tables);
+        self.inner.decode_tables(&mut r);
+        assert!(r.is_empty(), "{}: tables left undecoded", self.inner.name());
         let mut r = pc_bsp::Reader::new(&state);
         self.inner.decode_state(&mut r);
         assert!(r.is_empty(), "{}: state left undecoded", self.inner.name());
-        let mut again = Vec::new();
-        self.inner.encode_state(&mut again);
         assert!(
-            state == again,
-            "{}: state moved in a round trip",
+            encode(&self.inner) == (tables, state),
+            "{}: tables or state moved in a round trip",
             self.inner.name()
         );
         self.inner.serialize(cx);

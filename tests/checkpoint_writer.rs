@@ -5,11 +5,15 @@
 //! computes — the checkpoint directory is moved aside and a regular file
 //! put in its place, so every later checkpoint file operation fails. The
 //! writer reports that at the next boundary's `finish()`, and each worker
-//! panics with the fatal `checkpoint segment write failed` *before* it
-//! acks: no reduction is left waiting for a worker that died (the test
-//! returning at all is the no-hang check), and the epoch whose write
-//! failed never gets a `MANIFEST` — nor does epoch 4, whose commit rode
-//! the same failed job.
+//! panics with the fatal `checkpoint write failed` *before* it acks: no
+//! reduction is left waiting for a worker that died (the test returning
+//! at all is the no-hang check), and the epoch whose write failed never
+//! gets a `MANIFEST` — nor does epoch 4, whose commit rode the same failed
+//! job.
+//!
+//! The same holds when the first thing to fail is the registration tables
+//! file written in front of a segment: the segment is not written, and
+//! nothing is acked.
 
 use pc_bsp::{CkptPolicy, Config, Topology};
 use pc_channels::{Algorithm, Combine, ScatterCombine, VertexCtx, WorkerEnv};
@@ -77,37 +81,49 @@ impl Algorithm for Sabotaged {
     }
 }
 
-#[test]
-fn a_failed_background_write_is_the_same_fatal_panic() {
-    let dir = std::env::temp_dir().join(format!("pc_ckpt_writer_fail_{}", std::process::id()));
-    let cleanup = || {
-        let _ = std::fs::remove_dir_all(moved(&dir));
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_file(&dir);
-    };
-    cleanup();
+fn temp_dir(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("pc_ckpt_writer_{name}_{}", std::process::id()))
+}
+
+fn cleanup(dir: &Path) {
+    let _ = std::fs::remove_dir_all(moved(dir));
+    let _ = std::fs::remove_dir_all(dir);
+    let _ = std::fs::remove_file(dir);
+}
+
+/// Run [`Sabotaged`] checkpointing into `dir` until it fails; returns the
+/// panic message.
+fn fatal_message(dir: &Path) -> String {
     let g = Arc::new(gen::rmat(9, 4000, gen::RmatParams::default(), 7, true));
     let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
     let cfg = Config {
         ckpt: Some(CkptPolicy {
             every: 2,
-            dir: dir.clone(),
+            dir: dir.to_path_buf(),
         }),
         ..Config::with_workers(WORKERS)
     };
     let algo = Sabotaged {
-        g: Arc::clone(&g),
-        dir: dir.clone(),
+        g,
+        dir: dir.to_path_buf(),
     };
     let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         drop(pc_channels::run(&algo, &topo, &cfg))
     }))
     .expect_err("the run survived losing its checkpoint directory");
-    let message = panic
+    panic
         .downcast_ref::<String>()
-        .expect("the engine panics with a formatted message");
+        .expect("the engine panics with a formatted message")
+        .clone()
+}
+
+#[test]
+fn a_failed_background_write_is_the_same_fatal_panic() {
+    let dir = temp_dir("fail");
+    cleanup(&dir);
+    let message = fatal_message(&dir);
     assert!(
-        message.starts_with("checkpoint segment write failed: i/o error"),
+        message.starts_with("checkpoint write failed: i/o error"),
         "{message}"
     );
 
@@ -121,5 +137,28 @@ fn a_failed_background_write_is_the_same_fatal_panic() {
     }
     assert!(!before.step_dir(6).exists());
     assert!(dir.is_file(), "a checkpoint write got past the sabotage");
-    cleanup();
+    cleanup(&dir);
+}
+
+/// The tables directory is a regular file from the start, so the first
+/// epoch's tables write fails on every worker: the fatal panic names the
+/// tables, and the run dies at the next boundary without acking — no
+/// segment of that epoch, no `MANIFEST`, and superstep 5 (the sabotage)
+/// is never reached.
+#[test]
+fn a_failed_tables_write_is_fatal_before_any_ack() {
+    let dir = temp_dir("tables");
+    cleanup(&dir);
+    let store = Store::open(&dir).unwrap();
+    std::fs::write(store.tables_dir(), b"not a directory").unwrap();
+    let message = fatal_message(&dir);
+    assert!(
+        message.starts_with("checkpoint write failed: i/o error")
+            && message.contains("create tables dir"),
+        "{message}"
+    );
+    assert_eq!(store.committed_steps().unwrap(), Vec::<u64>::new());
+    assert!(!store.step_dir(2).exists(), "a segment without its tables");
+    assert!(!moved(&dir).exists());
+    cleanup(&dir);
 }
