@@ -118,7 +118,6 @@ fn transport_compare(c: &mut Criterion) {
     for (name, cfg) in [
         ("threads", Config::with_workers(w)),
         ("tcp", Config::tcp(w)),
-        ("tcp-batched", Config::tcp_batched(w)),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| pc_algos::pagerank::channel_scatter(&g, &topo, &cfg, 20))
@@ -129,10 +128,9 @@ fn transport_compare(c: &mut Criterion) {
 
 /// The skewed-frontier transport duel: propagation WCC on a
 /// hash-partitioned ring is a long tail of rounds with tiny per-peer
-/// frames — the regime where the synchronous TCP backend pays one
-/// syscall-heavy frame per peer per round and the batched driver's
-/// pipelined, coalesced sends should win. Capped scale keeps the round
-/// count in the hundreds.
+/// frames — the regime where the TCP mesh's pipelined, coalesced sends
+/// (one frame per peer per round) earn their keep. Capped scale keeps
+/// the round count in the hundreds.
 fn transport_skewed_frontier(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_steady_state/transport_skewed_wcc");
     let g = Arc::new(gen::cycle(1usize << scale().min(9)));
@@ -141,7 +139,6 @@ fn transport_skewed_frontier(c: &mut Criterion) {
     for (name, cfg) in [
         ("threads", Config::with_workers(w)),
         ("tcp", Config::tcp(w)),
-        ("tcp-batched", Config::tcp_batched(w)),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| pc_algos::wcc::channel_propagation(&g, &topo, &cfg))

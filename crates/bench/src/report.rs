@@ -291,7 +291,7 @@ mod tests {
         let mut stats = RunStats {
             supersteps: 2,
             rounds: 3,
-            transport_name: "tcp-batched",
+            transport_name: "tcp",
             recoveries: 4,
             recovery_us: 12_500,
             ..Default::default()

@@ -71,16 +71,11 @@ pub enum TransportKind {
     #[default]
     InProcess,
     /// A full mesh of loopback TCP sockets ([`tcp::Tcp`]): real
-    /// length-prefixed wire traffic, every round closed by one `END`
-    /// frame per peer carrying the round's reduction words. Synchronous:
-    /// one blocking write per frame.
+    /// length-prefixed wire traffic under one non-blocking batched driver
+    /// (pipelined sends, per-peer send queues, small frames coalesced
+    /// into super-frames), every round closed by one `END` frame per peer
+    /// carrying the round's reduction words.
     Tcp,
-    /// The same socket mesh under the non-blocking batched driver
-    /// ([`TcpOptions::batched`]): pipelined sends, per-peer send queues,
-    /// small frames coalesced into super-frames. Observationally
-    /// identical to every other backend (conformance-pinned); faster
-    /// under skewed frontiers.
-    TcpBatched,
 }
 
 impl TransportKind {
@@ -89,7 +84,6 @@ impl TransportKind {
         match self {
             TransportKind::InProcess => "in-process",
             TransportKind::Tcp => "tcp",
-            TransportKind::TcpBatched => "tcp-batched",
         }
     }
 }
@@ -106,11 +100,10 @@ impl std::str::FromStr for TransportKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "in-process" | "inprocess" | "hub" => Ok(TransportKind::InProcess),
-            "tcp" => Ok(TransportKind::Tcp),
-            "tcp-batched" | "batched" => Ok(TransportKind::TcpBatched),
-            other => Err(format!(
-                "unknown transport '{other}' (in-process|tcp|tcp-batched)"
-            )),
+            // `tcp-batched` and `batched` name the same driver; they stay
+            // accepted so older command lines keep working.
+            "tcp" | "tcp-batched" | "batched" => Ok(TransportKind::Tcp),
+            other => Err(format!("unknown transport '{other}' (in-process|tcp)")),
         }
     }
 }
@@ -235,14 +228,10 @@ impl Config {
         }
     }
 
-    /// Threaded config over loopback TCP sockets under the non-blocking
-    /// batched driver.
+    /// Alias of [`Config::tcp`], kept because `benchmark/src/layers.rs`
+    /// still calls it.
     pub fn tcp_batched(workers: usize) -> Self {
-        Config {
-            workers,
-            transport: TransportKind::TcpBatched,
-            ..Config::default()
-        }
+        Config::tcp(workers)
     }
 
     /// Config for one rank of a multi-process run: `workers` total ranks,

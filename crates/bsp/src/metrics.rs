@@ -64,7 +64,7 @@ pub struct ChannelMetrics {
 ///
 /// [`ExchangeTransport::reduce`]: crate::transport::ExchangeTransport::reduce
 ///
-/// The trailing fields belong to the batched TCP driver and stay zero
+/// The trailing fields belong to the TCP transport and stay zero
 /// everywhere else: `coalesced_frames` counts logical frames that rode
 /// inside a coalesced super-frame (each super-frame counts once in
 /// `frames` but carries ≥ 2 coalesced sub-frames), `flushes` counts send
@@ -84,26 +84,26 @@ pub struct TransportStats {
     ///
     /// [`ExchangeTransport::reduce`]: crate::transport::ExchangeTransport::reduce
     pub round_trips: u64,
-    /// Logical frames carried inside coalesced super-frames (batched TCP
-    /// driver; 0 elsewhere).
+    /// Logical frames carried inside coalesced super-frames (TCP transport;
+    /// 0 elsewhere).
     pub coalesced_frames: u64,
-    /// Send queues fully drained to the kernel (batched TCP driver; 0
+    /// Send queues fully drained to the kernel (TCP transport; 0
     /// elsewhere).
     pub flushes: u64,
     /// Microseconds spent stalled with queued send bytes the kernel would
-    /// not accept (batched TCP driver; 0 elsewhere).
+    /// not accept (TCP transport; 0 elsewhere).
     pub send_stall_us: u64,
     /// Microseconds spent waiting for inbound bytes with nothing queued
     /// to send — the receive-side mirror of `send_stall_us`, so the stall
-    /// column no longer under-reports pure read waits (batched TCP
-    /// driver; 0 elsewhere).
+    /// column no longer under-reports pure read waits (TCP transport;
+    /// 0 elsewhere).
     pub recv_stall_us: u64,
     /// Kernel readiness waits: one per `poll(2)` over the mesh's pollfd
-    /// set (batched TCP driver; 0 elsewhere).
+    /// set (TCP transport; 0 elsewhere).
     pub poll_waits: u64,
     /// Readiness wake-ups after which a full progress pass moved zero
     /// bytes — spurious wake-ups, a health metric of the interest
-    /// computation (batched TCP driver; 0 elsewhere).
+    /// computation (TCP transport; 0 elsewhere).
     pub wakeups_spurious: u64,
 }
 
@@ -158,7 +158,7 @@ pub struct RunStats {
     /// bounds it.
     pub max_rank_msgs: u64,
     /// Name of the exchange transport that carried the run
-    /// (`"sequential"`, `"in-process"`, `"tcp"`, `"tcp-batched"`).
+    /// (`"sequential"`, `"in-process"`, `"tcp"`).
     pub transport_name: &'static str,
     /// Wire-level transport counters (zero in sequential mode, which
     /// moves buffers without a transport).

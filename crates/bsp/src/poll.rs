@@ -1,4 +1,4 @@
-//! A `libc`-free `poll(2)` for the batched TCP driver.
+//! A `libc`-free `poll(2)` for the TCP transport.
 //!
 //! The readiness multiplexer ([`crate::tcp`]) needs exactly one kernel
 //! facility: "sleep until any of these sockets can make progress, or a

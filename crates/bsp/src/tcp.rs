@@ -29,51 +29,42 @@
 //! * `REDUCE` — a worker's [`ExchangeTransport::reduce`] contribution,
 //!   gathered by worker 0 (only outside the round loop: checkpoint acks).
 //! * `RESULT` — the combined reduction, broadcast by worker 0.
-//! * `BATCH`  — a coalesced super-frame (batched driver only): several
-//!   logical frames to the same peer packed behind one header. The
-//!   payload is a sub-frame directory (`count:u32`, then `tag:u8
-//!   len:u32` per sub-frame) followed by the concatenated sub-frame
-//!   payloads; the receiver splits it back into the original frames, so
+//! * `BATCH`  — a coalesced super-frame: several logical frames to the
+//!   same peer packed behind one header. The payload is a sub-frame
+//!   directory (`count:u32`, then `tag:u8 len:u32` per sub-frame)
+//!   followed by the concatenated sub-frame payloads; the receiver splits it back into the original frames, so
 //!   everything above the transport — values, [`ChannelMetrics`] bytes
 //!   and messages, rounds, pool traffic — is byte-identical to the
-//!   un-batched drivers. (`ChannelMetrics` accounting happens at the
+//!   in-process backend. (`ChannelMetrics` accounting happens at the
 //!   engine's serialize step and never sees transport framing at all.)
 //!
-//! ## Two drivers, one wire
+//! ## One driver: a non-blocking readiness loop
 //!
-//! [`TcpOptions::batched`] selects between two concurrency models over
-//! the same frame format:
-//!
-//! * **Synchronous** (`batched = false`, transport name `"tcp"`): `post`
-//!   blocks on `write_all`, `take_all_into` blocks on reads peer by peer.
-//!   One frame per write, one write per frame. A bolt-on drain-on-stall
-//!   path rescues all-to-all exchanges larger than kernel socket
-//!   buffering.
-//! * **Non-blocking batched** (`batched = true`, transport name
-//!   `"tcp-batched"`): every socket runs in `set_nonblocking` mode and a
-//!   single readiness loop drives all progress. `post` only enqueues into
-//!   a per-peer send queue and opportunistically pumps the sockets, so
-//!   serializing the next destination's buffer overlaps the wire transfer
-//!   of the previous one; partial reads *and* partial writes resume from
-//!   per-peer cursors inside the same loop. Small frames that share a
-//!   peer are coalesced into one `BATCH` super-frame — in particular a
-//!   small `DATA` is held until its `END` joins it at `sync`, so a round
-//!   costs every peer one frame. A large `DATA` streams out at `post`.
+//! Every mesh socket runs in `set_nonblocking` mode and a single readiness
+//! loop drives all progress. `post` only enqueues into a per-peer send
+//! queue and opportunistically pumps the sockets, so serializing the next
+//! destination's buffer overlaps the wire transfer of the previous one;
+//! partial reads *and* partial writes resume from per-peer cursors inside
+//! the same loop. Small frames that share a peer are coalesced into one
+//! `BATCH` super-frame — in particular a small `DATA` is held until its
+//! `END` joins it at `sync`, so a round costs every peer one frame. A
+//! large `DATA` streams out at `post`. The mesh handshake (`HELLO`) alone
+//! runs on blocking sockets ([`write_frame`] / [`read_frame_into`]),
+//! before the links switch to non-blocking mode.
 //!
 //! ## Design notes
 //!
-//! * **Determinism without select.** All workers drive the transport in
-//!   lock-step (the engine's masks are global decisions), so each socket
-//!   carries a deterministic frame sequence and a receiver can simply
-//!   read its peers in ascending rank order — no polling, no reordering.
-//!   `take_all_into` therefore yields buffers in sender order, exactly
-//!   like the mailbox's sorted drain.
-//! * **Zero-copy staging survives.** `post` writes the pooled buffer
-//!   straight to the socket and parks the `Vec` on a per-worker return
-//!   stack; `reclaim_into` hands it back to the engine's
-//!   [`BufferPool`] next round, so pool hit/miss traffic matches the
-//!   in-process backend byte for byte. Receive buffers cycle through a
-//!   private per-worker freelist refilled by `recycle`.
+//! * **Determinism without ordering reads.** All workers drive the
+//!   transport in lock-step (the engine's masks are global decisions), so
+//!   each socket carries a deterministic frame sequence. `take_all_into`
+//!   collects peers in whatever order they deliver and then yields
+//!   buffers in sender order, exactly like the mailbox's sorted drain.
+//! * **Pooled buffers come home.** Once a posted buffer's bytes are
+//!   staged for the wire, its `Vec` parks on a per-worker return stack;
+//!   `reclaim_into` hands it back to the engine's [`BufferPool`] next
+//!   round, so pool hit/miss traffic matches the in-process backend byte
+//!   for byte. Receive buffers cycle through a private per-worker
+//!   freelist refilled by `recycle`.
 //! * **A round is one all-to-all hop.** Every rank sends every peer its
 //!   `END` and waits for every peer's, so all ranks send, then all wait —
 //!   no rank waits for another to relay a result. Standalone reductions
@@ -81,9 +72,9 @@
 //!   worker 0 instead: workers send `REDUCE` to rank 0, rank 0 combines
 //!   and broadcasts `RESULT`. One round-trip per reduction, counted in
 //!   [`TransportStats::round_trips`].
-//! * **Nothing blocks forever.** Every socket operation polls with a
-//!   short kernel timeout against an explicit deadline and fails with a
-//!   typed [`TransportError`] when it expires; a late peer within the
+//! * **Nothing blocks forever.** Every wait is a bounded `poll(2)`
+//!   against an explicit deadline and fails with a typed
+//!   [`TransportError`] when it expires; a late peer within the
 //!   connect deadline is tolerated, an absent one is an error, not a
 //!   hang.
 
@@ -109,8 +100,8 @@ pub const TAG_END: u8 = b'E';
 pub const TAG_REDUCE: u8 = b'R';
 /// Frame tag: combined reduction result (rank 0 → worker).
 pub const TAG_RESULT: u8 = b'r';
-/// Frame tag: coalesced super-frame (batched driver; see the module docs
-/// for the payload layout and [`encode_batch`] / [`decode_batch`]).
+/// Frame tag: coalesced super-frame (see the module docs for the payload
+/// layout and [`encode_batch`] / [`decode_batch`]).
 pub const TAG_BATCH: u8 = b'B';
 
 /// Payload bytes of an `END` frame: two little-endian `u64` words.
@@ -186,8 +177,8 @@ fn decode_result(tag: u8, payload: &[u8], lanes: usize) -> Result<Vec<u64>, Tran
     Ok((0..lanes).map(|_| r.get()).collect())
 }
 
-/// Kernel-level poll granularity for blocking socket calls. Deadlines are
-/// enforced on top of this, so no operation can hang.
+/// Kernel-level poll granularity of the blocking handshake calls.
+/// Deadlines are enforced on top of this, so no operation can hang.
 const POLL: Duration = Duration::from_millis(20);
 
 /// Minimum capacity `recycle` always keeps on a receive buffer, so the
@@ -228,14 +219,9 @@ pub struct TcpOptions {
     /// Deadline for any single exchange/reduction operation once the mesh
     /// is up.
     pub io_timeout: Duration,
-    /// Run the non-blocking batched driver (pipelined sends, frame
-    /// coalescing, readiness-loop progress) instead of the synchronous
-    /// one-frame-per-write path. See the module docs.
-    pub batched: bool,
-    /// Largest payload eligible for coalescing into a super-frame
-    /// (batched driver only).
+    /// Largest payload eligible for coalescing into a super-frame.
     pub coalesce_limit: usize,
-    /// Spin iterations an idle batched progress loop burns before
+    /// Spin iterations an idle progress loop burns before
     /// sleeping in the readiness multiplexer. `None` picks the
     /// [`poll_spins`] heuristic (spin only when cores outnumber
     /// workers); `Some(0)` forces every idle wait straight to the
@@ -249,24 +235,13 @@ impl Default for TcpOptions {
         TcpOptions {
             connect_timeout: Duration::from_secs(10),
             io_timeout: Duration::from_secs(30),
-            batched: false,
             coalesce_limit: DEFAULT_COALESCE_LIMIT,
             spins: None,
         }
     }
 }
 
-impl TcpOptions {
-    /// Default options with the non-blocking batched driver enabled.
-    pub fn batched() -> Self {
-        TcpOptions {
-            batched: true,
-            ..TcpOptions::default()
-        }
-    }
-}
-
-/// Prepare a socket for transport use: disable Nagle and install the
+/// Prepare a socket for the handshake: disable Nagle and install the
 /// short kernel poll timeouts that [`read_frame_into`] / [`write_frame`]
 /// rely on for deadline enforcement.
 pub fn configure_stream(stream: &TcpStream) -> std::io::Result<()> {
@@ -276,12 +251,12 @@ pub fn configure_stream(stream: &TcpStream) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Put a mesh link into the batched driver's progress mode: permanently
+/// Put a handshaken mesh link into progress mode: permanently
 /// non-blocking. The driver never blocks in a socket call — every idle
 /// wait is one multiplexed [`poll(2)`](crate::poll) over the whole mesh
 /// (see [`Pump::poll_wait`]), so the socket's own mode never toggles
 /// again for the life of the link.
-fn configure_batched(stream: &TcpStream) -> std::io::Result<()> {
+fn configure_nonblocking(stream: &TcpStream) -> std::io::Result<()> {
     stream.set_nonblocking(true)
 }
 
@@ -294,23 +269,6 @@ fn io_err(peer: usize, during: &'static str, e: std::io::Error) -> TransportErro
             TransportError::Disconnected { peer, during }
         }
         kind => TransportError::Io { peer, kind, during },
-    }
-}
-
-/// Combine an I/O operation's result with the result of restoring the
-/// socket's mode afterwards. The operation's error wins (it is the root
-/// cause — a restore failure on an already-dead socket is noise); a
-/// failed restore after a *successful* operation is itself fatal and
-/// surfaces as its own typed error, never silently dropped — a socket
-/// stuck in the wrong mode would degrade every later wait on it.
-fn with_restored<T>(
-    op: Result<T, TransportError>,
-    restore: Result<(), TransportError>,
-) -> Result<T, TransportError> {
-    match (op, restore) {
-        (Err(e), _) => Err(e),
-        (Ok(_), Err(e)) => Err(e),
-        (Ok(v), Ok(())) => Ok(v),
     }
 }
 
@@ -377,20 +335,11 @@ fn write_all_deadline(
     Ok(())
 }
 
-/// Build a frame header, rejecting payloads the receiver would refuse —
-/// the error belongs at the *send* site, and a length past `u32` must
-/// never silently truncate the prefix and desync the wire.
+/// Build the header of a `len`-byte frame, rejecting payloads the
+/// receiver would refuse — the error belongs at the *send* site, and a
+/// length past `u32` must never silently truncate the prefix and desync
+/// the wire.
 fn frame_header(
-    tag: u8,
-    payload: &[u8],
-    peer: usize,
-) -> Result<[u8; FRAME_HEADER as usize], TransportError> {
-    frame_header_for_len(tag, payload.len(), peer)
-}
-
-/// [`frame_header`] for a payload known only by length (the batched
-/// driver sizes super-frames before concatenating their sub-frames).
-fn frame_header_for_len(
     tag: u8,
     len: usize,
     peer: usize,
@@ -416,7 +365,7 @@ pub fn write_frame(
     deadline: Instant,
     peer: usize,
 ) -> Result<(), TransportError> {
-    let header = frame_header(tag, payload, peer)?;
+    let header = frame_header(tag, payload.len(), peer)?;
     write_all_deadline(stream, &header, deadline, peer, "write frame header")?;
     write_all_deadline(stream, payload, deadline, peer, "write frame payload")
 }
@@ -469,8 +418,8 @@ pub fn encode_batch(frames: &[(u8, Vec<u8>)]) -> Vec<u8> {
     out
 }
 
-/// [`encode_batch`] appending into a caller-owned buffer (the batched
-/// driver stages directly into its per-peer wire buffer). The iterator is
+/// [`encode_batch`] appending into a caller-owned buffer (the driver
+/// stages directly into its per-peer wire buffer). The iterator is
 /// walked twice: once for the directory, once for the payloads.
 fn encode_batch_into<'a>(out: &mut Vec<u8>, frames: impl Iterator<Item = (u8, &'a [u8])> + Clone) {
     let count = frames.clone().count();
@@ -559,15 +508,14 @@ fn split_batch_into(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Return {
     /// An engine-posted exchange buffer: park it on `send_returns` so
-    /// `reclaim_into` hands it back to the engine's [`BufferPool`] —
-    /// exactly when the synchronous driver would.
+    /// `reclaim_into` hands it back to the engine's [`BufferPool`].
     Engine,
     /// A transport-internal control payload: recycle it through the
     /// receive freelist so steady-state reductions allocate nothing.
     Pool,
 }
 
-/// One frame waiting in a peer's send queue (batched driver).
+/// One frame waiting in a peer's send queue.
 #[derive(Debug)]
 struct QueuedFrame {
     tag: u8,
@@ -579,8 +527,8 @@ struct QueuedFrame {
     held: bool,
 }
 
-/// Per-peer outgoing state of the batched driver: frames not yet encoded,
-/// plus the staged wire bytes currently being pushed into the kernel.
+/// Per-peer outgoing state: frames not yet encoded, plus the staged wire
+/// bytes currently being pushed into the kernel.
 #[derive(Debug, Default)]
 struct SendQueue {
     frames: VecDeque<QueuedFrame>,
@@ -613,80 +561,17 @@ impl SendQueue {
     }
 }
 
-/// An incoming frame caught mid-flight by a drain-on-stall pass. The
-/// drain never blocks on a frame's remainder (its sender may itself be
-/// stalled draining); whatever is missing is picked up by the next drain
-/// pass or finished by [`next_frame`] once this worker's writes are done.
-#[derive(Debug, Default)]
-struct PartialRead {
-    header: [u8; FRAME_HEADER as usize],
-    header_got: usize,
-    buf: Vec<u8>,
-    payload_got: usize,
-}
-
-impl PartialRead {
-    fn tag(&self) -> u8 {
-        self.header[0]
-    }
-
-    /// Validate the completed header and size the payload buffer.
-    fn start_payload(
-        &mut self,
-        read_pool: &mut Vec<Vec<u8>>,
-        peer: usize,
-    ) -> Result<(), TransportError> {
-        let len = u32::from_le_bytes(self.header[1..5].try_into().unwrap()) as usize;
-        if len > MAX_FRAME {
-            return Err(TransportError::Protocol {
-                peer,
-                detail: format!("frame length {len} exceeds the {MAX_FRAME}-byte limit"),
-            });
-        }
-        self.buf = read_pool.pop().unwrap_or_default();
-        self.buf.clear();
-        self.buf.resize(len, 0);
-        self.payload_got = 0;
-        Ok(())
-    }
-}
-
-/// Consume everything currently available on `stream` without blocking,
-/// advancing (or creating) the peer's [`PartialRead`] and queueing every
-/// completed frame on `early`. Returns the bytes consumed.
-fn drain_available(
-    stream: &TcpStream,
-    pending: &mut Option<PartialRead>,
-    early: &mut VecDeque<(u8, Vec<u8>)>,
-    read_pool: &mut Vec<Vec<u8>>,
-    peer: usize,
-) -> Result<usize, TransportError> {
-    stream
-        .set_nonblocking(true)
-        .map_err(|e| io_err(peer, "drain set_nonblocking", e))?;
-    let result = drain_available_nonblocking(stream, pending, early, read_pool, peer, false);
-    // The restore runs unconditionally; `with_restored` keeps the drain's
-    // own error as the root cause and refuses to swallow a failed
-    // restore (which would leave the socket permanently non-blocking and
-    // silently degrade every later synchronous read on it).
-    let restored = stream
-        .set_nonblocking(false)
-        .map_err(|e| io_err(peer, "drain restore blocking", e));
-    with_restored(result, restored)
-}
-
 /// Queue a completed frame on `early`, splitting super-frames into their
-/// logical sub-frames when `split_batches` (batched driver) so everything
-/// downstream of the drain sees only plain frames.
+/// logical sub-frames so everything downstream of the drain sees only
+/// plain frames.
 fn complete_frame(
     tag: u8,
     mut buf: Vec<u8>,
     early: &mut VecDeque<(u8, Vec<u8>)>,
     read_pool: &mut Vec<Vec<u8>>,
     peer: usize,
-    split_batches: bool,
 ) -> Result<(), TransportError> {
-    if split_batches && tag == TAG_BATCH {
+    if tag == TAG_BATCH {
         split_batch_into(&buf, peer, read_pool, |t, b| early.push_back((t, b)))?;
         buf.clear();
         read_pool.push(buf);
@@ -696,172 +581,11 @@ fn complete_frame(
     Ok(())
 }
 
-fn drain_available_nonblocking(
-    mut stream: &TcpStream,
-    pending: &mut Option<PartialRead>,
-    early: &mut VecDeque<(u8, Vec<u8>)>,
-    read_pool: &mut Vec<Vec<u8>>,
-    peer: usize,
-    split_batches: bool,
-) -> Result<usize, TransportError> {
-    let mut consumed = 0;
-    loop {
-        let pr = pending.get_or_insert_with(PartialRead::default);
-        let dst: &mut [u8] = if pr.header_got < pr.header.len() {
-            &mut pr.header[pr.header_got..]
-        } else {
-            &mut pr.buf[pr.payload_got..]
-        };
-        if dst.is_empty() {
-            // Zero-length payload frame completed on the header alone.
-            let pr = pending.take().unwrap();
-            complete_frame(pr.tag(), pr.buf, early, read_pool, peer, split_batches)?;
-            continue;
-        }
-        match stream.read(dst) {
-            Ok(0) => {
-                return Err(TransportError::Disconnected {
-                    peer,
-                    during: "drain frame",
-                })
-            }
-            Ok(n) => {
-                consumed += n;
-                if pr.header_got < pr.header.len() {
-                    pr.header_got += n;
-                    if pr.header_got == pr.header.len() {
-                        pr.start_payload(read_pool, peer)?;
-                    }
-                } else {
-                    pr.payload_got += n;
-                }
-                if pr.header_got == pr.header.len() && pr.payload_got == pr.buf.len() {
-                    let pr = pending.take().unwrap();
-                    complete_frame(pr.tag(), pr.buf, early, read_pool, peer, split_batches)?;
-                }
-            }
-            Err(e) if is_poll_expiry(&e) => return Ok(consumed),
-            Err(e) => return Err(io_err(peer, "drain frame", e)),
-        }
-    }
-}
-
-/// The next frame from `peer`: drained frames first, then the peer's
-/// in-flight partial (finished blocking — safe here, because `next_frame`
-/// is only called once this worker's own writes for the phase are
-/// complete, so the sender cannot be waiting on us), then the socket.
-fn next_frame(
-    link: &TcpStream,
-    pending: &mut Option<PartialRead>,
-    early: &mut VecDeque<(u8, Vec<u8>)>,
-    read_pool: &mut Vec<Vec<u8>>,
-    deadline: Instant,
-    peer: usize,
-) -> Result<(u8, Vec<u8>), TransportError> {
-    if let Some(frame) = early.pop_front() {
-        return Ok(frame);
-    }
-    if let Some(mut pr) = pending.take() {
-        if pr.header_got < pr.header.len() {
-            let at = pr.header_got;
-            read_exact_deadline(
-                link,
-                &mut pr.header[at..],
-                deadline,
-                peer,
-                "read frame header",
-            )?;
-            pr.header_got = pr.header.len();
-            pr.start_payload(read_pool, peer)?;
-        }
-        let at = pr.payload_got;
-        read_exact_deadline(
-            link,
-            &mut pr.buf[at..],
-            deadline,
-            peer,
-            "read frame payload",
-        )?;
-        return Ok((pr.tag(), pr.buf));
-    }
-    let mut buf = read_pool.pop().unwrap_or_default();
-    let tag = read_frame_into(link, &mut buf, deadline, peer)?;
-    Ok((tag, buf))
-}
-
-/// Write one frame to `links[to]`, draining available inbound bytes from
-/// every peer whenever the kernel send buffer stalls.
-///
-/// In an all-to-all bulk exchange every worker writes before it reads;
-/// with frames larger than the kernel's socket buffering, plain blocking
-/// writes would mutually stall until the io deadline. A stalled writer
-/// therefore consumes whatever its peers have managed to send —
-/// incrementally, via per-peer [`PartialRead`]s, never blocking on a
-/// frame remainder whose sender may itself be stalled — so every pipe
-/// keeps moving and the exchange always makes progress. The deadline
-/// still backstops a genuinely dead peer with a typed error.
-#[allow(clippy::too_many_arguments)]
-fn write_frame_draining(
-    links: &[Option<TcpStream>],
-    pending: &mut [Option<PartialRead>],
-    early: &mut [VecDeque<(u8, Vec<u8>)>],
-    read_pool: &mut Vec<Vec<u8>>,
-    worker: usize,
-    to: usize,
-    tag: u8,
-    payload: &[u8],
-    deadline: Instant,
-) -> Result<(), TransportError> {
-    let mut stream = links[to].as_ref().expect("mesh link missing");
-    let header = frame_header(tag, payload, to)?;
-    let total = header.len() + payload.len();
-    let mut sent = 0;
-    while sent < total {
-        if Instant::now() >= deadline {
-            return Err(TransportError::Timeout {
-                peer: to,
-                during: "write frame",
-            });
-        }
-        let chunk = if sent < header.len() {
-            &header[sent..]
-        } else {
-            &payload[sent - header.len()..]
-        };
-        match stream.write(chunk) {
-            Ok(0) => {
-                return Err(TransportError::Disconnected {
-                    peer: to,
-                    during: "write frame",
-                })
-            }
-            Ok(n) => sent += n,
-            Err(e) if is_poll_expiry(&e) => {
-                let mut drained = 0;
-                for (p, link) in links.iter().enumerate() {
-                    if p == worker {
-                        continue;
-                    }
-                    let Some(l) = link else { continue };
-                    drained += drain_available(l, &mut pending[p], &mut early[p], read_pool, p)?;
-                }
-                if drained == 0 {
-                    // Nothing moved anywhere: back off briefly instead of
-                    // spinning against a full pipe.
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-            Err(e) => return Err(io_err(to, "write frame", e)),
-        }
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
-// The batched driver's progress engine
+// The progress engine
 // ---------------------------------------------------------------------
 //
-// Every operation of the batched driver reduces to the same readiness
+// Every operation of the driver reduces to the same readiness
 // loop: stage queued frames into per-peer wire buffers (coalescing small
 // runs into super-frames), push whatever the kernel will take, drain
 // whatever the kernel has, and consume completed frames from the `early`
@@ -874,9 +598,7 @@ fn write_frame_draining(
 // operation's deadline.
 //
 // Because the drain reads greedily, it can observe a peer's orderly
-// close *after* that peer's last frame was already delivered (the
-// synchronous driver, which reads exactly frame by frame, never can).
-// A clean end-of-stream therefore only marks the peer closed; it
+// close *after* that peer's last frame was already delivered. A clean end-of-stream therefore only marks the peer closed; it
 // becomes a typed `Disconnected` error at the consumer, if and when a
 // frame is still owed from that peer.
 
@@ -909,23 +631,6 @@ fn poll_spins(workers: usize) -> u32 {
         256
     } else {
         0
-    }
-}
-
-/// Idle counter of the batched progress loops: spin briefly (arrival is
-/// usually imminent on a local mesh with spare cores), then sleep in the
-/// readiness multiplexer via [`Pump::idle`].
-struct Backoff {
-    idle_rounds: u32,
-}
-
-impl Backoff {
-    fn new() -> Self {
-        Backoff { idle_rounds: 0 }
-    }
-
-    fn reset(&mut self) {
-        self.idle_rounds = 0;
     }
 }
 
@@ -963,7 +668,7 @@ fn stage_queue(
         if run >= 2 {
             let sub = q.frames.iter().skip(staged).take(run);
             let body = 4 + run * BATCH_ENTRY + sub.clone().map(|f| f.payload.len()).sum::<usize>();
-            let header = frame_header_for_len(TAG_BATCH, body, peer)?;
+            let header = frame_header(TAG_BATCH, body, peer)?;
             q.staged.extend_from_slice(&header);
             encode_batch_into(&mut q.staged, sub.map(|f| (f.tag, f.payload.as_slice())));
             stats.frames += 1;
@@ -972,7 +677,7 @@ fn stage_queue(
             staged += run;
         } else {
             let f = &q.frames[staged];
-            let header = frame_header(f.tag, &f.payload, peer)?;
+            let header = frame_header(f.tag, f.payload.len(), peer)?;
             q.staged.extend_from_slice(&header);
             q.staged.extend_from_slice(&f.payload);
             stats.frames += 1;
@@ -994,7 +699,7 @@ fn stage_queue(
     Ok(())
 }
 
-/// The batched driver's per-operation view of one endpoint: every field
+/// The driver's per-operation view of one endpoint: every field
 /// is a disjoint mutable borrow of the locked [`Endpoint`], so the
 /// progress methods compose without fighting the borrow checker.
 struct Pump<'a> {
@@ -1152,10 +857,11 @@ impl Pump<'_> {
     /// one multiplexed kernel sleep over every mesh link
     /// ([`Pump::poll_wait`]), so the thread wakes the instant *any*
     /// link can make progress instead of blocking toward one peer while
-    /// bytes arrive from another.
+    /// bytes arrive from another. `idle_rounds` counts the loop's
+    /// consecutive idle steps; the loop resets it to 0 on progress.
     fn idle(
         &mut self,
-        backoff: &mut Backoff,
+        idle_rounds: &mut u32,
         deadline: Instant,
         owed: &[bool],
         during: &'static str,
@@ -1173,14 +879,14 @@ impl Pump<'_> {
                 .unwrap_or(usize::MAX);
             return Err(TransportError::Timeout { peer, during });
         }
-        backoff.idle_rounds += 1;
-        if backoff.idle_rounds <= self.spins {
+        *idle_rounds += 1;
+        if *idle_rounds <= self.spins {
             // Cores to spare: poll everything and spin — lowest latency.
             self.pump(true)?;
             std::hint::spin_loop();
             return Ok(());
         }
-        if backoff.idle_rounds <= self.spins.saturating_add(YIELD_BUDGET) {
+        if *idle_rounds <= self.spins.saturating_add(YIELD_BUDGET) {
             // Offer the core to a runnable peer, then pump to pick up
             // whatever the handoff produced (the consumer loops above
             // only re-pump when they have send work of their own).
@@ -1271,15 +977,15 @@ impl Pump<'_> {
         deadline: Instant,
         during: &'static str,
     ) -> Result<(), TransportError> {
-        let mut backoff = Backoff::new();
+        let mut idle_rounds = 0;
         let no_owed: &[bool] = &[];
         while !self.send.iter().all(SendQueue::is_idle) {
             let moved = self.pump(true)?;
             if moved > 0 {
-                backoff.reset();
+                idle_rounds = 0;
                 continue;
             }
-            self.idle(&mut backoff, deadline, no_owed, during)?;
+            self.idle(&mut idle_rounds, deadline, no_owed, during)?;
         }
         Ok(())
     }
@@ -1295,8 +1001,8 @@ const RECV_CHUNK: usize = 32 << 10;
 /// staging copy.
 const RECV_DIRECT: usize = 16 << 10;
 
-/// Per-peer buffered receive state of the batched driver. `buf[start..
-/// end]` holds bytes not yet parsed into frames.
+/// Per-peer buffered receive state. `buf[start..end]` holds bytes not
+/// yet parsed into frames.
 #[derive(Debug, Default)]
 struct RecvBuf {
     buf: Vec<u8>,
@@ -1319,13 +1025,11 @@ struct LargeFrame {
     got: usize,
 }
 
-/// One buffered read attempt from `peer` (batched driver): a single
+/// One buffered read attempt from `peer`: a single
 /// `read` syscall typically delivers several complete frames, each of
 /// which — super-frames split into their sub-frames — lands on `early`.
 /// Returns `(bytes, clean_eof)`; a clean end-of-stream is not an error
-/// until someone is still owed a frame from this peer. Works on a
-/// non-blocking stream (one poll) and on a blocking one (one bounded
-/// kernel wait).
+/// until someone is still owed a frame from this peer.
 fn recv_step(
     mut stream: &TcpStream,
     rb: &mut RecvBuf,
@@ -1352,7 +1056,7 @@ fn recv_step(
         lf.got += n;
         if lf.got == lf.buf.len() {
             let lf = large.take().unwrap();
-            complete_frame(lf.tag, lf.buf, early, read_pool, peer, true)?;
+            complete_frame(lf.tag, lf.buf, early, read_pool, peer)?;
         }
         return Ok((n, false));
     }
@@ -1414,7 +1118,7 @@ fn recv_step(
             buf[..have].copy_from_slice(&rb.buf[body..body + have]);
             rb.start = body + have;
             if have == len {
-                complete_frame(tag, buf, early, read_pool, peer, true)?;
+                complete_frame(tag, buf, early, read_pool, peer)?;
                 continue;
             }
             *large = Some(LargeFrame {
@@ -1431,7 +1135,7 @@ fn recv_step(
         buf.clear();
         buf.extend_from_slice(&rb.buf[body..body + len]);
         rb.start = body + len;
-        complete_frame(tag, buf, early, read_pool, peer, true)?;
+        complete_frame(tag, buf, early, read_pool, peer)?;
     }
     if rb.start == rb.end {
         rb.start = 0;
@@ -1445,8 +1149,7 @@ fn recv_step(
     Ok((n, false))
 }
 
-/// Drain everything currently available from one link (batched driver):
-/// repeated [`recv_step`]s until the kernel has nothing more.
+/// Drain everything currently available from one link: repeated [`recv_step`]s until the kernel has nothing more.
 #[allow(clippy::too_many_arguments)]
 fn drain_link_nonblocking(
     stream: &TcpStream,
@@ -1486,34 +1189,28 @@ struct Endpoint {
     /// superstep cannot pin giant receive buffers for the transport's
     /// lifetime (the receive-side sibling of `BufferPool::end_round`).
     read_watermark: usize,
-    /// Per-peer frames read ahead of schedule by a drain-on-stall pass,
-    /// consumed (in arrival order) before the socket is touched again.
+    /// Per-peer frames drained off the socket, consumed in arrival order.
     early: Vec<VecDeque<(u8, Vec<u8>)>>,
-    /// Per-peer frame fragments caught mid-flight by a drain pass.
-    pending: Vec<Option<PartialRead>>,
-    /// Per-peer send queues of the batched driver (empty when the
-    /// synchronous driver runs — it writes frames through directly).
+    /// Per-peer send queues.
     send: Vec<SendQueue>,
-    /// Per-peer buffered receive staging of the batched driver.
+    /// Per-peer buffered receive staging.
     recv: Vec<RecvBuf>,
-    /// Per-peer direct-path large frames of the batched driver.
+    /// Per-peer direct-path large frames.
     large: Vec<Option<LargeFrame>>,
-    /// Peers whose stream hit a clean end-of-stream during a batched
-    /// drain; an error only once a frame is still owed from them.
+    /// Peers whose stream hit a clean end-of-stream during a drain; an
+    /// error only once a frame is still owed from them.
     closed: Vec<bool>,
     /// Posted buffers awaiting `reclaim_into` (their bytes are already on
     /// the wire; the `Vec`s go home to the engine's pool).
     send_returns: Vec<Vec<u8>>,
-    /// Reused pollfd scratch of the readiness multiplexer (batched
-    /// driver; see [`Pump::poll_wait`]).
+    /// Reused pollfd scratch of the readiness multiplexer (see
+    /// [`Pump::poll_wait`]).
     pollfds: Vec<PollFd>,
-    /// Scratch for control payload encoding (synchronous driver).
-    scratch: Vec<u8>,
-    /// Per-peer "still owes this round a frame" scratch, reused by the
-    /// batched `take_all_into` and reduction gathers.
+    /// Per-peer "still owes this round a frame" scratch, reused by
+    /// `take_all_into` and the reduction gathers.
     owed: Vec<bool>,
-    /// Per-peer "sent its `DATA` this round" scratch of the batched
-    /// `take_all_into`: a second `DATA` before the `END` is a violation.
+    /// Per-peer "sent its `DATA` this round" scratch of `take_all_into`:
+    /// a second `DATA` before the `END` is a violation.
     got_data: Vec<bool>,
     /// This worker's own round words, published by the last `sync`.
     words: [u64; 2],
@@ -1521,7 +1218,7 @@ struct Endpoint {
     stats: TransportStats,
 }
 
-/// The endpoint fields a batched operation keeps for itself, next to the
+/// The endpoint fields an operation keeps for itself, next to the
 /// [`Pump`] that owns the progress machinery.
 struct OpState<'a> {
     self_slot: &'a mut Option<Vec<u8>>,
@@ -1533,7 +1230,7 @@ struct OpState<'a> {
 }
 
 impl Endpoint {
-    /// Split this endpoint into the batched driver's progress context and
+    /// Split this endpoint into the driver's progress context and
     /// the op-local leftovers — disjoint borrows, usable side by side.
     fn split(
         &mut self,
@@ -1558,7 +1255,6 @@ impl Endpoint {
             got_data,
             words,
             stats,
-            ..
         } = self;
         (
             Pump {
@@ -1603,7 +1299,7 @@ impl Endpoint {
 #[derive(Debug)]
 pub struct Tcp {
     workers: usize,
-    /// Spin iterations before batched idle loops block in the kernel
+    /// Spin iterations before idle loops block in the kernel
     /// (computed once from cores vs workers; see [`poll_spins`]).
     spins: u32,
     /// `Some(rank)` when this object is one rank of a multi-process mesh
@@ -1708,7 +1404,6 @@ impl Tcp {
                     links: (0..workers).map(|_| None).collect(),
                     posted: vec![false; workers],
                     early: (0..workers).map(|_| VecDeque::new()).collect(),
-                    pending: (0..workers).map(|_| None).collect(),
                     send: (0..workers).map(|_| SendQueue::default()).collect(),
                     recv: (0..workers).map(|_| RecvBuf::default()).collect(),
                     large: (0..workers).map(|_| None).collect(),
@@ -1786,9 +1481,7 @@ impl Tcp {
             write_frame(&stream, TAG_HELLO, &hello, deadline, p)?;
             ep.stats.frames += 1;
             ep.stats.wire_bytes += FRAME_HEADER + hello.len() as u64;
-            if self.opts.batched {
-                configure_batched(&stream).map_err(|e| io_err(p, "mesh mode", e))?;
-            }
+            configure_nonblocking(&stream).map_err(|e| io_err(p, "mesh mode", e))?;
             ep.links[p] = Some(stream);
         }
         let expect_higher = (w + 1..self.workers).any(|p| ep.links[p].is_none());
@@ -1843,9 +1536,7 @@ impl Tcp {
                         detail: "HELLO from an unexpected or duplicate rank".to_string(),
                     });
                 }
-                if self.opts.batched {
-                    configure_batched(&stream).map_err(|e| io_err(peer, "mesh mode", e))?;
-                }
+                configure_nonblocking(&stream).map_err(|e| io_err(peer, "mesh mode", e))?;
                 ep.links[peer] = Some(stream);
             }
             // All higher ranks connected: the listener's job is done.
@@ -1870,12 +1561,11 @@ impl Tcp {
         Instant::now() + self.opts.io_timeout
     }
 
-    /// Fallible [`ExchangeTransport::post`].
+    /// Fallible [`ExchangeTransport::post`]: enqueue and immediately drive
+    /// socket progress, so serializing the next destination overlaps this
+    /// one's wire transfer. A small `DATA` is held for the round's `END`
+    /// to join it in one super-frame.
     pub fn try_post(&self, from: usize, to: usize, data: Vec<u8>) -> Result<(), TransportError> {
-        if self.opts.batched {
-            return self.try_post_batched(from, to, data);
-        }
-        let deadline = self.io_deadline();
         self.with_endpoint(from, |ep| {
             assert!(
                 !ep.posted[to],
@@ -1886,48 +1576,8 @@ impl Tcp {
                 ep.self_slot = Some(data);
                 return Ok(());
             }
-            let Endpoint {
-                links,
-                pending,
-                early,
-                read_pool,
-                send_returns,
-                stats,
-                ..
-            } = ep;
-            write_frame_draining(
-                links, pending, early, read_pool, from, to, TAG_DATA, &data, deadline,
-            )?;
-            stats.frames += 1;
-            stats.wire_bytes += FRAME_HEADER + data.len() as u64;
-            send_returns.push(data);
-            Ok(())
-        })
-    }
-
-    /// Batched [`Tcp::try_post`]: enqueue and immediately drive socket
-    /// progress, so serializing the next destination overlaps this one's
-    /// wire transfer instead of stalling on `write_all`. A small `DATA`
-    /// is held for the round's `END` to join it in one super-frame.
-    fn try_post_batched(
-        &self,
-        from: usize,
-        to: usize,
-        data: Vec<u8>,
-    ) -> Result<(), TransportError> {
-        self.with_endpoint(from, |ep| {
-            assert!(
-                !ep.posted[to],
-                "transport slot ({from},{to}) posted twice in one round"
-            );
-            ep.posted[to] = true;
-            if to == from {
-                ep.self_slot = Some(data);
-                return Ok(());
-            }
-            // Oversize fails at the post site, exactly like the
-            // synchronous driver.
-            frame_header(TAG_DATA, &data, to)?;
+            // Oversize fails at the post site, not in a later pump.
+            frame_header(TAG_DATA, data.len(), to)?;
             let held = data.len() <= self.opts.coalesce_limit;
             let (mut cx, _) = ep.split(from, self.opts.coalesce_limit, self.spins);
             cx.enqueue(to, TAG_DATA, data, Return::Engine, held);
@@ -1936,45 +1586,12 @@ impl Tcp {
         })
     }
 
-    /// Fallible [`ExchangeTransport::sync`]: write an `END` carrying
-    /// `words` to every peer, completing the round on all receivers.
+    /// Fallible [`ExchangeTransport::sync`]: queue the round's `END`s,
+    /// each carrying `words` and releasing the held `DATA` before it into
+    /// one super-frame, and drive whatever progress the kernel will take
+    /// right now. The blocking "drive until quiesced" happens in
+    /// `take_all_into`, where the round's frames are actually needed.
     pub fn try_sync(&self, worker: usize, words: [u64; 2]) -> Result<(), TransportError> {
-        if self.opts.batched {
-            return self.try_sync_batched(worker, words);
-        }
-        let deadline = self.io_deadline();
-        self.with_endpoint(worker, |ep| {
-            let Endpoint {
-                links,
-                pending,
-                early,
-                read_pool,
-                posted,
-                scratch,
-                stats,
-                ..
-            } = ep;
-            scratch.clear();
-            encode_end(words, scratch);
-            for p in (0..links.len()).filter(|&p| p != worker) {
-                write_frame_draining(
-                    links, pending, early, read_pool, worker, p, TAG_END, scratch, deadline,
-                )?;
-                stats.frames += 1;
-                stats.wire_bytes += FRAME_HEADER + END_LEN as u64;
-            }
-            posted.fill(false);
-            ep.words = words;
-            Ok(())
-        })
-    }
-
-    /// Batched [`Tcp::try_sync`]: queue the round's `END`s — each releases
-    /// the held `DATA` before it into one super-frame — and drive whatever
-    /// progress the kernel will take right now. The blocking "drive until
-    /// quiesced" happens in `take_all_into`, where the round's frames are
-    /// actually needed.
-    fn try_sync_batched(&self, worker: usize, words: [u64; 2]) -> Result<(), TransportError> {
         self.with_endpoint(worker, |ep| {
             let (mut cx, op) = ep.split(worker, self.opts.coalesce_limit, self.spins);
             for p in (0..op.posted.len()).filter(|&p| p != worker) {
@@ -1989,14 +1606,27 @@ impl Tcp {
         })
     }
 
-    /// Batched [`Tcp::try_take_all_into`]: the round's "drive until
-    /// quiesced" loop — push queued sends and collect every peer's
+    /// Fallible [`ExchangeTransport::flush`]: drive every send queue onto
+    /// the wire. Needed when this worker stops driving the transport while
+    /// its last frames may still be queued (after the last round, and in
+    /// the multi-process result gather).
+    pub fn try_flush(&self, worker: usize) -> Result<(), TransportError> {
+        let deadline = self.io_deadline();
+        self.with_endpoint(worker, |ep| {
+            let (mut cx, _) = ep.split(worker, self.opts.coalesce_limit, self.spins);
+            cx.drive_empty(deadline, "flush send queues")
+        })
+    }
+
+    /// Fallible [`ExchangeTransport::take_all_into`]: the round's "drive
+    /// until quiesced" loop — push queued sends and collect every peer's
     /// optional `DATA` and its `END`, in whatever order peers deliver,
-    /// then emit in ascending rank order like every other backend. Frames
+    /// then emit in ascending rank order (self-delivery in rank place)
+    /// like every other backend; returns the combined round words. Frames
     /// a fast peer already sent for its next round stay queued behind its
     /// `END`. The take also waits until this worker's own posted buffers
     /// are staged, so they are back for its next drain.
-    fn try_take_all_into_batched(
+    pub fn try_take_all_into(
         &self,
         worker: usize,
         out: &mut Vec<(usize, Vec<u8>)>,
@@ -2018,7 +1648,7 @@ impl Tcp {
             }
             let mut words = *op.words;
             let mut round_max = 0usize;
-            let mut backoff = Backoff::new();
+            let mut idle_rounds = 0;
             cx.pump(true)?;
             loop {
                 let mut consumed = false;
@@ -2056,31 +1686,30 @@ impl Tcp {
                     break;
                 }
                 if consumed {
-                    backoff.reset();
+                    idle_rounds = 0;
                     continue;
                 }
                 if cx.has_send_work() {
                     let moved = cx.pump(true)?;
                     if moved > 0 {
-                        backoff.reset();
+                        idle_rounds = 0;
                         continue;
                     }
                 }
-                cx.idle(&mut backoff, deadline, owed, "take_all_into")?;
+                cx.idle(&mut idle_rounds, deadline, owed, "take_all_into")?;
             }
             out.sort_unstable_by_key(|&(sender, _)| sender);
+            // Decay toward the current round's largest frame: a one-off
+            // spike stops dominating within a few dozen rounds, while a
+            // sustained large working set holds the watermark up.
             *op.read_watermark = round_max.max(*op.read_watermark - *op.read_watermark / 4);
             Ok(words)
         })
     }
 
-    /// Batched reduction: same gather/broadcast protocol as the
-    /// synchronous driver, driven by the readiness loop.
-    fn try_reduce_batched(
-        &self,
-        worker: usize,
-        values: &[u64],
-    ) -> Result<Vec<u64>, TransportError> {
+    /// Fallible [`ExchangeTransport::reduce`]: gather on rank 0, broadcast
+    /// back.
+    pub fn try_reduce(&self, worker: usize, values: &[u64]) -> Result<Vec<u64>, TransportError> {
         let deadline = self.io_deadline();
         self.with_endpoint(worker, |ep| {
             let (mut cx, opstate) = ep.split(worker, self.opts.coalesce_limit, self.spins);
@@ -2093,7 +1722,7 @@ impl Tcp {
                     *slot = p != 0;
                     outstanding += *slot as usize;
                 }
-                let mut backoff = Backoff::new();
+                let mut idle_rounds = 0;
                 cx.pump(true)?;
                 while outstanding > 0 {
                     let mut consumed = false;
@@ -2116,17 +1745,17 @@ impl Tcp {
                         break;
                     }
                     if consumed {
-                        backoff.reset();
+                        idle_rounds = 0;
                         continue;
                     }
                     if cx.has_send_work() {
                         let moved = cx.pump(true)?;
                         if moved > 0 {
-                            backoff.reset();
+                            idle_rounds = 0;
                             continue;
                         }
                     }
-                    cx.idle(&mut backoff, deadline, owed, "gather reduction")?;
+                    cx.idle(&mut idle_rounds, deadline, owed, "gather reduction")?;
                 }
                 // Every peer is blocked on the result: push it all the
                 // way out now.
@@ -2144,7 +1773,7 @@ impl Tcp {
                 cx.enqueue(0, TAG_REDUCE, payload, Return::Pool, false);
                 owed.fill(false);
                 owed[0] = true;
-                let mut backoff = Backoff::new();
+                let mut idle_rounds = 0;
                 cx.pump(true)?;
                 let (tag, payload) = loop {
                     if let Some(frame) = cx.early[0].pop_front() {
@@ -2153,166 +1782,14 @@ impl Tcp {
                     if cx.has_send_work() {
                         let moved = cx.pump(true)?;
                         if moved > 0 {
-                            backoff.reset();
+                            idle_rounds = 0;
                             continue;
                         }
                     }
-                    cx.idle(&mut backoff, deadline, owed, "await reduction result")?;
+                    cx.idle(&mut idle_rounds, deadline, owed, "await reduction result")?;
                 };
                 let result = decode_result(tag, &payload, values.len());
                 cx.recycle(payload);
-                result
-            }
-        })
-    }
-
-    /// Fallible [`ExchangeTransport::flush`]: drive every send queue onto
-    /// the wire. Needed when this worker stops driving the transport while
-    /// its last frames may still be queued (after the last round, and in
-    /// the multi-process result gather); a no-op for the synchronous
-    /// driver, whose writes complete inside `post`/`sync`.
-    pub fn try_flush(&self, worker: usize) -> Result<(), TransportError> {
-        if !self.opts.batched {
-            return Ok(());
-        }
-        let deadline = self.io_deadline();
-        self.with_endpoint(worker, |ep| {
-            let (mut cx, _) = ep.split(worker, self.opts.coalesce_limit, self.spins);
-            cx.drive_empty(deadline, "flush send queues")
-        })
-    }
-
-    /// Fallible [`ExchangeTransport::take_all_into`]: every peer's
-    /// optional `DATA` and its `END`, ascending rank order, self-delivery
-    /// in rank place; returns the combined round words.
-    pub fn try_take_all_into(
-        &self,
-        worker: usize,
-        out: &mut Vec<(usize, Vec<u8>)>,
-    ) -> Result<[u64; 2], TransportError> {
-        if self.opts.batched {
-            return self.try_take_all_into_batched(worker, out);
-        }
-        let deadline = self.io_deadline();
-        out.clear();
-        self.with_endpoint(worker, |ep| {
-            let Endpoint {
-                links,
-                self_slot,
-                read_pool,
-                early,
-                pending,
-                read_watermark,
-                words,
-                ..
-            } = ep;
-            let mut words = *words;
-            let mut round_max = 0usize;
-            for (p, link) in links.iter().enumerate() {
-                if p == worker {
-                    if let Some(buf) = self_slot.take() {
-                        out.push((p, buf));
-                    }
-                    continue;
-                }
-                let stream = link.as_ref().expect("mesh link missing");
-                let mut next = || {
-                    next_frame(
-                        stream,
-                        &mut pending[p],
-                        &mut early[p],
-                        read_pool,
-                        deadline,
-                        p,
-                    )
-                };
-                let (mut tag, mut buf) = next()?;
-                let mut expected = "DATA or END";
-                if tag == TAG_DATA {
-                    round_max = round_max.max(buf.len());
-                    out.push((p, buf));
-                    (tag, buf) = next()?;
-                    expected = "END";
-                }
-                if tag != TAG_END {
-                    return Err(TransportError::Protocol {
-                        peer: p,
-                        detail: format!("expected {expected}, got tag {tag:#04x}"),
-                    });
-                }
-                fold_end(&mut words, &buf, p)?;
-                read_pool.push(buf);
-            }
-            // Decay toward the current round's largest frame: a one-off
-            // spike stops dominating within a few dozen rounds, while a
-            // sustained large working set holds the watermark up.
-            *read_watermark = round_max.max(*read_watermark - *read_watermark / 4);
-            Ok(words)
-        })
-    }
-
-    /// Fallible [`ExchangeTransport::reduce`]: gather on rank 0, broadcast
-    /// back.
-    pub fn try_reduce(&self, worker: usize, values: &[u64]) -> Result<Vec<u64>, TransportError> {
-        if self.opts.batched {
-            return self.try_reduce_batched(worker, values);
-        }
-        let deadline = self.io_deadline();
-        self.with_endpoint(worker, |ep| {
-            let Endpoint {
-                links,
-                pending,
-                early,
-                read_pool,
-                scratch,
-                stats,
-                ..
-            } = ep;
-            if worker == 0 {
-                let mut acc = values.to_vec();
-                for (p, link) in links.iter().enumerate().skip(1) {
-                    let stream = link.as_ref().expect("mesh link missing");
-                    let (tag, payload) = next_frame(
-                        stream,
-                        &mut pending[p],
-                        &mut early[p],
-                        read_pool,
-                        deadline,
-                        p,
-                    )?;
-                    fold_reduce(&mut acc, tag, &payload, p)?;
-                    read_pool.push(payload);
-                }
-                scratch.clear();
-                u64::encode_slice(&acc, scratch);
-                for p in 1..links.len() {
-                    write_frame_draining(
-                        links, pending, early, read_pool, worker, p, TAG_RESULT, scratch, deadline,
-                    )?;
-                    stats.frames += 1;
-                    stats.wire_bytes += FRAME_HEADER + scratch.len() as u64;
-                }
-                stats.round_trips += 1;
-                Ok(acc)
-            } else {
-                scratch.clear();
-                encode_reduce(values, scratch);
-                write_frame_draining(
-                    links, pending, early, read_pool, worker, 0, TAG_REDUCE, scratch, deadline,
-                )?;
-                stats.frames += 1;
-                stats.wire_bytes += FRAME_HEADER + scratch.len() as u64;
-                let stream = links[0].as_ref().expect("mesh link missing");
-                let (tag, payload) = next_frame(
-                    stream,
-                    &mut pending[0],
-                    &mut early[0],
-                    read_pool,
-                    deadline,
-                    0,
-                )?;
-                let result = decode_result(tag, &payload, values.len());
-                read_pool.push(payload);
                 result
             }
         })
@@ -2348,11 +1825,7 @@ impl Tcp {
 
 impl ExchangeTransport for Tcp {
     fn name(&self) -> &'static str {
-        if self.opts.batched {
-            "tcp-batched"
-        } else {
-            "tcp"
-        }
+        "tcp"
     }
 
     fn workers(&self) -> usize {
@@ -2422,12 +1895,6 @@ impl ExchangeTransport for Tcp {
     fn worker_stats(&self, worker: usize) -> TransportStats {
         self.endpoints[worker].lock().stats
     }
-
-    fn wait_budget(&self) -> Option<u32> {
-        // Only the batched driver has a readiness multiplexer; the
-        // synchronous driver blocks per-socket and has no spin phase.
-        self.opts.batched.then_some(self.spins)
-    }
 }
 
 #[cfg(test)]
@@ -2454,30 +1921,6 @@ mod tests {
         let mut expect = vec![(w + 2) % 3, w];
         expect.sort_unstable();
         assert_eq!(senders, expect, "worker {w} round {round}");
-    }
-
-    /// Full mesh exchange with its round words, plus a standalone
-    /// reduction, across real sockets.
-    #[test]
-    fn tcp_exchange_and_reduce_round() {
-        let t = Arc::new(Tcp::loopback(3).unwrap());
-        let mut handles = Vec::new();
-        for w in 0..3usize {
-            let t = Arc::clone(&t);
-            handles.push(std::thread::spawn(move || {
-                let mut received = Vec::new();
-                for round in 0..5u8 {
-                    ring_round(&t, w, round, &mut received);
-                    assert_eq!(t.reduce(w, &[w as u64 + 1]), vec![6]);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let stats = t.stats();
-        assert!(stats.wire_bytes > 0);
-        assert_eq!(stats.round_trips, 5, "only reduce counts a round trip");
     }
 
     /// One giant round must not pin giant receive buffers on the
@@ -2514,37 +1957,6 @@ mod tests {
         }
     }
 
-    /// The multi-process shape: each rank owns its own `Tcp::mesh` object
-    /// (separate listener, shared address table) and the meshes
-    /// interoperate over real sockets exactly like the loopback shape —
-    /// exchange, `END` frames, round words.
-    #[test]
-    fn mesh_endpoints_in_separate_objects_interoperate() {
-        let listeners: Vec<TcpListener> = (0..3)
-            .map(|_| TcpListener::bind(("127.0.0.1", 0)).unwrap())
-            .collect();
-        let addrs: Vec<std::net::SocketAddr> =
-            listeners.iter().map(|l| l.local_addr().unwrap()).collect();
-        let mut handles = Vec::new();
-        for (rank, listener) in listeners.into_iter().enumerate() {
-            let addrs = addrs.clone();
-            handles.push(std::thread::spawn(move || {
-                let t = Tcp::mesh(rank, addrs, listener, TcpOptions::default()).unwrap();
-                assert_eq!(t.local_rank(), Some(rank));
-                let mut received = Vec::new();
-                for round in 0..4u8 {
-                    ring_round(&t, rank, round, &mut received);
-                }
-                t.worker_stats(rank)
-            }));
-        }
-        let mut wire = 0;
-        for h in handles {
-            wire += h.join().unwrap().wire_bytes;
-        }
-        assert!(wire > 0);
-    }
-
     /// A mesh object refuses to drive any rank but its own: those workers
     /// live in other processes.
     #[test]
@@ -2556,13 +1968,13 @@ mod tests {
         t.post(1, 0, vec![1]);
     }
 
-    /// The exchange/reduction pattern of `tcp_exchange_and_reduce_round`,
-    /// under the batched driver: identical observable behavior, plus
-    /// coalescing actually happening (each `DATA` rides with its `END`).
+    /// Full mesh exchange with its round words, plus a standalone
+    /// reduction, across real sockets — with coalescing actually
+    /// happening (each `DATA` rides with its `END`).
     #[test]
-    fn batched_exchange_and_reduce_round() {
-        let t = Arc::new(Tcp::loopback_with(3, TcpOptions::batched()).unwrap());
-        assert_eq!(t.name(), "tcp-batched");
+    fn tcp_exchange_and_reduce_round() {
+        let t = Arc::new(Tcp::loopback(3).unwrap());
+        assert_eq!(t.name(), "tcp");
         let mut handles = Vec::new();
         for w in 0..3usize {
             let t = Arc::clone(&t);
@@ -2582,7 +1994,7 @@ mod tests {
         }
         let stats = t.stats();
         assert!(stats.wire_bytes > 0);
-        assert_eq!(stats.round_trips, 5);
+        assert_eq!(stats.round_trips, 5, "only reduce counts a round trip");
         assert!(
             stats.coalesced_frames > 0,
             "no frames were coalesced: {stats:?}"
@@ -2590,8 +2002,9 @@ mod tests {
         assert!(stats.flushes > 0);
     }
 
-    /// The batched driver moves fewer wire frames than the synchronous
-    /// one for the same traffic — the whole point of coalescing.
+    /// Coalescing moves fewer wire frames than the same traffic framed
+    /// one by one (`coalesce_limit: 0` coalesces nothing) — its whole
+    /// point.
     #[test]
     fn batched_driver_reduces_wire_frames() {
         let run = |opts: TcpOptions| {
@@ -2618,55 +2031,20 @@ mod tests {
             }
             t.stats()
         };
-        let sync = run(TcpOptions::default());
-        let batched = run(TcpOptions::batched());
+        let plain = run(TcpOptions {
+            coalesce_limit: 0,
+            ..TcpOptions::default()
+        });
+        let coalesced = run(TcpOptions::default());
         assert!(
-            batched.frames < sync.frames,
-            "batched sent {} frames, sync {}",
-            batched.frames,
-            sync.frames
+            coalesced.frames < plain.frames,
+            "coalescing sent {} frames, plain {}",
+            coalesced.frames,
+            plain.frames
         );
-        assert!(batched.coalesced_frames > 0);
-        assert_eq!(sync.coalesced_frames, 0);
-        assert_eq!(sync.round_trips, batched.round_trips);
-    }
-
-    /// Frames far larger than kernel socket buffering under the batched
-    /// driver: the readiness loop resumes partial writes and reads from
-    /// its per-peer cursors, so the all-to-all completes intact.
-    #[test]
-    fn batched_giant_frames_complete() {
-        const WORKERS: usize = 3;
-        const LEN: usize = 4 << 20;
-        let t = Arc::new(Tcp::loopback_with(WORKERS, TcpOptions::batched()).unwrap());
-        let mut handles = Vec::new();
-        for w in 0..WORKERS {
-            let t = Arc::clone(&t);
-            handles.push(std::thread::spawn(move || {
-                let mut received = Vec::new();
-                for round in 0..2u8 {
-                    for peer in 0..WORKERS {
-                        let mut buf = vec![w as u8 ^ round; LEN];
-                        buf[0] = w as u8;
-                        t.post(w, peer, buf);
-                    }
-                    t.sync(w, [1 << w, 1]);
-                    let words = t.take_all_into(w, &mut received);
-                    assert_eq!(words, [0b111, WORKERS as u64]);
-                    assert_eq!(received.len(), WORKERS);
-                    for (s, buf) in received.drain(..) {
-                        assert_eq!(buf.len(), LEN);
-                        assert_eq!(buf[0], s as u8);
-                        assert!(buf[1..].iter().all(|&b| b == s as u8 ^ round));
-                        t.recycle(w, s, buf);
-                    }
-                }
-                t.flush(w);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        assert!(coalesced.coalesced_frames > 0);
+        assert_eq!(plain.coalesced_frames, 0);
+        assert_eq!(plain.round_trips, coalesced.round_trips);
     }
 
     /// The multi-process result gather: a worker that stops driving the
@@ -2674,7 +2052,7 @@ mod tests {
     /// in its send queue reach the receiver.
     #[test]
     fn batched_flush_releases_held_frames() {
-        let t = Arc::new(Tcp::loopback_with(2, TcpOptions::batched()).unwrap());
+        let t = Arc::new(Tcp::loopback(2).unwrap());
         let t1 = Arc::clone(&t);
         let sender = std::thread::spawn(move || {
             t1.post(1, 0, vec![42; 8]);
@@ -2708,7 +2086,7 @@ mod tests {
         let opts = TcpOptions {
             spins: Some(0),
             io_timeout: Duration::from_secs(5),
-            ..TcpOptions::batched()
+            ..TcpOptions::default()
         };
         let t = Arc::new(Tcp::loopback_with(2, opts).unwrap());
         let (returned_tx, returned_rx) = std::sync::mpsc::channel();
@@ -2748,7 +2126,7 @@ mod tests {
     #[test]
     fn small_data_coalesces_with_its_end() {
         const ROUNDS: u64 = 200;
-        let t = Arc::new(Tcp::loopback_with(2, TcpOptions::batched()).unwrap());
+        let t = Arc::new(Tcp::loopback(2).unwrap());
         let mut handles = Vec::new();
         for w in 0..2usize {
             let t = Arc::clone(&t);
@@ -2819,10 +2197,12 @@ mod tests {
         assert_protocol(&nested, "nested batch");
     }
 
-    /// Batched mesh endpoints in separate objects (the multi-process
-    /// shape) interoperate exactly like the loopback shape.
+    /// The multi-process shape: each rank owns its own `Tcp::mesh` object
+    /// (separate listener, shared address table) and the meshes
+    /// interoperate over real sockets exactly like the loopback shape —
+    /// exchange, `END` frames, round words, coalescing.
     #[test]
-    fn batched_mesh_endpoints_interoperate() {
+    fn mesh_endpoints_in_separate_objects_interoperate() {
         let listeners: Vec<TcpListener> = (0..3)
             .map(|_| TcpListener::bind(("127.0.0.1", 0)).unwrap())
             .collect();
@@ -2832,7 +2212,8 @@ mod tests {
         for (rank, listener) in listeners.into_iter().enumerate() {
             let addrs = addrs.clone();
             handles.push(std::thread::spawn(move || {
-                let t = Tcp::mesh(rank, addrs, listener, TcpOptions::batched()).unwrap();
+                let t = Tcp::mesh(rank, addrs, listener, TcpOptions::default()).unwrap();
+                assert_eq!(t.local_rank(), Some(rank));
                 let mut received = Vec::new();
                 for round in 0..4u8 {
                     ring_round(&t, rank, round, &mut received);
@@ -2852,12 +2233,11 @@ mod tests {
         assert!(coalesced > 0, "mesh endpoints coalesced nothing");
     }
 
-    /// Pool traffic under the batched driver is identical to the
-    /// synchronous one: posted buffers come home through `reclaim_into`
-    /// by the time the next round drains.
+    /// Posted buffers come home to the engine pool via reclaim by the time
+    /// the next round drains, exactly like the in-process return stacks.
     #[test]
-    fn batched_send_buffers_are_reclaimed() {
-        let t = Arc::new(Tcp::loopback_with(2, TcpOptions::batched()).unwrap());
+    fn tcp_send_buffers_are_reclaimed() {
+        let t = Arc::new(Tcp::loopback(2).unwrap());
         let mut handles = Vec::new();
         for w in 0..2usize {
             let t = Arc::clone(&t);
@@ -2882,99 +2262,9 @@ mod tests {
         }
         for h in handles {
             let stats = h.join().unwrap();
-            assert_eq!(stats.misses, 1);
-            assert_eq!(stats.hits, 2);
-        }
-    }
-
-    /// Posted buffers come home to the engine pool via reclaim, exactly
-    /// like the in-process return stacks.
-    #[test]
-    fn tcp_send_buffers_are_reclaimed() {
-        let t = Arc::new(Tcp::loopback(2).unwrap());
-        let mut handles = Vec::new();
-        for w in 0..2usize {
-            let t = Arc::clone(&t);
-            handles.push(std::thread::spawn(move || {
-                let mut pool = BufferPool::new();
-                let mut received = Vec::new();
-                for _ in 0..3 {
-                    t.reclaim_into(w, &mut pool);
-                    let mut buf = pool.get();
-                    buf.extend_from_slice(&[w as u8; 16]);
-                    t.post(w, 1 - w, buf);
-                    t.sync(w, [0, 1]);
-                    t.take_all_into(w, &mut received);
-                    for (s, b) in received.drain(..) {
-                        t.recycle(w, s, b);
-                    }
-                    let _ = t.reduce(w, &[1]);
-                }
-                pool.stats()
-            }));
-        }
-        for h in handles {
-            let stats = h.join().unwrap();
             // Round 1 allocates the send buffer; rounds 2-3 reuse it.
             assert_eq!(stats.misses, 1);
             assert_eq!(stats.hits, 2);
         }
-    }
-
-    /// The mode-restore epilogue never swallows a failure: the
-    /// operation's error wins when both fail, and a restore failure on a
-    /// successful operation surfaces instead of being discarded (the
-    /// socket would otherwise be silently left non-blocking).
-    #[test]
-    fn with_restored_never_swallows_an_error() {
-        let op_err = || -> Result<u8, TransportError> {
-            Err(TransportError::Timeout {
-                peer: 1,
-                during: "op",
-            })
-        };
-        let restore_err = || -> Result<(), TransportError> {
-            Err(TransportError::Disconnected {
-                peer: 1,
-                during: "restore",
-            })
-        };
-        match with_restored(Ok(7u8), Ok(())) {
-            Ok(v) => assert_eq!(v, 7),
-            other => panic!("expected Ok(7), got {other:?}"),
-        }
-        // Both failed: the operation's error is the root cause.
-        match with_restored(op_err(), restore_err()) {
-            Err(TransportError::Timeout { during, .. }) => assert_eq!(during, "op"),
-            other => panic!("expected the operation error, got {other:?}"),
-        }
-        // Operation fine, restore failed: the restore error must not
-        // vanish — this was the swallowed-error bug.
-        match with_restored(Ok(7u8), restore_err()) {
-            Err(TransportError::Disconnected { during, .. }) => assert_eq!(during, "restore"),
-            other => panic!("expected the restore error, got {other:?}"),
-        }
-    }
-
-    /// `TcpOptions::spins` overrides the cores-vs-workers heuristic and
-    /// surfaces through the transport's readiness hint; `None` keeps the
-    /// heuristic, and the synchronous driver reports no budget at all.
-    #[test]
-    fn wait_budget_reflects_the_spin_override() {
-        let t = Tcp::loopback_with(
-            2,
-            TcpOptions {
-                spins: Some(7),
-                ..TcpOptions::batched()
-            },
-        )
-        .unwrap();
-        assert_eq!(t.wait_budget(), Some(7));
-
-        let t = Tcp::loopback_with(2, TcpOptions::batched()).unwrap();
-        assert_eq!(t.wait_budget(), Some(poll_spins(2)));
-
-        let t = Tcp::loopback(2).unwrap();
-        assert_eq!(t.wait_budget(), None, "no multiplexer in the sync driver");
     }
 }

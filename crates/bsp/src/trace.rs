@@ -41,7 +41,7 @@ pub enum SpanKind {
     /// A global reduction (the fused round epilogue, or the channel-free
     /// activity reduction).
     Barrier,
-    /// One kernel readiness wait in the batched TCP driver's multiplexer
+    /// One kernel readiness wait in the TCP transport's multiplexer
     /// (recorded by the transport, attributed to the superstep that was
     /// in flight).
     PollWait,
@@ -423,7 +423,7 @@ pub fn install_poll_probe(origin: Instant) -> PollProbeGuard {
 }
 
 /// Record one kernel readiness wait that started at `start` and lasted
-/// `waited_us`. Called by the batched TCP driver's multiplexer; a no-op
+/// `waited_us`. Called by the TCP transport's multiplexer; a no-op
 /// (one thread-local check) unless the calling thread installed a probe.
 pub fn note_poll_wait(start: Instant, waited_us: u64) {
     POLL_PROBE.with(|cell| {

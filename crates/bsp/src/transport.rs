@@ -15,24 +15,21 @@
 //! * `reduce` — a standalone global sum, for decisions taken outside the
 //!   round loop (the checkpoint ack).
 //!
-//! Three backends ship:
+//! Two backends ship:
 //!
 //! * [`InProcess`] — the shared-memory [`Hub`] (mailboxes + sense-reversing
 //!   barrier + double-buffered reduction slots). This is the simulated
 //!   cluster: fastest, zero copies, no sockets.
 //! * [`crate::tcp::Tcp`] — every worker behind a real loopback socket,
-//!   length-prefixed frames, each round ending with one `END` frame per
-//!   peer that carries the sender's words. Observationally identical to
+//!   driven by one non-blocking readiness loop: per-peer send queues with
+//!   pipelined partial writes, small frames coalesced into super-frames,
+//!   buffered receive, each round ending with one `END` frame per peer
+//!   that carries the sender's words. Observationally identical to
 //!   `InProcess` (same values, bytes, supersteps, rounds — see
 //!   `tests/transport_conformance.rs`), one process-boundary step away
 //!   from a distributed deployment.
-//! * The same mesh under [`crate::tcp::TcpOptions::batched`] — the
-//!   non-blocking batched driver: per-peer send queues with pipelined
-//!   partial writes, small frames coalesced into super-frames, buffered
-//!   receive. Same conformance contract, fewer syscalls and wire frames
-//!   under skewed frontiers.
 //!
-//! **Adding a fourth backend** means implementing this trait and keeping
+//! **Adding a third backend** means implementing this trait and keeping
 //! the conformance suite green; the engine, the algorithms and the metrics
 //! need no changes. The contract every implementation must honor:
 //!
@@ -51,6 +48,10 @@
 //!    home, or the transport hands the `Vec` back once its bytes are on
 //!    the wire. Either way pool hit/miss traffic is what the sequential
 //!    driver, which returns buffers within the round, reports.
+//! 4. Every worker calls `flush` after its last round and before the
+//!    result gather; a backend that queues frames must have them all on
+//!    the wire when it returns. Backends that send eagerly keep the
+//!    default no-op.
 
 use crate::exchange::Hub;
 use crate::metrics::TransportStats;
@@ -76,11 +77,7 @@ pub trait ExchangeTransport: Sync {
     /// buffers and words are observable via [`Self::take_all_into`].
     fn sync(&self, worker: usize, words: [u64; 2]);
 
-    /// Push any buffered outgoing frames to the wire. A no-op for
-    /// backends that send eagerly; the batched TCP driver needs it when
-    /// this worker stops driving the transport (after its last round, and
-    /// in the multi-process result gather) while its last frames may still
-    /// sit in a send queue.
+    /// Push any buffered outgoing frames to the wire (contract point 4).
     fn flush(&self, worker: usize) {
         let _ = worker;
     }
@@ -126,16 +123,6 @@ pub trait ExchangeTransport: Sync {
     /// over workers (0 where there is no spinning barrier).
     fn barrier_spins(&self) -> u64 {
         0
-    }
-
-    /// Readiness hint: how many iterations an idle progress loop spins
-    /// before sleeping in the backend's readiness multiplexer. `None`
-    /// means the backend has no kernel wait at all (in-process backends);
-    /// `Some(0)` means every idle wait goes straight to `poll(2)` — the
-    /// oversubscribed regime, where engine drivers should prefer yielding
-    /// over burning their own spin budgets.
-    fn wait_budget(&self) -> Option<u32> {
-        None
     }
 }
 

@@ -17,10 +17,9 @@
 //! threaded driver is generic over an [`ExchangeTransport`] — the
 //! rendezvous surface (post/sync/flush/take/recycle/reduce) behind which
 //! the backends live: the shared-memory [`InProcess`] hub (default) or
-//! the real-socket [`pc_bsp::tcp::Tcp`] mesh, synchronous (`tcp`) or
-//! non-blocking batched (`tcp-batched`, where `sync` only queues and the
-//! take drives the socket mesh until the round quiesces), selected by
-//! [`pc_bsp::TransportKind`] in the [`Config`]. Channel activity and
+//! the real-socket [`pc_bsp::tcp::Tcp`] mesh (non-blocking: `sync` only
+//! queues and the take drives the socket mesh until the round
+//! quiesces), selected by [`pc_bsp::TransportKind`] in the [`Config`]. Channel activity and
 //! vertex activity are global decisions: per-channel `again()` flags are
 //! OR-reduced across workers and active-vertex counts are sum-reduced, so
 //! all workers leave the loops together.
@@ -549,20 +548,15 @@ pub fn run<A: Algorithm>(algo: &A, topo: &Arc<Topology>, cfg: &Config) -> Output
                 &InProcess::with_budget(cfg.workers, cfg.spin_budget),
             ),
             TransportKind::Tcp => {
-                let tcp = Tcp::loopback(cfg.workers)
-                    .unwrap_or_else(|e| panic!("cannot bind tcp transport: {e}"));
-                run_threaded(algo, topo, cfg, &tcp)
-            }
-            TransportKind::TcpBatched => {
                 // One knob tunes both waits: `spin_budget` reaches the
                 // barrier below and the transport's readiness multiplexer
                 // here (None keeps the cores-vs-workers heuristic).
                 let opts = TcpOptions {
                     spins: cfg.spin_budget,
-                    ..TcpOptions::batched()
+                    ..TcpOptions::default()
                 };
                 let tcp = Tcp::loopback_with(cfg.workers, opts)
-                    .unwrap_or_else(|e| panic!("cannot bind tcp-batched transport: {e}"));
+                    .unwrap_or_else(|e| panic!("cannot bind tcp transport: {e}"));
                 run_threaded(algo, topo, cfg, &tcp)
             }
         },
@@ -865,7 +859,7 @@ fn drive_worker<A: Algorithm, T: ExchangeTransport + ?Sized>(
     } else {
         None
     };
-    // The probe lets the batched TCP driver's readiness multiplexer hand
+    // The probe lets the TCP transport's readiness multiplexer hand
     // its kernel waits to this worker's trace without the transport ever
     // seeing the tracer; it uninstalls when the guard drops.
     let _poll_probe = tracer
@@ -1002,7 +996,7 @@ fn drive_worker<A: Algorithm, T: ExchangeTransport + ?Sized>(
         }
     }
     // Peers may still be waiting for this worker's last frames (the final
-    // confirming exchange's, or the checkpoint drain's), which a batched
+    // confirming exchange's, or the checkpoint drain's), which the TCP
     // transport can still hold in a send queue: push them out before this
     // worker leaves the protocol.
     hub.flush(w);
@@ -1261,7 +1255,7 @@ fn run_rank<A: Algorithm>(
     );
     t.post(w, root, frame);
     t.sync(w, [0, 0]);
-    // Nothing follows the gather round, so the batched driver's queued
+    // Nothing follows the gather round, so the TCP transport's queued
     // frames must be pushed out explicitly — without this, rank 0 could
     // wait on frames parked in its peers' send queues until the io
     // deadline.

@@ -82,7 +82,8 @@ struct Opts {
     /// After a distributed run, rank 0 re-runs the sequential engine on
     /// the full graph and fails (exit 1) unless values and stats match.
     verify: bool,
-    /// Explicit SpinBarrier budget (in-process transport).
+    /// Explicit spin budget: the in-process barrier and the threaded TCP
+    /// mesh's readiness loop (single process only).
     spin_budget: Option<u32>,
     /// Checkpoint cadence in supersteps (requires `--checkpoint-dir`).
     checkpoint_every: Option<u64>,
@@ -141,10 +142,10 @@ INPUT (rank 0 / single process only):
 
 EXECUTION:
     --workers N       simulated workers (single process)         [default 4]
-    --transport NAME  exchange backend: in-process|tcp|tcp-batched
-                      (tcp-batched = non-blocking pipelined sends with
-                      frame coalescing; also drives the multi-process
-                      mesh when combined with --ranks)            [default in-process]
+    --transport NAME  exchange backend: in-process|tcp (tcp = loopback
+                      socket mesh, non-blocking pipelined sends with frame
+                      coalescing; tcp-batched is an alias). --ranks always
+                      runs that mesh between processes           [default in-process]
     --partitioner P   vertex placement: hash|ldg|ldg-deg|bfs     [default hash]
                       (ldg-deg streams vertices in descending-degree order so
                       hubs are placed first — the skew-resistant choice)
@@ -154,8 +155,9 @@ EXECUTION:
                       of one per edge. T is a number or 'auto' (degree-aware
                       heuristic, ≥ 16). Builds a mirror plan at ship time and
                       pre-wires every rank's Mirror channel from it
-    --spin-budget N   barrier spin iterations before yielding, in-process
-                      transport only                             [default adaptive]
+    --spin-budget N   spin iterations before yielding: the in-process
+                      barrier, and the tcp mesh's readiness loop (single
+                      process only; not forwarded to --ranks)    [default adaptive]
 
 MULTI-PROCESS:
     --ranks M         launcher mode: run M OS processes (one worker each);
@@ -584,14 +586,11 @@ fn bootstrap_options(tolerate_lost: bool) -> BootstrapOptions {
     }
 }
 
-/// Mesh options for a rank's data plane. `--transport tcp-batched` runs
-/// the multi-process mesh under the non-blocking batched driver;
-/// `in-process` makes no sense across processes and falls back to the
-/// synchronous socket driver.
-fn tcp_options(kind: TransportKind) -> TcpOptions {
+/// Mesh options for a rank's data plane. `--transport` does not apply:
+/// across processes the data plane is always the socket mesh.
+fn tcp_options() -> TcpOptions {
     TcpOptions {
         connect_timeout: env_ms("PC_DIST_CONNECT_TIMEOUT_MS", 10_000),
-        batched: kind == TransportKind::TcpBatched,
         ..TcpOptions::default()
     }
 }
@@ -1092,13 +1091,8 @@ fn prepare(opts: &Opts, need: Need) -> Prepared {
         (store, id)
     });
     let data = slices_for(&full, &topo, 0);
-    let tcp = Tcp::mesh(
-        0,
-        coordinator.peers().to_vec(),
-        listener,
-        tcp_options(opts.transport),
-    )
-    .unwrap_or_else(|e| bail_bootstrap(e));
+    let tcp = Tcp::mesh(0, coordinator.peers().to_vec(), listener, tcp_options())
+        .unwrap_or_else(|e| bail_bootstrap(e));
     Prepared {
         cfg: rank_config(opts, ranks, 0, tcp),
         topo,
@@ -1196,13 +1190,8 @@ fn prepare_follower(
         base = base.with_mirror(Arc::new(plan));
     }
     let topo = Arc::new(base);
-    let tcp = Tcp::mesh(
-        rank,
-        follower.peers().to_vec(),
-        listener,
-        tcp_options(opts.transport),
-    )
-    .unwrap_or_else(|e| bail_bootstrap(e));
+    let tcp = Tcp::mesh(rank, follower.peers().to_vec(), listener, tcp_options())
+        .unwrap_or_else(|e| bail_bootstrap(e));
     let mut cfg = rank_config(opts, ranks, rank, tcp);
     if let Some(d) = cfg.dist.as_mut() {
         d.gather_root = acting;
@@ -1366,12 +1355,7 @@ fn recover(p: &mut Prepared, opts: &Opts, ranks: usize) -> Result<(), TransportE
             if let Some((store, id)) = failover {
                 publish_ctrl(coordinator, store, id, plans, opts);
             }
-            let tcp = Tcp::mesh(
-                rank,
-                coordinator.peers().to_vec(),
-                listener,
-                tcp_options(opts.transport),
-            )?;
+            let tcp = Tcp::mesh(rank, coordinator.peers().to_vec(), listener, tcp_options())?;
             p.cfg = rank_config(opts, ranks, rank, tcp);
             if let Some(d) = p.cfg.dist.as_mut() {
                 d.gather_root = acting;
@@ -1409,12 +1393,7 @@ fn recover(p: &mut Prepared, opts: &Opts, ranks: usize) -> Result<(), TransportE
                     if let Some(state) = new_state {
                         *ctrl_state = Some(state);
                     }
-                    let tcp = Tcp::mesh(
-                        rank,
-                        follower.peers().to_vec(),
-                        listener,
-                        tcp_options(opts.transport),
-                    )?;
+                    let tcp = Tcp::mesh(rank, follower.peers().to_vec(), listener, tcp_options())?;
                     p.cfg = rank_config(opts, ranks, rank, tcp);
                     if let Some(d) = p.cfg.dist.as_mut() {
                         d.gather_root = *acting;
@@ -1510,12 +1489,7 @@ fn elect(
             }
         }
         publish_ctrl(&mut coordinator, &store, &id, &plans, opts);
-        let tcp = Tcp::mesh(
-            rank,
-            coordinator.peers().to_vec(),
-            listener,
-            tcp_options(opts.transport),
-        )?;
+        let tcp = Tcp::mesh(rank, coordinator.peers().to_vec(), listener, tcp_options())?;
         p.cfg = rank_config(opts, ranks, rank, tcp);
         if let Some(d) = p.cfg.dist.as_mut() {
             d.gather_root = rank;
@@ -1569,12 +1543,7 @@ fn elect(
     // propagate so the caller's retry loop re-enters the election rather
     // than exiting this rank.
     let new_state = try_recv_ctrl(&mut follower)?;
-    let tcp = Tcp::mesh(
-        rank,
-        follower.peers().to_vec(),
-        listener,
-        tcp_options(opts.transport),
-    )?;
+    let tcp = Tcp::mesh(rank, follower.peers().to_vec(), listener, tcp_options())?;
     p.cfg = rank_config(opts, ranks, rank, tcp);
     if let Some(d) = p.cfg.dist.as_mut() {
         d.gather_root = acting;
@@ -1804,18 +1773,14 @@ fn child_args(opts: &Opts, rank: usize, ranks: usize, coordinator: &SocketAddr) 
         a.push("--variant".into());
         a.push(opts.variant.clone());
     }
-    // The data-plane driver is a per-rank choice: every rank runs its
-    // mesh endpoint synchronous or batched, so the flag rides along.
-    a.push("--transport".into());
-    a.push(opts.transport.to_string());
     a.push("--iters".into());
     a.push(opts.iters.to_string());
     a.push("--src".into());
     a.push(opts.src.to_string());
     a.push("--k".into());
     a.push(opts.k.to_string());
-    // Placement and mirroring are cluster-wide choices, forwarded like
-    // --transport. Only rank 0 acts on --partitioner (it computes the
+    // Placement and mirroring are cluster-wide choices, forwarded to
+    // every rank. Only rank 0 acts on --partitioner (it computes the
     // owner table), but forwarding everywhere keeps a hand-launched rank
     // command line copy-pasteable; followers take the mirror plan (and
     // its resolved τ) from the shipped plan, not from these flags.
@@ -1856,9 +1821,9 @@ fn child_args(opts: &Opts, rank: usize, ranks: usize, coordinator: &SocketAddr) 
     if opts.superstep_table {
         a.push("--superstep-table".into());
     }
-    // --spin-budget is NOT forwarded: ranks exchange over the socket
-    // mesh, which has no spinning barrier, so the flag would be a
-    // silent no-op there.
+    // --spin-budget is NOT forwarded: a rank builds its mesh from
+    // `tcp_options()`, which leaves the readiness loop's spin budget on
+    // its cores-vs-workers heuristic, and a rank has no barrier.
     //
     // Failover makes result handling mobile: any rank can end up the
     // acting coordinator, so the standby designation and the
@@ -2310,9 +2275,8 @@ mod tests {
         assert!(!bare.contains(&"--bind".to_string()));
     }
 
-    /// Placement and mirroring flags ride to every rank, like
-    /// --transport — a hand-copied rank command line must behave the
-    /// same as a launcher-spawned one.
+    /// Placement and mirroring flags ride to every rank — a hand-copied
+    /// rank command line must behave the same as a launcher-spawned one.
     #[test]
     fn partitioner_and_mirror_flags_reach_every_rank() {
         let mut o = opts("wcc");

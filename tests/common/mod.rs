@@ -2,7 +2,7 @@
 //! both the property tests and the transport-conformance suite.
 #![allow(dead_code)] // each test binary uses the subset it needs
 
-use pc_bsp::{Config, RunStats, Tcp, TcpOptions};
+use pc_bsp::{Config, RunStats, Tcp};
 use std::sync::Arc;
 
 /// Two runs of the same program must agree on *everything observable* —
@@ -26,17 +26,15 @@ pub fn assert_stats_agree(name: &str, a: &RunStats, b: &RunStats) {
     );
 }
 
-/// The four backend configurations every algorithm must agree across:
+/// The three backend configurations every algorithm must agree across:
 /// the deterministic sequential driver (the reference), the threaded
-/// driver over the shared-memory hub, the threaded driver over real
-/// loopback TCP sockets, and the same socket mesh under the non-blocking
-/// batched driver.
-pub fn conformance_configs(workers: usize) -> [(&'static str, Config); 4] {
+/// driver over the shared-memory hub, and the threaded driver over real
+/// loopback TCP sockets.
+pub fn conformance_configs(workers: usize) -> [(&'static str, Config); 3] {
     [
         ("sequential", Config::sequential(workers)),
         ("in-process", Config::with_workers(workers)),
         ("tcp", Config::tcp(workers)),
-        ("tcp-batched", Config::tcp_batched(workers)),
     ]
 }
 
@@ -49,22 +47,7 @@ pub fn run_multirank<V: Send, F>(workers: usize, run: &F) -> (V, RunStats)
 where
     F: Fn(&Config) -> (V, RunStats) + Sync,
 {
-    run_multirank_with(workers, TcpOptions::default(), run)
-}
-
-/// [`run_multirank`] over the non-blocking batched mesh driver.
-pub fn run_multirank_batched<V: Send, F>(workers: usize, run: &F) -> (V, RunStats)
-where
-    F: Fn(&Config) -> (V, RunStats) + Sync,
-{
-    run_multirank_with(workers, TcpOptions::batched(), run)
-}
-
-fn run_multirank_with<V: Send, F>(workers: usize, opts: TcpOptions, run: &F) -> (V, RunStats)
-where
-    F: Fn(&Config) -> (V, RunStats) + Sync,
-{
-    let tcp = Arc::new(Tcp::loopback_with(workers, opts).expect("bind loopback mesh"));
+    let tcp = Arc::new(Tcp::loopback(workers).expect("bind loopback mesh"));
     let mut rank0: Option<(V, RunStats)> = None;
     std::thread::scope(|s| {
         let mut handles = Vec::new();

@@ -68,10 +68,11 @@ fn all_algorithms_verify_across_four_processes() {
     }
 }
 
-/// The batched data-plane driver across real OS processes: every rank's
-/// mesh endpoint runs the non-blocking coalescing driver, and the run
-/// still verifies against the sequential reference — values, bytes,
-/// messages, supersteps, rounds and pool traffic all identical.
+/// `--transport tcp-batched` is an alias kept for older command lines:
+/// every rank's mesh endpoint runs the one non-blocking coalescing
+/// driver, reported as `tcp`, and the run still verifies against the
+/// sequential reference — values, bytes, messages, supersteps, rounds and
+/// pool traffic all identical.
 #[test]
 fn batched_transport_verifies_across_four_processes() {
     for algorithm in ["pagerank", "wcc"] {
@@ -93,10 +94,51 @@ fn batched_transport_verifies_across_four_processes() {
             "{algorithm}: verification line missing\n{err}"
         );
         assert!(
-            err.contains("transport tcp-batched"),
-            "{algorithm}: the run did not go over the batched mesh\n{err}"
+            err.contains("transport tcp "),
+            "{algorithm}: the run did not report the tcp mesh\n{err}"
         );
     }
+}
+
+/// The value of `key` inside the `"transport"` object of a
+/// `--stats-json` document.
+fn transport_field(json: &str, key: &str) -> String {
+    let block = &json[json.find("\"transport\": {").expect("transport object")..];
+    let line = block
+        .lines()
+        .find(|l| l.trim_start().starts_with(&format!("\"{key}\":")))
+        .unwrap_or_else(|| panic!("transport.{key} missing\n{json}"));
+    let value = line.split_once(':').unwrap().1;
+    value
+        .trim()
+        .trim_end_matches(',')
+        .trim_matches('"')
+        .to_string()
+}
+
+/// A plain `--ranks` run, with no `--transport`, goes over the
+/// non-blocking batched mesh: the stats report `tcp` with coalesced
+/// frames. `tcp-batched` still parses, to the same driver.
+#[test]
+fn plain_ranks_run_the_batched_mesh() {
+    let stats = std::env::temp_dir().join(format!("pc_dist_mesh_{}.json", std::process::id()));
+    let stats_arg = stats.display().to_string();
+    let base = ["wcc", "--gen", "wikipedia", "--scale", "7", "--ranks", "2"];
+    for extra in [&[][..], &["--transport", "tcp-batched"][..]] {
+        let _ = std::fs::remove_file(&stats);
+        let args: Vec<&str> = base
+            .iter()
+            .chain(extra)
+            .chain(&["--stats-json", stats_arg.as_str()])
+            .copied()
+            .collect();
+        run_ok(&args);
+        let json = std::fs::read_to_string(&stats).expect("stats json written");
+        assert_eq!(transport_field(&json, "name"), "tcp", "{extra:?}");
+        let coalesced: u64 = transport_field(&json, "coalesced_frames").parse().unwrap();
+        assert!(coalesced > 0, "{extra:?}: nothing coalesced\n{json}");
+    }
+    let _ = std::fs::remove_file(&stats);
 }
 
 /// Partition shipping from a real input file: only rank 0 can read it.

@@ -1,5 +1,5 @@
 //! Tracing across a simulated multi-process cluster: a traced 4-rank run
-//! over the batched loopback mesh must (a) be observationally identical
+//! over the loopback mesh must (a) be observationally identical
 //! to the untraced run — tracing is a pure observer — and (b) gather one
 //! span stream per rank to rank 0 whose merged per-superstep timeline
 //! reconciles, row by row, with the run-total counters.
@@ -10,14 +10,14 @@ use pc_bsp::{trace, Config, RunStats, Topology};
 use pc_graph::gen::{self, RmatParams};
 use std::sync::Arc;
 
-/// [`common::run_multirank_batched`] with every rank's recorder armed —
-/// the shape a `pcgraph --ranks 4 --transport tcp-batched --trace` run
-/// takes, minus the process boundaries.
-fn run_multirank_traced_batched<V: Send, F>(workers: usize, run: &F) -> (V, RunStats)
+/// [`common::run_multirank`] with every rank's recorder armed — the
+/// shape a `pcgraph --ranks 4 --trace` run takes, minus the process
+/// boundaries.
+fn run_multirank_traced<V: Send, F>(workers: usize, run: &F) -> (V, RunStats)
 where
     F: Fn(&Config) -> (V, RunStats) + Sync,
 {
-    common::run_multirank_batched(workers, &|cfg: &Config| {
+    common::run_multirank(workers, &|cfg: &Config| {
         run(&Config {
             trace: true,
             ..cfg.clone()
@@ -35,8 +35,8 @@ fn traced_multirank_run_reconciles_and_stays_transparent() {
         (o.labels, o.stats)
     };
 
-    let (plain_labels, plain) = common::run_multirank_batched(workers, &run);
-    let (labels, stats) = run_multirank_traced_batched(workers, &run);
+    let (plain_labels, plain) = common::run_multirank(workers, &run);
+    let (labels, stats) = run_multirank_traced(workers, &run);
 
     // Transparency: the traced run is the same run.
     assert_eq!(labels, plain_labels, "tracing changed the computed values");
@@ -118,7 +118,7 @@ fn checkpoint_spans_count_epochs_and_the_drain_is_not_one() {
     let topo = Arc::new(Topology::hashed(g.n(), workers));
     let dir = std::env::temp_dir().join(format!("pc_trace_ckpt_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (_, stats) = run_multirank_traced_batched(workers, &|cfg: &Config| {
+    let (_, stats) = run_multirank_traced(workers, &|cfg: &Config| {
         let cfg = Config {
             ckpt: Some(CkptPolicy {
                 every: 3,

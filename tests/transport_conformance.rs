@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::{assert_stats_agree, conformance_configs, run_multirank, run_multirank_batched};
+use common::{assert_stats_agree, conformance_configs, run_multirank};
 use pc_bsp::{Config, RunStats, Topology};
 use pc_graph::gen;
 use proptest::prelude::*;
@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 const WORKERS: usize = 4;
 
-/// Run one algorithm under all five backend configurations and assert
+/// Run one algorithm under all four backend configurations and assert
 /// the values and every observable statistic agree with the sequential
 /// reference.
 fn conform<V: PartialEq + std::fmt::Debug + Send>(
@@ -46,26 +46,18 @@ fn conform<V: PartialEq + std::fmt::Debug + Send>(
             &stats,
         );
     }
-    // The multi-process arms: every rank in its own engine driver over a
-    // shared mesh (synchronous and batched), results gathered to rank 0
-    // over the wire.
-    for (label, (values, stats)) in [
-        ("multi-process ranks", run_multirank(WORKERS, &run)),
-        (
-            "multi-process ranks (batched)",
-            run_multirank_batched(WORKERS, &run),
-        ),
-    ] {
-        assert!(
-            values == base_values,
-            "{name}: values diverge between {base_label} and {label}"
-        );
-        assert_stats_agree(
-            &format!("{name} ({base_label} vs {label})"),
-            &base_stats,
-            &stats,
-        );
-    }
+    // The multi-process arm: every rank in its own engine driver over a
+    // shared mesh, results gathered to rank 0 over the wire.
+    let (values, stats) = run_multirank(WORKERS, &run);
+    assert!(
+        values == base_values,
+        "{name}: values diverge between {base_label} and multi-process ranks"
+    );
+    assert_stats_agree(
+        &format!("{name} ({base_label} vs multi-process ranks)"),
+        &base_stats,
+        &stats,
+    );
 }
 
 fn undirected() -> Arc<pc_graph::Graph> {
@@ -418,40 +410,31 @@ mod wire_order {
                 }
             }
         }
-        // Multi-process arms (synchronous and batched mesh): each rank
-        // drives its own algorithm instance (as separate processes
-        // would) over a shared mesh; the shared log shows the same
-        // frames in the same per-worker order. The batched arm is the
-        // sharpest probe of coalescing: super-frames must split back
+        // Multi-process arm: each rank drives its own algorithm instance
+        // (as separate processes would) over a shared mesh; the shared
+        // log shows the same frames in the same per-worker order. It is
+        // the sharpest probe of coalescing: super-frames must split back
         // into the exact frames, in the exact order, every round.
-        for (label, opts) in [
-            ("multi-process ranks", pc_bsp::TcpOptions::default()),
-            (
-                "multi-process ranks (batched)",
-                pc_bsp::TcpOptions::batched(),
-            ),
-        ] {
-            let log = Arc::new(Mutex::new(vec![Vec::new(); WORKERS]));
-            let tcp = Arc::new(pc_bsp::Tcp::loopback_with(WORKERS, opts).unwrap());
-            std::thread::scope(|s| {
-                for w in 0..WORKERS {
-                    let log = Arc::clone(&log);
-                    let tcp = Arc::clone(&tcp);
-                    let topo = Arc::clone(&topo);
-                    s.spawn(move || {
-                        let algo = WireProbeAlgo { steps: 6, log };
-                        let out = run(&algo, &topo, &Config::rank(WORKERS, w, tcp));
-                        assert_eq!(out.stats.supersteps, 6);
-                    });
-                }
-            });
-            let seen = Arc::try_unwrap(log).unwrap().into_inner().unwrap();
-            assert_eq!(
-                reference.as_ref().unwrap(),
-                &seen,
-                "{label}: wire order diverges from the sequential reference"
-            );
-        }
+        let log = Arc::new(Mutex::new(vec![Vec::new(); WORKERS]));
+        let tcp = Arc::new(pc_bsp::Tcp::loopback(WORKERS).unwrap());
+        std::thread::scope(|s| {
+            for w in 0..WORKERS {
+                let log = Arc::clone(&log);
+                let tcp = Arc::clone(&tcp);
+                let topo = Arc::clone(&topo);
+                s.spawn(move || {
+                    let algo = WireProbeAlgo { steps: 6, log };
+                    let out = run(&algo, &topo, &Config::rank(WORKERS, w, tcp));
+                    assert_eq!(out.stats.supersteps, 6);
+                });
+            }
+        });
+        let seen = Arc::try_unwrap(log).unwrap().into_inner().unwrap();
+        assert_eq!(
+            reference.as_ref().unwrap(),
+            &seen,
+            "multi-process ranks: wire order diverges from the sequential reference"
+        );
     }
 }
 
@@ -486,28 +469,13 @@ proptest! {
             prop_assert_eq!(&sv.labels, &base_sv.labels, "sv values on {}", label);
             assert_stats_agree(&format!("sv ({label})"), &base_sv.stats, &sv.stats);
         }
-        // Multi-process ranks over a shared mesh, random graphs included
-        // — synchronous and batched.
+        // Multi-process ranks over a shared mesh, random graphs included.
         let (labels, stats) = run_multirank(workers, &|cfg: &Config| {
             let o = pc_algos::wcc::channel_propagation(&g, &topo, cfg);
             (o.labels, o.stats)
         });
         prop_assert_eq!(&labels, &base_wcc.labels, "wcc values on multi-process ranks");
         assert_stats_agree("wcc (multi-process ranks)", &base_wcc.stats, &stats);
-        let (labels, stats) = run_multirank_batched(workers, &|cfg: &Config| {
-            let o = pc_algos::wcc::channel_propagation(&g, &topo, cfg);
-            (o.labels, o.stats)
-        });
-        prop_assert_eq!(
-            &labels,
-            &base_wcc.labels,
-            "wcc values on batched multi-process ranks"
-        );
-        assert_stats_agree(
-            "wcc (batched multi-process ranks)",
-            &base_wcc.stats,
-            &stats,
-        );
     }
 
     /// Coalescing N sub-frames into a super-frame and splitting them back

@@ -181,6 +181,7 @@ fn late_peer_completes_round_identically() {
                         }
                         seen.push((usize::MAX, vec![mask as u8, active as u8]));
                     }
+                    t.flush(w);
                     seen
                 }));
             }
@@ -221,11 +222,11 @@ fn absent_peer_is_a_typed_error() {
     });
 }
 
-/// Frames far larger than the kernel's socket buffering: in an
-/// all-to-all exchange every worker writes before it reads, so without
-/// the transport's drain-on-stall path these writes would mutually block
-/// until the io deadline. The round must complete, with every byte
-/// intact.
+/// Frames far larger than the kernel's socket buffering: 3 ranks × 8 MiB
+/// per peer. Every worker writes before it reads, so the kernel refuses
+/// most of the staged bytes and the progress loop must interleave
+/// `POLLOUT`- and `POLLIN`-driven work on the same pollfd set instead of
+/// blocking until the io deadline. Two rounds, every byte verified.
 #[test]
 fn giant_frames_do_not_deadlock() {
     with_watchdog(Duration::from_secs(90), || {
@@ -254,6 +255,9 @@ fn giant_frames_do_not_deadlock() {
                         t.recycle(w, s, buf);
                     }
                 }
+                // No more rounds follow: push what is still queued, the
+                // way the engine's end-of-program epilogue does.
+                t.flush(w);
             }));
         }
         for h in handles {
@@ -263,7 +267,7 @@ fn giant_frames_do_not_deadlock() {
 }
 
 // ---------------------------------------------------------------------
-// Batched-driver faults: the coalesced super-frame path must fail with
+// Super-frame faults: the coalesced super-frame path must fail with
 // the same typed-error discipline as plain frames — partial writes
 // mid-super-frame, peers stalling between sub-frames, and corrupt
 // coalesced directories are errors, never hangs and never bad reads.
@@ -272,13 +276,14 @@ fn giant_frames_do_not_deadlock() {
 /// A 2-rank mesh where rank 1 is a raw socket under test control: it
 /// completes the `HELLO` handshake like a real peer and then writes
 /// whatever bytes the test wants rank 0 to choke on.
-fn mesh_with_fake_peer(opts: TcpOptions) -> (Tcp, TcpStream) {
+fn mesh_with_fake_peer(io_timeout: Duration) -> (Tcp, TcpStream) {
     let l0 = TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let l1 = TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let addrs = vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()];
     let opts = TcpOptions {
         connect_timeout: Duration::from_secs(5),
-        ..opts
+        io_timeout,
+        ..TcpOptions::default()
     };
     let t = Tcp::mesh(0, addrs.clone(), l0, opts).unwrap();
     let fake = TcpStream::connect(addrs[0]).unwrap();
@@ -288,16 +293,8 @@ fn mesh_with_fake_peer(opts: TcpOptions) -> (Tcp, TcpStream) {
     (t, fake)
 }
 
-/// [`mesh_with_fake_peer`] under the batched driver.
-fn batched_mesh_with_fake_peer(io_timeout: Duration) -> (Tcp, TcpStream) {
-    mesh_with_fake_peer(TcpOptions {
-        io_timeout,
-        ..TcpOptions::batched()
-    })
-}
-
 // ---------------------------------------------------------------------
-// `END` faults, under both drivers: every peer owes every round exactly
+// `END` faults: every peer owes every round exactly
 // one `END`, after at most one `DATA`. A peer that breaks that owes a
 // typed error, never a hang.
 // ---------------------------------------------------------------------
@@ -305,27 +302,22 @@ fn batched_mesh_with_fake_peer(io_timeout: Duration) -> (Tcp, TcpStream) {
 /// Rank 0 ends its round, then the fake peer writes `wire` (and closes
 /// when `close`); rank 0's take must fail with what `check` accepts.
 fn end_fault(wire: &[(u8, &[u8])], close: bool, check: fn(&TransportError) -> bool) {
-    for opts in [TcpOptions::default(), TcpOptions::batched()] {
-        let wire: Vec<(u8, Vec<u8>)> = wire.iter().map(|&(t, p)| (t, p.to_vec())).collect();
-        with_watchdog(Duration::from_secs(20), move || {
-            let (t, fake) = mesh_with_fake_peer(TcpOptions {
-                io_timeout: Duration::from_secs(10),
-                ..opts
-            });
-            t.try_sync(0, [0, 1]).unwrap();
-            let deadline = Instant::now() + Duration::from_secs(5);
-            for (tag, payload) in &wire {
-                write_frame(&fake, *tag, payload, deadline, 0).unwrap();
-            }
-            let fake = (!close).then_some(fake);
-            let mut out = Vec::new();
-            match t.try_take_all_into(0, &mut out) {
-                Err(e) if check(&e) => {}
-                other => panic!("batched={}: unexpected {other:?}", opts.batched),
-            }
-            drop(fake);
-        });
-    }
+    let wire: Vec<(u8, Vec<u8>)> = wire.iter().map(|&(t, p)| (t, p.to_vec())).collect();
+    with_watchdog(Duration::from_secs(20), move || {
+        let (t, fake) = mesh_with_fake_peer(Duration::from_secs(10));
+        t.try_sync(0, [0, 1]).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        for (tag, payload) in &wire {
+            write_frame(&fake, *tag, payload, deadline, 0).unwrap();
+        }
+        let fake = (!close).then_some(fake);
+        let mut out = Vec::new();
+        match t.try_take_all_into(0, &mut out) {
+            Err(e) if check(&e) => {}
+            other => panic!("unexpected {other:?}"),
+        }
+        drop(fake);
+    });
 }
 
 /// A peer that sends its `DATA` and dies before its `END`.
@@ -360,9 +352,9 @@ fn second_data_before_end_is_protocol_violation() {
 /// write mid-super-frame is a `Truncated`, with the batch never reaching
 /// the splitter.
 #[test]
-fn batched_partial_super_frame_then_close_is_truncation() {
+fn partial_super_frame_then_close_is_truncation() {
     with_watchdog(Duration::from_secs(20), || {
-        let (t, fake) = batched_mesh_with_fake_peer(Duration::from_secs(10));
+        let (t, fake) = mesh_with_fake_peer(Duration::from_secs(10));
         let mut wire = vec![tcp::TAG_BATCH];
         wire.extend_from_slice(&100u32.to_le_bytes());
         wire.extend_from_slice(&[7u8; 20]); // 20 of the promised 100 bytes
@@ -390,9 +382,9 @@ fn batched_partial_super_frame_then_close_is_truncation() {
 /// then stalls without closing: the receiver times out at its deadline
 /// instead of waiting forever for the remaining sub-frames.
 #[test]
-fn batched_peer_stalling_between_sub_frames_times_out() {
+fn peer_stalling_between_sub_frames_times_out() {
     with_watchdog(Duration::from_secs(20), || {
-        let (t, fake) = batched_mesh_with_fake_peer(Duration::from_millis(400));
+        let (t, fake) = mesh_with_fake_peer(Duration::from_millis(400));
         // A well-formed batch of two 8-byte sub-frames, cut after the
         // first sub-frame's payload.
         let payload = tcp::encode_batch(&[
@@ -421,9 +413,9 @@ fn batched_peer_stalling_between_sub_frames_times_out() {
 /// is a protocol violation at the splitter — typed, attributed to the
 /// offending peer, no allocation of the claimed lengths.
 #[test]
-fn batched_truncated_coalesced_header_is_protocol_violation() {
+fn truncated_coalesced_header_is_protocol_violation() {
     with_watchdog(Duration::from_secs(20), || {
-        let (t, fake) = batched_mesh_with_fake_peer(Duration::from_secs(10));
+        let (t, fake) = mesh_with_fake_peer(Duration::from_secs(10));
         // Payload: directory claims 2 sub-frames of 50 bytes each, but
         // only 10 payload bytes follow.
         let mut payload = Vec::new();
@@ -452,9 +444,9 @@ fn batched_truncated_coalesced_header_is_protocol_violation() {
 /// A super-frame claiming an absurd sub-frame count is rejected before
 /// anything is allocated for it.
 #[test]
-fn batched_absurd_sub_frame_count_is_rejected() {
+fn absurd_sub_frame_count_is_rejected() {
     with_watchdog(Duration::from_secs(20), || {
-        let (t, fake) = batched_mesh_with_fake_peer(Duration::from_secs(10));
+        let (t, fake) = mesh_with_fake_peer(Duration::from_secs(10));
         let mut payload = Vec::new();
         payload.extend_from_slice(&u32::MAX.to_le_bytes());
         let mut wire = vec![tcp::TAG_BATCH];
@@ -479,9 +471,9 @@ fn batched_absurd_sub_frame_count_is_rejected() {
 /// and the consumer — still owed that peer's frame for the round —
 /// gets `Disconnected`, not a hang until the io deadline.
 #[test]
-fn batched_peer_hangup_after_handshake_is_disconnect() {
+fn peer_hangup_after_handshake_is_disconnect() {
     with_watchdog(Duration::from_secs(20), || {
-        let (t, fake) = batched_mesh_with_fake_peer(Duration::from_secs(10));
+        let (t, fake) = mesh_with_fake_peer(Duration::from_secs(10));
         drop(fake); // orderly close: FIN on a frame boundary
         let mut out = Vec::new();
         match t.try_take_all_into(0, &mut out) {
@@ -498,9 +490,9 @@ fn batched_peer_hangup_after_handshake_is_disconnect() {
 /// driver actually slept in `poll(2)` between dribbles instead of
 /// spinning through them.
 #[test]
-fn batched_byte_dribble_storm_reassembles_and_counts_polls() {
+fn byte_dribble_storm_reassembles_and_counts_polls() {
     with_watchdog(Duration::from_secs(60), || {
-        let (t, fake) = batched_mesh_with_fake_peer(Duration::from_secs(30));
+        let (t, fake) = mesh_with_fake_peer(Duration::from_secs(30));
         let mut words = 5u64.to_le_bytes().to_vec();
         words.extend_from_slice(&7u64.to_le_bytes());
         let payload = tcp::encode_batch(&[
@@ -533,74 +525,6 @@ fn batched_byte_dribble_storm_reassembles_and_counts_polls() {
             stats.poll_waits
         );
         drop(writer.join().unwrap());
-    });
-}
-
-/// The giant-frame all-to-all, under the batched driver: 3 ranks × 8 MiB
-/// per peer through the multiplexed progress loop. Every worker writes
-/// before it reads, so the kernel refuses most of the staged bytes and
-/// the drain must interleave `POLLOUT`- and `POLLIN`-driven work on the
-/// same pollfd set. Two rounds, every byte verified.
-#[test]
-fn batched_giant_all_to_all_completes_over_multiplexed_waits() {
-    with_watchdog(Duration::from_secs(90), || {
-        const WORKERS: usize = 3;
-        const LEN: usize = 8 << 20;
-        let t = std::sync::Arc::new(Tcp::loopback_with(WORKERS, TcpOptions::batched()).unwrap());
-        let mut handles = Vec::new();
-        for w in 0..WORKERS {
-            let t = std::sync::Arc::clone(&t);
-            handles.push(std::thread::spawn(move || {
-                let mut received = Vec::new();
-                for round in 0..2u8 {
-                    for peer in 0..WORKERS {
-                        let mut buf = vec![w as u8 ^ round; LEN];
-                        buf[0] = w as u8;
-                        t.post(w, peer, buf);
-                    }
-                    t.sync(w, [1 << w, 1]);
-                    let words = t.take_all_into(w, &mut received);
-                    assert_eq!(words, [0b111, WORKERS as u64]);
-                    assert_eq!(received.len(), WORKERS);
-                    for (s, buf) in received.drain(..) {
-                        assert_eq!(buf.len(), LEN);
-                        assert_eq!(buf[0], s as u8);
-                        assert!(buf[1..].iter().all(|&b| b == s as u8 ^ round));
-                        t.recycle(w, s, buf);
-                    }
-                }
-                // No more rounds follow: push what is still queued, the
-                // way the engine's end-of-program epilogue does.
-                t.flush(w);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-    });
-}
-
-/// The batched driver's absent-peer behavior matches the synchronous
-/// one: a rank that never appears is a typed connect/accept failure.
-#[test]
-fn batched_absent_peer_is_a_typed_error() {
-    with_watchdog(Duration::from_secs(20), || {
-        let t = Tcp::loopback_with(
-            2,
-            TcpOptions {
-                connect_timeout: Duration::from_millis(300),
-                io_timeout: Duration::from_millis(300),
-                ..TcpOptions::batched()
-            },
-        )
-        .unwrap();
-        match t.try_post(0, 1, vec![1, 2, 3]) {
-            Err(TransportError::Timeout { peer, during }) => {
-                assert_eq!(peer, 1);
-                assert!(during.contains("accept"), "failed during {during}");
-            }
-            other => panic!("expected a connect timeout, got {other:?}"),
-        }
     });
 }
 
