@@ -1968,12 +1968,19 @@ mod tests {
         t.post(1, 0, vec![1]);
     }
 
+    /// Options that frame every message on its own: nothing is held for
+    /// coalescing, so each `DATA` and `END` is one wire frame.
+    fn plain() -> TcpOptions {
+        TcpOptions {
+            coalesce_limit: 0,
+            ..TcpOptions::default()
+        }
+    }
+
     /// Full mesh exchange with its round words, plus a standalone
-    /// reduction, across real sockets — with coalescing actually
-    /// happening (each `DATA` rides with its `END`).
-    #[test]
-    fn tcp_exchange_and_reduce_round() {
-        let t = Arc::new(Tcp::loopback(3).unwrap());
+    /// reduction, across real sockets; returns the transport's stats.
+    fn exchange_and_reduce(opts: TcpOptions) -> TransportStats {
+        let t = Arc::new(Tcp::loopback_with(3, opts).unwrap());
         assert_eq!(t.name(), "tcp");
         let mut handles = Vec::new();
         for w in 0..3usize {
@@ -1995,6 +2002,22 @@ mod tests {
         let stats = t.stats();
         assert!(stats.wire_bytes > 0);
         assert_eq!(stats.round_trips, 5, "only reduce counts a round trip");
+        stats
+    }
+
+    /// The exchange/reduction round with every message framed on its own.
+    #[test]
+    fn tcp_exchange_and_reduce_round() {
+        let stats = exchange_and_reduce(plain());
+        assert_eq!(stats.coalesced_frames, 0, "{stats:?}");
+    }
+
+    /// The same round under the default options: identical observable
+    /// behavior, plus coalescing actually happening (each `DATA` rides
+    /// with its `END`).
+    #[test]
+    fn batched_exchange_and_reduce_round() {
+        let stats = exchange_and_reduce(TcpOptions::default());
         assert!(
             stats.coalesced_frames > 0,
             "no frames were coalesced: {stats:?}"
@@ -2200,9 +2223,8 @@ mod tests {
     /// The multi-process shape: each rank owns its own `Tcp::mesh` object
     /// (separate listener, shared address table) and the meshes
     /// interoperate over real sockets exactly like the loopback shape —
-    /// exchange, `END` frames, round words, coalescing.
-    #[test]
-    fn mesh_endpoints_in_separate_objects_interoperate() {
+    /// exchange, `END` frames, round words. Returns each rank's stats.
+    fn mesh_rounds(opts: TcpOptions) -> Vec<TransportStats> {
         let listeners: Vec<TcpListener> = (0..3)
             .map(|_| TcpListener::bind(("127.0.0.1", 0)).unwrap())
             .collect();
@@ -2212,7 +2234,7 @@ mod tests {
         for (rank, listener) in listeners.into_iter().enumerate() {
             let addrs = addrs.clone();
             handles.push(std::thread::spawn(move || {
-                let t = Tcp::mesh(rank, addrs, listener, TcpOptions::default()).unwrap();
+                let t = Tcp::mesh(rank, addrs, listener, opts).unwrap();
                 assert_eq!(t.local_rank(), Some(rank));
                 let mut received = Vec::new();
                 for round in 0..4u8 {
@@ -2222,22 +2244,31 @@ mod tests {
                 t.worker_stats(rank)
             }));
         }
-        let mut wire = 0;
-        let mut coalesced = 0;
-        for h in handles {
-            let stats = h.join().unwrap();
-            wire += stats.wire_bytes;
-            coalesced += stats.coalesced_frames;
-        }
-        assert!(wire > 0);
+        let stats: Vec<TransportStats> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert!(stats.iter().map(|s| s.wire_bytes).sum::<u64>() > 0);
+        stats
+    }
+
+    /// Mesh endpoints with every message framed on its own.
+    #[test]
+    fn mesh_endpoints_in_separate_objects_interoperate() {
+        let stats = mesh_rounds(plain());
+        assert!(stats.iter().all(|s| s.coalesced_frames == 0), "{stats:?}");
+    }
+
+    /// Mesh endpoints under the default options interoperate the same
+    /// way and coalesce.
+    #[test]
+    fn batched_mesh_endpoints_interoperate() {
+        let stats = mesh_rounds(TcpOptions::default());
+        let coalesced: u64 = stats.iter().map(|s| s.coalesced_frames).sum();
         assert!(coalesced > 0, "mesh endpoints coalesced nothing");
     }
 
     /// Posted buffers come home to the engine pool via reclaim by the time
     /// the next round drains, exactly like the in-process return stacks.
-    #[test]
-    fn tcp_send_buffers_are_reclaimed() {
-        let t = Arc::new(Tcp::loopback(2).unwrap());
+    fn send_buffers_are_reclaimed(opts: TcpOptions) {
+        let t = Arc::new(Tcp::loopback_with(2, opts).unwrap());
         let mut handles = Vec::new();
         for w in 0..2usize {
             let t = Arc::clone(&t);
@@ -2266,5 +2297,18 @@ mod tests {
             assert_eq!(stats.misses, 1);
             assert_eq!(stats.hits, 2);
         }
+    }
+
+    /// Buffers sent straight to the wire come home.
+    #[test]
+    fn tcp_send_buffers_are_reclaimed() {
+        send_buffers_are_reclaimed(plain());
+    }
+
+    /// Buffers held for coalescing come home too, once their super-frame
+    /// is written.
+    #[test]
+    fn batched_send_buffers_are_reclaimed() {
+        send_buffers_are_reclaimed(TcpOptions::default());
     }
 }
