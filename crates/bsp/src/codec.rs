@@ -97,6 +97,44 @@ pub trait Codec: Sized {
     }
 }
 
+/// Fixed-width integers as one little-endian run: the bulk form of their
+/// [`Codec`] encoding, for arrays long enough that a call per element
+/// shows (shipped partition plans and graph slices).
+pub trait LeRun: Codec + Copy {
+    /// Append `vals`, byte for byte what [`Codec::encode_slice`] writes,
+    /// in one pass. A caller that reserved the total first never
+    /// reallocates.
+    fn put_run(vals: &[Self], buf: &mut Vec<u8>);
+
+    /// Take `count` values off `r` — or `None`, before allocating
+    /// anything, when fewer bytes than that remain.
+    fn take_run(r: &mut Reader<'_>, count: usize) -> Option<Vec<Self>>;
+}
+
+macro_rules! le_run {
+    ($($t:ty),*) => {$(
+        impl LeRun for $t {
+            fn put_run(vals: &[Self], buf: &mut Vec<u8>) {
+                const SIZE: usize = core::mem::size_of::<$t>();
+                let at = buf.len();
+                buf.resize(at + vals.len() * SIZE, 0);
+                for (out, v) in buf[at..].chunks_exact_mut(SIZE).zip(vals) {
+                    out.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+
+            fn take_run(r: &mut Reader<'_>, count: usize) -> Option<Vec<Self>> {
+                const SIZE: usize = core::mem::size_of::<$t>();
+                let len = count.checked_mul(SIZE).filter(|&len| len <= r.remaining())?;
+                let le = |b: &[u8]| <$t>::from_le_bytes(b.try_into().expect("a whole value"));
+                Some(r.take(len).chunks_exact(SIZE).map(le).collect())
+            }
+        }
+    )*};
+}
+
+le_run!(u16, u32, u64);
+
 thread_local! {
     /// Reusable measuring buffer for [`Codec::encoded_size`].
     static SIZE_SCRATCH: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
@@ -374,6 +412,29 @@ mod tests {
         check(&[(1u32, 2.5f64), (3, -1.0)]);
         check(&[vec![1u8, 2], vec![], vec![3]]);
         check::<u64>(&[]);
+    }
+
+    /// Runs are the per-value encoding in bulk, and a count the bytes
+    /// cannot back is refused without touching the reader.
+    #[test]
+    fn le_runs_match_the_codec_and_refuse_short_input() {
+        fn check<T: LeRun + PartialEq + core::fmt::Debug>(vals: &[T]) {
+            let mut one_by_one = Vec::new();
+            T::encode_slice(vals, &mut one_by_one);
+            let mut run = vec![0xAAu8];
+            T::put_run(vals, &mut run);
+            assert_eq!(&run[1..], &one_by_one[..]);
+            let mut r = Reader::new(&run[1..]);
+            assert_eq!(T::take_run(&mut r, vals.len() + 1), None);
+            assert_eq!(r.remaining(), one_by_one.len());
+            assert_eq!(T::take_run(&mut r, vals.len()).as_deref(), Some(vals));
+            assert!(r.is_empty());
+        }
+        check(&[1u16, u16::MAX, 0]);
+        check(&[7u32, u32::MAX]);
+        check(&[u64::MAX, 3]);
+        check::<u32>(&[]);
+        assert_eq!(u32::take_run(&mut Reader::new(&[0; 8]), usize::MAX), None);
     }
 
     #[test]

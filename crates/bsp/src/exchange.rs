@@ -466,12 +466,19 @@ impl Hub {
     /// per round a sender can be a round ahead of its slowest receiver;
     /// waiting here keeps pool traffic what the sequential driver, which
     /// returns buffers within the round, reports.
+    ///
+    /// The buffers enter the pool by capacity, not in the order receivers
+    /// happened to finish: the pool hands them to peers in the order they
+    /// entered, and a buffer grown to exactly one peer's frame regrows when
+    /// a thread race hands it a slightly larger frame — allocations a run
+    /// made, or did not, by chance.
     pub fn reclaim_into(&self, worker: usize, pool: &mut BufferPool) {
         // Acquire pairs with `recycle`'s Release.
         while self.lent[worker].load(Ordering::Acquire) != 0 {
             std::thread::yield_now();
         }
         let mut returned = self.returns[worker].lock();
+        returned.sort_unstable_by_key(Vec::capacity);
         pool.put_all(returned.drain(..));
     }
 
@@ -694,6 +701,30 @@ mod tests {
         let mut pool1 = BufferPool::new();
         hub.reclaim_into(1, &mut pool1);
         assert_eq!(pool1.available(), 0);
+    }
+
+    /// Whichever receiver recycles first, the pool hands the reclaimed
+    /// buffers out in the same order: largest capacity first.
+    #[test]
+    fn reclaim_order_does_not_depend_on_recycle_order() {
+        for small_first in [true, false] {
+            let hub = Hub::new(2);
+            let mut pool = BufferPool::new();
+            hub.post(0, 0, vec![0; 10]);
+            hub.post(0, 1, vec![0; 10]);
+            let (small, large) = (Vec::with_capacity(40_655), Vec::with_capacity(41_751));
+            let order = if small_first {
+                [small, large]
+            } else {
+                [large, small]
+            };
+            for buf in order {
+                hub.recycle(0, buf);
+            }
+            hub.reclaim_into(0, &mut pool);
+            let handed: Vec<usize> = (0..2).map(|_| pool.get().capacity()).collect();
+            assert_eq!(handed, [41_751, 40_655], "small first: {small_first}");
+        }
     }
 
     /// A zero budget disables spinning entirely: whatever the arrival

@@ -5,7 +5,7 @@
 //! worker, supporting both the paper's default random (hash) assignment and
 //! explicit partitions produced by a partitioner (the "Wikipedia (P)" runs).
 
-use crate::codec::{Codec, Reader};
+use crate::codec::{Codec, LeRun, Reader};
 use std::sync::Arc;
 
 /// Ownership map of all vertices over a set of workers.
@@ -48,6 +48,14 @@ impl MirrorHub {
             .find(|(w, _)| *w == worker)
             .map(|(_, t)| t.as_slice())
     }
+
+    /// The target runs a plan encoded for `only` carries: `only`'s own, or
+    /// every worker's when `None`.
+    fn kept(&self, only: Option<u16>) -> impl Iterator<Item = &(u16, Vec<u32>)> + Clone {
+        self.targets
+            .iter()
+            .filter(move |(w, _)| only.is_none_or(|o| o == *w))
+    }
 }
 
 /// The mirror/ghost tables rank 0 computes at ship time: every vertex
@@ -63,54 +71,106 @@ pub struct MirrorPlan {
 }
 
 impl MirrorPlan {
-    /// Append the plan's wire encoding to `buf`.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    /// Bytes [`MirrorPlan::encode_into`] appends for `only`.
+    pub fn encoded_len(&self, only: Option<u16>) -> usize {
+        let hub = |h: &MirrorHub| {
+            let runs: usize = h.kept(only).map(|(_, t)| 2 + 4 + 4 * t.len()).sum();
+            4 + 4 + 2 * h.peers.len() + 4 + runs
+        };
+        8 + 4 + self.hubs.iter().map(hub).sum::<usize>()
+    }
+
+    /// Append the plan's wire encoding to `buf`: τ, then per hub its id,
+    /// its peers and its target runs — every worker's when `only` is
+    /// `None`, else worker `only`'s alone. That is all the Mirror channel
+    /// on worker `only` reads: peers of the hubs it owns, its own targets
+    /// of the rest. Counts are `u32`, everything little-endian, as the
+    /// [`Codec`] writes `Vec`s; size `buf` with [`MirrorPlan::encoded_len`].
+    pub fn encode_into(&self, only: Option<u16>, buf: &mut Vec<u8>) {
         self.threshold.encode(buf);
         (self.hubs.len() as u32).encode(buf);
         for h in &self.hubs {
             h.id.encode(buf);
-            h.peers.encode(buf);
-            (h.targets.len() as u32).encode(buf);
-            for (w, locals) in &h.targets {
+            (h.peers.len() as u32).encode(buf);
+            u16::put_run(&h.peers, buf);
+            let runs = h.kept(only);
+            (runs.clone().count() as u32).encode(buf);
+            for (w, locals) in runs {
                 w.encode(buf);
-                locals.encode(buf);
+                (locals.len() as u32).encode(buf);
+                u32::put_run(locals, buf);
             }
         }
     }
 
-    /// Decode a plan from `r`. Plans travel inside the shipped partition
-    /// plan, so truncation must surface as an error, never a panic.
-    pub fn decode_from(r: &mut Reader) -> Result<Self, String> {
-        fn need(r: &Reader, bytes: usize) -> Result<(), String> {
-            if r.remaining() < bytes {
-                Err("mirror plan truncated".to_string())
-            } else {
-                Ok(())
+    /// Decode a plan from `r`, checking each hub against the owner table
+    /// the plan travelled with as it is read: ids ascending and in range,
+    /// peers ascending among the workers that own vertices, target runs
+    /// ascending and each on a peer, every local index inside its worker.
+    /// What decodes indexes nothing out of bounds when a Mirror channel
+    /// pre-wires from it. Plans arrive over a socket, so damage is an
+    /// error, never a panic, and a count reserves no more than the bytes
+    /// left could hold.
+    pub fn decode_from(r: &mut Reader, owner: &[u16]) -> Result<Self, String> {
+        fn truncated() -> String {
+            "mirror plan truncated".to_string()
+        }
+        fn count(r: &mut Reader) -> Result<usize, String> {
+            if r.remaining() < 4 {
+                return Err(truncated());
             }
+            Ok(r.get::<u32>() as usize)
         }
-        fn u32s(r: &mut Reader) -> Result<Vec<u32>, String> {
-            need(r, 4)?;
-            let count: u32 = r.get();
-            need(r, count as usize * 4)?;
-            Ok((0..count).map(|_| r.get::<u32>()).collect())
+        fn capacity<T>(count: usize, r: &Reader) -> usize {
+            count.min(r.remaining() / std::mem::size_of::<T>())
         }
-        need(r, 12)?;
+        let mut locals: Vec<usize> = Vec::new();
+        for &w in owner {
+            let w = w as usize;
+            if w >= locals.len() {
+                locals.resize(w + 1, 0);
+            }
+            locals[w] += 1;
+        }
+        if r.remaining() < 8 {
+            return Err(truncated());
+        }
         let threshold: u64 = r.get();
-        let hub_count: u32 = r.get();
-        let mut hubs = Vec::with_capacity(hub_count.min(1 << 20) as usize);
+        let hub_count = count(r)?;
+        let mut hubs: Vec<MirrorHub> = Vec::with_capacity(capacity::<MirrorHub>(hub_count, r));
         for _ in 0..hub_count {
-            need(r, 8)?;
+            if r.remaining() < 4 {
+                return Err(truncated());
+            }
             let id: u32 = r.get();
-            let peer_count: u32 = r.get();
-            need(r, peer_count as usize * 2)?;
-            let peers: Vec<u16> = (0..peer_count).map(|_| r.get::<u16>()).collect();
-            need(r, 4)?;
-            let target_count: u32 = r.get();
-            let mut targets = Vec::with_capacity(target_count.min(1 << 20) as usize);
-            for _ in 0..target_count {
-                need(r, 2)?;
+            let bad = |what: &str| Err(format!("mirror hub {id}: {what}"));
+            if id as usize >= owner.len() || hubs.last().is_some_and(|h| h.id >= id) {
+                return bad("id out of range or out of order");
+            }
+            let peers = count(r)?;
+            let peers = u16::take_run(r, peers).ok_or_else(truncated)?;
+            if !peers.is_sorted_by(|a, b| a < b)
+                || peers.last().is_some_and(|&p| p as usize >= locals.len())
+            {
+                return bad("peers not ascending workers that own vertices");
+            }
+            let runs = count(r)?;
+            let mut targets: Vec<(u16, Vec<u32>)> =
+                Vec::with_capacity(capacity::<(u16, Vec<u32>)>(runs, r));
+            for _ in 0..runs {
+                if r.remaining() < 2 {
+                    return Err(truncated());
+                }
                 let w: u16 = r.get();
-                targets.push((w, u32s(r)?));
+                if targets.last().is_some_and(|t| t.0 >= w) || peers.binary_search(&w).is_err() {
+                    return bad("target runs out of order or off its peers");
+                }
+                let len = count(r)?;
+                let run = u32::take_run(r, len).ok_or_else(truncated)?;
+                if run.iter().any(|&l| l as usize >= locals[w as usize]) {
+                    return bad("target index out of range");
+                }
+                targets.push((w, run));
             }
             hubs.push(MirrorHub { id, peers, targets });
         }
@@ -282,6 +342,10 @@ mod tests {
         assert_eq!(t.balance(), (64, 64));
     }
 
+    /// An owner table `sample_plan` fits: worker 0 owns 5 vertices, 1
+    /// owns 8, 2 owns vertex 3 alone.
+    const SAMPLE_OWNER: [u16; 14] = [0, 0, 0, 2, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1];
+
     fn sample_plan() -> MirrorPlan {
         MirrorPlan {
             threshold: 16,
@@ -300,31 +364,85 @@ mod tests {
         }
     }
 
+    fn encoded(plan: &MirrorPlan, only: Option<u16>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        plan.encode_into(only, &mut buf);
+        assert_eq!(buf.len(), plan.encoded_len(only));
+        buf
+    }
+
     #[test]
     fn mirror_plan_roundtrips() {
         let plan = sample_plan();
-        let mut buf = Vec::new();
-        plan.encode_into(&mut buf);
+        let buf = encoded(&plan, None);
         let mut r = Reader::new(&buf);
-        let back = MirrorPlan::decode_from(&mut r).unwrap();
+        let back = MirrorPlan::decode_from(&mut r, &SAMPLE_OWNER).unwrap();
         assert!(r.is_empty());
         assert_eq!(back, plan);
         assert_eq!(back.hubs[0].targets_for(2), Some(&[0u32][..]));
         assert_eq!(back.hubs[0].targets_for(1), None);
     }
 
+    /// A plan encoded for one worker keeps every hub's id and peers and
+    /// that worker's target runs, nothing else.
+    #[test]
+    fn mirror_plan_for_one_worker_keeps_its_own_targets() {
+        let plan = sample_plan();
+        for worker in 0..3u16 {
+            let buf = encoded(&plan, Some(worker));
+            let back = MirrorPlan::decode_from(&mut Reader::new(&buf), &SAMPLE_OWNER).unwrap();
+            assert_eq!(back.threshold, plan.threshold);
+            for (got, full) in back.hubs.iter().zip(&plan.hubs) {
+                assert_eq!((got.id, &got.peers), (full.id, &full.peers));
+                let kept: Vec<_> = full.targets.iter().filter(|t| t.0 == worker).collect();
+                assert_eq!(got.targets.iter().collect::<Vec<_>>(), kept);
+            }
+            assert!(buf.len() < encoded(&plan, None).len());
+        }
+    }
+
     #[test]
     fn mirror_plan_decode_rejects_truncation_at_every_cut() {
         let plan = sample_plan();
-        let mut buf = Vec::new();
-        plan.encode_into(&mut buf);
+        let buf = encoded(&plan, None);
         for cut in 0..buf.len() {
             let mut r = Reader::new(&buf[..cut]);
             assert!(
-                MirrorPlan::decode_from(&mut r).is_err(),
+                MirrorPlan::decode_from(&mut r, &SAMPLE_OWNER).is_err(),
                 "cut at {cut} decoded"
             );
         }
+    }
+
+    /// Everything a Mirror channel would index with is checked against
+    /// the owner table the plan rode with.
+    #[test]
+    fn mirror_plan_decode_rejects_what_would_index_out_of_bounds() {
+        let decode = |plan: &MirrorPlan, owner: &[u16]| {
+            MirrorPlan::decode_from(&mut Reader::new(&encoded(plan, None)), owner)
+        };
+        let broken = |edit: fn(&mut MirrorPlan)| {
+            let mut plan = sample_plan();
+            edit(&mut plan);
+            decode(&plan, &SAMPLE_OWNER)
+        };
+        assert!(broken(|p| p.hubs[1].id = 14).is_err(), "id out of range");
+        assert!(broken(|p| p.hubs[1].id = 3).is_err(), "ids not ascending");
+        assert!(broken(|p| p.hubs[0].peers = vec![2, 0]).is_err());
+        assert!(broken(|p| p.hubs[0].peers.push(3)).is_err(), "no worker 3");
+        assert!(broken(|p| p.hubs[0].targets.reverse()).is_err());
+        assert!(
+            broken(|p| p.hubs[1].targets[0].0 = 0).is_err(),
+            "not a peer"
+        );
+        assert!(
+            broken(|p| p.hubs[0].targets[1].1 = vec![1]).is_err(),
+            "worker 2 owns one"
+        );
+        assert!(
+            decode(&sample_plan(), &SAMPLE_OWNER[..9]).is_err(),
+            "hub 9 out of range"
+        );
     }
 
     #[test]

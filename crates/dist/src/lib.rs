@@ -12,9 +12,9 @@
 //!   frame protocol, so every blocking step is deadline-bounded and fails
 //!   with a typed [`pc_bsp::TransportError`] instead of hanging.
 //! * [`ship`] — partition shipping. Rank 0 loads (or generates) the
-//!   graph, partitions it, and streams each rank its CSR **row slice**
-//!   (`pc_graph::io::encode_graph`) together with the ownership table —
-//!   non-zero ranks never touch the input file.
+//!   graph, partitions it, and sends each rank the ownership table, the
+//!   CSR **rows it owns** (`pc_graph::io::encode_rows`) and its own share
+//!   of the mirror plan — non-zero ranks never touch the input file.
 //! * [`launch`] — the process supervisor behind `pcgraph --ranks N`: it
 //!   spawns one `pcgraph --rank i` child per rank, captures follower
 //!   stderr, enforces a join deadline, and maps child exits to typed

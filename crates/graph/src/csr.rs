@@ -220,6 +220,31 @@ impl<W: Copy + Default> Graph<W> {
             directed: self.directed,
         }
     }
+
+    /// [`Graph::restrict_rows`] in place: the kept rows slide down over
+    /// the dropped ones inside this graph's own arrays, which then shrink
+    /// to what is left. For a caller that is done with the full graph, it
+    /// spares a second copy of the kept arcs.
+    pub fn into_restricted(mut self, keep: impl Fn(VertexId) -> bool) -> Self {
+        let (mut end, mut start) = (0, 0);
+        for v in 0..self.n {
+            let stop = self.offsets[v + 1];
+            if keep(v as VertexId) {
+                if start != end {
+                    self.targets.copy_within(start..stop, end);
+                    self.weights.copy_within(start..stop, end);
+                }
+                end += stop - start;
+            }
+            self.offsets[v + 1] = end;
+            start = stop;
+        }
+        self.targets.truncate(end);
+        self.targets.shrink_to_fit();
+        self.weights.truncate(end);
+        self.weights.shrink_to_fit();
+        self
+    }
 }
 
 impl<W: Copy> Graph<W> {
@@ -457,5 +482,30 @@ mod tests {
         }
         assert!(s.arc_count() < g.arc_count());
         assert_eq!(s.is_directed(), g.is_directed());
+    }
+
+    /// Compacting in place gives the graph `restrict_rows` copies out,
+    /// whichever rows survive: none, all, a prefix, a suffix, every other.
+    #[test]
+    fn into_restricted_matches_restrict_rows() {
+        let g = Graph::from_weighted_edges(
+            6,
+            &[
+                (0, 2, 9u32),
+                (0, 1, 5),
+                (1, 3, 2),
+                (3, 4, 1),
+                (4, 0, 8),
+                (5, 5, 3),
+                (5, 1, 4),
+            ],
+            false,
+        );
+        let keeps: [fn(VertexId) -> bool; 5] =
+            [|_| false, |_| true, |v| v < 3, |v| v >= 3, |v| v % 2 == 1];
+        for keep in keeps {
+            let want = g.restrict_rows(keep);
+            assert_eq!(g.clone().into_restricted(keep), want);
+        }
     }
 }

@@ -25,7 +25,7 @@
 //! per edge line (12 weighted) + the CSR; the file is never resident.
 
 use crate::csr::{Graph, VertexId, WeightedGraph};
-use pc_bsp::{Codec, Reader};
+use pc_bsp::{Codec, LeRun, Reader};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::os::unix::fs::FileExt;
@@ -241,18 +241,56 @@ const CSR_WIRE_VERSION: u8 = 1;
 /// [`decode_graph`] rebuilds a bit-identical graph (adjacency order is
 /// part of the engine's determinism contract).
 pub fn encode_graph<W: Codec + Copy>(g: &Graph<W>, buf: &mut Vec<u8>) {
+    buf.reserve(rows_wire_len(g, |_| true));
+    encode_rows(g, |_| true, buf);
+}
+
+/// Bytes [`encode_rows`] appends for `g` and `keep`.
+pub fn rows_wire_len<W: Codec + Copy>(g: &Graph<W>, keep: impl Fn(VertexId) -> bool) -> usize {
+    let arcs: usize = g.vertices().filter(|&v| keep(v)).map(|v| g.degree(v)).sum();
+    1 + 8 + 1 + 8 + 8 * g.n() + arcs * (4 + W::FIXED_SIZE.unwrap_or(0))
+}
+
+/// Append what [`encode_graph`] writes for `g.restrict_rows(keep)`, byte
+/// for byte, without building that graph: the rows `keep` selects
+/// verbatim, every other row empty. Offsets and targets go out as
+/// little-endian runs; size `buf` first with [`rows_wire_len`] and
+/// nothing reallocates.
+pub fn encode_rows<W: Codec + Copy>(
+    g: &Graph<W>,
+    keep: impl Fn(VertexId) -> bool,
+    buf: &mut Vec<u8>,
+) {
     let (n, offsets, targets, weights, directed) = g.csr_parts();
-    let m = targets.len();
-    buf.reserve(1 + 8 + 1 + 8 + 8 * n + (4 + W::FIXED_SIZE.unwrap_or(0)) * m);
+    let rows = || {
+        (0..n)
+            .filter(|&v| keep(v as VertexId))
+            .map(|v| offsets[v]..offsets[v + 1])
+    };
     buf.push(CSR_WIRE_VERSION);
     (n as u64).encode(buf);
     directed.encode(buf);
-    (m as u64).encode(buf);
-    for &o in &offsets[1..] {
-        (o as u64).encode(buf);
+    // The arc count leads the offsets, which count it: patched after them.
+    let m_at = buf.len();
+    0u64.encode(buf);
+    let at = buf.len();
+    buf.resize(at + 8 * n, 0);
+    let mut m = 0;
+    for (v, out) in buf[at..].chunks_exact_mut(8).enumerate() {
+        if keep(v as VertexId) {
+            m += offsets[v + 1] - offsets[v];
+        }
+        out.copy_from_slice(&(m as u64).to_le_bytes());
     }
-    VertexId::encode_slice(targets, buf);
-    W::encode_slice(weights, buf);
+    buf[m_at..at].copy_from_slice(&(m as u64).to_le_bytes());
+    for row in rows() {
+        VertexId::put_run(&targets[row], buf);
+    }
+    if W::FIXED_SIZE != Some(0) {
+        for row in rows() {
+            W::encode_slice(&weights[row], buf);
+        }
+    }
 }
 
 /// Decode a graph serialized by [`encode_graph`], validating the CSR
@@ -295,9 +333,9 @@ pub fn decode_graph<W: Codec + Copy + Default>(r: &mut Reader<'_>) -> Result<Gra
         let o = u64::from_le_bytes(o.try_into().expect("chunks of 8"));
         offsets.push(usize::try_from(o).map_err(|_| "offset overflows usize".to_string())?);
     }
-    let le_u32 = |t: &[u8]| u32::from_le_bytes(t.try_into().expect("chunks of 4"));
-    let targets: Vec<VertexId> = r.take(4 * m).chunks_exact(4).map(le_u32).collect();
-    let weights: Vec<W> = (0..m).map(|_| r.get()).collect();
+    let targets = VertexId::take_run(r, m).expect("length checked above");
+    let mut weights = Reader::new(r.take(m * (arc - 4)));
+    let weights: Vec<W> = (0..m).map(|_| weights.get()).collect();
     Graph::from_csr_parts(n, offsets, targets, weights, directed)
 }
 
@@ -678,8 +716,14 @@ mod tests {
         let g = gen::rmat(7, 500, gen::RmatParams::default(), 8, false).symmetrized();
         for parts in [1usize, 3] {
             for p in 0..parts {
-                let slice = g.restrict_rows(|v| v as usize % parts == p);
+                let keep = |v: VertexId| v as usize % parts == p;
+                let slice = g.restrict_rows(keep);
                 wire_roundtrip(&slice);
+                let (mut sliced, mut rows) = (Vec::new(), Vec::new());
+                encode_graph(&slice, &mut sliced);
+                encode_rows(&g, keep, &mut rows);
+                assert_eq!(rows, sliced, "rows {p} of {parts} encoded in place");
+                assert_eq!(rows.len(), rows_wire_len(&g, keep));
             }
         }
     }
@@ -748,13 +792,19 @@ mod tests {
             let g2: WeightedGraph = decode_graph(&mut r).unwrap();
             proptest::prop_assert!(r.is_empty());
             proptest::prop_assert_eq!(&g, &g2);
-            // And each worker's shipped slice round-trips too.
+            // And each worker's shipped slice round-trips too, encoded
+            // straight from the full graph as from the copied-out slice.
             for rank in 0..3u32 {
-                let slice = g.restrict_rows(|v| v % 3 == rank);
+                let keep = |v: VertexId| v % 3 == rank;
+                let slice = g.restrict_rows(keep);
                 let mut buf = Vec::new();
                 encode_graph(&slice, &mut buf);
                 let s2: WeightedGraph = decode_graph(&mut Reader::new(&buf)).unwrap();
                 proptest::prop_assert_eq!(&slice, &s2);
+                let mut rows = Vec::with_capacity(rows_wire_len(&g, keep));
+                encode_rows(&g, keep, &mut rows);
+                proptest::prop_assert_eq!(rows.capacity(), rows.len());
+                proptest::prop_assert_eq!(&rows, &buf);
             }
         }
     }

@@ -804,23 +804,24 @@ fn attach_mirror(data: &Gdata, opts: &Opts, topo: Topology) -> Topology {
     let owner: Vec<u16> = (0..topo.n() as u32)
         .map(|v| topo.worker_of(v) as u16)
         .collect();
-    let (plan, report) = match data {
-        Gdata::U { g, .. } => {
-            let p = partition::build_mirror_plan(g.as_ref(), &topo, threshold);
-            let r = partition::partition_report(g.as_ref(), &owner, parts, Some(&p));
-            (p, r)
-        }
-        Gdata::W(g) => {
-            let p = partition::build_mirror_plan(g.as_ref(), &topo, threshold);
-            let r = partition::partition_report(g.as_ref(), &owner, parts, Some(&p));
-            (p, r)
-        }
+    let plan = mirror_plan(data, &topo, threshold);
+    let report = match data {
+        Gdata::U { g, .. } => partition::partition_report(g.as_ref(), &owner, parts, Some(&plan)),
+        Gdata::W(g) => partition::partition_report(g.as_ref(), &owner, parts, Some(&plan)),
     };
     eprintln!("{report}");
     topo.with_mirror(Arc::new(plan))
 }
 
-/// The row slices `rank` needs, in the order `decode_slices` restores.
+/// Every worker's mirror/ghost tables for the full graph in `data`.
+fn mirror_plan(data: &Gdata, topo: &Topology, threshold: usize) -> MirrorPlan {
+    match data {
+        Gdata::U { g, .. } => partition::build_mirror_plan(g.as_ref(), topo, threshold),
+        Gdata::W(g) => partition::build_mirror_plan(g.as_ref(), topo, threshold),
+    }
+}
+
+/// The row slices `rank` needs, copied out of the full graph(s).
 fn slices_for(data: &Gdata, topo: &Topology, rank: usize) -> Gdata {
     match data {
         Gdata::U { g, rev } => Gdata::U {
@@ -833,11 +834,30 @@ fn slices_for(data: &Gdata, topo: &Topology, rank: usize) -> Gdata {
     }
 }
 
-fn encode_plan(owner: &[u16], data: &Gdata, mirror: Option<&MirrorPlan>) -> Vec<u8> {
+/// [`slices_for`] compacted inside the full graph(s) instead, for a caller
+/// that is done with them.
+fn into_slices(data: Gdata, topo: &Topology, rank: usize) -> Gdata {
+    fn own<W: Copy + Default>(g: Arc<Graph<W>>, topo: &Topology, rank: usize) -> Arc<Graph<W>> {
+        Arc::new(Arc::unwrap_or_clone(g).into_restricted(|v| topo.worker_of(v) == rank))
+    }
     match data {
-        Gdata::U { g, rev: None } => ship::encode_plan(owner, &[g.as_ref()], mirror),
-        Gdata::U { g, rev: Some(r) } => ship::encode_plan(owner, &[g.as_ref(), r.as_ref()], mirror),
-        Gdata::W(g) => ship::encode_plan(owner, &[g.as_ref()], mirror),
+        Gdata::U { g, rev } => Gdata::U {
+            g: own(g, topo, rank),
+            rev: rev.map(|r| own(r, topo, rank)),
+        },
+        Gdata::W(g) => Gdata::W(own(g, topo, rank)),
+    }
+}
+
+/// Rank `rank`'s `PLAN` frame, encoded straight from the full graph(s):
+/// its rows, and its own targets of the mirror plan.
+fn encode_plan(owner: &[u16], full: &Gdata, mirror: Option<&MirrorPlan>, rank: usize) -> Vec<u8> {
+    match full {
+        Gdata::U { g, rev: None } => ship::encode_rank_plan(owner, &[g.as_ref()], mirror, rank),
+        Gdata::U { g, rev: Some(r) } => {
+            ship::encode_rank_plan(owner, &[g.as_ref(), r.as_ref()], mirror, rank)
+        }
+        Gdata::W(g) => ship::encode_rank_plan(owner, &[g.as_ref()], mirror, rank),
     }
 }
 
@@ -869,8 +889,8 @@ fn decode_plan(
 
 /// Rebuild the full input graph from the replicated per-rank `PLAN`
 /// frames — the `--verify` path of a takeover coordinator, which never
-/// loaded the input. Inverse of the `slices_for` + `encode_plan`
-/// shipping pipeline, so the result is bit-exact.
+/// loaded the input. Each plan holds its rank's rows verbatim, so merging
+/// them is bit-exact.
 fn rebuild_full(plans: &[Vec<u8>], need: Need) -> Result<Gdata, String> {
     if need.weighted {
         let mut owner = Vec::new();
@@ -1053,19 +1073,20 @@ fn prepare(opts: &Opts, need: Need) -> Prepared {
         opts,
         Topology::from_owners(ranks, owner.clone()),
     ));
-    let mirror = topo.mirror_plan().map(|p| p.as_ref().clone());
+    let mirror = topo.mirror_plan().map(Arc::as_ref);
     // Partition shipping: every follower gets the owner table plus
-    // exactly its row slices (and the mirror plan, when one was
-    // built) — no other process opens the input. With failover armed,
-    // rank 0's own plan is encoded too: the replica must let a takeover
-    // coordinator re-ship a respawned rank 0's slice (and reconstruct
-    // the full graph for --verify) without ever seeing the input.
+    // exactly its own rows (and, when a mirror plan was built, every
+    // hub's id and peers with its own targets alone) — no other process
+    // opens the input. With failover armed, rank 0's own plan is encoded
+    // too: the replica must let a takeover coordinator re-ship a
+    // respawned rank 0's slice (and reconstruct the full graph for
+    // --verify) without ever seeing the input.
     let mut plans: Vec<Vec<u8>> = vec![Vec::new()];
     if armed {
-        plans[0] = encode_plan(&owner, &slices_for(&full, &topo, 0), mirror.as_ref());
+        plans[0] = encode_plan(&owner, &full, mirror, 0);
     }
     for r in 1..ranks {
-        let plan = encode_plan(&owner, &slices_for(&full, &topo, r), mirror.as_ref());
+        let plan = encode_plan(&owner, &full, mirror, r);
         if let Err(e) = coordinator.send(r, TAG_PLAN, &plan) {
             if !recovery {
                 bail_bootstrap(e);
@@ -1090,7 +1111,13 @@ fn prepare(opts: &Opts, need: Need) -> Prepared {
         publish_ctrl(&mut coordinator, &store, &id, &plans, opts);
         (store, id)
     });
-    let data = slices_for(&full, &topo, 0);
+    // Rank 0 runs on its own rows: copied out when --verify will rerun the
+    // job on the full graph, otherwise compacted in place inside it.
+    let (data, full) = if opts.verify {
+        (slices_for(&full, &topo, 0), Some(full))
+    } else {
+        (into_slices(full, &topo, 0), None)
+    };
     let tcp = Tcp::mesh(0, coordinator.peers().to_vec(), listener, tcp_options())
         .unwrap_or_else(|e| bail_bootstrap(e));
     Prepared {
@@ -1098,7 +1125,7 @@ fn prepare(opts: &Opts, need: Need) -> Prepared {
         topo,
         data,
         role: Role::Rank0 {
-            full: opts.verify.then_some(full),
+            full,
             coordinator,
             plans: recovery.then_some(plans),
             failover,
@@ -1673,20 +1700,36 @@ fn conclude<V: PartialEq>(
             print(&values, &stats);
             emit_observability(opts, &stats);
             if opts.verify {
-                // Rank 0 kept the graph it loaded; a takeover coordinator
-                // never saw the input and rebuilds it — bit-exact — from
-                // the replicated per-rank plans.
-                let full = full.unwrap_or_else(|| {
-                    let plans = plans
-                        .as_ref()
-                        .expect("a takeover coordinator keeps the replicated plans");
-                    rebuild_full(plans, need_of(&opts.algorithm)).unwrap_or_else(|e| {
-                        eprintln!(
-                            "pcgraph: cannot rebuild the graph from the control replica: {e}"
-                        );
-                        exit(EXIT_RUNTIME)
-                    })
-                });
+                // Rank 0 kept the graph it loaded and the full mirror plan;
+                // a takeover coordinator never saw the input and rebuilds
+                // the graph — bit-exact — from the replicated per-rank
+                // plans. Its own plan held only its own mirror targets, and
+                // the sequential rerun pre-wires every worker, so the full
+                // mirror plan is rebuilt from that graph with the plan's τ.
+                let (full, topo) = match full {
+                    Some(full) => (full, topo),
+                    None => {
+                        let plans = plans
+                            .as_ref()
+                            .expect("a takeover coordinator keeps the replicated plans");
+                        let full =
+                            rebuild_full(plans, need_of(&opts.algorithm)).unwrap_or_else(|e| {
+                                eprintln!(
+                                    "pcgraph: cannot rebuild the graph from the control \
+                                     replica: {e}"
+                                );
+                                exit(EXIT_RUNTIME)
+                            });
+                        let topo = match topo.mirror_plan() {
+                            Some(own) => {
+                                let plan = mirror_plan(&full, &topo, own.threshold as usize);
+                                Arc::new((*topo).clone().with_mirror(Arc::new(plan)))
+                            }
+                            None => topo,
+                        };
+                        (full, topo)
+                    }
+                };
                 let seq_cfg = Config {
                     mode: ExecMode::Sequential,
                     ..Config::with_workers(topo.workers())

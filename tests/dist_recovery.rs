@@ -343,8 +343,10 @@ fn max_step(dir: &PathBuf) -> u64 {
 /// the checkpoint, and the takeover coordinator's `--verify` proves the
 /// final values identical to the sequential reference — reconstructing
 /// the full graph from the replicated plans, since it never saw the
-/// input. `--stats-json` (written by the acting rank) must account the
-/// recovery epochs.
+/// input. The run mirrors hubs under degree-sorted LDG, and every plan
+/// carries only its own rank's mirror targets, so the takeover's verify
+/// also rebuilds the full mirror plan from that graph. `--stats-json`
+/// (written by the acting rank) must account the recovery epochs.
 #[test]
 fn rank_zero_sigkill_elects_standby_and_verifies() {
     let dir = temp_ckpt_dir("rank0");
@@ -354,7 +356,18 @@ fn rank_zero_sigkill_elects_standby_and_verifies() {
     let stats_arg = stats.display().to_string();
     let done = kill_rank0_with_effect(
         "pagerank",
-        &["--iters", "120", "--stats-json", &stats_arg],
+        &[
+            "--variant",
+            "mirror",
+            "--partitioner",
+            "ldg-deg",
+            "--mirror-threshold",
+            "auto",
+            "--iters",
+            "120",
+            "--stats-json",
+            &stats_arg,
+        ],
         Some(("2", &dir)),
         || has_manifest(&dir),
     );

@@ -113,6 +113,53 @@ fn wcc_mirror_conforms() {
     });
 }
 
+/// A rank's shipped plan keeps every hub's id and peers but only that
+/// rank's mirror targets. What the Mirror channel pre-wires from it on
+/// that rank — every table `encode_tables` writes — is byte for byte what
+/// it pre-wires from the full plan: the restriction drops nothing a rank
+/// reads.
+#[test]
+fn a_rank_plan_prewires_what_the_full_plan_does() {
+    use pc_channels::{Channel, Combine, Mirror, WorkerEnv};
+    use pc_dist::ship;
+    use pc_graph::partition;
+    for g in [Arc::new(gen::ring_with_hub(64, 200)), undirected()] {
+        let tau = partition::default_mirror_threshold(&*g);
+        for workers in 2..=4 {
+            let ldg = partition::ldg_deg(&*g, workers, 2);
+            for base in [
+                Topology::hashed(g.n(), workers),
+                Topology::from_owners(workers, ldg),
+            ] {
+                let owner: Vec<u16> = (0..g.n() as u32)
+                    .map(|v| base.worker_of(v) as u16)
+                    .collect();
+                let plan = partition::build_mirror_plan(&*g, &base, tau);
+                assert!(!plan.hubs.is_empty(), "the input must have hubs to mirror");
+                let full = Arc::new(base.with_mirror(Arc::new(plan.clone())));
+                for rank in 0..workers {
+                    let payload = ship::encode_rank_plan(&owner, &[&*g], Some(&plan), rank);
+                    let (owner, _, own) = ship::decode_plan::<()>(&payload).unwrap();
+                    let own =
+                        Topology::from_owners(workers, owner).with_mirror(Arc::new(own.unwrap()));
+                    let tables = |topo: Arc<Topology>| {
+                        let env = WorkerEnv { worker: rank, topo };
+                        let mut buf = Vec::new();
+                        let mirror = Mirror::<u32>::new(&env, Combine::min_u32(), tau);
+                        Channel::<u32>::encode_tables(&mirror, &mut buf);
+                        buf
+                    };
+                    assert!(
+                        tables(Arc::new(own)) == tables(Arc::clone(&full)),
+                        "{} vertices, rank {rank} of {workers}: the tables differ",
+                        g.n()
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn sv_conforms() {
     let g = undirected();
