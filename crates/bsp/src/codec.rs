@@ -95,45 +95,20 @@ pub trait Codec: Sized {
             v.encode(buf);
         }
     }
+
+    /// Decode `count` values written by [`Codec::encode_slice`] — or
+    /// `None`, before allocating anything, when the type's width is not
+    /// fixed and nonzero or `r` holds fewer bytes than `count` values take.
+    /// Counts read off the wire go through here.
+    fn decode_slice(r: &mut Reader<'_>, count: usize) -> Option<Vec<Self>> {
+        let size = Self::FIXED_SIZE.filter(|&size| size > 0)?;
+        let len = count
+            .checked_mul(size)
+            .filter(|&len| len <= r.remaining())?;
+        let mut run = Reader::new(r.take(len));
+        Some((0..count).map(|_| Self::decode(&mut run)).collect())
+    }
 }
-
-/// Fixed-width integers as one little-endian run: the bulk form of their
-/// [`Codec`] encoding, for arrays long enough that a call per element
-/// shows (shipped partition plans and graph slices).
-pub trait LeRun: Codec + Copy {
-    /// Append `vals`, byte for byte what [`Codec::encode_slice`] writes,
-    /// in one pass. A caller that reserved the total first never
-    /// reallocates.
-    fn put_run(vals: &[Self], buf: &mut Vec<u8>);
-
-    /// Take `count` values off `r` — or `None`, before allocating
-    /// anything, when fewer bytes than that remain.
-    fn take_run(r: &mut Reader<'_>, count: usize) -> Option<Vec<Self>>;
-}
-
-macro_rules! le_run {
-    ($($t:ty),*) => {$(
-        impl LeRun for $t {
-            fn put_run(vals: &[Self], buf: &mut Vec<u8>) {
-                const SIZE: usize = core::mem::size_of::<$t>();
-                let at = buf.len();
-                buf.resize(at + vals.len() * SIZE, 0);
-                for (out, v) in buf[at..].chunks_exact_mut(SIZE).zip(vals) {
-                    out.copy_from_slice(&v.to_le_bytes());
-                }
-            }
-
-            fn take_run(r: &mut Reader<'_>, count: usize) -> Option<Vec<Self>> {
-                const SIZE: usize = core::mem::size_of::<$t>();
-                let len = count.checked_mul(SIZE).filter(|&len| len <= r.remaining())?;
-                let le = |b: &[u8]| <$t>::from_le_bytes(b.try_into().expect("a whole value"));
-                Some(r.take(len).chunks_exact(SIZE).map(le).collect())
-            }
-        }
-    )*};
-}
-
-le_run!(u16, u32, u64);
 
 thread_local! {
     /// Reusable measuring buffer for [`Codec::encoded_size`].
@@ -154,6 +129,23 @@ macro_rules! int_codec {
                 <$t>::from_le_bytes(b.try_into().unwrap())
             }
             const FIXED_SIZE: Option<usize> = Some(core::mem::size_of::<$t>());
+
+            /// One little-endian run, written in a single pass.
+            fn encode_slice(vals: &[Self], buf: &mut Vec<u8>) {
+                const SIZE: usize = core::mem::size_of::<$t>();
+                let at = buf.len();
+                buf.resize(at + vals.len() * SIZE, 0);
+                for (out, v) in buf[at..].chunks_exact_mut(SIZE).zip(vals) {
+                    out.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+
+            fn decode_slice(r: &mut Reader<'_>, count: usize) -> Option<Vec<Self>> {
+                const SIZE: usize = core::mem::size_of::<$t>();
+                let len = count.checked_mul(SIZE).filter(|&len| len <= r.remaining())?;
+                let le = |b: &[u8]| <$t>::from_le_bytes(b.try_into().expect("a whole value"));
+                Some(r.take(len).chunks_exact(SIZE).map(le).collect())
+            }
         }
     )*};
 }
@@ -408,33 +400,41 @@ mod tests {
             assert_eq!(bulk, one_by_one);
         }
         check(&[1u32, u32::MAX, 7]);
+        check(&[1u16, u16::MAX, 0]);
+        check(&[u64::MAX, 3]);
         check(&[0.5f64, -0.0, f64::NAN, 1e300]);
         check(&[(1u32, 2.5f64), (3, -1.0)]);
         check(&[vec![1u8, 2], vec![], vec![3]]);
         check::<u64>(&[]);
     }
 
-    /// Runs are the per-value encoding in bulk, and a count the bytes
-    /// cannot back is refused without touching the reader.
+    /// A slice decodes back from what `encode_slice` wrote, and a count
+    /// the bytes cannot back is refused without touching the reader.
     #[test]
-    fn le_runs_match_the_codec_and_refuse_short_input() {
-        fn check<T: LeRun + PartialEq + core::fmt::Debug>(vals: &[T]) {
-            let mut one_by_one = Vec::new();
-            T::encode_slice(vals, &mut one_by_one);
-            let mut run = vec![0xAAu8];
-            T::put_run(vals, &mut run);
-            assert_eq!(&run[1..], &one_by_one[..]);
-            let mut r = Reader::new(&run[1..]);
-            assert_eq!(T::take_run(&mut r, vals.len() + 1), None);
-            assert_eq!(r.remaining(), one_by_one.len());
-            assert_eq!(T::take_run(&mut r, vals.len()).as_deref(), Some(vals));
+    fn decode_slice_inverts_encode_slice_and_refuses_short_input() {
+        fn check<T: Codec + PartialEq + core::fmt::Debug>(vals: &[T]) {
+            let mut buf = Vec::new();
+            T::encode_slice(vals, &mut buf);
+            let mut r = Reader::new(&buf);
+            assert_eq!(T::decode_slice(&mut r, vals.len() + 1), None);
+            assert_eq!(r.remaining(), buf.len());
+            assert_eq!(T::decode_slice(&mut r, vals.len()).as_deref(), Some(vals));
             assert!(r.is_empty());
         }
         check(&[1u16, u16::MAX, 0]);
         check(&[7u32, u32::MAX]);
         check(&[u64::MAX, 3]);
+        check(&[(1u32, 2.5f64), (3, -1.0)]);
         check::<u32>(&[]);
-        assert_eq!(u32::take_run(&mut Reader::new(&[0; 8]), usize::MAX), None);
+        assert_eq!(
+            u32::decode_slice(&mut Reader::new(&[0; 8]), usize::MAX),
+            None
+        );
+        assert_eq!(
+            <(u32, u8)>::decode_slice(&mut Reader::new(&[0; 8]), usize::MAX),
+            None
+        );
+        assert_eq!(Vec::<u8>::decode_slice(&mut Reader::new(&[0; 8]), 1), None);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod trace;
 pub mod transport;
 
 pub use buffer::{iter_frames, FrameWriter, OutBuffers};
-pub use codec::{Codec, FixedWidth, LeRun, Reader};
+pub use codec::{Codec, FixedWidth, Reader};
 pub use exchange::{Hub, Mailbox, SharedReduce, SpinBarrier};
 pub use metrics::{ChannelMetrics, RunStats, TransportStats};
 pub use pool::{BufferPool, PoolStats};

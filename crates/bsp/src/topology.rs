@@ -5,7 +5,7 @@
 //! worker, supporting both the paper's default random (hash) assignment and
 //! explicit partitions produced by a partitioner (the "Wikipedia (P)" runs).
 
-use crate::codec::{Codec, LeRun, Reader};
+use crate::codec::{Codec, Reader};
 use std::sync::Arc;
 
 /// Ownership map of all vertices over a set of workers.
@@ -92,13 +92,13 @@ impl MirrorPlan {
         for h in &self.hubs {
             h.id.encode(buf);
             (h.peers.len() as u32).encode(buf);
-            u16::put_run(&h.peers, buf);
+            u16::encode_slice(&h.peers, buf);
             let runs = h.kept(only);
             (runs.clone().count() as u32).encode(buf);
             for (w, locals) in runs {
                 w.encode(buf);
                 (locals.len() as u32).encode(buf);
-                u32::put_run(locals, buf);
+                u32::encode_slice(locals, buf);
             }
         }
     }
@@ -148,7 +148,7 @@ impl MirrorPlan {
                 return bad("id out of range or out of order");
             }
             let peers = count(r)?;
-            let peers = u16::take_run(r, peers).ok_or_else(truncated)?;
+            let peers = u16::decode_slice(r, peers).ok_or_else(truncated)?;
             if !peers.is_sorted_by(|a, b| a < b)
                 || peers.last().is_some_and(|&p| p as usize >= locals.len())
             {
@@ -166,7 +166,7 @@ impl MirrorPlan {
                     return bad("target runs out of order or off its peers");
                 }
                 let len = count(r)?;
-                let run = u32::take_run(r, len).ok_or_else(truncated)?;
+                let run = u32::decode_slice(r, len).ok_or_else(truncated)?;
                 if run.iter().any(|&l| l as usize >= locals[w as usize]) {
                     return bad("target index out of range");
                 }

@@ -26,7 +26,7 @@
 //! against the bytes present before it allocates: a malformed plan is a
 //! typed error, never a panic.
 
-use pc_bsp::{Codec, LeRun, MirrorPlan, Reader, Topology};
+use pc_bsp::{Codec, MirrorPlan, Reader, Topology};
 use pc_graph::{io as gio, Graph, VertexId};
 
 /// The row slice of `g` that `rank` needs: adjacency kept verbatim for
@@ -80,7 +80,7 @@ fn encode<W: Codec + Copy>(
         + mirror.map_or(0, |plan| plan.encoded_len(only));
     let mut buf = Vec::with_capacity(len);
     (owner.len() as u64).encode(&mut buf);
-    u16::put_run(owner, &mut buf);
+    u16::encode_slice(owner, &mut buf);
     (graphs.len() as u32).encode(&mut buf);
     for g in graphs {
         gio::encode_rows(g, keep, &mut buf);
@@ -156,7 +156,7 @@ pub fn decode_plan<W: Codec + Copy + Default>(payload: &[u8]) -> Result<DecodedP
     }
     let n: u64 = r.get();
     let n = usize::try_from(n).map_err(|_| "owner count overflows usize".to_string())?;
-    let owner = u16::take_run(&mut r, n).ok_or_else(|| {
+    let owner = u16::decode_slice(&mut r, n).ok_or_else(|| {
         format!(
             "owner table truncated: {} bytes left, {} needed",
             r.remaining(),

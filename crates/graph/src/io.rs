@@ -25,7 +25,7 @@
 //! per edge line (12 weighted) + the CSR; the file is never resident.
 
 use crate::csr::{Graph, VertexId, WeightedGraph};
-use pc_bsp::{Codec, LeRun, Reader};
+use pc_bsp::{Codec, Reader};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::os::unix::fs::FileExt;
@@ -284,7 +284,7 @@ pub fn encode_rows<W: Codec + Copy>(
     }
     buf[m_at..at].copy_from_slice(&(m as u64).to_le_bytes());
     for row in rows() {
-        VertexId::put_run(&targets[row], buf);
+        VertexId::encode_slice(&targets[row], buf);
     }
     if W::FIXED_SIZE != Some(0) {
         for row in rows() {
@@ -333,7 +333,7 @@ pub fn decode_graph<W: Codec + Copy + Default>(r: &mut Reader<'_>) -> Result<Gra
         let o = u64::from_le_bytes(o.try_into().expect("chunks of 8"));
         offsets.push(usize::try_from(o).map_err(|_| "offset overflows usize".to_string())?);
     }
-    let targets = VertexId::take_run(r, m).expect("length checked above");
+    let targets = VertexId::decode_slice(r, m).expect("length checked above");
     let mut weights = Reader::new(r.take(m * (arc - 4)));
     let weights: Vec<W> = (0..m).map(|_| weights.get()).collect();
     Graph::from_csr_parts(n, offsets, targets, weights, directed)
