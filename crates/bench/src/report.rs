@@ -264,19 +264,151 @@ mod tests {
         assert_eq!(pool_hit_rate(0, 5), 0.0);
     }
 
-    /// The stall and readiness columns flow through to the document.
+    /// Golden pin of the `--stats-json` document: every key, its order
+    /// and its number formatting, for a run with a distinct value in
+    /// every field, two channels and two timeline rows.
     #[test]
-    fn stall_and_poll_columns_are_emitted() {
-        let mut stats = RunStats::default();
-        stats.transport.send_stall_us = 7;
-        stats.transport.recv_stall_us = 11;
-        stats.transport.poll_waits = 3;
-        stats.transport.wakeups_spurious = 1;
-        let json = exchange_json(10, 4, &[entry("w", stats)]);
-        assert!(json.contains("\"send_stall_us\": 7,"), "{json}");
-        assert!(json.contains("\"recv_stall_us\": 11,"), "{json}");
-        assert!(json.contains("\"poll_waits\": 3,"), "{json}");
-        assert!(json.contains("\"wakeups_spurious\": 1\n"), "{json}");
+    fn run_stats_json_is_pinned() {
+        use pc_bsp::metrics::ByteCounter;
+        use pc_bsp::{ChannelMetrics, PoolStats, SuperstepStats, TransportStats};
+        let channel = |name: &str, c: [u64; 5]| ChannelMetrics {
+            name: name.to_string(),
+            bytes: ByteCounter {
+                remote: c[0],
+                local: c[1],
+            },
+            messages: c[2],
+            mirrored: c[3],
+            mirror_saved: c[4],
+        };
+        let row = |c: [u64; 11]| SuperstepStats {
+            superstep: c[0],
+            rounds: c[1],
+            active: c[2],
+            messages: c[3],
+            remote_bytes: c[4],
+            stall_us: c[5],
+            pool_misses: c[6],
+            compute_us: c[7],
+            exchange_us: c[8],
+            compute_max_us: c[9],
+            exchange_max_us: c[10],
+        };
+        let stats = RunStats {
+            supersteps: 3,
+            rounds: 5,
+            elapsed: std::time::Duration::from_micros(1_234_567),
+            channels: vec![
+                channel("scatter", [1000, 200, 30, 4, 50]),
+                channel("mirror", [6000, 700, 80, 9, 110]),
+            ],
+            pool: PoolStats {
+                hits: 29,
+                misses: 31,
+            },
+            barrier_crossings: 17,
+            barrier_spins: 19,
+            max_rank_msgs: 61,
+            transport_name: "tcp",
+            transport: TransportStats {
+                wire_bytes: 37,
+                frames: 41,
+                round_trips: 43,
+                coalesced_frames: 47,
+                flushes: 53,
+                send_stall_us: 59,
+                recv_stall_us: 67,
+                poll_waits: 71,
+                wakeups_spurious: 73,
+            },
+            timeline: vec![
+                row([1, 2, 79, 83, 89, 97, 101, 103, 107, 109, 113]),
+                row([2, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173]),
+            ],
+            traces: Vec::new(),
+            recoveries: 2,
+            recovery_us: 23,
+        };
+        let expected = r#"{
+  "runtime_ms": 1234.567,
+  "supersteps": 3,
+  "rounds": 5,
+  "remote_bytes": 7000,
+  "total_bytes": 7900,
+  "messages": 110,
+  "max_rank_msgs": 61,
+  "mirrored_msgs": 13,
+  "mirror_saved": 160,
+  "barrier_crossings": 17,
+  "barrier_spins": 19,
+  "recoveries": 2,
+  "recovery_us": 23,
+  "pool": {
+    "hits": 29,
+    "misses": 31,
+    "hit_rate": 0.483333
+  },
+  "transport": {
+    "name": "tcp",
+    "wire_bytes": 37,
+    "frames": 41,
+    "round_trips": 43,
+    "coalesced_frames": 47,
+    "flushes": 53,
+    "send_stall_us": 59,
+    "recv_stall_us": 67,
+    "poll_waits": 71,
+    "wakeups_spurious": 73
+  },
+  "channels": [
+    {
+      "name": "scatter",
+      "remote_bytes": 1000,
+      "local_bytes": 200,
+      "messages": 30,
+      "mirrored": 4,
+      "mirror_saved": 50
+    },
+    {
+      "name": "mirror",
+      "remote_bytes": 6000,
+      "local_bytes": 700,
+      "messages": 80,
+      "mirrored": 9,
+      "mirror_saved": 110
+    }
+  ],
+  "timeline": [
+    {
+      "superstep": 1,
+      "rounds": 2,
+      "active": 79,
+      "messages": 83,
+      "remote_bytes": 89,
+      "stall_us": 97,
+      "pool_misses": 101,
+      "compute_us": 103,
+      "exchange_us": 107,
+      "compute_max_us": 109,
+      "exchange_max_us": 113
+    },
+    {
+      "superstep": 2,
+      "rounds": 127,
+      "active": 131,
+      "messages": 137,
+      "remote_bytes": 139,
+      "stall_us": 149,
+      "pool_misses": 151,
+      "compute_us": 157,
+      "exchange_us": 163,
+      "compute_max_us": 167,
+      "exchange_max_us": 173
+    }
+  ]
+}
+"#;
+        assert_eq!(run_stats_json(&stats), expected);
     }
 
     /// `run_stats_json` is structurally valid for both an empty default
