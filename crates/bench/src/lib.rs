@@ -5,5 +5,4 @@
 //! helpers shared by the per-table bench binaries (see `benches/`).
 
 pub mod datasets;
-pub mod report;
 pub mod table;

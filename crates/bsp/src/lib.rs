@@ -40,11 +40,11 @@ pub mod transport;
 pub use buffer::{iter_frames, FrameWriter, OutBuffers};
 pub use codec::{Codec, FixedWidth, Reader};
 pub use exchange::{Hub, Mailbox, SharedReduce, SpinBarrier};
-pub use metrics::{ChannelMetrics, RunStats, TransportStats};
-pub use pool::{BufferPool, PoolStats};
+pub use metrics::{ChannelMetrics, PoolStats, RunStats, SuperstepStats, TransportStats};
+pub use pool::BufferPool;
 pub use tcp::{Tcp, TcpOptions};
 pub use topology::{MirrorHub, MirrorPlan, Topology};
-pub use trace::{RankTrace, SpanKind, SuperstepStats, TraceEvent, Tracer};
+pub use trace::{RankTrace, SpanKind, TraceEvent, Tracer};
 pub use transport::{ExchangeTransport, InProcess, TransportError};
 
 /// How the simulated cluster executes its workers.

@@ -3,19 +3,86 @@
 //! The paper's tables report `runtime (s)` and `message (GB)` per program;
 //! [`RunStats`] carries both plus enough breakdown (per-channel bytes,
 //! exchange rounds) to explain *where* a reduction came from.
+//!
+//! Every counter struct is declared once, as a field table
+//! (`counters!`): a field's doc comment, its name and its merge rule. The
+//! table generates the struct, `merge`, the gather/checkpoint [`Codec`]
+//! and the `(name, value)` walk [`run_stats_json`] prints, so a new
+//! counter touches its table line and the code that counts it, nothing
+//! else.
 
-use crate::pool::PoolStats;
-use crate::trace::{RankTrace, SuperstepStats};
+use crate::codec::{Codec, Reader};
+use crate::trace::RankTrace;
+use std::fmt::Write as _;
 use std::time::Duration;
 
-/// Local/remote byte tally for one channel on one worker.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ByteCounter {
-    /// Bytes whose destination worker differs from the source (the paper's
-    /// "message" volume — what would cross the network).
-    pub remote: u64,
-    /// Bytes addressed to the sending worker itself (loop-back).
-    pub local: u64,
+/// How `merge` folds one counter of another instance into this one.
+macro_rules! merge_rule {
+    (sum, $into:expr, $from:expr, $field:ident) => {
+        $into += $from
+    };
+    (max, $into:expr, $from:expr, $field:ident) => {
+        $into = $into.max($from)
+    };
+    (same, $into:expr, $from:expr, $field:ident) => {
+        assert_eq!(
+            $into, $from,
+            concat!("merging rows of different `", stringify!($field), "`")
+        )
+    };
+}
+
+/// Declare a struct of `u64` counters from one field table. Each line is
+/// a field's doc comment, name and merge rule: `sum` (add the other's
+/// count), `max` (keep the larger) or `same` (must be equal; merging
+/// different values panics). Generates the struct, `merge`, a [`Codec`]
+/// (every field in table order, 8 bytes each) and `fields()`.
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* $field:ident: $rule:ident, )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: u64, )+
+        }
+
+        impl $name {
+            /// Accumulate another instance's counters, each by its rule.
+            pub fn merge(&mut self, other: &Self) {
+                $( merge_rule!($rule, self.$field, other.$field, $field); )+
+            }
+
+            /// Every counter as `(name, value)`, in declaration order.
+            pub fn fields(&self) -> [(&'static str, u64); [$(stringify!($field)),+].len()] {
+                [$((stringify!($field), self.$field)),+]
+            }
+        }
+
+        impl Codec for $name {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $( self.$field.encode(buf); )+
+            }
+            fn decode(r: &mut Reader<'_>) -> Self {
+                $name { $( $field: r.get(), )+ }
+            }
+            const FIXED_SIZE: Option<usize> = Some(8 * [$(stringify!($field)),+].len());
+        }
+    };
+}
+
+counters! {
+    /// Local/remote byte tally for one channel on one worker.
+    pub struct ByteCounter {
+        /// Bytes whose destination worker differs from the source (the
+        /// paper's "message" volume — what would cross the network).
+        remote: sum,
+        /// Bytes addressed to the sending worker itself (loop-back).
+        local: sum,
+    }
 }
 
 impl ByteCounter {
@@ -23,16 +90,10 @@ impl ByteCounter {
     pub fn total(&self) -> u64 {
         self.remote + self.local
     }
-
-    /// Accumulate another counter.
-    pub fn merge(&mut self, other: &ByteCounter) {
-        self.remote += other.remote;
-        self.local += other.local;
-    }
 }
 
 /// Aggregated statistics of one named channel across all workers.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ChannelMetrics {
     /// Channel name (e.g. `"scatter"`, `"reqresp"`, `"msg"`).
     pub name: String,
@@ -49,82 +110,153 @@ pub struct ChannelMetrics {
     pub mirror_saved: u64,
 }
 
-/// Wire-level counters of one exchange transport (see
-/// [`crate::transport::ExchangeTransport::stats`]).
-///
-/// The in-process transport counts mailbox traffic (payload bytes, one
-/// frame per post); the TCP transport counts real socket traffic including
-/// the 5-byte frame headers, the `END` frame that closes every round
-/// toward every peer, and the control frames of its gather/broadcast
-/// reductions. `round_trips` counts [`ExchangeTransport::reduce`] calls —
-/// the checkpoint acks, nothing in the round loop (a round's `again` and
-/// active-count words ride its own exchange): a gather/broadcast exchange
-/// with worker 0 on the TCP backend, one barrier-synchronized slot
-/// exchange on the in-process backend.
-///
-/// [`ExchangeTransport::reduce`]: crate::transport::ExchangeTransport::reduce
-///
-/// The trailing fields belong to the TCP transport and stay zero
-/// everywhere else: `coalesced_frames` counts logical frames that rode
-/// inside a coalesced super-frame (each super-frame counts once in
-/// `frames` but carries ≥ 2 coalesced sub-frames), `flushes` counts send
-/// queues drained completely to the kernel, `send_stall_us` /
-/// `recv_stall_us` split the driver's kernel-wait time by what it was
-/// stuck on, and `poll_waits` / `wakeups_spurious` count the readiness
-/// multiplexer's kernel waits and the wake-ups that moved nothing.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Bytes put on the wire (or through the mailbox) by all workers.
-    pub wire_bytes: u64,
-    /// Frames sent by all workers (data, end and reduction frames); a
-    /// coalesced super-frame counts as one.
-    pub frames: u64,
-    /// Standalone global reductions ([`ExchangeTransport::reduce`]
-    /// calls: checkpoint acks).
+impl Codec for ChannelMetrics {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        (self.name.len() as u32).encode(buf);
+        buf.extend_from_slice(self.name.as_bytes());
+        self.bytes.encode(buf);
+        self.messages.encode(buf);
+        self.mirrored.encode(buf);
+        self.mirror_saved.encode(buf);
+    }
+    fn decode(r: &mut Reader<'_>) -> Self {
+        let len: u32 = r.get();
+        let name =
+            String::from_utf8(r.take(len as usize).to_vec()).expect("channel name is not utf-8");
+        ChannelMetrics {
+            name,
+            bytes: r.get(),
+            messages: r.get(),
+            mirrored: r.get(),
+            mirror_saved: r.get(),
+        }
+    }
+}
+
+counters! {
+    /// Wire-level counters of one exchange transport (see
+    /// [`crate::transport::ExchangeTransport::stats`]).
+    ///
+    /// The in-process transport counts mailbox traffic (payload bytes, one
+    /// frame per post); the TCP transport counts real socket traffic
+    /// including the 5-byte frame headers, the `END` frame that closes
+    /// every round toward every peer, and the control frames of its
+    /// gather/broadcast reductions. `round_trips` counts
+    /// [`ExchangeTransport::reduce`] calls — the checkpoint acks, nothing
+    /// in the round loop (a round's `again` and active-count words ride
+    /// its own exchange): a gather/broadcast exchange with worker 0 on the
+    /// TCP backend, one barrier-synchronized slot exchange on the
+    /// in-process backend.
     ///
     /// [`ExchangeTransport::reduce`]: crate::transport::ExchangeTransport::reduce
-    pub round_trips: u64,
-    /// Logical frames carried inside coalesced super-frames (TCP transport;
-    /// 0 elsewhere).
-    pub coalesced_frames: u64,
-    /// Send queues fully drained to the kernel (TCP transport; 0
-    /// elsewhere).
-    pub flushes: u64,
-    /// Microseconds spent stalled with queued send bytes the kernel would
-    /// not accept (TCP transport; 0 elsewhere).
-    pub send_stall_us: u64,
-    /// Microseconds spent waiting for inbound bytes with nothing queued
-    /// to send — the receive-side mirror of `send_stall_us`, so the stall
-    /// column no longer under-reports pure read waits (TCP transport;
-    /// 0 elsewhere).
-    pub recv_stall_us: u64,
-    /// Kernel readiness waits: one per `poll(2)` over the mesh's pollfd
-    /// set (TCP transport; 0 elsewhere).
-    pub poll_waits: u64,
-    /// Readiness wake-ups after which a full progress pass moved zero
-    /// bytes — spurious wake-ups, a health metric of the interest
-    /// computation (TCP transport; 0 elsewhere).
-    pub wakeups_spurious: u64,
+    ///
+    /// The trailing fields belong to the TCP transport and stay zero
+    /// everywhere else: `coalesced_frames` counts logical frames that rode
+    /// inside a coalesced super-frame (each super-frame counts once in
+    /// `frames` but carries ≥ 2 coalesced sub-frames), `flushes` counts
+    /// send queues drained completely to the kernel, `send_stall_us` /
+    /// `recv_stall_us` split the driver's kernel-wait time by what it was
+    /// stuck on, and `poll_waits` / `wakeups_spurious` count the readiness
+    /// multiplexer's kernel waits and the wake-ups that moved nothing.
+    pub struct TransportStats {
+        /// Bytes put on the wire (or through the mailbox) by all workers.
+        wire_bytes: sum,
+        /// Frames sent by all workers (data, end and reduction frames); a
+        /// coalesced super-frame counts as one.
+        frames: sum,
+        /// Standalone global reductions ([`ExchangeTransport::reduce`]
+        /// calls: checkpoint acks).
+        ///
+        /// [`ExchangeTransport::reduce`]: crate::transport::ExchangeTransport::reduce
+        round_trips: sum,
+        /// Logical frames carried inside coalesced super-frames (TCP
+        /// transport; 0 elsewhere).
+        coalesced_frames: sum,
+        /// Send queues fully drained to the kernel (TCP transport; 0
+        /// elsewhere).
+        flushes: sum,
+        /// Microseconds spent stalled with queued send bytes the kernel
+        /// would not accept (TCP transport; 0 elsewhere).
+        send_stall_us: sum,
+        /// Microseconds spent waiting for inbound bytes with nothing
+        /// queued to send — the receive-side mirror of `send_stall_us`, so
+        /// the stall column no longer under-reports pure read waits (TCP
+        /// transport; 0 elsewhere).
+        recv_stall_us: sum,
+        /// Kernel readiness waits: one per `poll(2)` over the mesh's
+        /// pollfd set (TCP transport; 0 elsewhere).
+        poll_waits: sum,
+        /// Readiness wake-ups after which a full progress pass moved zero
+        /// bytes — spurious wake-ups, a health metric of the interest
+        /// computation (TCP transport; 0 elsewhere).
+        wakeups_spurious: sum,
+    }
 }
 
 impl TransportStats {
-    /// Accumulate another transport's counters.
-    pub fn merge(&mut self, other: &TransportStats) {
-        self.wire_bytes += other.wire_bytes;
-        self.frames += other.frames;
-        self.round_trips += other.round_trips;
-        self.coalesced_frames += other.coalesced_frames;
-        self.flushes += other.flushes;
-        self.send_stall_us += other.send_stall_us;
-        self.recv_stall_us += other.recv_stall_us;
-        self.poll_waits += other.poll_waits;
-        self.wakeups_spurious += other.wakeups_spurious;
-    }
-
     /// Total microseconds the driver sat in kernel waits, either
-    /// direction — the bench's headline stall column.
+    /// direction — the headline stall column.
     pub fn stall_us(&self) -> u64 {
         self.send_stall_us + self.recv_stall_us
+    }
+}
+
+counters! {
+    /// Hit/miss counters of one or more [`crate::pool::BufferPool`]s.
+    pub struct PoolStats {
+        /// Buffer requests served from the pool.
+        hits: sum,
+        /// Buffer requests that had to allocate.
+        misses: sum,
+    }
+}
+
+impl PoolStats {
+    /// Fraction of requests served from the pool (1.0 when there were no
+    /// requests at all — nothing was allocated either).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            1.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
+counters! {
+    /// Per-superstep counters — the row the `--superstep-table` summary
+    /// and `RunStats::timeline` are made of. On a worker these are that
+    /// worker's share; after [`crate::trace::merge_timelines`] they are
+    /// run-global sums, except `rounds` (identical everywhere) and the two
+    /// `*_max_us` fields, which are the slowest worker's — a sum over
+    /// workers cannot tell "everyone busy" from "one worker busy while the
+    /// rest wait for it".
+    pub struct SuperstepStats {
+        /// Superstep number (1-based).
+        superstep: same,
+        /// Exchange rounds this superstep ran.
+        rounds: max,
+        /// Vertices active (computed) in this superstep.
+        active: sum,
+        /// Application messages sent during this superstep.
+        messages: sum,
+        /// Remote channel bytes sent during this superstep.
+        remote_bytes: sum,
+        /// Transport kernel-wait µs charged to this superstep
+        /// (send + recv stall deltas of the worker's transport counters).
+        stall_us: sum,
+        /// Exchange-pool misses (allocations) during this superstep.
+        pool_misses: sum,
+        /// µs spent in the vertex-program phase.
+        compute_us: sum,
+        /// µs spent in exchange rounds (serialize → deserialize,
+        /// reductions excluded).
+        exchange_us: sum,
+        /// The largest `compute_us` of any one worker.
+        compute_max_us: max,
+        /// The largest `exchange_us` of any one worker.
+        exchange_max_us: max,
     }
 }
 
@@ -230,9 +362,10 @@ impl RunStats {
         self.transport.wire_bytes as f64 / (1024.0 * 1024.0)
     }
 
-    /// Barrier crossings per exchange round (threaded mode). The pooled
-    /// engine performs 2 per round (mailbox sync + fused reduction) plus
-    /// at most one extra per superstep for channel-free programs.
+    /// Barrier crossings per exchange round (threaded mode). The engine
+    /// crosses once per round (the round's `again`/`active` words ride
+    /// its own sync) plus once per superstep for the confirming exchange
+    /// that ends it, so a one-round-per-superstep program reads 2.0.
     pub fn crossings_per_round(&self) -> f64 {
         if self.rounds == 0 {
             0.0
@@ -265,6 +398,80 @@ impl RunStats {
     /// Find a channel's metrics by name (first match).
     pub fn channel(&self, name: &str) -> Option<&ChannelMetrics> {
         self.channels.iter().find(|c| c.name == name)
+    }
+}
+
+/// Render one run's complete [`RunStats`] as a standalone JSON document —
+/// the `--stats-json` payload and the only serializer of `RunStats`.
+/// Everything the `pcgraph` report prints to stderr is here as a
+/// machine-readable field, plus every counter of the generated tables
+/// (pool, transport, timeline rows), the per-channel breakdown, and (when
+/// the run traced) the merged per-superstep timeline.
+pub fn run_stats_json(stats: &RunStats) -> String {
+    let mut json = String::from("{\n");
+    let _ = writeln!(json, "  \"runtime_ms\": {:.3},", stats.millis());
+    let totals = [
+        ("supersteps", stats.supersteps),
+        ("rounds", stats.rounds),
+        ("remote_bytes", stats.remote_bytes()),
+        ("total_bytes", stats.total_bytes()),
+        ("messages", stats.messages()),
+        ("max_rank_msgs", stats.max_rank_msgs),
+        ("mirrored_msgs", stats.mirrored_msgs()),
+        ("mirror_saved", stats.mirror_saved()),
+        ("barrier_crossings", stats.barrier_crossings),
+        ("barrier_spins", stats.barrier_spins),
+        ("recoveries", stats.recoveries),
+        ("recovery_us", stats.recovery_us),
+    ];
+    write_fields(&mut json, "  ", &totals, true);
+    json.push_str("  \"pool\": {\n");
+    write_fields(&mut json, "    ", &stats.pool.fields(), true);
+    let _ = writeln!(json, "    \"hit_rate\": {:.6}", stats.pool.hit_rate());
+    json.push_str("  },\n  \"transport\": {\n");
+    let _ = writeln!(json, "    \"name\": \"{}\",", stats.transport_name);
+    write_fields(&mut json, "    ", &stats.transport.fields(), false);
+    json.push_str("  },\n  \"channels\": [\n");
+    write_objects(&mut json, &stats.channels, |json, c| {
+        let _ = writeln!(json, "      \"name\": \"{}\",", c.name);
+        let counts = [
+            ("remote_bytes", c.bytes.remote),
+            ("local_bytes", c.bytes.local),
+            ("messages", c.messages),
+            ("mirrored", c.mirrored),
+            ("mirror_saved", c.mirror_saved),
+        ];
+        write_fields(json, "      ", &counts, false);
+    });
+    json.push_str("  ],\n  \"timeline\": [\n");
+    write_objects(&mut json, &stats.timeline, |json, row| {
+        write_fields(json, "      ", &row.fields(), false);
+    });
+    json.push_str("  ]\n}\n");
+    json
+}
+
+/// One `"key": value` line per field at `indent`, comma-separated — the
+/// last one too when `more` keys follow in the same object.
+fn write_fields(json: &mut String, indent: &str, fields: &[(&str, u64)], more: bool) {
+    for (i, (key, value)) in fields.iter().enumerate() {
+        let last = !more && i + 1 == fields.len();
+        let _ = writeln!(
+            json,
+            "{indent}\"{key}\": {value}{}",
+            if last { "" } else { "," }
+        );
+    }
+}
+
+/// One JSON object per row as the elements of an array, each written by
+/// `body`.
+fn write_objects<T>(json: &mut String, rows: &[T], body: impl Fn(&mut String, &T)) {
+    for (i, row) in rows.iter().enumerate() {
+        json.push_str("    {\n");
+        body(json, row);
+        let last = i + 1 == rows.len();
+        json.push_str(if last { "    }\n" } else { "    },\n" });
     }
 }
 
@@ -336,54 +543,6 @@ mod tests {
         assert_eq!(a.total(), 33);
     }
 
-    /// `merge` must sum *every* counter field. Both operands are built
-    /// with exhaustive struct literals (no `..Default::default()`) so a
-    /// newly added `TransportStats` field fails to compile here until
-    /// this test — and therefore `merge` — learns about it; each field
-    /// carries a distinct value so a summation typo (wrong source field,
-    /// assignment instead of `+=`) breaks a distinct assertion.
-    #[test]
-    fn transport_merge_covers_every_field() {
-        let mut a = TransportStats {
-            wire_bytes: 1,
-            frames: 2,
-            round_trips: 3,
-            coalesced_frames: 4,
-            flushes: 5,
-            send_stall_us: 6,
-            recv_stall_us: 7,
-            poll_waits: 8,
-            wakeups_spurious: 9,
-        };
-        let b = TransportStats {
-            wire_bytes: 100,
-            frames: 200,
-            round_trips: 300,
-            coalesced_frames: 400,
-            flushes: 500,
-            send_stall_us: 600,
-            recv_stall_us: 700,
-            poll_waits: 800,
-            wakeups_spurious: 900,
-        };
-        a.merge(&b);
-        assert_eq!(
-            a,
-            TransportStats {
-                wire_bytes: 101,
-                frames: 202,
-                round_trips: 303,
-                coalesced_frames: 404,
-                flushes: 505,
-                send_stall_us: 606,
-                recv_stall_us: 707,
-                poll_waits: 808,
-                wakeups_spurious: 909,
-            }
-        );
-        assert_eq!(a.stall_us(), 606 + 707);
-    }
-
     #[test]
     fn unit_helpers() {
         let mut stats = RunStats {
@@ -393,5 +552,229 @@ mod tests {
         stats.absorb_channels(vec![cm("a", 2 * 1024 * 1024, 0, 1)]);
         assert!((stats.remote_mib() - 2.0).abs() < 1e-9);
         assert!((stats.millis() - 1500.0).abs() < 1e-9);
+    }
+
+    /// A run with a distinct value in every field, two channels and two
+    /// timeline rows.
+    fn populated() -> RunStats {
+        let channel = |name: &str, c: [u64; 5]| ChannelMetrics {
+            name: name.to_string(),
+            bytes: ByteCounter {
+                remote: c[0],
+                local: c[1],
+            },
+            messages: c[2],
+            mirrored: c[3],
+            mirror_saved: c[4],
+        };
+        let row = |c: [u64; 11]| SuperstepStats {
+            superstep: c[0],
+            rounds: c[1],
+            active: c[2],
+            messages: c[3],
+            remote_bytes: c[4],
+            stall_us: c[5],
+            pool_misses: c[6],
+            compute_us: c[7],
+            exchange_us: c[8],
+            compute_max_us: c[9],
+            exchange_max_us: c[10],
+        };
+        RunStats {
+            supersteps: 3,
+            rounds: 5,
+            elapsed: std::time::Duration::from_micros(1_234_567),
+            channels: vec![
+                channel("scatter", [1000, 200, 30, 4, 50]),
+                channel("mirror", [6000, 700, 80, 9, 110]),
+            ],
+            pool: PoolStats {
+                hits: 29,
+                misses: 31,
+            },
+            barrier_crossings: 17,
+            barrier_spins: 19,
+            max_rank_msgs: 61,
+            transport_name: "tcp",
+            transport: TransportStats {
+                wire_bytes: 37,
+                frames: 41,
+                round_trips: 43,
+                coalesced_frames: 47,
+                flushes: 53,
+                send_stall_us: 59,
+                recv_stall_us: 67,
+                poll_waits: 71,
+                wakeups_spurious: 73,
+            },
+            timeline: vec![
+                row([1, 2, 79, 83, 89, 97, 101, 103, 107, 109, 113]),
+                row([2, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173]),
+            ],
+            traces: Vec::new(),
+            recoveries: 2,
+            recovery_us: 23,
+        }
+    }
+
+    /// Golden pin of the `--stats-json` document: every key, its order
+    /// and its number formatting, for a run with a distinct value in
+    /// every field, two channels and two timeline rows.
+    #[test]
+    fn run_stats_json_is_pinned() {
+        let expected = r#"{
+  "runtime_ms": 1234.567,
+  "supersteps": 3,
+  "rounds": 5,
+  "remote_bytes": 7000,
+  "total_bytes": 7900,
+  "messages": 110,
+  "max_rank_msgs": 61,
+  "mirrored_msgs": 13,
+  "mirror_saved": 160,
+  "barrier_crossings": 17,
+  "barrier_spins": 19,
+  "recoveries": 2,
+  "recovery_us": 23,
+  "pool": {
+    "hits": 29,
+    "misses": 31,
+    "hit_rate": 0.483333
+  },
+  "transport": {
+    "name": "tcp",
+    "wire_bytes": 37,
+    "frames": 41,
+    "round_trips": 43,
+    "coalesced_frames": 47,
+    "flushes": 53,
+    "send_stall_us": 59,
+    "recv_stall_us": 67,
+    "poll_waits": 71,
+    "wakeups_spurious": 73
+  },
+  "channels": [
+    {
+      "name": "scatter",
+      "remote_bytes": 1000,
+      "local_bytes": 200,
+      "messages": 30,
+      "mirrored": 4,
+      "mirror_saved": 50
+    },
+    {
+      "name": "mirror",
+      "remote_bytes": 6000,
+      "local_bytes": 700,
+      "messages": 80,
+      "mirrored": 9,
+      "mirror_saved": 110
+    }
+  ],
+  "timeline": [
+    {
+      "superstep": 1,
+      "rounds": 2,
+      "active": 79,
+      "messages": 83,
+      "remote_bytes": 89,
+      "stall_us": 97,
+      "pool_misses": 101,
+      "compute_us": 103,
+      "exchange_us": 107,
+      "compute_max_us": 109,
+      "exchange_max_us": 113
+    },
+    {
+      "superstep": 2,
+      "rounds": 127,
+      "active": 131,
+      "messages": 137,
+      "remote_bytes": 139,
+      "stall_us": 149,
+      "pool_misses": 151,
+      "compute_us": 157,
+      "exchange_us": 163,
+      "compute_max_us": 167,
+      "exchange_max_us": 173
+    }
+  ]
+}
+"#;
+        assert_eq!(run_stats_json(&populated()), expected);
+    }
+
+    /// What a JSON parser enforces: balanced braces and brackets, no
+    /// trailing comma, no non-finite float.
+    fn assert_wellformed(json: &str) {
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        for bad in ["NaN", "nan", "inf"] {
+            assert!(!json.contains(bad), "non-finite float leaked: {json}");
+        }
+        for trailing in [",\n    }", ",\n  ]", ",\n  }"] {
+            assert!(!json.contains(trailing), "trailing comma: {json}");
+        }
+    }
+
+    /// A zero-round run — no channels, no timeline, no buffer ever
+    /// requested — still serializes to valid JSON, with empty arrays and
+    /// the 0/0 pool hit rate pinned to 1.
+    #[test]
+    fn zero_round_workload_serializes_to_valid_json() {
+        let json = run_stats_json(&RunStats::default());
+        assert_wellformed(&json);
+        assert!(json.contains("\"hit_rate\": 1.000000\n"), "{json}");
+        assert!(json.contains("\"channels\": [\n  ],\n"), "{json}");
+        assert!(json.ends_with("\"timeline\": [\n  ]\n}\n"), "{json}");
+    }
+
+    /// A populated run with channels and a traced timeline is just as
+    /// clean: objects separated by commas, the last of each array without.
+    #[test]
+    fn run_stats_json_is_wellformed() {
+        let json = run_stats_json(&populated());
+        assert_wellformed(&json);
+        assert_eq!(json.matches("    },\n").count(), 2, "{json}");
+        assert_eq!(json.matches("    }\n  ]").count(), 2, "{json}");
+    }
+
+    /// Every generated codec reads back what it wrote, at its declared
+    /// fixed size and in table order — the gather and checkpoint wire
+    /// order — and a channel record is its length-prefixed name followed
+    /// by its five counters.
+    #[test]
+    fn stats_codecs_round_trip_in_table_order() {
+        fn round_trip<T: Codec + PartialEq + std::fmt::Debug>(v: &T, len: usize) -> Vec<u8> {
+            let mut buf = Vec::new();
+            v.encode(&mut buf);
+            assert_eq!(buf.len(), len);
+            assert!(T::FIXED_SIZE.is_none_or(|size| size == len));
+            let mut r = Reader::new(&buf);
+            assert_eq!(&T::decode(&mut r), v);
+            assert!(r.is_empty(), "trailing bytes");
+            buf
+        }
+        let s = populated();
+        let wire = round_trip(&s.transport, 9 * 8);
+        let words: Vec<u64> = wire
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        assert_eq!(words, [37, 41, 43, 47, 53, 59, 67, 71, 73]);
+        round_trip(&s.pool, 2 * 8);
+        round_trip(&s.timeline[1], 11 * 8);
+        round_trip(&s.channels[0].bytes, 2 * 8);
+        round_trip(&s.channels, 4 + (4 + 7 + 5 * 8) + (4 + 6 + 5 * 8));
+    }
+
+    /// `superstep` is a `same` field: merging rows of two different
+    /// supersteps is a caller bug, refused rather than summed.
+    #[test]
+    #[should_panic(expected = "merging rows of different `superstep`")]
+    fn merging_rows_of_different_supersteps_panics() {
+        let timeline = populated().timeline;
+        let mut row = timeline[0];
+        row.merge(&timeline[1]);
     }
 }

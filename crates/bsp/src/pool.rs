@@ -13,33 +13,7 @@
 //! available) and misses (a fresh allocation was needed), and the engine
 //! surfaces the totals in [`crate::metrics::RunStats`].
 
-/// Hit/miss counters of one or more [`BufferPool`]s.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Buffer requests served from the pool.
-    pub hits: u64,
-    /// Buffer requests that had to allocate.
-    pub misses: u64,
-}
-
-impl PoolStats {
-    /// Fraction of requests served from the pool (1.0 when there were no
-    /// requests at all — nothing was allocated either).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Accumulate another pool's counters.
-    pub fn merge(&mut self, other: &PoolStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-    }
-}
+use crate::metrics::PoolStats;
 
 /// Rounds of footprint history kept for the high-water trim policy.
 const TRIM_WINDOW: usize = 32;

@@ -17,9 +17,10 @@
 //! single thread-local `is-none` check on an already-slow path (a kernel
 //! wait), and nothing else in the exchange path looks at this module.
 //! The conformance suite pins the byte-identity of untraced runs, and
-//! the `exchange_json` bench asserts a traced run changes no counter.
+//! `tests/trace_timeline.rs` asserts a traced run changes no counter.
 
 use crate::codec::{Codec, Reader};
+use crate::metrics::SuperstepStats;
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -151,92 +152,6 @@ impl Codec for TraceEvent {
             },
         }
     }
-}
-
-/// Per-superstep counters — the row the `--superstep-table` summary and
-/// `RunStats::timeline` are made of. On a worker these are that worker's
-/// share; after [`merge_timelines`] they are run-global sums, except
-/// `rounds` (identical everywhere) and the two `*_max_us` fields, which
-/// are the slowest worker's — a sum over workers cannot tell "everyone
-/// busy" from "one worker busy while the rest wait for it".
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SuperstepStats {
-    /// Superstep number (1-based).
-    pub superstep: u64,
-    /// Exchange rounds this superstep ran.
-    pub rounds: u64,
-    /// Vertices active (computed) in this superstep.
-    pub active: u64,
-    /// Application messages sent during this superstep.
-    pub messages: u64,
-    /// Remote channel bytes sent during this superstep.
-    pub remote_bytes: u64,
-    /// Transport kernel-wait µs charged to this superstep
-    /// (send + recv stall deltas of the worker's transport counters).
-    pub stall_us: u64,
-    /// Exchange-pool misses (allocations) during this superstep.
-    pub pool_misses: u64,
-    /// µs spent in the vertex-program phase.
-    pub compute_us: u64,
-    /// µs spent in exchange rounds (serialize → deserialize, reductions
-    /// excluded).
-    pub exchange_us: u64,
-    /// The largest `compute_us` of any one worker.
-    pub compute_max_us: u64,
-    /// The largest `exchange_us` of any one worker.
-    pub exchange_max_us: u64,
-}
-
-impl SuperstepStats {
-    /// Accumulate another worker's row for the same superstep.
-    pub fn merge(&mut self, other: &SuperstepStats) {
-        assert_eq!(
-            self.superstep, other.superstep,
-            "merging rows of different supersteps"
-        );
-        self.rounds = self.rounds.max(other.rounds);
-        self.active += other.active;
-        self.messages += other.messages;
-        self.remote_bytes += other.remote_bytes;
-        self.stall_us += other.stall_us;
-        self.pool_misses += other.pool_misses;
-        self.compute_us += other.compute_us;
-        self.exchange_us += other.exchange_us;
-        self.compute_max_us = self.compute_max_us.max(other.compute_max_us);
-        self.exchange_max_us = self.exchange_max_us.max(other.exchange_max_us);
-    }
-}
-
-impl Codec for SuperstepStats {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.superstep.encode(buf);
-        self.rounds.encode(buf);
-        self.active.encode(buf);
-        self.messages.encode(buf);
-        self.remote_bytes.encode(buf);
-        self.stall_us.encode(buf);
-        self.pool_misses.encode(buf);
-        self.compute_us.encode(buf);
-        self.exchange_us.encode(buf);
-        self.compute_max_us.encode(buf);
-        self.exchange_max_us.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Self {
-        SuperstepStats {
-            superstep: r.get(),
-            rounds: r.get(),
-            active: r.get(),
-            messages: r.get(),
-            remote_bytes: r.get(),
-            stall_us: r.get(),
-            pool_misses: r.get(),
-            compute_us: r.get(),
-            exchange_us: r.get(),
-            compute_max_us: r.get(),
-            exchange_max_us: r.get(),
-        }
-    }
-    const FIXED_SIZE: Option<usize> = Some(11 * 8);
 }
 
 /// One worker's (rank's) complete trace: its event stream, per-superstep

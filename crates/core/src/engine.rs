@@ -68,11 +68,13 @@ use crate::channel::{Channel, ChannelSet, DeserializeCx, SerializeCx, VertexCtx,
 use crate::frontier::Frontier;
 use pc_bsp::buffer::{frame_spans, FrameSpan, OutBuffers};
 use pc_bsp::codec::{Codec, Reader};
-use pc_bsp::metrics::{ByteCounter, ChannelMetrics, RunStats, TransportStats};
-use pc_bsp::pool::{BufferPool, PoolStats};
+use pc_bsp::metrics::{
+    ByteCounter, ChannelMetrics, PoolStats, RunStats, SuperstepStats, TransportStats,
+};
+use pc_bsp::pool::BufferPool;
 use pc_bsp::tcp::TcpOptions;
 use pc_bsp::topology::Topology;
-use pc_bsp::trace::{self, RankTrace, SpanKind, SuperstepStats, Tracer};
+use pc_bsp::trace::{self, RankTrace, SpanKind, Tracer};
 use pc_bsp::transport::{ExchangeTransport, InProcess};
 use pc_bsp::{CkptPolicy, Config, ExecMode, RankRole, Tcp, TransportKind};
 use pc_ckpt::{Epoch, Manifest, RunId, Store, Writer};
@@ -177,8 +179,8 @@ impl<'a, A: Algorithm> WorkerState<'a, A> {
         assert!(n_channels <= 64, "at most 64 channels per algorithm");
         // Pre-warm one buffer per peer: the first exchange round swaps a
         // buffer toward every destination, and on short runs those
-        // warm-up misses used to dominate the hit rate (the
-        // wcc_rmat_propagation entry of BENCH_exchange.json sat at 0.71).
+        // warm-up misses used to dominate the hit rate (a short 4-worker
+        // RMAT propagation WCC sat at 0.71).
         // Every execution mode pre-warms identically, so cross-mode
         // PoolStats determinism is untouched.
         let mut pool = BufferPool::new();
@@ -392,14 +394,8 @@ impl<'a, A: Algorithm> WorkerState<'a, A> {
         let current = self.frontier.current();
         (current.len() as u32).encode(buf);
         u32::encode_slice(current, buf);
-        (self.bytes.len() as u32).encode(buf);
-        for b in &self.bytes {
-            b.remote.encode(buf);
-            b.local.encode(buf);
-        }
-        let pool = self.pool.stats();
-        pool.hits.encode(buf);
-        pool.misses.encode(buf);
+        self.bytes.encode(buf);
+        self.pool.stats().encode(buf);
         self.encode_channels(buf, |ch, buf| {
             assert!(ch.encode_state(buf), "channel lost its state codec");
         });
@@ -491,13 +487,9 @@ impl<'a, A: Algorithm> WorkerState<'a, A> {
         let n_bytes: u32 = r.get();
         assert_eq!(n_bytes as usize, self.bytes.len(), "channel count drifted");
         for b in &mut self.bytes {
-            b.remote = r.get();
-            b.local = r.get();
+            *b = r.get();
         }
-        self.pool.set_stats(PoolStats {
-            hits: r.get(),
-            misses: r.get(),
-        });
+        self.pool.set_stats(r.get());
         self.decode_channels(&mut r, |ch, r| ch.decode_state(r));
         assert!(r.is_empty(), "trailing bytes in worker snapshot");
         self.step = superstep;
@@ -1093,28 +1085,9 @@ fn encode_part<A: Algorithm>(
         gid.encode(buf);
         A::encode_value(v, buf);
     }
-    (metrics.len() as u32).encode(buf);
-    for m in metrics {
-        let name = m.name.as_bytes();
-        (name.len() as u32).encode(buf);
-        buf.extend_from_slice(name);
-        m.bytes.remote.encode(buf);
-        m.bytes.local.encode(buf);
-        m.messages.encode(buf);
-        m.mirrored.encode(buf);
-        m.mirror_saved.encode(buf);
-    }
-    pool.hits.encode(buf);
-    pool.misses.encode(buf);
-    tstats.wire_bytes.encode(buf);
-    tstats.frames.encode(buf);
-    tstats.round_trips.encode(buf);
-    tstats.coalesced_frames.encode(buf);
-    tstats.flushes.encode(buf);
-    tstats.send_stall_us.encode(buf);
-    tstats.recv_stall_us.encode(buf);
-    tstats.poll_waits.encode(buf);
-    tstats.wakeups_spurious.encode(buf);
+    metrics.encode(buf);
+    pool.encode(buf);
+    tstats.encode(buf);
     match trace {
         Some(tr) => {
             true.encode(buf);
@@ -1156,38 +1129,9 @@ fn decode_part<A: Algorithm>(
         let gid: u32 = r.get();
         pairs.push((gid, A::decode_value(r)));
     }
-    let nchannels: u32 = r.get();
-    let mut metrics = Vec::with_capacity(nchannels as usize);
-    for _ in 0..nchannels {
-        let len: u32 = r.get();
-        let name =
-            String::from_utf8(r.take(len as usize).to_vec()).expect("channel name is not utf-8");
-        metrics.push(ChannelMetrics {
-            name,
-            bytes: ByteCounter {
-                remote: r.get(),
-                local: r.get(),
-            },
-            messages: r.get(),
-            mirrored: r.get(),
-            mirror_saved: r.get(),
-        });
-    }
-    let pool = PoolStats {
-        hits: r.get(),
-        misses: r.get(),
-    };
-    let tstats = TransportStats {
-        wire_bytes: r.get(),
-        frames: r.get(),
-        round_trips: r.get(),
-        coalesced_frames: r.get(),
-        flushes: r.get(),
-        send_stall_us: r.get(),
-        recv_stall_us: r.get(),
-        poll_waits: r.get(),
-        wakeups_spurious: r.get(),
-    };
+    let metrics = r.get();
+    let pool = r.get();
+    let tstats = r.get();
     let trace = if r.get::<bool>() {
         Some(r.get::<RankTrace>())
     } else {
@@ -1690,24 +1634,8 @@ mod tests {
                 assert!(r.is_empty(), "trailing gather bytes");
                 assert_eq!(rec_back, recovery);
                 assert_eq!(p.0, part.0);
+                assert_eq!(p.1, part.1);
                 assert_eq!(p.2, part.2);
-                let (m, m0) = (&p.1[0], &part.1[0]);
-                assert_eq!(
-                    (
-                        m.name.as_str(),
-                        m.bytes,
-                        m.messages,
-                        m.mirrored,
-                        m.mirror_saved
-                    ),
-                    (
-                        m0.name.as_str(),
-                        m0.bytes,
-                        m0.messages,
-                        m0.mirrored,
-                        m0.mirror_saved
-                    )
-                );
                 assert_eq!(ts, tstats);
                 assert_eq!(tr_back.as_ref(), trace);
             }

@@ -1675,7 +1675,7 @@ fn emit_observability(opts: &Opts, stats: &RunStats) {
         }
     }
     if let Some(path) = &opts.stats_json {
-        write_artifact(path, "stats", &pc_bench::report::run_stats_json(stats));
+        write_artifact(path, "stats", &pc_bsp::metrics::run_stats_json(stats));
     }
 }
 
