@@ -14,9 +14,9 @@
 //!   `std::sync::Barrier` (which takes a mutex on every arrival) when
 //!   workers arrive close together, while still not burning CPU when the
 //!   machine is oversubscribed.
-//! * Generations — every exchange and every reduction is one generation
-//!   with one barrier crossing, and both the [`SharedReduce`] slots and
-//!   the two mailboxes alternate by generation parity: the slot or column
+//! * Generations — every exchange is one generation with one barrier
+//!   crossing, and both the [`SharedReduce`] slots and the two mailboxes
+//!   alternate by generation parity: the slot or column
 //!   a worker writes for generation `k+2` cannot be read by a peer still
 //!   working on generation `k`, because a full barrier (generation
 //!   `k+1`'s) separates them. So a fast worker's next `post` never lands
@@ -28,6 +28,10 @@
 //! * Per-sender return stacks ([`Hub::recycle`] / [`Hub::reclaim_into`])
 //!   cycle consumed receive buffers back to their sender's
 //!   [`crate::pool::BufferPool`], closing the zero-allocation loop.
+//! * Poison — a worker that unwinds would leave its peers waiting forever
+//!   (at the barrier, or for buffers it never recycles), so it poisons the
+//!   hub ([`Hub::poison`]) and every wait releases with a [`PeerFailed`]
+//!   panic.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -35,6 +39,7 @@ use std::sync::Condvar;
 use std::time::Duration;
 
 use crate::pool::BufferPool;
+use crate::transport::PeerFailed;
 use crossbeam::utils::CachePadded;
 
 /// Initial adaptive spin budget (iterations of `spin_loop` hints before
@@ -54,7 +59,8 @@ const SPIN_MAX: u32 = 4096;
 /// spin phase is skipped entirely when the machine has fewer cores than
 /// workers (spinning there only delays the threads that hold progress).
 /// The slow path parks on a condvar with a timeout, so a late wake-up can
-/// never deadlock the run.
+/// never deadlock the run. A [`SpinBarrier::poison`]ed barrier releases
+/// every waiter that is past its spin phase with a [`PeerFailed`] panic.
 ///
 /// ## Adaptive spin budget
 ///
@@ -97,7 +103,12 @@ pub struct SpinBarrier {
     spins: CachePadded<AtomicU64>,
     park: std::sync::Mutex<()>,
     unpark: Condvar,
+    /// The first worker that poisoned the barrier, or [`HEALTHY`].
+    failed: AtomicUsize,
 }
+
+/// [`SpinBarrier::failed`] of a barrier nobody poisoned.
+const HEALTHY: usize = usize::MAX;
 
 /// Where a barrier wait resolved — the adaptive controller's input.
 enum Resolved {
@@ -144,6 +155,7 @@ impl SpinBarrier {
             spins: CachePadded::new(AtomicU64::new(0)),
             park: std::sync::Mutex::new(()),
             unpark: Condvar::new(),
+            failed: AtomicUsize::new(HEALTHY),
         }
     }
 
@@ -172,6 +184,7 @@ impl SpinBarrier {
                 std::hint::spin_loop();
                 spins += 1;
             } else if spins < budget + YIELD_LIMIT {
+                self.check_poison();
                 std::thread::yield_now();
                 spins += 1;
                 resolved = Resolved::Yield;
@@ -179,7 +192,9 @@ impl SpinBarrier {
                 resolved = Resolved::Park;
                 self.sleepers.fetch_add(1, Ordering::SeqCst);
                 let mut guard = self.park.lock().unwrap_or_else(|e| e.into_inner());
-                while self.generation.load(Ordering::SeqCst) == gen {
+                while self.generation.load(Ordering::SeqCst) == gen
+                    && self.failed.load(Ordering::SeqCst) == HEALTHY
+                {
                     let (g, _) = self
                         .unpark
                         .wait_timeout(guard, Duration::from_millis(1))
@@ -188,6 +203,9 @@ impl SpinBarrier {
                 }
                 drop(guard);
                 self.sleepers.fetch_sub(1, Ordering::SeqCst);
+                if self.generation.load(Ordering::SeqCst) == gen {
+                    self.check_poison();
+                }
                 break;
             }
         }
@@ -200,6 +218,24 @@ impl SpinBarrier {
             .fetch_add(spins.min(budget) as u64, Ordering::Relaxed);
         if !self.fixed {
             self.adapt(budget, resolved);
+        }
+    }
+
+    /// Record that `worker` is unwinding (the first such worker is the
+    /// one every released waiter names) and wake every parked waiter.
+    pub fn poison(&self, worker: usize) {
+        let _ = self
+            .failed
+            .compare_exchange(HEALTHY, worker, Ordering::SeqCst, Ordering::SeqCst);
+        let _guard = self.park.lock().unwrap_or_else(|e| e.into_inner());
+        self.unpark.notify_all();
+    }
+
+    /// Panic with [`PeerFailed`] if a worker poisoned the barrier.
+    fn check_poison(&self) {
+        let failed = self.failed.load(Ordering::SeqCst);
+        if failed != HEALTHY {
+            std::panic::panic_any(PeerFailed(failed));
         }
     }
 
@@ -277,13 +313,6 @@ impl Mailbox {
         col.push((from, data));
     }
 
-    /// Take the buffer posted from `from` to `to`, if any.
-    pub fn take(&self, from: usize, to: usize) -> Option<Vec<u8>> {
-        let mut col = self.columns[to].lock();
-        let at = col.iter().position(|&(f, _)| f == from)?;
-        Some(col.remove(at).1)
-    }
-
     /// Drain every buffer addressed to `to` into `out`, in sender order,
     /// under a single column lock. `out` is cleared first; its capacity
     /// (and the column's) is reused round over round. This is the only
@@ -297,11 +326,11 @@ impl Mailbox {
     }
 }
 
-/// Per-worker atomic slots used to compute global reductions (active-vertex
-/// counts, channel-active flags) without a coordinator thread.
+/// Per-worker atomic slots that combine the round words (channel-active
+/// flags, active-vertex counts) without a coordinator thread.
 ///
-/// Slots are double-buffered by reduction generation: consecutive
-/// reductions write alternating halves, so one barrier per reduction is
+/// Slots are double-buffered by exchange generation: consecutive
+/// exchanges write alternating halves, so one barrier per exchange is
 /// enough (see the module docs for the argument).
 #[derive(Debug)]
 pub struct SharedReduce {
@@ -348,17 +377,17 @@ impl SharedReduce {
 }
 
 /// Shared rendezvous object for one threaded run: barrier + mailboxes +
-/// reduction slots + buffer return stacks.
+/// round-word slots + buffer return stacks.
 #[derive(Debug)]
 pub struct Hub {
     workers: usize,
     barrier: SpinBarrier,
     /// One mailbox per generation parity (see the module docs).
     mailboxes: [Mailbox; 2],
-    reduce: SharedReduce,
+    words: SharedReduce,
     /// Per-worker generation counters (each written only by its owner):
-    /// one generation per exchange and per reduction. They drive the
-    /// parity of [`SharedReduce`] and of the mailboxes.
+    /// one generation per exchange. They drive the parity of
+    /// [`SharedReduce`] and of the mailboxes.
     generations: Vec<CachePadded<AtomicU64>>,
     /// `returns[k]`: consumed receive buffers awaiting reclamation by
     /// their sender `k`.
@@ -367,8 +396,7 @@ pub struct Hub {
     lent: Vec<CachePadded<AtomicU64>>,
 }
 
-/// Reduction lanes per worker: the two round words of an exchange, and at
-/// most that many values per [`Hub::reduce`].
+/// Round-word lanes per worker: `again` (OR-ed) and `active` (summed).
 const LANES: usize = 2;
 
 impl Hub {
@@ -384,7 +412,7 @@ impl Hub {
             workers,
             barrier: SpinBarrier::with_budget(workers, budget),
             mailboxes: [Mailbox::new(workers), Mailbox::new(workers)],
-            reduce: SharedReduce::new(workers, LANES),
+            words: SharedReduce::new(workers, LANES),
             generations: (0..workers)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
@@ -413,7 +441,7 @@ impl Hub {
     }
 
     /// `worker`'s current generation. All workers run the same sequence
-    /// of exchanges and reductions, so the per-worker counters stay in
+    /// of exchanges, so the per-worker counters stay in
     /// lock-step without sharing a cache line.
     fn generation(&self, worker: usize) -> u64 {
         self.generations[worker].load(Ordering::Relaxed)
@@ -435,8 +463,8 @@ impl Hub {
     /// buffer and every worker's words are visible.
     pub fn sync(&self, worker: usize, words: [u64; 2]) {
         let generation = self.generation(worker);
-        self.reduce.set(generation, worker, 0, words[0]);
-        self.reduce.set(generation, worker, 1, words[1]);
+        self.words.set(generation, worker, 0, words[0]);
+        self.words.set(generation, worker, 1, words[1]);
         self.barrier.wait();
     }
 
@@ -446,10 +474,7 @@ impl Hub {
     pub fn take_all_into(&self, worker: usize, out: &mut Vec<(usize, Vec<u8>)>) -> [u64; 2] {
         let generation = self.generation(worker);
         self.mailboxes[generation as usize & 1].take_all_into(worker, out);
-        let words = [
-            self.reduce.or(generation, 0),
-            self.reduce.sum(generation, 1),
-        ];
+        let words = [self.words.or(generation, 0), self.words.sum(generation, 1)];
         self.advance(worker);
         words
     }
@@ -475,6 +500,7 @@ impl Hub {
     pub fn reclaim_into(&self, worker: usize, pool: &mut BufferPool) {
         // Acquire pairs with `recycle`'s Release.
         while self.lent[worker].load(Ordering::Acquire) != 0 {
+            self.barrier.check_poison();
             std::thread::yield_now();
         }
         let mut returned = self.returns[worker].lock();
@@ -482,23 +508,10 @@ impl Hub {
         pool.put_all(returned.drain(..));
     }
 
-    /// Reduction protocol: publish this worker's `values` (one per lane,
-    /// at most two), cross the barrier once, read the global sums.
-    ///
-    /// Every worker must call the reduction methods in the same order with
-    /// the same number of lanes.
-    pub fn reduce(&self, worker: usize, values: &[u64]) -> Vec<u64> {
-        assert!(values.len() <= LANES, "a hub reduction has {LANES} lanes");
-        let generation = self.generation(worker);
-        for (lane, &v) in values.iter().enumerate() {
-            self.reduce.set(generation, worker, lane, v);
-        }
-        self.barrier.wait();
-        let sums = (0..values.len())
-            .map(|lane| self.reduce.sum(generation, lane))
-            .collect();
-        self.advance(worker);
-        sums
+    /// `worker` is unwinding: release every peer waiting at the barrier
+    /// or for buffers `worker` will never recycle.
+    pub fn poison(&self, worker: usize) {
+        self.barrier.poison(worker);
     }
 }
 
@@ -512,11 +525,11 @@ mod tests {
         let mb = Mailbox::new(3);
         mb.post(0, 2, vec![1, 2, 3]);
         mb.post(1, 2, vec![4]);
-        assert_eq!(mb.take(0, 2), Some(vec![1, 2, 3]));
-        assert_eq!(mb.take(0, 2), None);
-        let mut rest = Vec::new();
-        mb.take_all_into(2, &mut rest);
-        assert_eq!(rest, vec![(1, vec![4])]);
+        let mut got = Vec::new();
+        mb.take_all_into(2, &mut got);
+        assert_eq!(got, vec![(0, vec![1, 2, 3]), (1, vec![4])]);
+        mb.take_all_into(2, &mut got);
+        assert!(got.is_empty());
     }
 
     /// Drains are deterministic: whatever order buffers were posted in,
@@ -588,31 +601,6 @@ mod tests {
         }
         assert_eq!(hits.load(Ordering::Relaxed), 400);
         assert_eq!(b.total_waits(), 400);
-    }
-
-    #[test]
-    fn hub_reduce_across_threads() {
-        let hub = Arc::new(Hub::new(4));
-        let mut handles = Vec::new();
-        for w in 0..4 {
-            let hub = Arc::clone(&hub);
-            handles.push(std::thread::spawn(move || {
-                let mut totals = Vec::new();
-                for round in 0..10u64 {
-                    let s = hub.reduce(w, &[round + w as u64]);
-                    totals.push(s[0]);
-                }
-                totals
-            }));
-        }
-        let results: Vec<Vec<u64>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        // All workers observe identical sums every round.
-        for round in 0..10usize {
-            let expect = (0..4).map(|w| round as u64 + w as u64).sum::<u64>();
-            for r in &results {
-                assert_eq!(r[round], expect);
-            }
-        }
     }
 
     /// The round words ride the exchange: lane 0 OR-ed, lane 1 summed,
@@ -862,12 +850,11 @@ mod tests {
                     hub.sync(w, [0, 1]);
                     hub.take_all_into(w, &mut got);
                 }
-                let _ = hub.reduce(w, &[1]);
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(hub.barrier_crossings(), 6, "5 exchanges + 1 reduction");
+        assert_eq!(hub.barrier_crossings(), 5, "one per exchange");
     }
 }

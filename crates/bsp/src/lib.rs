@@ -12,7 +12,7 @@
 //!   sender instead of being dropped and reallocated every round),
 //! * [`exchange`] — the pairwise mailboxes through which workers swap
 //!   buffers, plus the sense-reversing barrier and double-buffered
-//!   reduction slots that make each round one crossing in the threaded
+//!   round-word slots that make each round one crossing in the threaded
 //!   execution mode,
 //! * [`transport`] — the pluggable [`ExchangeTransport`] rendezvous
 //!   surface behind which the backends live: [`transport::InProcess`]

@@ -139,16 +139,11 @@ counters! {
     ///
     /// The in-process transport counts mailbox traffic (payload bytes, one
     /// frame per post); the TCP transport counts real socket traffic
-    /// including the 5-byte frame headers, the `END` frame that closes
-    /// every round toward every peer, and the control frames of its
-    /// gather/broadcast reductions. `round_trips` counts
-    /// [`ExchangeTransport::reduce`] calls — the checkpoint acks, nothing
-    /// in the round loop (a round's `again` and active-count words ride
-    /// its own exchange): a gather/broadcast exchange with worker 0 on the
-    /// TCP backend, one barrier-synchronized slot exchange on the
-    /// in-process backend.
-    ///
-    /// [`ExchangeTransport::reduce`]: crate::transport::ExchangeTransport::reduce
+    /// including the 5-byte frame headers and the `END` frame that closes
+    /// every round toward every peer. No counter here counts a second
+    /// synchronization: there is none (a round's `again` and active-count
+    /// words ride its own exchange, and the checkpoint ack is proven by the
+    /// next one).
     ///
     /// The trailing fields belong to the TCP transport and stay zero
     /// everywhere else: `coalesced_frames` counts logical frames that rode
@@ -161,13 +156,13 @@ counters! {
     pub struct TransportStats {
         /// Bytes put on the wire (or through the mailbox) by all workers.
         wire_bytes: sum,
-        /// Frames sent by all workers (data, end and reduction frames); a
-        /// coalesced super-frame counts as one.
+        /// Frames sent by all workers (data and end frames); a coalesced
+        /// super-frame counts as one.
         frames: sum,
-        /// Standalone global reductions ([`ExchangeTransport::reduce`]
-        /// calls: checkpoint acks).
-        ///
-        /// [`ExchangeTransport::reduce`]: crate::transport::ExchangeTransport::reduce
+        /// Always 0: the standalone reductions it counted are gone. Kept
+        /// only so the `--stats-json` key the benchmark reads and the
+        /// multi-process gather frame, which encodes this struct, stay as
+        /// they are until the benchmark drops its `bsp.round_trips` metric.
         round_trips: sum,
         /// Logical frames carried inside coalesced super-frames (TCP
         /// transport; 0 elsewhere).

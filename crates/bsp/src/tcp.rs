@@ -25,10 +25,8 @@
 //!   complete without a barrier. Its 16-byte payload is the sender's two
 //!   round words (`again: u64`, `active: u64`, little-endian): the round's
 //!   reduction rides its exchange, and every rank combines the words
-//!   itself — no rank relays anything.
-//! * `REDUCE` — a worker's [`ExchangeTransport::reduce`] contribution,
-//!   gathered by worker 0 (only outside the round loop: checkpoint acks).
-//! * `RESULT` — the combined reduction, broadcast by worker 0.
+//!   itself — no rank relays anything. There is no other control frame:
+//!   a checkpoint ack is the next round's `END`s (see `pc_ckpt`).
 //! * `BATCH`  — a coalesced super-frame: several logical frames to the
 //!   same peer packed behind one header. The payload is a sub-frame
 //!   directory (`count:u32`, then `tag:u8 len:u32` per sub-frame)
@@ -67,11 +65,9 @@
 //!   freelist refilled by `recycle`.
 //! * **A round is one all-to-all hop.** Every rank sends every peer its
 //!   `END` and waits for every peer's, so all ranks send, then all wait —
-//!   no rank waits for another to relay a result. Standalone reductions
-//!   ([`ExchangeTransport::reduce`]) are a gather/broadcast round on
-//!   worker 0 instead: workers send `REDUCE` to rank 0, rank 0 combines
-//!   and broadcasts `RESULT`. One round-trip per reduction, counted in
-//!   [`TransportStats::round_trips`].
+//!   no rank waits for another to relay a result, and no rank's `take`
+//!   returns before every peer's `sync`: the one ordering fact the engine
+//!   builds its checkpoint ack on.
 //! * **Nothing blocks forever.** Every wait is a bounded `poll(2)`
 //!   against an explicit deadline and fails with a typed
 //!   [`TransportError`] when it expires; a late peer within the
@@ -96,10 +92,6 @@ pub const TAG_HELLO: u8 = b'H';
 pub const TAG_DATA: u8 = b'D';
 /// Frame tag: end of the sender's round (payload = its two round words).
 pub const TAG_END: u8 = b'E';
-/// Frame tag: reduction contribution (worker → rank 0).
-pub const TAG_REDUCE: u8 = b'R';
-/// Frame tag: combined reduction result (rank 0 → worker).
-pub const TAG_RESULT: u8 = b'r';
 /// Frame tag: coalesced super-frame (see the module docs for the payload
 /// layout and [`encode_batch`] / [`decode_batch`]).
 pub const TAG_BATCH: u8 = b'B';
@@ -126,55 +118,6 @@ fn fold_end(acc: &mut [u64; 2], payload: &[u8], peer: usize) -> Result<(), Trans
     acc[0] |= r.get::<u64>();
     acc[1] += r.get::<u64>();
     Ok(())
-}
-
-/// Append a `REDUCE` payload: `lanes: u32`, then one `u64` per lane.
-fn encode_reduce(values: &[u64], buf: &mut Vec<u8>) {
-    (values.len() as u32).encode(buf);
-    u64::encode_slice(values, buf);
-}
-
-/// Add `peer`'s `REDUCE` frame into `acc`, lane by lane. A frame of
-/// another tag or shape is a protocol violation.
-fn fold_reduce(
-    acc: &mut [u64],
-    tag: u8,
-    payload: &[u8],
-    peer: usize,
-) -> Result<(), TransportError> {
-    let lanes = acc.len();
-    if tag != TAG_REDUCE
-        || payload.len() != 4 + 8 * lanes
-        || payload[..4] != (lanes as u32).to_le_bytes()
-    {
-        return Err(TransportError::Protocol {
-            peer,
-            detail: format!(
-                "expected a {lanes}-lane REDUCE, got tag {tag:#04x} with {} bytes",
-                payload.len()
-            ),
-        });
-    }
-    let mut r = Reader::new(&payload[4..]);
-    for slot in acc {
-        *slot += r.get::<u64>();
-    }
-    Ok(())
-}
-
-/// Decode rank 0's `RESULT` frame of a `lanes`-lane reduction.
-fn decode_result(tag: u8, payload: &[u8], lanes: usize) -> Result<Vec<u64>, TransportError> {
-    if tag != TAG_RESULT || payload.len() != 8 * lanes {
-        return Err(TransportError::Protocol {
-            peer: 0,
-            detail: format!(
-                "expected a {lanes}-lane RESULT, got tag {tag:#04x} with {} bytes",
-                payload.len()
-            ),
-        });
-    }
-    let mut r = Reader::new(payload);
-    Ok((0..lanes).map(|_| r.get()).collect())
 }
 
 /// Kernel-level poll granularity of the blocking handshake calls.
@@ -216,8 +159,7 @@ pub struct TcpOptions {
     /// How long mesh setup may wait for peers to appear (covers workers
     /// that start late).
     pub connect_timeout: Duration,
-    /// Deadline for any single exchange/reduction operation once the mesh
-    /// is up.
+    /// Deadline for any single exchange operation once the mesh is up.
     pub io_timeout: Duration,
     /// Largest payload eligible for coalescing into a super-frame.
     pub coalesce_limit: usize,
@@ -510,8 +452,9 @@ enum Return {
     /// An engine-posted exchange buffer: park it on `send_returns` so
     /// `reclaim_into` hands it back to the engine's [`BufferPool`].
     Engine,
-    /// A transport-internal control payload: recycle it through the
-    /// receive freelist so steady-state reductions allocate nothing.
+    /// A transport-internal control payload (an `END`): recycle it
+    /// through the receive freelist so steady-state rounds allocate
+    /// nothing.
     Pool,
 }
 
@@ -969,9 +912,8 @@ impl Pump<'_> {
         Ok(())
     }
 
-    /// Drive the pump until every send queue is empty and on the wire.
-    /// Used by the reduction broadcast — peers are blocked on the
-    /// `RESULT`, so it must not linger staged — and by [`Tcp::try_flush`].
+    /// Drive the pump until every send queue is empty and on the wire
+    /// ([`Tcp::try_flush`]).
     fn drive_empty(
         &mut self,
         deadline: Instant,
@@ -1206,8 +1148,8 @@ struct Endpoint {
     /// Reused pollfd scratch of the readiness multiplexer (see
     /// [`Pump::poll_wait`]).
     pollfds: Vec<PollFd>,
-    /// Per-peer "still owes this round a frame" scratch, reused by
-    /// `take_all_into` and the reduction gathers.
+    /// Per-peer "still owes this round a frame" scratch of
+    /// `take_all_into`.
     owed: Vec<bool>,
     /// Per-peer "sent its `DATA` this round" scratch of `take_all_into`:
     /// a second `DATA` before the `END` is a violation.
@@ -1706,94 +1648,6 @@ impl Tcp {
             Ok(words)
         })
     }
-
-    /// Fallible [`ExchangeTransport::reduce`]: gather on rank 0, broadcast
-    /// back.
-    pub fn try_reduce(&self, worker: usize, values: &[u64]) -> Result<Vec<u64>, TransportError> {
-        let deadline = self.io_deadline();
-        self.with_endpoint(worker, |ep| {
-            let (mut cx, opstate) = ep.split(worker, self.opts.coalesce_limit, self.spins);
-            let workers = cx.links.len();
-            let owed = opstate.owed;
-            if worker == 0 {
-                let mut acc = values.to_vec();
-                let mut outstanding = 0;
-                for (p, slot) in owed.iter_mut().enumerate() {
-                    *slot = p != 0;
-                    outstanding += *slot as usize;
-                }
-                let mut idle_rounds = 0;
-                cx.pump(true)?;
-                while outstanding > 0 {
-                    let mut consumed = false;
-                    #[allow(clippy::needless_range_loop)] // disjoint owed/cx index access
-                    for p in 1..workers {
-                        if !owed[p] {
-                            continue;
-                        }
-                        let Some((tag, payload)) = cx.early[p].pop_front() else {
-                            continue;
-                        };
-                        let folded = fold_reduce(&mut acc, tag, &payload, p);
-                        cx.recycle(payload);
-                        folded?;
-                        owed[p] = false;
-                        outstanding -= 1;
-                        consumed = true;
-                    }
-                    if outstanding == 0 {
-                        break;
-                    }
-                    if consumed {
-                        idle_rounds = 0;
-                        continue;
-                    }
-                    if cx.has_send_work() {
-                        let moved = cx.pump(true)?;
-                        if moved > 0 {
-                            idle_rounds = 0;
-                            continue;
-                        }
-                    }
-                    cx.idle(&mut idle_rounds, deadline, owed, "gather reduction")?;
-                }
-                // Every peer is blocked on the result: push it all the
-                // way out now.
-                for p in 1..workers {
-                    let mut payload = cx.pool_buf();
-                    u64::encode_slice(&acc, &mut payload);
-                    cx.enqueue(p, TAG_RESULT, payload, Return::Pool, false);
-                }
-                cx.drive_empty(deadline, "broadcast reduction result")?;
-                cx.stats.round_trips += 1;
-                Ok(acc)
-            } else {
-                let mut payload = cx.pool_buf();
-                encode_reduce(values, &mut payload);
-                cx.enqueue(0, TAG_REDUCE, payload, Return::Pool, false);
-                owed.fill(false);
-                owed[0] = true;
-                let mut idle_rounds = 0;
-                cx.pump(true)?;
-                let (tag, payload) = loop {
-                    if let Some(frame) = cx.early[0].pop_front() {
-                        break frame;
-                    }
-                    if cx.has_send_work() {
-                        let moved = cx.pump(true)?;
-                        if moved > 0 {
-                            idle_rounds = 0;
-                            continue;
-                        }
-                    }
-                    cx.idle(&mut idle_rounds, deadline, owed, "await reduction result")?;
-                };
-                let result = decode_result(tag, &payload, values.len());
-                cx.recycle(payload);
-                result
-            }
-        })
-    }
 }
 
 impl Tcp {
@@ -1877,11 +1731,6 @@ impl ExchangeTransport for Tcp {
         self.assert_local(worker);
         let mut ep = self.endpoints[worker].lock();
         pool.put_all(ep.send_returns.drain(..));
-    }
-
-    fn reduce(&self, worker: usize, values: &[u64]) -> Vec<u64> {
-        self.try_reduce(worker, values)
-            .unwrap_or_else(|e| self.fail(e))
     }
 
     fn stats(&self) -> TransportStats {
@@ -1977,8 +1826,8 @@ mod tests {
         }
     }
 
-    /// Full mesh exchange with its round words, plus a standalone
-    /// reduction, across real sockets; returns the transport's stats.
+    /// Full mesh exchange with its round words — the round's reduction —
+    /// across real sockets; returns the transport's stats.
     fn exchange_and_reduce(opts: TcpOptions) -> TransportStats {
         let t = Arc::new(Tcp::loopback_with(3, opts).unwrap());
         assert_eq!(t.name(), "tcp");
@@ -1989,7 +1838,6 @@ mod tests {
                 let mut received = Vec::new();
                 for round in 0..5u8 {
                     ring_round(&t, w, round, &mut received);
-                    assert_eq!(t.reduce(w, &[w as u64 + 1]), vec![6]);
                 }
                 // Nothing follows the last round: push what is still
                 // queued (what the engine does after its superstep loop).
@@ -2001,7 +1849,6 @@ mod tests {
         }
         let stats = t.stats();
         assert!(stats.wire_bytes > 0);
-        assert_eq!(stats.round_trips, 5, "only reduce counts a round trip");
         stats
     }
 
@@ -2044,7 +1891,6 @@ mod tests {
                         for (s, buf) in received.drain(..) {
                             t.recycle(w, s, buf);
                         }
-                        let _ = t.reduce(w, &[1]);
                     }
                     t.flush(w);
                 }));
@@ -2067,7 +1913,6 @@ mod tests {
         );
         assert!(coalesced.coalesced_frames > 0);
         assert_eq!(plain.coalesced_frames, 0);
-        assert_eq!(plain.round_trips, coalesced.round_trips);
     }
 
     /// The multi-process result gather: a worker that stops driving the
@@ -2190,7 +2035,7 @@ mod tests {
         let frames = vec![
             (TAG_DATA, vec![1, 2, 3]),
             (TAG_END, vec![0; END_LEN]),
-            (TAG_REDUCE, vec![9; 40]),
+            (TAG_HELLO, vec![9; 40]),
         ];
         let payload = encode_batch(&frames);
         assert_eq!(decode_batch(&payload, 7).unwrap(), frames);
@@ -2285,7 +2130,6 @@ mod tests {
                     for (s, b) in received.drain(..) {
                         t.recycle(w, s, b);
                     }
-                    let _ = t.reduce(w, &[1]);
                 }
                 t.flush(w);
                 pool.stats()

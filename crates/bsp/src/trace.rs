@@ -46,15 +46,16 @@ pub enum SpanKind {
     /// (recorded by the transport, attributed to the superstep that was
     /// in flight).
     PollWait,
-    /// One checkpoint boundary: wait for the previous epoch's write,
-    /// snapshot in place, ack reduction, hand-off to the writer. Carries
-    /// `[snapshot_us, stall_us]` in [`TraceEvent::args`].
+    /// One checkpoint boundary: snapshot in place, hand-off to the
+    /// writer. Carries `[snapshot_us, stall_us]` in [`TraceEvent::args`];
+    /// `stall_us` is the wait for the previous epoch's write, taken
+    /// before the boundary superstep's exchange and so outside the span.
     Checkpoint,
     /// Restoring a committed checkpoint before the first superstep.
     Recovery,
     /// The end-of-run drain of the last epoch still with the writer (wait,
-    /// ack reduction, commit). Not an epoch: it has no snapshot, only
-    /// `stall_us`.
+    /// one words-only exchange, commit). Not an epoch: it has no snapshot,
+    /// only `stall_us`.
     CheckpointDrain,
 }
 

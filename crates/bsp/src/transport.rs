@@ -11,14 +11,17 @@
 //!   (`[again, active]`) and `take_all_into` returns their combination
 //!   over all workers, so a round is one rendezvous,
 //! * `recycle` / `reclaim_into` — the buffer return path that keeps the
-//!   steady-state exchange allocation-free,
-//! * `reduce` — a standalone global sum, for decisions taken outside the
-//!   round loop (the checkpoint ack).
+//!   steady-state exchange allocation-free.
+//!
+//! There is no second synchronization: a global value rides some round's
+//! words, and an ordering ("every worker has done X") is proven by the
+//! next exchange, since no `take_all_into` returns before every worker
+//! has called `sync` (the checkpoint ack works that way).
 //!
 //! Two backends ship:
 //!
 //! * [`InProcess`] — the shared-memory [`Hub`] (mailboxes + sense-reversing
-//!   barrier + double-buffered reduction slots). This is the simulated
+//!   barrier + double-buffered round-word slots). This is the simulated
 //!   cluster: fastest, zero copies, no sockets.
 //! * [`crate::tcp::Tcp`] — every worker behind a real loopback socket,
 //!   driven by one non-blocking readiness loop: per-peer send queues with
@@ -34,12 +37,13 @@
 //! need no changes. The contract every implementation must honor:
 //!
 //! 1. All workers call the transport methods in the same order (the
-//!    engine's masks and reductions are global decisions, so the call
+//!    engine's masks and loop exits are global decisions, so the call
 //!    sequence is lock-step by construction).
 //! 2. At most one `post` per `(from, to)` pair per round; `sync` ends the
 //!    round's posting; after `sync`, `take_all_into(w)` yields every
 //!    buffer addressed to `w`, ordered by sender id, and returns the
 //!    round words of all workers combined: lane 0 OR-ed, lane 1 summed.
+//!    It returns only once every worker has called `sync` for the round.
 //!    A worker may start its next round's `post`s as soon as its `take`
 //!    returns, while peers are still taking; the backend must keep the
 //!    two rounds apart.
@@ -52,6 +56,10 @@
 //!    result gather; a backend that queues frames must have them all on
 //!    the wire when it returns. Backends that send eagerly keep the
 //!    default no-op.
+//! 5. The threaded driver calls `poison` for a worker that unwinds; a
+//!    backend whose waits could otherwise block on that worker forever
+//!    (the in-process hub) releases every waiter with a [`PeerFailed`]
+//!    panic. Backends whose waits carry deadlines keep the default no-op.
 
 use crate::exchange::Hub;
 use crate::metrics::TransportStats;
@@ -95,10 +103,11 @@ pub trait ExchangeTransport: Sync {
     /// Move every buffer returned toward `worker` into its pool.
     fn reclaim_into(&self, worker: usize, pool: &mut BufferPool);
 
-    /// Global sum-reduction: publish `values` (one per lane, at most two),
-    /// return the per-lane sums over all workers. Synchronizes all
-    /// workers. Counted in [`TransportStats::round_trips`].
-    fn reduce(&self, worker: usize, values: &[u64]) -> Vec<u64>;
+    /// `worker` is unwinding: release every peer waiting on it (contract
+    /// point 5).
+    fn poison(&self, worker: usize) {
+        let _ = worker;
+    }
 
     /// Wire-level counters accumulated so far, aggregated over workers.
     fn stats(&self) -> TransportStats;
@@ -123,6 +132,19 @@ pub trait ExchangeTransport: Sync {
     /// over workers (0 where there is no spinning barrier).
     fn barrier_spins(&self) -> u64 {
         0
+    }
+}
+
+/// The panic payload of a worker released from a wait because a peer
+/// unwound ([`ExchangeTransport::poison`]): a consequence, never the
+/// cause, so a driver reporting a failed run resumes the original panic
+/// instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PeerFailed(pub usize);
+
+impl std::fmt::Display for PeerFailed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "worker {} failed", self.0)
     }
 }
 
@@ -221,13 +243,12 @@ struct WorkerCounters {
 }
 
 /// The shared-memory backend: the [`Hub`] (mailbox, sense-reversing
-/// barrier, double-buffered reduction slots) behind the
+/// barrier, double-buffered round-word slots) behind the
 /// [`ExchangeTransport`] surface, plus wire-level counters.
 #[derive(Debug)]
 pub struct InProcess {
     hub: Hub,
     counters: Vec<CachePadded<WorkerCounters>>,
-    round_trips: AtomicU64,
 }
 
 impl InProcess {
@@ -244,13 +265,7 @@ impl InProcess {
             counters: (0..workers)
                 .map(|_| CachePadded::new(WorkerCounters::default()))
                 .collect(),
-            round_trips: AtomicU64::new(0),
         }
-    }
-
-    /// The underlying hub (for direct barrier/mailbox access in tests).
-    pub fn hub(&self) -> &Hub {
-        &self.hub
     }
 }
 
@@ -288,18 +303,12 @@ impl ExchangeTransport for InProcess {
         self.hub.reclaim_into(worker, pool);
     }
 
-    fn reduce(&self, worker: usize, values: &[u64]) -> Vec<u64> {
-        if worker == 0 {
-            self.round_trips.fetch_add(1, Ordering::Relaxed);
-        }
-        self.hub.reduce(worker, values)
+    fn poison(&self, worker: usize) {
+        self.hub.poison(worker);
     }
 
     fn stats(&self) -> TransportStats {
-        let mut total = TransportStats {
-            round_trips: self.round_trips.load(Ordering::Relaxed),
-            ..TransportStats::default()
-        };
+        let mut total = TransportStats::default();
         for c in &self.counters {
             total.wire_bytes += c.wire_bytes.load(Ordering::Relaxed);
             total.frames += c.frames.load(Ordering::Relaxed);
@@ -312,13 +321,6 @@ impl ExchangeTransport for InProcess {
         TransportStats {
             wire_bytes: c.wire_bytes.load(Ordering::Relaxed),
             frames: c.frames.load(Ordering::Relaxed),
-            // Reductions are global events; charge them to worker 0 so the
-            // per-worker breakdown still sums to `stats()`.
-            round_trips: if worker == 0 {
-                self.round_trips.load(Ordering::Relaxed)
-            } else {
-                0
-            },
             ..TransportStats::default()
         }
     }
@@ -338,7 +340,7 @@ mod tests {
     use std::sync::Arc;
 
     /// The InProcess wrapper preserves the Hub's exchange semantics and
-    /// counts frames/bytes; round trips count `reduce` calls only.
+    /// counts frames/bytes.
     #[test]
     fn in_process_exchange_and_counters() {
         let t = Arc::new(InProcess::new(3));
@@ -357,7 +359,6 @@ mod tests {
                 for (s, buf) in got {
                     t.recycle(w, s, buf);
                 }
-                assert_eq!(t.reduce(w, &[1]), vec![3]);
                 words
             }));
         }
@@ -367,7 +368,6 @@ mod tests {
         let stats = t.stats();
         assert_eq!(stats.frames, 9);
         assert_eq!(stats.wire_bytes, 3 * (1 + 2 + 3));
-        assert_eq!(stats.round_trips, 1);
         // The recycled buffers are waiting for their senders.
         let mut pool = BufferPool::new();
         t.reclaim_into(1, &mut pool);

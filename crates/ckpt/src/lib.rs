@@ -24,9 +24,9 @@
 //!   rename — a crash mid-write leaves at worst a `.tmp` straggler that
 //!   is never read;
 //! * the `MANIFEST` (same tmp + fsync + rename discipline) is written
-//!   only after *every* rank has acked that its segment of that epoch is
-//!   durable, so a step directory without a digest-valid manifest is not
-//!   a checkpoint;
+//!   only once *every* rank's segment of that epoch is known durable
+//!   (the ack — see *Who writes when*), so a step directory without a
+//!   digest-valid manifest is not a checkpoint;
 //! * the manifest pins each segment's content digest, so a torn or
 //!   truncated segment is detected at restore time and the restore falls
 //!   back to the previous complete epoch ([`Store::latest_restorable`]).
@@ -64,33 +64,37 @@
 //! ## Who writes when
 //!
 //! Nothing but the snapshot itself happens on a worker's superstep path.
-//! At the boundary of epoch *e* a worker
+//! On the superstep that ends at the boundary of epoch *e* a worker
 //!
-//! 1. takes back the buffer of epoch *e−1* from its [`Writer`]
-//!    ([`Writer::finish`]) — a wait only when the disk needed longer than
-//!    one checkpoint interval of compute, and the point where a write
-//!    that failed surfaces (fatally: a rank that could not persist its
-//!    state never acks it);
-//! 2. encodes epoch *e* in place into that buffer, straight behind the
-//!    header [`begin_segment`] put there, and closes it with
-//!    [`seal_segment`] — no second copy of the state exists;
-//! 3. joins the boundary's one reduction, which acks "my segment of
-//!    *e−1* is durable" (the first boundary has nothing to ack and does
-//!    not reduce);
+//! 1. after compute and before the superstep's first exchange, takes back
+//!    the buffer of epoch *e−1* from its [`Writer`] ([`Writer::finish`])
+//!    — a wait only when the disk needed longer than one checkpoint
+//!    interval of compute, and the point where a write that failed
+//!    surfaces (fatally: a rank that could not persist its state never
+//!    gets to the exchange that acks it);
+//! 2. once the superstep's exchanges are done, encodes epoch *e* in place
+//!    into that buffer, straight behind the header [`begin_segment`] put
+//!    there, and closes it with [`seal_segment`] — no second copy of the
+//!    state exists;
+//! 3. acks nothing explicitly: no exchange completes on any rank before
+//!    every rank has entered it, so every rank's step 1 is done by the
+//!    time any rank gets here, and every segment of *e−1* is durable;
 //! 4. hands the buffer to the writer ([`Writer::submit`]) — with a tables
 //!    file in front of it when the worker's tables changed since it last
 //!    wrote one — whose thread digests each and does tmp → `write` →
 //!    `fsync` → rename → directory `fsync` while the next supersteps
 //!    compute: tables first, then the segment, its header linked to the
 //!    worker's newest tables file before it is digested. Worker 0's job
-//!    first commits the epoch that was just acked ([`Store::commit_epoch`]:
-//!    read every rank's trailer, write `MANIFEST` *e−1*, collect
-//!    garbage) — a small fsync that would otherwise queue behind every
-//!    rank's segment write on the superstep path.
+//!    first commits the epoch that step 3 found durable
+//!    ([`Store::commit_epoch`]: read every rank's trailer, write
+//!    `MANIFEST` *e−1*, collect garbage) — a small fsync that would
+//!    otherwise queue behind every rank's segment write on the superstep
+//!    path.
 //!
-//! When the run ends, one more `finish` + reduction + commit drains the
-//! last epoch, so a finished run leaves every epoch it took committed
-//! and an epoch still costs exactly one reduction.
+//! When the run ends, one more `finish`, one words-only exchange (the
+//! ack, as in step 3) and an inline commit drain the last epoch, so a
+//! finished run leaves every epoch it took committed. An epoch costs
+//! nothing on the wire.
 //!
 //! **Commit lag.** An epoch becomes restorable one boundary after it was
 //! taken. With a checkpoint every `k` supersteps a failure therefore
@@ -304,8 +308,8 @@ impl RunId {
     }
 }
 
-/// The commit record of one checkpoint epoch, written by rank 0 after
-/// every rank acked the checkpoint barrier.
+/// The commit record of one checkpoint epoch, written by rank 0 once
+/// every rank's segment of it is known durable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
     /// The run this checkpoint belongs to.
@@ -406,7 +410,8 @@ const TABLES_DIR: &str = "tables";
 /// Checkpoint I/O counters of one [`Store`] (shared by its clones): how
 /// many bytes hit or left the disk and how long the store spent doing it.
 /// The engine's `checkpoint` trace span times what a boundary costs the
-/// superstep path (snapshot, ack, any wait for the writer); these time
+/// superstep path (the snapshot; its `stall_us`, any wait for the
+/// writer); these time
 /// the file I/O itself, wherever it runs — a segment's on its [`Writer`]'s
 /// thread, beside the supersteps.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

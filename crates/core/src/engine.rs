@@ -15,7 +15,7 @@
 //! deterministic [`ExecMode::Sequential`] loop and a threaded
 //! [`ExecMode::Threads`] driver with one OS thread per worker. The
 //! threaded driver is generic over an [`ExchangeTransport`] — the
-//! rendezvous surface (post/sync/flush/take/recycle/reduce) behind which
+//! rendezvous surface (post/sync/flush/take/recycle) behind which
 //! the backends live: the shared-memory [`InProcess`] hub (default) or
 //! the real-socket [`pc_bsp::tcp::Tcp`] mesh (non-blocking: `sync` only
 //! queues and the take drives the socket mesh until the round
@@ -75,7 +75,7 @@ use pc_bsp::pool::BufferPool;
 use pc_bsp::tcp::TcpOptions;
 use pc_bsp::topology::Topology;
 use pc_bsp::trace::{self, RankTrace, SpanKind, Tracer};
-use pc_bsp::transport::{ExchangeTransport, InProcess};
+use pc_bsp::transport::{ExchangeTransport, InProcess, PeerFailed};
 use pc_bsp::{CkptPolicy, Config, ExecMode, RankRole, Tcp, TransportKind};
 use pc_ckpt::{Epoch, Manifest, RunId, Store, Writer};
 use std::sync::Arc;
@@ -582,6 +582,12 @@ fn assemble<V: Clone + Default>(
 /// [`Store::latest_restorable`] validates the manifest *and* all
 /// segments and the tables files they link, so a torn file fails the
 /// epoch for everyone alike.
+///
+/// The ack that every worker's segment of an epoch is durable is not a
+/// message. A boundary superstep settles the previous epoch after compute
+/// and before its first `sync`, and no `take_all_into` returns before
+/// every worker's `sync`; so once worker 0 has taken that superstep's
+/// exchange, every segment is durable and it may commit.
 struct CkptCtx {
     store: Store,
     every: u64,
@@ -589,10 +595,13 @@ struct CkptCtx {
     restore: Option<Manifest>,
     writer: Writer,
     /// `(superstep, rounds)` of the epoch handed to `writer` and not yet
-    /// acked: written or being written, invisible until the next
+    /// committed: written or being written, invisible until the next
     /// boundary (or the end-of-run drain) commits it. The same on every
-    /// worker, so all of them agree on when there is something to ack.
+    /// worker.
     unacked: Option<(u64, u64)>,
+    /// The buffer the last settled epoch came back in; the next snapshot
+    /// is encoded into it.
+    buf: Vec<u8>,
     /// The worker's tables generation as of the newest tables file handed
     /// to `writer` (or restored): a boundary writes tables only when the
     /// generation moved.
@@ -618,6 +627,7 @@ impl CkptCtx {
             id,
             restore,
             unacked: None,
+            buf: Vec::new(),
             tables_generation: 0,
         }
     }
@@ -642,31 +652,30 @@ impl CkptCtx {
         Some((m.superstep, m.rounds))
     }
 
-    /// Take the segment buffer back from the writer, waiting for the
-    /// epoch it holds to be durable. Checkpoint I/O failures are fatal,
-    /// not recoverable, and the writer's surface here: a rank
-    /// that could not persist its state must not go on to ack it. The
-    /// error names the file that failed (a segment, or the tables file in
-    /// front of it).
-    fn settle(&mut self) -> Vec<u8> {
-        let Some(done) = self.writer.finish() else {
-            return Vec::new();
-        };
-        done.segment
-            .unwrap_or_else(|e| panic!("checkpoint write failed: {e}"));
-        done.commit
-            .unwrap_or_else(|e| panic!("checkpoint commit failed: {e}"));
-        done.buf
+    /// Wait for the epoch with the writer, if any, to be durable, and keep
+    /// its buffer for the next snapshot. Runs before the `sync` that acks
+    /// the epoch (type docs). Checkpoint I/O failures are fatal, not
+    /// recoverable, and the writer's surface here: a rank that could not
+    /// persist its state must not go on to ack it. The error names the
+    /// file that failed (a segment, or the tables file in front of it).
+    /// Returns the wait by `clock` (0 without one).
+    fn settle(&mut self, clock: Option<&Tracer>) -> u64 {
+        let now = || clock.map_or(0, Tracer::now_us);
+        let t0 = now();
+        if let Some(done) = self.writer.finish() {
+            done.segment
+                .unwrap_or_else(|e| panic!("checkpoint write failed: {e}"));
+            done.commit
+                .unwrap_or_else(|e| panic!("checkpoint commit failed: {e}"));
+            self.buf = done.buf;
+        }
+        now() - t0
     }
 
-    /// Ack the settled epoch, if there is one: one transport reduction
-    /// (no buffers move, so pool accounting is untouched) after which
-    /// every worker's segment of it is known to be durable. Worker 0 gets
-    /// the epoch back, to commit.
-    fn ack<T: ExchangeTransport + ?Sized>(&mut self, hub: &T, w: usize) -> Option<Epoch> {
+    /// The epoch every worker has settled, for worker 0 to commit. Only
+    /// valid once an exchange has followed the settle (type docs).
+    fn acked(&mut self, w: usize) -> Option<Epoch> {
         let (superstep, rounds) = self.unacked.take()?;
-        let acks = hub.reduce(w, &[1])[0];
-        debug_assert_eq!(acks, self.id.workers as u64, "checkpoint ack lost a worker");
         (w == 0).then(|| Epoch {
             id: self.id.clone(),
             superstep,
@@ -674,26 +683,22 @@ impl CkptCtx {
         })
     }
 
-    /// The boundary after `supersteps`: settle the previous epoch, encode
-    /// this one in place into the buffer that came back (behind the
-    /// tables, if they changed since the last tables file), ack the
-    /// previous one, and hand the buffer to the writer — on worker 0
-    /// together with the commit of the epoch just acked. Nothing
-    /// here waits for a disk unless the previous write outlasted a whole
-    /// checkpoint interval. Returns `[snapshot_us, stall_us]` by `clock`
-    /// (zeros without one).
-    fn take<A: Algorithm, T: ExchangeTransport + ?Sized>(
+    /// The boundary after `supersteps`, its exchange done: encode this
+    /// epoch in place into the settled epoch's buffer (behind the tables,
+    /// if they changed since the last tables file) and hand it to the
+    /// writer — on worker 0 together with the commit of the settled
+    /// epoch. Nothing here waits for a disk. Returns `snapshot_us` by
+    /// `clock` (0 without one).
+    fn take<A: Algorithm>(
         &mut self,
         s: &mut WorkerState<'_, A>,
-        hub: &T,
         (supersteps, rounds): (u64, u64),
         clock: Option<&Tracer>,
-    ) -> [u64; 2] {
+    ) -> u64 {
         let now = || clock.map_or(0, Tracer::now_us);
         let w = s.worker();
         let t0 = now();
-        let mut buf = self.settle();
-        let t1 = now();
+        let mut buf = std::mem::take(&mut self.buf);
         buf.clear();
         let generation = s.tables_generation();
         if generation != self.tables_generation {
@@ -706,28 +711,29 @@ impl CkptCtx {
         pc_ckpt::begin_segment(&mut buf, supersteps, rounds, w as u32, self.id.workers);
         s.encode_snapshot(&mut buf);
         pc_ckpt::seal_segment(&mut buf[tables_len..]);
-        let t2 = now();
-        let commit = self.ack(hub, w);
+        let snapshot_us = now() - t0;
+        let commit = self.acked(w);
         self.writer.submit(buf, tables_len, commit);
         self.unacked = Some((supersteps, rounds));
-        [t2 - t1, t1 - t0]
+        snapshot_us
     }
 
-    /// End of the run: settle, ack and commit the epoch still with the
-    /// writer, so a finished run leaves every epoch it took committed.
-    /// Nothing else is writing by then, so worker 0 commits inline.
-    /// Returns `stall_us` by `clock`.
+    /// End of the run: settle the epoch still with the writer, ack it with
+    /// one words-only exchange — a channel-free superstep's confirming
+    /// exchange: no buffers, no pool traffic, not a round — and commit it,
+    /// so a finished run leaves every epoch it took committed. Nothing
+    /// else is writing by then, so worker 0 commits inline. Returns
+    /// `stall_us` by `clock`.
     fn drain<T: ExchangeTransport + ?Sized>(
         &mut self,
         hub: &T,
         w: usize,
         clock: Option<&Tracer>,
     ) -> u64 {
-        let now = || clock.map_or(0, Tracer::now_us);
-        let t0 = now();
-        self.settle();
-        let stall_us = now() - t0;
-        if let Some(epoch) = self.ack(hub, w) {
+        let stall_us = self.settle(clock);
+        hub.sync(w, [0, 0]);
+        hub.take_all_into(w, &mut Vec::new());
+        if let Some(epoch) = self.acked(w) {
             self.store
                 .commit_epoch(&epoch)
                 .unwrap_or_else(|e| panic!("checkpoint commit failed: {e}"));
@@ -861,18 +867,16 @@ fn drive_worker<A: Algorithm, T: ExchangeTransport + ?Sized>(
     // this run) before the first superstep, then snapshot at the policy's
     // cadence. Both decisions are pure functions of the shared checkpoint
     // directory and the loop counters, so every worker takes them
-    // identically and the barrier structure stays in lock-step.
+    // identically and the exchange sequence stays in lock-step.
     let mut ckpt = cfg
         .ckpt
         .as_ref()
         .map(|p| CkptCtx::open::<A>(p, topo, cfg.workers));
-    let mut last_ckpt = 0u64;
     if let Some(ck) = &mut ckpt {
         s.assert_checkpointable();
         let t0 = tracer.as_ref().map(|t| t.now_us());
         if let Some(restored) = ck.resume(&mut s) {
             (supersteps, rounds) = restored;
-            last_ckpt = supersteps;
             if let (Some(t), Some(t0)) = (tracer.as_mut(), t0) {
                 t.end(SpanKind::Recovery, supersteps, t0);
             }
@@ -898,6 +902,15 @@ fn drive_worker<A: Algorithm, T: ExchangeTransport + ?Sized>(
         if let (Some(t), Some(t0)) = (tracer.as_mut(), t0) {
             compute_us = t.end(SpanKind::Compute, supersteps, t0);
         }
+        // A boundary settles the previous epoch before its first `sync`:
+        // its exchange is the ack (`CkptCtx`).
+        let boundary = ckpt
+            .as_ref()
+            .is_some_and(|ck| supersteps.is_multiple_of(ck.every));
+        let stall_us = match &mut ckpt {
+            Some(ck) if boundary => ck.settle(tracer.as_ref()),
+            _ => 0,
+        };
         // The speculative round loop (module docs). Every worker runs the
         // same exchanges, so the loop stays in lock-step; each exchange
         // is the one synchronization of its round. Round 1 serializes
@@ -959,17 +972,18 @@ fn drive_worker<A: Algorithm, T: ExchangeTransport + ?Sized>(
         if total_active == 0 {
             break;
         }
-        if let Some(ck) = &mut ckpt {
-            // Snapshot only at boundaries the run continues past (the
-            // terminal state is about to be gathered anyway), and never
-            // re-snapshot the boundary a restore just reproduced.
-            if supersteps.is_multiple_of(ck.every) && supersteps > last_ckpt {
-                let t0 = tracer.as_ref().map(|t| t.now_us());
-                let args = ck.take(&mut s, hub, (supersteps, rounds), tracer.as_ref());
-                if let (Some(t), Some(t0)) = (tracer.as_mut(), t0) {
-                    t.end_with(SpanKind::Checkpoint, supersteps, t0, args);
-                }
-                last_ckpt = supersteps;
+        // Snapshot only at boundaries the run continues past (the
+        // terminal state is about to be gathered anyway).
+        if let Some(ck) = ckpt.as_mut().filter(|_| boundary) {
+            let t0 = tracer.as_ref().map(|t| t.now_us());
+            let snapshot_us = ck.take(&mut s, (supersteps, rounds), tracer.as_ref());
+            if let (Some(t), Some(t0)) = (tracer.as_mut(), t0) {
+                t.end_with(
+                    SpanKind::Checkpoint,
+                    supersteps,
+                    t0,
+                    [snapshot_us, stall_us],
+                );
             }
         }
         assert!(
@@ -978,7 +992,7 @@ fn drive_worker<A: Algorithm, T: ExchangeTransport + ?Sized>(
             cfg.max_supersteps
         );
     }
-    // The last epoch taken is still with the writer, unacked: drain it
+    // The last epoch taken is still with the writer, uncommitted: drain it
     // (its own span name — it is not an epoch) while the mesh is up.
     if let Some(ck) = ckpt.as_mut().filter(|ck| ck.unacked.is_some()) {
         let t0 = tracer.as_ref().map(|t| t.now_us());
@@ -1001,10 +1015,22 @@ fn drive_worker<A: Algorithm, T: ExchangeTransport + ?Sized>(
     (s.finish(), supersteps, rounds, trace)
 }
 
+/// Poisons the transport ([`ExchangeTransport::poison`]) when its worker
+/// unwinds, so the peers waiting on that worker fail instead of hanging.
+struct PoisonOnUnwind<'a, T: ExchangeTransport + ?Sized>(&'a T, usize);
+
+impl<T: ExchangeTransport + ?Sized> Drop for PoisonOnUnwind<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison(self.1);
+        }
+    }
+}
+
 /// The threaded driver, generic over the exchange backend. One OS thread
-/// per worker; the transport carries the buffer exchange and the global
-/// reductions. Everything a transport can observe — the post/sync/take/
-/// reduce call sequence — is identical across backends, which is what the
+/// per worker; the transport carries the buffer exchange and its round
+/// words. Everything a transport can observe — the post/sync/take call
+/// sequence — is identical across backends, which is what the
 /// conformance suite (`tests/transport_conformance.rs`) pins down.
 fn run_threaded<A: Algorithm, T: ExchangeTransport>(
     algo: &A,
@@ -1023,23 +1049,37 @@ fn run_threaded<A: Algorithm, T: ExchangeTransport>(
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             handles.push(scope.spawn(move || {
+                let _poison = PoisonOnUnwind(hub, w);
                 let (part, supersteps, rounds, trace) = drive_worker(algo, topo, cfg, hub, w);
                 (w, part, supersteps, rounds, trace)
             }));
         }
+        let mut failure: Option<Box<dyn std::any::Any + Send>> = None;
         for h in handles {
-            // Propagate a worker panic with its original payload — a
-            // recovery-capable supervisor above `run` matches it against
-            // the transport's typed fault slot.
-            let (w, part, supersteps, rounds, trace) = match h.join() {
-                Ok(result) => result,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            results[w] = Some(part);
-            counters = (supersteps, rounds);
-            if let Some(tr) = trace {
-                traces.push(tr); // joined in spawn order: rank order
+            match h.join() {
+                Ok((w, part, supersteps, rounds, trace)) => {
+                    results[w] = Some(part);
+                    counters = (supersteps, rounds);
+                    if let Some(tr) = trace {
+                        traces.push(tr); // joined in spawn order: rank order
+                    }
+                }
+                // Keep the first original payload: a peer released by
+                // the poison only reports it. A recovery-capable
+                // supervisor above `run` matches the original against the
+                // transport's typed fault slot.
+                Err(payload) => {
+                    if failure
+                        .as_ref()
+                        .is_none_or(|f| f.is::<PeerFailed>() && !payload.is::<PeerFailed>())
+                    {
+                        failure = Some(payload);
+                    }
+                }
             }
+        }
+        if let Some(payload) = failure {
+            std::panic::resume_unwind(payload);
         }
     });
     let mut stats = RunStats {
@@ -1446,11 +1486,9 @@ mod tests {
         // Wire accounting differs by design: the hub counts every posted
         // payload (loop-back included), tcp counts real socket traffic
         // (headers and END frames; self-delivery never touches the wire).
-        // Both must be live. Without checkpoints nothing runs a
-        // standalone reduction: every round's words ride its exchange.
+        // Both must be live.
         assert!(b.stats.transport.wire_bytes > 0);
         assert!(b.stats.transport.frames > 0);
-        assert_eq!(b.stats.transport.round_trips, 0);
         assert!(a.stats.transport.frames > 0);
     }
 

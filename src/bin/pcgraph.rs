@@ -1401,7 +1401,7 @@ fn recover(p: &mut Prepared, opts: &Opts, ranks: usize) -> Result<(), TransportE
             // is gone. A data-plane fault that names the acting rank does
             // not: a live coordinator that saw another rank die tears its
             // mesh down first, and whoever was waiting on it (everyone,
-            // during a reduction) sees that disconnect instead of the
+            // at the next exchange) sees that disconnect instead of the
             // dead rank's. The control link tells the two apart — it
             // fails at once when the coordinator's process is gone.
             let outcome = match follower.rejoin(data_addr) {
@@ -1613,11 +1613,10 @@ fn report(stats: &RunStats) {
     }
     if stats.transport.frames > 0 {
         eprintln!(
-            "  transport {:<10} {:>12} frames {:>14.3} MiB wire {:>8} round-trips",
+            "  transport {:<10} {:>12} frames {:>14.3} MiB wire",
             stats.transport_name,
             stats.transport.frames,
             stats.wire_mib(),
-            stats.transport.round_trips,
         );
     }
     if stats.transport.poll_waits > 0 {

@@ -4,8 +4,9 @@
 //!
 //! * **Transparency** — a threaded run that checkpoints (but never
 //!   fails) reports values, bytes, messages, supersteps, rounds and pool
-//!   traffic identical to one that does not: the checkpoint ack is a
-//!   pure transport reduction and never touches the exchange path.
+//!   traffic identical to one that does not: the checkpoint ack is the
+//!   ordering of the exchanges the run makes anyway, and the end-of-run
+//!   drain adds one words-only exchange that moves no buffer.
 //! * **Resume** — pointing a second run at the directory the first one
 //!   left behind restores the last committed epoch (vertex values,
 //!   frontier, channel state, counters) and replays only the tail — and

@@ -5,11 +5,11 @@
 //! computes — the checkpoint directory is moved aside and a regular file
 //! put in its place, so every later checkpoint file operation fails. The
 //! writer reports that at the next boundary's `finish()`, and each worker
-//! panics with the fatal `checkpoint write failed` *before* it acks: no
-//! reduction is left waiting for a worker that died (the test returning
-//! at all is the no-hang check), and the epoch whose write failed never
-//! gets a `MANIFEST` — nor does epoch 4, whose commit rode the same failed
-//! job.
+//! panics with the fatal `checkpoint write failed` *before* the exchange
+//! that would ack it: no peer is left waiting for a worker that died (the
+//! test returning at all is the no-hang check), and the epoch whose write
+//! failed never gets a `MANIFEST` — nor does epoch 4, whose commit rode
+//! the same failed job.
 //!
 //! The same holds when the first thing to fail is the registration tables
 //! file written in front of a segment: the segment is not written, and

@@ -1,9 +1,38 @@
 //! Shared assertions for the cross-backend determinism contract, used by
-//! both the property tests and the transport-conformance suite.
+//! both the property tests and the transport-conformance suite, and the
+//! watchdog every "never hang" test runs under.
 #![allow(dead_code)] // each test binary uses the subset it needs
 
 use pc_bsp::{Config, RunStats, Tcp};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
+/// Run `f` on a helper thread and panic if it does not finish within
+/// `limit` — the "never hang" guarantee, enforced mechanically.
+pub fn with_watchdog<T: Send + 'static>(
+    limit: Duration,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(v) => {
+            handle.join().expect("watchdogged test panicked");
+            v
+        }
+        // The closure panicked (dropping the sender): propagate the real
+        // assertion failure rather than misreporting it as a hang.
+        Err(mpsc::RecvTimeoutError::Disconnected) => match handle.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(_) => unreachable!("sender dropped without sending or panicking"),
+        },
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("watchdog: still blocked after {limit:?}")
+        }
+    }
+}
 
 /// Two runs of the same program must agree on *everything observable* —
 /// values are checked by the caller; this covers byte counts, message

@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::{assert_stats_agree, conformance_configs, run_multirank};
+use common::{assert_stats_agree, conformance_configs, run_multirank, with_watchdog};
 use pc_bsp::{Config, RunStats, Topology};
 use pc_graph::gen;
 use proptest::prelude::*;
@@ -338,6 +338,49 @@ fn channel_free_supersteps_conform() {
     });
 }
 
+/// A worker that panics alone must not hang its peers: its unwinding
+/// poisons the in-process hub, every peer's wait fails, and the run ends
+/// with the original panic, not a peer's report of it.
+#[test]
+fn a_worker_panicking_alone_fails_the_run_with_its_message() {
+    use pc_channels::{Algorithm, Combine, ScatterCombine, VertexCtx, WorkerEnv};
+    struct GivesUp {
+        topo: Arc<Topology>,
+    }
+    impl Algorithm for GivesUp {
+        type Value = u64;
+        type Channels = (ScatterCombine<u64>,);
+        pc_channels::dist_value_via_codec!();
+        fn channels(&self, env: &WorkerEnv) -> Self::Channels {
+            (ScatterCombine::new(env, Combine::sum_u64()),)
+        }
+        fn compute(&self, v: &mut VertexCtx<'_>, value: &mut u64, ch: &mut Self::Channels) {
+            if v.step() == 1 {
+                ch.0.add_edge(v.local, (v.id + 1) % v.num_vertices() as u32);
+            }
+            if v.step() == 3 && self.topo.worker_of(v.id) == 2 {
+                panic!("worker 2 gives up at superstep 3");
+            }
+            *value += ch.0.get_or_identity(v.local);
+            ch.0.set_message(v.local, 1);
+        }
+    }
+    let message = with_watchdog(std::time::Duration::from_secs(30), || {
+        let topo = Arc::new(Topology::hashed(400, WORKERS));
+        let algo = GivesUp {
+            topo: Arc::clone(&topo),
+        };
+        let cfg = Config::with_workers(WORKERS);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            drop(pc_channels::run(&algo, &topo, &cfg))
+        }))
+        .expect_err("the run survived a worker's panic")
+        .downcast_ref::<&str>()
+        .map(|m| m.to_string())
+    });
+    assert_eq!(message.as_deref(), Some("worker 2 gives up at superstep 3"));
+}
+
 // ---------------------------------------------------------------------
 // Wire-order probe: the order frames arrive in must be identical across
 // backends, not just the values they converge to.
@@ -531,12 +574,12 @@ proptest! {
     #[test]
     fn batch_coalescing_roundtrips_byte_exactly(
         frames in proptest::collection::vec(
-            (0usize..4, proptest::collection::vec(any::<u8>(), 0..200)),
+            (0usize..3, proptest::collection::vec(any::<u8>(), 0..200)),
             1..24,
         ),
     ) {
-        use pc_bsp::tcp::{decode_batch, encode_batch, TAG_DATA, TAG_END, TAG_REDUCE, TAG_RESULT};
-        let tags = [TAG_DATA, TAG_END, TAG_REDUCE, TAG_RESULT];
+        use pc_bsp::tcp::{decode_batch, encode_batch, TAG_DATA, TAG_END, TAG_HELLO};
+        let tags = [TAG_DATA, TAG_END, TAG_HELLO];
         let frames: Vec<(u8, Vec<u8>)> = frames
             .into_iter()
             .map(|(t, payload)| (tags[t], payload))

@@ -7,36 +7,14 @@
 //! never hangs. Every test here runs under a watchdog that kills the
 //! test run if a transport call blocks past its deadline.
 
+mod common;
+
+use common::with_watchdog;
 use pc_bsp::tcp::{self, configure_stream, read_frame_into, write_frame, Tcp, TcpOptions};
 use pc_bsp::transport::{ExchangeTransport, TransportError};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
-
-/// Run `f` on a helper thread and panic if it does not finish within
-/// `limit` — the "never hang" guarantee, enforced mechanically.
-fn with_watchdog<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(limit) {
-        Ok(v) => {
-            handle.join().expect("watchdogged test panicked");
-            v
-        }
-        // The closure panicked (dropping the sender): propagate the real
-        // assertion failure rather than misreporting it as a hang.
-        Err(mpsc::RecvTimeoutError::Disconnected) => match handle.join() {
-            Err(panic) => std::panic::resume_unwind(panic),
-            Ok(_) => unreachable!("sender dropped without sending or panicking"),
-        },
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("watchdog: transport operation still blocked after {limit:?}")
-        }
-    }
-}
 
 /// A loopback socket pair with transport timeouts installed.
 fn socket_pair() -> (TcpStream, TcpStream) {
