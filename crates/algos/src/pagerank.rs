@@ -89,9 +89,7 @@ impl Algorithm for PrScatter {
         let n = v.num_vertices() as f64;
         if v.step() == 1 {
             *value = 1.0 / n;
-            for &t in self.g.neighbors(v.id) {
-                ch.0.add_edge(v.local, t);
-            }
+            ch.0.add_edges(v.local, self.g.neighbors(v.id));
         } else {
             let s = ch.1.result() / n;
             *value = 0.15 / n + DAMPING * (ch.0.get_or_identity(v.local) + s);

@@ -188,9 +188,7 @@ impl NbrBcast for OptBcast {
     }
 
     fn init(ch: &mut Self::Ch, v: &VertexCtx<'_>, nbrs: &[VertexId]) {
-        for &t in nbrs {
-            ch.add_edge(v.local, t);
-        }
+        ch.add_edges(v.local, nbrs);
     }
 
     fn send(ch: &mut Self::Ch, v: &VertexCtx<'_>, d: VertexId, _nbrs: &[VertexId]) {

@@ -128,6 +128,12 @@ const POLL: Duration = Duration::from_millis(20);
 /// watermark trim never churns small steady-state buffers.
 const READ_RETAIN_MIN: usize = 4096;
 
+/// Capacity a buffer parked on the receive freelist may keep under the
+/// decaying receive `watermark` (see `Endpoint::read_watermark`).
+fn read_cap(watermark: usize) -> usize {
+    (2 * watermark).max(READ_RETAIN_MIN)
+}
+
 /// Upper bound on a sane frame payload; anything larger is treated as a
 /// protocol violation instead of an attempted allocation.
 const MAX_FRAME: usize = 1 << 30;
@@ -1645,6 +1651,14 @@ impl Tcp {
             // spike stops dominating within a few dozen rounds, while a
             // sustained large working set holds the watermark up.
             *op.read_watermark = round_max.max(*op.read_watermark - *op.read_watermark / 4);
+            // Re-cap what is parked, not only what `recycle` parks next: a
+            // buffer parked while the watermark was high, or by a path
+            // that does not cap (a consumed control frame), would
+            // otherwise sit under the freelist's top for good.
+            let cap = read_cap(*op.read_watermark);
+            for buf in cx.read_pool.iter_mut().filter(|buf| buf.capacity() > cap) {
+                buf.shrink_to(cap);
+            }
             Ok(words)
         })
     }
@@ -1719,9 +1733,9 @@ impl ExchangeTransport for Tcp {
             // Release capacity a one-off giant round would otherwise pin
             // on the receive freelist forever (watermark-bounded, so a
             // sustained large working set is left alone).
-            let cap_limit = (2 * ep.read_watermark).max(READ_RETAIN_MIN);
-            if buf.capacity() > cap_limit {
-                buf.shrink_to(cap_limit);
+            let cap = read_cap(ep.read_watermark);
+            if buf.capacity() > cap {
+                buf.shrink_to(cap);
             }
             ep.read_pool.push(buf);
         }

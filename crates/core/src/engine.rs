@@ -498,8 +498,6 @@ impl<'a, A: Algorithm> WorkerState<'a, A> {
     /// Final per-worker results: `(global_id, value)` pairs plus channel
     /// metrics and pool counters.
     fn finish(mut self) -> WorkerPart<A::Value> {
-        let locals = self.env.topo.locals(self.env.worker);
-        let pairs = locals.iter().copied().zip(self.values).collect();
         let mut metrics = Vec::with_capacity(self.channels.len());
         let bytes = &self.bytes;
         self.channels.for_each(&mut |i, ch| {
@@ -512,6 +510,11 @@ impl<'a, A: Algorithm> WorkerState<'a, A> {
                 mirror_saved,
             });
         });
+        // The channels go before the values are paired up, so the pairs
+        // can reuse their memory.
+        drop(self.channels);
+        let locals = self.env.topo.locals(self.env.worker);
+        let pairs = locals.iter().copied().zip(self.values).collect();
         (pairs, metrics, self.pool.stats())
     }
 }

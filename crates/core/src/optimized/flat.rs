@@ -1,14 +1,16 @@
 //! Flat storage shared by the [`super::mirror`] and [`super::propagation`]
-//! channels (and the slot arrays of [`super::scatter`]): adjacency as
+//! channels (and the staging list and slot arrays of [`super::scatter`],
+//! the stages and slots of [`crate::standard::combined`]): adjacency as
 //! offset + array tables built in bulk, combiner state as dense slots.
 //!
 //! **Registration is staged, then merged.** `add_edge(s)` only appends to
 //! a [`Staged`] list — one run per call, a bulk copy per row. The channel's
 //! `finalize`, run at the top of `serialize` (so at most once per
 //! superstep, after every `compute` of the superstep has registered),
-//! hands the list to [`Adjacency::merge`], which resolves each destination
-//! to `(owning worker, local index there)` once and appends it to the
-//! source's row. Nothing on a send path ever builds or scans a table.
+//! hands the list to [`Adjacency::merge`] (`ScatterCombine` to its own
+//! counting sort), which resolves each destination to `(owning worker,
+//! local index there)` once and appends it to the source's row. Nothing on
+//! a send path ever builds or scans a table.
 //!
 //! **Rows are extents, not offsets.** [`Rows`] keeps `(start, len)` per
 //! row over arenas that only grow at the end. A first registration in
@@ -180,6 +182,24 @@ impl<E> Staged<E> {
         match self.runs.last_mut() {
             Some((last, last_end)) if *last == row => *last_end = end,
             _ => self.runs.push((row, end)),
+        }
+    }
+
+    /// Hand every staged edge to `f` as `(row, destination)`, in call order.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(u32, VertexId)) {
+        let mut begin = 0;
+        for &(row, end) in &self.runs {
+            for &dst in &self.dsts[begin as usize..end as usize] {
+                f(row, dst);
+            }
+            begin = end;
+        }
+    }
+
+    /// Replace every staged destination `d` by `f(d)`, in call order.
+    pub(crate) fn map_dsts(&mut self, mut f: impl FnMut(VertexId) -> VertexId) {
+        for dst in &mut self.dsts {
+            *dst = f(*dst);
         }
     }
 

@@ -11,10 +11,10 @@
 //!   composable channel, which Pregel+ only offers as a non-composable
 //!   execution mode.
 
-mod flat;
+pub(crate) mod flat;
 pub mod mirror;
 pub mod propagation;
 pub mod reqresp;
 pub mod scatter;
 #[cfg(test)]
-mod testkit;
+pub(crate) mod testkit;

@@ -19,12 +19,17 @@
 //!   paper credits for its constant 33% size win over Pregel+'s
 //!   id+value replies).
 //!
+//! Reading a response is one array access: a per-owner position table,
+//! indexed by the target's local index, is filled when the sent requests
+//! become readable and cleared by the same walk one superstep later.
+//!
 //! The respond value is produced by a user function applied to the target
 //! vertex's value, so target vertices participate without running
 //! `compute` — "implicit style" in the paper's words.
 
 use crate::channel::{Channel, DeserializeCx, SerializeCx, WorkerEnv};
-use pc_bsp::codec::Codec;
+use crate::optimized::flat::check;
+use pc_bsp::codec::{Codec, Reader};
 use pc_graph::VertexId;
 use std::sync::Arc;
 
@@ -43,6 +48,12 @@ pub struct RequestRespond<AV, R> {
     incoming: Vec<Vec<R>>,
     read_requests: Vec<Vec<VertexId>>,
     read_responses: Vec<Vec<R>>,
+    /// Per owner, indexed by the target's local index there: one past its
+    /// position in `read_requests` (and so in `read_responses`), 0 when it
+    /// was not requested. Allocated zeroed on the first request toward
+    /// that owner, so only the pages of requested targets are ever
+    /// touched.
+    position: Vec<Vec<u32>>,
     phase: u8,
     traffic: bool,
     messages: u64,
@@ -52,16 +63,20 @@ impl<AV, R: Codec + Clone + Send> RequestRespond<AV, R> {
     /// Create this worker's instance. `respond` derives the response from
     /// the target vertex's value (the constructor argument of Table II).
     pub fn new(env: &WorkerEnv, respond: impl Fn(&AV) -> R + Send + Sync + 'static) -> Self {
+        fn lists<T>(workers: usize) -> Vec<Vec<T>> {
+            (0..workers).map(|_| Vec::new()).collect()
+        }
         let workers = env.workers();
         RequestRespond {
             env: env.clone(),
             respond: Arc::new(respond),
-            staged: vec![Vec::new(); workers],
-            sent: vec![Vec::new(); workers],
-            pending: (0..workers).map(|_| Vec::new()).collect(),
-            incoming: (0..workers).map(|_| Vec::new()).collect(),
-            read_requests: vec![Vec::new(); workers],
-            read_responses: (0..workers).map(|_| Vec::new()).collect(),
+            staged: lists(workers),
+            sent: lists(workers),
+            pending: lists(workers),
+            incoming: lists(workers),
+            read_requests: lists(workers),
+            read_responses: lists(workers),
+            position: lists(workers),
             phase: 0,
             traffic: false,
             messages: 0,
@@ -78,8 +93,8 @@ impl<AV, R: Codec + Clone + Send> RequestRespond<AV, R> {
     /// The response for target `dst`, if it was requested last superstep.
     pub fn get_respond(&self, dst: VertexId) -> Option<&R> {
         let peer = self.env.worker_of(dst);
-        let idx = self.read_requests[peer].binary_search(&dst).ok()?;
-        self.read_responses[peer].get(idx)
+        let at = self.position[peer].get(self.env.local_of(dst) as usize)?;
+        self.read_responses[peer].get(at.checked_sub(1)? as usize)
     }
 }
 
@@ -89,9 +104,25 @@ impl<AV, R: Codec + Clone + Send> Channel<AV> for RequestRespond<AV, R> {
     }
 
     fn before_superstep(&mut self, _step: u64) {
-        self.read_requests = std::mem::replace(&mut self.sent, vec![Vec::new(); self.staged.len()]);
-        self.read_responses = std::mem::take(&mut self.incoming);
-        self.incoming = (0..self.staged.len()).map(|_| Vec::new()).collect();
+        // Last superstep's conversation leaves the position tables by the
+        // walk that entered it; this one's enters. Every list keeps its
+        // capacity, so a steady-state superstep allocates nothing.
+        let topo = &self.env.topo;
+        for (peer, position) in self.position.iter_mut().enumerate() {
+            for &dst in &self.read_requests[peer] {
+                position[topo.local_of(dst) as usize] = 0;
+            }
+            std::mem::swap(&mut self.read_requests[peer], &mut self.sent[peer]);
+            self.sent[peer].clear();
+            if !self.read_requests[peer].is_empty() && position.is_empty() {
+                *position = vec![0; topo.local_count(peer)];
+            }
+            for (at, &dst) in self.read_requests[peer].iter().enumerate() {
+                position[topo.local_of(dst) as usize] = at as u32 + 1;
+            }
+        }
+        std::mem::swap(&mut self.read_responses, &mut self.incoming);
+        self.incoming.iter_mut().for_each(Vec::clear);
         self.phase = 0;
         self.traffic = false;
     }
@@ -102,7 +133,7 @@ impl<AV, R: Codec + Clone + Send> Channel<AV> for RequestRespond<AV, R> {
             1 => {
                 // Request round: dedup and ship distinct targets.
                 for peer in 0..self.staged.len() {
-                    let mut reqs = std::mem::take(&mut self.staged[peer]);
+                    let reqs = &mut self.staged[peer];
                     if reqs.is_empty() {
                         continue;
                     }
@@ -110,27 +141,21 @@ impl<AV, R: Codec + Clone + Send> Channel<AV> for RequestRespond<AV, R> {
                     reqs.dedup();
                     self.messages += reqs.len() as u64;
                     self.traffic = true;
-                    cx.frame(peer, |buf| {
-                        for &dst in &reqs {
-                            dst.encode(buf);
-                        }
-                    });
-                    self.sent[peer] = reqs;
+                    cx.frame(peer, |buf| VertexId::encode_slice(reqs, buf));
+                    // `sent[peer]` is empty: the staging list takes its
+                    // capacity.
+                    std::mem::swap(reqs, &mut self.sent[peer]);
                 }
             }
             2 => {
                 // Respond round: bare positional value lists.
-                for peer in 0..self.pending.len() {
-                    if self.pending[peer].is_empty() {
+                for (peer, resp) in self.pending.iter_mut().enumerate() {
+                    if resp.is_empty() {
                         continue;
                     }
-                    let resp = std::mem::take(&mut self.pending[peer]);
                     self.messages += resp.len() as u64;
-                    cx.frame(peer, |buf| {
-                        for r in &resp {
-                            r.encode(buf);
-                        }
-                    });
+                    cx.frame(peer, |buf| R::encode_slice(resp, buf));
+                    resp.clear();
                 }
             }
             _ => {}
@@ -153,13 +178,16 @@ impl<AV, R: Codec + Clone + Send> Channel<AV> for RequestRespond<AV, R> {
             }
             2 => {
                 for (from, mut r) in cx.frames() {
-                    let expected = self.sent[from].len();
-                    let mut resp = Vec::with_capacity(expected);
+                    let resp = &mut self.incoming[from];
+                    resp.clear();
                     while !r.is_empty() {
                         resp.push(r.get::<R>());
                     }
-                    debug_assert_eq!(resp.len(), expected, "positional response mismatch");
-                    self.incoming[from] = resp;
+                    debug_assert_eq!(
+                        resp.len(),
+                        self.sent[from].len(),
+                        "positional response mismatch"
+                    );
                 }
             }
             _ => {}
@@ -190,8 +218,18 @@ impl<AV, R: Codec + Clone + Send> Channel<AV> for RequestRespond<AV, R> {
         true
     }
 
-    fn decode_state(&mut self, r: &mut pc_bsp::codec::Reader<'_>) {
+    fn decode_state(&mut self, r: &mut Reader<'_>) {
+        let topo = &self.env.topo;
         self.sent = r.get();
+        check(
+            self.sent.len() == self.incoming.len()
+                && self.sent.iter().enumerate().all(|(peer, reqs)| {
+                    reqs.iter()
+                        .all(|&dst| (dst as usize) < topo.n() && topo.worker_of(dst) == peer)
+                }),
+            "reqresp",
+            "request target",
+        );
         let n: u32 = r.get();
         assert_eq!(n as usize, self.incoming.len(), "peer count drifted");
         for resp in &mut self.incoming {
@@ -330,6 +368,61 @@ mod tests {
         for id in 2..n {
             assert!(out.values[id as usize] < id.saturating_sub(1).max(1));
         }
+    }
+
+    /// Each superstep asks for a different pair of targets: only the last
+    /// superstep's are answered, whoever owns them.
+    #[test]
+    fn only_last_supersteps_targets_are_answered() {
+        struct Shifting;
+        impl Algorithm for Shifting {
+            type Value = u64;
+            type Channels = (RequestRespond<u64, u64>,);
+            fn channels(&self, env: &WorkerEnv) -> Self::Channels {
+                (RequestRespond::new(env, |v: &u64| *v),)
+            }
+            fn compute(&self, v: &mut VertexCtx<'_>, value: &mut u64, ch: &mut Self::Channels) {
+                let step = v.step() as u32;
+                if step == 1 {
+                    *value = 100 + v.id as u64;
+                } else {
+                    let asked = [step - 2, step + 3];
+                    for t in 0..12 {
+                        let expect = asked.contains(&t).then_some(100 + t as u64);
+                        assert_eq!(ch.0.get_respond(t).copied(), expect, "step {step}, {t}");
+                    }
+                }
+                if step <= 4 {
+                    ch.0.add_request(step - 1);
+                    ch.0.add_request(step + 4);
+                } else {
+                    v.vote_to_halt();
+                }
+            }
+        }
+        let topo = Arc::new(Topology::hashed(12, 3));
+        for cfg in [Config::sequential(3), Config::with_workers(3)] {
+            run(&Shifting, &topo, &cfg);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt reqresp channel state: request target")]
+    fn restored_requests_must_target_their_owner() {
+        let topo = Arc::new(Topology::from_owners(2, vec![0, 1, 0]));
+        let env = WorkerEnv { worker: 0, topo };
+        let mut state = Vec::new();
+        // Vertex 1 lives on worker 1, not in worker 0's list.
+        (
+            vec![vec![1u32], vec![]],
+            2u32,
+            Vec::<u64>::new(),
+            Vec::<u64>::new(),
+            0u64,
+        )
+            .encode(&mut state);
+        let mut ch = RequestRespond::<u64, u64>::new(&env, |v| *v);
+        Channel::<u64>::decode_state(&mut ch, &mut Reader::new(&state));
     }
 
     #[test]

@@ -8,17 +8,20 @@
 //! pre-processes the routes once, so that every later superstep is the one
 //! linear scan Fig. 5 draws.
 //!
-//! **Registration.** `add_edge` only appends a `(destination, source)` pair
-//! to the destination worker's staging list. The first `serialize` after a
-//! registration turns each list into a by-destination CSR — `unique_dsts`
-//! (distinct destinations, ascending), `run_ends` (where each destination's
-//! run of sources ends) and `srcs` (4 bytes per edge) — with a stable
-//! counting sort on the destination's local index, O(edges + receiver
-//! vertices), and frees the staging list. Sources registered out of order
-//! are sorted within their run, so a run is always ascending: the fold
-//! order is (destination ascending, source ascending) however the edges
-//! arrived. Edges added later are merged into the CSR the same way, the
-//! existing runs first.
+//! **Registration.** `add_edges` only appends a source's row of global ids
+//! to a `Staged` list (`flat.rs`) — one run per source, a bulk copy per
+//! row (`add_edge` is the one-edge case). The first `serialize` after a
+//! registration builds one by-destination CSR per peer — `unique_dsts`
+//! (distinct destinations, ascending), `run_ends` (where each
+//! destination's run of sources ends) and the peer's slice of one `srcs`
+//! column (4 bytes per edge) — with a counting sort over the concatenation
+//! of the peers' local index spaces, O(edges + vertices): the counting
+//! pass resolves each destination once and overwrites it with its key,
+//! the placing pass reads the keys. The staging list is then freed. A run
+//! whose sources arrived out of order is sorted, so a run is always
+//! ascending: the fold order is (destination ascending, source ascending)
+//! however the edges arrived. Edges added later are merged into the CSR
+//! the same way, the existing runs first.
 //!
 //! **Each superstep** the sender runs [`Combine::gather`] once per peer:
 //! fold the slot values of each run's sources and push one value per
@@ -41,100 +44,44 @@
 //! (`MODE_PAIRS`) for that superstep — the same CSR scanned with a presence
 //! check per source — preserving correctness for non-static uses.
 
-use super::flat::{check, encode_vec, Slots};
+use super::flat::{check, encode_vec, Slots, Staged};
 use crate::channel::{Channel, DeserializeCx, SerializeCx, WorkerEnv};
 use crate::combine::Combine;
 use pc_bsp::codec::{Codec, Reader};
 use pc_graph::VertexId;
+use std::ops::Range;
 
 /// Wire modes for one scatter frame.
 const MODE_VALUES: u8 = 0;
 const MODE_FULL: u8 = 1;
 const MODE_PAIRS: u8 = 2;
 
-/// The static routes toward one destination worker.
+/// The static routes toward one destination worker: a by-destination CSR
+/// over the channel's `srcs[at]`.
 #[derive(Default)]
 struct PeerRoutes {
-    /// `(dst local index at the receiver, src local index here)` pairs
-    /// registered since the last finalize, in registration order.
-    staged: Vec<(u32, u32)>,
     /// Distinct destinations, ascending — the order values go out in.
     unique_dsts: Vec<u32>,
-    /// `run_ends[k]` is where `unique_dsts[k]`'s run ends in `srcs` (and
-    /// the next begins); no run is empty.
+    /// `run_ends[k]` is where `unique_dsts[k]`'s run ends in the peer's
+    /// sources (and the next begins); no run is empty.
     run_ends: Vec<u32>,
-    /// Source local indices grouped by destination, ascending in a run.
-    srcs: Vec<u32>,
+    /// Where the peer's sources sit in the channel's `srcs`.
+    at: Range<usize>,
     /// Whether the id sequence has been shipped to this peer.
     ids_shipped: bool,
-}
-
-impl PeerRoutes {
-    /// Merge the staged pairs into the CSR (`n_dst` = vertices on the
-    /// receiving worker) and free them. A stable counting sort on the
-    /// destination: existing runs keep their place at the front of each
-    /// run, staged sources follow in registration order, and a run that
-    /// ends up out of order is sorted.
-    fn finalize(&mut self, n_dst: usize) {
-        let staged = std::mem::take(&mut self.staged);
-        if staged.is_empty() {
-            return;
-        }
-        let total = u32::try_from(self.srcs.len() + staged.len())
-            .expect("scatter: more than u32::MAX edges toward one worker");
-        // cursor[d + 1] counts d's sources, then (prefix sum) cursor[d] is
-        // where d's run begins, then (placement) where it ends.
-        let mut cursor = vec![0u32; n_dst + 1];
-        let mut begin = 0;
-        for (&dst, &end) in self.unique_dsts.iter().zip(&self.run_ends) {
-            cursor[dst as usize + 1] = end - begin;
-            begin = end;
-        }
-        for &(dst, _) in &staged {
-            cursor[dst as usize + 1] += 1;
-        }
-        let runs = cursor[1..].iter().filter(|&&count| count != 0).count();
-        for d in 0..n_dst {
-            cursor[d + 1] += cursor[d];
-        }
-        let mut srcs = vec![0u32; total as usize];
-        let mut begin = 0;
-        for (&dst, &end) in self.unique_dsts.iter().zip(&self.run_ends) {
-            let run = &self.srcs[begin as usize..end as usize];
-            let at = cursor[dst as usize] as usize;
-            srcs[at..at + run.len()].copy_from_slice(run);
-            cursor[dst as usize] += run.len() as u32;
-            begin = end;
-        }
-        for &(dst, src) in &staged {
-            srcs[cursor[dst as usize] as usize] = src;
-            cursor[dst as usize] += 1;
-        }
-        drop(staged);
-        self.unique_dsts = Vec::with_capacity(runs);
-        self.run_ends = Vec::with_capacity(runs);
-        let mut begin = 0;
-        for (dst, &end) in cursor[..n_dst].iter().enumerate() {
-            if end != begin {
-                let run = &mut srcs[begin as usize..end as usize];
-                if !run.is_sorted() {
-                    run.sort_unstable();
-                }
-                self.unique_dsts.push(dst as u32);
-                self.run_ends.push(end);
-                begin = end;
-            }
-        }
-        self.srcs = srcs;
-    }
 }
 
 /// Sender-combined broadcast channel over a static edge set.
 pub struct ScatterCombine<M> {
     env: WorkerEnv,
     combine: Combine<M>,
-    /// Routes per destination worker.
+    /// Edges registered since the last finalize: runs of one source each
+    /// over a column of destination global ids.
+    staged: Staged<()>,
+    /// Routes per destination worker, over one column of source local
+    /// indices grouped by peer, then destination, ascending in a run.
     peers: Vec<PeerRoutes>,
+    srcs: Vec<u32>,
     /// Local vertices with at least one registered edge, and how many.
     registered: Vec<bool>,
     registered_count: usize,
@@ -164,7 +111,9 @@ impl<M: Codec + Clone + Send> ScatterCombine<M> {
         let slots = || Slots::new(numv, combine.identity());
         ScatterCombine {
             env: env.clone(),
+            staged: Staged::default(),
             peers: (0..workers).map(|_| PeerRoutes::default()).collect(),
+            srcs: Vec::new(),
             registered: vec![false; numv],
             registered_count: 0,
             slots: slots(),
@@ -180,20 +129,28 @@ impl<M: Codec + Clone + Send> ScatterCombine<M> {
     }
 
     /// Register a static edge from local vertex `src_local` to the vertex
-    /// with global id `dst`. Usually called once per out-edge in the first
-    /// superstep; adding edges later re-triggers preprocessing.
+    /// with global id `dst` — [`ScatterCombine::add_edges`] with one edge.
+    pub fn add_edge(&mut self, src_local: u32, dst: VertexId) {
+        self.add_edges(src_local, &[dst]);
+    }
+
+    /// Register static edges from local vertex `src_local` to each vertex
+    /// in `dsts` (global ids) — a bulk copy of the row. Usually called once
+    /// per vertex in the first superstep; adding edges later re-triggers
+    /// preprocessing.
     ///
     /// Kept out of line: registration is the once-per-run branch of a
     /// `compute` whose every-superstep branch is a `get` and a
-    /// `set_message`. Inlined, its two `Vec` growth paths triple the size
-    /// of that function, and PageRank's steady-state `compute` measured
-    /// 20 % slower for it (3.7 → 4.4 ms per superstep on `pr_dense_1w`).
+    /// `set_message`. Inlined, its `Vec` growth paths triple the size of
+    /// that function, and PageRank's steady-state `compute` measured 20 %
+    /// slower for it (3.7 → 4.4 ms per superstep on `pr_dense_1w`).
     #[inline(never)]
-    pub fn add_edge(&mut self, src_local: u32, dst: VertexId) {
-        let peer = self.env.worker_of(dst);
-        self.peers[peer]
-            .staged
-            .push((self.env.local_of(dst), src_local));
+    pub fn add_edges(&mut self, src_local: u32, dsts: &[VertexId]) {
+        if dsts.is_empty() {
+            return;
+        }
+        self.staged
+            .push(src_local, dsts, std::iter::repeat_n((), dsts.len()));
         let src = src_local as usize;
         if !self.registered[src] {
             self.registered[src] = true;
@@ -228,22 +185,89 @@ impl<M: Codec + Clone + Send> ScatterCombine<M> {
 
     /// Total registered edges on this worker.
     pub fn edge_count(&self) -> usize {
-        self.peers
-            .iter()
-            .map(|p| p.srcs.len() + p.staged.len())
-            .sum()
+        self.staged.len() + self.srcs.len()
     }
 
-    /// Fold any staged edges into the routes. A changed route set is
-    /// re-announced to every peer.
+    /// Fold any staged edges into the routes and free the staging list: a
+    /// counting sort over the concatenation of the peers' local index
+    /// spaces (peer `p`'s vertices are keys `base[p]..base[p + 1]`), so the
+    /// result is grouped by peer, then destination. Each staged destination
+    /// is resolved once, in the counting pass, and overwritten by its key.
+    /// A changed route set is re-announced to every peer.
     fn finalize_routes(&mut self) {
-        if self.peers.iter().all(|p| p.staged.is_empty()) {
+        if self.staged.is_empty() {
             return;
         }
+        let mut staged = std::mem::take(&mut self.staged);
+        let topo = &self.env.topo;
+        let total = self.srcs.len() + staged.len();
+        u32::try_from(total).expect("scatter: more than u32::MAX registered edges");
+        let mut base = vec![0u32; self.peers.len() + 1];
+        for peer in 0..self.peers.len() {
+            base[peer + 1] = base[peer] + topo.local_count(peer) as u32;
+        }
+        let key_of: Vec<u32> = (0..topo.n() as u32)
+            .map(|v| base[topo.worker_of(v)] + topo.local_of(v))
+            .collect();
+        // cursor[k + 1] counts key k's sources, then (prefix sum) cursor[k]
+        // is where k's run begins, then (placement) where it ends.
+        let mut cursor = vec![0u32; topo.n() + 1];
+        for (routes, &base) in self.peers.iter().zip(&base) {
+            let mut begin = 0;
+            for (&dst, &end) in routes.unique_dsts.iter().zip(&routes.run_ends) {
+                cursor[(base + dst) as usize + 1] = end - begin;
+                begin = end;
+            }
+        }
+        staged.map_dsts(|dst| {
+            let key = key_of[dst as usize];
+            cursor[key as usize + 1] += 1;
+            key
+        });
+        drop(key_of);
+        for k in 1..cursor.len() {
+            cursor[k] += cursor[k - 1];
+        }
+        // The existing runs keep their place at the front of theirs.
+        let mut srcs = vec![0u32; total];
+        for (routes, &base) in self.peers.iter().zip(&base) {
+            let old = &self.srcs[routes.at.clone()];
+            let mut begin = 0;
+            for (&dst, &end) in routes.unique_dsts.iter().zip(&routes.run_ends) {
+                let run = &old[begin as usize..end as usize];
+                let at = &mut cursor[(base + dst) as usize];
+                srcs[*at as usize..*at as usize + run.len()].copy_from_slice(run);
+                *at += run.len() as u32;
+                begin = end;
+            }
+        }
+        staged.for_each(|src, key| {
+            let at = &mut cursor[key as usize];
+            srcs[*at as usize] = src;
+            *at += 1;
+        });
+        drop(staged);
+        // Cut the runs per peer: key k's run is `begin(k)..cursor[k]`. A
+        // run whose sources arrived out of order is sorted.
+        let begin = |k: usize| k.checked_sub(1).map_or(0, |prev| cursor[prev]);
         for (peer, routes) in self.peers.iter_mut().enumerate() {
-            routes.finalize(self.env.topo.local_count(peer));
+            let keys = base[peer] as usize..base[peer + 1] as usize;
+            let start = begin(keys.start);
+            let runs = keys.clone().filter(|&k| cursor[k] != begin(k)).count();
+            routes.unique_dsts = Vec::with_capacity(runs);
+            routes.run_ends = Vec::with_capacity(runs);
+            for k in keys.clone().filter(|&k| cursor[k] != begin(k)) {
+                let run = &mut srcs[begin(k) as usize..cursor[k] as usize];
+                if !run.is_sorted() {
+                    run.sort_unstable();
+                }
+                routes.unique_dsts.push((k - keys.start) as u32);
+                routes.run_ends.push(cursor[k] - start);
+            }
+            routes.at = start as usize..begin(keys.end) as usize;
             routes.ids_shipped = false;
         }
+        self.srcs = srcs;
         self.generation += 1;
     }
 
@@ -251,10 +275,11 @@ impl<M: Codec + Clone + Send> ScatterCombine<M> {
     /// sources that set nothing, and write a `(dst, value)` pair per
     /// destination that gathered anything. Returns the pair count.
     fn encode_pairs(&self, routes: &PeerRoutes, buf: &mut Vec<u8>) -> u64 {
+        let srcs = &self.srcs[routes.at.clone()];
         let mut pairs = 0;
         let mut begin = 0;
         for (&dst, &end) in routes.unique_dsts.iter().zip(&routes.run_ends) {
-            let mut set = routes.srcs[begin as usize..end as usize]
+            let mut set = srcs[begin as usize..end as usize]
                 .iter()
                 .filter_map(|&src| self.slots.get(src));
             if let Some(first) = set.next() {
@@ -308,7 +333,7 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
         }
         let complete = self.set_registered == self.registered_count;
         for peer in 0..self.peers.len() {
-            if self.peers[peer].srcs.is_empty() {
+            if self.peers[peer].at.is_empty() {
                 continue;
             }
             if !complete {
@@ -322,8 +347,12 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
             let routes = &mut self.peers[peer];
             let vals = &mut self.scratch;
             vals.clear();
-            self.combine
-                .gather(&self.slots.vals, &routes.srcs, &routes.run_ends, vals);
+            self.combine.gather(
+                &self.slots.vals,
+                &self.srcs[routes.at.clone()],
+                &routes.run_ends,
+                vals,
+            );
             self.messages += vals.len() as u64;
             if routes.ids_shipped {
                 // Static pattern, routes known: bare values only.
@@ -416,12 +445,20 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
 
     fn encode_state(&self, buf: &mut Vec<u8>) -> bool {
         // Per epoch: edges staged since the last finalize (none at a
-        // superstep boundary, where the engine snapshots), whether the ids
-        // went out, and the slots. `registered` is recounted on restore
-        // from the routes and the staged edges — every registered edge is
-        // in one or the other — and the counters beside it with it.
-        for p in &self.peers {
-            p.staged.encode(buf);
+        // superstep boundary, where the engine snapshots) as each peer's
+        // `(dst local index there, src)` pairs, whether the ids went out,
+        // and the slots. `registered` is recounted on restore from the
+        // routes and the staged edges — every registered edge is in one or
+        // the other — and the counters beside it with it.
+        let topo = &self.env.topo;
+        for (peer, p) in self.peers.iter().enumerate() {
+            let mut pairs: Vec<(u32, u32)> = Vec::new();
+            self.staged.for_each(|src, dst| {
+                if topo.worker_of(dst) == peer {
+                    pairs.push((topo.local_of(dst), src));
+                }
+            });
+            pairs.encode(buf);
             p.ids_shipped.encode(buf);
         }
         self.slots.encode(buf);
@@ -442,7 +479,7 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
         for p in &self.peers {
             encode_vec(&p.unique_dsts, buf);
             encode_vec(&p.run_ends, buf);
-            encode_vec(&p.srcs, buf);
+            encode_vec(&self.srcs[p.at.clone()], buf);
         }
         for ids in &self.routes {
             encode_vec(ids, buf);
@@ -454,10 +491,11 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
         let numv = self.env.local_count();
         let ok = |cond: bool, what: &str| check(cond, "scatter", what);
         self.generation = r.get();
+        self.srcs.clear();
         for (peer, p) in self.peers.iter_mut().enumerate() {
             p.unique_dsts = r.get();
             p.run_ends = r.get();
-            p.srcs = r.get();
+            let srcs: Vec<u32> = r.get();
             ok(p.unique_dsts.len() == p.run_ends.len(), "run count");
             ok(
                 p.unique_dsts.is_sorted_by(|a, b| a < b)
@@ -471,13 +509,15 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
                 p.run_ends
                     .iter()
                     .all(|&end| std::mem::replace(&mut begin, end) < end)
-                    && begin as usize == p.srcs.len(),
+                    && begin as usize == srcs.len(),
                 "route runs",
             );
             ok(
-                p.srcs.iter().all(|&src| (src as usize) < numv),
+                srcs.iter().all(|&src| (src as usize) < numv),
                 "route source",
             );
+            p.at = self.srcs.len()..self.srcs.len() + srcs.len();
+            self.srcs.extend_from_slice(&srcs);
         }
         for ids in &mut self.routes {
             *ids = r.get();
@@ -488,27 +528,31 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
     fn decode_state(&mut self, r: &mut Reader<'_>) {
         let topo = &self.env.topo;
         let numv = self.env.local_count();
+        self.staged = Staged::default();
         for (peer, p) in self.peers.iter_mut().enumerate() {
-            p.staged = r.get();
+            let pairs: Vec<(u32, u32)> = r.get();
             check(
-                p.staged.iter().all(|&(dst, src)| {
+                pairs.iter().all(|&(dst, src)| {
                     (dst as usize) < topo.local_count(peer) && (src as usize) < numv
                 }),
                 "scatter",
                 "staged edge",
             );
+            for (dst, src) in pairs {
+                let dst = topo.locals(peer)[dst as usize];
+                self.staged.push(src, &[dst], [()]);
+            }
             p.ids_shipped = r.get();
         }
         self.slots.decode(r, "scatter");
         self.incoming.decode(r, "scatter");
         self.messages = r.get();
         self.registered.fill(false);
-        for p in &self.peers {
-            let staged = p.staged.iter().map(|&(_, src)| src);
-            for src in p.srcs.iter().copied().chain(staged) {
-                self.registered[src as usize] = true;
-            }
+        for &src in &self.srcs {
+            self.registered[src as usize] = true;
         }
+        self.staged
+            .for_each(|src, _| self.registered[src as usize] = true);
         self.registered_count = self.registered.iter().filter(|&&reg| reg).count();
         self.set_registered = self
             .registered
@@ -794,8 +838,12 @@ mod tests {
         }
 
         fn add_edge(&mut self, src: VertexId, dst: VertexId) {
+            self.add_edges(src, &[dst]);
+        }
+
+        fn add_edges(&mut self, src: VertexId, dsts: &[VertexId]) {
             let (w, local) = (self.topo().worker_of(src), self.topo().local_of(src));
-            self.inner.chans[w].add_edge(local, dst);
+            self.inner.chans[w].add_edges(local, dsts);
         }
 
         fn set(&mut self, src: VertexId, m: M) {
@@ -902,10 +950,7 @@ mod tests {
             c.chans().iter().map(|ch| ch.edge_count()).sum::<usize>(),
             edges.len()
         );
-        assert!(c
-            .chans()
-            .iter()
-            .all(|ch| ch.peers.iter().all(|p| p.staged.capacity() == 0)));
+        assert!(c.chans().iter().all(|ch| ch.staged.is_empty()));
     }
 
     /// A cluster that has shipped its ids along `0 → 1` and `0 → 2` (all on
@@ -975,6 +1020,31 @@ mod tests {
         assert_eq!(generations(&c), [1, 1], "bare values");
     }
 
+    /// Edges staged but not yet finalized are checkpointed as each peer's
+    /// `(dst local index there, src)` pairs in registration order, and a
+    /// restored channel scatters along them exactly like the original.
+    #[test]
+    fn staged_edges_survive_a_state_round_trip() {
+        let owners = vec![0, 1, 0, 1, 0];
+        let mut c = Cluster::new(owners.clone(), 2, Combine::sum_u64());
+        c.add_edges(2, &[3, 0, 1]);
+        c.add_edge(0, 4);
+        let mut state = Vec::new();
+        Channel::<()>::encode_state(&c.chans()[0], &mut state);
+        let mut expect = Vec::new();
+        (vec![(0u32, 1u32), (2, 0)], false).encode(&mut expect);
+        (vec![(1u32, 1u32), (0, 1)], false).encode(&mut expect);
+        assert_eq!(state[..expect.len()], expect[..]);
+        let mut restored = Cluster::new(owners, 2, Combine::sum_u64());
+        Channel::<()>::decode_state(&mut restored.inner.chans[0], &mut Reader::new(&state));
+        for cluster in [&mut c, &mut restored] {
+            cluster.set(0, 1);
+            cluster.set(2, 10);
+        }
+        assert_eq!(restored.exchange(), c.exchange());
+        assert_eq!(restored.chans()[0].edge_count(), 4);
+    }
+
     /// Tables from a worker whose peer holds more vertices than this
     /// topology gives it: the route into the missing vertex is refused at
     /// decode, not indexed out of bounds at the first gather.
@@ -1003,7 +1073,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Random multigraphs over random placements, edges registered in
-        /// arbitrary order and in late batches, supersteps where every
+        /// arbitrary order (a source's consecutive edges as one row) and in
+        /// late batches, supersteps where every
         /// registered vertex scatters (VALUES/FULL frames) mixed with ones
         /// where only some do (PAIRS frames): every gathered value and the
         /// message count equal the per-edge oracle's, bit for bit.
@@ -1027,8 +1098,10 @@ mod tests {
                 // Register the next batch (all that is left on the last step).
                 let left = edges.len() - registered;
                 let batch = if step + 1 == steps.len() { left } else { next(&mut rng) as usize % (left + 1) };
-                for &(src, dst) in &edges[registered..registered + batch] {
-                    c.add_edge(src, dst);
+                // A source's consecutive edges go in as one row.
+                for row in edges[registered..registered + batch].chunk_by(|a, b| a.0 == b.0) {
+                    let dsts: Vec<VertexId> = row.iter().map(|&(_, dst)| dst).collect();
+                    c.add_edges(row[0].0, &dsts);
                 }
                 registered += batch;
                 // Two supersteps in three are complete.

@@ -4,66 +4,66 @@
 //! [`Combine`] function on **both** sides of the wire, exactly like a
 //! Pregel combiner:
 //!
-//! * the sender keeps one hash table per destination worker and folds every
-//!   `send_message` into the entry for its destination, so each
-//!   `(worker, destination)` pair ships at most one `(dst, value)` pair per
-//!   superstep;
-//! * the receiver folds arriving pairs into a per-destination table.
+//! * the sender folds every `send_message` into a dense stage per
+//!   destination worker (`PeerStage`, indexed by the receiver's local
+//!   index and allocated on the first message toward that worker), so each
+//!   `(worker, destination)` pair ships at most one `(local index, value)`
+//!   pair per superstep, in first-touch order;
+//! * the receiver folds arriving pairs into dense per-vertex `Slots`
+//!   (double-buffered, each emptied through the list of slots it filled).
 //!
 //! Because the combiner is *per channel*, it applies in programs where
 //! Pregel's single global combiner cannot (S-V, SCC mix combinable and
 //! non-combinable messages in one type) — the §V-A analysis measures up to
 //! 5.5× message inflation in Pregel+ from exactly this.
 //!
-//! The hash tables are the general-case cost this channel pays for dynamic
-//! destinations; [`crate::ScatterCombine`] replaces them with a pre-sorted
-//! linear scan when the destination set is static.
+//! What [`crate::ScatterCombine`] adds over this channel is not the
+//! combining but the static destination set: routes sorted once, ids
+//! shipped once.
 
 use crate::channel::{Channel, DeserializeCx, SerializeCx, WorkerEnv};
-use crate::combine::Combine;
-use pc_bsp::codec::Codec;
+use crate::combine::{Combine, Vals};
+use crate::optimized::flat::{check, PeerStage, Slots};
+use pc_bsp::codec::{Codec, Reader};
 use pc_graph::VertexId;
-use std::collections::HashMap;
 
 /// Sender- and receiver-combined message channel carrying values of `M`.
 pub struct CombinedMessage<M> {
     env: WorkerEnv,
     combine: Combine<M>,
-    /// Sender-side combine tables, one per destination worker.
-    staged: Vec<HashMap<VertexId, M>>,
-    /// Receive-side combine table for the in-flight superstep, keyed by
-    /// destination local index.
-    incoming: HashMap<u32, M>,
-    readable: HashMap<u32, M>,
+    /// Sender-side combine stages, one per destination worker.
+    staged: Vec<PeerStage<M>>,
+    /// Receive-side combined values for the in-flight superstep by local
+    /// index, and the slots they fill (first-arrival order).
+    incoming: Slots<M>,
+    incoming_dirty: Vec<u32>,
+    /// Last superstep's, read by `compute` (double-buffered).
+    readable: Slots<M>,
+    readable_dirty: Vec<u32>,
+    /// One frame's `(local index, value)` pairs while it is decoded.
+    frame_dsts: Vec<u32>,
+    frame_vals: Vec<M>,
     messages: u64,
-}
-
-fn fold_into<K: std::hash::Hash + Eq, M: Clone>(
-    map: &mut HashMap<K, M>,
-    key: K,
-    m: M,
-    combine: &Combine<M>,
-) {
-    match map.entry(key) {
-        std::collections::hash_map::Entry::Occupied(mut e) => {
-            combine.apply(e.get_mut(), m);
-        }
-        std::collections::hash_map::Entry::Vacant(e) => {
-            e.insert(m);
-        }
-    }
 }
 
 impl<M: Codec + Clone + Send> CombinedMessage<M> {
     /// Create this worker's instance with the channel's combiner.
     pub fn new(env: &WorkerEnv, combine: Combine<M>) -> Self {
+        let numv = env.local_count();
+        let slots = || Slots::new(numv, combine.identity());
         CombinedMessage {
             env: env.clone(),
-            combine,
-            staged: (0..env.workers()).map(|_| HashMap::new()).collect(),
-            incoming: HashMap::new(),
-            readable: HashMap::new(),
+            staged: (0..env.workers())
+                .map(|peer| PeerStage::new(env.topo.local_count(peer)))
+                .collect(),
+            incoming: slots(),
+            incoming_dirty: Vec::new(),
+            readable: slots(),
+            readable_dirty: Vec::new(),
+            frame_dsts: Vec::new(),
+            frame_vals: Vec::new(),
             messages: 0,
+            combine,
         }
     }
 
@@ -71,13 +71,14 @@ impl<M: Codec + Clone + Send> CombinedMessage<M> {
     /// the next superstep.
     pub fn send_message(&mut self, dst: VertexId, m: M) {
         let peer = self.env.worker_of(dst);
-        fold_into(&mut self.staged[peer], dst, m, &self.combine);
+        let local = self.env.local_of(dst);
+        self.staged[peer].stage(&self.combine, &[local], Vals::One(&m));
     }
 
     /// The combined value delivered to `local` this superstep, if any
     /// message arrived.
     pub fn get_message(&self, local: u32) -> Option<&M> {
-        self.readable.get(&local)
+        self.readable.get(local)
     }
 
     /// Combined value or the combiner's identity.
@@ -94,34 +95,64 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for CombinedMessage<M> {
     }
 
     fn before_superstep(&mut self, _step: u64) {
-        self.readable = std::mem::take(&mut self.incoming);
+        for local in self.readable_dirty.drain(..) {
+            self.readable.present[local as usize] = false;
+        }
+        std::mem::swap(&mut self.readable, &mut self.incoming);
+        std::mem::swap(&mut self.readable_dirty, &mut self.incoming_dirty);
     }
 
     fn serialize(&mut self, cx: &mut SerializeCx<'_>) {
-        for peer in 0..self.staged.len() {
-            if self.staged[peer].is_empty() {
+        for (peer, stage) in self.staged.iter_mut().enumerate() {
+            if stage.is_empty() {
                 continue;
             }
-            self.messages += self.staged[peer].len() as u64;
-            let batch = std::mem::take(&mut self.staged[peer]);
+            self.messages += stage.len() as u64;
             cx.frame(peer, |buf| {
-                for (dst, m) in &batch {
-                    dst.encode(buf);
+                stage.drain(|local, m| {
+                    local.encode(buf);
                     m.encode(buf);
-                }
+                });
             });
         }
     }
 
     fn deserialize(&mut self, cx: &mut DeserializeCx<'_, AV>) {
-        for (_from, mut r) in cx.frames() {
+        let numv = self.env.local_count();
+        let CombinedMessage {
+            combine,
+            incoming,
+            incoming_dirty,
+            frame_dsts,
+            frame_vals,
+            ..
+        } = self;
+        let Slots { vals: acc, present } = incoming;
+        let woken = incoming_dirty.len();
+        for (from, mut r) in cx.frames() {
+            frame_dsts.clear();
+            frame_vals.clear();
             while !r.is_empty() {
-                let dst: VertexId = r.get();
-                let m: M = r.get();
-                let local = self.env.local_of(dst);
-                fold_into(&mut self.incoming, local, m, &self.combine);
-                cx.activate(local);
+                let local: u32 = r.get();
+                assert!(
+                    (local as usize) < numv,
+                    "combined channel: frame from worker {from} names local vertex {local}, \
+                     this worker has {numv}"
+                );
+                frame_dsts.push(local);
+                frame_vals.push(r.get());
             }
+            combine.stage(
+                acc,
+                present,
+                frame_dsts,
+                Vals::Each(frame_vals),
+                incoming_dirty,
+            );
+        }
+        // First arrivals are exactly the vertices to wake.
+        for &local in &incoming_dirty[woken..] {
+            cx.activate(local);
         }
     }
 
@@ -130,28 +161,35 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for CombinedMessage<M> {
     }
 
     fn encode_state(&self, buf: &mut Vec<u8>) -> bool {
-        // `staged` is drained at every serialize, so the receive-side
-        // combine table for the next superstep is the live state. Encoded
-        // sorted by key: hash iteration order must never reach a
-        // checkpoint file.
-        let mut pairs: Vec<(&u32, &M)> = self.incoming.iter().collect();
-        pairs.sort_unstable_by_key(|(k, _)| **k);
-        (pairs.len() as u32).encode(buf);
-        for (k, m) in pairs {
-            k.encode(buf);
-            m.encode(buf);
+        // The stages are drained at every serialize, so the receive-side
+        // slots for the next superstep are the live state: written as
+        // `(local index, value)` pairs, ascending.
+        let mut filled = self.incoming_dirty.clone();
+        filled.sort_unstable();
+        (filled.len() as u32).encode(buf);
+        for local in filled {
+            local.encode(buf);
+            self.incoming.vals[local as usize].encode(buf);
         }
         self.messages.encode(buf);
         true
     }
 
-    fn decode_state(&mut self, r: &mut pc_bsp::codec::Reader<'_>) {
-        self.incoming.clear();
+    fn decode_state(&mut self, r: &mut Reader<'_>) {
+        let numv = self.env.local_count();
+        for local in self.incoming_dirty.drain(..) {
+            self.incoming.present[local as usize] = false;
+        }
         let n: u32 = r.get();
         for _ in 0..n {
-            let k: u32 = r.get();
+            let local: u32 = r.get();
             let m: M = r.get();
-            self.incoming.insert(k, m);
+            check((local as usize) < numv, "combined", "local index");
+            if !self.incoming.present[local as usize] {
+                self.incoming.present[local as usize] = true;
+                self.incoming_dirty.push(local);
+            }
+            self.incoming.vals[local as usize] = m;
         }
         self.messages = r.get();
     }
@@ -269,6 +307,84 @@ mod tests {
         for v in &out.values {
             assert_eq!(v, &vec![0, 7, 0], "message visible exactly once");
         }
+    }
+
+    // ---- the channel driven by hand: frames and state it must refuse ----
+
+    use crate::optimized::testkit;
+    use pc_bsp::buffer::FrameWriter;
+
+    /// Two workers holding vertices `0, 2` and `1` respectively.
+    fn cluster() -> testkit::Cluster<CombinedMessage<u64>> {
+        let topo = Topology::from_owners(2, vec![0, 1, 0]);
+        testkit::Cluster::new(topo, |env| CombinedMessage::new(env, Combine::sum_u64()))
+    }
+
+    #[test]
+    fn frames_carry_receiver_local_indices_in_first_touch_order() {
+        let mut c = cluster();
+        c.chans[1].send_message(2, 5);
+        c.chans[1].send_message(0, 1);
+        c.chans[1].send_message(2, 5);
+        c.round();
+        assert_eq!(
+            c.chans[0].incoming_dirty,
+            [1, 0],
+            "vertex 2 is local index 1 on worker 0"
+        );
+        assert_eq!(c.chans[0].incoming.vals[1], 10);
+        c.exchange();
+        assert_eq!(c.chans[0].get_message(1), Some(&10));
+        assert_eq!(c.chans[0].get_message(0), Some(&1));
+        c.exchange();
+        assert_eq!(c.chans[0].get_message(1), None, "read once");
+        assert!(c.chans[0].readable_dirty.is_empty() && c.chans[0].incoming_dirty.is_empty());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "combined channel: frame from worker 1 names local vertex 2, this worker has 2"
+    )]
+    fn a_frame_naming_a_missing_vertex_is_refused() {
+        let mut c = cluster();
+        let mut buf = Vec::new();
+        let mut fw = FrameWriter::begin(&mut buf, 0);
+        2u32.encode(fw.payload());
+        7u64.encode(fw.payload());
+        fw.finish();
+        c.deliver(0, &[(1, buf)]);
+    }
+
+    #[test]
+    fn state_round_trips_sorted_by_local_index() {
+        let mut c = cluster();
+        c.chans[1].send_message(2, 5);
+        c.chans[1].send_message(0, 1);
+        c.round();
+        let mut state = Vec::new();
+        Channel::<()>::encode_state(&c.chans[0], &mut state);
+        let mut expect = Vec::new();
+        (2u32, (0u32, 1u64), (1u32, 5u64), 0u64).encode(&mut expect);
+        assert_eq!(state, expect, "(local index, value) pairs, ascending");
+        let mut restored = cluster();
+        Channel::<()>::decode_state(&mut restored.chans[0], &mut Reader::new(&state));
+        let mut again = Vec::new();
+        Channel::<()>::encode_state(&restored.chans[0], &mut again);
+        assert_eq!(again, state);
+        restored.exchange();
+        assert_eq!(restored.chans[0].get_message(1), Some(&5));
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt combined channel state: local index")]
+    fn restored_state_naming_a_missing_vertex_is_refused() {
+        let mut state = Vec::new();
+        1u32.encode(&mut state);
+        2u32.encode(&mut state);
+        7u64.encode(&mut state);
+        0u64.encode(&mut state);
+        let mut c = cluster();
+        Channel::<()>::decode_state(&mut c.chans[0], &mut Reader::new(&state));
     }
 
     #[test]

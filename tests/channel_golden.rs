@@ -160,3 +160,77 @@ fn bfs_propagation() {
         "0xc5bd84aac6f39c4a supersteps=2 rounds=4 propagation:1083/8790/0/0"
     );
 }
+
+// ---- The channels S-V composes, recorded at commit dfa806c, before they
+// moved onto dense tables (`ScatterCombine`'s bulk registration,
+// `CombinedMessage` without hash tables, `RequestRespond` without a binary
+// search). The PageRank arms fold an `f64` sum: `basic` pins
+// `CombinedMessage`'s order (a sender folds a destination's messages in
+// send order, a receiver folds frames by sender), `scatter` pins the
+// by-destination CSR's (destination ascending, then source ascending).
+
+fn hashed(g: &pc_graph::Graph) -> Arc<Topology> {
+    Arc::new(Topology::hashed(g.n(), WORKERS))
+}
+
+#[test]
+fn pagerank_basic_and_scatter_fold_order() {
+    let g = directed();
+    let topo = hashed(&g);
+    let basic = pc_algos::pagerank::channel_basic(&g, &topo, &cfg(), 10);
+    let scatter = pc_algos::pagerank::channel_scatter(&g, &topo, &cfg(), 10);
+    let pin_ranks =
+        |o: &pc_algos::pagerank::PrOutput| pin(o.ranks.iter().map(|r| r.to_bits()), &o.stats);
+    assert_eq!(
+        [pin_ranks(&basic), pin_ranks(&scatter)],
+        [
+            "0x39ce2200045ce899 supersteps=11 rounds=11 combined:10120/93720/0/0 aggregator:120/1680/0/0",
+            "0x39ce2200045ce899 supersteps=11 rounds=11 scatter:10120/65988/0/0 aggregator:120/1680/0/0",
+        ]
+    );
+}
+
+#[test]
+fn sv_composition_grid() {
+    let g = undirected();
+    let topo = hashed(&g);
+    let run = |f: fn(&Arc<pc_graph::Graph>, &Arc<Topology>, &Config) -> pc_algos::sv::SvOutput| {
+        let o = f(&g, &topo, &cfg());
+        pin(labels(&o.labels), &o.stats)
+    };
+    assert_eq!(
+        [
+            run(pc_algos::sv::channel_basic),
+            run(pc_algos::sv::channel_reqresp),
+            run(pc_algos::sv::channel_scatter),
+            run(pc_algos::sv::channel_both),
+        ],
+        [
+            "0x023338bdb5c19574 supersteps=17 rounds=17 direct:4096/16296/0/0 combined:5348/32640/0/0 combined:440/0/0/0 aggregator:48/336/0/0",
+            "0x023338bdb5c19574 supersteps=17 rounds=21 reqresp:1728/1064/0/0 combined:5348/32640/0/0 combined:440/0/0/0 aggregator:48/336/0/0",
+            "0x023338bdb5c19574 supersteps=17 rounds=17 direct:4096/16296/0/0 scatter:5348/20604/0/0 combined:440/0/0/0 aggregator:48/336/0/0",
+            "0x023338bdb5c19574 supersteps=17 rounds=21 reqresp:1728/1064/0/0 scatter:5348/20604/0/0 combined:440/0/0/0 aggregator:48/336/0/0",
+        ]
+    );
+}
+
+#[test]
+fn wcc_basic() {
+    let g = undirected();
+    let o = pc_algos::wcc::channel_basic(&g, &hashed(&g), &cfg());
+    assert_eq!(
+        pin(labels(&o.labels), &o.stats),
+        "0x023338bdb5c19574 supersteps=5 rounds=5 combined:3157/19452/0/0"
+    );
+}
+
+#[test]
+fn sssp_basic() {
+    let g = Arc::new(gen::grid2d_weighted(24, 24, 9, 21));
+    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+    let o = pc_algos::sssp::channel_basic(&g, &topo, &cfg(), 0);
+    assert_eq!(
+        pin(o.dist.iter().copied(), &o.stats),
+        "0x1ba437eb68496713 supersteps=47 rounds=47 combined:7279/70056/0/0"
+    );
+}

@@ -9,9 +9,14 @@
 //! the engine itself allocates per superstep is in both). `Mirror`: the
 //! same comparison for a program that broadcasts along registered edges
 //! every superstep, hubs as ghosts and the rest as sender-combined direct
-//! messages. `Propagation`: a BFS down a path is one vertex popped and at
-//! most one message per exchange round, all inside one superstep — a
-//! thousand extra rounds cost no allocation at all.
+//! messages. `CombinedMessage`: the same for a program that sends along
+//! its out-edges every superstep — a dense stage per peer, slots cleared
+//! through their dirty lists, one reused frame scratch. `RequestRespond`:
+//! every vertex asks for the same target every superstep — the request,
+//! response and position tables keep their capacity. `Propagation`: a
+//! BFS down a path is one vertex popped and at most one message per
+//! exchange round, all inside one superstep — a thousand extra rounds cost
+//! no allocation at all.
 //!
 //! The comparisons start at 30 supersteps, not at 10: within its first
 //! ~16 rounds the buffer pool trims its prewarmed 4 KiB buffers to the
@@ -20,7 +25,10 @@
 //! same with any channel.
 
 use pc_bsp::{Config, Topology};
-use pc_channels::{Algorithm, Combine, Mirror, ScatterCombine, VertexCtx, WorkerEnv};
+use pc_channels::{
+    Algorithm, Combine, CombinedMessage, Mirror, RequestRespond, ScatterCombine, VertexCtx,
+    WorkerEnv,
+};
 use pc_graph::{gen, Graph};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -104,28 +112,40 @@ impl Algorithm for NoChannels {
     }
 }
 
-#[test]
-fn extra_scatter_supersteps_allocate_nothing() {
-    let g = Arc::new(gen::rmat(10, 8000, gen::RmatParams::default(), 5, true));
+/// The RMAT graph every superstep-count comparison runs on.
+fn rmat() -> Arc<Graph> {
+    Arc::new(gen::rmat(10, 8000, gen::RmatParams::default(), 5, true))
+}
+
+/// Sixty extra supersteps of the program `make(g, iters)` builds, against
+/// sixty extra supersteps of a program with no channels, over three
+/// workers.
+fn assert_extra_supersteps_free<A: Algorithm>(
+    what: &str,
+    g: &Arc<Graph>,
+    make: impl Fn(Arc<Graph>, u64) -> A,
+) {
     let topo = Arc::new(Topology::hashed(g.n(), 3));
     let cfg = Config::sequential(3);
-    let scatter = |iters| {
-        let algo = RepeatScatter {
-            g: Arc::clone(&g),
-            iters,
-        };
+    let program = |iters| {
+        let algo = make(Arc::clone(g), iters);
         allocations(|| drop(pc_channels::run(&algo, &topo, &cfg)))
     };
     let empty = |iters| allocations(|| drop(pc_channels::run(&NoChannels { iters }, &topo, &cfg)));
-    let (scatter_30, scatter_90) = (scatter(30), scatter(90));
+    let (program_30, program_90) = (program(30), program(90));
     let (empty_30, empty_90) = (empty(30), empty(90));
     assert!(
-        scatter_90 - scatter_30 <= empty_90 - empty_30,
-        "60 extra scatter supersteps cost {} allocations, 60 extra empty ones {} \
-         (30 vs 90 iterations: scatter {scatter_30} -> {scatter_90}, empty {empty_30} -> {empty_90})",
-        scatter_90 - scatter_30,
+        program_90 - program_30 <= empty_90 - empty_30,
+        "60 extra {what} supersteps cost {} allocations, 60 extra empty ones {} \
+         (30 vs 90 iterations: {what} {program_30} -> {program_90}, empty {empty_30} -> {empty_90})",
+        program_90 - program_30,
         empty_90 - empty_30,
     );
+}
+
+#[test]
+fn extra_scatter_supersteps_allocate_nothing() {
+    assert_extra_supersteps_free("scatter", &rmat(), |g, iters| RepeatScatter { g, iters });
 }
 
 /// Every vertex broadcasts a constant along its out-edges for `iters`
@@ -156,27 +176,66 @@ impl Algorithm for RepeatMirror {
 
 #[test]
 fn extra_mirror_supersteps_allocate_nothing() {
-    let g = Arc::new(gen::rmat(10, 8000, gen::RmatParams::default(), 5, true));
+    let g = rmat();
     assert!(g.vertices().any(|v| g.degree(v) >= 16) && g.vertices().any(|v| g.degree(v) == 2));
-    let topo = Arc::new(Topology::hashed(g.n(), 3));
-    let cfg = Config::sequential(3);
-    let mirror = |iters| {
-        let algo = RepeatMirror {
-            g: Arc::clone(&g),
-            iters,
-        };
-        allocations(|| drop(pc_channels::run(&algo, &topo, &cfg)))
-    };
-    let empty = |iters| allocations(|| drop(pc_channels::run(&NoChannels { iters }, &topo, &cfg)));
-    let (mirror_30, mirror_90) = (mirror(30), mirror(90));
-    let (empty_30, empty_90) = (empty(30), empty(90));
-    assert!(
-        mirror_90 - mirror_30 <= empty_90 - empty_30,
-        "60 extra mirror supersteps cost {} allocations, 60 extra empty ones {} \
-         (30 vs 90 iterations: mirror {mirror_30} -> {mirror_90}, empty {empty_30} -> {empty_90})",
-        mirror_90 - mirror_30,
-        empty_90 - empty_30,
-    );
+    assert_extra_supersteps_free("mirror", &g, |g, iters| RepeatMirror { g, iters });
+}
+
+/// Every vertex sends its id to each out-neighbor for `iters`
+/// supersteps; receivers keep the minimum.
+struct RepeatCombined {
+    g: Arc<Graph>,
+    iters: u64,
+}
+
+impl Algorithm for RepeatCombined {
+    type Value = u64;
+    type Channels = (CombinedMessage<u32>,);
+    fn channels(&self, env: &WorkerEnv) -> Self::Channels {
+        (CombinedMessage::new(env, Combine::min_u32()),)
+    }
+    fn compute(&self, v: &mut VertexCtx<'_>, value: &mut u64, ch: &mut Self::Channels) {
+        *value += u64::from(ch.0.get_or_identity(v.local) != u32::MAX);
+        if v.step() <= self.iters {
+            for &t in self.g.neighbors(v.id) {
+                ch.0.send_message(t, v.id);
+            }
+        } else {
+            v.vote_to_halt();
+        }
+    }
+}
+
+#[test]
+fn extra_combined_supersteps_allocate_nothing() {
+    assert_extra_supersteps_free("combined", &rmat(), |g, iters| RepeatCombined { g, iters });
+}
+
+/// Every vertex asks for the value of vertex `id / 2` for `iters`
+/// supersteps — a request and a response round each.
+struct RepeatRequests {
+    iters: u64,
+}
+
+impl Algorithm for RepeatRequests {
+    type Value = u64;
+    type Channels = (RequestRespond<u64, u64>,);
+    fn channels(&self, env: &WorkerEnv) -> Self::Channels {
+        (RequestRespond::new(env, |v: &u64| *v),)
+    }
+    fn compute(&self, v: &mut VertexCtx<'_>, value: &mut u64, ch: &mut Self::Channels) {
+        *value = value.wrapping_add(ch.0.get_respond(v.id / 2).copied().unwrap_or(1));
+        if v.step() <= self.iters {
+            ch.0.add_request(v.id / 2);
+        } else {
+            v.vote_to_halt();
+        }
+    }
+}
+
+#[test]
+fn extra_reqresp_supersteps_allocate_nothing() {
+    assert_extra_supersteps_free("reqresp", &rmat(), |_, iters| RepeatRequests { iters });
 }
 
 /// BFS over the `Propagation` channel down the same path from its middle
