@@ -1,6 +1,6 @@
 //! Flat storage shared by the [`super::mirror`] and [`super::propagation`]
 //! channels (and the staging list and slot arrays of [`super::scatter`],
-//! the stages and slots of [`crate::standard::combined`]): adjacency as
+//! the stages of [`crate::standard::combined`]): adjacency as
 //! offset + array tables built in bulk, combiner state as dense slots.
 //!
 //! **Registration is staged, then merged.** `add_edge(s)` only appends to
@@ -168,6 +168,16 @@ impl<E> Staged<E> {
     /// Staged edges.
     pub(crate) fn len(&self) -> usize {
         self.dsts.len()
+    }
+
+    /// Heap bytes the three columns hold (an edge column of a zero-sized
+    /// `E` holds none, whatever its nominal capacity).
+    #[cfg(test)]
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.runs.capacity() * size_of::<(u32, u32)>()
+            + self.dsts.capacity() * size_of::<VertexId>()
+            + self.edges.capacity() * size_of::<E>()
     }
 
     /// Stage the edges `row → dsts[i]` carrying `edges[i]`.
@@ -449,6 +459,19 @@ impl<M: Codec + Clone> PeerStage<M> {
     /// Targets holding a value.
     pub(crate) fn len(&self) -> usize {
         self.dirty.len()
+    }
+
+    /// Targets holding a value, in first-touch order.
+    pub(crate) fn dirty(&self) -> &[u32] {
+        &self.dirty
+    }
+
+    /// The value staged for target `i`, if any.
+    pub(crate) fn get(&self, i: u32) -> Option<&M> {
+        if self.slots.vals.is_empty() {
+            return None;
+        }
+        self.slots.get(i)
     }
 
     /// Fold `vals` into the slots of `dsts` (local indices on the peer).

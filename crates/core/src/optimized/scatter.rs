@@ -950,7 +950,7 @@ mod tests {
             c.chans().iter().map(|ch| ch.edge_count()).sum::<usize>(),
             edges.len()
         );
-        assert!(c.chans().iter().all(|ch| ch.staged.is_empty()));
+        assert!(c.chans().iter().all(|ch| ch.staged.capacity_bytes() == 0));
     }
 
     /// A cluster that has shipped its ids along `0 → 1` and `0 → 2` (all on

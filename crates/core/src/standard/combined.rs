@@ -9,8 +9,9 @@
 //!   index and allocated on the first message toward that worker), so each
 //!   `(worker, destination)` pair ships at most one `(local index, value)`
 //!   pair per superstep, in first-touch order;
-//! * the receiver folds arriving pairs into dense per-vertex `Slots`
-//!   (double-buffered, each emptied through the list of slots it filled).
+//! * the receiver folds arriving pairs into a `PeerStage` of its own
+//!   vertices (double-buffered; the one read last superstep is drained
+//!   empty before it takes the next superstep's arrivals).
 //!
 //! Because the combiner is *per channel*, it applies in programs where
 //! Pregel's single global combiner cannot (S-V, SCC mix combinable and
@@ -23,7 +24,7 @@
 
 use crate::channel::{Channel, DeserializeCx, SerializeCx, WorkerEnv};
 use crate::combine::{Combine, Vals};
-use crate::optimized::flat::{check, PeerStage, Slots};
+use crate::optimized::flat::{check, PeerStage};
 use pc_bsp::codec::{Codec, Reader};
 use pc_graph::VertexId;
 
@@ -34,12 +35,10 @@ pub struct CombinedMessage<M> {
     /// Sender-side combine stages, one per destination worker.
     staged: Vec<PeerStage<M>>,
     /// Receive-side combined values for the in-flight superstep by local
-    /// index, and the slots they fill (first-arrival order).
-    incoming: Slots<M>,
-    incoming_dirty: Vec<u32>,
+    /// index, filled in first-arrival order.
+    incoming: PeerStage<M>,
     /// Last superstep's, read by `compute` (double-buffered).
-    readable: Slots<M>,
-    readable_dirty: Vec<u32>,
+    readable: PeerStage<M>,
     /// One frame's `(local index, value)` pairs while it is decoded.
     frame_dsts: Vec<u32>,
     frame_vals: Vec<M>,
@@ -50,16 +49,13 @@ impl<M: Codec + Clone + Send> CombinedMessage<M> {
     /// Create this worker's instance with the channel's combiner.
     pub fn new(env: &WorkerEnv, combine: Combine<M>) -> Self {
         let numv = env.local_count();
-        let slots = || Slots::new(numv, combine.identity());
         CombinedMessage {
             env: env.clone(),
             staged: (0..env.workers())
                 .map(|peer| PeerStage::new(env.topo.local_count(peer)))
                 .collect(),
-            incoming: slots(),
-            incoming_dirty: Vec::new(),
-            readable: slots(),
-            readable_dirty: Vec::new(),
+            incoming: PeerStage::new(numv),
+            readable: PeerStage::new(numv),
             frame_dsts: Vec::new(),
             frame_vals: Vec::new(),
             messages: 0,
@@ -95,11 +91,8 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for CombinedMessage<M> {
     }
 
     fn before_superstep(&mut self, _step: u64) {
-        for local in self.readable_dirty.drain(..) {
-            self.readable.present[local as usize] = false;
-        }
+        self.readable.drain(|_, _| {});
         std::mem::swap(&mut self.readable, &mut self.incoming);
-        std::mem::swap(&mut self.readable_dirty, &mut self.incoming_dirty);
     }
 
     fn serialize(&mut self, cx: &mut SerializeCx<'_>) {
@@ -122,13 +115,11 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for CombinedMessage<M> {
         let CombinedMessage {
             combine,
             incoming,
-            incoming_dirty,
             frame_dsts,
             frame_vals,
             ..
         } = self;
-        let Slots { vals: acc, present } = incoming;
-        let woken = incoming_dirty.len();
+        let woken = incoming.len();
         for (from, mut r) in cx.frames() {
             frame_dsts.clear();
             frame_vals.clear();
@@ -142,16 +133,10 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for CombinedMessage<M> {
                 frame_dsts.push(local);
                 frame_vals.push(r.get());
             }
-            combine.stage(
-                acc,
-                present,
-                frame_dsts,
-                Vals::Each(frame_vals),
-                incoming_dirty,
-            );
+            incoming.stage(combine, frame_dsts, Vals::Each(frame_vals));
         }
         // First arrivals are exactly the vertices to wake.
-        for &local in &incoming_dirty[woken..] {
+        for &local in &incoming.dirty()[woken..] {
             cx.activate(local);
         }
     }
@@ -164,12 +149,12 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for CombinedMessage<M> {
         // The stages are drained at every serialize, so the receive-side
         // slots for the next superstep are the live state: written as
         // `(local index, value)` pairs, ascending.
-        let mut filled = self.incoming_dirty.clone();
+        let mut filled = self.incoming.dirty().to_vec();
         filled.sort_unstable();
         (filled.len() as u32).encode(buf);
         for local in filled {
             local.encode(buf);
-            self.incoming.vals[local as usize].encode(buf);
+            self.incoming.get(local).expect("filled slot").encode(buf);
         }
         self.messages.encode(buf);
         true
@@ -177,19 +162,13 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for CombinedMessage<M> {
 
     fn decode_state(&mut self, r: &mut Reader<'_>) {
         let numv = self.env.local_count();
-        for local in self.incoming_dirty.drain(..) {
-            self.incoming.present[local as usize] = false;
-        }
+        self.incoming.drain(|_, _| {});
         let n: u32 = r.get();
         for _ in 0..n {
             let local: u32 = r.get();
             let m: M = r.get();
             check((local as usize) < numv, "combined", "local index");
-            if !self.incoming.present[local as usize] {
-                self.incoming.present[local as usize] = true;
-                self.incoming_dirty.push(local);
-            }
-            self.incoming.vals[local as usize] = m;
+            self.incoming.stage(&self.combine, &[local], Vals::One(&m));
         }
         self.messages = r.get();
     }
@@ -328,17 +307,17 @@ mod tests {
         c.chans[1].send_message(2, 5);
         c.round();
         assert_eq!(
-            c.chans[0].incoming_dirty,
+            c.chans[0].incoming.dirty(),
             [1, 0],
             "vertex 2 is local index 1 on worker 0"
         );
-        assert_eq!(c.chans[0].incoming.vals[1], 10);
+        assert_eq!(c.chans[0].incoming.get(1), Some(&10));
         c.exchange();
         assert_eq!(c.chans[0].get_message(1), Some(&10));
         assert_eq!(c.chans[0].get_message(0), Some(&1));
         c.exchange();
         assert_eq!(c.chans[0].get_message(1), None, "read once");
-        assert!(c.chans[0].readable_dirty.is_empty() && c.chans[0].incoming_dirty.is_empty());
+        assert!(c.chans[0].readable.is_empty() && c.chans[0].incoming.is_empty());
     }
 
     #[test]
