@@ -5,6 +5,9 @@
 //! that `neighbors(v)` always yields every incident edge (the paper's
 //! "neighborhood communication" iterates exactly this set).
 
+use crate::io::WeightColumn;
+use std::sync::atomic::{AtomicU32, Ordering};
+
 /// Dense vertex identifier.
 pub type VertexId = u32;
 
@@ -24,7 +27,7 @@ pub struct Graph<W = ()> {
     directed: bool,
 }
 
-impl<W: Copy + Default> Graph<W> {
+impl<W: WeightColumn> Graph<W> {
     /// Build from weighted edges. For undirected graphs every edge is
     /// inserted in both directions (self-loops once). Parallel edges are
     /// preserved — generators dedup when they need to.
@@ -36,83 +39,124 @@ impl<W: Copy + Default> Graph<W> {
         Self::from_edge_iter(n, edges.iter().copied(), directed)
     }
 
-    /// The one builder: a counting sort by source over a re-iterable edge
-    /// stream, two passes and no copy of it. Rows come out sorted by target;
-    /// edges of equal target keep stream order (parallel weighted edges:
-    /// file order).
+    /// The one builder, [`Graph::from_edge_ranges`], with the whole stream
+    /// as its only range: all of it on the calling thread. Rows come out
+    /// sorted by target; edges of equal target keep stream order (parallel
+    /// weighted edges: file order).
     pub(crate) fn from_edge_iter(
         n: usize,
-        edges: impl Iterator<Item = (VertexId, VertexId, W)> + Clone,
+        edges: impl Iterator<Item = (VertexId, VertexId, W)> + Clone + Send + Sync,
         directed: bool,
     ) -> Self {
-        // Range check and degrees in one pass: `offsets[v + 1]` counts v's
-        // arcs, then the prefix sum turns counts into row starts.
-        let mut offsets = vec![0usize; n + 1];
-        edges.clone().for_each(|(u, v, _)| {
-            assert!(
-                (u as usize) < n && (v as usize) < n,
-                "edge ({u},{v}) out of range 0..{n}"
-            );
-            offsets[u as usize + 1] += 1;
-            if !directed && u != v {
-                offsets[v as usize + 1] += 1;
+        Self::from_edge_ranges(n, &[edges], directed)
+    }
+
+    /// The one builder: a counting sort by source over the concatenation
+    /// of `ranges` (re-iterable edge streams), one thread per range, the
+    /// first on the calling thread. The graph is bit-identical to a serial
+    /// counting sort of the whole stream however it is cut:
+    ///
+    /// 1. *Count.* Each range counts its own arcs per source into `n + 1`
+    ///    counters (`count[u + 1]`), range-checking every edge.
+    /// 2. *Cursors.* One pass over the rows turns each range's counters
+    ///    into its write cursors: the row's start plus that row's arcs in
+    ///    earlier ranges.
+    /// 3. *Place.* Each range writes its arcs at its cursors, so a row holds
+    ///    its arcs in stream order. The ranges write disjoint positions of
+    ///    one shared column through relaxed atomic stores: a store
+    ///    publishes nothing, and the joins that end the pass order every
+    ///    store before the column is read. The last range's cursors end on
+    ///    the next row's start: they are the offsets.
+    /// 4. *Sort.* Rows cut into one run per range at row bounds, each run
+    ///    sorted on its own thread (see [`sort_rows`]).
+    pub(crate) fn from_edge_ranges<I>(n: usize, ranges: &[I], directed: bool) -> Self
+    where
+        I: Iterator<Item = (VertexId, VertexId, W)> + Clone + Send + Sync,
+    {
+        let mut cursors = on_each(ranges, |edges| {
+            let mut count = vec![0usize; n + 1];
+            for (u, v, _) in edges.clone() {
+                assert!(
+                    (u as usize) < n && (v as usize) < n,
+                    "edge ({u},{v}) out of range 0..{n}"
+                );
+                count[u as usize + 1] += 1;
+                if !directed && u != v {
+                    count[v as usize + 1] += 1;
+                }
             }
+            count
         });
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
+        let mut m = 0;
+        for v in 1..=n {
+            for cursor in &mut cursors {
+                let arcs = cursor[v];
+                cursor[v] = m;
+                m += arcs;
+            }
         }
-        let mut targets = vec![0 as VertexId; offsets[n]];
-        let mut weights = vec![W::default(); offsets[n]];
-        let mut cursor = offsets[..n].to_vec();
-        let mut put = |u: VertexId, v: VertexId, w: W| {
-            let c = &mut cursor[u as usize];
-            targets[*c] = v;
-            weights[*c] = w;
-            *c += 1;
-        };
-        edges.for_each(|(u, v, w)| {
-            put(u, v, w);
-            if !directed && u != v {
-                put(v, u, w);
+        // Zeroed columns come from the allocator untouched, and their
+        // pages fault in on the placing threads.
+        let targets: Vec<AtomicU32> = vec![0; m].into_iter().map(AtomicU32::new).collect();
+        let weights: Vec<W::Cell> = vec![W::default(); m]
+            .into_iter()
+            .map(W::Cell::from)
+            .collect();
+        let mut cursors = on_each(ranges.iter().zip(cursors), |(edges, mut cursor)| {
+            let mut put = |u: VertexId, v: VertexId, w: W| {
+                let c = &mut cursor[u as usize + 1];
+                targets[*c].store(v, Ordering::Relaxed);
+                W::store(&weights[*c], w);
+                *c += 1;
+            };
+            for (u, v, w) in edges.clone() {
+                put(u, v, w);
+                if !directed && u != v {
+                    put(v, u, w);
+                }
             }
+            cursor
         });
+        let offsets = cursors.pop().unwrap_or_else(|| vec![0; n + 1]);
         let mut g = Graph {
             n,
             offsets,
-            targets,
-            weights,
+            targets: targets.into_iter().map(AtomicU32::into_inner).collect(),
+            weights: weights.into_iter().map(W::load).collect(),
             directed,
         };
-        g.sort_adjacency();
+        g.sort_adjacency(ranges.len());
         g
     }
 
-    /// Stable-sort each row by target. A stream in (source, target) order —
-    /// a file `io::write_edge_list` wrote, `reverse` — fills rows already
-    /// sorted, so a row is sorted only when a scan says it is not, through
-    /// one scratch reused across rows.
-    fn sort_adjacency(&mut self) {
-        let mut pairs: Vec<(VertexId, W)> = Vec::new();
-        for row in self.offsets.windows(2) {
-            let (targets, weights) = (
-                &mut self.targets[row[0]..row[1]],
-                &mut self.weights[row[0]..row[1]],
-            );
-            if targets.is_sorted() {
-                continue;
-            }
-            pairs.clear();
-            pairs.extend(targets.iter().copied().zip(weights.iter().copied()));
-            pairs.sort_by_key(|&(t, _)| t);
-            for (i, &(t, w)) in pairs.iter().enumerate() {
-                targets[i] = t;
-                weights[i] = w;
-            }
+    /// Stable-sort each row by target, the rows cut into `runs` runs of
+    /// about equal arcs at row bounds, each run on its own thread.
+    fn sort_adjacency(&mut self, runs: usize) {
+        let m = self.targets.len();
+        let (mut targets, mut weights) = (&mut self.targets[..], &mut self.weights[..]);
+        let mut parts = Vec::with_capacity(runs);
+        let mut first = 0;
+        for run in 1..=runs {
+            let last = if run == runs {
+                self.n
+            } else {
+                self.offsets
+                    .partition_point(|&o| o < run * m / runs)
+                    .max(first)
+            };
+            let len = self.offsets[last] - self.offsets[first];
+            let (t, rest_t) = std::mem::take(&mut targets).split_at_mut(len);
+            let (w, rest_w) = std::mem::take(&mut weights).split_at_mut(len);
+            (targets, weights) = (rest_t, rest_w);
+            parts.push((&self.offsets[first..=last], t, w));
+            first = last;
         }
+        on_each(parts, |(rows, t, w)| sort_rows(rows, t, w));
     }
 
     /// The undirected view of this graph: every arc becomes a symmetric
-    /// edge (duplicates merged). Used by WCC/S-V on directed inputs.
+    /// edge (duplicates merged, the first in arc order keeping its weight).
+    /// Used by WCC/S-V on directed inputs.
     pub fn symmetrized(&self) -> Self {
         if !self.directed {
             return self.clone();
@@ -121,7 +165,7 @@ impl<W: Copy + Default> Graph<W> {
             .arcs()
             .map(|(u, v, w)| if u <= v { (u, v, w) } else { (v, u, w) })
             .collect();
-        edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        edges.sort_by_key(|&(u, v, _)| (u, v));
         edges.dedup_by_key(|&mut (u, v, _)| (u, v));
         Graph::from_weighted_edges(self.n, &edges, false)
     }
@@ -134,6 +178,50 @@ impl<W: Copy + Default> Graph<W> {
         let transposed = self.arcs().map(|(u, v, w)| (v, u, w));
         Graph::from_edge_iter(self.n, transposed, true)
     }
+}
+
+/// Stable-sort each row of one run by target: `rows` are the run's
+/// offsets, `targets` and `weights` its arcs. A stream in (source, target)
+/// order — a file `io::write_edge_list` wrote, `reverse` — fills rows
+/// already sorted, so a row is sorted only when a scan says it is not,
+/// through one scratch reused across rows.
+fn sort_rows<W: Copy>(rows: &[usize], targets: &mut [VertexId], weights: &mut [W]) {
+    let mut pairs: Vec<(VertexId, W)> = Vec::new();
+    for row in rows.windows(2) {
+        let row = row[0] - rows[0]..row[1] - rows[0];
+        let (targets, weights) = (&mut targets[row.clone()], &mut weights[row]);
+        if targets.is_sorted() {
+            continue;
+        }
+        pairs.clear();
+        pairs.extend(targets.iter().copied().zip(weights.iter().copied()));
+        pairs.sort_by_key(|&(t, _)| t);
+        for (i, &(t, w)) in pairs.iter().enumerate() {
+            targets[i] = t;
+            weights[i] = w;
+        }
+    }
+}
+
+/// `f` on every item, the first on the calling thread and each other on a
+/// scoped thread of its own; the results in item order. A panic on any
+/// thread resumes on the caller with its own payload.
+pub(crate) fn on_each<T: Send, R: Send>(
+    items: impl IntoIterator<Item = T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    let f = &f;
+    std::thread::scope(|s| {
+        let rest: Vec<_> = items.map(|item| s.spawn(move || f(item))).collect();
+        let joined = rest
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        std::iter::once(f(first)).chain(joined).collect()
+    })
 }
 
 impl Graph<()> {
@@ -430,6 +518,85 @@ mod tests {
         assert_eq!(g.neighbors(0), &[1, 1, 1, 2, 2]);
         assert_eq!(g.weights(0), &[5, 9, 4, 7, 3]);
         assert_eq!((g.neighbors(2), g.weights(2)), (&[0, 0][..], &[7, 3][..]));
+    }
+
+    /// The build every builder must equal: each row's arcs in stream
+    /// order, then a stable sort by target.
+    fn naive<W: WeightColumn>(
+        n: usize,
+        edges: &[(VertexId, VertexId, W)],
+        directed: bool,
+    ) -> Graph<W> {
+        let mut rows: Vec<Vec<(VertexId, W)>> = vec![Vec::new(); n];
+        for &(u, v, w) in edges {
+            rows[u as usize].push((v, w));
+            if !directed && u != v {
+                rows[v as usize].push((u, w));
+            }
+        }
+        let (mut offsets, mut targets, mut weights) = (vec![0], Vec::new(), Vec::new());
+        for mut row in rows {
+            row.sort_by_key(|&(t, _)| t);
+            targets.extend(row.iter().map(|&(t, _)| t));
+            weights.extend(row.iter().map(|&(_, w)| w));
+            offsets.push(targets.len());
+        }
+        Graph::from_csr_parts(n, offsets, targets, weights, directed).unwrap()
+    }
+
+    proptest::proptest! {
+        /// Every builder is bit-identical to the naive build of its stream:
+        /// `from_edge_iter` (through both public entry points) and the
+        /// same stream cut into ranges, `reverse`, `symmetrized` and
+        /// `relabel_graph`. Few targets and few weights make parallel
+        /// edges whose weights come out of order.
+        #[test]
+        fn prop_builders_match_the_naive_build(
+            n in 1usize..24,
+            edges in proptest::collection::vec((0u32..24, 0u32..24, 0u32..4), 0..80),
+            cuts in proptest::collection::vec(0usize..81, 0..6),
+            directed in proptest::any::<bool>(),
+            seed in proptest::any::<u64>(),
+        ) {
+            let edges: Vec<_> = edges
+                .into_iter()
+                .map(|(u, v, w)| (u % n as u32, v % n as u32, w))
+                .collect();
+            let g = Graph::from_weighted_edges(n, &edges, directed);
+            proptest::prop_assert_eq!(&g, &naive(n, &edges, directed));
+            let plain: Vec<_> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
+            let unit: Vec<_> = edges.iter().map(|&(u, v, _)| (u, v, ())).collect();
+            proptest::prop_assert_eq!(Graph::from_edges(n, &plain, directed), naive(n, &unit, directed));
+
+            let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c.min(edges.len())).collect();
+            bounds.extend([0, edges.len()]);
+            bounds.sort();
+            let ranges: Vec<_> = bounds
+                .windows(2)
+                .map(|b| edges[b[0]..b[1]].iter().copied())
+                .collect();
+            proptest::prop_assert_eq!(&Graph::from_edge_ranges(n, &ranges, directed), &g);
+
+            let transposed: Vec<_> = g.arcs().map(|(u, v, w)| (v, u, w)).collect();
+            proptest::prop_assert_eq!(g.reverse(), naive(n, &transposed, true));
+
+            let mut old_to_new: Vec<VertexId> = (0..n as VertexId).collect();
+            old_to_new.sort_by_key(|&v| (v as u64 ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let relabelled: Vec<_> = g
+                .arcs()
+                .map(|(u, v, w)| (old_to_new[u as usize], old_to_new[v as usize], w))
+                .collect();
+            let want = naive(n, &relabelled, true);
+            proptest::prop_assert_eq!(crate::partition::relabel_graph(&g, &old_to_new), want);
+
+            if directed {
+                // Each unordered pair once, the first arc's weight kept.
+                let mut pairs: Vec<_> = g.arcs().map(|(u, v, w)| (u.min(v), u.max(v), w)).collect();
+                pairs.sort_by_key(|&(u, v, _)| (u, v));
+                pairs.dedup_by_key(|&mut (u, v, _)| (u, v));
+                proptest::prop_assert_eq!(g.symmetrized(), naive(n, &pairs, false));
+            }
+        }
     }
 
     #[test]

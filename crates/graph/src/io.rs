@@ -13,28 +13,36 @@
 //! **Ranges.** The file is cut into `min(available_parallelism,
 //! ⌊len / 1 MiB⌋)` byte ranges (one at least), a scoped thread each, the
 //! first on the calling thread. A range owns every line that *starts*
-//! inside it and reads past its end to finish its last line; the per-range
-//! edge vectors are consumed in range order, so edge order is file order
-//! and the graph does not depend on the range count.
+//! inside it and reads past its end to finish its last line. Once every
+//! range has parsed, the same ranges build the CSR
+//! (`Graph::from_edge_ranges`): each counts its own arcs per
+//! source, then places them behind every earlier range's, so edge order
+//! is file order and the graph is bit-identical whatever the range count.
 //!
 //! **Errors.** Any other line — `1 x`, a lone id, an id above `u32::MAX` —
 //! is [`io::ErrorKind::InvalidData`] naming the first such line (1-based,
 //! counted on the error path only) and its first 40 bytes.
 //!
 //! **Memory.** One block per thread (256 KiB, or the longest line) + 8 B
-//! per edge line (12 weighted) + the CSR; the file is never resident.
+//! per edge line (12 weighted) + `n + 1` counters of one word each per
+//! range (the last range's become the offsets) + the CSR; the file is
+//! never resident.
 
-use crate::csr::{Graph, VertexId, WeightedGraph};
+use crate::csr::{on_each, Graph, VertexId, WeightedGraph};
 use pc_bsp::{Codec, Reader};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Smallest range worth a thread of its own.
 const RANGE_BYTES: u64 = 1 << 20;
 /// Largest read buffer a range starts with (it grows only for a longer line).
 const BLOCK_BYTES: u64 = 256 << 10;
+/// Bytes a read buffer keeps past what it holds, so [`number`] can load
+/// the 8 bytes at any digit of a whole line.
+const SLACK: usize = 8;
 
 /// What [`read_edges`] did, for the caller's load report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,25 +93,24 @@ fn read_ranges<W: WeightColumn>(
     let ranges = (len / range_bytes).clamp(1, max_ranges as u64);
     let cut = |i: u64| (i * len.div_ceil(ranges)).min(len);
     // Each range's edges with the vertex count they imply (largest id + 1).
-    let parse = |i: u64| {
+    // Every range parses before any counts: the vertex count sizes each
+    // range's counters, and a bad line must fail the load before an id
+    // near `u32::MAX` in an earlier range has allocated for it.
+    let chunks: Vec<(Vec<_>, usize)> = on_each(0..ranges, |i| {
         let edges = parse_range::<W>(&file, cut(i), cut(i + 1))?;
         let ids = edges.iter().map(|&(u, v, _)| u.max(v) as usize + 1).max();
         Ok((edges, ids.unwrap_or(0)))
-    };
-    let chunks: Vec<(Vec<_>, usize)> = std::thread::scope(|s| {
-        let rest: Vec<_> = (1..ranges).map(|i| s.spawn(move || parse(i))).collect();
-        // Range order, so the first error is the file's first bad line.
-        std::iter::once(parse(0))
-            .chain(rest.into_iter().map(|h| h.join().expect("loader thread")))
-            .collect::<io::Result<_>>()
-    })?;
+    })
+    .into_iter()
+    // Range order, so the first error is the file's first bad line.
+    .collect::<io::Result<_>>()?;
     let stats = LoadStats {
         lines: chunks.iter().map(|c| c.0.len()).sum(),
         ranges: ranges as usize,
     };
     let n = chunks.iter().map(|c| c.1).fold(min_n, usize::max);
-    let edges = chunks.iter().flat_map(|c| &c.0).copied();
-    Ok((Graph::from_edge_iter(n, edges, directed), stats))
+    let streams: Vec<_> = chunks.iter().map(|c| c.0.iter().copied()).collect();
+    Ok((Graph::from_edge_ranges(n, &streams, directed), stats))
 }
 
 /// The edges of the lines that start in `start..end`, in file order.
@@ -113,16 +120,18 @@ fn parse_range<W: WeightColumn>(
     end: u64,
 ) -> io::Result<Vec<(VertexId, VertexId, W)>> {
     let mut edges = Vec::new();
-    let mut buf = vec![0u8; (end - start).clamp(1, BLOCK_BYTES) as usize];
-    // `buf[..filled]` is the file from `pos`. A range that does not open the
-    // file begins one byte early: the line that byte belongs to is the
-    // previous range's, and the first newline found ends it.
+    let mut buf = vec![0u8; (end - start).clamp(1, BLOCK_BYTES) as usize + SLACK];
+    // `buf[..filled]` is the file from `pos`, and `SLACK` bytes follow it.
+    // A range that does not open the file begins one byte early: the line
+    // that byte belongs to is the previous range's, and the first newline
+    // found ends it.
     let (mut pos, mut filled, mut skip) = (start.saturating_sub(1), 0, start > 0);
     loop {
-        if filled == buf.len() {
-            buf.resize(2 * filled, 0); // one line fills the whole block
+        if filled + SLACK == buf.len() {
+            buf.resize(2 * filled + SLACK, 0); // one line fills the whole block
         }
-        let got = match file.read_at(&mut buf[filled..], pos + filled as u64) {
+        let room = buf.len() - SLACK;
+        let got = match file.read_at(&mut buf[filled..room], pos + filled as u64) {
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             got => got?,
         };
@@ -143,7 +152,7 @@ fn parse_range<W: WeightColumn>(
             if pos + i as u64 >= end {
                 return Ok(edges);
             }
-            match parse_line(&buf[i..whole], &mut edges) {
+            match parse_line(&buf[i..], &mut edges) {
                 Some(used) => i += used,
                 None => return Err(bad_line(file, pos + i as u64)),
             }
@@ -162,27 +171,60 @@ fn is_blank(b: u8) -> bool {
 }
 
 /// The decimal `u32` at `line[*i..]`, which must end at a blank or the
-/// newline; `*i` moves past it and the blanks after it.
+/// newline; `*i` moves past it and the blanks after it. `line` holds a
+/// newline after `*i` and at least 8 bytes from `*i` on.
+///
+/// Up to 7 digits are read a word at a time: `t` is the 8 bytes at `*i`
+/// xor `'0'`, so a digit byte is 0..=9 and adding 0x76 sets the high bit
+/// of each non-digit byte below 0x8a; `| t` flags those at 0x80 and up,
+/// whose sum carries out. A carry only runs toward later bytes, so the
+/// lowest flag is exact: it is the first non-digit. Those digits, shifted to the top
+/// of the word, become a number in three multiplies. Longer numbers take
+/// the checked byte loop, which refuses anything above `u32::MAX`.
 fn number(line: &[u8], i: &mut usize) -> Option<u32> {
-    // `line` ends with a newline, which stops both loops in bounds.
-    let first = *i;
-    let mut x = 0u64;
-    while line[*i].wrapping_sub(b'0') < 10 && x <= u32::MAX as u64 {
-        x = x * 10 + (line[*i] - b'0') as u64;
-        *i += 1;
-    }
-    if *i == first || x > u32::MAX as u64 || !(is_blank(line[*i]) || line[*i] == b'\n') {
+    const ZEROS: u64 = u64::from_le_bytes([b'0'; 8]);
+    const LOWS: u64 = u64::from_le_bytes([0x76; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const PAIR: u64 = 0x0000_00ff_0000_00ff;
+    let word = line[*i..*i + 8].try_into().expect("an 8-byte slice");
+    let t = u64::from_le_bytes(word) ^ ZEROS;
+    let flags = (t.wrapping_add(LOWS) | t) & HIGHS;
+    let digits = flags.trailing_zeros() as usize / 8;
+    let x = if digits == 8 {
+        // 8 digits or more: the checked loop, stopped in bounds by the newline.
+        let mut x = 0u64;
+        while line[*i].wrapping_sub(b'0') < 10 && x <= u32::MAX as u64 {
+            x = x * 10 + (line[*i] - b'0') as u64;
+            *i += 1;
+        }
+        if x > u32::MAX as u64 {
+            return None;
+        }
+        x as u32
+    } else if digits == 0 {
+        return None;
+    } else {
+        // Digit k of an 8-digit number in byte k, leading zeros first.
+        let d = t << (8 * (8 - digits));
+        let d = d.wrapping_mul(10).wrapping_add(d >> 8); // pairs in bytes 0, 2, 4, 6
+        let high = (d & PAIR).wrapping_mul(100 + (1_000_000 << 32));
+        let low = ((d >> 16) & PAIR).wrapping_mul(1 + (10_000 << 32));
+        *i += digits;
+        (high.wrapping_add(low) >> 32) as u32
+    };
+    if !(is_blank(line[*i]) || line[*i] == b'\n') {
         return None;
     }
     while is_blank(line[*i]) {
         *i += 1;
     }
-    Some(x as u32)
+    Some(x)
 }
 
-/// Parse the line that opens `text` (newline-terminated), push its edge
-/// unless it is blank or a comment, and return its length with the newline;
-/// `None` for a malformed line.
+/// Parse the line that opens `text` (which holds its newline and
+/// [`SLACK`] bytes after it), push its edge unless it is blank or a
+/// comment, and return its length with the newline; `None` for a
+/// malformed line.
 fn parse_line<W: WeightColumn>(
     text: &[u8],
     edges: &mut Vec<(VertexId, VertexId, W)>,
@@ -340,8 +382,19 @@ pub fn decode_graph<W: Codec + Copy + Default>(r: &mut Reader<'_>) -> Result<Gra
 }
 
 /// The weight column of an edge list: weighted graphs read and print a
-/// third column, unweighted graphs neither.
-pub trait WeightColumn: Copy + Default + Send {
+/// third column, unweighted graphs neither. It is also how the CSR
+/// builder places weights from many threads at once: into a column of
+/// `Cell`s, which `()` keeps zero-sized.
+pub trait WeightColumn: Copy + Default + Send + Sync {
+    /// One slot of a weight column under construction.
+    #[doc(hidden)]
+    type Cell: From<Self> + Send + Sync;
+    /// Store `w` into a slot that no other thread writes.
+    #[doc(hidden)]
+    fn store(cell: &Self::Cell, w: Self);
+    /// The weight a finished slot holds.
+    #[doc(hidden)]
+    fn load(cell: Self::Cell) -> Self;
     /// Write the weight column (including its leading separator), if any.
     fn write_column(&self, out: &mut dyn Write) -> io::Result<()>;
     /// Read the column at `line[*i..]` (blanks skipped, newline-terminated);
@@ -351,6 +404,9 @@ pub trait WeightColumn: Copy + Default + Send {
 }
 
 impl WeightColumn for () {
+    type Cell = ();
+    fn store(_cell: &(), _w: ()) {}
+    fn load(_cell: ()) {}
     fn write_column(&self, _out: &mut dyn Write) -> io::Result<()> {
         Ok(())
     }
@@ -360,6 +416,13 @@ impl WeightColumn for () {
 }
 
 impl WeightColumn for u32 {
+    type Cell = AtomicU32;
+    fn store(cell: &AtomicU32, w: u32) {
+        cell.store(w, Ordering::Relaxed);
+    }
+    fn load(cell: AtomicU32) -> u32 {
+        cell.into_inner()
+    }
     fn write_column(&self, out: &mut dyn Write) -> io::Result<()> {
         write!(out, " {self}")
     }
@@ -694,6 +757,118 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A number's value and the index past the blanks after it.
+    type Parsed = Option<(u32, usize)>;
+
+    /// The rule `number` implements, a byte at a time: digits (any number
+    /// of leading zeros) worth at most `u32::MAX`, then a blank or the
+    /// newline; the value and the index past the blanks after it.
+    fn scalar_number(line: &[u8], i: usize) -> Parsed {
+        let digits = line[i..].iter().take_while(|b| b.is_ascii_digit()).count();
+        let x = std::str::from_utf8(&line[i..i + digits])
+            .ok()?
+            .parse()
+            .ok()?;
+        let mut end = i + digits;
+        if !(is_blank(line[end]) || line[end] == b'\n') {
+            return None;
+        }
+        while is_blank(line[end]) {
+            end += 1;
+        }
+        Some((x, end))
+    }
+
+    /// `number` on `text` from `at`, as the loader calls it: a newline
+    /// after the text and `SLACK` bytes of junk after that.
+    fn number_at(text: &[u8], at: usize) -> (Parsed, Parsed) {
+        let mut line = text.to_vec();
+        line.push(b'\n');
+        line.extend([0xff, b'7', 0x80, b' ', b'\n', b'9', 0, b'3']);
+        let mut i = at;
+        let got = number(&line, &mut i).map(|x| (x, i));
+        (got, scalar_number(&line, at))
+    }
+
+    /// The word-at-a-time `number` against the scalar rule: every digit
+    /// count from 1 to 12, every byte after the digits, bytes at and above
+    /// 0x80 later in the 8-byte window, the `u32::MAX` edge.
+    #[test]
+    fn number_reads_words_like_the_scalar_rule() {
+        let tails: [&[u8]; 5] = [b"", b"12", b"\x80\xff\xc3", b"  5 \t", b"9\x7f\x8a\x89"];
+        for count in 1..=12 {
+            for digits in [
+                "9".repeat(count),
+                format!("1{}", "0".repeat(count - 1)),
+                "0".repeat(count),
+                "4294967295".chars().cycle().take(count).collect(),
+                "3141592653589".chars().take(count).collect::<String>(),
+            ] {
+                for next in 0..=255u8 {
+                    for tail in tails {
+                        let mut text = digits.clone().into_bytes();
+                        text.push(next);
+                        text.extend(tail);
+                        let (got, want) = number_at(&text, 0);
+                        assert_eq!(got, want, "{:?}", String::from_utf8_lossy(&text));
+                        if !next.is_ascii_digit() {
+                            let blank = is_blank(next) || next == b'\n';
+                            let fits = digits.parse::<u32>().is_ok();
+                            assert_eq!(got.is_some(), blank && fits, "{text:?}");
+                        }
+                    }
+                }
+            }
+        }
+        for (text, want) in [
+            ("4294967295", Some(u32::MAX)),
+            ("0004294967295", Some(u32::MAX)),
+            ("4294967296", None),
+            ("99999999999", None),
+            ("1234567", Some(1_234_567)),
+            ("12345678", Some(12_345_678)),
+        ] {
+            let (got, scalar) = number_at(text.as_bytes(), 0);
+            assert_eq!(got.map(|(x, _)| x), want, "{text}");
+            assert_eq!(got, scalar, "{text}");
+        }
+    }
+
+    /// Numbers in the last 8 bytes of a block and of the file: range
+    /// lengths (and so block lengths) of 8 to 40 bytes put a block end
+    /// at every offset of every number, and the file ends mid-window,
+    /// with and without its newline. Ids stay small (leading zeros make
+    /// them long) so the graphs do.
+    #[test]
+    fn numbers_at_block_and_file_ends_load() {
+        for pad in 0..10 {
+            for end in ["000000000042 7", "7 0000042", "12 3 4294967295", "1 2\n"] {
+                let text = format!("{}123 0045\n0 0000678 89\n{end}", " ".repeat(pad));
+                for range_bytes in 8..=40 {
+                    assert_matches_reference("word_ends", &text, true, 0, range_bytes);
+                }
+            }
+        }
+    }
+
+    /// The trap a counting pass inside the parse closure falls into: range
+    /// 0's valid id `u32::MAX` would size its counters at 2^32 words
+    /// before range 1's bad line fails the load. Every range parses first.
+    #[test]
+    fn a_bad_line_after_a_huge_id_fails_before_any_counting() {
+        let path = tmp("huge_then_bad");
+        let text = "0 4294967295\n1 x\n";
+        std::fs::write(&path, text).unwrap();
+        // Two ranges of 9 bytes: line 1 starts in the first, line 2 in the second.
+        let err = read_ranges::<u32>(&path, false, 0, 8, 2).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            "line 2: expected `src dst [weight]`, found `1 x`"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
     fn wire_roundtrip<W: Codec + Copy + Default + PartialEq + std::fmt::Debug>(g: &Graph<W>) {
         let mut buf = Vec::new();
         encode_graph(g, &mut buf);
@@ -770,6 +945,28 @@ mod tests {
         ) {
             let text = render(&records, tail);
             assert_matches_reference("prop_reference", &text, directed, min_n, range_bytes);
+        }
+
+        /// The word-at-a-time `number` against the scalar rule at every
+        /// start of random text drawn mostly from digits and blanks.
+        #[test]
+        fn prop_number_matches_the_scalar_rule(
+            picks in proptest::collection::vec((0u8..4, proptest::any::<u8>()), 1..40),
+        ) {
+            let text: Vec<u8> = picks
+                .iter()
+                .map(|&(kind, b)| match kind {
+                    0 | 1 => b'0' + b % 10,
+                    2 => b" \t\r"[b as usize % 3],
+                    _ => b,
+                })
+                .collect();
+            for at in 0..text.len() {
+                if text[at].is_ascii_digit() {
+                    let (got, want) = number_at(&text, at);
+                    proptest::prop_assert_eq!(got, want, "{:?} from {}", text, at);
+                }
+            }
         }
 
         /// Partition shipping's round trip: build a weighted graph from an

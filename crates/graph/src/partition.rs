@@ -383,7 +383,7 @@ pub fn relabel_contiguous(owner: &[u16], parts: usize) -> (Vec<u16>, Vec<u32>, V
 }
 
 /// Apply a vertex relabelling to a graph.
-pub fn relabel_graph<W: Copy + Default>(g: &Graph<W>, old_to_new: &[u32]) -> Graph<W> {
+pub fn relabel_graph<W: crate::io::WeightColumn>(g: &Graph<W>, old_to_new: &[u32]) -> Graph<W> {
     let edges: Vec<(VertexId, VertexId, W)> = g
         .arcs()
         .map(|(u, v, w)| (old_to_new[u as usize], old_to_new[v as usize], w))

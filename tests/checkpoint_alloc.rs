@@ -13,6 +13,9 @@
 //! A restore reads each file into one buffer and hands that buffer out as
 //! the payload: at most one large allocation per file read.
 
+mod common;
+
+use common::with_watchdog;
 use pc_bsp::{CkptPolicy, Config, Topology};
 use pc_channels::{Algorithm, Combine, ScatterCombine, VertexCtx, WorkerEnv};
 use pc_ckpt::Store;
@@ -110,100 +113,104 @@ fn temp_dir(name: &str) -> PathBuf {
 
 #[test]
 fn epochs_after_the_first_allocate_nothing_large() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let (g, topo) = graph();
-    let dir = temp_dir("epochs");
-    let cfg = ckpt_cfg(&dir);
-    // `iters + 1` supersteps at cadence 2: `iters / 2` epochs.
-    let large_allocs = |iters: u64| {
-        let _ = std::fs::remove_dir_all(&dir);
-        let algo = RepeatScatter {
-            g: Arc::clone(&g),
-            iters,
+    with_watchdog(common::BOUND, || {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let (g, topo) = graph();
+        let dir = temp_dir("epochs");
+        let cfg = ckpt_cfg(&dir);
+        // `iters + 1` supersteps at cadence 2: `iters / 2` epochs.
+        let large_allocs = |iters: u64| {
+            let _ = std::fs::remove_dir_all(&dir);
+            let algo = RepeatScatter {
+                g: Arc::clone(&g),
+                iters,
+            };
+            let before = LARGE_ALLOCS.load(Ordering::Relaxed);
+            drop(pc_channels::run(&algo, &topo, &cfg));
+            LARGE_ALLOCS.load(Ordering::Relaxed) - before
         };
-        let before = LARGE_ALLOCS.load(Ordering::Relaxed);
-        drop(pc_channels::run(&algo, &topo, &cfg));
-        LARGE_ALLOCS.load(Ordering::Relaxed) - before
-    };
-    let (six, eighteen) = (large_allocs(12), large_allocs(36));
+        let (six, eighteen) = (large_allocs(12), large_allocs(36));
 
-    let store = Store::open(&dir).unwrap();
-    assert_eq!(store.committed_steps().unwrap(), vec![34, 36]);
-    let segment = std::fs::metadata(store.segment_path(36, 0)).unwrap().len();
-    assert!(
-        segment as usize >= 4 * LARGE,
-        "a {segment}-byte segment proves nothing about large allocations"
-    );
-    let tables = std::fs::read_dir(store.tables_dir()).unwrap().count();
-    assert_eq!(tables, WORKERS, "one tables file per worker, written once");
-    let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.committed_steps().unwrap(), vec![34, 36]);
+        let segment = std::fs::metadata(store.segment_path(36, 0)).unwrap().len();
+        assert!(
+            segment as usize >= 4 * LARGE,
+            "a {segment}-byte segment proves nothing about large allocations"
+        );
+        let tables = std::fs::read_dir(store.tables_dir()).unwrap().count();
+        assert_eq!(tables, WORKERS, "one tables file per worker, written once");
+        let _ = std::fs::remove_dir_all(&dir);
 
-    assert_eq!(
-        eighteen,
-        six,
-        "twelve more epochs made {} more allocations of {LARGE}+ bytes",
-        eighteen - six
-    );
+        assert_eq!(
+            eighteen,
+            six,
+            "twelve more epochs made {} more allocations of {LARGE}+ bytes",
+            eighteen - six
+        );
+    });
 }
 
 #[test]
 fn a_restore_allocates_one_buffer_per_file_read() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let (g, topo) = graph();
-    let dir = temp_dir("restore");
-    let _ = std::fs::remove_dir_all(&dir);
-    let algo = RepeatScatter { g, iters: 6 };
-    drop(pc_channels::run(&algo, &topo, &ckpt_cfg(&dir)));
+    with_watchdog(common::BOUND, || {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let (g, topo) = graph();
+        let dir = temp_dir("restore");
+        let _ = std::fs::remove_dir_all(&dir);
+        let algo = RepeatScatter { g, iters: 6 };
+        drop(pc_channels::run(&algo, &topo, &ckpt_cfg(&dir)));
 
-    let store = Store::open(&dir).unwrap();
-    let step = *store.committed_steps().unwrap().last().unwrap();
-    let id = store.read_manifest(step).unwrap().id;
-    let large_files = |rank: u32| {
-        let tables = std::fs::read_dir(store.tables_dir()).unwrap();
-        let tables = tables.map(|e| e.unwrap().path());
-        let rank_tables = tables.filter(|p| {
-            let name = p.file_name().unwrap().to_string_lossy().into_owned();
-            name.starts_with(&format!("rank-{rank:04}-"))
-        });
-        let files: Vec<PathBuf> = rank_tables
-            .chain([store.segment_path(step, rank)])
-            .collect();
-        assert_eq!(files.len(), 2, "rank {rank}: a segment and its tables");
-        files
-            .iter()
-            .filter(|p| std::fs::metadata(p).unwrap().len() as usize >= LARGE)
-            .count() as u64
-    };
-    let counted = |f: &mut dyn FnMut()| {
-        let before = LARGE_ALLOCS.load(Ordering::Relaxed);
-        f();
-        LARGE_ALLOCS.load(Ordering::Relaxed) - before
-    };
+        let store = Store::open(&dir).unwrap();
+        let step = *store.committed_steps().unwrap().last().unwrap();
+        let id = store.read_manifest(step).unwrap().id;
+        let large_files = |rank: u32| {
+            let tables = std::fs::read_dir(store.tables_dir()).unwrap();
+            let tables = tables.map(|e| e.unwrap().path());
+            let rank_tables = tables.filter(|p| {
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                name.starts_with(&format!("rank-{rank:04}-"))
+            });
+            let files: Vec<PathBuf> = rank_tables
+                .chain([store.segment_path(step, rank)])
+                .collect();
+            assert_eq!(files.len(), 2, "rank {rank}: a segment and its tables");
+            files
+                .iter()
+                .filter(|p| std::fs::metadata(p).unwrap().len() as usize >= LARGE)
+                .count() as u64
+        };
+        let counted = |f: &mut dyn FnMut()| {
+            let before = LARGE_ALLOCS.load(Ordering::Relaxed);
+            f();
+            LARGE_ALLOCS.load(Ordering::Relaxed) - before
+        };
 
-    // The scan validates every rank's segment and tables...
-    let all: u64 = (0..WORKERS as u32).map(large_files).sum();
-    assert!(all >= 2, "{all} large files prove nothing");
-    let scan = counted(&mut || {
-        assert_eq!(
-            store.latest_restorable(&id).unwrap().unwrap().superstep,
-            step
-        );
-    });
-    assert!(
-        scan <= all,
-        "the restore scan made {scan} large allocations for {all} large files"
-    );
-    // ...and each worker reads its own two back.
-    for rank in 0..WORKERS as u32 {
-        let read = counted(&mut || {
-            let snap = store.read_snapshot(step, rank).unwrap();
-            assert!(snap.tables.is_some());
+        // The scan validates every rank's segment and tables...
+        let all: u64 = (0..WORKERS as u32).map(large_files).sum();
+        assert!(all >= 2, "{all} large files prove nothing");
+        let scan = counted(&mut || {
+            assert_eq!(
+                store.latest_restorable(&id).unwrap().unwrap().superstep,
+                step
+            );
         });
-        let files = large_files(rank);
         assert!(
-            read <= files,
-            "rank {rank}: {read} large allocations for {files} large files"
+            scan <= all,
+            "the restore scan made {scan} large allocations for {all} large files"
         );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+        // ...and each worker reads its own two back.
+        for rank in 0..WORKERS as u32 {
+            let read = counted(&mut || {
+                let snap = store.read_snapshot(step, rank).unwrap();
+                assert!(snap.tables.is_some());
+            });
+            let files = large_files(rank);
+            assert!(
+                read <= files,
+                "rank {rank}: {read} large allocations for {files} large files"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    });
 }

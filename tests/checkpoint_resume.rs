@@ -28,7 +28,7 @@
 
 mod common;
 
-use common::assert_stats_agree;
+use common::{assert_stats_agree, with_watchdog};
 use pc_bsp::{CkptPolicy, Config, RunStats, Topology};
 use pc_ckpt::Store;
 use pc_graph::gen;
@@ -209,21 +209,25 @@ fn resumes_from_every_epoch<V: PartialEq + std::fmt::Debug>(
 
 #[test]
 fn pagerank_scatter_resumes_from_every_epoch() {
-    let g = directed();
-    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    resumes_from_every_epoch("pagerank_scatter", 2, |cfg| {
-        let o = pc_algos::pagerank::channel_scatter(&g, &topo, cfg, 9);
-        (o.ranks, o.stats)
+    with_watchdog(common::BOUND, || {
+        let g = directed();
+        let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+        resumes_from_every_epoch("pagerank_scatter", 2, |cfg| {
+            let o = pc_algos::pagerank::channel_scatter(&g, &topo, cfg, 9);
+            (o.ranks, o.stats)
+        });
     });
 }
 
 #[test]
 fn sv_both_resumes_from_every_epoch() {
-    let g = undirected();
-    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    resumes_from_every_epoch("sv_both", 2, |cfg| {
-        let o = pc_algos::sv::channel_both(&g, &topo, cfg);
-        (o.labels, o.stats)
+    with_watchdog(common::BOUND, || {
+        let g = undirected();
+        let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+        resumes_from_every_epoch("sv_both", 2, |cfg| {
+            let o = pc_algos::sv::channel_both(&g, &topo, cfg);
+            (o.labels, o.stats)
+        });
     });
 }
 
@@ -237,11 +241,13 @@ fn directed() -> Arc<pc_graph::Graph> {
 
 #[test]
 fn pagerank_scatter_resumes() {
-    let g = directed();
-    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    resumable("pagerank_scatter", 3, |cfg| {
-        let o = pc_algos::pagerank::channel_scatter(&g, &topo, cfg, 12);
-        (o.ranks, o.stats)
+    with_watchdog(common::BOUND, || {
+        let g = directed();
+        let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+        resumable("pagerank_scatter", 3, |cfg| {
+            let o = pc_algos::pagerank::channel_scatter(&g, &topo, cfg, 12);
+            (o.ranks, o.stats)
+        });
     });
 }
 
@@ -322,9 +328,11 @@ fn tables_of(superstep: u64) -> Vec<String> {
 
 #[test]
 fn scatter_registration_after_restore_resumes() {
-    // Cadence 4 over 8 supersteps commits epoch 4 only (8 is the terminal
-    // boundary): the resumed run restores before the late registration.
-    resumable("scatter_late_registration", 4, late_registration(6, 7));
+    with_watchdog(common::BOUND, || {
+        // Cadence 4 over 8 supersteps commits epoch 4 only (8 is the terminal
+        // boundary): the resumed run restores before the late registration.
+        resumable("scatter_late_registration", 4, late_registration(6, 7));
+    });
 }
 
 /// A late registration moves the generation: the boundary after it
@@ -333,21 +341,23 @@ fn scatter_registration_after_restore_resumes() {
 /// registration — reproduces the plain run.
 #[test]
 fn a_late_registration_writes_a_second_tables_file_and_every_epoch_restores() {
-    let run = late_registration(6, 7);
-    let dir = temp_dir("late_tables");
-    let _ = std::fs::remove_dir_all(&dir);
-    run(&ckpt_cfg(2, &dir));
-    let store = Store::open(&dir).unwrap();
-    assert_eq!(store.committed_steps().unwrap(), vec![4, 6]);
-    let mut both = [tables_of(2), tables_of(6)].concat();
-    both.sort();
-    assert_eq!(tables_files(&store), both);
-    for (epoch, tables) in [(4, 2), (6, 6)] {
-        let snap = store.read_snapshot(epoch, 0).unwrap();
-        assert_eq!(snap.tables.unwrap().0.superstep, tables, "epoch {epoch}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    resumes_from_every_epoch("scatter_late_tables", 2, run);
+    with_watchdog(common::BOUND, || {
+        let run = late_registration(6, 7);
+        let dir = temp_dir("late_tables");
+        let _ = std::fs::remove_dir_all(&dir);
+        run(&ckpt_cfg(2, &dir));
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.committed_steps().unwrap(), vec![4, 6]);
+        let mut both = [tables_of(2), tables_of(6)].concat();
+        both.sort();
+        assert_eq!(tables_files(&store), both);
+        for (epoch, tables) in [(4, 2), (6, 6)] {
+            let snap = store.read_snapshot(epoch, 0).unwrap();
+            assert_eq!(snap.tables.unwrap().0.superstep, tables, "epoch {epoch}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        resumes_from_every_epoch("scatter_late_tables", 2, run);
+    });
 }
 
 /// A torn tables file fails every epoch that links it — the scan falls
@@ -355,36 +365,38 @@ fn a_late_registration_writes_a_second_tables_file_and_every_epoch_restores() {
 /// starts cold; a typed decision either way, with identical results.
 #[test]
 fn a_torn_tables_file_falls_back_or_cold_starts() {
-    let run = late_registration(6, 7);
-    let dir = temp_dir("torn_tables");
-    let _ = std::fs::remove_dir_all(&dir);
-    let (plain_values, plain_stats) = run(&Config::with_workers(WORKERS));
-    let cfg = ckpt_cfg(2, &dir);
-    run(&cfg);
-    let store = Store::open(&dir).unwrap();
-    let id = store.read_manifest(6).unwrap().id;
-    // A fresh store per scan: a store caches the epochs it validated.
-    let restorable = || Store::open(&dir).unwrap().latest_restorable(&id).unwrap();
-    let tear = |superstep: u64, rank: u32| {
-        let victim = store.tables_path(superstep, rank);
-        let bytes = std::fs::read(&victim).unwrap();
-        std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
-    };
-    // Epoch 6 links the second tables file, epoch 4 the first.
-    tear(6, 3);
-    assert_eq!(restorable().unwrap().superstep, 4);
-    let (values, stats) = run(&cfg);
-    assert_eq!(values, plain_values, "fallback to epoch 4");
-    assert_stats_agree("plain vs fallback past torn tables", &plain_stats, &stats);
-    // The replay wrote epoch 6's tables again; now tear one of each.
-    assert_eq!(restorable().unwrap().superstep, 6);
-    tear(2, 0);
-    tear(6, 0);
-    assert_eq!(restorable(), None);
-    let (values, stats) = run(&cfg);
-    assert_eq!(values, plain_values, "cold start");
-    assert_stats_agree("plain vs cold start past torn tables", &plain_stats, &stats);
-    let _ = std::fs::remove_dir_all(&dir);
+    with_watchdog(common::BOUND, || {
+        let run = late_registration(6, 7);
+        let dir = temp_dir("torn_tables");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (plain_values, plain_stats) = run(&Config::with_workers(WORKERS));
+        let cfg = ckpt_cfg(2, &dir);
+        run(&cfg);
+        let store = Store::open(&dir).unwrap();
+        let id = store.read_manifest(6).unwrap().id;
+        // A fresh store per scan: a store caches the epochs it validated.
+        let restorable = || Store::open(&dir).unwrap().latest_restorable(&id).unwrap();
+        let tear = |superstep: u64, rank: u32| {
+            let victim = store.tables_path(superstep, rank);
+            let bytes = std::fs::read(&victim).unwrap();
+            std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
+        };
+        // Epoch 6 links the second tables file, epoch 4 the first.
+        tear(6, 3);
+        assert_eq!(restorable().unwrap().superstep, 4);
+        let (values, stats) = run(&cfg);
+        assert_eq!(values, plain_values, "fallback to epoch 4");
+        assert_stats_agree("plain vs fallback past torn tables", &plain_stats, &stats);
+        // The replay wrote epoch 6's tables again; now tear one of each.
+        assert_eq!(restorable().unwrap().superstep, 6);
+        tear(2, 0);
+        tear(6, 0);
+        assert_eq!(restorable(), None);
+        let (values, stats) = run(&cfg);
+        assert_eq!(values, plain_values, "cold start");
+        assert_stats_agree("plain vs cold start past torn tables", &plain_stats, &stats);
+        let _ = std::fs::remove_dir_all(&dir);
+    });
 }
 
 /// `gc` keeps a tables file as long as a kept epoch links it — PageRank's
@@ -392,48 +404,54 @@ fn a_torn_tables_file_falls_back_or_cold_starts() {
 /// does: after a late registration, the first file is an orphan.
 #[test]
 fn gc_keeps_linked_tables_files_and_drops_orphans() {
-    let g = directed();
-    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    let dir = temp_dir("gc_tables");
-    let _ = std::fs::remove_dir_all(&dir);
-    pc_algos::pagerank::channel_scatter(&g, &topo, &ckpt_cfg(2, &dir), 9);
-    let store = Store::open(&dir).unwrap();
-    assert_eq!(store.committed_steps().unwrap(), vec![6, 8]);
-    assert!(!store.step_dir(2).exists());
-    assert_eq!(
-        tables_files(&store),
-        tables_of(2),
-        "linked by epochs 6 and 8"
-    );
+    with_watchdog(common::BOUND, || {
+        let g = directed();
+        let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+        let dir = temp_dir("gc_tables");
+        let _ = std::fs::remove_dir_all(&dir);
+        pc_algos::pagerank::channel_scatter(&g, &topo, &ckpt_cfg(2, &dir), 9);
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.committed_steps().unwrap(), vec![6, 8]);
+        assert!(!store.step_dir(2).exists());
+        assert_eq!(
+            tables_files(&store),
+            tables_of(2),
+            "linked by epochs 6 and 8"
+        );
 
-    let _ = std::fs::remove_dir_all(&dir);
-    late_registration(4, 11)(&ckpt_cfg(2, &dir));
-    assert_eq!(store.committed_steps().unwrap(), vec![8, 10]);
-    assert_eq!(
-        tables_files(&store),
-        tables_of(4),
-        "the first file is an orphan"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        late_registration(4, 11)(&ckpt_cfg(2, &dir));
+        assert_eq!(store.committed_steps().unwrap(), vec![8, 10]);
+        assert_eq!(
+            tables_files(&store),
+            tables_of(4),
+            "the first file is an orphan"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    });
 }
 
 #[test]
 fn pagerank_basic_resumes() {
-    let g = directed();
-    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    resumable("pagerank_basic", 4, |cfg| {
-        let o = pc_algos::pagerank::channel_basic(&g, &topo, cfg, 10);
-        (o.ranks, o.stats)
+    with_watchdog(common::BOUND, || {
+        let g = directed();
+        let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+        resumable("pagerank_basic", 4, |cfg| {
+            let o = pc_algos::pagerank::channel_basic(&g, &topo, cfg, 10);
+            (o.ranks, o.stats)
+        });
     });
 }
 
 #[test]
 fn pagerank_mirror_resumes() {
-    let g = directed();
-    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    resumable("pagerank_mirror", 3, |cfg| {
-        let o = pc_algos::pagerank::channel_mirror(&g, &topo, cfg, 10, 8);
-        (o.ranks, o.stats)
+    with_watchdog(common::BOUND, || {
+        let g = directed();
+        let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+        resumable("pagerank_mirror", 3, |cfg| {
+            let o = pc_algos::pagerank::channel_mirror(&g, &topo, cfg, 10, 8);
+            (o.ranks, o.stats)
+        });
     });
 }
 
@@ -444,15 +462,17 @@ fn pagerank_mirror_resumes() {
 /// indistinguishable either way, mirror counters included.
 #[test]
 fn wcc_mirror_resumes_with_a_shipped_plan() {
-    let g = undirected();
-    let owners = pc_graph::partition::ldg_deg(&*g, WORKERS, 2);
-    let base = Topology::from_owners(WORKERS, owners);
-    let tau = pc_graph::partition::default_mirror_threshold(&*g);
-    let plan = pc_graph::partition::build_mirror_plan(&*g, &base, tau);
-    let topo = Arc::new(base.with_mirror(Arc::new(plan)));
-    resumable("wcc_mirror", 2, |cfg| {
-        let o = pc_algos::wcc::channel_mirror(&g, &topo, cfg, tau);
-        (o.labels, o.stats)
+    with_watchdog(common::BOUND, || {
+        let g = undirected();
+        let owners = pc_graph::partition::ldg_deg(&*g, WORKERS, 2);
+        let base = Topology::from_owners(WORKERS, owners);
+        let tau = pc_graph::partition::default_mirror_threshold(&*g);
+        let plan = pc_graph::partition::build_mirror_plan(&*g, &base, tau);
+        let topo = Arc::new(base.with_mirror(Arc::new(plan)));
+        resumable("wcc_mirror", 2, |cfg| {
+            let o = pc_algos::wcc::channel_mirror(&g, &topo, cfg, tau);
+            (o.labels, o.stats)
+        });
     });
 }
 
@@ -583,44 +603,48 @@ impl pc_channels::Algorithm for RespawnedWccMirror {
 /// indistinguishable from one that was never snapshotted.
 #[test]
 fn wcc_mirror_survives_a_snapshot_before_the_first_finalize() {
-    let g = undirected();
-    let owners = pc_graph::partition::ldg_deg(&*g, WORKERS, 2);
-    let tau = pc_graph::partition::default_mirror_threshold(&*g);
-    let plan = pc_graph::partition::build_mirror_plan(
-        &*g,
-        &Topology::from_owners(WORKERS, owners.clone()),
-        tau,
-    );
-    assert!(!plan.hubs.is_empty());
-    let in_band = Topology::from_owners(WORKERS, owners);
-    let wired = in_band.clone().with_mirror(Arc::new(plan));
-    for (name, topo) in [("plan", Arc::new(wired)), ("in-band", Arc::new(in_band))] {
-        let cfg = Config::with_workers(WORKERS);
-        let plain = pc_algos::wcc::channel_mirror(&g, &topo, &cfg, tau);
-        let algo = RespawnedWccMirror {
-            g: Arc::clone(&g),
+    with_watchdog(common::BOUND, || {
+        let g = undirected();
+        let owners = pc_graph::partition::ldg_deg(&*g, WORKERS, 2);
+        let tau = pc_graph::partition::default_mirror_threshold(&*g);
+        let plan = pc_graph::partition::build_mirror_plan(
+            &*g,
+            &Topology::from_owners(WORKERS, owners.clone()),
             tau,
-        };
-        let respawned = pc_channels::run(&algo, &topo, &cfg);
-        assert_eq!(respawned.values, plain.labels, "{name}");
-        assert!(plain.stats.mirrored_msgs() > 0, "{name}");
-        assert_stats_agree(
-            &format!("wcc mirror, {name} tables (plain vs snapshotted mid-superstep)"),
-            &plain.stats,
-            &respawned.stats,
         );
-    }
+        assert!(!plan.hubs.is_empty());
+        let in_band = Topology::from_owners(WORKERS, owners);
+        let wired = in_band.clone().with_mirror(Arc::new(plan));
+        for (name, topo) in [("plan", Arc::new(wired)), ("in-band", Arc::new(in_band))] {
+            let cfg = Config::with_workers(WORKERS);
+            let plain = pc_algos::wcc::channel_mirror(&g, &topo, &cfg, tau);
+            let algo = RespawnedWccMirror {
+                g: Arc::clone(&g),
+                tau,
+            };
+            let respawned = pc_channels::run(&algo, &topo, &cfg);
+            assert_eq!(respawned.values, plain.labels, "{name}");
+            assert!(plain.stats.mirrored_msgs() > 0, "{name}");
+            assert_stats_agree(
+                &format!("wcc mirror, {name} tables (plain vs snapshotted mid-superstep)"),
+                &plain.stats,
+                &respawned.stats,
+            );
+        }
+    });
 }
 
 #[test]
 fn wcc_propagation_resumes() {
-    let g = undirected();
-    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    // Propagation converges in 2 supersteps; cadence 1 checkpoints the
-    // boundary after superstep 1 — mid-fixpoint channel state included.
-    resumable("wcc_propagation", 1, |cfg| {
-        let o = pc_algos::wcc::channel_propagation(&g, &topo, cfg);
-        (o.labels, o.stats)
+    with_watchdog(common::BOUND, || {
+        let g = undirected();
+        let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+        // Propagation converges in 2 supersteps; cadence 1 checkpoints the
+        // boundary after superstep 1 — mid-fixpoint channel state included.
+        resumable("wcc_propagation", 1, |cfg| {
+            let o = pc_algos::wcc::channel_propagation(&g, &topo, cfg);
+            (o.labels, o.stats)
+        });
     });
 }
 
@@ -629,92 +653,108 @@ fn wcc_propagation_resumes() {
 /// its epoch committed (`benchmark/`'s layer pass reads it back).
 #[test]
 fn the_only_epoch_is_committed_by_the_end_of_run_drain() {
-    let g = undirected();
-    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    let dir = temp_dir("drain");
-    let _ = std::fs::remove_dir_all(&dir);
-    let o = pc_algos::wcc::channel_propagation(&g, &topo, &ckpt_cfg(1, &dir));
-    assert_eq!(o.stats.supersteps, 2);
-    let store = Store::open(&dir).unwrap();
-    assert_eq!(store.committed_steps().unwrap(), vec![1]);
-    assert!(store.read_manifest(1).is_ok());
-    let _ = std::fs::remove_dir_all(&dir);
+    with_watchdog(common::BOUND, || {
+        let g = undirected();
+        let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+        let dir = temp_dir("drain");
+        let _ = std::fs::remove_dir_all(&dir);
+        let o = pc_algos::wcc::channel_propagation(&g, &topo, &ckpt_cfg(1, &dir));
+        assert_eq!(o.stats.supersteps, 2);
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.committed_steps().unwrap(), vec![1]);
+        assert!(store.read_manifest(1).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    });
 }
 
 #[test]
 fn wcc_basic_resumes() {
-    let g = undirected();
-    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    resumable("wcc_basic", 2, |cfg| {
-        let o = pc_algos::wcc::channel_basic(&g, &topo, cfg);
-        (o.labels, o.stats)
+    with_watchdog(common::BOUND, || {
+        let g = undirected();
+        let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+        resumable("wcc_basic", 2, |cfg| {
+            let o = pc_algos::wcc::channel_basic(&g, &topo, cfg);
+            (o.labels, o.stats)
+        });
     });
 }
 
 #[test]
 fn sv_both_resumes() {
-    let g = undirected();
-    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    resumable("sv_both", 2, |cfg| {
-        let o = pc_algos::sv::channel_both(&g, &topo, cfg);
-        (o.labels, o.stats)
+    with_watchdog(common::BOUND, || {
+        let g = undirected();
+        let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+        resumable("sv_both", 2, |cfg| {
+            let o = pc_algos::sv::channel_both(&g, &topo, cfg);
+            (o.labels, o.stats)
+        });
     });
 }
 
 #[test]
 fn scc_propagation_resumes() {
-    let g = directed();
-    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    resumable("scc_propagation", 2, |cfg| {
-        let o = pc_algos::scc::channel_propagation(&g, &topo, cfg);
-        (o.labels, o.stats)
+    with_watchdog(common::BOUND, || {
+        let g = directed();
+        let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+        resumable("scc_propagation", 2, |cfg| {
+            let o = pc_algos::scc::channel_propagation(&g, &topo, cfg);
+            (o.labels, o.stats)
+        });
     });
 }
 
 #[test]
 fn sssp_propagation_resumes() {
-    let g = Arc::new(gen::grid2d_weighted(14, 14, 9, 21));
-    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    resumable("sssp_propagation", 1, |cfg| {
-        let o = pc_algos::sssp::channel_propagation(&g, &topo, cfg, 0);
-        (o.dist, o.stats)
+    with_watchdog(common::BOUND, || {
+        let g = Arc::new(gen::grid2d_weighted(14, 14, 9, 21));
+        let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+        resumable("sssp_propagation", 1, |cfg| {
+            let o = pc_algos::sssp::channel_propagation(&g, &topo, cfg, 0);
+            (o.dist, o.stats)
+        });
     });
 }
 
 #[test]
 fn bfs_resumes() {
-    let g = undirected();
-    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    resumable("bfs", 1, |cfg| {
-        let o = pc_algos::kernels::bfs(&g, &topo, cfg, 0);
-        (o.level, o.stats)
+    with_watchdog(common::BOUND, || {
+        let g = undirected();
+        let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+        resumable("bfs", 1, |cfg| {
+            let o = pc_algos::kernels::bfs(&g, &topo, cfg, 0);
+            (o.level, o.stats)
+        });
     });
 }
 
 #[test]
 fn kcore_resumes() {
-    let g = undirected();
-    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    resumable("kcore", 1, |cfg| {
-        let o = pc_algos::kernels::kcore(&g, &topo, cfg, 2);
-        (o.in_core, o.stats)
+    with_watchdog(common::BOUND, || {
+        let g = undirected();
+        let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+        resumable("kcore", 1, |cfg| {
+            let o = pc_algos::kernels::kcore(&g, &topo, cfg, 2);
+            (o.in_core, o.stats)
+        });
     });
 }
 
 #[test]
 fn msf_resumes() {
-    let g = Arc::new(gen::rmat_weighted(
-        8,
-        1200,
-        gen::RmatParams::default(),
-        13,
-        false,
-        1000,
-    ));
-    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    resumable("msf", 2, |cfg| {
-        let o = pc_algos::msf::channel_basic(&g, &topo, cfg);
-        ((o.total_weight, o.edge_count), o.stats)
+    with_watchdog(common::BOUND, || {
+        let g = Arc::new(gen::rmat_weighted(
+            8,
+            1200,
+            gen::RmatParams::default(),
+            13,
+            false,
+            1000,
+        ));
+        let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+        resumable("msf", 2, |cfg| {
+            let o = pc_algos::msf::channel_basic(&g, &topo, cfg);
+            ((o.total_weight, o.edge_count), o.stats)
+        });
     });
 }
 
@@ -723,37 +763,39 @@ fn msf_resumes() {
 /// same path real `pcgraph --rank N` processes take.
 #[test]
 fn multirank_checkpointing_is_transparent() {
-    let g = directed();
-    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    let run = |cfg: &Config| {
-        let o = pc_algos::pagerank::channel_scatter(&g, &topo, cfg, 12);
-        (o.ranks, o.stats)
-    };
-    let dir = temp_dir("multirank");
-    let _ = std::fs::remove_dir_all(&dir);
-    let (plain_values, plain_stats) = common::run_multirank(WORKERS, &run);
-    let policy = CkptPolicy {
-        every: 3,
-        dir: dir.clone(),
-    };
-    let run_ck = |cfg: &Config| {
-        run(&Config {
-            ckpt: Some(policy.clone()),
-            ..cfg.clone()
-        })
-    };
-    let (ck_values, ck_stats) = common::run_multirank(WORKERS, &run_ck);
-    assert_eq!(ck_values, plain_values);
-    assert_stats_agree(
-        "multirank (plain vs checkpointing)",
-        &plain_stats,
-        &ck_stats,
-    );
-    let store = Store::open(&dir).unwrap();
-    assert!(!store.committed_steps().unwrap().is_empty());
-    // Resume through the rank driver.
-    let (res_values, res_stats) = common::run_multirank(WORKERS, &run_ck);
-    assert_eq!(res_values, plain_values);
-    assert_stats_agree("multirank (plain vs resumed)", &plain_stats, &res_stats);
-    let _ = std::fs::remove_dir_all(&dir);
+    with_watchdog(common::BOUND, || {
+        let g = directed();
+        let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+        let run = |cfg: &Config| {
+            let o = pc_algos::pagerank::channel_scatter(&g, &topo, cfg, 12);
+            (o.ranks, o.stats)
+        };
+        let dir = temp_dir("multirank");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (plain_values, plain_stats) = common::run_multirank(WORKERS, &run);
+        let policy = CkptPolicy {
+            every: 3,
+            dir: dir.clone(),
+        };
+        let run_ck = |cfg: &Config| {
+            run(&Config {
+                ckpt: Some(policy.clone()),
+                ..cfg.clone()
+            })
+        };
+        let (ck_values, ck_stats) = common::run_multirank(WORKERS, &run_ck);
+        assert_eq!(ck_values, plain_values);
+        assert_stats_agree(
+            "multirank (plain vs checkpointing)",
+            &plain_stats,
+            &ck_stats,
+        );
+        let store = Store::open(&dir).unwrap();
+        assert!(!store.committed_steps().unwrap().is_empty());
+        // Resume through the rank driver.
+        let (res_values, res_stats) = common::run_multirank(WORKERS, &run_ck);
+        assert_eq!(res_values, plain_values);
+        assert_stats_agree("multirank (plain vs resumed)", &plain_stats, &res_stats);
+        let _ = std::fs::remove_dir_all(&dir);
+    });
 }

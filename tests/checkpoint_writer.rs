@@ -15,6 +15,9 @@
 //! file written in front of a segment: the segment is not written, and
 //! nothing is acked.
 
+mod common;
+
+use common::with_watchdog;
 use pc_bsp::{CkptPolicy, Config, Topology};
 use pc_channels::{Algorithm, Combine, ScatterCombine, VertexCtx, WorkerEnv};
 use pc_ckpt::Store;
@@ -119,25 +122,27 @@ fn fatal_message(dir: &Path) -> String {
 
 #[test]
 fn a_failed_background_write_is_the_same_fatal_panic() {
-    let dir = temp_dir("fail");
-    cleanup(&dir);
-    let message = fatal_message(&dir);
-    assert!(
-        message.starts_with("checkpoint write failed: i/o error"),
-        "{message}"
-    );
+    with_watchdog(common::BOUND, || {
+        let dir = temp_dir("fail");
+        cleanup(&dir);
+        let message = fatal_message(&dir);
+        assert!(
+            message.starts_with("checkpoint write failed: i/o error"),
+            "{message}"
+        );
 
-    // What reached the disk before the swap: epoch 2 committed, epoch 4
-    // durable on both workers but never committed, and no trace of the
-    // epoch whose write failed.
-    let before = Store::open(moved(&dir)).unwrap();
-    assert_eq!(before.committed_steps().unwrap(), vec![2]);
-    for rank in 0..WORKERS as u32 {
-        assert!(before.read_segment(4, rank).is_ok());
-    }
-    assert!(!before.step_dir(6).exists());
-    assert!(dir.is_file(), "a checkpoint write got past the sabotage");
-    cleanup(&dir);
+        // What reached the disk before the swap: epoch 2 committed, epoch 4
+        // durable on both workers but never committed, and no trace of the
+        // epoch whose write failed.
+        let before = Store::open(moved(&dir)).unwrap();
+        assert_eq!(before.committed_steps().unwrap(), vec![2]);
+        for rank in 0..WORKERS as u32 {
+            assert!(before.read_segment(4, rank).is_ok());
+        }
+        assert!(!before.step_dir(6).exists());
+        assert!(dir.is_file(), "a checkpoint write got past the sabotage");
+        cleanup(&dir);
+    });
 }
 
 /// The tables directory is a regular file from the start, so the first
@@ -147,18 +152,20 @@ fn a_failed_background_write_is_the_same_fatal_panic() {
 /// is never reached.
 #[test]
 fn a_failed_tables_write_is_fatal_before_any_ack() {
-    let dir = temp_dir("tables");
-    cleanup(&dir);
-    let store = Store::open(&dir).unwrap();
-    std::fs::write(store.tables_dir(), b"not a directory").unwrap();
-    let message = fatal_message(&dir);
-    assert!(
-        message.starts_with("checkpoint write failed: i/o error")
-            && message.contains("create tables dir"),
-        "{message}"
-    );
-    assert_eq!(store.committed_steps().unwrap(), Vec::<u64>::new());
-    assert!(!store.step_dir(2).exists(), "a segment without its tables");
-    assert!(!moved(&dir).exists());
-    cleanup(&dir);
+    with_watchdog(common::BOUND, || {
+        let dir = temp_dir("tables");
+        cleanup(&dir);
+        let store = Store::open(&dir).unwrap();
+        std::fs::write(store.tables_dir(), b"not a directory").unwrap();
+        let message = fatal_message(&dir);
+        assert!(
+            message.starts_with("checkpoint write failed: i/o error")
+                && message.contains("create tables dir"),
+            "{message}"
+        );
+        assert_eq!(store.committed_steps().unwrap(), Vec::<u64>::new());
+        assert!(!store.step_dir(2).exists(), "a segment without its tables");
+        assert!(!moved(&dir).exists());
+        cleanup(&dir);
+    });
 }

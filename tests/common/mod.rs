@@ -7,6 +7,11 @@ use pc_bsp::{Config, RunStats, Tcp};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+/// The bound on a threaded or TCP test that is not itself about hanging:
+/// far past what any of them takes in a debug build on a loaded box, so
+/// it only ever fires on a hang, and then names the test.
+pub const BOUND: Duration = Duration::from_secs(300);
+
 /// Run `f` on a helper thread and panic if it does not finish within
 /// `limit` — the "never hang" guarantee, enforced mechanically.
 pub fn with_watchdog<T: Send + 'static>(

@@ -185,6 +185,50 @@ fn launcher_ships_partitions_from_an_input_file() {
     );
 }
 
+/// A weighted file of more than 2 MiB, so a host with two cores or more
+/// parses it in two ranges or more, with parallel edges whose weights
+/// come in out of order: the weights the loader places follow their
+/// targets through the counting sort, and `--verify` pins the
+/// distributed SSSP and MSF runs on the shipped slices to the sequential
+/// engine on rank 0's graph.
+#[test]
+fn weighted_input_file_verifies_across_two_processes() {
+    let path = std::env::temp_dir().join(format!("pc_dist_weighted_{}.txt", std::process::id()));
+    let mut text = String::from("# weighted, parallel edges heaviest first\n");
+    let mut lines = 0;
+    for i in 0..140_000u64 {
+        let (u, v) = ((i * 7_919) % 20_000, (i * 104_729 + 13) % 20_000);
+        text.push_str(&format!("{u} {v} {}\n", 500 + i % 500));
+        lines += 1;
+        if i % 4 == 0 {
+            text.push_str(&format!("{u}\t{v}\t{}\n", 1 + i % 499));
+            lines += 1;
+        }
+    }
+    assert!(text.len() > 2 << 20, "{} bytes", text.len());
+    std::fs::write(&path, &text).unwrap();
+    for algo in ["sssp", "msf"] {
+        let out = run_ok(&[
+            algo,
+            "--input",
+            path.to_str().unwrap(),
+            "--ranks",
+            "2",
+            "--verify",
+        ]);
+        let err = stderr_of(&out);
+        assert!(
+            err.contains("verify: distributed run matches"),
+            "{algo}: verification line missing\n{err}"
+        );
+        assert!(
+            err.contains(&format!("load: {lines} lines, 20000 vertices, ")),
+            "{algo}: load line missing\n{err}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 /// LDG partitioning works distributed: rank 0 partitions, ships the owner
 /// table, and the placement-sensitive propagation channel still conforms.
 #[test]

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::assert_stats_agree;
+use common::{assert_stats_agree, with_watchdog};
 use pc_bsp::codec::{Codec, Reader};
 use pc_bsp::{Config, Topology};
 use pc_graph::{reference, Graph};
@@ -177,14 +177,16 @@ proptest! {
     /// byte counts.
     #[test]
     fn exec_modes_agree(g in undirected_graph(100, 220), workers in 2usize..5) {
-        let g = Arc::new(g);
-        let topo = Arc::new(Topology::hashed(g.n(), workers));
-        let a = pc_algos::sv::channel_both(&g, &topo, &Config::sequential(workers));
-        let b = pc_algos::sv::channel_both(&g, &topo, &Config::with_workers(workers));
-        prop_assert_eq!(a.labels, b.labels);
-        prop_assert_eq!(a.stats.remote_bytes(), b.stats.remote_bytes());
-        prop_assert_eq!(a.stats.supersteps, b.stats.supersteps);
-        prop_assert_eq!(a.stats.rounds, b.stats.rounds);
+        with_watchdog(common::BOUND, move || {
+            let g = Arc::new(g);
+            let topo = Arc::new(Topology::hashed(g.n(), workers));
+            let a = pc_algos::sv::channel_both(&g, &topo, &Config::sequential(workers));
+            let b = pc_algos::sv::channel_both(&g, &topo, &Config::with_workers(workers));
+            prop_assert_eq!(a.labels, b.labels);
+            prop_assert_eq!(a.stats.remote_bytes(), b.stats.remote_bytes());
+            prop_assert_eq!(a.stats.supersteps, b.stats.supersteps);
+            prop_assert_eq!(a.stats.rounds, b.stats.rounds);
+        });
     }
 }
 
@@ -200,53 +202,55 @@ proptest! {
         dg in directed_graph(70, 180),
         workers in 2usize..5,
     ) {
-        let g = Arc::new(g);
-        let dg = Arc::new(dg);
-        let seq = Config::sequential(workers);
-        let thr = Config::with_workers(workers);
+        with_watchdog(common::BOUND, move || {
+            let g = Arc::new(g);
+            let dg = Arc::new(dg);
+            let seq = Config::sequential(workers);
+            let thr = Config::with_workers(workers);
 
-        let topo = Arc::new(Topology::hashed(g.n(), workers));
-        let dtopo = Arc::new(Topology::hashed(dg.n(), workers));
+            let topo = Arc::new(Topology::hashed(g.n(), workers));
+            let dtopo = Arc::new(Topology::hashed(dg.n(), workers));
 
-        let (a, b) = (pc_algos::wcc::channel_basic(&g, &topo, &seq),
-                      pc_algos::wcc::channel_basic(&g, &topo, &thr));
-        prop_assert_eq!(&a.labels, &b.labels);
-        assert_stats_agree("wcc_basic", &a.stats, &b.stats);
+            let (a, b) = (pc_algos::wcc::channel_basic(&g, &topo, &seq),
+                          pc_algos::wcc::channel_basic(&g, &topo, &thr));
+            prop_assert_eq!(&a.labels, &b.labels);
+            assert_stats_agree("wcc_basic", &a.stats, &b.stats);
 
-        let (a, b) = (pc_algos::wcc::channel_propagation(&g, &topo, &seq),
-                      pc_algos::wcc::channel_propagation(&g, &topo, &thr));
-        prop_assert_eq!(&a.labels, &b.labels);
-        assert_stats_agree("wcc_propagation", &a.stats, &b.stats);
+            let (a, b) = (pc_algos::wcc::channel_propagation(&g, &topo, &seq),
+                          pc_algos::wcc::channel_propagation(&g, &topo, &thr));
+            prop_assert_eq!(&a.labels, &b.labels);
+            assert_stats_agree("wcc_propagation", &a.stats, &b.stats);
 
-        let (a, b) = (pc_algos::sv::channel_both(&g, &topo, &seq),
-                      pc_algos::sv::channel_both(&g, &topo, &thr));
-        prop_assert_eq!(&a.labels, &b.labels);
-        assert_stats_agree("sv_both", &a.stats, &b.stats);
+            let (a, b) = (pc_algos::sv::channel_both(&g, &topo, &seq),
+                          pc_algos::sv::channel_both(&g, &topo, &thr));
+            prop_assert_eq!(&a.labels, &b.labels);
+            assert_stats_agree("sv_both", &a.stats, &b.stats);
 
-        let (a, b) = (pc_algos::sv::channel_reqresp(&g, &topo, &seq),
-                      pc_algos::sv::channel_reqresp(&g, &topo, &thr));
-        prop_assert_eq!(&a.labels, &b.labels);
-        assert_stats_agree("sv_reqresp", &a.stats, &b.stats);
+            let (a, b) = (pc_algos::sv::channel_reqresp(&g, &topo, &seq),
+                          pc_algos::sv::channel_reqresp(&g, &topo, &thr));
+            prop_assert_eq!(&a.labels, &b.labels);
+            assert_stats_agree("sv_reqresp", &a.stats, &b.stats);
 
-        let (a, b) = (pc_algos::pagerank::channel_scatter(&dg, &dtopo, &seq, 6),
-                      pc_algos::pagerank::channel_scatter(&dg, &dtopo, &thr, 6));
-        prop_assert_eq!(&a.ranks, &b.ranks);
-        assert_stats_agree("pagerank_scatter", &a.stats, &b.stats);
+            let (a, b) = (pc_algos::pagerank::channel_scatter(&dg, &dtopo, &seq, 6),
+                          pc_algos::pagerank::channel_scatter(&dg, &dtopo, &thr, 6));
+            prop_assert_eq!(&a.ranks, &b.ranks);
+            assert_stats_agree("pagerank_scatter", &a.stats, &b.stats);
 
-        let (a, b) = (pc_algos::scc::channel_propagation(&dg, &dtopo, &seq),
-                      pc_algos::scc::channel_propagation(&dg, &dtopo, &thr));
-        prop_assert_eq!(&a.labels, &b.labels);
-        assert_stats_agree("scc_propagation", &a.stats, &b.stats);
+            let (a, b) = (pc_algos::scc::channel_propagation(&dg, &dtopo, &seq),
+                          pc_algos::scc::channel_propagation(&dg, &dtopo, &thr));
+            prop_assert_eq!(&a.labels, &b.labels);
+            assert_stats_agree("scc_propagation", &a.stats, &b.stats);
 
-        let (a, b) = (pc_algos::kernels::bfs(&g, &topo, &seq, 0),
-                      pc_algos::kernels::bfs(&g, &topo, &thr, 0));
-        prop_assert_eq!(&a.level, &b.level);
-        assert_stats_agree("bfs", &a.stats, &b.stats);
+            let (a, b) = (pc_algos::kernels::bfs(&g, &topo, &seq, 0),
+                          pc_algos::kernels::bfs(&g, &topo, &thr, 0));
+            prop_assert_eq!(&a.level, &b.level);
+            assert_stats_agree("bfs", &a.stats, &b.stats);
 
-        let (a, b) = (pc_algos::kernels::kcore(&g, &topo, &seq, 2),
-                      pc_algos::kernels::kcore(&g, &topo, &thr, 2));
-        prop_assert_eq!(&a.in_core, &b.in_core);
-        assert_stats_agree("kcore", &a.stats, &b.stats);
+            let (a, b) = (pc_algos::kernels::kcore(&g, &topo, &seq, 2),
+                          pc_algos::kernels::kcore(&g, &topo, &thr, 2));
+            prop_assert_eq!(&a.in_core, &b.in_core);
+            assert_stats_agree("kcore", &a.stats, &b.stats);
+        });
     }
 
     /// Pointer jumping and the weighted algorithms agree across modes too.
@@ -256,28 +260,30 @@ proptest! {
         seed in 0u64..1000,
         workers in 2usize..5,
     ) {
-        let seq = Config::sequential(workers);
-        let thr = Config::with_workers(workers);
+        with_watchdog(common::BOUND, move || {
+            let seq = Config::sequential(workers);
+            let thr = Config::with_workers(workers);
 
-        let parents = Arc::new(pc_graph::gen::random_forest_parents(n, 1 + n / 20, seed));
-        let ptopo = Arc::new(Topology::hashed(parents.len(), workers));
-        let (a, b) = (pc_algos::pointer_jumping::channel_reqresp(&parents, &ptopo, &seq),
-                      pc_algos::pointer_jumping::channel_reqresp(&parents, &ptopo, &thr));
-        prop_assert_eq!(&a.roots, &b.roots);
-        assert_stats_agree("pj_reqresp", &a.stats, &b.stats);
+            let parents = Arc::new(pc_graph::gen::random_forest_parents(n, 1 + n / 20, seed));
+            let ptopo = Arc::new(Topology::hashed(parents.len(), workers));
+            let (a, b) = (pc_algos::pointer_jumping::channel_reqresp(&parents, &ptopo, &seq),
+                          pc_algos::pointer_jumping::channel_reqresp(&parents, &ptopo, &thr));
+            prop_assert_eq!(&a.roots, &b.roots);
+            assert_stats_agree("pj_reqresp", &a.stats, &b.stats);
 
-        let side = 2 + n / 20;
-        let wg = Arc::new(pc_graph::gen::grid2d_weighted(side, side, 9, seed));
-        let wtopo = Arc::new(Topology::hashed(wg.n(), workers));
-        let (a, b) = (pc_algos::sssp::channel_propagation(&wg, &wtopo, &seq, 0),
-                      pc_algos::sssp::channel_propagation(&wg, &wtopo, &thr, 0));
-        prop_assert_eq!(&a.dist, &b.dist);
-        assert_stats_agree("sssp_propagation", &a.stats, &b.stats);
+            let side = 2 + n / 20;
+            let wg = Arc::new(pc_graph::gen::grid2d_weighted(side, side, 9, seed));
+            let wtopo = Arc::new(Topology::hashed(wg.n(), workers));
+            let (a, b) = (pc_algos::sssp::channel_propagation(&wg, &wtopo, &seq, 0),
+                          pc_algos::sssp::channel_propagation(&wg, &wtopo, &thr, 0));
+            prop_assert_eq!(&a.dist, &b.dist);
+            assert_stats_agree("sssp_propagation", &a.stats, &b.stats);
 
-        let (a, b) = (pc_algos::msf::channel_basic(&wg, &wtopo, &seq),
-                      pc_algos::msf::channel_basic(&wg, &wtopo, &thr));
-        prop_assert_eq!(&a.total_weight, &b.total_weight);
-        assert_stats_agree("msf", &a.stats, &b.stats);
+            let (a, b) = (pc_algos::msf::channel_basic(&wg, &wtopo, &seq),
+                          pc_algos::msf::channel_basic(&wg, &wtopo, &thr));
+            prop_assert_eq!(&a.total_weight, &b.total_weight);
+            assert_stats_agree("msf", &a.stats, &b.stats);
+        });
     }
 }
 
@@ -286,49 +292,53 @@ proptest! {
 /// the pool traffic must be identical in both execution modes.
 #[test]
 fn steady_state_pool_hit_rate_exceeds_99_percent() {
-    let g = Arc::new(pc_graph::gen::rmat(
-        10,
-        9 << 10,
-        pc_graph::gen::RmatParams::default(),
-        5,
-        true,
-    ));
-    let topo = Arc::new(Topology::hashed(g.n(), 4));
-    let seq = pc_algos::pagerank::channel_scatter(&g, &topo, &Config::sequential(4), 400);
-    let thr = pc_algos::pagerank::channel_scatter(&g, &topo, &Config::with_workers(4), 400);
-    for (mode, out) in [("sequential", &seq), ("threads", &thr)] {
-        assert!(
-            out.stats.pool_hit_rate() >= 0.99,
-            "{mode}: steady-state pool hit rate {:.4} below 99% (hits {}, misses {})",
-            out.stats.pool_hit_rate(),
-            out.stats.pool.hits,
-            out.stats.pool.misses,
+    with_watchdog(common::BOUND, || {
+        let g = Arc::new(pc_graph::gen::rmat(
+            10,
+            9 << 10,
+            pc_graph::gen::RmatParams::default(),
+            5,
+            true,
+        ));
+        let topo = Arc::new(Topology::hashed(g.n(), 4));
+        let seq = pc_algos::pagerank::channel_scatter(&g, &topo, &Config::sequential(4), 400);
+        let thr = pc_algos::pagerank::channel_scatter(&g, &topo, &Config::with_workers(4), 400);
+        for (mode, out) in [("sequential", &seq), ("threads", &thr)] {
+            assert!(
+                out.stats.pool_hit_rate() >= 0.99,
+                "{mode}: steady-state pool hit rate {:.4} below 99% (hits {}, misses {})",
+                out.stats.pool_hit_rate(),
+                out.stats.pool.hits,
+                out.stats.pool.misses,
+            );
+        }
+        assert_eq!(
+            seq.stats.pool, thr.stats.pool,
+            "pool traffic is mode-independent"
         );
-    }
-    assert_eq!(
-        seq.stats.pool, thr.stats.pool,
-        "pool traffic is mode-independent"
-    );
+    });
 }
 
 /// Threaded rounds cross the barrier exactly twice in steady state.
 #[test]
 fn threaded_round_crosses_barrier_at_most_twice() {
-    let g = Arc::new(pc_graph::gen::rmat(
-        9,
-        9 << 9,
-        pc_graph::gen::RmatParams::default(),
-        6,
-        true,
-    ));
-    let topo = Arc::new(Topology::hashed(g.n(), 4));
-    let out = pc_algos::pagerank::channel_scatter(&g, &topo, &Config::with_workers(4), 30);
-    let per_round = out.stats.crossings_per_round();
-    assert!(
-        per_round <= 2.1,
-        "expected ≤ 2 barrier crossings per round, measured {per_round:.3} \
-         ({} crossings / {} rounds)",
-        out.stats.barrier_crossings,
-        out.stats.rounds,
-    );
+    with_watchdog(common::BOUND, || {
+        let g = Arc::new(pc_graph::gen::rmat(
+            9,
+            9 << 9,
+            pc_graph::gen::RmatParams::default(),
+            6,
+            true,
+        ));
+        let topo = Arc::new(Topology::hashed(g.n(), 4));
+        let out = pc_algos::pagerank::channel_scatter(&g, &topo, &Config::with_workers(4), 30);
+        let per_round = out.stats.crossings_per_round();
+        assert!(
+            per_round <= 2.1,
+            "expected ≤ 2 barrier crossings per round, measured {per_round:.3} \
+             ({} crossings / {} rounds)",
+            out.stats.barrier_crossings,
+            out.stats.rounds,
+        );
+    });
 }
