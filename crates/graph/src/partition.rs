@@ -524,6 +524,43 @@ mod tests {
     }
 
     #[test]
+    fn ldg_placements_are_pinned() {
+        // FNV-1a over every owner table of passes 1..=3 and 2, 4 and 7
+        // parts: any change to either greedy's order, scores, tie-break
+        // or capacity shows up here.
+        fn digest(f: fn(&Graph, usize, usize) -> Vec<u16>, g: &Graph) -> u64 {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for passes in 1..=3 {
+                for parts in [2, 4, 7] {
+                    for b in f(g, parts, passes).iter().flat_map(|o| o.to_le_bytes()) {
+                        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+            }
+            h
+        }
+        let graphs = [
+            gen::rmat(10, 8000, gen::RmatParams::default(), 3, true),
+            gen::rmat(10, 8000, gen::RmatParams::default(), 4, false),
+            gen::grid2d(30, 40, 0.2, 5),
+            gen::ring_with_hub(300, 700),
+        ];
+        let got: Vec<(u64, u64)> = graphs
+            .iter()
+            .map(|g| (digest(ldg, g), digest(ldg_deg, g)))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (1457777148947643674, 17970645892704082655),
+                (17738072920798646949, 4600513241665740319),
+                (15602313555068808456, 3323878391674653942),
+                (14377010050387917804, 7585944196109600142),
+            ]
+        );
+    }
+
+    #[test]
     fn default_threshold_floors_at_sixteen() {
         let ring = gen::cycle(64);
         assert_eq!(default_mirror_threshold(&ring), 16);
