@@ -56,51 +56,7 @@ pub fn random_owners(n: usize, parts: usize) -> Vec<u16> {
 /// re-streams with the previous assignment as the neighborhood oracle,
 /// which substantially improves locality on meshes.
 pub fn ldg<W: Copy>(g: &Graph<W>, parts: usize, passes: usize) -> Vec<u16> {
-    assert!(parts >= 1 && parts <= u16::MAX as usize);
-    let n = g.n();
-    let capacity = (n as f64 / parts as f64) * 1.1 + 1.0;
-    let mut owner: Vec<u16> = vec![u16::MAX; n];
-    for pass in 0..passes.max(1) {
-        let mut sizes = vec![0usize; parts];
-        if pass > 0 {
-            // Re-streaming: clear sizes but keep previous owners as hints.
-            sizes.iter_mut().for_each(|s| *s = 0);
-        }
-        let prev = owner.clone();
-        let mut scores = vec![0u32; parts];
-        for v in 0..n as VertexId {
-            scores.iter_mut().for_each(|s| *s = 0);
-            for &t in g.neighbors(v) {
-                let o = if (t as usize) < v as usize || pass > 0 {
-                    // Within a pass we know already-placed vertices; on
-                    // refinement passes we also use last pass's placement.
-                    if owner[t as usize] != u16::MAX {
-                        owner[t as usize]
-                    } else {
-                        prev[t as usize]
-                    }
-                } else {
-                    u16::MAX
-                };
-                if o != u16::MAX {
-                    scores[o as usize] += 1;
-                }
-            }
-            let mut best = 0usize;
-            let mut best_score = f64::MIN;
-            for p in 0..parts {
-                let penalty = 1.0 - sizes[p] as f64 / capacity;
-                let s = scores[p] as f64 * penalty.max(0.0) + penalty * 1e-6; // tie-break toward emptier parts
-                if s > best_score {
-                    best_score = s;
-                    best = p;
-                }
-            }
-            owner[v as usize] = best as u16;
-            sizes[best] += 1;
-        }
-    }
-    owner
+    ldg_stream(g, parts, passes, 0..g.n() as VertexId)
 }
 
 /// Degree-sorted Linear Deterministic Greedy: the same greedy placement
@@ -111,22 +67,33 @@ pub fn ldg<W: Copy>(g: &Graph<W>, parts: usize, passes: usize) -> Vec<u16> {
 /// id-order stream instead meets a hub only after scattered low-degree
 /// neighbors have pinned it nowhere in particular.
 pub fn ldg_deg<W: Copy>(g: &Graph<W>, parts: usize, passes: usize) -> Vec<u16> {
+    let mut order: Vec<VertexId> = (0..g.n() as VertexId).collect();
+    order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+    ldg_stream(g, parts, passes, order.iter().copied())
+}
+
+/// The greedy both LDG variants run, streaming vertices in `order` (every
+/// vertex once) for `passes` passes.
+fn ldg_stream<W: Copy>(
+    g: &Graph<W>,
+    parts: usize,
+    passes: usize,
+    order: impl Iterator<Item = VertexId> + Clone,
+) -> Vec<u16> {
     assert!(parts >= 1 && parts <= u16::MAX as usize);
     let n = g.n();
-    let mut order: Vec<VertexId> = (0..n as VertexId).collect();
-    order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
     let capacity = (n as f64 / parts as f64) * 1.1 + 1.0;
     let mut owner: Vec<u16> = vec![u16::MAX; n];
     for _pass in 0..passes.max(1) {
         let mut sizes = vec![0usize; parts];
         let mut scores = vec![0u32; parts];
-        for &v in &order {
+        for v in order.clone() {
             scores.iter_mut().for_each(|s| *s = 0);
             for &t in g.neighbors(v) {
-                // The stream is not in id order, so "already placed" is
-                // read straight off the owner table; refinement passes
-                // see last pass's placement for not-yet-restreamed
-                // vertices the same way.
+                // "Already placed" is read straight off the owner table:
+                // unplaced vertices are `u16::MAX` in the first pass, and
+                // refinement passes see last pass's placement for
+                // not-yet-restreamed vertices the same way.
                 let o = owner[t as usize];
                 if o != u16::MAX {
                     scores[o as usize] += 1;
@@ -136,7 +103,7 @@ pub fn ldg_deg<W: Copy>(g: &Graph<W>, parts: usize, passes: usize) -> Vec<u16> {
             let mut best_score = f64::MIN;
             for p in 0..parts {
                 let penalty = 1.0 - sizes[p] as f64 / capacity;
-                let s = scores[p] as f64 * penalty.max(0.0) + penalty * 1e-6;
+                let s = scores[p] as f64 * penalty.max(0.0) + penalty * 1e-6; // tie-break toward emptier parts
                 if s > best_score {
                     best_score = s;
                     best = p;

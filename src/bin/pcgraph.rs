@@ -1327,8 +1327,8 @@ fn execute<V>(
                     );
                 }
                 // Book the epoch on this rank's role record: the gather
-                // sums recoveries over ranks and takes the max repair
-                // time, so each rank reports only its own share.
+                // sums both recoveries and repair time over ranks, so
+                // each rank reports only its own share.
                 p.recoveries += 1;
                 p.recovery_us += t0.elapsed().as_micros() as u64;
                 if let Some(d) = p.cfg.dist.as_mut() {
