@@ -132,24 +132,15 @@ impl<W: WeightColumn> Graph<W> {
     /// Stable-sort each row by target, the rows cut into `runs` runs of
     /// about equal arcs at row bounds, each run on its own thread.
     fn sort_adjacency(&mut self, runs: usize) {
-        let m = self.targets.len();
         let (mut targets, mut weights) = (&mut self.targets[..], &mut self.weights[..]);
         let mut parts = Vec::with_capacity(runs);
-        let mut first = 0;
-        for run in 1..=runs {
-            let last = if run == runs {
-                self.n
-            } else {
-                self.offsets
-                    .partition_point(|&o| o < run * m / runs)
-                    .max(first)
-            };
+        for run in even_cuts(&self.offsets, runs).windows(2) {
+            let (first, last) = (run[0], run[1]);
             let len = self.offsets[last] - self.offsets[first];
             let (t, rest_t) = std::mem::take(&mut targets).split_at_mut(len);
             let (w, rest_w) = std::mem::take(&mut weights).split_at_mut(len);
             (targets, weights) = (rest_t, rest_w);
             parts.push((&self.offsets[first..=last], t, w));
-            first = last;
         }
         on_each(parts, |(rows, t, w)| sort_rows(rows, t, w));
     }
@@ -201,6 +192,28 @@ fn sort_rows<W: Copy>(rows: &[usize], targets: &mut [VertexId], weights: &mut [W
             weights[i] = w;
         }
     }
+}
+
+/// Cut the items `0..prefix.len() - 1`, whose sizes `prefix` sums from
+/// `prefix[0] == 0` (CSR offsets: rows sized by arcs), into `runs` runs of
+/// about equal size at item bounds. Returns the `runs + 1` bounds, first
+/// 0 and last the item count; a run may be empty.
+pub(crate) fn even_cuts(prefix: &[usize], runs: usize) -> Vec<usize> {
+    let items = prefix.len() - 1;
+    let total = prefix[items];
+    let mut cuts = vec![0];
+    for run in 1..runs {
+        let cut = prefix.partition_point(|&o| o < run * total / runs);
+        cuts.push(cut.max(cuts[run - 1]));
+    }
+    cuts.push(items);
+    cuts
+}
+
+/// The cores the process may run on: how many threads a pass splits into
+/// at most.
+pub(crate) fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 /// `f` on every item, the first on the calling thread and each other on a

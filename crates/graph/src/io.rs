@@ -28,7 +28,7 @@
 //! range (the last range's become the offsets) + the CSR; the file is
 //! never resident.
 
-use crate::csr::{on_each, Graph, VertexId, WeightedGraph};
+use crate::csr::{cores, on_each, Graph, VertexId, WeightedGraph};
 use pc_bsp::{Codec, Reader};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -75,8 +75,7 @@ pub fn read_edges<W: WeightColumn>(
     directed: bool,
     min_n: usize,
 ) -> io::Result<(Graph<W>, LoadStats)> {
-    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    read_ranges(path, directed, min_n, RANGE_BYTES, threads)
+    read_ranges(path, directed, min_n, RANGE_BYTES, cores())
 }
 
 /// [`read_edges`] with the splitter's two inputs as arguments, so tests can

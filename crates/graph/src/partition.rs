@@ -21,23 +21,67 @@
 //! structured graphs. [`build_mirror_plan`] derives the mirror/ghost
 //! tables for vertices with out-degree ≥ τ that the distributed runtime
 //! ships with the partition plan.
+//!
+//! **Threads and memory.** The launcher runs these on rank 0 while every
+//! follower waits for its plan, so the followers' cores are idle.
+//! [`edge_cut`] and [`build_mirror_plan`] cut their rows (hubs) into runs
+//! of about equal arcs, one run per core and at least `SPLIT_ARCS` arcs
+//! each, and their results do not depend on the cut. LDG stays on one
+//! thread, because each placement reads the ones before it. What these
+//! passes read at random is a few bytes per vertex (the owner table, local
+//! indices): on the benchmark's 131 k-vertex input that fits a 2 MiB L2.
+//! LDG's scoring and the plan's counting pass increment one of a few
+//! counters per arc, so two interleaved accumulator arrays keep an
+//! increment from waiting on the store of the one before. Cache-blocking
+//! does not pay at this size either: on a 2-core 2.1 GHz Xeon (2 MiB L2 per
+//! core), placing 2 M edges into 2¹⁸ keys took 24–32 ms in one pass and
+//! 20–33 ms in two high-bits-first passes (2⁸–2¹² buckets), with no
+//! consistent winner. What does cost there is the first touch of a fresh
+//! page, ≈ 2.2 µs per 4 KiB, so plan vectors are sized exactly by a
+//! counting pass before they are filled.
 
-use crate::csr::{Graph, VertexId};
+use crate::csr::{cores, even_cuts, on_each, Graph, VertexId};
 use pc_bsp::{MirrorHub, MirrorPlan, Topology};
 
 /// Fraction of arcs whose endpoints live in different parts, given
 /// `owner[v]` assignments. Returns `(cut_arcs, total_arcs)`.
 pub fn edge_cut<W: Copy>(g: &Graph<W>, owner: &[u16]) -> (usize, usize) {
+    edge_cut_split(g, owner, SPLIT_ARCS, cores())
+}
+
+/// [`edge_cut`] with the split's two inputs as arguments: rows cut into
+/// runs of about equal arcs, one run per `split_arcs` arcs up to
+/// `max_splits`, each run counted on its own thread.
+fn edge_cut_split<W: Copy>(
+    g: &Graph<W>,
+    owner: &[u16],
+    split_arcs: usize,
+    max_splits: usize,
+) -> (usize, usize) {
     assert_eq!(owner.len(), g.n());
-    let mut cut = 0usize;
-    let mut total = 0usize;
-    for (u, v, _) in g.arcs() {
-        total += 1;
-        if owner[u as usize] != owner[v as usize] {
-            cut += 1;
-        }
-    }
-    (cut, total)
+    let (_, offsets, targets, _, _) = g.csr_parts();
+    let runs = even_cuts(offsets, splits(targets.len(), split_arcs, max_splits));
+    let cut = on_each(runs.windows(2), |run| {
+        (run[0]..run[1])
+            .map(|u| {
+                let o = owner[u];
+                let row = &targets[offsets[u]..offsets[u + 1]];
+                row.iter().filter(|&&t| owner[t as usize] != o).count()
+            })
+            .sum::<usize>()
+    });
+    (cut.into_iter().sum(), targets.len())
+}
+
+/// Arcs below which a pass over a graph stays on the calling thread: a
+/// thread costs tens of microseconds to start, a core counts about this
+/// many arcs in a few hundred.
+const SPLIT_ARCS: usize = 1 << 18;
+
+/// How many threads a pass over `arcs` arcs splits across: one per
+/// `split_arcs` arcs, at least one and at most `max_splits`.
+fn splits(arcs: usize, split_arcs: usize, max_splits: usize) -> usize {
+    (arcs / split_arcs).clamp(1, max_splits.max(1))
 }
 
 /// Pseudo-random (hash) assignment — the baseline the paper calls
@@ -67,13 +111,46 @@ pub fn ldg<W: Copy>(g: &Graph<W>, parts: usize, passes: usize) -> Vec<u16> {
 /// id-order stream instead meets a hub only after scattered low-degree
 /// neighbors have pinned it nowhere in particular.
 pub fn ldg_deg<W: Copy>(g: &Graph<W>, parts: usize, passes: usize) -> Vec<u16> {
-    let mut order: Vec<VertexId> = (0..g.n() as VertexId).collect();
-    order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+    let order = degree_order(g);
     ldg_stream(g, parts, passes, order.iter().copied())
+}
+
+/// Every vertex by descending degree, ties by ascending id: a counting
+/// sort over the degree histogram, the vertices placed in id order.
+fn degree_order<W: Copy>(g: &Graph<W>) -> Vec<VertexId> {
+    let n = g.n() as VertexId;
+    let top = (0..n).map(|v| g.degree(v)).max().unwrap_or(0);
+    // Bucket `top - degree`, so the ascending buckets descend by degree.
+    let mut next = vec![0usize; top + 1];
+    for v in 0..n {
+        next[top - g.degree(v)] += 1;
+    }
+    let mut start = 0;
+    for c in &mut next {
+        (*c, start) = (start, start + *c);
+    }
+    let mut order = vec![0; n as usize];
+    for v in 0..n {
+        let c = &mut next[top - g.degree(v)];
+        order[*c] = v;
+        *c += 1;
+    }
+    order
 }
 
 /// The greedy both LDG variants run, streaming vertices in `order` (every
 /// vertex once) for `passes` passes.
+///
+/// A vertex's neighbors are counted per part into two interleaved
+/// accumulator arrays, even positions into one and odd into the other,
+/// summed once per vertex: two increments in a row of the same part no
+/// longer wait on each other's store. "Already placed" is read straight
+/// off the owner table: unplaced vertices are `u16::MAX` in the first
+/// pass, and refinement passes see last pass's placement for
+/// not-yet-restreamed vertices the same way. An unplaced neighbor counts
+/// into slot `parts`, which no part reads, so the loop has no branch. The
+/// counts are exact integers, so every score and decision is that of a
+/// single counter.
 fn ldg_stream<W: Copy>(
     g: &Graph<W>,
     parts: usize,
@@ -84,26 +161,28 @@ fn ldg_stream<W: Copy>(
     let n = g.n();
     let capacity = (n as f64 / parts as f64) * 1.1 + 1.0;
     let mut owner: Vec<u16> = vec![u16::MAX; n];
+    let slot = |o: u16| (o as usize).min(parts);
+    let mut counts = vec![0u32; 2 * (parts + 1)];
+    let (even, odd) = counts.split_at_mut(parts + 1);
     for _pass in 0..passes.max(1) {
         let mut sizes = vec![0usize; parts];
-        let mut scores = vec![0u32; parts];
         for v in order.clone() {
-            scores.iter_mut().for_each(|s| *s = 0);
-            for &t in g.neighbors(v) {
-                // "Already placed" is read straight off the owner table:
-                // unplaced vertices are `u16::MAX` in the first pass, and
-                // refinement passes see last pass's placement for
-                // not-yet-restreamed vertices the same way.
-                let o = owner[t as usize];
-                if o != u16::MAX {
-                    scores[o as usize] += 1;
-                }
+            even.fill(0);
+            odd.fill(0);
+            let mut pairs = g.neighbors(v).chunks_exact(2);
+            for pair in &mut pairs {
+                even[slot(owner[pair[0] as usize])] += 1;
+                odd[slot(owner[pair[1] as usize])] += 1;
+            }
+            if let [t] = pairs.remainder() {
+                even[slot(owner[*t as usize])] += 1;
             }
             let mut best = 0usize;
             let mut best_score = f64::MIN;
             for p in 0..parts {
                 let penalty = 1.0 - sizes[p] as f64 / capacity;
-                let s = scores[p] as f64 * penalty.max(0.0) + penalty * 1e-6; // tie-break toward emptier parts
+                let score = (even[p] + odd[p]) as f64;
+                let s = score * penalty.max(0.0) + penalty * 1e-6; // tie-break toward emptier parts
                 if s > best_score {
                     best_score = s;
                     best = p;
@@ -136,37 +215,85 @@ pub fn default_mirror_threshold<W: Copy>(g: &Graph<W>) -> usize {
 /// combiner once per edge occurrence, exactly like the unmirrored
 /// per-edge path, so results stay byte-identical.
 pub fn build_mirror_plan<W: Copy>(g: &Graph<W>, topo: &Topology, threshold: usize) -> MirrorPlan {
+    mirror_plan_split(g, topo, threshold, SPLIT_ARCS, cores())
+}
+
+/// [`build_mirror_plan`] with the split's two inputs as arguments: the
+/// hubs cut into runs of about equal arcs, one run per `split_arcs` hub
+/// arcs up to `max_splits`, each run built on its own thread.
+fn mirror_plan_split<W: Copy>(
+    g: &Graph<W>,
+    topo: &Topology,
+    threshold: usize,
+    split_arcs: usize,
+    max_splits: usize,
+) -> MirrorPlan {
     assert_eq!(topo.n(), g.n(), "topology does not match the graph");
     let threshold = threshold.max(1);
-    let workers = topo.workers();
-    let mut slot = vec![usize::MAX; workers];
-    let mut hubs = Vec::new();
-    for v in 0..g.n() as VertexId {
-        if g.degree(v) < threshold {
-            continue;
-        }
-        slot.iter_mut().for_each(|s| *s = usize::MAX);
-        let mut targets: Vec<(u16, Vec<u32>)> = Vec::new();
-        for &t in g.neighbors(v) {
-            let w = topo.worker_of(t);
-            if slot[w] == usize::MAX {
-                slot[w] = targets.len();
-                targets.push((w as u16, Vec::new()));
-            }
-            targets[slot[w]].1.push(topo.local_of(t));
-        }
-        targets.sort_by_key(|&(w, _)| w);
-        let peers: Vec<u16> = targets.iter().map(|&(w, _)| w).collect();
-        hubs.push(MirrorHub {
-            id: v,
-            peers,
-            targets,
-        });
+    let (n, offsets, targets, _, _) = g.csr_parts();
+    let ids: Vec<VertexId> = (0..n as VertexId)
+        .filter(|&v| g.degree(v) >= threshold)
+        .collect();
+    let mut arcs = Vec::with_capacity(ids.len() + 1);
+    arcs.push(0);
+    for &v in &ids {
+        arcs.push(arcs[arcs.len() - 1] + g.degree(v));
     }
+    let runs = even_cuts(&arcs, splits(arcs[ids.len()], split_arcs, max_splits));
+    let mut runs = on_each(runs.windows(2), |run| {
+        let mut counts = vec![0u32; 2 * topo.workers()];
+        ids[run[0]..run[1]]
+            .iter()
+            .map(|&v| {
+                let row = &targets[offsets[v as usize]..offsets[v as usize + 1]];
+                mirror_hub(v, row, topo, &mut counts)
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter();
+    let mut hubs = runs.next().unwrap_or_default();
+    hubs.reserve_exact(ids.len() - hubs.len());
+    runs.for_each(|run| hubs.extend(run));
     MirrorPlan {
         threshold: threshold as u64,
         hubs,
     }
+}
+
+/// One hub's tables: its targets `row` counted per worker into two
+/// interleaved accumulator arrays (as [`ldg_stream`] counts parts), one
+/// exactly sized vector per worker that holds any, ascending, then every
+/// target's local index pushed in adjacency order. `counts` is scratch of
+/// two entries per worker.
+fn mirror_hub(id: VertexId, row: &[VertexId], topo: &Topology, counts: &mut [u32]) -> MirrorHub {
+    let (even, odd) = counts.split_at_mut(topo.workers());
+    even.fill(0);
+    odd.fill(0);
+    let mut pairs = row.chunks_exact(2);
+    for pair in &mut pairs {
+        even[topo.worker_of(pair[0])] += 1;
+        odd[topo.worker_of(pair[1])] += 1;
+    }
+    if let [t] = pairs.remainder() {
+        even[topo.worker_of(*t)] += 1;
+    }
+    let mut peers = Vec::new();
+    let mut targets: Vec<(u16, Vec<u32>)> = Vec::new();
+    for (w, (e, o)) in even.iter_mut().zip(odd.iter()).enumerate() {
+        let count = *e + *o;
+        if count > 0 {
+            // From here on a holding worker's entry is its run's index.
+            *e = targets.len() as u32;
+            peers.push(w as u16);
+            targets.push((w as u16, Vec::with_capacity(count as usize)));
+        }
+    }
+    for &t in row {
+        targets[even[topo.worker_of(t)] as usize]
+            .1
+            .push(topo.local_of(t));
+    }
+    MirrorHub { id, peers, targets }
 }
 
 /// Skew diagnostics of one placement: edge cut, part sizes, and — when a
@@ -246,14 +373,13 @@ impl std::fmt::Display for PartitionReport {
 }
 
 /// Compute a [`PartitionReport`] for a placement (and optional mirror
-/// plan over it).
-pub fn partition_report<W: Copy>(
-    g: &Graph<W>,
+/// plan over it), given the placement's [`edge_cut`].
+pub fn partition_report(
     owner: &[u16],
     parts: usize,
+    (cut, total): (usize, usize),
     mirror: Option<&MirrorPlan>,
 ) -> PartitionReport {
-    let (cut, total) = edge_cut(g, owner);
     let sizes = part_sizes(owner, parts);
     let mut mirrors = vec![0usize; parts];
     if let Some(plan) = mirror {
@@ -566,7 +692,7 @@ mod tests {
         let owner: Vec<u16> = (0..33).map(|v| (v % 4) as u16).collect();
         let topo = Topology::from_owners(4, owner.clone());
         let plan = build_mirror_plan(&g, &topo, 16);
-        let report = partition_report(&g, &owner, 4, Some(&plan));
+        let report = partition_report(&owner, 4, edge_cut(&g, &owner), Some(&plan));
         assert_eq!(report.total, 64);
         assert_eq!(report.mirrored, Some((16, 1)));
         // The hub lives on part 0; parts 1..3 each host one mirror.
@@ -576,7 +702,7 @@ mod tests {
         assert!(line.contains("edge-cut"), "{line}");
         assert!(line.contains("replication max"), "{line}");
         // Without a plan the mirror columns stay silent.
-        let plain = partition_report(&g, &owner, 4, None);
+        let plain = partition_report(&owner, 4, edge_cut(&g, &owner), None);
         assert_eq!(plain.max_replication(), 1.0);
         assert!(!plain.to_string().contains("replication"));
     }
@@ -587,5 +713,107 @@ mod tests {
         let owner = ldg(&g, 1, 1);
         let (cut, _) = edge_cut(&g, &owner);
         assert_eq!(cut, 0);
+    }
+
+    /// The definition: every arc whose endpoints' owners differ.
+    fn naive_cut(g: &Graph, owner: &[u16]) -> (usize, usize) {
+        let cut = g
+            .arcs()
+            .filter(|&(u, v, _)| owner[u as usize] != owner[v as usize])
+            .count();
+        (cut, g.arcs().count())
+    }
+
+    /// The definition: each edge appended to its target owner's run, the
+    /// runs ascending by worker.
+    fn naive_plan(g: &Graph, topo: &Topology, threshold: usize) -> MirrorPlan {
+        let threshold = threshold.max(1);
+        let mut hubs = Vec::new();
+        for v in g.vertices().filter(|&v| g.degree(v) >= threshold) {
+            let mut runs = std::collections::BTreeMap::<u16, Vec<u32>>::new();
+            for &t in g.neighbors(v) {
+                let run = runs.entry(topo.worker_of(t) as u16).or_default();
+                run.push(topo.local_of(t));
+            }
+            hubs.push(MirrorHub {
+                id: v,
+                peers: runs.keys().copied().collect(),
+                targets: runs.into_iter().collect(),
+            });
+        }
+        MirrorPlan {
+            threshold: threshold as u64,
+            hubs,
+        }
+    }
+
+    #[test]
+    fn edge_cut_matches_the_per_arc_count_at_every_split() {
+        let graphs = [
+            Graph::from_edges(0, &[], true),
+            Graph::from_edges(5, &[], false),
+            Graph::from_edges(4, &[(0, 0), (1, 1), (2, 2), (2, 2)], true),
+            Graph::from_edges(4, &[(0, 0), (1, 3), (3, 3), (2, 1)], false),
+            gen::rmat(8, 1000, gen::RmatParams::default(), 3, true),
+            gen::rmat(8, 1000, gen::RmatParams::default(), 4, false),
+        ];
+        for g in &graphs {
+            let owner = random_owners(g.n(), 3);
+            for splits in 1..=5 {
+                assert_eq!(edge_cut_split(g, &owner, 1, splits), naive_cut(g, &owner));
+            }
+        }
+    }
+
+    #[test]
+    fn degree_order_breaks_ties_by_id_and_keeps_isolated_vertices() {
+        // 3 and 6 tie at degree 3, 1 and 2 at 2 (a self-loop is one arc),
+        // 4, 5 and 7 at 1; 0, 8 and 9 are isolated.
+        let g = Graph::from_edges(
+            10,
+            &[(3, 1), (3, 2), (3, 4), (6, 5), (6, 7), (6, 1), (2, 2)],
+            false,
+        );
+        assert_eq!(degree_order(&g), vec![3, 6, 1, 2, 4, 5, 7, 0, 8, 9]);
+    }
+
+    proptest::proptest! {
+        /// `edge_cut`, the degree order and `build_mirror_plan` equal
+        /// their definitions on random multigraphs (duplicate edges,
+        /// self-loops, isolated vertices) under random placements that may
+        /// leave a worker without a vertex, τ from 0 (read as 1) up, every
+        /// split count forced through the private entries whatever the
+        /// host's core count.
+        #[test]
+        fn prop_partition_passes_match_their_definitions(
+            n in 1usize..24,
+            edges in proptest::collection::vec((0u32..24, 0u32..24), 0..120),
+            directed in proptest::any::<bool>(),
+            owners in proptest::collection::vec(0u16..5, 24),
+            workers in 1usize..6,
+            spare in proptest::any::<bool>(),
+            threshold in 0usize..7,
+        ) {
+            let edges: Vec<_> = edges.iter().map(|&(u, v)| (u % n as u32, v % n as u32)).collect();
+            let g = Graph::from_edges(n, &edges, directed);
+            // With `spare`, the last worker owns nothing.
+            let used = if spare && workers > 1 { workers - 1 } else { workers };
+            let owner: Vec<u16> = owners[..n].iter().map(|&o| o % used as u16).collect();
+
+            for splits in 1..=5 {
+                proptest::prop_assert_eq!(edge_cut_split(&g, &owner, 1, splits), naive_cut(&g, &owner));
+            }
+
+            let mut by_degree: Vec<VertexId> = g.vertices().collect();
+            by_degree.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+            proptest::prop_assert_eq!(degree_order(&g), by_degree);
+
+            let topo = Topology::from_owners(workers, owner);
+            let want = naive_plan(&g, &topo, threshold);
+            proptest::prop_assert_eq!(&build_mirror_plan(&g, &topo, threshold), &want);
+            for splits in 1..=4 {
+                proptest::prop_assert_eq!(&mirror_plan_split(&g, &topo, threshold, 1, splits), &want);
+            }
+        }
     }
 }

@@ -750,8 +750,8 @@ fn load(opts: &Opts, need: Need) -> Gdata {
 }
 
 /// Partition one graph with the selected streaming partitioner and
-/// report the edge-cut.
-fn stream_owners<W: Copy>(g: &Graph<W>, parts: usize, name: &str) -> Vec<u16> {
+/// report the edge-cut; the placement comes back with its cut.
+fn stream_owners<W: Copy>(g: &Graph<W>, parts: usize, name: &str) -> (Vec<u16>, (usize, usize)) {
     let owners = match name {
         "ldg" => partition::ldg(g, parts, 2),
         "ldg-deg" => partition::ldg_deg(g, parts, 2),
@@ -763,20 +763,22 @@ fn stream_owners<W: Copy>(g: &Graph<W>, parts: usize, name: &str) -> Vec<u16> {
         "{name} partition: edge-cut {:.1}%",
         100.0 * cut as f64 / total.max(1) as f64
     );
-    owners
+    (owners, (cut, total))
 }
 
 /// Owner table for a `parts`-way split of `data` (streaming partitioner
-/// or random placement).
-fn owners_for(data: &Gdata, opts: &Opts, parts: usize) -> Vec<u16> {
+/// or random placement), with its edge cut when the partitioner already
+/// walked every arc for it.
+fn owners_for(data: &Gdata, opts: &Opts, parts: usize) -> (Vec<u16>, Option<(usize, usize)>) {
     let name = opts.partitioner_name();
     if name == "hash" {
-        return partition::random_owners(data.n(), parts);
+        return (partition::random_owners(data.n(), parts), None);
     }
-    match data {
+    let (owners, cut) = match data {
         Gdata::U { g, .. } => stream_owners(g.as_ref(), parts, name),
         Gdata::W(g) => stream_owners(g.as_ref(), parts, name),
-    }
+    };
+    (owners, Some(cut))
 }
 
 /// The effective mirroring threshold τ, when `--mirror-threshold` was
@@ -795,8 +797,14 @@ fn resolved_threshold(data: &Gdata, opts: &Opts) -> Option<usize> {
 
 /// Build the mirror plan for `data` over `topo` and attach it — and
 /// print the partition/replication report while we have everything in
-/// hand. No-op unless `--mirror-threshold` was given.
-fn attach_mirror(data: &Gdata, opts: &Opts, topo: Topology) -> Topology {
+/// hand, over `cut` when the placement's edge cut is already known.
+/// No-op unless `--mirror-threshold` was given.
+fn attach_mirror(
+    data: &Gdata,
+    opts: &Opts,
+    topo: Topology,
+    cut: Option<(usize, usize)>,
+) -> Topology {
     let Some(threshold) = resolved_threshold(data, opts) else {
         return topo;
     };
@@ -805,11 +813,14 @@ fn attach_mirror(data: &Gdata, opts: &Opts, topo: Topology) -> Topology {
         .map(|v| topo.worker_of(v) as u16)
         .collect();
     let plan = mirror_plan(data, &topo, threshold);
-    let report = match data {
-        Gdata::U { g, .. } => partition::partition_report(g.as_ref(), &owner, parts, Some(&plan)),
-        Gdata::W(g) => partition::partition_report(g.as_ref(), &owner, parts, Some(&plan)),
-    };
-    eprintln!("{report}");
+    let cut = cut.unwrap_or_else(|| match data {
+        Gdata::U { g, .. } => partition::edge_cut(g.as_ref(), &owner),
+        Gdata::W(g) => partition::edge_cut(g.as_ref(), &owner),
+    });
+    eprintln!(
+        "{}",
+        partition::partition_report(&owner, parts, cut, Some(&plan))
+    );
     topo.with_mirror(Arc::new(plan))
 }
 
@@ -1012,12 +1023,13 @@ fn prepare(opts: &Opts, need: Need) -> Prepared {
     let Some(rank) = opts.rank else {
         // Single-process shape (the original pcgraph).
         let data = load(opts, need);
-        let base = if opts.partitioner_name() == "hash" {
-            Topology::hashed(data.n(), opts.workers)
+        let (base, cut) = if opts.partitioner_name() == "hash" {
+            (Topology::hashed(data.n(), opts.workers), None)
         } else {
-            Topology::from_owners(opts.workers, owners_for(&data, opts, opts.workers))
+            let (owners, cut) = owners_for(&data, opts, opts.workers);
+            (Topology::from_owners(opts.workers, owners), cut)
         };
-        let topo = Arc::new(attach_mirror(&data, opts, base));
+        let topo = Arc::new(attach_mirror(&data, opts, base, cut));
         let cfg = Config {
             transport: opts.transport,
             spin_budget: opts.spin_budget,
@@ -1067,11 +1079,12 @@ fn prepare(opts: &Opts, need: Need) -> Prepared {
     let mut coordinator = Coordinator::rendezvous(coordinator_addr, ranks, data_addr, bopts)
         .unwrap_or_else(|e| bail_bootstrap(e));
     let full = load(opts, need);
-    let owner = owners_for(&full, opts, ranks);
+    let (owner, cut) = owners_for(&full, opts, ranks);
     let topo = Arc::new(attach_mirror(
         &full,
         opts,
         Topology::from_owners(ranks, owner.clone()),
+        cut,
     ));
     let mirror = topo.mirror_plan().map(Arc::as_ref);
     // Partition shipping: every follower gets the owner table plus

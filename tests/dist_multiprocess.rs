@@ -278,13 +278,60 @@ fn mirrored_distributed_run_verifies() {
         "--verify",
     ]);
     let err = stderr_of(&out);
+    // Both partition lines byte for byte: the partitioner's and the
+    // report's, which print one edge-cut count.
     assert!(
-        err.contains("ldg-deg partition"),
-        "partitioner did not run\n{err}"
+        err.contains(
+            "ldg-deg partition: edge-cut 17.4%\n\
+             partition: 4 parts, edge-cut 17.4% (502/2888), sizes [283, 247, 247, 247], \
+             45 hubs mirrored (τ=16), mirrors/part [0, 32, 31, 28], replication max 1.130\n"
+        ),
+        "partition lines changed\n{err}"
     );
-    assert!(err.contains("hubs mirrored"), "no mirror plan built\n{err}");
     assert!(err.contains("ghost broadcasts"), "mirroring inert\n{err}");
     assert!(err.contains("verify: distributed run matches"), "{err}");
+}
+
+/// The single-process shape prints the same partition lines: after a
+/// streaming partitioner, its edge cut again in the report; after hash
+/// placement, the report alone, which counts the cut itself.
+#[test]
+fn single_process_partition_lines_are_pinned() {
+    let lines = |args: &[&str]| {
+        let mut all = vec![
+            "wcc",
+            "--gen",
+            "facebook",
+            "--scale",
+            "10",
+            "--variant",
+            "mirror",
+        ];
+        all.extend(args);
+        let err = stderr_of(&run_ok(&all));
+        err.lines()
+            .filter(|l| l.contains("partition"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_eq!(
+        lines(&["--workers", "2", "--mirror-threshold", "auto"]),
+        "partition: 2 parts, edge-cut 51.1% (1476/2888), sizes [516, 508], \
+         45 hubs mirrored (τ=16), mirrors/part [22, 23], replication max 1.045"
+    );
+    assert_eq!(
+        lines(&[
+            "--workers",
+            "3",
+            "--partitioner",
+            "ldg-deg",
+            "--mirror-threshold",
+            "1"
+        ]),
+        "ldg-deg partition: edge-cut 9.1%\n\
+         partition: 3 parts, edge-cut 9.1% (262/2888), sizes [377, 324, 323], \
+         518 hubs mirrored (τ=1), mirrors/part [123, 39, 46], replication max 1.326"
+    );
 }
 
 /// A single-rank "cluster" is legal (debugging shape).
