@@ -313,9 +313,27 @@ pub fn write_frame(
     deadline: Instant,
     peer: usize,
 ) -> Result<(), TransportError> {
-    let header = frame_header(tag, payload.len(), peer)?;
+    write_frame_parts(stream, tag, &[payload], deadline, peer)
+}
+
+/// [`write_frame`] of a payload given as consecutive parts: the frame's
+/// length is their sum and its bytes are theirs in order, streamed
+/// straight from the borrowed slices — a caller with large buffers to
+/// frame never assembles them into one.
+pub fn write_frame_parts<P: AsRef<[u8]>>(
+    stream: &TcpStream,
+    tag: u8,
+    parts: &[P],
+    deadline: Instant,
+    peer: usize,
+) -> Result<(), TransportError> {
+    let len = parts.iter().map(|p| p.as_ref().len()).sum();
+    let header = frame_header(tag, len, peer)?;
     write_all_deadline(stream, &header, deadline, peer, "write frame header")?;
-    write_all_deadline(stream, payload, deadline, peer, "write frame payload")
+    for part in parts {
+        write_all_deadline(stream, part.as_ref(), deadline, peer, "write frame payload")?;
+    }
+    Ok(())
 }
 
 /// Read one frame into `payload` (cleared and resized), returning the

@@ -111,6 +111,25 @@
 //! catches the panic, rebuilds the mesh and re-enters the engine) drops
 //! its `Writer`, and the drop waits for the job in flight. Otherwise the
 //! replayed epoch and the stale job would race for the same `.tmp`.
+//!
+//! ## Control replica
+//!
+//! ```text
+//! <dir>/replica/plan-0000.bin   every rank's encoded partition plan
+//!               plan-0001.bin
+//!               CTRL            commit record (written last)
+//! <dir>/COORDINATOR             the advertisement
+//! ```
+//!
+//! The coordinator's failover state ([`ControlReplica`]) is committed like
+//! an epoch. Each plan file is written by the thread that encoded its plan
+//! ([`Store::write_replica_plan`]: tmp → `write` → `fsync` → rename), so
+//! the files are written while the other plans are still being encoded and
+//! shipped. Then one directory `fsync` makes every rename durable, and
+//! only then is the `CTRL` record written, pinning each plan's digest
+//! ([`Store::commit_replica`]). [`Store::write_replica`] is the same for
+//! plans already encoded. The advertisement follows the record,
+//! and the coordinator ships no `CTRL` frame before both are durable.
 
 use pc_bsp::{Codec, Reader};
 use std::collections::HashMap;
@@ -506,6 +525,16 @@ impl Store {
     /// Write `bytes + digest(bytes)` to `path` atomically: tmp file, data
     /// fsync, rename, directory fsync. Returns the digest.
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<u64, CkptError> {
+        let digest = self.write_renamed(path, bytes)?;
+        if let Some(parent) = path.parent() {
+            sync_dir(parent);
+        }
+        Ok(digest)
+    }
+
+    /// [`Store::write_atomic`] up to the rename: the caller owes the
+    /// directory fsync that makes the rename durable.
+    fn write_renamed(&self, path: &Path, bytes: &[u8]) -> Result<u64, CkptError> {
         let started = Instant::now();
         let digest = digest(bytes);
         let tmp = path.with_extension("tmp");
@@ -518,14 +547,6 @@ impl Store {
                 .map_err(|e| io_err(&tmp, "fsync checkpoint", e))?;
         }
         fs::rename(&tmp, path).map_err(|e| io_err(path, "rename into place", e))?;
-        if let Some(parent) = path.parent() {
-            // Make the rename itself durable. Failing to fsync a directory
-            // only weakens durability, not atomicity, so a filesystem that
-            // refuses (some tmpfs setups) is tolerated.
-            if let Ok(d) = fs::File::open(parent) {
-                let _ = d.sync_all();
-            }
-        }
         self.io
             .bytes_written
             .fetch_add((bytes.len() + DIGEST_LEN) as u64, Ordering::Relaxed);
@@ -1048,12 +1069,9 @@ impl Store {
         self.dir.join(ADVERT_NAME)
     }
 
-    /// Persist the control-plane replica: every plan file is written
-    /// atomically, then the `CTRL` commit record (pinning each plan's
-    /// digest, the epoch and the designated standby) last — the same
-    /// complete-or-invisible discipline as a checkpoint epoch, so a rank
-    /// killed mid-replication leaves the previous replica intact.
-    ///
+    /// Persist the control-plane replica from plans already encoded (a
+    /// recovery epoch's refresh): every plan file
+    /// ([`Store::write_replica_plan`]), then [`Store::commit_replica`].
     /// The plans are borrowed: the coordinator keeps the one encoded copy
     /// it ships from, and [`Store::read_replica`] is what hands back an
     /// owned [`ControlReplica`].
@@ -1064,24 +1082,54 @@ impl Store {
         standby: u32,
         plans: &[Vec<u8>],
     ) -> Result<(), CkptError> {
+        let digests = plans
+            .iter()
+            .enumerate()
+            .map(|(rank, plan)| self.write_replica_plan(rank as u32, plan))
+            .collect::<Result<Vec<u64>, CkptError>>()?;
+        self.commit_replica(id, epoch, standby, &digests)
+    }
+
+    /// Write one rank's replica plan file — tmp → write → fsync → rename —
+    /// and return its digest for [`Store::commit_replica`], which owes it
+    /// the directory fsync. Safe to call for different ranks at once, so
+    /// each plan can be written by the thread that encoded it.
+    pub fn write_replica_plan(&self, rank: u32, plan: &[u8]) -> Result<u64, CkptError> {
+        let dir = self.replica_dir();
+        fs::create_dir_all(&dir).map_err(|e| io_err(&dir, "create replica dir", e))?;
+        self.write_renamed(&self.replica_plan_path(rank), plan)
+    }
+
+    /// Commit the replica whose plan files [`Store::write_replica_plan`]
+    /// wrote, `digests[r]` being rank `r`'s: one directory fsync makes
+    /// every plan file's rename durable, and only then is the `CTRL`
+    /// record — pinning each plan's digest, the epoch and the designated
+    /// standby — written, atomically and last. Until it lands, readers see
+    /// the previous record, which pins the previous plans' digests, so a
+    /// rank killed mid-replication leaves the previous replica intact
+    /// whenever its plans were unchanged (a refresh never changes them)
+    /// and a typed [`CkptError::Corrupt`] otherwise, never a mixed one.
+    pub fn commit_replica(
+        &self,
+        id: &RunId,
+        epoch: u32,
+        standby: u32,
+        digests: &[u64],
+    ) -> Result<(), CkptError> {
         assert_eq!(
-            plans.len() as u32,
+            digests.len() as u32,
             id.workers,
             "replica must carry one plan per rank"
         );
-        let dir = self.replica_dir();
-        fs::create_dir_all(&dir).map_err(|e| io_err(&dir, "create replica dir", e))?;
-        let mut digests = Vec::with_capacity(plans.len());
-        for (rank, plan) in plans.iter().enumerate() {
-            digests.push(self.write_atomic(&self.replica_plan_path(rank as u32), plan)?);
-        }
+        sync_dir(&self.replica_dir());
         let mut buf = Vec::new();
         CTRL_MAGIC.encode(&mut buf);
         FORMAT_VERSION.encode(&mut buf);
         id.encode(&mut buf);
         epoch.encode(&mut buf);
         standby.encode(&mut buf);
-        digests.encode(&mut buf);
+        (digests.len() as u32).encode(&mut buf);
+        u64::encode_slice(digests, &mut buf);
         self.write_atomic(&self.replica_ctrl_path(), &buf)?;
         Ok(())
     }
@@ -1238,6 +1286,15 @@ impl Store {
                 let _ = fs::remove_file(&path);
             }
         }
+    }
+}
+
+/// Make the renames inside `dir` durable. Failing to fsync a directory
+/// only weakens durability, not atomicity, so a filesystem that refuses
+/// (some tmpfs setups) is tolerated.
+fn sync_dir(dir: &Path) {
+    if let Ok(d) = fs::File::open(dir) {
+        let _ = d.sync_all();
     }
 }
 
@@ -2047,6 +2104,91 @@ mod tests {
         };
         write(&fresher).unwrap();
         assert_eq!(store.read_replica(&id).unwrap(), Some(fresher));
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// Fixed plans of a 3-rank run (rank 1's empty), so the replica's
+    /// bytes can be pinned.
+    fn pinned_plans() -> Vec<Vec<u8>> {
+        vec![
+            (0..1000u32).map(|i| (i * 31 % 251) as u8).collect(),
+            Vec::new(),
+            (0..77u32).map(|i| (i ^ 0x5a) as u8).collect(),
+        ]
+    }
+
+    /// Digest of every file in the replica directory, by name.
+    fn replica_file_digests(store: &Store) -> Vec<(String, u64)> {
+        let mut files: Vec<(String, u64)> = fs::read_dir(store.replica_dir())
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().into_string().unwrap();
+                (name, digest(&fs::read(e.path()).unwrap()))
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// The replica's on-disk bytes are a contract with every directory a
+    /// takeover may read: each plan file and the `CTRL` record, pinned for
+    /// fixed plans (recorded from the writer that gave every file its own
+    /// directory fsync). Both of today's write paths must reproduce them:
+    /// [`Store::write_replica`], and plan files written by the threads that
+    /// encode them, then one commit.
+    #[test]
+    fn replica_bytes_are_pinned() {
+        let want = [
+            ("CTRL", 0x4a69_40e0_af3a_9ad5),
+            ("plan-0000.bin", 0x4f97_e1e6_3b04_4426),
+            ("plan-0001.bin", 0x9695_43d4_982e_0ec0),
+            ("plan-0002.bin", 0xfa5d_74e1_2483_6e29),
+        ]
+        .map(|(name, d)| (name.to_string(), d));
+        let store = tmp_store("replica_pinned");
+        store
+            .write_replica(&run_id(3), 4, 2, &pinned_plans())
+            .unwrap();
+        assert_eq!(replica_file_digests(&store), want, "write_replica moved");
+        let _ = fs::remove_dir_all(store.dir());
+        let store = tmp_store("replica_pinned_threads");
+        let digests: Vec<u64> = std::thread::scope(|s| {
+            let writes: Vec<_> = (0..3)
+                .map(|rank| {
+                    let store = &store;
+                    s.spawn(move || store.write_replica_plan(rank, &pinned_plans()[rank as usize]))
+                })
+                .collect();
+            writes
+                .into_iter()
+                .map(|w| w.join().unwrap().unwrap())
+                .collect()
+        });
+        store.commit_replica(&run_id(3), 4, 2, &digests).unwrap();
+        assert_eq!(
+            replica_file_digests(&store),
+            want,
+            "per-thread writes moved"
+        );
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// A publish killed after its plan files were renamed into place but
+    /// before the `CTRL` record landed still reads back the previous
+    /// replica: a refresh rewrites the same plans, so the old record's
+    /// digests still hold.
+    #[test]
+    fn replica_killed_before_its_record_reads_the_previous_one() {
+        let store = tmp_store("replica_torn_commit");
+        let id = run_id(3);
+        let plans = pinned_plans();
+        store.write_replica(&id, 1, 1, &plans).unwrap();
+        for (rank, plan) in plans.iter().enumerate() {
+            store.write_replica_plan(rank as u32, plan).unwrap();
+        }
+        let read = store.read_replica(&id).unwrap().unwrap();
+        assert_eq!((read.epoch, read.standby, read.plans), (1, 1, plans));
         let _ = fs::remove_dir_all(store.dir());
     }
 

@@ -12,6 +12,8 @@
 //! follower r:  JOIN{rank, data_addr}  ─────▶  coordinator (rank 0)
 //! follower r:  ◀─────  PEERS{addr_0 .. addr_{M-1}}
 //! follower r:  ◀─────  PLAN{owner table + CSR slice(s) of rank r}
+//! follower r:  ◀─────  CTRL{epoch, standby, every plan but r's}   (failover
+//!                                          armed; plans only to the standby)
 //! ```
 //!
 //! Every frame rides the transport's `tag + len` wire format
@@ -20,8 +22,9 @@
 //! that never shows up is an error, not a hang.
 
 use crate::backoff::Backoff;
-use pc_bsp::tcp::{configure_stream, read_frame_into, write_frame};
+use pc_bsp::tcp::{configure_stream, read_frame_into, write_frame, write_frame_parts};
 use pc_bsp::{Codec, Reader, TransportError};
+use std::borrow::Cow;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -174,6 +177,16 @@ fn decode_peers(payload: &[u8], rank: usize) -> Result<(Vec<SocketAddr>, u32), T
         });
     }
     let ranks = r.get::<u32>() as usize;
+    // Every address takes at least its 4-byte length.
+    if ranks > r.remaining() / 4 {
+        return Err(TransportError::Protocol {
+            peer: 0,
+            detail: format!(
+                "PEERS names {ranks} ranks but only {} bytes follow",
+                r.remaining()
+            ),
+        });
+    }
     if rank >= ranks {
         return Err(TransportError::Protocol {
             peer: 0,
@@ -197,6 +210,14 @@ fn decode_peers(payload: &[u8], rank: usize) -> Result<(Vec<SocketAddr>, u32), T
 /// recovery epoch it belongs to, which rank is the designated standby,
 /// and — on the frame sent to the standby itself — every rank's encoded
 /// partition plan (the replica a takeover re-ships from).
+///
+/// On the wire the standby's frame leaves out the standby's *own* plan
+/// whenever the standby was shipped it as `PLAN` in the same rendezvous
+/// (the initial bootstrap, or a recovery re-ship to a respawned rank): its
+/// length is the `OMITTED` marker (`u64::MAX`, so an empty plan stays
+/// distinct) and no bytes follow. The receiver puts the `PLAN` bytes it
+/// just decoded back in that slot ([`Follower::recv_ctrl`]), so a decoded
+/// state always holds every plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CtrlState {
     /// Recovery epoch this configuration was published at.
@@ -207,29 +228,57 @@ pub struct CtrlState {
     pub plans: Option<Vec<Vec<u8>>>,
 }
 
+/// The length a `CTRL` frame gives a plan it omits because the receiver
+/// already holds it — distinct from `0`, a plan that is empty.
+pub(crate) const OMITTED: u64 = u64::MAX;
+
 /// Encode a `CTRL` frame payload — what [`decode_ctrl`] turns back into
-/// a [`CtrlState`]. The plans are borrowed: the coordinator serializes
-/// straight out of the one encoded copy it keeps for re-shipping.
-pub fn encode_ctrl(epoch: u32, standby: u32, plans: Option<&[Vec<u8>]>) -> Vec<u8> {
-    let mut buf = Vec::new();
-    epoch.encode(&mut buf);
-    standby.encode(&mut buf);
-    match plans {
-        None => false.encode(&mut buf),
-        Some(plans) => {
-            true.encode(&mut buf);
-            (plans.len() as u32).encode(&mut buf);
-            for plan in plans {
-                (plan.len() as u64).encode(&mut buf);
-                buf.extend_from_slice(plan);
+/// a [`CtrlState`] — as the consecutive parts
+/// [`pc_bsp::tcp::write_frame_parts`] streams: small owned parts (the
+/// header, each plan's length) between the plans themselves, borrowed, so
+/// the coordinator never copies the encoded plans it keeps for re-shipping
+/// into a frame. Plan `omit`, when given, goes out as the [`OMITTED`]
+/// marker with no bytes.
+pub(crate) fn encode_ctrl<'a>(
+    epoch: u32,
+    standby: u32,
+    plans: Option<&'a [Vec<u8>]>,
+    omit: Option<usize>,
+) -> Vec<Cow<'a, [u8]>> {
+    let mut parts = Vec::new();
+    let mut small = Vec::new();
+    epoch.encode(&mut small);
+    standby.encode(&mut small);
+    plans.is_some().encode(&mut small);
+    if let Some(plans) = plans {
+        (plans.len() as u32).encode(&mut small);
+        for (rank, plan) in plans.iter().enumerate() {
+            if omit == Some(rank) {
+                OMITTED.encode(&mut small);
+                continue;
             }
+            (plan.len() as u64).encode(&mut small);
+            parts.push(Cow::Owned(std::mem::take(&mut small)));
+            parts.push(Cow::Borrowed(plan.as_slice()));
         }
     }
-    buf
+    if !small.is_empty() {
+        parts.push(Cow::Owned(small));
+    }
+    parts
 }
 
-/// Decode a `CTRL` frame payload.
-pub fn decode_ctrl(payload: &[u8], peer: usize) -> Result<CtrlState, TransportError> {
+/// Decode a `CTRL` frame payload. `shipped` is the plan the receiving
+/// rank was sent as `PLAN` in the rendezvous this frame follows, keyed by
+/// that rank: an [`OMITTED`] plan is filled from it, and is a protocol
+/// error at any other index or when nothing was shipped. Unused, it is
+/// dropped. Every count and length is checked against the bytes left
+/// before anything is allocated.
+pub(crate) fn decode_ctrl(
+    payload: &[u8],
+    peer: usize,
+    shipped: Option<(usize, Vec<u8>)>,
+) -> Result<CtrlState, TransportError> {
     let protocol = |detail: String| TransportError::Protocol { peer, detail };
     let mut r = Reader::new(payload);
     if r.remaining() < 9 {
@@ -243,12 +292,31 @@ pub fn decode_ctrl(payload: &[u8], peer: usize) -> Result<CtrlState, TransportEr
             return Err(protocol("CTRL plan count truncated".to_string()));
         }
         let count = r.get::<u32>() as usize;
+        // Every plan takes at least its 8-byte length.
+        if count > r.remaining() / 8 {
+            return Err(protocol(format!(
+                "CTRL names {count} plans but only {} bytes follow",
+                r.remaining()
+            )));
+        }
+        let mut shipped = shipped;
         let mut plans = Vec::with_capacity(count);
         for i in 0..count {
             if r.remaining() < 8 {
                 return Err(protocol(format!("CTRL plan {i} length truncated")));
             }
             let len: u64 = r.get();
+            if len == OMITTED {
+                match shipped.take() {
+                    Some((rank, plan)) if rank == i => plans.push(plan),
+                    _ => {
+                        return Err(protocol(format!(
+                            "CTRL omits plan {i}, which this rank was not shipped"
+                        )))
+                    }
+                }
+                continue;
+            }
             if (r.remaining() as u64) < len {
                 return Err(protocol(format!(
                     "CTRL plan {i} of {len} bytes but only {} left",
@@ -457,6 +525,17 @@ impl Coordinator {
     /// is gone (it died during a tolerant rendezvous) is a typed
     /// disconnect, repaired by the next recovery rendezvous.
     pub fn send(&mut self, rank: usize, tag: u8, payload: &[u8]) -> Result<(), TransportError> {
+        self.send_parts(rank, tag, &[payload])
+    }
+
+    /// [`Coordinator::send`] of a payload given as consecutive parts
+    /// ([`write_frame_parts`]).
+    fn send_parts<P: AsRef<[u8]>>(
+        &self,
+        rank: usize,
+        tag: u8,
+        parts: &[P],
+    ) -> Result<(), TransportError> {
         let deadline = Instant::now() + self.opts.io_timeout;
         let link = self.links[rank]
             .as_ref()
@@ -464,7 +543,31 @@ impl Coordinator {
                 peer: rank,
                 during: "control-plane send (link lost)",
             })?;
-        write_frame(link, tag, payload, deadline, rank)
+        write_frame_parts(link, tag, parts, deadline, rank)
+    }
+
+    /// Ship this epoch's `CTRL` frame to every follower, streamed out of
+    /// `plans` (one per rank): the standby's frame carries every plan —
+    /// its own as the [`OMITTED`] marker when `shipped[standby]` says it
+    /// was sent that plan as `PLAN` in this rendezvous — and every other
+    /// rank's carries none. Returns each rank whose control link failed,
+    /// with the error; the caller decides whether that is fatal.
+    pub fn send_ctrl(
+        &mut self,
+        standby: u32,
+        plans: &[Vec<u8>],
+        shipped: &[bool],
+    ) -> Vec<(usize, TransportError)> {
+        let mut failed = Vec::new();
+        for rank in (0..self.ranks).filter(|&r| r != self.self_rank) {
+            let carried = (rank == standby as usize).then_some(plans);
+            let omit = (carried.is_some() && shipped[rank]).then_some(rank);
+            let parts = encode_ctrl(self.epoch, standby, carried, omit);
+            if let Err(e) = self.send_parts(rank, TAG_CTRL, &parts) {
+                failed.push((rank, e));
+            }
+        }
+        failed
     }
 
     /// Receive one control frame from a follower into `buf`; returns the
@@ -765,6 +868,35 @@ impl Follower {
     pub fn recv(&mut self, buf: &mut Vec<u8>) -> Result<u8, TransportError> {
         let deadline = Instant::now() + self.opts.io_timeout;
         read_frame_into(&self.link, buf, deadline, 0)
+    }
+
+    /// Receive this rank's `PLAN` frame: the first frame after a join
+    /// that carried [`JOIN_NEEDS_PLAN`].
+    pub fn recv_plan(&mut self) -> Result<Vec<u8>, TransportError> {
+        let mut plan = Vec::new();
+        match self.recv(&mut plan)? {
+            TAG_PLAN => Ok(plan),
+            tag => Err(TransportError::Protocol {
+                peer: 0,
+                detail: format!("expected a PLAN frame, got tag {tag:#04x}"),
+            }),
+        }
+    }
+
+    /// Receive the `CTRL` frame an armed coordinator sends after every
+    /// rendezvous. `shipped` is the plan [`Follower::recv_plan`] returned
+    /// in this rendezvous, if any: on the standby it becomes its own entry
+    /// of [`CtrlState::plans`], which the frame omitted; any other rank
+    /// drops it.
+    pub fn recv_ctrl(&mut self, shipped: Option<Vec<u8>>) -> Result<CtrlState, TransportError> {
+        let mut buf = Vec::new();
+        match self.recv(&mut buf)? {
+            TAG_CTRL => decode_ctrl(&buf, 0, shipped.map(|plan| (self.rank, plan))),
+            tag => Err(TransportError::Protocol {
+                peer: 0,
+                detail: format!("expected a CTRL frame, got tag {tag:#04x}"),
+            }),
+        }
     }
 
     /// Send one control frame to the coordinator.
@@ -1091,8 +1223,10 @@ mod tests {
         );
     }
 
-    /// `CTRL` frames round-trip both shapes: configuration-only (no
-    /// plans) and the standby's full replica.
+    /// `CTRL` frames round-trip every shape: configuration-only (no
+    /// plans), the standby's full replica, and the replica without the
+    /// standby's own plan, which the receiver puts back from its `PLAN` —
+    /// an empty plan stays distinct from an omitted one.
     #[test]
     fn ctrl_frame_round_trips() {
         let bare = CtrlState {
@@ -1100,18 +1234,191 @@ mod tests {
             standby: 2,
             plans: None,
         };
-        let encode = |s: &CtrlState| encode_ctrl(s.epoch, s.standby, s.plans.as_deref());
-        assert_eq!(decode_ctrl(&encode(&bare), 1).unwrap(), bare);
+        let encode = |s: &CtrlState, omit| {
+            encode_ctrl(s.epoch, s.standby, s.plans.as_deref(), omit).concat()
+        };
+        assert_eq!(decode_ctrl(&encode(&bare, None), 1, None).unwrap(), bare);
         let full = CtrlState {
             epoch: 7,
             standby: 1,
             plans: Some(vec![vec![1, 2, 3], Vec::new(), vec![9; 300]]),
         };
-        assert_eq!(decode_ctrl(&encode(&full), 1).unwrap(), full);
+        let whole = encode(&full, None);
+        assert_eq!(decode_ctrl(&whole, 1, None).unwrap(), full);
+        // The receiver's plan goes unused when the frame carries it.
+        assert_eq!(decode_ctrl(&whole, 1, Some((2, vec![5]))).unwrap(), full);
+        for (omit, plan) in [(2, vec![9; 300]), (1, Vec::new())] {
+            let frame = encode(&full, Some(omit));
+            assert_eq!(frame.len(), whole.len() - plan.len());
+            assert_eq!(decode_ctrl(&frame, 1, Some((omit, plan))).unwrap(), full);
+            // An omitted plan nobody shipped, or shipped for another
+            // rank, is a protocol error.
+            for shipped in [None, Some((0, vec![1, 2, 3]))] {
+                assert!(matches!(
+                    decode_ctrl(&frame, 1, shipped),
+                    Err(TransportError::Protocol { .. })
+                ));
+            }
+        }
         assert!(matches!(
-            decode_ctrl(&[1, 2], 1),
+            decode_ctrl(&[1, 2], 1, None),
             Err(TransportError::Protocol { .. })
         ));
+    }
+
+    /// A `CTRL` frame naming 2³² − 1 plans is refused before anything is
+    /// allocated for them.
+    #[test]
+    fn ctrl_with_an_absurd_plan_count_is_a_protocol_error() {
+        let mut frame = Vec::new();
+        0u32.encode(&mut frame);
+        1u32.encode(&mut frame);
+        true.encode(&mut frame);
+        u32::MAX.encode(&mut frame);
+        frame.extend_from_slice(&[0; 16]);
+        assert!(matches!(
+            decode_ctrl(&frame, 3, None),
+            Err(TransportError::Protocol { peer: 3, .. })
+        ));
+    }
+
+    /// The damage property of the bootstrap decoders, one table line per
+    /// codec: the valid frame decodes, and every prefix truncation and
+    /// every single-bit flip of it decodes to a typed error or a valid
+    /// state — never a panic or an allocation sized by an unchecked count.
+    #[test]
+    fn every_damaged_bootstrap_frame_decodes_typed() {
+        let plans = [vec![1u8, 2, 3], vec![7; 20], vec![9; 5]];
+        type Decode = fn(&[u8]) -> Result<(), TransportError>;
+        let addrs: Vec<SocketAddr> = (0..3)
+            .map(|r| SocketAddr::from(([127, 0, 0, 1], 4400 + r)))
+            .collect();
+        let table: [(&str, Vec<u8>, Decode); 3] = [
+            ("JOIN", encode_join(2, &addrs[2], JOIN_NEEDS_PLAN, 5), |f| {
+                decode_join(f, 0).map(drop)
+            }),
+            ("PEERS", encode_peers(&addrs, 1), |f| {
+                decode_peers(f, 1).map(drop)
+            }),
+            (
+                "CTRL without the receiver's own plan",
+                encode_ctrl(4, 1, Some(&plans), Some(1)).concat(),
+                |f| decode_ctrl(f, 0, Some((1, vec![7; 20]))).map(drop),
+            ),
+        ];
+        for (name, frame, decode) in table {
+            decode(&frame).unwrap_or_else(|e| panic!("{name}: the valid frame fails: {e}"));
+            for len in 0..frame.len() {
+                assert!(decode(&frame[..len]).is_err(), "{name}: {len}-byte prefix");
+            }
+            let mut flipped = frame.clone();
+            for bit in 0..frame.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let _ = decode(&flipped);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
+    /// Plans of an `M`-rank run for the splice test: distinct per rank.
+    fn splice_plans(ranks: usize) -> Vec<Vec<u8>> {
+        (0..ranks)
+            .map(|r| (0..64 + 7 * r).map(|i| (i * 13 + r) as u8).collect())
+            .collect()
+    }
+
+    /// One splice case: a bootstrap where every follower is shipped its
+    /// `PLAN` and then `CTRL`, and a recovery epoch after `victim` (if
+    /// any) died and re-joined as a fresh process, re-shipped its plan.
+    /// Returns each follower's `(bootstrap, recovery)` control state.
+    fn splice_run(
+        ranks: usize,
+        standby: u32,
+        victim: Option<usize>,
+    ) -> Vec<(CtrlState, CtrlState)> {
+        let plans = splice_plans(ranks);
+        let rendezvous = free_addr();
+        let data: Vec<SocketAddr> = (0..ranks).map(|_| free_addr()).collect();
+        let new_data: Vec<SocketAddr> = (0..ranks).map(|_| free_addr()).collect();
+        let followers: Vec<_> = (1..ranks)
+            .map(|rank| {
+                let (addr, new_addr, want) = (data[rank], new_data[rank], plans[rank].clone());
+                let all: usize = plans.iter().map(|p| 8 + p.len()).sum();
+                let wire_len = match rank == standby as usize {
+                    true => 9 + 4 + all - want.len(),
+                    false => 9,
+                };
+                std::thread::spawn(move || {
+                    let mut f = Follower::join(rendezvous, rank, addr, quick()).unwrap();
+                    let plan = f.recv_plan().unwrap();
+                    assert_eq!(plan, want);
+                    // The bootstrap frame, read raw: the standby's lacks
+                    // exactly its own plan's bytes.
+                    let mut frame = Vec::new();
+                    assert_eq!(f.recv(&mut frame).unwrap(), TAG_CTRL);
+                    assert_eq!(frame.len(), wire_len);
+                    let boot = decode_ctrl(&frame, 0, Some((rank, plan))).unwrap();
+                    if victim == Some(rank) {
+                        drop(f);
+                        let mut f = Follower::join(rendezvous, rank, new_addr, quick()).unwrap();
+                        let plan = f.recv_plan().unwrap();
+                        (boot, f.recv_ctrl(Some(plan)).unwrap())
+                    } else {
+                        f.rejoin(new_addr).unwrap();
+                        (boot, f.recv_ctrl(None).unwrap())
+                    }
+                })
+            })
+            .collect();
+        let mut c = Coordinator::rendezvous(rendezvous, ranks, data[0], quick()).unwrap();
+        for (r, plan) in plans.iter().enumerate().skip(1) {
+            c.send(r, TAG_PLAN, plan).unwrap();
+        }
+        let shipped: Vec<bool> = (0..ranks).map(|r| r != 0).collect();
+        assert!(c.send_ctrl(standby, &plans, &shipped).is_empty());
+        let needs_plan = c.recover(new_data[0]).unwrap();
+        assert_eq!(
+            needs_plan,
+            (0..ranks).map(|r| Some(r) == victim).collect::<Vec<_>>()
+        );
+        if let Some(r) = victim {
+            c.send(r, TAG_PLAN, &plans[r]).unwrap();
+        }
+        assert!(c.send_ctrl(standby, &plans, &needs_plan).is_empty());
+        followers.into_iter().map(|h| h.join().unwrap()).collect()
+    }
+
+    /// The standby ends every rendezvous holding the coordinator's plans
+    /// byte for byte, although its `CTRL` frame omits the plan it was just
+    /// shipped as `PLAN` (at bootstrap, and at a recovery epoch that
+    /// respawned it); a surviving standby is sent every plan. Every other
+    /// follower keeps none. M ∈ {2, 3, 4}, standby ∈ {1, M − 1}.
+    #[test]
+    fn ctrl_splice_gives_the_standby_every_plan() {
+        for ranks in 2..=4usize {
+            let plans = splice_plans(ranks);
+            let mut standbys = vec![1, ranks - 1];
+            standbys.dedup();
+            for standby in standbys {
+                // The standby respawned, or survived while another
+                // follower (if there is one) was respawned.
+                let other = (1..ranks).find(|&r| r != standby);
+                for victim in [Some(standby), other] {
+                    let states = splice_run(ranks, standby as u32, victim);
+                    for (i, (boot, recovered)) in states.into_iter().enumerate() {
+                        let rank = i + 1;
+                        let case =
+                            format!("M={ranks} standby={standby} victim={victim:?} rank={rank}");
+                        let want = (rank == standby).then(|| plans.clone());
+                        for (state, epoch) in [(boot, 0), (recovered, 1)] {
+                            assert_eq!(state.epoch, epoch, "{case}");
+                            assert_eq!(state.standby, standby as u32, "{case}");
+                            assert_eq!(state.plans, want, "{case} at epoch {epoch}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Coordinator failover: rank 1 takes over after rank 0's death,

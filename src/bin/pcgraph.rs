@@ -20,11 +20,8 @@ use pc_bsp::{
     CkptPolicy, Config, ExecMode, MirrorPlan, RunStats, Tcp, TcpOptions, Topology, TransportError,
     TransportKind,
 };
-use pc_ckpt::{Advertisement, RunId, Store};
-use pc_dist::bootstrap::{
-    decode_ctrl, encode_ctrl, BootstrapOptions, Coordinator, CtrlState, Follower, TAG_CTRL,
-    TAG_PLAN,
-};
+use pc_ckpt::{Advertisement, CkptError, RunId, Store};
+use pc_dist::bootstrap::{BootstrapOptions, Coordinator, CtrlState, Follower, TAG_PLAN};
 use pc_dist::launch::{
     self, pick_rendezvous_addr, LaunchSpec, EXIT_BOOTSTRAP, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
 };
@@ -507,29 +504,43 @@ fn ctrl_store(opts: &Opts) -> Store {
     })
 }
 
-/// Publish this epoch's control-plane state: pick the standby, persist
-/// the replica and the coordinator advertisement (tmp→fsync→rename, so
-/// a torn publish leaves the previous epoch intact), and ship a `CTRL`
-/// frame to every follower — plans ride only on the standby's frame.
-/// Failures to persist are fatal (like checkpoint I/O); a dead control
-/// link is tolerated (the next recovery epoch repairs it).
+/// A control-replica write that failed: fatal, like checkpoint I/O.
+fn persisted<T>(r: Result<T, CkptError>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("pcgraph: cannot persist control replica: {e}");
+        exit(EXIT_RUNTIME)
+    })
+}
+
+/// Publish this epoch's control-plane state: pick the standby, commit the
+/// replica, publish the coordinator advertisement, and ship a `CTRL` frame
+/// to every follower — plans ride only on the standby's frame, without
+/// the standby's own when `shipped` says it was just sent that as `PLAN`.
+/// `written` holds the digests of plan files the bootstrap already wrote
+/// (each on the thread that encoded its plan) and when it started on
+/// them; `None` writes the files from `plans` now. Each step is durable
+/// before the next starts: plan files, `CTRL` record, advertisement,
+/// frames — so a torn publish leaves the previous epoch intact. Failures
+/// to persist are fatal (like checkpoint I/O); a dead control link is
+/// tolerated (the next recovery epoch repairs it). Ends with the
+/// `failover:` report line on stderr.
 fn publish_ctrl(
     coordinator: &mut Coordinator,
-    store: &Store,
-    id: &RunId,
+    (store, id): &(Store, RunId),
     plans: &[Vec<u8>],
+    written: Option<(&[u64], Instant)>,
+    shipped: &[bool],
     opts: &Opts,
 ) -> u32 {
+    let started = written.map_or_else(Instant::now, |(_, t)| t);
     let acting = coordinator.acting_rank();
     let ranks = coordinator.ranks();
     let epoch = coordinator.epoch();
     let standby = pick_standby(opts, acting, ranks);
-    store
-        .write_replica(id, epoch, standby, plans)
-        .unwrap_or_else(|e| {
-            eprintln!("pcgraph: cannot persist control replica: {e}");
-            exit(EXIT_RUNTIME)
-        });
+    persisted(match written {
+        Some((digests, _)) => store.commit_replica(id, epoch, standby, digests),
+        None => store.write_replica(id, epoch, standby, plans),
+    });
     let addr = coordinator
         .control_addr()
         .unwrap_or_else(|e| bail_bootstrap(e));
@@ -543,15 +554,20 @@ fn publish_ctrl(
             eprintln!("pcgraph: cannot publish coordinator advertisement: {e}");
             exit(EXIT_RUNTIME)
         });
-    for rank in (0..ranks).filter(|&r| r != acting) {
-        let frame = encode_ctrl(epoch, standby, (rank as u32 == standby).then_some(plans));
-        if let Err(e) = coordinator.send(rank, TAG_CTRL, &frame) {
-            eprintln!(
-                "pcgraph: rank {acting}: cannot ship CTRL to rank {rank} ({e}); \
-                 deferring to the next recovery epoch"
-            );
-        }
+    let replica_ms = started.elapsed().as_secs_f64() * 1e3;
+    let t0 = Instant::now();
+    for (rank, e) in coordinator.send_ctrl(standby, plans, shipped) {
+        eprintln!(
+            "pcgraph: rank {acting}: cannot ship CTRL to rank {rank} ({e}); \
+             deferring to the next recovery epoch"
+        );
     }
+    let bytes: usize = plans.iter().map(Vec::len).sum();
+    eprintln!(
+        "failover: replica {:.1} MiB ({ranks} plans) in {replica_ms:.1} ms, ctrl {:.1} ms",
+        bytes as f64 / (1u64 << 20) as f64,
+        t0.elapsed().as_secs_f64() * 1e3
+    );
     standby
 }
 
@@ -1093,37 +1109,54 @@ fn prepare(opts: &Opts, need: Need) -> Prepared {
     // opens the input. With failover armed, rank 0's own plan is encoded
     // too: the replica must let a takeover coordinator re-ship a
     // respawned rank 0's slice (and reconstruct the full graph for
-    // --verify) without ever seeing the input.
+    // --verify) without ever seeing the input. It is encoded on a thread
+    // of its own while the followers' plans are encoded and shipped, and
+    // each replica plan file is written by the thread that encoded it.
+    let failover = armed.then(|| (ctrl_store(opts), replica_run_id(opts, ranks, topo.n())));
+    let started = Instant::now();
     let mut plans: Vec<Vec<u8>> = vec![Vec::new()];
-    if armed {
-        plans[0] = encode_plan(&owner, &full, mirror, 0);
-    }
-    for r in 1..ranks {
-        let plan = encode_plan(&owner, &full, mirror, r);
-        if let Err(e) = coordinator.send(r, TAG_PLAN, &plan) {
-            if !recovery {
-                bail_bootstrap(e);
+    let mut shipped = vec![false; ranks];
+    let mut digests = vec![0u64; ranks];
+    std::thread::scope(|s| {
+        let store = failover.as_ref().map(|(store, _)| store);
+        let own = store.map(|store| {
+            s.spawn(|| {
+                let plan = encode_plan(&owner, &full, mirror, 0);
+                let digest = persisted(store.write_replica_plan(0, &plan));
+                (plan, digest)
+            })
+        });
+        for r in 1..ranks {
+            let plan = encode_plan(&owner, &full, mirror, r);
+            match coordinator.send(r, TAG_PLAN, &plan) {
+                Ok(()) => shipped[r] = true,
+                Err(e) if !recovery => bail_bootstrap(e),
+                // The rank died between joining and receiving its plan.
+                // With recovery armed this is survivable: the launcher is
+                // respawning it, the data plane will fault, and the
+                // recovery rendezvous re-ships this cached plan.
+                Err(e) => eprintln!(
+                    "pcgraph: rank 0: cannot ship plan to rank {r} ({e}); \
+                     deferring to recovery"
+                ),
             }
-            // The rank died between joining and receiving its plan.
-            // With recovery armed this is survivable: the launcher is
-            // respawning it, the data plane will fault, and the
-            // recovery rendezvous re-ships this cached plan.
-            eprintln!(
-                "pcgraph: rank 0: cannot ship plan to rank {r} ({e}); \
-                 deferring to recovery"
-            );
+            if let Some(store) = store {
+                digests[r] = persisted(store.write_replica_plan(r as u32, &plan));
+            }
+            plans.push(if recovery { plan } else { Vec::new() });
         }
-        plans.push(if recovery { plan } else { Vec::new() });
-    }
-    // Failover: persist the control replica + advertisement and ship the
-    // CTRL frames (the standby's carries every plan) before the run
-    // starts, so rank 0's very first death is already survivable.
-    let failover = armed.then(|| {
-        let store = ctrl_store(opts);
-        let id = replica_run_id(opts, ranks, topo.n());
-        publish_ctrl(&mut coordinator, &store, &id, &plans, opts);
-        (store, id)
+        if let Some(own) = own {
+            (plans[0], digests[0]) = own.join().expect("rank 0's plan encoder panicked");
+        }
     });
+    // Failover: commit the control replica, publish the advertisement and
+    // ship the CTRL frames (the standby's carries every plan but the one
+    // it was just shipped) before the run starts, so rank 0's very first
+    // death is already survivable.
+    if let Some(replica) = &failover {
+        let written = Some((&digests[..], started));
+        publish_ctrl(&mut coordinator, replica, &plans, written, &shipped, opts);
+    }
     // Rank 0 runs on its own rows: copied out when --verify will rerun the
     // job on the full graph, otherwise compacted in place inside it.
     let (data, full) = if opts.verify {
@@ -1212,19 +1245,18 @@ fn prepare_follower(
         }
         backoff.sleep(deadline - now);
     };
-    let mut plan = Vec::new();
-    let tag = follower
-        .recv(&mut plan)
-        .unwrap_or_else(|e| bail_bootstrap(e));
-    if tag != TAG_PLAN {
-        bail_bootstrap(format!("expected a PLAN frame, got tag {tag:#04x}"));
-    }
+    let plan = follower.recv_plan().unwrap_or_else(|e| bail_bootstrap(e));
     let (owner, data, mirror) =
         decode_plan(&plan, need).unwrap_or_else(|e| bail_bootstrap(format!("malformed plan: {e}")));
     // The coordinator follows every plan with the replicated control
     // state: the epoch, who the standby is, and — on the standby's own
-    // frame — every rank's plan.
-    let ctrl_state = armed.then(|| recv_ctrl(&mut follower));
+    // frame — every rank's plan but this one, which the standby keeps
+    // from its PLAN.
+    let ctrl_state = armed.then(|| {
+        follower
+            .recv_ctrl(Some(plan))
+            .unwrap_or_else(|e| bail_bootstrap(e))
+    });
     let mut base = Topology::from_owners(ranks, owner);
     if let Some(plan) = mirror {
         base = base.with_mirror(Arc::new(plan));
@@ -1247,26 +1279,6 @@ fn prepare_follower(
         },
         recoveries: 0,
         recovery_us: 0,
-    }
-}
-
-/// Receive the `CTRL` frame the coordinator sends after a plan (or after
-/// a recovery rendezvous) on an armed run; fatal on failure.
-fn recv_ctrl(follower: &mut Follower) -> CtrlState {
-    try_recv_ctrl(follower).unwrap_or_else(|e| bail_bootstrap(e))
-}
-
-/// [`recv_ctrl`] returning the failure instead — the recovery path turns
-/// a lost CTRL frame into an election, not a process exit.
-fn try_recv_ctrl(follower: &mut Follower) -> Result<CtrlState, TransportError> {
-    let mut buf = Vec::new();
-    match follower.recv(&mut buf) {
-        Ok(TAG_CTRL) => decode_ctrl(&buf, 0),
-        Ok(tag) => Err(TransportError::Protocol {
-            peer: 0,
-            detail: format!("expected a CTRL frame, got tag {tag:#04x}"),
-        }),
-        Err(e) => Err(e),
     }
 }
 
@@ -1353,6 +1365,30 @@ fn execute<V>(
     }
 }
 
+/// Re-ship the cached plans to the ranks a recovery rendezvous flagged as
+/// needing one; returns which ranks were sent theirs. A respawned rank
+/// that died again before its plan went out (crash loop) gets the same
+/// policy as at bootstrap: the coordinator does not fail over it — the
+/// mesh will fault and the next recovery epoch retries.
+fn reship_plans(
+    coordinator: &mut Coordinator,
+    plans: &[Vec<u8>],
+    needs_plan: &[bool],
+) -> Vec<bool> {
+    let acting = coordinator.acting_rank();
+    let mut shipped = vec![false; plans.len()];
+    for r in (0..plans.len()).filter(|&r| needs_plan[r] && r != acting) {
+        match coordinator.send(r, TAG_PLAN, &plans[r]) {
+            Ok(()) => shipped[r] = true,
+            Err(e) => eprintln!(
+                "pcgraph: rank {acting}: cannot re-ship plan to rank {r} ({e}); \
+                 deferring to the next recovery epoch"
+            ),
+        }
+    }
+    shipped
+}
+
 /// One recovery rendezvous: agree on a fresh peer table over the control
 /// plane, re-ship plans to respawned ranks, rebuild this rank's mesh.
 ///
@@ -1374,26 +1410,12 @@ fn recover(p: &mut Prepared, opts: &Opts, ranks: usize) -> Result<(), TransportE
             let acting = coordinator.acting_rank();
             let needs_plan = coordinator.recover(data_addr)?;
             let plans = plans.as_ref().expect("recovery keeps the encoded plans");
-            for (r, needs) in needs_plan.iter().enumerate() {
-                if r == acting || !*needs {
-                    continue;
-                }
-                if let Err(e) = coordinator.send(r, TAG_PLAN, &plans[r]) {
-                    // The respawned rank died again before its plan went
-                    // out (crash loop). Same policy as the initial
-                    // bootstrap: don't fail the coordinator over it — the
-                    // mesh will fault and the next recovery epoch retries.
-                    eprintln!(
-                        "pcgraph: rank {acting}: cannot re-ship plan to rank {r} ({e}); \
-                         deferring to the next recovery epoch"
-                    );
-                }
-            }
+            let shipped = reship_plans(coordinator, plans, &needs_plan);
             // Refresh the replicated control state at the new epoch: the
             // standby may have been the casualty, and respawned ranks
             // hold no CTRL state at all yet.
-            if let Some((store, id)) = failover {
-                publish_ctrl(coordinator, store, id, plans, opts);
+            if let Some(replica) = failover {
+                publish_ctrl(coordinator, replica, plans, None, &shipped, opts);
             }
             let tcp = Tcp::mesh(rank, coordinator.peers().to_vec(), listener, tcp_options())?;
             p.cfg = rank_config(opts, ranks, rank, tcp);
@@ -1420,7 +1442,7 @@ fn recover(p: &mut Prepared, opts: &Opts, ranks: usize) -> Result<(), TransportE
             let outcome = match follower.rejoin(data_addr) {
                 // The coordinator follows every recovery PEERS with a
                 // fresh CTRL frame.
-                Ok(_epoch) if armed => match try_recv_ctrl(follower) {
+                Ok(_epoch) if armed => match follower.recv_ctrl(None) {
                     Ok(state) => Ok(Some(state)),
                     Err(e) => Err(format!("control plane lost after rejoin ({e})")),
                 },
@@ -1517,18 +1539,9 @@ fn elect(
                 exit(EXIT_RUNTIME)
             });
         let needs_plan = coordinator.recover(data_addr)?;
-        for (r, needs) in needs_plan.iter().enumerate() {
-            if r == rank || !*needs {
-                continue;
-            }
-            if let Err(e) = coordinator.send(r, TAG_PLAN, &plans[r]) {
-                eprintln!(
-                    "pcgraph: rank {rank}: cannot re-ship plan to rank {r} ({e}); \
-                     deferring to the next recovery epoch"
-                );
-            }
-        }
-        publish_ctrl(&mut coordinator, &store, &id, &plans, opts);
+        let shipped = reship_plans(&mut coordinator, &plans, &needs_plan);
+        let replica = (store, id);
+        publish_ctrl(&mut coordinator, &replica, &plans, None, &shipped, opts);
         let tcp = Tcp::mesh(rank, coordinator.peers().to_vec(), listener, tcp_options())?;
         p.cfg = rank_config(opts, ranks, rank, tcp);
         if let Some(d) = p.cfg.dist.as_mut() {
@@ -1540,7 +1553,7 @@ fn elect(
             full: None,
             coordinator,
             plans: Some(plans),
-            failover: Some((store, id)),
+            failover: Some(replica),
         };
         return Ok(());
     }
@@ -1582,7 +1595,7 @@ fn elect(
     // A takeover coordinator dying between PEERS and CTRL surfaces here;
     // propagate so the caller's retry loop re-enters the election rather
     // than exiting this rank.
-    let new_state = try_recv_ctrl(&mut follower)?;
+    let new_state = follower.recv_ctrl(None)?;
     let tcp = Tcp::mesh(rank, follower.peers().to_vec(), listener, tcp_options())?;
     p.cfg = rank_config(opts, ranks, rank, tcp);
     if let Some(d) = p.cfg.dist.as_mut() {
