@@ -7,10 +7,11 @@
 //! a [`Staged`] list — one run per call, a bulk copy per row. The channel's
 //! `finalize`, run at the top of `serialize` (so at most once per
 //! superstep, after every `compute` of the superstep has registered),
-//! hands the list to [`Adjacency::merge`] (`ScatterCombine` to its own
-//! counting sort), which resolves each destination to `(owning worker,
-//! local index there)` once and appends it to the source's row. Nothing on
-//! a send path ever builds or scans a table.
+//! hands the list to [`Adjacency::merge`], which resolves each destination
+//! to `(owning worker, local index there)` once and appends it to the
+//! source's row (`ScatterCombine` instead buckets its list by destination
+//! with `pc_graph::csr::bucket_by_key`). Nothing on a send path ever builds
+//! or scans a table.
 //!
 //! **Rows are extents, not offsets.** [`Rows`] keeps `(start, len)` per
 //! row over arenas that only grow at the end. A first registration in
@@ -195,15 +196,14 @@ impl<E> Staged<E> {
         }
     }
 
-    /// Hand every staged edge to `f` as `(row, destination)`, in call order.
-    pub(crate) fn for_each(&self, mut f: impl FnMut(u32, VertexId)) {
-        let mut begin = 0;
-        for &(row, end) in &self.runs {
-            for &dst in &self.dsts[begin as usize..end as usize] {
-                f(row, dst);
-            }
-            begin = end;
-        }
+    /// Every staged edge as `(row, destination)`, in call order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, VertexId)> + Clone + '_ {
+        let begins = std::iter::once(0).chain(self.runs.iter().map(|&(_, end)| end));
+        let runs = self.runs.iter().zip(begins);
+        runs.flat_map(|(&(row, end), begin)| {
+            let dsts = &self.dsts[begin as usize..end as usize];
+            dsts.iter().map(move |&dst| (row, dst))
+        })
     }
 
     /// Replace every staged destination `d` by `f(d)`, in call order.

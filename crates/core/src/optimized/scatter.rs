@@ -14,14 +14,15 @@
 //! registration builds one by-destination CSR per peer — `unique_dsts`
 //! (distinct destinations, ascending), `run_ends` (where each
 //! destination's run of sources ends) and the peer's slice of one `srcs`
-//! column (4 bytes per edge) — with a counting sort over the concatenation
-//! of the peers' local index spaces, O(edges + vertices): the counting
-//! pass resolves each destination once and overwrites it with its key,
-//! the placing pass reads the keys. The staging list is then freed. A run
-//! whose sources arrived out of order is sorted, so a run is always
-//! ascending: the fold order is (destination ascending, source ascending)
-//! however the edges arrived. Edges added later are merged into the CSR
-//! the same way, the existing runs first.
+//! column (4 bytes per edge) — with `pc_graph::csr::bucket_by_key`, the
+//! workspace's one counting sort, over the concatenation of the peers'
+//! local index spaces, O(edges + vertices): each destination is resolved
+//! once and overwritten by its key, and the kernel places the sources by
+//! key and sorts any run whose sources arrived out of order. The staging
+//! list is then freed. So a run is always ascending: the fold order is
+//! (destination ascending, source ascending) however the edges arrived.
+//! Edges added later are bucketed together with the existing runs, which
+//! go first.
 //!
 //! **Each superstep** the sender runs [`Combine::gather`] once per peer:
 //! fold the slot values of each run's sources and push one value per
@@ -48,6 +49,7 @@ use super::flat::{check, encode_vec, Slots, Staged};
 use crate::channel::{Channel, DeserializeCx, SerializeCx, WorkerEnv};
 use crate::combine::Combine;
 use pc_bsp::codec::{Codec, Reader};
+use pc_graph::csr::bucket_by_key;
 use pc_graph::VertexId;
 use std::ops::Range;
 
@@ -188,12 +190,14 @@ impl<M: Codec + Clone + Send> ScatterCombine<M> {
         self.staged.len() + self.srcs.len()
     }
 
-    /// Fold any staged edges into the routes and free the staging list: a
-    /// counting sort over the concatenation of the peers' local index
-    /// spaces (peer `p`'s vertices are keys `base[p]..base[p + 1]`), so the
-    /// result is grouped by peer, then destination. Each staged destination
-    /// is resolved once, in the counting pass, and overwritten by its key.
-    /// A changed route set is re-announced to every peer.
+    /// Fold any staged edges into the routes and free the staging list:
+    /// [`bucket_by_key`] of the existing runs, then the staged edges, by
+    /// destination key over the concatenation of the peers' local index
+    /// spaces (peer `p`'s vertices are keys `base[p]..base[p + 1]`), each
+    /// bucket sorted. So the result is grouped by peer, then destination,
+    /// and a run is ascending however its sources arrived. Each staged
+    /// destination is resolved once and overwritten by its key. A changed
+    /// route set is re-announced to every peer.
     fn finalize_routes(&mut self) {
         if self.staged.is_empty() {
             return;
@@ -209,62 +213,36 @@ impl<M: Codec + Clone + Send> ScatterCombine<M> {
         let key_of: Vec<u32> = (0..topo.n() as u32)
             .map(|v| base[topo.worker_of(v)] + topo.local_of(v))
             .collect();
-        // cursor[k + 1] counts key k's sources, then (prefix sum) cursor[k]
-        // is where k's run begins, then (placement) where it ends.
-        let mut cursor = vec![0u32; topo.n() + 1];
-        for (routes, &base) in self.peers.iter().zip(&base) {
-            let mut begin = 0;
-            for (&dst, &end) in routes.unique_dsts.iter().zip(&routes.run_ends) {
-                cursor[(base + dst) as usize + 1] = end - begin;
-                begin = end;
-            }
-        }
-        staged.map_dsts(|dst| {
-            let key = key_of[dst as usize];
-            cursor[key as usize + 1] += 1;
-            key
-        });
+        staged.map_dsts(|dst| key_of[dst as usize]);
         drop(key_of);
-        for k in 1..cursor.len() {
-            cursor[k] += cursor[k - 1];
-        }
-        // The existing runs keep their place at the front of theirs.
-        let mut srcs = vec![0u32; total];
-        for (routes, &base) in self.peers.iter().zip(&base) {
-            let old = &self.srcs[routes.at.clone()];
-            let mut begin = 0;
-            for (&dst, &end) in routes.unique_dsts.iter().zip(&routes.run_ends) {
-                let run = &old[begin as usize..end as usize];
-                let at = &mut cursor[(base + dst) as usize];
-                srcs[*at as usize..*at as usize + run.len()].copy_from_slice(run);
-                *at += run.len() as u32;
-                begin = end;
-            }
-        }
-        staged.for_each(|src, key| {
-            let at = &mut cursor[key as usize];
-            srcs[*at as usize] = src;
-            *at += 1;
+        // The existing runs go first, so they keep their place at the front
+        // of theirs.
+        let old = self.peers.iter().zip(&base).flat_map(|(routes, &base)| {
+            let srcs = &self.srcs[routes.at.clone()];
+            let begins = std::iter::once(0).chain(routes.run_ends.iter().copied());
+            let runs = routes.unique_dsts.iter().zip(begins.zip(&routes.run_ends));
+            runs.flat_map(move |(&dst, (begin, &end))| {
+                let key = (base + dst) as usize;
+                let run = &srcs[begin as usize..end as usize];
+                run.iter().map(move |&src| (key, src, ()))
+            })
         });
+        let new = staged.iter().map(|(src, key)| (key as usize, src, ()));
+        let (ends, srcs, _) = bucket_by_key(topo.n(), &[old.chain(new)], false, true);
         drop(staged);
-        // Cut the runs per peer: key k's run is `begin(k)..cursor[k]`. A
-        // run whose sources arrived out of order is sorted.
-        let begin = |k: usize| k.checked_sub(1).map_or(0, |prev| cursor[prev]);
+        // Cut the runs per peer: key k's run is `ends[k]..ends[k + 1]`.
         for (peer, routes) in self.peers.iter_mut().enumerate() {
             let keys = base[peer] as usize..base[peer + 1] as usize;
-            let start = begin(keys.start);
-            let runs = keys.clone().filter(|&k| cursor[k] != begin(k)).count();
-            routes.unique_dsts = Vec::with_capacity(runs);
-            routes.run_ends = Vec::with_capacity(runs);
-            for k in keys.clone().filter(|&k| cursor[k] != begin(k)) {
-                let run = &mut srcs[begin(k) as usize..cursor[k] as usize];
-                if !run.is_sorted() {
-                    run.sort_unstable();
-                }
+            let start = ends[keys.start];
+            let runs = || keys.clone().filter(|&k| ends[k] != ends[k + 1]);
+            let count = runs().count();
+            (routes.unique_dsts, routes.run_ends) =
+                (Vec::with_capacity(count), Vec::with_capacity(count));
+            for k in runs() {
                 routes.unique_dsts.push((k - keys.start) as u32);
-                routes.run_ends.push(cursor[k] - start);
+                routes.run_ends.push((ends[k + 1] - start) as u32);
             }
-            routes.at = start as usize..begin(keys.end) as usize;
+            routes.at = start..ends[keys.end];
             routes.ids_shipped = false;
         }
         self.srcs = srcs;
@@ -453,11 +431,11 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
         let topo = &self.env.topo;
         for (peer, p) in self.peers.iter().enumerate() {
             let mut pairs: Vec<(u32, u32)> = Vec::new();
-            self.staged.for_each(|src, dst| {
+            for (src, dst) in self.staged.iter() {
                 if topo.worker_of(dst) == peer {
                     pairs.push((topo.local_of(dst), src));
                 }
-            });
+            }
             pairs.encode(buf);
             p.ids_shipped.encode(buf);
         }
@@ -548,11 +526,10 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
         self.incoming.decode(r, "scatter");
         self.messages = r.get();
         self.registered.fill(false);
-        for &src in &self.srcs {
+        let staged = self.staged.iter().map(|(src, _)| src);
+        for src in self.srcs.iter().copied().chain(staged) {
             self.registered[src as usize] = true;
         }
-        self.staged
-            .for_each(|src, _| self.registered[src as usize] = true);
         self.registered_count = self.registered.iter().filter(|&&reg| reg).count();
         self.set_registered = self
             .registered

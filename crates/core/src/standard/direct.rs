@@ -2,12 +2,17 @@
 //!
 //! Point-to-point messages: a vertex sends `(dst, value)` pairs; the
 //! receiver iterates the values addressed to each vertex in the next
-//! superstep. The receive side is a flat counting-sorted array with
-//! per-vertex ranges — the "message iterator" the paper credits for the
-//! 45% pointer-jumping win over Pregel+'s nested vectors (§V-A analysis).
+//! superstep. The receive side is a flat array with per-vertex ranges —
+//! the "message iterator" the paper credits for the 45% pointer-jumping
+//! win over Pregel+'s nested vectors (§V-A analysis). It is the
+//! superstep's arrivals bucketed by receiver with
+//! `pc_graph::csr::bucket_by_key`, which keeps arrival order within a
+//! receiver: by sending worker ascending, then in send order.
 
 use crate::channel::{Channel, DeserializeCx, SerializeCx, WorkerEnv};
+use crate::optimized::flat::check;
 use pc_bsp::codec::Codec;
+use pc_graph::csr::bucket_by_key;
 use pc_graph::VertexId;
 
 /// Point-to-point message channel carrying values of type `M`.
@@ -20,7 +25,7 @@ pub struct DirectMessage<M> {
     incoming: Vec<(u32, M)>,
     /// Readable state: values sorted by destination with range offsets.
     read_vals: Vec<M>,
-    read_offsets: Vec<u32>,
+    read_offsets: Vec<usize>,
     messages: u64,
 }
 
@@ -46,9 +51,8 @@ impl<M: Codec + Clone + Send> DirectMessage<M> {
 
     /// The messages delivered to local vertex `local` this superstep.
     pub fn messages(&self, local: u32) -> &[M] {
-        let lo = self.read_offsets[local as usize] as usize;
-        let hi = self.read_offsets[local as usize + 1] as usize;
-        &self.read_vals[lo..hi]
+        let local = local as usize;
+        &self.read_vals[self.read_offsets[local]..self.read_offsets[local + 1]]
     }
 
     /// Whether `local` received anything this superstep.
@@ -57,26 +61,30 @@ impl<M: Codec + Clone + Send> DirectMessage<M> {
     }
 }
 
-impl<AV, M: Codec + Clone + Send> Channel<AV> for DirectMessage<M> {
+impl<M: Codec + Clone + Send + Sync> DirectMessage<M> {
+    /// Bucket the superstep's deliveries by destination and expose them as
+    /// one flat value array with per-vertex ranges. Outside the `Channel`
+    /// impl, so one copy serves every algorithm that sends `M`.
+    fn deliver(&mut self) {
+        let arrivals = self.incoming.iter().zip(0..);
+        let arrivals = arrivals.map(|(&(local, _), i)| (local as usize, i, ()));
+        let keys = self.read_offsets.len() - 1;
+        let (offsets, order, _) = bucket_by_key(keys, &[arrivals], false, false);
+        self.read_offsets = offsets;
+        self.read_vals.clear();
+        let vals = order.iter().map(|&i| self.incoming[i as usize].1.clone());
+        self.read_vals.extend(vals);
+        self.incoming.clear();
+    }
+}
+
+impl<AV, M: Codec + Clone + Send + Sync> Channel<AV> for DirectMessage<M> {
     fn name(&self) -> &'static str {
         "direct"
     }
 
     fn before_superstep(&mut self, _step: u64) {
-        // Sort the superstep's deliveries by destination and expose them as
-        // one flat value array with per-vertex ranges.
-        let numv = self.read_offsets.len() - 1;
-        self.incoming.sort_by_key(|&(local, _)| local);
-        self.read_offsets.iter_mut().for_each(|o| *o = 0);
-        for &(local, _) in &self.incoming {
-            self.read_offsets[local as usize + 1] += 1;
-        }
-        for i in 0..numv {
-            self.read_offsets[i + 1] += self.read_offsets[i];
-        }
-        self.read_vals.clear();
-        self.read_vals
-            .extend(self.incoming.drain(..).map(|(_, m)| m));
+        self.deliver();
     }
 
     fn serialize(&mut self, cx: &mut SerializeCx<'_>) {
@@ -96,11 +104,17 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for DirectMessage<M> {
     }
 
     fn deserialize(&mut self, cx: &mut DeserializeCx<'_, AV>) {
-        for (_from, mut r) in cx.frames() {
+        let env = &self.env;
+        for (from, mut r) in cx.frames() {
             while !r.is_empty() {
                 let dst: VertexId = r.get();
+                assert!(
+                    (dst as usize) < env.n() && env.worker_of(dst) == env.worker,
+                    "direct channel: frame from worker {from} names vertex {dst}, \
+                     which this worker does not own"
+                );
                 let m: M = r.get();
-                let local = self.env.local_of(dst);
+                let local = env.local_of(dst);
                 self.incoming.push((local, m));
                 cx.activate(local);
             }
@@ -123,6 +137,9 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for DirectMessage<M> {
 
     fn decode_state(&mut self, r: &mut pc_bsp::codec::Reader<'_>) {
         self.incoming = r.get();
+        let numv = self.read_offsets.len() - 1;
+        let in_range = |&(local, _): &(u32, M)| (local as usize) < numv;
+        check(self.incoming.iter().all(in_range), "direct", "local index");
         self.messages = r.get();
     }
 }
@@ -219,6 +236,60 @@ mod tests {
         assert_eq!(out.stats.messages(), 0);
     }
 
+    /// Every vertex sends `10 * id + k` to the `k`-th of `id / 2`, `id / 2`
+    /// and `7 * id mod n`: duplicate destinations from one sender, several
+    /// senders per receiver. Each receiver keeps the sequence it reads.
+    struct Deliveries {
+        n: u32,
+    }
+    impl Algorithm for Deliveries {
+        type Value = Vec<u32>;
+        type Channels = (DirectMessage<u32>,);
+        fn channels(&self, env: &WorkerEnv) -> Self::Channels {
+            (DirectMessage::new(env),)
+        }
+        fn compute(&self, v: &mut VertexCtx<'_>, value: &mut Vec<u32>, ch: &mut Self::Channels) {
+            if v.step() == 1 {
+                for (k, dst) in [v.id / 2, v.id / 2, 7 * v.id % self.n]
+                    .into_iter()
+                    .enumerate()
+                {
+                    ch.0.send_message(dst, 10 * v.id + k as u32);
+                }
+            } else {
+                *value = ch.0.messages(v.local).to_vec();
+            }
+            v.vote_to_halt();
+        }
+    }
+
+    /// The delivery order, pinned: a receiver reads its messages by sending
+    /// worker ascending, then in send order (a worker computes its vertices
+    /// by ascending local index, which ascends with the global id), under
+    /// every driver.
+    #[test]
+    fn deliveries_arrive_by_sending_worker_then_send_order() {
+        let n = 30;
+        let topo = Arc::new(Topology::hashed(n as usize, 3));
+        let mut expect = vec![Vec::new(); n as usize];
+        for worker in 0..3 {
+            for &id in topo.locals(worker) {
+                for (k, dst) in [id / 2, id / 2, 7 * id % n].into_iter().enumerate() {
+                    expect[dst as usize].push(10 * id + k as u32);
+                }
+            }
+        }
+        // Sender 26 sits on a lower worker than sender 5.
+        assert_eq!(expect[2], [40, 41, 262, 50, 51]);
+        for cfg in [
+            Config::sequential(3),
+            Config::with_workers(3),
+            Config::tcp(3),
+        ] {
+            assert_eq!(run(&Deliveries { n }, &topo, &cfg).values, expect);
+        }
+    }
+
     #[test]
     fn variable_width_messages_roundtrip() {
         struct VecMsg;
@@ -242,5 +313,53 @@ mod tests {
         let out = run(&VecMsg, &topo, &Config::sequential(2));
         // ids 0..9, each sends id%3 elements: 0+1+2+0+1+2+0+1+2 = 9
         assert_eq!(out.values[0], 9);
+    }
+
+    // ---- the channel driven by hand: frames and state it must refuse ----
+
+    use crate::optimized::testkit;
+    use pc_bsp::buffer::FrameWriter;
+    use pc_bsp::codec::Reader;
+
+    /// Two workers holding vertices `0, 2` and `1` respectively.
+    fn cluster() -> testkit::Cluster<DirectMessage<u64>> {
+        testkit::Cluster::new(Topology::from_owners(2, vec![0, 1, 0]), DirectMessage::new)
+    }
+
+    /// Worker 1's frame to worker 0 carrying `7` for vertex `dst`.
+    fn deliver_to(dst: VertexId) {
+        let mut buf = Vec::new();
+        let mut fw = FrameWriter::begin(&mut buf, 0);
+        dst.encode(fw.payload());
+        7u64.encode(fw.payload());
+        fw.finish();
+        cluster().deliver(0, &[(1, buf)]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "direct channel: frame from worker 1 names vertex 3, which this worker does not own"
+    )]
+    fn a_frame_naming_a_missing_vertex_is_refused() {
+        deliver_to(3);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "direct channel: frame from worker 1 names vertex 1, which this worker does not own"
+    )]
+    fn a_frame_naming_another_workers_vertex_is_refused() {
+        deliver_to(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt direct channel state: local index")]
+    fn restored_state_naming_a_missing_vertex_is_refused() {
+        let mut state = Vec::new();
+        vec![(2u32, 7u64)].encode(&mut state);
+        0u64.encode(&mut state);
+        let mut c = cluster();
+        Channel::<()>::decode_state(&mut c.chans[0], &mut Reader::new(&state));
+        Channel::<()>::before_superstep(&mut c.chans[0], 2);
     }
 }

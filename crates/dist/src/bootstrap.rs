@@ -156,6 +156,32 @@ fn decode_join(payload: &[u8], peer: usize) -> Result<Join, TransportError> {
     })
 }
 
+/// Encode the `RECOVER` notice: the recovery epoch and the acting
+/// coordinator's rendezvous address.
+fn encode_recover(epoch: u32, coordinator: &SocketAddr) -> Vec<u8> {
+    let mut buf = Vec::new();
+    epoch.encode(&mut buf);
+    encode_addr(coordinator, &mut buf);
+    buf
+}
+
+/// The epoch a `RECOVER` notice opens. The address it also names is, on a
+/// live control link, by construction the peer the frame arrived from, so
+/// it is checked but not returned (respawned ranks learn it from the
+/// advertisement instead).
+fn decode_recover(payload: &[u8]) -> Result<u32, TransportError> {
+    let mut r = Reader::new(payload);
+    if r.remaining() < 4 {
+        return Err(TransportError::Protocol {
+            peer: 0,
+            detail: "RECOVER too short".to_string(),
+        });
+    }
+    let epoch = r.get();
+    decode_addr(&mut r, 0)?;
+    Ok(epoch)
+}
+
 /// Encode the `PEERS` table: rank count, one address per rank, and the
 /// recovery epoch the table belongs to (0 = initial bootstrap).
 fn encode_peers(peers: &[SocketAddr], epoch: u32) -> Vec<u8> {
@@ -625,9 +651,7 @@ impl Coordinator {
         // listener is) on every control link that still accepts writes;
         // failures mark the rank dead (its replacement will come through
         // the listener).
-        let mut notice = Vec::new();
-        epoch.encode(&mut notice);
-        encode_addr(&self.control_addr()?, &mut notice);
+        let notice = encode_recover(epoch, &self.control_addr()?);
         for rank in (0..self.ranks).filter(|&r| r != self_rank) {
             let dead = match &self.links[rank] {
                 Some(link) => write_frame(link, TAG_RECOVER, &notice, deadline, rank).is_err(),
@@ -919,25 +943,9 @@ impl Follower {
     pub fn rejoin(&mut self, data_addr: SocketAddr) -> Result<u32, TransportError> {
         let deadline = Instant::now() + self.opts.connect_timeout;
         let mut scratch = Vec::new();
-        fn recover_epoch(scratch: &[u8]) -> Result<u32, TransportError> {
-            let mut r = Reader::new(scratch);
-            if r.remaining() < 4 {
-                return Err(TransportError::Protocol {
-                    peer: 0,
-                    detail: "RECOVER too short".to_string(),
-                });
-            }
-            let epoch = r.get();
-            // The payload also names the acting coordinator's rendezvous
-            // address; on a live control link it is by construction the
-            // peer this frame arrived from, so it is informational here
-            // (respawned ranks learn it from the advertisement instead).
-            let _ = decode_addr(&mut r, 0)?;
-            Ok(epoch)
-        }
         // Wait for the coordinator to open the recovery epoch.
         let mut epoch = match read_frame_into(&self.link, &mut scratch, deadline, 0)? {
-            TAG_RECOVER => recover_epoch(&scratch)?,
+            TAG_RECOVER => decode_recover(&scratch)?,
             other => {
                 return Err(TransportError::Protocol {
                     peer: 0,
@@ -967,7 +975,7 @@ impl Follower {
                 TAG_RECOVER => {
                     // The recovery itself was interrupted by another
                     // failure; re-announce under the newer epoch.
-                    epoch = recover_epoch(&scratch)?;
+                    epoch = decode_recover(&scratch)?;
                 }
                 other => {
                     return Err(TransportError::Protocol {
@@ -1293,12 +1301,15 @@ mod tests {
         let addrs: Vec<SocketAddr> = (0..3)
             .map(|r| SocketAddr::from(([127, 0, 0, 1], 4400 + r)))
             .collect();
-        let table: [(&str, Vec<u8>, Decode); 3] = [
+        let table: [(&str, Vec<u8>, Decode); 4] = [
             ("JOIN", encode_join(2, &addrs[2], JOIN_NEEDS_PLAN, 5), |f| {
                 decode_join(f, 0).map(drop)
             }),
             ("PEERS", encode_peers(&addrs, 1), |f| {
                 decode_peers(f, 1).map(drop)
+            }),
+            ("RECOVER", encode_recover(3, &addrs[0]), |f| {
+                decode_recover(f).map(drop)
             }),
             (
                 "CTRL without the receiver's own plan",

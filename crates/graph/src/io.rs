@@ -381,9 +381,9 @@ pub fn decode_graph<W: Codec + Copy + Default>(r: &mut Reader<'_>) -> Result<Gra
 }
 
 /// The weight column of an edge list: weighted graphs read and print a
-/// third column, unweighted graphs neither. It is also how the CSR
-/// builder places weights from many threads at once: into a column of
-/// `Cell`s, which `()` keeps zero-sized.
+/// third column, unweighted graphs neither. It is also how
+/// [`crate::csr::bucket_by_key`] places a payload from many threads at
+/// once: into a column of `Cell`s, which `()` keeps zero-sized.
 pub trait WeightColumn: Copy + Default + Send + Sync {
     /// One slot of a weight column under construction.
     #[doc(hidden)]

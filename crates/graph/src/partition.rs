@@ -40,7 +40,7 @@
 //! page, ≈ 2.2 µs per 4 KiB, so plan vectors are sized exactly by a
 //! counting pass before they are filled.
 
-use crate::csr::{cores, even_cuts, on_each, Graph, VertexId};
+use crate::csr::{bucket_by_key, cores, even_cuts, on_each, Graph, VertexId};
 use pc_bsp::{MirrorHub, MirrorPlan, Topology};
 
 /// Fraction of arcs whose endpoints live in different parts, given
@@ -115,27 +115,15 @@ pub fn ldg_deg<W: Copy>(g: &Graph<W>, parts: usize, passes: usize) -> Vec<u16> {
     ldg_stream(g, parts, passes, order.iter().copied())
 }
 
-/// Every vertex by descending degree, ties by ascending id: a counting
-/// sort over the degree histogram, the vertices placed in id order.
+/// Every vertex by descending degree, ties by ascending id: the vertices
+/// in id order bucketed by `top - degree`, so the ascending buckets
+/// descend by degree.
 fn degree_order<W: Copy>(g: &Graph<W>) -> Vec<VertexId> {
-    let n = g.n() as VertexId;
-    let top = (0..n).map(|v| g.degree(v)).max().unwrap_or(0);
-    // Bucket `top - degree`, so the ascending buckets descend by degree.
-    let mut next = vec![0usize; top + 1];
-    for v in 0..n {
-        next[top - g.degree(v)] += 1;
-    }
-    let mut start = 0;
-    for c in &mut next {
-        (*c, start) = (start, start + *c);
-    }
-    let mut order = vec![0; n as usize];
-    for v in 0..n {
-        let c = &mut next[top - g.degree(v)];
-        order[*c] = v;
-        *c += 1;
-    }
-    order
+    let (n, offsets, ..) = g.csr_parts();
+    let degree = |v: usize| offsets[v + 1] - offsets[v];
+    let top = (0..n).map(degree).max().unwrap_or(0);
+    let ids = (0..n).map(|v| (top - degree(v), v as VertexId, ()));
+    bucket_by_key(top + 1, &[ids], false, false).1
 }
 
 /// The greedy both LDG variants run, streaming vertices in `order` (every
@@ -477,13 +465,11 @@ pub fn relabel_contiguous(owner: &[u16], parts: usize) -> (Vec<u16>, Vec<u32>, V
 
 /// Apply a vertex relabelling to a graph.
 pub fn relabel_graph<W: crate::io::WeightColumn>(g: &Graph<W>, old_to_new: &[u32]) -> Graph<W> {
-    let edges: Vec<(VertexId, VertexId, W)> = g
-        .arcs()
-        .map(|(u, v, w)| (old_to_new[u as usize], old_to_new[v as usize], w))
-        .collect();
+    let new = |v: VertexId| old_to_new[v as usize];
+    let arcs = g.arcs().map(|(u, v, w)| (new(u), new(v), w));
     // Arcs of undirected graphs are already symmetric; rebuild as directed
     // to avoid doubling, preserving effective adjacency.
-    Graph::from_weighted_edges(g.n(), &edges, true)
+    Graph::from_edge_iter(g.n(), arcs, true)
 }
 
 /// Largest/smallest part size for balance checks.

@@ -234,3 +234,18 @@ fn sssp_basic() {
         "0x1ba437eb68496713 supersteps=47 rounds=47 combined:7279/70056/0/0"
     );
 }
+
+// ---- `DirectMessage`, recorded at commit 66860fa, before its receive side
+// went through `pc_graph::csr::bucket_by_key`: pointer jumping's asks and
+// replies, two `DirectMessage` channels.
+
+#[test]
+fn pointer_jumping_basic() {
+    let parents = Arc::new(gen::random_forest_parents(3000, 11, 8));
+    let topo = Arc::new(Topology::hashed(parents.len(), WORKERS));
+    let o = pc_algos::pointer_jumping::channel_basic(&parents, &topo, &cfg());
+    assert_eq!(
+        pin(labels(&o.roots), &o.stats),
+        "0x4f77147c6656f640 supersteps=12 rounds=12 direct:18000/107912/0/0 direct:15000/89992/0/0 aggregator:72/504/0/0"
+    );
+}
