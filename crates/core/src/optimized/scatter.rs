@@ -222,12 +222,11 @@ impl<M: Codec + Clone + Send> ScatterCombine<M> {
             let begins = std::iter::once(0).chain(routes.run_ends.iter().copied());
             let runs = routes.unique_dsts.iter().zip(begins.zip(&routes.run_ends));
             runs.flat_map(move |(&dst, (begin, &end))| {
-                let key = (base + dst) as usize;
                 let run = &srcs[begin as usize..end as usize];
-                run.iter().map(move |&src| (key, src, ()))
+                run.iter().map(move |&src| (base + dst, src, ()))
             })
         });
-        let new = staged.iter().map(|(src, key)| (key as usize, src, ()));
+        let new = staged.iter().map(|(src, key)| (key, src, ()));
         let (ends, srcs, _) = bucket_by_key(topo.n(), &[old.chain(new)], false, true);
         drop(staged);
         // Cut the runs per peer: key k's run is `ends[k]..ends[k + 1]`.

@@ -21,21 +21,24 @@ pub struct DirectMessage<M> {
     env: WorkerEnv,
     /// Staged sends, bucketed per destination worker as `(dst, value)`.
     staged: Vec<Vec<(VertexId, M)>>,
-    /// Messages received this superstep as `(dst local index, value)`.
-    incoming: Vec<(u32, M)>,
+    /// Messages received this superstep, in arrival order: each one's
+    /// receiver (local index) and value.
+    receivers: Vec<u32>,
+    incoming: Vec<M>,
     /// Readable state: values sorted by destination with range offsets.
     read_vals: Vec<M>,
     read_offsets: Vec<usize>,
     messages: u64,
 }
 
-impl<M: Codec + Clone + Send> DirectMessage<M> {
+impl<M: Codec + Default + Send> DirectMessage<M> {
     /// Create this worker's instance.
     pub fn new(env: &WorkerEnv) -> Self {
         let numv = env.local_count();
         DirectMessage {
             env: env.clone(),
             staged: (0..env.workers()).map(|_| Vec::new()).collect(),
+            receivers: Vec::new(),
             incoming: Vec::new(),
             read_vals: Vec::new(),
             read_offsets: vec![0; numv + 1],
@@ -59,26 +62,27 @@ impl<M: Codec + Clone + Send> DirectMessage<M> {
     pub fn has_messages(&self, local: u32) -> bool {
         !self.messages(local).is_empty()
     }
-}
 
-impl<M: Codec + Clone + Send + Sync> DirectMessage<M> {
-    /// Bucket the superstep's deliveries by destination and expose them as
-    /// one flat value array with per-vertex ranges. Outside the `Channel`
-    /// impl, so one copy serves every algorithm that sends `M`.
+    /// Bucket the superstep's arrivals by receiver and expose them as one
+    /// flat value array with per-vertex ranges: the kernel orders the
+    /// arrival indices, and each value is moved out (`mem::take`) in that
+    /// order. Outside the `Channel` impl, so one copy serves every
+    /// algorithm that sends `M`.
     fn deliver(&mut self) {
-        let arrivals = self.incoming.iter().zip(0..);
-        let arrivals = arrivals.map(|(&(local, _), i)| (local as usize, i, ()));
-        let keys = self.read_offsets.len() - 1;
+        let arrivals = self.receivers.iter().zip(0..).map(|(&r, i)| (r, i, ()));
+        // The last superstep's offsets go first, so two never coexist.
+        let keys = std::mem::take(&mut self.read_offsets).len() - 1;
         let (offsets, order, _) = bucket_by_key(keys, &[arrivals], false, false);
         self.read_offsets = offsets;
         self.read_vals.clear();
-        let vals = order.iter().map(|&i| self.incoming[i as usize].1.clone());
-        self.read_vals.extend(vals);
+        let take = |&i: &u32| std::mem::take(&mut self.incoming[i as usize]);
+        self.read_vals.extend(order.iter().map(take));
         self.incoming.clear();
+        self.receivers.clear();
     }
 }
 
-impl<AV, M: Codec + Clone + Send + Sync> Channel<AV> for DirectMessage<M> {
+impl<AV, M: Codec + Default + Send> Channel<AV> for DirectMessage<M> {
     fn name(&self) -> &'static str {
         "direct"
     }
@@ -108,14 +112,12 @@ impl<AV, M: Codec + Clone + Send + Sync> Channel<AV> for DirectMessage<M> {
         for (from, mut r) in cx.frames() {
             while !r.is_empty() {
                 let dst: VertexId = r.get();
-                assert!(
-                    (dst as usize) < env.n() && env.worker_of(dst) == env.worker,
-                    "direct channel: frame from worker {from} names vertex {dst}, \
-                     which this worker does not own"
-                );
-                let m: M = r.get();
+                if dst as usize >= env.n() || env.worker_of(dst) != env.worker {
+                    not_owned(from, dst);
+                }
                 let local = env.local_of(dst);
-                self.incoming.push((local, m));
+                self.receivers.push(local);
+                self.incoming.push(r.get());
                 cx.activate(local);
             }
         }
@@ -128,20 +130,34 @@ impl<AV, M: Codec + Clone + Send + Sync> Channel<AV> for DirectMessage<M> {
     fn encode_state(&self, buf: &mut Vec<u8>) -> bool {
         // At a superstep boundary `staged` is drained and the readable
         // arrays are stale (the next `before_superstep` rebuilds them
-        // from `incoming`), so the deliveries pending for the next
-        // superstep plus the message counter are the whole state.
-        self.incoming.encode(buf);
+        // from the arrivals), so the deliveries pending for the next
+        // superstep, as `(receiver, value)` pairs, plus the message
+        // counter are the whole state.
+        (self.incoming.len() as u32).encode(buf);
+        for (local, m) in self.receivers.iter().zip(&self.incoming) {
+            local.encode(buf);
+            m.encode(buf);
+        }
         self.messages.encode(buf);
         true
     }
 
     fn decode_state(&mut self, r: &mut pc_bsp::codec::Reader<'_>) {
-        self.incoming = r.get();
+        let pending: Vec<(u32, M)> = r.get();
+        (self.receivers, self.incoming) = pending.into_iter().unzip();
         let numv = self.read_offsets.len() - 1;
-        let in_range = |&(local, _): &(u32, M)| (local as usize) < numv;
-        check(self.incoming.iter().all(in_range), "direct", "local index");
+        let in_range = self.receivers.iter().all(|&local| (local as usize) < numv);
+        check(in_range, "direct", "local index");
         self.messages = r.get();
     }
+}
+
+/// The refusal of a frame naming a vertex this worker does not own. Out
+/// of line and cold, so the per-message loop only branches.
+#[cold]
+#[inline(never)]
+fn not_owned(from: usize, dst: VertexId) -> ! {
+    panic!("direct channel: frame from worker {from} names vertex {dst}, which this worker does not own")
 }
 
 #[cfg(test)]
@@ -350,6 +366,32 @@ mod tests {
     )]
     fn a_frame_naming_another_workers_vertex_is_refused() {
         deliver_to(1);
+    }
+
+    /// Pending deliveries checkpoint as the `(receiver, value)` pairs of a
+    /// `Vec<(u32, M)>`, in arrival order, and restore to the same reads.
+    #[test]
+    fn pending_deliveries_checkpoint_as_receiver_value_pairs() {
+        let mut buf = Vec::new();
+        let mut fw = FrameWriter::begin(&mut buf, 0);
+        for (dst, m) in [(2u32, 7u64), (0, 8), (2, 9)] {
+            dst.encode(fw.payload());
+            m.encode(fw.payload());
+        }
+        fw.finish();
+        let mut c = cluster();
+        c.deliver(0, &[(1, buf)]);
+        let mut state = Vec::new();
+        assert!(Channel::<()>::encode_state(&c.chans[0], &mut state));
+        let mut expect = Vec::new();
+        vec![(1u32, 7u64), (0, 8), (1, 9)].encode(&mut expect);
+        0u64.encode(&mut expect);
+        assert_eq!(state, expect);
+        let mut restored = cluster();
+        Channel::<()>::decode_state(&mut restored.chans[0], &mut Reader::new(&state));
+        Channel::<()>::before_superstep(&mut restored.chans[0], 2);
+        assert_eq!(restored.chans[0].messages(1), [7, 9]);
+        assert_eq!(restored.chans[0].messages(0), [8]);
     }
 
     #[test]

@@ -64,15 +64,11 @@ impl<W: WeightColumn> Graph<W> {
     where
         I: Iterator<Item = (VertexId, VertexId, W)> + Clone + Send + Sync,
     {
-        let arcs: Vec<_> = ranges
-            .iter()
-            .map(|edges| edges.clone().map(|(u, v, w)| (u as usize, v, w)))
-            .collect();
-        let (offsets, targets, weights) = bucket_by_key(n, &arcs, !directed, true);
+        let (offsets, targets, weights) = bucket_by_key(n, ranges, !directed, true);
         // Sources, and mirrored targets, were range-checked as keys.
         if directed {
             if let Some(&t) = targets.iter().max().filter(|&&t| t as usize >= n) {
-                out_of_range("edge target", t as usize, n);
+                out_of_range("edge target", t, n);
             }
         }
         Graph {
@@ -111,37 +107,28 @@ impl<W: WeightColumn> Graph<W> {
 }
 
 /// The bucketing kernel: a stable counting sort of `(key, item, payload)`
-/// triples by key, over the concatenation of `ranges` (re-iterable
+/// triples by key over the concatenation of `ranges` (re-iterable
 /// streams), one thread per range, the first on the calling thread.
-/// Returns the `keys + 1` bucket offsets (bucket `k` is
-/// `offsets[k]..offsets[k + 1]`) and the placed item and payload columns.
-/// A bucket holds its triples in stream order. With `mirror`, a triple
-/// `(k, i, p)` whose item is another key (`i != k`) is also placed as
-/// `(i, k, p)`, right after it in stream order: a relation bucketed
-/// together with its transpose, as an undirected graph's rows hold every
-/// edge from both ends. With `sort`, each bucket is then stably sorted by
-/// item. The result is the same however the stream is cut:
+/// Returns the `keys + 1` bucket offsets and the placed item and payload
+/// columns; a bucket holds its triples in stream order however the stream
+/// is cut. With `mirror`, a triple `(k, i, p)` with `i != k` is also placed
+/// as `(i, k, p)` right after it (an undirected graph's rows); with
+/// `sort`, each bucket is then stably sorted by item.
 ///
-/// 1. *Count.* Each range counts its own triples per key into `keys + 1`
-///    counters (`count[k + 1]`), range-checking every key.
-/// 2. *Cursors.* One pass over the keys turns each range's counters into
-///    its write cursors: the bucket's start plus that bucket's triples in
-///    earlier ranges.
-/// 3. *Place.* Each range writes its triples at its cursors. The ranges
-///    write disjoint positions of shared columns through relaxed atomic
-///    stores (a payload through its [`WeightColumn::Cell`]): a store
-///    publishes nothing, and the joins that end the pass order every
-///    store before the columns are read. The last range's cursors end on
-///    the next bucket's start: they are the offsets.
-/// 4. *Sort.* Buckets cut into one run per range at bucket bounds, each
-///    run sorted on its own thread ([`sort_buckets`]).
+/// 1. *Count.* Each range counts its triples per key into `keys + 1`
+///    counters, range-checking every key.
+/// 2. *Cursors.* One pass over the keys turns the counters into each
+///    range's write cursors.
+/// 3. *Place.* Each range writes at its cursors through relaxed atomic
+///    stores (a payload through its [`WeightColumn::Cell`]); the joins
+///    that end the pass order every store before the columns are read.
+///    The last range's cursors end on the next bucket's start: they are
+///    the offsets.
+/// 4. *Sort.* Runs of buckets, one per range ([`sort_buckets`]).
 ///
-/// The payload is the CSR's edge weight; a caller that places bare items
-/// uses `()`, which keeps the column zero-sized. Each pass folds a range
-/// once (`for_each`, so nested `flat_map`s cost nothing per item). A
-/// range's own closures should stay small: a range check in the builder's
-/// measured 10–25 % slower builds, and so did the undirected doubling as a
-/// `flat_map` in place of `mirror`.
+/// The payload is the CSR's edge weight, `()` elsewhere. A range's
+/// closures should stay small: a range check, or the undirected doubling
+/// as a `flat_map`, in the builder's measured 10–25 % slower builds.
 pub fn bucket_by_key<W, I>(
     keys: usize,
     ranges: &[I],
@@ -150,20 +137,21 @@ pub fn bucket_by_key<W, I>(
 ) -> (Vec<usize>, Vec<u32>, Vec<W>)
 where
     W: WeightColumn,
-    I: Iterator<Item = (usize, u32, W)> + Clone + Sync,
+    I: Iterator<Item = (u32, u32, W)> + Clone + Sync,
 {
-    let mut cursors = on_each(ranges, |triples| {
+    // Ranges go to the threads by index: one `on_each` whatever their type.
+    let mut cursors = on_each(0..ranges.len(), &|r| {
         let mut count = vec![0usize; keys + 1];
-        let mut add = |k: usize| {
-            if k >= keys {
+        let mut add = |k: u32| {
+            if k as usize >= keys {
                 out_of_range("bucket key", k, keys);
             }
-            count[k + 1] += 1;
+            count[k as usize + 1] += 1;
         };
-        triples.clone().for_each(|(k, item, _)| {
+        ranges[r].clone().for_each(|(k, item, _)| {
             add(k);
-            if mirror && item as usize != k {
-                add(item as usize);
+            if mirror && item != k {
+                add(item);
             }
         });
         count
@@ -181,17 +169,17 @@ where
         .into_iter()
         .map(W::Cell::from)
         .collect();
-    let mut cursors = on_each(ranges.iter().zip(cursors), |(triples, mut cursor)| {
-        let mut put = |k: usize, item: u32, w: W| {
-            let c = &mut cursor[k + 1];
+    let mut cursors = on_each(cursors.into_iter().enumerate(), &|(r, mut cursor)| {
+        let mut put = |k: u32, item: u32, w: W| {
+            let c = &mut cursor[k as usize + 1];
             items[*c].store(item, Ordering::Relaxed);
             W::store(&payloads[*c], w);
             *c += 1;
         };
-        triples.clone().for_each(|(k, item, w)| {
+        ranges[r].clone().for_each(|(k, item, w)| {
             put(k, item, w);
-            if mirror && item as usize != k {
-                put(item as usize, k as u32, w);
+            if mirror && item != k {
+                put(item, k, w);
             }
         });
         cursor
@@ -222,7 +210,7 @@ fn sort_buckets<W: Copy + Send>(
         (items, payloads) = (rest_i, rest_p);
         (&offsets[run[0]..=run[1]], i, p)
     });
-    on_each(runs, |(buckets, i, p)| sort_run(buckets, i, p));
+    on_each(runs, &|(buckets, i, p)| sort_run(buckets, i, p));
 }
 
 /// The panic of a failed range check. Out of line and cold, and given
@@ -230,7 +218,7 @@ fn sort_buckets<W: Copy + Send>(
 /// kernel's counting loop measured 20–25 % slower builds.
 #[cold]
 #[inline(never)]
-fn out_of_range(what: &str, x: usize, n: usize) -> ! {
+fn out_of_range(what: &str, x: u32, n: usize) -> ! {
     panic!("{what} {x} out of range 0..{n}")
 }
 
@@ -281,16 +269,17 @@ pub(crate) fn cores() -> usize {
 
 /// `f` on every item, the first on the calling thread and each other on a
 /// scoped thread of its own; the results in item order. A panic on any
-/// thread resumes on the caller with its own payload.
+/// thread resumes on the caller with its own payload. `f` is a `dyn`, so
+/// the thread code is compiled once per item and result type, not once
+/// per closure.
 pub(crate) fn on_each<T: Send, R: Send>(
     items: impl IntoIterator<Item = T>,
-    f: impl Fn(T) -> R + Sync,
+    f: &(dyn Fn(T) -> R + Sync),
 ) -> Vec<R> {
     let mut items = items.into_iter();
     let Some(first) = items.next() else {
         return Vec::new();
     };
-    let f = &f;
     std::thread::scope(|s| {
         let rest: Vec<_> = items.map(|item| s.spawn(move || f(item))).collect();
         let joined = rest
@@ -680,15 +669,15 @@ mod tests {
     /// `(i, k, w)`), then, with `sort`, each bucket stably sorted by item.
     fn naive_buckets(
         keys: usize,
-        triples: &[(usize, u32, u32)],
+        triples: &[(u32, u32, u32)],
         mirror: bool,
         sort: bool,
     ) -> (Vec<usize>, Vec<u32>, Vec<u32>) {
         let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); keys];
         for &(k, item, w) in triples {
-            buckets[k].push((item, w));
-            if mirror && item as usize != k {
-                buckets[item as usize].push((k as u32, w));
+            buckets[k as usize].push((item, w));
+            if mirror && item != k {
+                buckets[item as usize].push((k, w));
             }
         }
         let (mut offsets, mut items, mut payloads) = (vec![0], Vec::new(), Vec::new());
@@ -722,7 +711,7 @@ mod tests {
             let triples: Vec<_> = triples
                 .into_iter()
                 .filter(|_| keys > 0)
-                .map(|(k, item, w)| (k % keys, item % items, w))
+                .map(|(k, item, w)| ((k % keys) as u32, item % items, w))
                 .collect();
             let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c.min(triples.len())).collect();
             bounds.extend([0, triples.len()]);
@@ -740,7 +729,7 @@ mod tests {
 
     #[test]
     fn bucket_by_key_edge_shapes() {
-        let none: [std::iter::Empty<(usize, u32, ())>; 0] = [];
+        let none: [std::iter::Empty<(u32, u32, ())>; 0] = [];
         assert_eq!(
             bucket_by_key(0, &none, true, true),
             (vec![0], vec![], vec![])

@@ -95,7 +95,7 @@ fn read_ranges<W: WeightColumn>(
     // Every range parses before any counts: the vertex count sizes each
     // range's counters, and a bad line must fail the load before an id
     // near `u32::MAX` in an earlier range has allocated for it.
-    let chunks: Vec<(Vec<_>, usize)> = on_each(0..ranges, |i| {
+    let chunks: Vec<(Vec<_>, usize)> = on_each(0..ranges, &|i| {
         let edges = parse_range::<W>(&file, cut(i), cut(i + 1))?;
         let ids = edges.iter().map(|&(u, v, _)| u.max(v) as usize + 1).max();
         Ok((edges, ids.unwrap_or(0)))

@@ -61,7 +61,7 @@ fn edge_cut_split<W: Copy>(
     assert_eq!(owner.len(), g.n());
     let (_, offsets, targets, _, _) = g.csr_parts();
     let runs = even_cuts(offsets, splits(targets.len(), split_arcs, max_splits));
-    let cut = on_each(runs.windows(2), |run| {
+    let cut = on_each(runs.windows(2), &|run| {
         (run[0]..run[1])
             .map(|u| {
                 let o = owner[u];
@@ -119,10 +119,12 @@ pub fn ldg_deg<W: Copy>(g: &Graph<W>, parts: usize, passes: usize) -> Vec<u16> {
 /// in id order bucketed by `top - degree`, so the ascending buckets
 /// descend by degree.
 fn degree_order<W: Copy>(g: &Graph<W>) -> Vec<VertexId> {
+    // The offsets, not `g`: the kernel's ranges are `Sync`, a `W` need not be.
     let (n, offsets, ..) = g.csr_parts();
     let degree = |v: usize| offsets[v + 1] - offsets[v];
     let top = (0..n).map(degree).max().unwrap_or(0);
-    let ids = (0..n).map(|v| (top - degree(v), v as VertexId, ()));
+    u32::try_from(top).expect("a vertex of more than u32::MAX arcs");
+    let ids = (0..n).map(|v| ((top - degree(v)) as u32, v as VertexId, ()));
     bucket_by_key(top + 1, &[ids], false, false).1
 }
 
@@ -228,7 +230,7 @@ fn mirror_plan_split<W: Copy>(
         arcs.push(arcs[arcs.len() - 1] + g.degree(v));
     }
     let runs = even_cuts(&arcs, splits(arcs[ids.len()], split_arcs, max_splits));
-    let mut runs = on_each(runs.windows(2), |run| {
+    let mut runs = on_each(runs.windows(2), &|run| {
         let mut counts = vec![0u32; 2 * topo.workers()];
         ids[run[0]..run[1]]
             .iter()
@@ -465,11 +467,13 @@ pub fn relabel_contiguous(owner: &[u16], parts: usize) -> (Vec<u16>, Vec<u32>, V
 
 /// Apply a vertex relabelling to a graph.
 pub fn relabel_graph<W: crate::io::WeightColumn>(g: &Graph<W>, old_to_new: &[u32]) -> Graph<W> {
-    let new = |v: VertexId| old_to_new[v as usize];
-    let arcs = g.arcs().map(|(u, v, w)| (new(u), new(v), w));
+    let edges: Vec<(VertexId, VertexId, W)> = g
+        .arcs()
+        .map(|(u, v, w)| (old_to_new[u as usize], old_to_new[v as usize], w))
+        .collect();
     // Arcs of undirected graphs are already symmetric; rebuild as directed
     // to avoid doubling, preserving effective adjacency.
-    Graph::from_edge_iter(g.n(), arcs, true)
+    Graph::from_weighted_edges(g.n(), &edges, true)
 }
 
 /// Largest/smallest part size for balance checks.
