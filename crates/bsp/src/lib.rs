@@ -127,9 +127,10 @@ pub struct RankRole {
     /// acting coordinator after a failover (result gather, `--verify`
     /// and stats output follow the acting coordinator).
     pub gather_root: usize,
-    /// Recovery epochs this rank has been through (copied into
-    /// [`RunStats::recoveries`] by the rank driver and summed over ranks
-    /// at the gather root).
+    /// The control-plane epoch this rank's mesh belongs to — the recovery
+    /// epochs the cluster has been through (copied into
+    /// [`RunStats::recoveries`] by the rank driver and merged by `max`
+    /// over ranks at the gather root).
     pub recoveries: u64,
     /// Total microseconds this rank spent in recovery (mesh teardown to
     /// resumed superstep loop), promoted into [`RunStats::recovery_us`].

@@ -299,10 +299,10 @@ pub struct RunStats {
     /// [`crate::trace::chrome_trace_json`]. Empty when the run did not
     /// trace.
     pub traces: Vec<RankTrace>,
-    /// Recovery epochs the run went through, summed over ranks at the
-    /// gather root (0 on an unfailed run; each surviving rank counts
-    /// every epoch it re-joined, so a single failure on an `M`-rank
-    /// cluster typically reads `M`).
+    /// Recovery epochs the run went through: the control plane's epoch,
+    /// merged by `max` over ranks at the gather root (0 on an unfailed
+    /// run; one failure repaired by one rendezvous reads 1 at any rank
+    /// count).
     pub recoveries: u64,
     /// Total microseconds spent in recovery (mesh teardown through the
     /// resumed superstep loop), summed over ranks.
@@ -310,6 +310,36 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// The conformance contract: every deterministic quantity two runs of
+    /// the same program must agree on, whatever their execution mode or
+    /// transport — bytes, messages, supersteps, rounds, mirror traffic
+    /// and pool traffic (wire counters are excluded by design: each
+    /// backend counts its own wire). Returns each divergence as
+    /// `<what> (<self> vs <reference>)`, in a fixed order; empty when the
+    /// runs agree.
+    pub fn divergences(&self, reference: &RunStats) -> Vec<String> {
+        let (a, b) = (self, reference);
+        let pairs: [(&str, u64, u64); 8] = [
+            ("remote bytes", a.remote_bytes(), b.remote_bytes()),
+            ("total bytes", a.total_bytes(), b.total_bytes()),
+            ("messages", a.messages(), b.messages()),
+            ("supersteps", a.supersteps, b.supersteps),
+            ("rounds", a.rounds, b.rounds),
+            ("mirrored messages", a.mirrored_msgs(), b.mirrored_msgs()),
+            ("mirror saved", a.mirror_saved(), b.mirror_saved()),
+            ("max rank messages", a.max_rank_msgs, b.max_rank_msgs),
+        ];
+        let mut out: Vec<String> = pairs
+            .iter()
+            .filter(|(_, got, want)| got != want)
+            .map(|(what, got, want)| format!("{what} ({got} vs {want})"))
+            .collect();
+        if a.pool != b.pool {
+            out.push(format!("pool traffic ({:?} vs {:?})", a.pool, b.pool));
+        }
+        out
+    }
+
     /// Total remote (network) bytes across channels — the paper's
     /// "message" column.
     pub fn remote_bytes(&self) -> u64 {

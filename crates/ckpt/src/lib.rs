@@ -410,7 +410,8 @@ pub struct Advertisement {
     /// Rank currently acting as coordinator.
     pub acting: u32,
     /// Rendezvous (control-plane) listener address of the acting rank.
-    pub addr: String,
+    /// On disk it is the address's text, checked on read.
+    pub addr: std::net::SocketAddr,
 }
 
 /// Trailing digest width on every checkpoint file.
@@ -1220,9 +1221,9 @@ impl Store {
         FORMAT_VERSION.encode(&mut buf);
         ad.epoch.encode(&mut buf);
         ad.acting.encode(&mut buf);
-        let addr = ad.addr.as_bytes();
+        let addr = ad.addr.to_string();
         (addr.len() as u32).encode(&mut buf);
-        buf.extend_from_slice(addr);
+        buf.extend_from_slice(addr.as_bytes());
         self.write_atomic(&self.advertisement_path(), &buf)?;
         Ok(())
     }
@@ -1263,8 +1264,11 @@ impl Store {
                 r.remaining()
             )));
         }
-        let addr = String::from_utf8(r.take(len as usize).to_vec())
+        let addr = std::str::from_utf8(r.take(len as usize))
             .map_err(|e| corrupt(format!("address is not utf-8: {e}")))?;
+        let addr = addr
+            .parse()
+            .map_err(|e| corrupt(format!("unparsable address '{addr}': {e}")))?;
         Ok(Some(Advertisement {
             epoch,
             acting,
@@ -2235,14 +2239,14 @@ mod tests {
         let ad = Advertisement {
             epoch: 0,
             acting: 0,
-            addr: "127.0.0.1:4400".into(),
+            addr: "127.0.0.1:4400".parse().unwrap(),
         };
         store.advertise(&ad).unwrap();
         assert_eq!(store.read_advertisement().unwrap(), Some(ad));
         let takeover = Advertisement {
             epoch: 2,
             acting: 1,
-            addr: "127.0.0.1:4411".into(),
+            addr: "127.0.0.1:4411".parse().unwrap(),
         };
         store.advertise(&takeover).unwrap();
         assert_eq!(store.read_advertisement().unwrap(), Some(takeover));
@@ -2250,6 +2254,54 @@ mod tests {
         store.wipe().unwrap();
         assert_eq!(store.read_advertisement().unwrap(), None);
         assert_eq!(store.read_replica(&id).unwrap(), None);
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// The advertisement decoder's damage property: every prefix
+    /// truncation and every single-bit flip of a published advertisement
+    /// is a typed `Corrupt`, and so is a correctly digested file whose
+    /// address text is not an address.
+    #[test]
+    fn every_damaged_advertisement_is_a_typed_corrupt() {
+        let store = tmp_store("advert_damage");
+        let ad = Advertisement {
+            epoch: 3,
+            acting: 1,
+            addr: "127.0.0.1:4411".parse().unwrap(),
+        };
+        store.advertise(&ad).unwrap();
+        let path = store.advertisement_path();
+        let bytes = fs::read(&path).unwrap();
+        let corrupt = |bytes: &[u8], case: String| {
+            fs::write(&path, bytes).unwrap();
+            match store.read_advertisement() {
+                Err(CkptError::Corrupt { .. }) => {}
+                other => panic!("{case}: {other:?}"),
+            }
+        };
+        for len in 0..bytes.len() {
+            corrupt(&bytes[..len], format!("{len}-byte prefix"));
+        }
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            corrupt(&flipped, format!("bit {bit} flipped"));
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        let mut body = Vec::new();
+        ADVERT_MAGIC.encode(&mut body);
+        FORMAT_VERSION.encode(&mut body);
+        3u32.encode(&mut body);
+        1u32.encode(&mut body);
+        (b"not-an-addr".len() as u32).encode(&mut body);
+        body.extend_from_slice(b"not-an-addr");
+        store.write_atomic(&path, &body).unwrap();
+        assert!(matches!(
+            store.read_advertisement(),
+            Err(CkptError::Corrupt { .. })
+        ));
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(store.read_advertisement().unwrap(), Some(ad));
         let _ = fs::remove_dir_all(store.dir());
     }
 

@@ -1282,7 +1282,7 @@ fn run_rank<A: Algorithm>(
         let (p, tstats, tr, (recoveries, recovery_us)) = decode_part::<A>(&mut r);
         assert!(r.is_empty(), "trailing bytes in rank {sender}'s results");
         stats.transport.merge(&tstats);
-        stats.recoveries += recoveries;
+        stats.recoveries = stats.recoveries.max(recoveries);
         stats.recovery_us += recovery_us;
         if let Some(tr) = tr {
             traces.push(tr);
@@ -1539,18 +1539,16 @@ mod tests {
         }
     }
 
-    /// After a coordinator failover, result gather follows the *acting*
-    /// coordinator: with `gather_root = 1`, rank 1 assembles the
-    /// complete output (identical to the sequential reference) and sums
-    /// every rank's recovery counters, while rank 0 keeps only its local
-    /// view like any other non-root rank.
-    #[test]
-    fn rank_driver_gathers_results_to_the_acting_root() {
-        let n = 120u32;
-        let workers = 3;
-        let root = 1usize;
-        let topo = Arc::new(Topology::hashed(n as usize, workers));
-        let seq = run(&RingSum { n }, &topo, &Config::sequential(workers));
+    /// Run `RingSum` on a 3-rank loopback cluster whose gather root is
+    /// `root`, with rank `w`'s role carrying `recovery(w)` as its
+    /// `(recoveries, recovery_us)`; returns every rank's output.
+    fn ring_sum_on_ranks(
+        topo: &Arc<Topology>,
+        root: usize,
+        recovery: impl Fn(usize) -> (u64, u64),
+    ) -> Vec<Output<u64>> {
+        let workers = topo.workers();
+        let n = topo.n() as u32;
         let tcp = Arc::new(Tcp::loopback(workers).unwrap());
         let mut outs: Vec<Option<Output<u64>>> = (0..workers).map(|_| None).collect();
         std::thread::scope(|scope| {
@@ -1559,9 +1557,8 @@ mod tests {
                 let mut cfg = Config::rank(workers, w, Arc::clone(&tcp));
                 let role = cfg.dist.as_mut().unwrap();
                 role.gather_root = root;
-                role.recoveries = 1;
-                role.recovery_us = 100 + w as u64;
-                let topo = Arc::clone(&topo);
+                (role.recoveries, role.recovery_us) = recovery(w);
+                let topo = Arc::clone(topo);
                 handles.push(scope.spawn(move || (w, run(&RingSum { n }, &topo, &cfg))));
             }
             for h in handles {
@@ -1569,12 +1566,42 @@ mod tests {
                 outs[w] = Some(out);
             }
         });
-        let outs: Vec<Output<u64>> = outs.into_iter().map(Option::unwrap).collect();
+        outs.into_iter().map(Option::unwrap).collect()
+    }
+
+    /// One fault repaired by one rendezvous: every rank's role carries
+    /// the control plane's epoch 1, and the gather root reads 1 recovery
+    /// (summing the ranks' counts read 3), while the repair time stays a
+    /// sum over ranks.
+    #[test]
+    fn one_recovery_epoch_reads_one_at_the_gather_root() {
+        let topo = Arc::new(Topology::hashed(120, 3));
+        let outs = ring_sum_on_ranks(&topo, 0, |w| (1, 10 + w as u64));
+        assert_eq!(outs[0].stats.recoveries, 1);
+        assert_eq!(outs[0].stats.recovery_us, 10 + 11 + 12);
+    }
+
+    /// After a coordinator failover, result gather follows the *acting*
+    /// coordinator: with `gather_root = 1`, rank 1 assembles the
+    /// complete output (identical to the sequential reference), takes the
+    /// newest epoch any rank saw as its recovery count and sums every
+    /// rank's repair time, while rank 0 keeps only its local view like
+    /// any other non-root rank.
+    #[test]
+    fn rank_driver_gathers_results_to_the_acting_root() {
+        let n = 120u32;
+        let workers = 3;
+        let root = 1usize;
+        let topo = Arc::new(Topology::hashed(n as usize, workers));
+        let seq = run(&RingSum { n }, &topo, &Config::sequential(workers));
+        // Rank 2 was respawned after the first epoch and joined at the
+        // second; the others re-joined both.
+        let outs = ring_sum_on_ranks(&topo, root, |w| (1 + (w != 2) as u64, 100 + w as u64));
         assert_eq!(outs[root].values, seq.values);
         assert_eq!(outs[root].stats.messages(), seq.stats.messages());
         assert_eq!(outs[root].stats.supersteps, seq.stats.supersteps);
         assert_eq!(outs[root].stats.pool, seq.stats.pool);
-        assert_eq!(outs[root].stats.recoveries, workers as u64);
+        assert_eq!(outs[root].stats.recoveries, 2);
         assert_eq!(outs[root].stats.recovery_us, 100 + 101 + 102);
         for (w, out) in outs.iter().enumerate() {
             if w == root {
@@ -1584,7 +1611,11 @@ mod tests {
                 assert_eq!(out.values[gid as usize], seq.values[gid as usize]);
             }
             assert!(out.stats.messages() < seq.stats.messages());
-            assert_eq!(out.stats.recoveries, 1, "non-root keeps its local count");
+            assert_eq!(
+                out.stats.recoveries,
+                1 + (w != 2) as u64,
+                "non-root keeps its local count"
+            );
         }
     }
 

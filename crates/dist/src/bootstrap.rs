@@ -16,6 +16,12 @@
 //!                                          armed; plans only to the standby)
 //! ```
 //!
+//! The bootstrap and every recovery epoch collect ranks the same way
+//! ([`Coordinator::recover`]'s `RECOVER`/re-`JOIN` exchange, then the
+//! listener): the bootstrap is epoch 0 with every control link dead, so
+//! every rank arrives through the listener. Which frames follow the
+//! table, and when, is [`crate::session`]'s business.
+//!
 //! Every frame rides the transport's `tag + len` wire format
 //! ([`pc_bsp::tcp::write_frame`]); every blocking call polls against an
 //! explicit deadline and fails with a typed [`TransportError`] — a rank
@@ -389,7 +395,10 @@ pub struct Coordinator {
 impl Coordinator {
     /// Bind `bind_addr`, accept `ranks - 1` followers, exchange the peer
     /// table. `data_addr` is rank 0's own (already bound) data-plane
-    /// address, published as `peers[0]`.
+    /// address, published as `peers[0]`. This is rank 0 "taking over" an
+    /// empty cluster at epoch 0 ([`Coordinator::takeover`]), every rank
+    /// then arriving through the listener ([`Coordinator::admit`]) under
+    /// the connect deadline.
     pub fn rendezvous(
         bind_addr: SocketAddr,
         ranks: usize,
@@ -397,100 +406,9 @@ impl Coordinator {
         opts: BootstrapOptions,
     ) -> Result<Self, TransportError> {
         assert!(ranks >= 1, "a cluster needs at least one rank");
-        let listener = TcpListener::bind(bind_addr).map_err(|e| TransportError::Connect {
-            peer: 0,
-            detail: format!("bind rendezvous address {bind_addr}: {e}"),
-        })?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| io_err(0, "rendezvous set_nonblocking", e))?;
-        let deadline = Instant::now() + opts.connect_timeout;
-        let mut links: Vec<Option<TcpStream>> = (0..ranks).map(|_| None).collect();
-        let mut peers: Vec<Option<SocketAddr>> = (0..ranks).map(|_| None).collect();
-        peers[0] = Some(data_addr);
-        let mut scratch = Vec::new();
-        while links.iter().skip(1).any(Option::is_none) {
-            if Instant::now() >= deadline {
-                let missing = (1..ranks).find(|&r| links[r].is_none()).unwrap();
-                return Err(TransportError::Timeout {
-                    peer: missing,
-                    during: "bootstrap rendezvous (a rank never joined)",
-                });
-            }
-            let stream = match listener.accept() {
-                Ok((s, _)) => s,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    std::thread::sleep(Duration::from_millis(1));
-                    continue;
-                }
-                Err(e) => return Err(io_err(usize::MAX, "rendezvous accept", e)),
-            };
-            stream
-                .set_nonblocking(false)
-                .map_err(|e| io_err(usize::MAX, "joiner set_nonblocking", e))?;
-            configure_stream(&stream).map_err(|e| io_err(usize::MAX, "configure joiner", e))?;
-            let join = match read_frame_into(&stream, &mut scratch, deadline, usize::MAX) {
-                Ok(TAG_JOIN) => match decode_join(&scratch, usize::MAX) {
-                    Ok(j) => j,
-                    Err(e) if opts.tolerate_lost => {
-                        let _ = e; // a dying joiner; its respawn re-joins
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                },
-                Ok(tag) => {
-                    return Err(TransportError::Protocol {
-                        peer: usize::MAX,
-                        detail: format!("expected JOIN, got tag {tag:#04x}"),
-                    })
-                }
-                Err(_) if opts.tolerate_lost => continue,
-                Err(e) => return Err(e),
-            };
-            let rank = join.rank;
-            if rank == 0 || rank >= ranks {
-                return Err(TransportError::Protocol {
-                    peer: rank,
-                    detail: format!("JOIN from rank {rank}, expected 1..{ranks}"),
-                });
-            }
-            if links[rank].is_some() && !opts.tolerate_lost {
-                return Err(TransportError::Protocol {
-                    peer: rank,
-                    detail: "duplicate JOIN".to_string(),
-                });
-            }
-            // In recovery mode a duplicate JOIN means the rank died after
-            // joining and was respawned before the rendezvous finished —
-            // the newer join replaces the dead link.
-            peers[rank] = Some(join.addr);
-            links[rank] = Some(stream);
-        }
-        let peers: Vec<SocketAddr> = peers.into_iter().map(Option::unwrap).collect();
-        let table = encode_peers(&peers, 0);
-        let io_deadline = Instant::now() + opts.io_timeout;
-        for (rank, link) in links.iter_mut().enumerate().skip(1) {
-            let write = write_frame(link.as_ref().unwrap(), TAG_PEERS, &table, io_deadline, rank);
-            match write {
-                Ok(()) => {}
-                Err(_) if opts.tolerate_lost => *link = None, // repaired at recovery
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(Coordinator {
-            ranks,
-            self_rank: 0,
-            links,
-            peers,
-            opts,
-            listener,
-            epoch: 0,
-        })
+        let mut coordinator = Coordinator::takeover(bind_addr, ranks, 0, 0, opts)?;
+        coordinator.admit(data_addr)?;
+        Ok(coordinator)
     }
 
     /// A standby rank **takes over** as coordinator after rank-0 (or a
@@ -511,7 +429,7 @@ impl Coordinator {
         assert!(self_rank < ranks, "acting rank must be in the cluster");
         let listener = TcpListener::bind(bind_addr).map_err(|e| TransportError::Connect {
             peer: self_rank,
-            detail: format!("bind takeover rendezvous address {bind_addr}: {e}"),
+            detail: format!("bind rendezvous address {bind_addr}: {e}"),
         })?;
         Ok(Coordinator {
             ranks,
@@ -527,11 +445,6 @@ impl Coordinator {
     /// The agreed data-plane address table, rank by rank.
     pub fn peers(&self) -> &[SocketAddr] {
         &self.peers
-    }
-
-    /// Number of ranks in the cluster.
-    pub fn ranks(&self) -> usize {
-        self.ranks
     }
 
     /// The rank acting as coordinator (0 unless this is a takeover).
@@ -636,14 +549,35 @@ impl Coordinator {
     /// deadline is a typed timeout.
     pub fn recover(&mut self, data_addr: SocketAddr) -> Result<Vec<bool>, TransportError> {
         self.epoch += 1;
+        self.admit(data_addr)
+    }
+
+    /// Agree on a fresh peer table at the current epoch and broadcast it:
+    /// the body of both [`Coordinator::rendezvous`] (epoch 0, every control
+    /// link dead, so every rank arrives through the listener) and
+    /// [`Coordinator::recover`].
+    ///
+    /// With [`BootstrapOptions::tolerate_lost`] off the listener phase is
+    /// strict: a joiner that fails mid-`JOIN`, a rank out of range, a
+    /// duplicate `JOIN` or a failed `PEERS` write is an error. With it on,
+    /// such joiners are dropped (their respawns re-join), a newer listener
+    /// `JOIN` replaces an older one, and a failed `PEERS` write marks the
+    /// link dead for the next epoch to repair.
+    fn admit(&mut self, data_addr: SocketAddr) -> Result<Vec<bool>, TransportError> {
         let epoch = self.epoch;
         let self_rank = self.self_rank;
-        // A healthy survivor only notices the failure at its next
-        // transport call, which can be a full compute phase away — give
-        // the re-JOIN collection the generous control-plane deadline,
+        let strict = !self.opts.tolerate_lost;
+        // The bootstrap waits under the (short) connect deadline. A
+        // healthy survivor only notices a failure at its next transport
+        // call, which can be a full compute phase away — so a recovery
+        // gives the re-JOIN collection the generous control-plane deadline,
         // not just the connect one, so a long superstep on a big graph
         // doesn't get a live rank declared dead.
-        let deadline = Instant::now() + self.opts.connect_timeout.max(self.opts.io_timeout);
+        let deadline = Instant::now()
+            + match epoch {
+                0 => self.opts.connect_timeout,
+                _ => self.opts.connect_timeout.max(self.opts.io_timeout),
+            };
         let mut peers: Vec<Option<SocketAddr>> = (0..self.ranks).map(|_| None).collect();
         let mut needs_plan = vec![false; self.ranks];
         peers[self_rank] = Some(data_addr);
@@ -651,14 +585,16 @@ impl Coordinator {
         // listener is) on every control link that still accepts writes;
         // failures mark the rank dead (its replacement will come through
         // the listener).
-        let notice = encode_recover(epoch, &self.control_addr()?);
-        for rank in (0..self.ranks).filter(|&r| r != self_rank) {
-            let dead = match &self.links[rank] {
-                Some(link) => write_frame(link, TAG_RECOVER, &notice, deadline, rank).is_err(),
-                None => true,
-            };
-            if dead {
-                self.links[rank] = None;
+        if self.links.iter().any(Option::is_some) {
+            let notice = encode_recover(epoch, &self.control_addr()?);
+            for rank in (0..self.ranks).filter(|&r| r != self_rank) {
+                let dead = match &self.links[rank] {
+                    Some(link) => write_frame(link, TAG_RECOVER, &notice, deadline, rank).is_err(),
+                    None => true,
+                };
+                if dead {
+                    self.links[rank] = None;
+                }
             }
         }
         // Phase 1b: collect the survivors' re-JOINs. A stale JOIN from an
@@ -686,15 +622,16 @@ impl Coordinator {
                 None => self.links[rank] = None,
             }
         }
-        // Phase 2: accept fresh JOINs (respawned ranks) for the dead
-        // slots on the listener kept from the initial bootstrap. The
-        // backlog may hold JOINs from *abandoned* attempts (a respawned
-        // rank that timed out waiting and reconnected), so a newer JOIN
-        // for an already-filled listener slot replaces the older one —
-        // the newest connection is the one a live process is waiting on.
+        // Phase 2: accept fresh JOINs for the dead slots on the listener
+        // (every slot at the bootstrap; respawned ranks at a recovery).
+        // The backlog may hold JOINs from *abandoned* attempts (a
+        // respawned rank that timed out waiting and reconnected), so when
+        // tolerant a newer JOIN for an already-filled listener slot
+        // replaces the older one — the newest connection is the one a live
+        // process is waiting on.
         self.listener
             .set_nonblocking(true)
-            .map_err(|e| io_err(0, "recovery set_nonblocking", e))?;
+            .map_err(|e| io_err(self_rank, "rendezvous set_nonblocking", e))?;
         let mut from_listener = vec![false; self.ranks];
         loop {
             let complete = peers.iter().all(Option::is_some);
@@ -713,31 +650,37 @@ impl Coordinator {
                         let missing = (0..self.ranks).find(|&r| peers[r].is_none()).unwrap();
                         return Err(TransportError::Timeout {
                             peer: missing,
-                            during: "recovery rendezvous (a rank never re-joined)",
+                            during: match epoch {
+                                0 => "bootstrap rendezvous (a rank never joined)",
+                                _ => "recovery rendezvous (a rank never re-joined)",
+                            },
                         });
                     }
                     std::thread::sleep(Duration::from_millis(1));
                     continue;
                 }
-                Err(e) => return Err(io_err(usize::MAX, "recovery accept", e)),
+                Err(e) => return Err(io_err(usize::MAX, "rendezvous accept", e)),
             };
-            if stream.set_nonblocking(false).is_err() || configure_stream(&stream).is_err() {
-                continue;
-            }
-            let Ok(TAG_JOIN) = read_frame_into(&stream, &mut scratch, deadline, usize::MAX) else {
-                continue; // a dying straggler; ignore it
-            };
-            let Ok(join) = decode_join(&scratch, usize::MAX) else {
-                continue;
+            let join = match read_join(&stream, &mut scratch, deadline) {
+                Ok(join) => join,
+                Err(e) if strict => return Err(e),
+                Err(_) => continue, // a dying straggler; its respawn re-joins
             };
             let rank = join.rank;
-            let replaceable = rank != self_rank
-                && rank < self.ranks
-                && (peers[rank].is_none() || from_listener[rank]);
-            if !replaceable {
-                // A listener join may only fill a dead slot (or replace a
-                // staler listener join); survivors answered on their
-                // control links.
+            // A listener join may only fill a dead slot (or, when
+            // tolerant, replace a staler listener join); survivors
+            // answered on their control links.
+            let detail = if rank == self_rank || rank >= self.ranks {
+                format!("JOIN from rank {rank}, expected one of 0..{}", self.ranks)
+            } else if peers[rank].is_some() && (strict || !from_listener[rank]) {
+                "duplicate JOIN".to_string()
+            } else {
+                String::new()
+            };
+            if !detail.is_empty() {
+                if strict {
+                    return Err(TransportError::Protocol { peer: rank, detail });
+                }
                 continue;
             }
             peers[rank] = Some(join.addr);
@@ -750,19 +693,42 @@ impl Coordinator {
             self.links[rank] = Some(stream);
         }
         self.peers = peers.into_iter().map(Option::unwrap).collect();
-        // Phase 3: broadcast the new table (old links and new alike). A
-        // link that dies mid-broadcast is marked dead rather than
-        // aborting the epoch: the stale address it leaves in the table
-        // faults the new mesh, and the *next* recovery epoch repairs it.
+        // Phase 3: broadcast the new table (old links and new alike). When
+        // tolerant, a link that dies mid-broadcast is marked dead rather
+        // than aborting the epoch: the stale address it leaves in the
+        // table faults the new mesh, and the *next* recovery epoch
+        // repairs it.
         let table = encode_peers(&self.peers, epoch);
         let io_deadline = Instant::now() + self.opts.io_timeout;
         for rank in (0..self.ranks).filter(|&r| r != self_rank) {
-            let link = self.links[rank].as_ref().expect("all ranks re-joined");
-            if write_frame(link, TAG_PEERS, &table, io_deadline, rank).is_err() {
-                self.links[rank] = None;
+            let link = self.links[rank].as_ref().expect("every rank joined");
+            match write_frame(link, TAG_PEERS, &table, io_deadline, rank) {
+                Ok(()) => {}
+                Err(e) if strict => return Err(e),
+                Err(_) => self.links[rank] = None,
             }
         }
         Ok(needs_plan)
+    }
+}
+
+/// Read the `JOIN` frame a fresh connection to the rendezvous listener
+/// opens with.
+fn read_join(
+    stream: &TcpStream,
+    scratch: &mut Vec<u8>,
+    deadline: Instant,
+) -> Result<Join, TransportError> {
+    stream
+        .set_nonblocking(false)
+        .map_err(|e| io_err(usize::MAX, "joiner set_nonblocking", e))?;
+    configure_stream(stream).map_err(|e| io_err(usize::MAX, "configure joiner", e))?;
+    match read_frame_into(stream, scratch, deadline, usize::MAX)? {
+        TAG_JOIN => decode_join(scratch, usize::MAX),
+        tag => Err(TransportError::Protocol {
+            peer: usize::MAX,
+            detail: format!("expected JOIN, got tag {tag:#04x}"),
+        }),
     }
 }
 
@@ -850,6 +816,11 @@ impl Follower {
         configure_stream(&stream).map_err(|e| io_err(0, "configure rendezvous stream", e))?;
         let join = encode_join(rank, &data_addr, flags, 0);
         write_frame(&stream, TAG_JOIN, &join, deadline, 0)?;
+        // The table comes once every rank joined — and a respawned rank's
+        // only once the coordinator's own data plane faulted, which can
+        // take it a whole mesh connect deadline — so the wait gets the
+        // coordinator's own collection deadline, not just the connect one.
+        let deadline = Instant::now() + opts.connect_timeout.max(opts.io_timeout);
         let mut scratch = Vec::new();
         let tag = read_frame_into(&stream, &mut scratch, deadline, 0)?;
         if tag != TAG_PEERS {
@@ -880,11 +851,6 @@ impl Follower {
     /// The agreed data-plane address table, rank by rank.
     pub fn peers(&self) -> &[SocketAddr] {
         &self.peers
-    }
-
-    /// This follower's rank.
-    pub fn rank(&self) -> usize {
-        self.rank
     }
 
     /// Receive one control frame from the coordinator into `buf`; returns
@@ -941,7 +907,13 @@ impl Follower {
     /// the exchange (a second `RECOVER` arrives instead of `PEERS`), the
     /// handshake restarts at the newer epoch. Returns the agreed epoch.
     pub fn rejoin(&mut self, data_addr: SocketAddr) -> Result<u32, TransportError> {
-        let deadline = Instant::now() + self.opts.connect_timeout;
+        // A live coordinator only notices the failure at its next
+        // transport call, which can be a full compute phase away; a dead
+        // one closes this link at once. So the wait for RECOVER gets the
+        // generous deadline the coordinator's own re-JOIN collection has:
+        // giving up early would elect a standby beside a live
+        // coordinator.
+        let deadline = Instant::now() + self.opts.connect_timeout.max(self.opts.io_timeout);
         let mut scratch = Vec::new();
         // Wait for the coordinator to open the recovery epoch.
         let mut epoch = match read_frame_into(&self.link, &mut scratch, deadline, 0)? {

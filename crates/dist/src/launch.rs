@@ -586,7 +586,7 @@ mod tests {
             .advertise(&pc_ckpt::Advertisement {
                 epoch: 3,
                 acting: 1,
-                addr: "127.0.0.1:1".to_string(),
+                addr: "127.0.0.1:1".parse().unwrap(),
             })
             .unwrap();
         let spec = LaunchSpec {

@@ -26,6 +26,14 @@
 //!   data-plane addresses, the coordinator re-ships the dead rank's
 //!   partition and rebroadcasts the peer table), and the cluster resumes
 //!   from the last committed `pc_ckpt` checkpoint.
+//! * [`session`] — one rank's side of all of it as one state machine:
+//!   the bootstrap (rank 0 ships, everyone else finds the acting
+//!   coordinator and joins), the recovery epoch after a data-plane fault,
+//!   and the standby's takeover when the coordinator itself died. Plans
+//!   are opaque bytes to it, every failure is a typed
+//!   [`session::SessionError`], and its fault-injection tests drop every
+//!   rank at every transition on loopback, without an engine or a
+//!   process. [`Deadlines`] reads the `PC_DIST_*` environment once.
 //!
 //! The engine side lives in `pc_channels::engine`: a [`pc_bsp::Config`]
 //! whose `dist` field carries a [`pc_bsp::RankRole`] drives exactly one
@@ -37,8 +45,10 @@
 pub mod backoff;
 pub mod bootstrap;
 pub mod launch;
+pub mod session;
 pub mod ship;
 
 pub use backoff::Backoff;
 pub use bootstrap::{BootstrapOptions, Coordinator, Follower};
 pub use launch::{pick_rendezvous_addr, LaunchError, LaunchSpec};
+pub use session::{Deadlines, Session, SessionError, SessionSpec};

@@ -16,22 +16,18 @@
 //! success, 1 runtime error (including `--verify` mismatches), 2 usage,
 //! 3 bootstrap/transport failure.
 
-use pc_bsp::{
-    CkptPolicy, Config, ExecMode, MirrorPlan, RunStats, Tcp, TcpOptions, Topology, TransportError,
-    TransportKind,
-};
-use pc_ckpt::{Advertisement, CkptError, RunId, Store};
-use pc_dist::bootstrap::{BootstrapOptions, Coordinator, CtrlState, Follower, TAG_PLAN};
+use pc_bsp::{CkptPolicy, Config, ExecMode, MirrorPlan, RunStats, Topology, TransportKind};
 use pc_dist::launch::{
     self, pick_rendezvous_addr, LaunchSpec, EXIT_BOOTSTRAP, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
 };
-use pc_dist::{ship, Backoff};
+use pc_dist::session::{self, Deadlines, Session, SessionError, SessionSpec, Start};
+use pc_dist::ship;
 use pc_graph::{io, partition, stats, Graph, WeightedGraph};
-use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener};
+use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// `--mirror-threshold`: an explicit τ or the degree-aware heuristic
 /// ([`partition::default_mirror_threshold`]).
@@ -105,6 +101,9 @@ struct Opts {
     /// by itself — the timeline array is empty unless `--trace` or
     /// `--superstep-table` also rides along.
     stats_json: Option<PathBuf>,
+    /// The `PC_DIST_*` deadlines and respawn budget of a multi-process
+    /// run, read once (defaults in a single process).
+    deadlines: Deadlines,
 }
 
 impl Opts {
@@ -256,6 +255,7 @@ fn parse_args() -> Opts {
         trace: None,
         superstep_table: false,
         stats_json: None,
+        deadlines: Deadlines::default(),
     };
     fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
         args.next()
@@ -439,6 +439,12 @@ fn parse_args() -> Opts {
             );
         }
     }
+    // The environment's deadlines are validated here, before a launcher
+    // spawns anything: a malformed value is a usage error, never a
+    // silent default.
+    if opts.ranks.is_some() {
+        opts.deadlines = Deadlines::from_env().unwrap_or_else(|e| usage_error(&e));
+    }
     if let Some(ip) = opts.bind {
         if ip.is_unspecified() {
             usage_error(
@@ -467,148 +473,58 @@ fn failover_armed(opts: &Opts) -> bool {
     ckpt_policy(opts).is_some() && opts.ranks.is_some_and(|r| r >= 2)
 }
 
-/// Identity pinning the control-plane replica to this job. Unlike the
-/// engine's checkpoint `RunId` (keyed on the algorithm *type*), this one
-/// is keyed on the command line — every rank can derive it from its own
-/// argv plus the shipped vertex count, with no engine types in sight.
-fn replica_run_id(opts: &Opts, ranks: usize, n: usize) -> RunId {
-    RunId {
-        workers: ranks as u32,
-        n: n as u64,
-        algo: format!("ctrl/{}/{}", opts.algorithm, opts.variant),
+/// Every way a run ends short of success; [`finish`] maps each to its
+/// exit code.
+enum Fatal {
+    /// A usage error (exit 2).
+    Usage(String),
+    /// A runtime error or a `--verify` mismatch (exit 1).
+    Runtime(String),
+    /// The rank's session failed: a local store failure (exit 1), or a
+    /// bootstrap or recovery failure (exit 3).
+    Session(SessionError),
+    /// A spawned rank failed; its own exit code is propagated.
+    Launch(launch::LaunchError),
+}
+
+impl From<SessionError> for Fatal {
+    fn from(e: SessionError) -> Self {
+        Fatal::Session(e)
     }
 }
 
-/// The standby for the epoch an acting coordinator is about to publish:
-/// the `--standby` designation when it names someone else, otherwise the
-/// lowest rank that is not the acting coordinator (rank 1 at bootstrap;
-/// rank 0 itself once a takeover made it a plain follower).
-fn pick_standby(opts: &Opts, acting: usize, ranks: usize) -> u32 {
-    let fixed = match opts.standby {
-        Some(StandbyArg::Fixed(r)) if r != acting => Some(r),
-        _ => None,
+/// Report how the run ended and exit with its code — the one place a run
+/// exits once its arguments parsed.
+fn finish(outcome: Result<(), Fatal>) -> ! {
+    let code = match outcome {
+        Ok(()) => EXIT_OK,
+        Err(Fatal::Usage(msg)) => {
+            eprintln!("pcgraph: {msg}");
+            eprintln!("run 'pcgraph --help' for usage");
+            EXIT_USAGE
+        }
+        Err(Fatal::Runtime(msg)) => {
+            eprintln!("pcgraph: {msg}");
+            EXIT_RUNTIME
+        }
+        Err(Fatal::Session(e @ SessionError::Store { .. })) => {
+            eprintln!("pcgraph: {e}");
+            EXIT_RUNTIME
+        }
+        Err(Fatal::Session(e)) => {
+            eprintln!("pcgraph: bootstrap failed: {e}");
+            EXIT_BOOTSTRAP
+        }
+        Err(Fatal::Launch(e)) => {
+            eprintln!("pcgraph: {e}");
+            // Propagate the failing rank's own code where there is one.
+            match e {
+                launch::LaunchError::Exit { code: Some(c), .. } if c != 0 => c,
+                _ => EXIT_RUNTIME,
+            }
+        }
     };
-    fixed.unwrap_or_else(|| (0..ranks).find(|&r| r != acting).expect("ranks >= 2")) as u32
-}
-
-/// Open the checkpoint store that carries the control replica and the
-/// coordinator advertisement.
-fn ctrl_store(opts: &Opts) -> Store {
-    let dir = opts
-        .checkpoint_dir
-        .as_ref()
-        .expect("failover is armed, so --checkpoint-dir is set");
-    Store::open(dir).unwrap_or_else(|e| {
-        eprintln!("pcgraph: cannot open checkpoint store: {e}");
-        exit(EXIT_RUNTIME)
-    })
-}
-
-/// A control-replica write that failed: fatal, like checkpoint I/O.
-fn persisted<T>(r: Result<T, CkptError>) -> T {
-    r.unwrap_or_else(|e| {
-        eprintln!("pcgraph: cannot persist control replica: {e}");
-        exit(EXIT_RUNTIME)
-    })
-}
-
-/// Publish this epoch's control-plane state: pick the standby, commit the
-/// replica, publish the coordinator advertisement, and ship a `CTRL` frame
-/// to every follower — plans ride only on the standby's frame, without
-/// the standby's own when `shipped` says it was just sent that as `PLAN`.
-/// `written` holds the digests of plan files the bootstrap already wrote
-/// (each on the thread that encoded its plan) and when it started on
-/// them; `None` writes the files from `plans` now. Each step is durable
-/// before the next starts: plan files, `CTRL` record, advertisement,
-/// frames — so a torn publish leaves the previous epoch intact. Failures
-/// to persist are fatal (like checkpoint I/O); a dead control link is
-/// tolerated (the next recovery epoch repairs it). Ends with the
-/// `failover:` report line on stderr.
-fn publish_ctrl(
-    coordinator: &mut Coordinator,
-    (store, id): &(Store, RunId),
-    plans: &[Vec<u8>],
-    written: Option<(&[u64], Instant)>,
-    shipped: &[bool],
-    opts: &Opts,
-) -> u32 {
-    let started = written.map_or_else(Instant::now, |(_, t)| t);
-    let acting = coordinator.acting_rank();
-    let ranks = coordinator.ranks();
-    let epoch = coordinator.epoch();
-    let standby = pick_standby(opts, acting, ranks);
-    persisted(match written {
-        Some((digests, _)) => store.commit_replica(id, epoch, standby, digests),
-        None => store.write_replica(id, epoch, standby, plans),
-    });
-    let addr = coordinator
-        .control_addr()
-        .unwrap_or_else(|e| bail_bootstrap(e));
-    store
-        .advertise(&Advertisement {
-            epoch,
-            acting: acting as u32,
-            addr: addr.to_string(),
-        })
-        .unwrap_or_else(|e| {
-            eprintln!("pcgraph: cannot publish coordinator advertisement: {e}");
-            exit(EXIT_RUNTIME)
-        });
-    let replica_ms = started.elapsed().as_secs_f64() * 1e3;
-    let t0 = Instant::now();
-    for (rank, e) in coordinator.send_ctrl(standby, plans, shipped) {
-        eprintln!(
-            "pcgraph: rank {acting}: cannot ship CTRL to rank {rank} ({e}); \
-             deferring to the next recovery epoch"
-        );
-    }
-    let bytes: usize = plans.iter().map(Vec::len).sum();
-    eprintln!(
-        "failover: replica {:.1} MiB ({ranks} plans) in {replica_ms:.1} ms, ctrl {:.1} ms",
-        bytes as f64 / (1u64 << 20) as f64,
-        t0.elapsed().as_secs_f64() * 1e3
-    );
-    standby
-}
-
-/// Per-rank respawn budget of the supervising launcher when
-/// checkpointing (and with it recovery) is armed.
-fn respawn_budget() -> u32 {
-    match std::env::var("PC_DIST_MAX_RESPAWNS") {
-        Err(_) => 3,
-        Ok(v) => v.parse().unwrap_or_else(|_| {
-            usage_error(&format!("PC_DIST_MAX_RESPAWNS expects a number, got '{v}'"))
-        }),
-    }
-}
-
-fn env_ms(name: &str, default_ms: u64) -> Duration {
-    match std::env::var(name) {
-        Err(_) => Duration::from_millis(default_ms),
-        Ok(v) => match v.parse() {
-            Ok(ms) => Duration::from_millis(ms),
-            // A set-but-unparsable deadline must not silently become the
-            // default — that is how a wedged cluster outlives its CI job.
-            Err(_) => usage_error(&format!("{name} expects milliseconds, got '{v}'")),
-        },
-    }
-}
-
-fn bootstrap_options(tolerate_lost: bool) -> BootstrapOptions {
-    BootstrapOptions {
-        connect_timeout: env_ms("PC_DIST_CONNECT_TIMEOUT_MS", 10_000),
-        tolerate_lost,
-        ..BootstrapOptions::default()
-    }
-}
-
-/// Mesh options for a rank's data plane. `--transport` does not apply:
-/// across processes the data plane is always the socket mesh.
-fn tcp_options() -> TcpOptions {
-    TcpOptions {
-        connect_timeout: env_ms("PC_DIST_CONNECT_TIMEOUT_MS", 10_000),
-        ..TcpOptions::default()
-    }
+    exit(code)
 }
 
 // ---------------------------------------------------------------------
@@ -689,12 +605,10 @@ impl Gdata {
 }
 
 /// Read `--input` and report the load on stderr (stdout is the result).
-fn read_input<W: io::WeightColumn>(path: &Path, directed: bool) -> Arc<Graph<W>> {
+fn read_input<W: io::WeightColumn>(path: &Path, directed: bool) -> Result<Arc<Graph<W>>, Fatal> {
     let t0 = Instant::now();
-    let (g, load) = io::read_edges(path, directed, 0).unwrap_or_else(|e| {
-        eprintln!("pcgraph: cannot read {}: {e}", path.display());
-        exit(EXIT_RUNTIME)
-    });
+    let (g, load) = io::read_edges(path, directed, 0)
+        .map_err(|e| Fatal::Runtime(format!("cannot read {}: {e}", path.display())))?;
     eprintln!(
         "load: {} lines, {} vertices, {} arcs in {} ms ({} ranges)",
         load.lines,
@@ -703,10 +617,10 @@ fn read_input<W: io::WeightColumn>(path: &Path, directed: bool) -> Arc<Graph<W>>
         t0.elapsed().as_millis(),
         load.ranges
     );
-    Arc::new(g)
+    Ok(Arc::new(g))
 }
 
-fn load_unweighted(opts: &Opts, want_directed: bool) -> Arc<Graph> {
+fn load_unweighted(opts: &Opts, want_directed: bool) -> Result<Arc<Graph>, Fatal> {
     if let Some(path) = &opts.input {
         return read_input(path, opts.directed && want_directed);
     }
@@ -733,36 +647,35 @@ fn load_unweighted(opts: &Opts, want_directed: bool) -> Arc<Graph> {
             let side = 1usize << (opts.scale / 2);
             grid2d((1usize << opts.scale) / side, side, 0.05, 6)
         }
-        other => usage_error(&format!("unknown dataset '{other}'")),
+        other => return Err(Fatal::Usage(format!("unknown dataset '{other}'"))),
     };
     let g = if want_directed { g } else { g.symmetrized() };
-    Arc::new(g)
+    Ok(Arc::new(g))
 }
 
-fn load_weighted(opts: &Opts) -> Arc<WeightedGraph> {
+fn load_weighted(opts: &Opts) -> Result<Arc<WeightedGraph>, Fatal> {
     if let Some(path) = &opts.input {
         return read_input(path, opts.directed);
     }
     use pc_graph::gen::*;
-    Arc::new(rmat_weighted(
+    Ok(Arc::new(rmat_weighted(
         opts.scale,
         8 << opts.scale,
         RmatParams::default(),
         7,
         false,
         1000,
-    ))
+    )))
 }
 
 /// Load the full graph(s) the algorithm needs (rank 0 / single process).
-fn load(opts: &Opts, need: Need) -> Gdata {
+fn load(opts: &Opts, need: Need) -> Result<Gdata, Fatal> {
     if need.weighted {
-        Gdata::W(load_weighted(opts))
-    } else {
-        let g = load_unweighted(opts, need.directed);
-        let rev = need.rev.then(|| Arc::new(g.reverse()));
-        Gdata::U { g, rev }
+        return Ok(Gdata::W(load_weighted(opts)?));
     }
+    let g = load_unweighted(opts, need.directed)?;
+    let rev = need.rev.then(|| Arc::new(g.reverse()));
+    Ok(Gdata::U { g, rev })
 }
 
 /// Partition one graph with the selected streaming partitioner and
@@ -919,40 +832,26 @@ fn decode_plan(
 /// loaded the input. Each plan holds its rank's rows verbatim, so merging
 /// them is bit-exact.
 fn rebuild_full(plans: &[Vec<u8>], need: Need) -> Result<Gdata, String> {
-    if need.weighted {
-        let mut owner = Vec::new();
-        let mut slices = Vec::new();
-        for p in plans {
-            let (o, mut graphs, _) = ship::decode_plan::<u32>(p)?;
-            if graphs.len() != 1 {
-                return Err(format!("expected 1 graph slice, got {}", graphs.len()));
-            }
-            owner = o;
-            slices.push(graphs.remove(0));
-        }
-        return Ok(Gdata::W(Arc::new(ship::merge_slices(&owner, &slices)?)));
-    }
     let mut owner = Vec::new();
-    let (mut fwd, mut rev) = (Vec::new(), Vec::new());
-    let expected = if need.rev { 2 } else { 1 };
-    for p in plans {
-        let (o, graphs, _) = ship::decode_plan::<()>(p)?;
-        if graphs.len() != expected {
-            return Err(format!(
-                "expected {expected} graph slice(s), got {}",
-                graphs.len()
-            ));
-        }
-        let mut it = graphs.into_iter();
-        fwd.push(it.next().unwrap());
-        rev.extend(it.next());
+    let (mut fwd, mut rev, mut weighted) = (Vec::new(), Vec::new(), Vec::new());
+    for plan in plans {
+        let (o, slices, _) = decode_plan(plan, need)?;
         owner = o;
+        match slices {
+            Gdata::U { g, rev: r } => {
+                fwd.push(Arc::unwrap_or_clone(g));
+                rev.extend(r.map(Arc::unwrap_or_clone));
+            }
+            Gdata::W(g) => weighted.push(Arc::unwrap_or_clone(g)),
+        }
+    }
+    if need.weighted {
+        return Ok(Gdata::W(Arc::new(ship::merge_slices(&owner, &weighted)?)));
     }
     let g = Arc::new(ship::merge_slices(&owner, &fwd)?);
-    let rev = if need.rev {
-        Some(Arc::new(ship::merge_slices(&owner, &rev)?))
-    } else {
-        None
+    let rev = match need.rev {
+        true => Some(Arc::new(ship::merge_slices(&owner, &rev)?)),
+        false => None,
     };
     Ok(Gdata::U { g, rev })
 }
@@ -961,84 +860,30 @@ fn rebuild_full(plans: &[Vec<u8>], need: Need) -> Result<Gdata, String> {
 // Session preparation (single process / rank 0 / follower)
 // ---------------------------------------------------------------------
 
-enum Role {
-    Single,
-    /// The acting coordinator of a multi-process run — rank 0 at launch,
-    /// or a standby that took over after rank 0's death. Keeps the full
-    /// graph only when `--verify` will need it (a takeover coordinator
-    /// reconstructs it from the replicated plans instead); the run itself
-    /// uses this rank's slice.
-    Rank0 {
-        full: Option<Gdata>,
-        /// Keeps the control links (and the rendezvous listener) open for
-        /// the lifetime of the run; recovery runs through it.
-        coordinator: Coordinator,
-        /// Encoded `PLAN` frames per rank (index 0 empty unless failover
-        /// is armed), kept only when recovery is armed so a respawned
-        /// rank's partition can be re-shipped without reloading the
-        /// input.
-        plans: Option<Vec<Vec<u8>>>,
-        /// Failover bookkeeping (armed runs): the store carrying the
-        /// replica + advertisement, and the replica identity.
-        failover: Option<(Store, RunId)>,
-    },
-    Follower {
-        /// The control link to the coordinator, kept only when recovery
-        /// is armed (a surviving rank re-joins over it).
-        ctrl: Option<Follower>,
-        /// The latest replicated control state (armed runs): the epoch,
-        /// the designated standby, and — on the standby itself — every
-        /// rank's plan.
-        ctrl_state: Option<CtrlState>,
-        /// Which rank is acting coordinator for the current epoch (0
-        /// until a takeover; then whatever the advertisement named).
-        acting: usize,
-    },
+/// Where a run executes.
+enum Mode {
+    /// The single-process engine.
+    Single(Config),
+    /// One rank of a multi-process job.
+    Rank(Box<Session>),
 }
 
 struct Prepared {
-    cfg: Config,
     topo: Arc<Topology>,
+    /// The graph(s) this process runs on: the full graph(s) in a single
+    /// process, this rank's slices otherwise.
     data: Gdata,
-    role: Role,
-    /// Recovery epochs this rank has participated in, and the wall-clock
-    /// µs they cost — merged into `RunStats` through the gather.
-    recoveries: u64,
-    recovery_us: u64,
+    /// The full graph(s), kept by rank 0 only when `--verify` will rerun
+    /// the job on them (a takeover coordinator rebuilds them from the
+    /// replicated plans instead).
+    full: Option<Gdata>,
+    mode: Mode,
 }
 
-fn bail_bootstrap(e: impl std::fmt::Display) -> ! {
-    eprintln!("pcgraph: bootstrap failed: {e}");
-    exit(EXIT_BOOTSTRAP)
-}
-
-/// Bind this rank's data-plane listener on the `--bind` interface
-/// (loopback by default); peers will dial the resulting address from the
-/// rebroadcast peer table.
-fn bind_data_listener(opts: &Opts) -> (TcpListener, SocketAddr) {
-    let ip = opts.bind.unwrap_or(IpAddr::V4(Ipv4Addr::LOCALHOST));
-    let listener = TcpListener::bind((ip, 0))
-        .unwrap_or_else(|e| bail_bootstrap(format!("bind data-plane listener on {ip}: {e}")));
-    let addr = listener
-        .local_addr()
-        .unwrap_or_else(|e| bail_bootstrap(format!("data-plane local_addr: {e}")));
-    (listener, addr)
-}
-
-/// The engine config for one rank over a fresh mesh.
-fn rank_config(opts: &Opts, ranks: usize, rank: usize, tcp: Tcp) -> Config {
-    Config {
-        spin_budget: opts.spin_budget,
-        ckpt: ckpt_policy(opts),
-        trace: opts.tracing_enabled(),
-        ..Config::rank(ranks, rank, Arc::new(tcp))
-    }
-}
-
-fn prepare(opts: &Opts, need: Need) -> Prepared {
+fn prepare(opts: &Opts, need: Need) -> Result<Prepared, Fatal> {
     let Some(rank) = opts.rank else {
         // Single-process shape (the original pcgraph).
-        let data = load(opts, need);
+        let data = load(opts, need)?;
         let (base, cut) = if opts.partitioner_name() == "hash" {
             (Topology::hashed(data.n(), opts.workers), None)
         } else {
@@ -1053,560 +898,102 @@ fn prepare(opts: &Opts, need: Need) -> Prepared {
             trace: opts.tracing_enabled(),
             ..Config::with_workers(opts.workers)
         };
-        return Prepared {
-            cfg,
+        return Ok(Prepared {
             topo,
             data,
-            role: Role::Single,
-            recoveries: 0,
-            recovery_us: 0,
-        };
+            full: None,
+            mode: Mode::Single(cfg),
+        });
     };
     // Rank mode: one worker per process over a real socket mesh.
     let ranks = opts.ranks.expect("validated in parse_args");
-    let coordinator_addr = opts.coordinator.expect("validated in parse_args");
     if opts.variant == "blogel" {
-        usage_error(
-            "--variant blogel runs on the Pregel baseline engine, which has no multi-process mode",
-        );
+        return Err(Fatal::Usage(
+            "--variant blogel runs on the Pregel baseline engine, which has no multi-process mode"
+                .to_string(),
+        ));
     }
-    // Recovery needs the control plane (and on rank 0 the encoded plans)
-    // to outlive the bootstrap.
-    let recovery = ckpt_policy(opts).is_some();
-    let armed = failover_armed(opts);
-    let (listener, data_addr) = bind_data_listener(opts);
-    let bopts = bootstrap_options(recovery);
-    if rank != 0 {
-        return prepare_follower(opts, need, ranks, rank, listener, data_addr, bopts);
-    }
-    // A prior rank-0 incarnation leaves its advertisement in the
-    // checkpoint store (the launcher wipes the store only at job start),
-    // so finding one means this process is a *respawn*: the standby is
-    // taking over (or already has), and rank 0 rejoins the advertised
-    // coordinator as a plain follower instead of rendezvousing anew.
-    if armed && matches!(ctrl_store(opts).read_advertisement(), Ok(Some(_))) {
-        eprintln!("pcgraph: rank 0: prior incarnation detected; rejoining as a follower");
-        return prepare_follower(opts, need, ranks, 0, listener, data_addr, bopts);
-    }
-    // Rendezvous before loading: followers dial under the (short)
-    // connect deadline, which must not also have to cover a long
-    // graph load. Once joined, they wait for their plan under the
-    // generous control-plane io deadline instead.
-    let mut coordinator = Coordinator::rendezvous(coordinator_addr, ranks, data_addr, bopts)
-        .unwrap_or_else(|e| bail_bootstrap(e));
-    let full = load(opts, need);
-    let (owner, cut) = owners_for(&full, opts, ranks);
-    let topo = Arc::new(attach_mirror(
-        &full,
-        opts,
-        Topology::from_owners(ranks, owner.clone()),
-        cut,
-    ));
-    let mirror = topo.mirror_plan().map(Arc::as_ref);
-    // Partition shipping: every follower gets the owner table plus
-    // exactly its own rows (and, when a mirror plan was built, every
-    // hub's id and peers with its own targets alone) — no other process
-    // opens the input. With failover armed, rank 0's own plan is encoded
-    // too: the replica must let a takeover coordinator re-ship a
-    // respawned rank 0's slice (and reconstruct the full graph for
-    // --verify) without ever seeing the input. It is encoded on a thread
-    // of its own while the followers' plans are encoded and shipped, and
-    // each replica plan file is written by the thread that encoded it.
-    let failover = armed.then(|| (ctrl_store(opts), replica_run_id(opts, ranks, topo.n())));
-    let started = Instant::now();
-    let mut plans: Vec<Vec<u8>> = vec![Vec::new()];
-    let mut shipped = vec![false; ranks];
-    let mut digests = vec![0u64; ranks];
-    std::thread::scope(|s| {
-        let store = failover.as_ref().map(|(store, _)| store);
-        let own = store.map(|store| {
-            s.spawn(|| {
-                let plan = encode_plan(&owner, &full, mirror, 0);
-                let digest = persisted(store.write_replica_plan(0, &plan));
-                (plan, digest)
-            })
-        });
-        for r in 1..ranks {
-            let plan = encode_plan(&owner, &full, mirror, r);
-            match coordinator.send(r, TAG_PLAN, &plan) {
-                Ok(()) => shipped[r] = true,
-                Err(e) if !recovery => bail_bootstrap(e),
-                // The rank died between joining and receiving its plan.
-                // With recovery armed this is survivable: the launcher is
-                // respawning it, the data plane will fault, and the
-                // recovery rendezvous re-ships this cached plan.
-                Err(e) => eprintln!(
-                    "pcgraph: rank 0: cannot ship plan to rank {r} ({e}); \
-                     deferring to recovery"
-                ),
-            }
-            if let Some(store) = store {
-                digests[r] = persisted(store.write_replica_plan(r as u32, &plan));
-            }
-            plans.push(if recovery { plan } else { Vec::new() });
-        }
-        if let Some(own) = own {
-            (plans[0], digests[0]) = own.join().expect("rank 0's plan encoder panicked");
-        }
-    });
-    // Failover: commit the control replica, publish the advertisement and
-    // ship the CTRL frames (the standby's carries every plan but the one
-    // it was just shipped) before the run starts, so rank 0's very first
-    // death is already survivable.
-    if let Some(replica) = &failover {
-        let written = Some((&digests[..], started));
-        publish_ctrl(&mut coordinator, replica, &plans, written, &shipped, opts);
-    }
-    // Rank 0 runs on its own rows: copied out when --verify will rerun the
-    // job on the full graph, otherwise compacted in place inside it.
-    let (data, full) = if opts.verify {
-        (slices_for(&full, &topo, 0), Some(full))
-    } else {
-        (into_slices(full, &topo, 0), None)
-    };
-    let tcp = Tcp::mesh(0, coordinator.peers().to_vec(), listener, tcp_options())
-        .unwrap_or_else(|e| bail_bootstrap(e));
-    Prepared {
-        cfg: rank_config(opts, ranks, 0, tcp),
-        topo,
-        data,
-        role: Role::Rank0 {
-            full,
-            coordinator,
-            plans: recovery.then_some(plans),
-            failover,
+    let spec = SessionSpec {
+        ranks,
+        rank,
+        coordinator: opts.coordinator.expect("validated in parse_args"),
+        bind: opts.bind.unwrap_or(IpAddr::V4(Ipv4Addr::LOCALHOST)),
+        standby: match opts.standby {
+            Some(StandbyArg::Fixed(r)) => Some(r),
+            _ => None,
         },
-        recoveries: 0,
-        recovery_us: 0,
-    }
-}
-
-/// A follower's side of [`prepare`] — also the path a respawned rank 0
-/// takes once a prior incarnation's advertisement shows this cluster
-/// elects its coordinators. Resolves the live rendezvous address through
-/// the advertisement when failover is armed (the `--coordinator` flag
-/// names rank 0's listener, which dies with rank 0), joins, receives the
-/// shipped plan (and the replicated control state when armed), and
-/// builds this rank's mesh endpoint.
-fn prepare_follower(
-    opts: &Opts,
-    need: Need,
-    ranks: usize,
-    rank: usize,
-    listener: TcpListener,
-    data_addr: SocketAddr,
-    bopts: BootstrapOptions,
-) -> Prepared {
-    let recovery = ckpt_policy(opts).is_some();
-    let armed = failover_armed(opts);
-    // With recovery armed, a failed join retries under a jittered
-    // backoff: a respawned rank may arrive while the cluster is still
-    // detecting the failure it replaces, and the acting coordinator only
-    // drains the rendezvous backlog once its own data plane faults. Each
-    // retry is a fresh connection (and a fresh advertisement read, in
-    // case the coordinator moved), so the coordinator always finds a
-    // live socket.
-    let deadline = Instant::now() + bopts.connect_timeout.max(bopts.io_timeout);
-    let mut backoff = Backoff::for_connect(rank as u64);
-    let mut attempt = 0u32;
-    let (mut follower, acting) = loop {
-        // Where does the acting coordinator listen? Rank 0 respawns must
-        // never dial their own dead incarnation, so they wait for an
-        // advertisement naming somebody else; other ranks fall back to
-        // the flag-given address when nothing (newer) is advertised.
-        let mut target = (rank != 0).then(|| {
-            let addr = opts.coordinator.expect("validated in parse_args");
-            (addr, 0usize)
-        });
-        if armed {
-            if let Ok(Some(ad)) = ctrl_store(opts).read_advertisement() {
-                if ad.acting as usize != rank {
-                    if let Ok(addr) = ad.addr.parse::<SocketAddr>() {
-                        target = Some((addr, ad.acting as usize));
-                    }
-                }
-            }
-        }
-        if let Some((addr, acting)) = target {
-            attempt += 1;
-            match Follower::join(addr, rank, data_addr, bopts) {
-                Ok(f) => break (f, acting),
-                Err(e) if !recovery => bail_bootstrap(e),
-                Err(e) => {
-                    eprintln!("pcgraph: rank {rank}: join attempt {attempt} failed ({e}); retrying")
-                }
-            }
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            bail_bootstrap(format!(
-                "rank {rank}: no acting coordinator reachable before the deadline"
+        // Unlike the engine's checkpoint `RunId` (keyed on the algorithm
+        // *type*), the replica's identity is keyed on the command line:
+        // every rank derives it from its own argv and the vertex count.
+        replica_tag: format!("ctrl/{}/{}", opts.algorithm, opts.variant),
+        deadlines: opts.deadlines,
+        config: Config {
+            spin_budget: opts.spin_budget,
+            ckpt: ckpt_policy(opts),
+            trace: opts.tracing_enabled(),
+            ..Config::default()
+        },
+    };
+    match session::start(spec)? {
+        Start::Shipping(shipping) => {
+            let full = load(opts, need)?;
+            let (owner, cut) = owners_for(&full, opts, ranks);
+            let topo = Arc::new(attach_mirror(
+                &full,
+                opts,
+                Topology::from_owners(ranks, owner.clone()),
+                cut,
             ));
+            // Partition shipping: every follower gets the owner table plus
+            // exactly its own rows (and, when a mirror plan was built,
+            // every hub's id and peers with its own targets alone) — no
+            // other process opens the input.
+            let mirror = topo.mirror_plan().map(Arc::as_ref);
+            let session = shipping.ship(topo.n(), |r| encode_plan(&owner, &full, mirror, r))?;
+            // Rank 0 runs on its own rows: copied out when --verify will
+            // rerun the job on the full graph, otherwise compacted in
+            // place inside it.
+            let (data, full) = if opts.verify {
+                (slices_for(&full, &topo, 0), Some(full))
+            } else {
+                (into_slices(full, &topo, 0), None)
+            };
+            Ok(Prepared {
+                topo,
+                data,
+                full,
+                mode: Mode::Rank(Box::new(session)),
+            })
         }
-        backoff.sleep(deadline - now);
-    };
-    let plan = follower.recv_plan().unwrap_or_else(|e| bail_bootstrap(e));
-    let (owner, data, mirror) =
-        decode_plan(&plan, need).unwrap_or_else(|e| bail_bootstrap(format!("malformed plan: {e}")));
-    // The coordinator follows every plan with the replicated control
-    // state: the epoch, who the standby is, and — on the standby's own
-    // frame — every rank's plan but this one, which the standby keeps
-    // from its PLAN.
-    let ctrl_state = armed.then(|| {
-        follower
-            .recv_ctrl(Some(plan))
-            .unwrap_or_else(|e| bail_bootstrap(e))
-    });
-    let mut base = Topology::from_owners(ranks, owner);
-    if let Some(plan) = mirror {
-        base = base.with_mirror(Arc::new(plan));
-    }
-    let topo = Arc::new(base);
-    let tcp = Tcp::mesh(rank, follower.peers().to_vec(), listener, tcp_options())
-        .unwrap_or_else(|e| bail_bootstrap(e));
-    let mut cfg = rank_config(opts, ranks, rank, tcp);
-    if let Some(d) = cfg.dist.as_mut() {
-        d.gather_root = acting;
-    }
-    Prepared {
-        cfg,
-        topo,
-        data,
-        role: Role::Follower {
-            ctrl: recovery.then_some(follower),
-            ctrl_state,
-            acting,
-        },
-        recoveries: 0,
-        recovery_us: 0,
+        Start::Joined(joined) => {
+            let (owner, data, mirror) = decode_plan(joined.plan(), need)
+                .map_err(|e| SessionError::Plan(format!("malformed plan: {e}")))?;
+            let mut base = Topology::from_owners(ranks, owner);
+            if let Some(plan) = mirror {
+                base = base.with_mirror(Arc::new(plan));
+            }
+            let topo = Arc::new(base);
+            let session = joined.run(topo.n())?;
+            Ok(Prepared {
+                topo,
+                data,
+                full: None,
+                mode: Mode::Rank(Box::new(session)),
+            })
+        }
     }
 }
 
-// ---------------------------------------------------------------------
-// Execution with rank-failure recovery
-// ---------------------------------------------------------------------
-
-/// Run the algorithm, and — when this is a rank of a checkpointing
-/// multi-process job — survive data-plane failures: a panic whose typed
-/// [`TransportError`] the mesh recorded tears the old mesh down, runs a
-/// recovery rendezvous over the (still-open) control plane, rebuilds the
-/// mesh, and re-enters the engine, which restores the last committed
-/// checkpoint and resumes the superstep loop. Non-transport panics (and
-/// anything past the attempt budget) propagate unchanged.
+/// Run the algorithm — in rank mode through the session, which survives
+/// data-plane failures when checkpointing is on.
 fn execute<V>(
     p: &mut Prepared,
-    opts: &Opts,
     run: &impl Fn(&Gdata, &Arc<Topology>, &Config) -> (V, RunStats),
-) -> (V, RunStats) {
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    if p.cfg.dist.is_none() || p.cfg.ckpt.is_none() {
-        return run(&p.data, &p.topo, &p.cfg);
+) -> Result<(V, RunStats), Fatal> {
+    match &mut p.mode {
+        Mode::Single(cfg) => Ok(run(&p.data, &p.topo, cfg)),
+        Mode::Rank(session) => Ok(session.execute(|cfg| run(&p.data, &p.topo, cfg))?),
     }
-    let ranks = opts.ranks.expect("rank mode");
-    // Every recovery epoch costs one attempt; the budget scales with the
-    // cluster (each rank may be respawned up to the launcher's budget,
-    // and every respawn implies one cluster-wide recovery epoch).
-    let max_attempts = respawn_budget().saturating_mul(ranks as u32).max(1);
-    let mut attempts = 0u32;
-    loop {
-        match catch_unwind(AssertUnwindSafe(|| run(&p.data, &p.topo, &p.cfg))) {
-            Ok(out) => return out,
-            Err(payload) => {
-                let role = p.cfg.dist.clone().expect("checked above");
-                let Some(fault) = role.transport.take_fault() else {
-                    resume_unwind(payload); // not a transport failure
-                };
-                attempts += 1;
-                if attempts > max_attempts {
-                    eprintln!(
-                        "pcgraph: rank {}: giving up after {max_attempts} recovery attempts",
-                        role.rank
-                    );
-                    resume_unwind(payload);
-                }
-                eprintln!(
-                    "pcgraph: rank {}: data-plane failure ({fault}); recovering \
-                     (attempt {attempts}/{max_attempts})",
-                    role.rank
-                );
-                // Drop every handle on the failed mesh first: closing its
-                // sockets is what unblocks peers still waiting in it.
-                p.cfg.dist = None;
-                drop(role);
-                let t0 = Instant::now();
-                // A rendezvous that itself fails — the acting coordinator
-                // died between re-shipping plans and the mesh completing,
-                // or another rank fell over mid-epoch — is a fresh fault,
-                // not a fatal exit: go around again so the election path
-                // can still run. The shared attempt budget keeps a dead
-                // cluster bounded.
-                while let Err(e) = recover(p, opts, ranks) {
-                    attempts += 1;
-                    if attempts > max_attempts {
-                        bail_bootstrap(format!("recovery rendezvous: {e}"));
-                    }
-                    eprintln!(
-                        "pcgraph: rank {}: recovery rendezvous failed ({e}); retrying \
-                         (attempt {attempts}/{max_attempts})",
-                        opts.rank.expect("rank mode")
-                    );
-                }
-                // Book the epoch on this rank's role record: the gather
-                // sums both recoveries and repair time over ranks, so
-                // each rank reports only its own share.
-                p.recoveries += 1;
-                p.recovery_us += t0.elapsed().as_micros() as u64;
-                if let Some(d) = p.cfg.dist.as_mut() {
-                    d.recoveries = p.recoveries;
-                    d.recovery_us = p.recovery_us;
-                }
-            }
-        }
-    }
-}
-
-/// Re-ship the cached plans to the ranks a recovery rendezvous flagged as
-/// needing one; returns which ranks were sent theirs. A respawned rank
-/// that died again before its plan went out (crash loop) gets the same
-/// policy as at bootstrap: the coordinator does not fail over it — the
-/// mesh will fault and the next recovery epoch retries.
-fn reship_plans(
-    coordinator: &mut Coordinator,
-    plans: &[Vec<u8>],
-    needs_plan: &[bool],
-) -> Vec<bool> {
-    let acting = coordinator.acting_rank();
-    let mut shipped = vec![false; plans.len()];
-    for r in (0..plans.len()).filter(|&r| needs_plan[r] && r != acting) {
-        match coordinator.send(r, TAG_PLAN, &plans[r]) {
-            Ok(()) => shipped[r] = true,
-            Err(e) => eprintln!(
-                "pcgraph: rank {acting}: cannot re-ship plan to rank {r} ({e}); \
-                 deferring to the next recovery epoch"
-            ),
-        }
-    }
-    shipped
-}
-
-/// One recovery rendezvous: agree on a fresh peer table over the control
-/// plane, re-ship plans to respawned ranks, rebuild this rank's mesh.
-///
-/// With failover armed, a control plane that is dead or dies
-/// mid-rendezvous (the control link rides the acting coordinator's
-/// process) escalates to an election instead: the standby takes over,
-/// everyone else follows the new advertisement.
-fn recover(p: &mut Prepared, opts: &Opts, ranks: usize) -> Result<(), TransportError> {
-    let rank = opts.rank.expect("rank mode");
-    let armed = failover_armed(opts);
-    let (listener, data_addr) = bind_data_listener(opts);
-    match &mut p.role {
-        Role::Rank0 {
-            coordinator,
-            plans,
-            failover,
-            ..
-        } => {
-            let acting = coordinator.acting_rank();
-            let needs_plan = coordinator.recover(data_addr)?;
-            let plans = plans.as_ref().expect("recovery keeps the encoded plans");
-            let shipped = reship_plans(coordinator, plans, &needs_plan);
-            // Refresh the replicated control state at the new epoch: the
-            // standby may have been the casualty, and respawned ranks
-            // hold no CTRL state at all yet.
-            if let Some(replica) = failover {
-                publish_ctrl(coordinator, replica, plans, None, &shipped, opts);
-            }
-            let tcp = Tcp::mesh(rank, coordinator.peers().to_vec(), listener, tcp_options())?;
-            p.cfg = rank_config(opts, ranks, rank, tcp);
-            if let Some(d) = p.cfg.dist.as_mut() {
-                d.gather_root = acting;
-            }
-            return Ok(());
-        }
-        Role::Single => unreachable!("recovery only runs in rank mode"),
-        Role::Follower {
-            ctrl,
-            ctrl_state,
-            acting,
-        } => {
-            let follower = ctrl.as_mut().expect("recovery keeps the control link");
-            // The control link lives in the acting coordinator's process:
-            // a failed rejoin or a lost CTRL frame means the coordinator
-            // is gone. A data-plane fault that names the acting rank does
-            // not: a live coordinator that saw another rank die tears its
-            // mesh down first, and whoever was waiting on it (everyone,
-            // at the next exchange) sees that disconnect instead of the
-            // dead rank's. The control link tells the two apart — it
-            // fails at once when the coordinator's process is gone.
-            let outcome = match follower.rejoin(data_addr) {
-                // The coordinator follows every recovery PEERS with a
-                // fresh CTRL frame.
-                Ok(_epoch) if armed => match follower.recv_ctrl(None) {
-                    Ok(state) => Ok(Some(state)),
-                    Err(e) => Err(format!("control plane lost after rejoin ({e})")),
-                },
-                Ok(_epoch) => Ok(None),
-                Err(e) if armed => Err(format!("control plane lost during recovery ({e})")),
-                Err(e) => return Err(e),
-            };
-            match outcome {
-                Ok(new_state) => {
-                    if let Some(state) = new_state {
-                        *ctrl_state = Some(state);
-                    }
-                    let tcp = Tcp::mesh(rank, follower.peers().to_vec(), listener, tcp_options())?;
-                    p.cfg = rank_config(opts, ranks, rank, tcp);
-                    if let Some(d) = p.cfg.dist.as_mut() {
-                        d.gather_root = *acting;
-                    }
-                    return Ok(());
-                }
-                Err(why) => eprintln!("pcgraph: rank {rank}: {why}; electing a new coordinator"),
-            }
-        }
-    }
-    elect(p, opts, ranks, listener, data_addr)
-}
-
-/// Coordinator election after the acting coordinator died. No consensus
-/// round is needed: every armed rank already agreed (via the last `CTRL`
-/// frame) on who the standby is, so the standby simply takes over and
-/// everyone else waits for its advertisement. Single-failure model: if
-/// the standby died in the same breath, the poll deadline expires, this
-/// rank exits with a typed bootstrap failure, and the launcher's respawn
-/// budget decides whether the job survives.
-fn elect(
-    p: &mut Prepared,
-    opts: &Opts,
-    ranks: usize,
-    listener: TcpListener,
-    data_addr: SocketAddr,
-) -> Result<(), TransportError> {
-    let rank = opts.rank.expect("rank mode");
-    let state = {
-        let Role::Follower { ctrl_state, .. } = &p.role else {
-            unreachable!("only followers elect");
-        };
-        ctrl_state
-            .clone()
-            .expect("armed runs always hold a CTRL state")
-    };
-    let store = ctrl_store(opts);
-    let bopts = bootstrap_options(true);
-    if state.standby as usize == rank {
-        // --- Takeover: this rank is the standby. ---
-        eprintln!(
-            "pcgraph: rank {rank}: coordinator lost; standby taking over at epoch {}",
-            state.epoch + 1
-        );
-        let id = replica_run_id(opts, ranks, p.topo.n());
-        // The plans rode on this rank's own CTRL frame; fall back to the
-        // persisted replica (e.g. the CTRL refresh after a recovery was
-        // lost in the coordinator's death).
-        let plans = state
-            .plans
-            .clone()
-            .or_else(|| match store.read_replica(&id) {
-                Ok(r) => r.map(|r| r.plans),
-                Err(e) => {
-                    eprintln!("pcgraph: rank {rank}: cannot read control replica: {e}");
-                    None
-                }
-            })
-            .unwrap_or_default();
-        if plans.len() != ranks {
-            bail_bootstrap(format!(
-                "rank {rank}: control replica holds {} plans for {ranks} ranks; cannot take over",
-                plans.len()
-            ));
-        }
-        let bind_ip = opts.bind.unwrap_or(IpAddr::V4(Ipv4Addr::LOCALHOST));
-        let mut coordinator =
-            Coordinator::takeover((bind_ip, 0).into(), ranks, rank, state.epoch, bopts)?;
-        // Advertise the fresh listener under the epoch the rendezvous
-        // will establish BEFORE blocking in it: the advertisement is how
-        // survivors (and the respawned ex-coordinator) find this rank.
-        let addr = coordinator.control_addr()?;
-        store
-            .advertise(&Advertisement {
-                epoch: state.epoch + 1,
-                acting: rank as u32,
-                addr: addr.to_string(),
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("pcgraph: cannot publish coordinator advertisement: {e}");
-                exit(EXIT_RUNTIME)
-            });
-        let needs_plan = coordinator.recover(data_addr)?;
-        let shipped = reship_plans(&mut coordinator, &plans, &needs_plan);
-        let replica = (store, id);
-        publish_ctrl(&mut coordinator, &replica, &plans, None, &shipped, opts);
-        let tcp = Tcp::mesh(rank, coordinator.peers().to_vec(), listener, tcp_options())?;
-        p.cfg = rank_config(opts, ranks, rank, tcp);
-        if let Some(d) = p.cfg.dist.as_mut() {
-            d.gather_root = rank;
-        }
-        // `full` stays None: a takeover coordinator never loaded the
-        // input — `conclude` reconstructs it from the plans on --verify.
-        p.role = Role::Rank0 {
-            full: None,
-            coordinator,
-            plans: Some(plans),
-            failover: Some(replica),
-        };
-        return Ok(());
-    }
-    // --- Follow: wait for the standby's takeover advertisement. ---
-    eprintln!(
-        "pcgraph: rank {rank}: coordinator lost; waiting for standby rank {}",
-        state.standby
-    );
-    let deadline = Instant::now() + bopts.connect_timeout.max(bopts.io_timeout);
-    let mut backoff = Backoff::for_connect(rank as u64);
-    let (mut follower, acting) = loop {
-        if let Ok(Some(ad)) = store.read_advertisement() {
-            // Only an advertisement *newer* than the state this rank
-            // last saw counts — the dead coordinator's own is stale.
-            if ad.epoch > state.epoch && ad.acting as usize != rank {
-                if let Ok(addr) = ad.addr.parse::<SocketAddr>() {
-                    // A survivor keeps its partition: join with the
-                    // NEEDS_PLAN flag clear.
-                    match Follower::join_with(addr, rank, data_addr, 0, bopts) {
-                        Ok(f) => break (f, ad.acting as usize),
-                        Err(e) => eprintln!(
-                            "pcgraph: rank {rank}: cannot join takeover coordinator ({e}); \
-                             retrying"
-                        ),
-                    }
-                }
-            }
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            bail_bootstrap(format!(
-                "rank {rank}: no takeover coordinator appeared before the deadline \
-                 (standby rank {} may have died with the coordinator)",
-                state.standby
-            ));
-        }
-        backoff.sleep(deadline - now);
-    };
-    // A takeover coordinator dying between PEERS and CTRL surfaces here;
-    // propagate so the caller's retry loop re-enters the election rather
-    // than exiting this rank.
-    let new_state = follower.recv_ctrl(None)?;
-    let tcp = Tcp::mesh(rank, follower.peers().to_vec(), listener, tcp_options())?;
-    p.cfg = rank_config(opts, ranks, rank, tcp);
-    if let Some(d) = p.cfg.dist.as_mut() {
-        d.gather_root = acting;
-    }
-    p.role = Role::Follower {
-        ctrl: Some(follower),
-        ctrl_state: Some(new_state),
-        acting,
-    };
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -1668,20 +1055,19 @@ fn report(stats: &RunStats) {
     }
 }
 
-fn write_artifact(path: &std::path::Path, what: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("pcgraph: cannot write {what} {}: {e}", path.display());
-        exit(EXIT_RUNTIME);
-    }
+fn write_artifact(path: &std::path::Path, what: &str, contents: &str) -> Result<(), Fatal> {
+    std::fs::write(path, contents)
+        .map_err(|e| Fatal::Runtime(format!("cannot write {what} {}: {e}", path.display())))?;
     eprintln!("{what}: wrote {}", path.display());
+    Ok(())
 }
 
 /// Export the observability artifacts from the process that holds the
-/// merged stats — Single or rank 0. Followers never reach this: they
-/// exit at the top of [`conclude`], so `--trace FILE` can ride to every
-/// rank (it is what arms their recorders) without two processes racing
-/// on one output path.
-fn emit_observability(opts: &Opts, stats: &RunStats) {
+/// merged stats — Single or the acting coordinator. Other ranks never
+/// reach this: they stop at the top of [`conclude`], so `--trace FILE` can
+/// ride to every rank (it is what arms their recorders) without two
+/// processes racing on one output path.
+fn emit_observability(opts: &Opts, stats: &RunStats) -> Result<(), Fatal> {
     if opts.superstep_table {
         eprint!("{}", pc_bsp::trace::superstep_table(&stats.timeline));
     }
@@ -1690,7 +1076,7 @@ fn emit_observability(opts: &Opts, stats: &RunStats) {
             path,
             "trace",
             &pc_bsp::trace::chrome_trace_json(&stats.traces),
-        );
+        )?;
         let dropped: u64 = stats.traces.iter().map(|t| t.dropped).sum();
         if dropped > 0 {
             eprintln!(
@@ -1700,123 +1086,101 @@ fn emit_observability(opts: &Opts, stats: &RunStats) {
         }
     }
     if let Some(path) = &opts.stats_json {
-        write_artifact(path, "stats", &pc_bsp::metrics::run_stats_json(stats));
+        write_artifact(path, "stats", &pc_bsp::metrics::run_stats_json(stats))?;
     }
+    Ok(())
 }
 
-/// Print (and in `--verify` mode check) the run's results, then exit.
+/// Print (and in `--verify` mode check) the run's results.
 fn conclude<V: PartialEq>(
-    prepared: Prepared,
+    p: &Prepared,
     opts: &Opts,
-    values: V,
-    stats: RunStats,
+    (values, stats): &(V, RunStats),
     print: impl FnOnce(&V, &RunStats),
     rerun: impl Fn(&Gdata, &Arc<Topology>, &Config) -> (V, RunStats),
-) -> ! {
-    let Prepared { topo, role, .. } = prepared;
-    match role {
-        Role::Follower { .. } => exit(EXIT_OK), // results were gathered to rank 0
-        Role::Single => {
-            print(&values, &stats);
-            emit_observability(opts, &stats);
-            exit(EXIT_OK)
-        }
-        Role::Rank0 { full, plans, .. } => {
-            print(&values, &stats);
-            emit_observability(opts, &stats);
-            if opts.verify {
-                // Rank 0 kept the graph it loaded and the full mirror plan;
-                // a takeover coordinator never saw the input and rebuilds
-                // the graph — bit-exact — from the replicated per-rank
-                // plans. Its own plan held only its own mirror targets, and
-                // the sequential rerun pre-wires every worker, so the full
-                // mirror plan is rebuilt from that graph with the plan's τ.
-                let (full, topo) = match full {
-                    Some(full) => (full, topo),
-                    None => {
-                        let plans = plans
-                            .as_ref()
-                            .expect("a takeover coordinator keeps the replicated plans");
-                        let full =
-                            rebuild_full(plans, need_of(&opts.algorithm)).unwrap_or_else(|e| {
-                                eprintln!(
-                                    "pcgraph: cannot rebuild the graph from the control \
-                                     replica: {e}"
-                                );
-                                exit(EXIT_RUNTIME)
-                            });
-                        let topo = match topo.mirror_plan() {
-                            Some(own) => {
-                                let plan = mirror_plan(&full, &topo, own.threshold as usize);
-                                Arc::new((*topo).clone().with_mirror(Arc::new(plan)))
-                            }
-                            None => topo,
-                        };
-                        (full, topo)
-                    }
-                };
-                let seq_cfg = Config {
-                    mode: ExecMode::Sequential,
-                    ..Config::with_workers(topo.workers())
-                };
-                let (seq_values, seq_stats) = rerun(&full, &topo, &seq_cfg);
-                let mut failures = Vec::new();
-                if values != seq_values {
-                    failures.push("values".to_string());
-                }
-                let pairs: [(&str, u64, u64); 8] = [
-                    (
-                        "remote bytes",
-                        stats.remote_bytes(),
-                        seq_stats.remote_bytes(),
-                    ),
-                    ("total bytes", stats.total_bytes(), seq_stats.total_bytes()),
-                    ("messages", stats.messages(), seq_stats.messages()),
-                    ("supersteps", stats.supersteps, seq_stats.supersteps),
-                    ("rounds", stats.rounds, seq_stats.rounds),
-                    (
-                        "mirrored messages",
-                        stats.mirrored_msgs(),
-                        seq_stats.mirrored_msgs(),
-                    ),
-                    (
-                        "mirror saved",
-                        stats.mirror_saved(),
-                        seq_stats.mirror_saved(),
-                    ),
-                    (
-                        "max rank messages",
-                        stats.max_rank_msgs,
-                        seq_stats.max_rank_msgs,
-                    ),
-                ];
-                for (what, got, want) in pairs {
-                    if got != want {
-                        failures.push(format!("{what} ({got} vs {want})"));
-                    }
-                }
-                if stats.pool != seq_stats.pool {
-                    failures.push(format!(
-                        "pool traffic ({:?} vs {:?})",
-                        stats.pool, seq_stats.pool
-                    ));
-                }
-                if !failures.is_empty() {
-                    eprintln!(
-                        "pcgraph: verify FAILED — distributed run diverges from the \
-                         sequential reference: {}",
-                        failures.join(", ")
-                    );
-                    exit(EXIT_RUNTIME);
-                }
-                eprintln!(
-                    "verify: distributed run matches the sequential reference \
-                     (values, bytes, messages, supersteps, rounds, mirror, pool)"
-                );
-            }
-            exit(EXIT_OK)
+) -> Result<(), Fatal> {
+    if let Mode::Rank(session) = &p.mode {
+        if !session.is_acting() {
+            return Ok(()); // results were gathered to the acting coordinator
         }
     }
+    print(values, stats);
+    emit_observability(opts, stats)?;
+    let Mode::Rank(session) = &p.mode else {
+        return Ok(());
+    };
+    if !opts.verify {
+        return Ok(());
+    }
+    // Rank 0 kept the graph it loaded and the full mirror plan; a
+    // takeover coordinator never saw the input and rebuilds the graph —
+    // bit-exact — from the replicated per-rank plans. Its own plan held
+    // only its own mirror targets, and the sequential rerun pre-wires
+    // every worker, so the full mirror plan is rebuilt from that graph
+    // with the plan's τ.
+    let rebuilt;
+    let (full, topo) = match &p.full {
+        Some(full) => (full, Arc::clone(&p.topo)),
+        None => {
+            let plans = session
+                .plans()
+                .expect("a takeover coordinator keeps the replicated plans");
+            rebuilt = rebuild_full(plans, need_of(&opts.algorithm)).map_err(|e| {
+                Fatal::Runtime(format!(
+                    "cannot rebuild the graph from the control replica: {e}"
+                ))
+            })?;
+            let topo = match p.topo.mirror_plan() {
+                Some(own) => {
+                    let plan = mirror_plan(&rebuilt, &p.topo, own.threshold as usize);
+                    Arc::new((*p.topo).clone().with_mirror(Arc::new(plan)))
+                }
+                None => Arc::clone(&p.topo),
+            };
+            (&rebuilt, topo)
+        }
+    };
+    let seq_cfg = Config {
+        mode: ExecMode::Sequential,
+        ..Config::with_workers(topo.workers())
+    };
+    let (seq_values, seq_stats) = rerun(full, &topo, &seq_cfg);
+    let mut failures = Vec::new();
+    if *values != seq_values {
+        failures.push("values".to_string());
+    }
+    failures.extend(stats.divergences(&seq_stats));
+    if !failures.is_empty() {
+        return Err(Fatal::Runtime(format!(
+            "verify FAILED — distributed run diverges from the sequential reference: {}",
+            failures.join(", ")
+        )));
+    }
+    eprintln!(
+        "verify: distributed run matches the sequential reference \
+         (values, bytes, messages, supersteps, rounds, mirror, pool)"
+    );
+    Ok(())
+}
+
+/// One algorithm's whole run — prepare, execute, conclude — then exit.
+/// `run` drives the engine over a graph, topology and config (the
+/// distributed run, and the sequential rerun of `--verify`); `print`
+/// writes the result line(s) and the report.
+fn drive<V: PartialEq>(
+    opts: &Opts,
+    run: impl Fn(&Gdata, &Arc<Topology>, &Config) -> (V, RunStats),
+    print: impl FnOnce(&V, &RunStats),
+) -> ! {
+    let (mut prepared, mut results) = (None, None);
+    let outcome = (|| {
+        let p = prepared.insert(prepare(opts, need_of(&opts.algorithm))?);
+        let results = results.insert(execute(p, &run)?);
+        conclude(p, opts, results, print, &run)
+    })();
+    // The graph, the mesh and the results are still held: the process
+    // exits without spending its last milliseconds freeing them.
+    finish(outcome)
 }
 
 // ---------------------------------------------------------------------
@@ -1935,43 +1299,40 @@ fn child_args(opts: &Opts, rank: usize, ranks: usize, coordinator: &SocketAddr) 
     a
 }
 
-fn run_launcher(opts: &Opts) -> ! {
+fn run_launcher(opts: &Opts) -> Result<(), Fatal> {
     let ranks = opts.ranks.expect("launcher mode has --ranks");
     if opts.algorithm == "stats" {
-        usage_error("'stats' is single-process; drop --ranks");
+        return Err(Fatal::Usage(
+            "'stats' is single-process; drop --ranks".to_string(),
+        ));
     }
-    let coordinator = opts
-        .coordinator
-        .map(Ok)
-        .unwrap_or_else(pick_rendezvous_addr);
-    let coordinator = coordinator.unwrap_or_else(|e| {
-        eprintln!("pcgraph: cannot pick a rendezvous address: {e}");
-        exit(EXIT_RUNTIME)
-    });
-    let exe = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("pcgraph: cannot locate own binary: {e}");
-        exit(EXIT_RUNTIME)
-    });
+    let coordinator = match opts.coordinator {
+        Some(addr) => addr,
+        None => pick_rendezvous_addr()
+            .map_err(|e| Fatal::Runtime(format!("cannot pick a rendezvous address: {e}")))?,
+    };
+    let exe = std::env::current_exe()
+        .map_err(|e| Fatal::Runtime(format!("cannot locate own binary: {e}")))?;
     // Checkpointing arms the launcher's recovery supervision; a fresh
     // job must also never restore another job's epochs, so the directory
     // is wiped up front and cleaned after success.
-    let ckpt_store = ckpt_policy(opts).map(|p| {
-        let store = pc_ckpt::Store::open(&p.dir).unwrap_or_else(|e| {
-            eprintln!("pcgraph: cannot open checkpoint dir: {e}");
-            exit(EXIT_RUNTIME)
-        });
-        store.wipe().unwrap_or_else(|e| {
-            eprintln!("pcgraph: cannot clear stale checkpoints: {e}");
-            exit(EXIT_RUNTIME)
-        });
-        store
-    });
+    let ckpt_store = match ckpt_policy(opts) {
+        None => None,
+        Some(p) => {
+            let store = pc_ckpt::Store::open(&p.dir)
+                .map_err(|e| Fatal::Runtime(format!("cannot open checkpoint dir: {e}")))?;
+            store
+                .wipe()
+                .map_err(|e| Fatal::Runtime(format!("cannot clear stale checkpoints: {e}")))?;
+            Some(store)
+        }
+    };
     let spec = LaunchSpec {
         exe,
         ranks,
-        join_timeout: env_ms("PC_DIST_JOIN_TIMEOUT_MS", 600_000),
+        join_timeout: opts.deadlines.join,
         max_respawns: if ckpt_store.is_some() {
-            respawn_budget()
+            opts.deadlines.max_respawns
         } else {
             0
         },
@@ -1984,23 +1345,12 @@ fn run_launcher(opts: &Opts) -> ! {
                 .expect("failover_armed implies --checkpoint-dir")
         }),
     };
-    match launch::launch(&spec, |rank| child_args(opts, rank, ranks, &coordinator)) {
-        Ok(()) => {
-            if let Some(store) = &ckpt_store {
-                let _ = store.wipe(); // the job finished; epochs are garbage
-            }
-            exit(EXIT_OK)
-        }
-        Err(e) => {
-            eprintln!("pcgraph: {e}");
-            // Propagate the failing rank's own code where there is one.
-            let code = match e {
-                launch::LaunchError::Exit { code: Some(c), .. } if c != 0 => c,
-                _ => EXIT_RUNTIME,
-            };
-            exit(code)
-        }
+    launch::launch(&spec, |rank| child_args(opts, rank, ranks, &coordinator))
+        .map_err(Fatal::Launch)?;
+    if let Some(store) = &ckpt_store {
+        let _ = store.wipe(); // the job finished; epochs are garbage
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -2017,28 +1367,35 @@ fn mirror_tau(topo: &Topology) -> usize {
         .unwrap_or(16)
 }
 
+/// `pcgraph stats`: static properties of the input graph.
+fn graph_stats(opts: &Opts) -> Result<(), Fatal> {
+    if opts.rank.is_some() {
+        return Err(Fatal::Usage(
+            "'stats' is single-process; drop --rank/--ranks".to_string(),
+        ));
+    }
+    let g = load_unweighted(opts, true)?;
+    let s = stats::graph_stats(&g);
+    println!(
+        "|V| {}  |E| {}  avg deg {:.2}  max deg {}  sinks {}",
+        s.n, s.m, s.avg_degree, s.max_degree, s.sinks
+    );
+    Ok(())
+}
+
 fn main() {
     let opts = parse_args();
     if opts.ranks.is_some() && opts.rank.is_none() {
-        run_launcher(&opts);
+        finish(run_launcher(&opts));
     }
     let opts = &opts;
+    let variant = opts.variant.clone();
+    let (iters, src, k) = (opts.iters, opts.src, opts.k);
     match opts.algorithm.as_str() {
-        "stats" => {
-            if opts.rank.is_some() {
-                usage_error("'stats' is single-process; drop --rank/--ranks");
-            }
-            let g = load_unweighted(opts, true);
-            let s = stats::graph_stats(&g);
-            println!(
-                "|V| {}  |E| {}  avg deg {:.2}  max deg {}  sinks {}",
-                s.n, s.m, s.avg_degree, s.max_degree, s.sinks
-            );
-        }
-        "pagerank" => {
-            let mut p = prepare(opts, need_of("pagerank"));
-            let (variant, iters) = (opts.variant.clone(), opts.iters);
-            let run = move |d: &Gdata, topo: &Arc<Topology>, cfg: &Config| {
+        "stats" => finish(graph_stats(opts)),
+        "pagerank" => drive(
+            opts,
+            move |d, topo, cfg| {
                 let g = d.unweighted();
                 let o = match variant.as_str() {
                     "basic" => pc_algos::pagerank::channel_basic(g, topo, cfg, iters),
@@ -2048,28 +1405,19 @@ fn main() {
                     _ => pc_algos::pagerank::channel_scatter(g, topo, cfg, iters),
                 };
                 (o.ranks, o.stats)
-            };
-            let (values, stats) = execute(&mut p, opts, &run);
-            conclude(
-                p,
-                opts,
-                values,
-                stats,
-                |ranks, stats| {
-                    let mut top: Vec<(usize, f64)> = ranks.iter().copied().enumerate().collect();
-                    top.sort_by(|a, b| b.1.total_cmp(&a.1));
-                    for (v, r) in top.iter().take(10) {
-                        println!("{v}\t{r:.8}");
-                    }
-                    report(stats);
-                },
-                run,
-            );
-        }
-        "wcc" => {
-            let mut p = prepare(opts, need_of("wcc"));
-            let variant = opts.variant.clone();
-            let run = move |d: &Gdata, topo: &Arc<Topology>, cfg: &Config| {
+            },
+            |ranks, stats| {
+                let mut top: Vec<(usize, f64)> = ranks.iter().copied().enumerate().collect();
+                top.sort_by(|a, b| b.1.total_cmp(&a.1));
+                for (v, r) in top.iter().take(10) {
+                    println!("{v}\t{r:.8}");
+                }
+                report(stats);
+            },
+        ),
+        "wcc" => drive(
+            opts,
+            move |d, topo, cfg| {
                 let g = d.unweighted();
                 let o = match variant.as_str() {
                     "basic" => pc_algos::wcc::channel_basic(g, topo, cfg),
@@ -2078,27 +1426,12 @@ fn main() {
                     _ => pc_algos::wcc::channel_propagation(g, topo, cfg),
                 };
                 (o.labels, o.stats)
-            };
-            let (values, stats) = execute(&mut p, opts, &run);
-            conclude(
-                p,
-                opts,
-                values,
-                stats,
-                |labels, stats| {
-                    println!(
-                        "{} components",
-                        pc_graph::reference::component_count(labels)
-                    );
-                    report(stats);
-                },
-                run,
-            );
-        }
-        "sv" => {
-            let mut p = prepare(opts, need_of("sv"));
-            let variant = opts.variant.clone();
-            let run = move |d: &Gdata, topo: &Arc<Topology>, cfg: &Config| {
+            },
+            print_components("components"),
+        ),
+        "sv" => drive(
+            opts,
+            move |d, topo, cfg| {
                 let g = d.unweighted();
                 let o = match variant.as_str() {
                     "basic" => pc_algos::sv::channel_basic(g, topo, cfg),
@@ -2107,150 +1440,88 @@ fn main() {
                     _ => pc_algos::sv::channel_both(g, topo, cfg),
                 };
                 (o.labels, o.stats)
-            };
-            let (values, stats) = execute(&mut p, opts, &run);
-            conclude(
-                p,
-                opts,
-                values,
-                stats,
-                |labels, stats| {
-                    println!(
-                        "{} components",
-                        pc_graph::reference::component_count(labels)
-                    );
-                    report(stats);
-                },
-                run,
-            );
-        }
-        "scc" => {
-            let mut p = prepare(opts, need_of("scc"));
-            let variant = opts.variant.clone();
-            let run = move |d: &Gdata, topo: &Arc<Topology>, cfg: &Config| {
+            },
+            print_components("components"),
+        ),
+        "scc" => drive(
+            opts,
+            move |d, topo, cfg| {
                 let (g, rev) = (d.unweighted(), d.rev());
                 let o = match variant.as_str() {
                     "basic" => pc_algos::scc::channel_basic_with_rev(g, rev, topo, cfg),
                     _ => pc_algos::scc::channel_propagation_with_rev(g, rev, topo, cfg),
                 };
                 (o.labels, o.stats)
-            };
-            let (values, stats) = execute(&mut p, opts, &run);
-            conclude(
-                p,
-                opts,
-                values,
-                stats,
-                |labels, stats| {
-                    println!("{} SCCs", pc_graph::reference::component_count(labels));
-                    report(stats);
-                },
-                run,
-            );
-        }
-        "sssp" => {
-            let mut p = prepare(opts, need_of("sssp"));
-            let (variant, src) = (opts.variant.clone(), opts.src);
-            let run = move |d: &Gdata, topo: &Arc<Topology>, cfg: &Config| {
+            },
+            print_components("SCCs"),
+        ),
+        "sssp" => drive(
+            opts,
+            move |d, topo, cfg| {
                 let g = d.weighted();
                 let o = match variant.as_str() {
                     "basic" => pc_algos::sssp::channel_basic(g, topo, cfg, src),
                     _ => pc_algos::sssp::channel_propagation(g, topo, cfg, src),
                 };
                 (o.dist, o.stats)
-            };
-            let (values, stats) = execute(&mut p, opts, &run);
-            let src = opts.src;
-            conclude(
-                p,
-                opts,
-                values,
-                stats,
-                move |dist, stats| {
-                    let reached = dist
-                        .iter()
-                        .filter(|&&d| d != pc_algos::sssp::UNREACHED)
-                        .count();
-                    println!("{reached} reachable from {src}");
-                    report(stats);
-                },
-                run,
-            );
-        }
-        "bfs" => {
-            let mut p = prepare(opts, need_of("bfs"));
-            let src = opts.src;
-            let run = move |d: &Gdata, topo: &Arc<Topology>, cfg: &Config| {
+            },
+            |dist, stats| {
+                let reached = dist
+                    .iter()
+                    .filter(|&&d| d != pc_algos::sssp::UNREACHED)
+                    .count();
+                println!("{reached} reachable from {src}");
+                report(stats);
+            },
+        ),
+        "bfs" => drive(
+            opts,
+            move |d, topo, cfg| {
                 let o = pc_algos::kernels::bfs(d.unweighted(), topo, cfg, src);
                 (o.level, o.stats)
-            };
-            let (values, stats) = execute(&mut p, opts, &run);
-            conclude(
-                p,
-                opts,
-                values,
-                stats,
-                |level, stats| {
-                    let reached = level
-                        .iter()
-                        .filter(|&&l| l != pc_algos::kernels::UNREACHED)
-                        .count();
-                    let depth = level
-                        .iter()
-                        .filter(|&&l| l != pc_algos::kernels::UNREACHED)
-                        .max();
-                    println!("{reached} reachable, depth {:?}", depth);
-                    report(stats);
-                },
-                run,
-            );
-        }
-        "kcore" => {
-            let mut p = prepare(opts, need_of("kcore"));
-            let k = opts.k;
-            let n = p.data.n();
-            let run = move |d: &Gdata, topo: &Arc<Topology>, cfg: &Config| {
+            },
+            |level, stats| {
+                let reached = level.iter().filter(|&&l| l != pc_algos::kernels::UNREACHED);
+                let depth = reached.clone().max();
+                println!("{} reachable, depth {:?}", reached.count(), depth);
+                report(stats);
+            },
+        ),
+        "kcore" => drive(
+            opts,
+            move |d, topo, cfg| {
                 let o = pc_algos::kernels::kcore(d.unweighted(), topo, cfg, k);
                 (o.in_core, o.stats)
-            };
-            let (values, stats) = execute(&mut p, opts, &run);
-            conclude(
-                p,
-                opts,
-                values,
-                stats,
-                move |in_core, stats| {
-                    println!(
-                        "{} of {} vertices in the {}-core",
-                        in_core.iter().filter(|&&a| a).count(),
-                        n,
-                        k
-                    );
-                    report(stats);
-                },
-                run,
-            );
-        }
-        "msf" => {
-            let mut p = prepare(opts, need_of("msf"));
-            let run = move |d: &Gdata, topo: &Arc<Topology>, cfg: &Config| {
+            },
+            |in_core, stats| {
+                println!(
+                    "{} of {} vertices in the {k}-core",
+                    in_core.iter().filter(|&&a| a).count(),
+                    in_core.len()
+                );
+                report(stats);
+            },
+        ),
+        "msf" => drive(
+            opts,
+            move |d, topo, cfg| {
                 let o = pc_algos::msf::channel_basic(d.weighted(), topo, cfg);
                 ((o.total_weight, o.edge_count), o.stats)
-            };
-            let (values, stats) = execute(&mut p, opts, &run);
-            conclude(
-                p,
-                opts,
-                values,
-                stats,
-                |&(weight, edges), stats| {
-                    println!("forest weight {weight} over {edges} edges");
-                    report(stats);
-                },
-                run,
-            );
-        }
-        other => usage_error(&format!("unknown algorithm '{other}'")),
+            },
+            |&(weight, edges), stats| {
+                println!("forest weight {weight} over {edges} edges");
+                report(stats);
+            },
+        ),
+        other => finish(Err(Fatal::Usage(format!("unknown algorithm '{other}'")))),
+    }
+}
+
+/// The result line of the labelling algorithms: `<count> <what>`.
+fn print_components(what: &'static str) -> impl FnOnce(&Vec<u32>, &RunStats) {
+    move |labels, stats| {
+        println!("{} {what}", pc_graph::reference::component_count(labels));
+        report(stats);
     }
 }
 
@@ -2286,6 +1557,7 @@ mod tests {
             trace: None,
             superstep_table: false,
             stats_json: None,
+            deadlines: Deadlines::default(),
         }
     }
 

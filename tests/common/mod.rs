@@ -40,24 +40,13 @@ pub fn with_watchdog<T: Send + 'static>(
 }
 
 /// Two runs of the same program must agree on *everything observable* —
-/// values are checked by the caller; this covers byte counts, message
-/// counts, supersteps, rounds, and even pool traffic. This is the
-/// contract every execution mode and every exchange transport must
-/// satisfy (transport wire counters are excluded by design: each backend
-/// counts its own wire).
+/// values are checked by the caller; this covers the conformance contract
+/// of [`RunStats::divergences`]: byte counts, message counts, supersteps,
+/// rounds, mirror traffic and even pool traffic. This is the contract
+/// every execution mode and every exchange transport must satisfy.
 pub fn assert_stats_agree(name: &str, a: &RunStats, b: &RunStats) {
-    assert_eq!(a.remote_bytes(), b.remote_bytes(), "{name}: remote bytes");
-    assert_eq!(a.total_bytes(), b.total_bytes(), "{name}: total bytes");
-    assert_eq!(a.messages(), b.messages(), "{name}: messages");
-    assert_eq!(a.supersteps, b.supersteps, "{name}: supersteps");
-    assert_eq!(a.rounds, b.rounds, "{name}: rounds");
-    assert_eq!(a.pool, b.pool, "{name}: pool hits/misses");
-    assert_eq!(a.mirrored_msgs(), b.mirrored_msgs(), "{name}: mirrored");
-    assert_eq!(a.mirror_saved(), b.mirror_saved(), "{name}: mirror saved");
-    assert_eq!(
-        a.max_rank_msgs, b.max_rank_msgs,
-        "{name}: max per-rank messages"
-    );
+    let divergences = a.divergences(b);
+    assert!(divergences.is_empty(), "{name}: {}", divergences.join(", "));
 }
 
 /// The three backend configurations every algorithm must agree across:

@@ -468,3 +468,25 @@ fn missing_ranks_time_out() {
         "rendezvous timeout did not bound the wait"
     );
 }
+
+/// The launcher reads the `PC_DIST_*` deadlines once, before it spawns
+/// anything: a malformed value is a usage error naming the variable,
+/// printed once by the launcher, with no rank started to fail on it.
+#[test]
+fn launcher_refuses_a_malformed_deadline_before_spawning() {
+    for (var, value) in [
+        ("PC_DIST_CONNECT_TIMEOUT_MS", "soon"),
+        ("PC_DIST_JOIN_TIMEOUT_MS", "-5"),
+        ("PC_DIST_MAX_RESPAWNS", "many"),
+    ] {
+        let out = pcgraph()
+            .env(var, value)
+            .args(["wcc", "--gen", "wikipedia", "--scale", "7", "--ranks", "2"])
+            .output()
+            .unwrap();
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{var}: {err}");
+        assert_eq!(err.matches(&format!("{var} expects")).count(), 1, "{err}");
+        assert!(!err.contains("rank"), "a rank was spawned: {err}");
+    }
+}
