@@ -12,22 +12,21 @@ use std::net::Ipv4Addr;
 use std::path::Path;
 use std::sync::{mpsc, Barrier};
 
-/// Respawns the harness grants each rank. No case that ends in agreement
-/// needs more than one.
-const RESPAWNS: u32 = 2;
+/// Respawns the harness grants each rank, the launcher's default.
+const RESPAWNS: u32 = 3;
 /// Cases run at once: each is a few threads mostly waiting on a socket.
 const CONCURRENT_CASES: usize = 6;
 /// The vertex count in the replica's identity.
 const N: usize = 1000;
 
-/// Short deadlines, so a case whose peer is dead spends well under a
-/// second detecting it.
+/// Short deadlines, so a case whose peer is dead spends about a second
+/// detecting it, with room for a loaded box to stretch every step.
 fn deadlines() -> Deadlines {
     Deadlines {
-        connect: Duration::from_millis(400),
+        connect: Duration::from_millis(500),
         join: Duration::from_secs(60),
         max_respawns: RESPAWNS,
-        io: Duration::from_millis(1000),
+        io: Duration::from_millis(1200),
     }
 }
 
@@ -199,9 +198,10 @@ fn rank_life(case: Case, spec: SessionSpec, settled: &Barrier) -> End {
             }
             Err(e) => {
                 errors.push(e.to_string());
-                // A respawn would only wait out the same deadline for the
-                // same absent coordinator.
-                let hopeless = matches!(e, SessionError::NoCoordinator { .. });
+                // Where no coordinator can appear, a respawn would only
+                // wait out the same deadline again.
+                let hopeless = ends_without_coordinator(&case)
+                    && matches!(e, SessionError::NoCoordinator { .. });
                 if hopeless || errors.len() as u32 > RESPAWNS {
                     return End {
                         last: Err(e),
