@@ -19,6 +19,21 @@ pub(crate) enum Vals<'a, V> {
     Each(&'a [V]),
 }
 
+/// A by-destination CSR compiled for [`Combine::gather`]: its runs grouped
+/// by length, so that runs of one length fold four at a time.
+pub(crate) struct Schedule<'a> {
+    /// `(len, count)` per group, in schedule order: the next `count` runs
+    /// hold `len` sources each (`len ≥ 1`).
+    pub(crate) groups: &'a [(u32, u32)],
+    /// Source indices into the slots, group after group. Within a group
+    /// its runs go four at a time with the four interleaved (`s0[0] s1[0]
+    /// s2[0] s3[0] s0[1] …`), then the `count % 4` left over one after
+    /// another; a run's own sources keep their order.
+    pub(crate) srcs: &'a [u32],
+    /// The run index of each scheduled run: where its value goes.
+    pub(crate) order: &'a [u32],
+}
+
 /// The fold step plus the bulk loops the optimized channels run over it.
 /// Implemented once, for every closure type, so that inside the loops the
 /// step is a direct (inlinable) call: a channel pays one indirect call per
@@ -29,7 +44,7 @@ pub(crate) enum Vals<'a, V> {
 trait Fold<V>: Send + Sync {
     fn apply(&self, acc: &mut V, v: V);
     /// [`Combine::gather`].
-    fn gather(&self, slots: &[V], srcs: &[u32], run_ends: &[u32], out: &mut Vec<V>);
+    fn gather(&self, slots: &[V], schedule: &Schedule<'_>, out: &mut [V]);
     /// [`Combine::absorb`].
     fn absorb(&self, acc: &mut [V], present: &mut [bool], dsts: &[u32], vals: &mut Vec<V>);
     /// [`Combine::stage`].
@@ -69,17 +84,38 @@ impl<V: Clone, F: Fn(&mut V, V) + Send + Sync> Fold<V> for F {
         self(acc, v);
     }
 
-    fn gather(&self, slots: &[V], srcs: &[u32], run_ends: &[u32], out: &mut Vec<V>) {
-        out.reserve(run_ends.len());
-        let mut start = 0usize;
-        for &end in run_ends {
-            let run = &srcs[start..end as usize];
-            let mut acc = slots[run[0] as usize].clone();
-            for &src in &run[1..] {
-                self(&mut acc, slots[src as usize].clone());
+    /// Four runs of one length fold in lockstep, one accumulator each: the
+    /// loop's exit is the same for a whole group, so it predicts, and the
+    /// four fold chains are independent. The runs left over fold alone.
+    fn gather(&self, slots: &[V], schedule: &Schedule<'_>, out: &mut [V]) {
+        let get = |src: u32| slots[src as usize].clone();
+        let (mut srcs, mut order) = (schedule.srcs, schedule.order);
+        for &(len, count) in schedule.groups {
+            let (len, count) = (len as usize, count as usize);
+            let (group, rest) = srcs.split_at(len * count);
+            let (at, rest_order) = order.split_at(count);
+            (srcs, order) = (rest, rest_order);
+            let quads = count / 4 * 4;
+            let (lanes, singles) = group.split_at(quads * len);
+            for (s, o) in lanes.chunks_exact(4 * len).zip(at.chunks_exact(4)) {
+                let mut acc = [get(s[0]), get(s[1]), get(s[2]), get(s[3])];
+                for t in s[4..].chunks_exact(4) {
+                    self(&mut acc[0], get(t[0]));
+                    self(&mut acc[1], get(t[1]));
+                    self(&mut acc[2], get(t[2]));
+                    self(&mut acc[3], get(t[3]));
+                }
+                for (&run, acc) in o.iter().zip(acc) {
+                    out[run as usize] = acc;
+                }
             }
-            out.push(acc);
-            start = end as usize;
+            for (run, &o) in singles.chunks_exact(len).zip(&at[quads..]) {
+                let mut acc = get(run[0]);
+                for &src in &run[1..] {
+                    self(&mut acc, get(src));
+                }
+                out[o as usize] = acc;
+            }
         }
     }
 
@@ -165,11 +201,16 @@ impl<V: Clone> Combine<V> {
         self.f.apply(acc, v);
     }
 
-    /// Sender-side bulk fold over a by-destination CSR: one value per run
-    /// of `srcs` (run `k` ends at `run_ends[k]`, the first starts at 0,
-    /// none is empty), folded left to right from the run's first source.
-    pub fn gather(&self, slots: &[V], srcs: &[u32], run_ends: &[u32], out: &mut Vec<V>) {
-        self.f.gather(slots, srcs, run_ends, out);
+    /// Sender-side bulk fold over a compiled by-destination CSR: `out`
+    /// becomes one value per run, `out[k]` run `k`'s, whatever the order
+    /// the schedule folds the runs in. Each run folds its sources' slot
+    /// values left to right in their stored order (ascending, for
+    /// `ScatterCombine`), starting from the run's first source, so the
+    /// result is the same for a fold step that is not commutative.
+    pub(crate) fn gather(&self, slots: &[V], schedule: &Schedule<'_>, out: &mut Vec<V>) {
+        out.clear();
+        out.resize(schedule.order.len(), self.identity());
+        self.f.gather(slots, schedule, out);
     }
 
     /// Receiver-side bulk fold: `vals[i]` into `acc[dsts[i]]`, the first

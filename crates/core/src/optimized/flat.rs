@@ -206,6 +206,12 @@ impl<E> Staged<E> {
         })
     }
 
+    /// The destination column, to reuse as scratch once the staged edges
+    /// are no longer needed.
+    pub(crate) fn into_dsts(self) -> Vec<VertexId> {
+        self.dsts
+    }
+
     /// Replace every staged destination `d` by `f(d)`, in call order.
     pub(crate) fn map_dsts(&mut self, mut f: impl FnMut(VertexId) -> VertexId) {
         for dst in &mut self.dsts {

@@ -21,14 +21,22 @@
 //! key and sorts any run whose sources arrived out of order. The staging
 //! list is then freed. So a run is always ascending: the fold order is
 //! (destination ascending, source ascending) however the edges arrived.
-//! Edges added later are bucketed together with the existing runs, which
-//! go first.
+//! Edges added later are bucketed together with the existing runs. Each
+//! peer's CSR is then compiled into a gather schedule in place: its runs
+//! ordered stably by length (the same kernel, keyed by length), and its
+//! sources laid out in that order, each four runs of one length
+//! interleaved. The schedule replaces the CSR's `run_ends`; a checkpoint
+//! still writes the CSR, rebuilt from the schedule, and a restore compiles
+//! it again.
 //!
-//! **Each superstep** the sender runs [`Combine::gather`] once per peer:
-//! fold the slot values of each run's sources and push one value per
-//! destination into a reused scratch — combining without a hash table, and
-//! with the combiner inlined into the loop (one indirect call per peer, not
-//! per edge). The scratch goes to the wire in one `encode_slice`. Because
+//! **Each superstep** the sender runs [`Combine::gather`] once per peer
+//! over its schedule: four runs of one length fold in lockstep with four
+//! accumulators, each run its sources left to right, and each value lands
+//! at its run's index of a reused scratch — so a group's loop exit
+//! predicts, the four fold chains overlap, and the scratch is in
+//! destination order. The combiner is inlined into that loop (one
+//! indirect call per peer, not per edge) and there is no hash table. The
+//! scratch goes to the wire in one `encode_slice`. Because
 //! the destination sequence is static, the ids are transmitted **once**
 //! (`MODE_FULL`); later supersteps ship bare values in the agreed order
 //! (`MODE_VALUES`) and the receiver zips them with its cached route list —
@@ -42,12 +50,14 @@
 //! If a superstep is *not* complete (some registered vertex didn't
 //! `set_message`, e.g. the algorithm's last iteration), the channel
 //! transparently falls back to explicit `(dst, value)` pairs
-//! (`MODE_PAIRS`) for that superstep — the same CSR scanned with a presence
-//! check per source — preserving correctness for non-static uses.
+//! (`MODE_PAIRS`) for that superstep — the same schedule walked run by run
+//! with a presence check per source, into a reused scratch of one entry
+//! per run, then written out in destination order — preserving
+//! correctness for non-static uses.
 
 use super::flat::{check, encode_vec, Slots, Staged};
 use crate::channel::{Channel, DeserializeCx, SerializeCx, WorkerEnv};
-use crate::combine::Combine;
+use crate::combine::{Combine, Schedule};
 use pc_bsp::codec::{Codec, Reader};
 use pc_graph::csr::bucket_by_key;
 use pc_graph::VertexId;
@@ -58,19 +68,154 @@ const MODE_VALUES: u8 = 0;
 const MODE_FULL: u8 = 1;
 const MODE_PAIRS: u8 = 2;
 
+/// The longest run a gather schedule groups by length; every longer run
+/// is a group of its own, folded alone. Such a run's loop is long enough to
+/// pay for its own exit, and the cap bounds the length sort's keys.
+const MAX_GROUPED_LEN: u32 = 64;
+
 /// The static routes toward one destination worker: a by-destination CSR
-/// over the channel's `srcs[at]`.
+/// over the channel's `srcs[at]`, compiled into a gather [`Schedule`].
+/// Run `k` is `unique_dsts[k]`'s run of sources, ascending; no run is
+/// empty. The schedule orders the runs stably by length, longer than
+/// [`MAX_GROUPED_LEN`] last, and lays `srcs[at]` out in that order, four
+/// runs of a length interleaved ([`Schedule::srcs`]).
 #[derive(Default)]
 struct PeerRoutes {
     /// Distinct destinations, ascending — the order values go out in.
     unique_dsts: Vec<u32>,
-    /// `run_ends[k]` is where `unique_dsts[k]`'s run ends in the peer's
-    /// sources (and the next begins); no run is empty.
-    run_ends: Vec<u32>,
+    /// `(len, count)` per length group, in schedule order.
+    groups: Vec<(u32, u32)>,
+    /// `run_order[i]` is the run index of the `i`-th scheduled run.
+    run_order: Vec<u32>,
     /// Where the peer's sources sit in the channel's `srcs`.
     at: Range<usize>,
     /// Whether the id sequence has been shipped to this peer.
     ids_shipped: bool,
+}
+
+/// Where one run's sources sit in its peer's slice of `srcs`: the first at
+/// `first`, then every `stride`-th, `len` of them.
+#[derive(Clone, Copy)]
+struct Run {
+    index: u32,
+    first: u32,
+    stride: u32,
+    len: u32,
+}
+
+impl Run {
+    fn sources(self, srcs: &[u32]) -> impl Iterator<Item = u32> + Clone + '_ {
+        let at = srcs[self.first as usize..]
+            .iter()
+            .step_by(self.stride as usize);
+        at.take(self.len as usize).copied()
+    }
+}
+
+impl PeerRoutes {
+    fn schedule<'a>(&'a self, srcs: &'a [u32]) -> Schedule<'a> {
+        Schedule {
+            groups: &self.groups,
+            srcs: &srcs[self.at.clone()],
+            order: &self.run_order,
+        }
+    }
+
+    /// Every run, in schedule order.
+    fn runs(&self) -> impl Iterator<Item = Run> + Clone + '_ {
+        let placed = self.groups.iter().scan(0, |at, &(len, count)| {
+            let first = *at;
+            *at += len * count;
+            let quads = count / 4 * 4;
+            Some((0..count).map(move |j| {
+                if j < quads {
+                    (first + j / 4 * 4 * len + j % 4, 4, len)
+                } else {
+                    (first + quads * len + (j - quads) * len, 1, len)
+                }
+            }))
+        });
+        let placed = placed.flatten();
+        self.run_order
+            .iter()
+            .zip(placed)
+            .map(|(&index, (first, stride, len))| Run {
+                index,
+                first,
+                stride,
+                len,
+            })
+    }
+
+    /// Compile the canonical runs — run `k` is `canon[run_ends[k - 1]..
+    /// run_ends[k]]` — into this peer's schedule, writing the scheduled
+    /// sources into `out` (as long as `canon`). The runs are ordered by
+    /// length with [`bucket_by_key`], stably, so runs of one length keep
+    /// their destination order.
+    fn compile(&mut self, run_ends: &[u32], canon: &[u32], out: &mut [u32]) {
+        let begin = |k: usize| if k == 0 { 0 } else { run_ends[k - 1] };
+        let len = |k: usize| run_ends[k] - begin(k);
+        let long = MAX_GROUPED_LEN + 1;
+        let keys = (0..run_ends.len() as u32).map(|k| (len(k as usize).min(long), k, ()));
+        let (offsets, order, _) = bucket_by_key(long as usize + 1, &[keys], false, false);
+        let counts = offsets.windows(2).map(|w| (w[1] - w[0]) as u32);
+        self.groups = (1..long).zip(counts.skip(1)).filter(|g| g.1 > 0).collect();
+        let longs = &order[offsets[long as usize]..];
+        self.groups
+            .extend(longs.iter().map(|&k| (len(k as usize), 1)));
+        self.run_order = order;
+        // Group by group, as `Schedule::srcs` lays them out: the kernel's
+        // loop. Walking `runs()` instead took 6.3–6.7 ms a rank on
+        // `sv_compose`'s input against 3.9–5.5 ms.
+        let run = |k: u32| &canon[begin(k as usize) as usize..run_ends[k as usize] as usize];
+        let (mut out, mut order) = (out, &self.run_order[..]);
+        for &(len, count) in &self.groups {
+            let (len, count) = (len as usize, count as usize);
+            let (group, rest) = std::mem::take(&mut out).split_at_mut(len * count);
+            let (runs, rest_order) = order.split_at(count);
+            (out, order) = (rest, rest_order);
+            let quads = count / 4 * 4;
+            let (lanes, singles) = group.split_at_mut(quads * len);
+            for (s, o) in lanes.chunks_exact_mut(4 * len).zip(runs.chunks_exact(4)) {
+                for (lane, &k) in o.iter().enumerate() {
+                    let at = s[lane..].iter_mut().step_by(4);
+                    at.zip(run(k)).for_each(|(at, &src)| *at = src);
+                }
+            }
+            for (s, &k) in singles.chunks_exact_mut(len).zip(&runs[quads..]) {
+                s.copy_from_slice(run(k));
+            }
+        }
+    }
+
+    /// Write the canonical by-destination CSR — `unique_dsts`, `run_ends`
+    /// and the runs' sources in run order — as three `Vec<u32>`s, each
+    /// run's sources placed straight into the buffer at its offset there.
+    fn encode_canonical(&self, srcs: &[u32], buf: &mut Vec<u8>) {
+        let srcs = &srcs[self.at.clone()];
+        // Each run's length, then, in place, where it begins.
+        let mut begin = vec![0u32; self.run_order.len()];
+        for run in self.runs() {
+            begin[run.index as usize] = run.len;
+        }
+        encode_vec(&self.unique_dsts, buf);
+        (begin.len() as u32).encode(buf);
+        let mut end = 0;
+        for at in &mut begin {
+            (*at, end) = (end, end + *at);
+            end.encode(buf);
+        }
+        // `u32::encode_slice`'s bytes: four little-endian bytes a value.
+        (srcs.len() as u32).encode(buf);
+        let column = buf.len();
+        buf.resize(column + 4 * srcs.len(), 0);
+        for run in self.runs() {
+            let at = &mut buf[column + 4 * begin[run.index as usize] as usize..];
+            for (to, src) in at.chunks_exact_mut(4).zip(run.sources(srcs)) {
+                to.copy_from_slice(&src.to_le_bytes());
+            }
+        }
+    }
 }
 
 /// Sender-combined broadcast channel over a static edge set.
@@ -81,7 +226,7 @@ pub struct ScatterCombine<M> {
     /// over a column of destination global ids.
     staged: Staged<()>,
     /// Routes per destination worker, over one column of source local
-    /// indices grouped by peer, then destination, ascending in a run.
+    /// indices grouped by peer, each peer's in its schedule's layout.
     peers: Vec<PeerRoutes>,
     srcs: Vec<u32>,
     /// Local vertices with at least one registered edge, and how many.
@@ -94,6 +239,9 @@ pub struct ScatterCombine<M> {
     set_registered: usize,
     /// One peer's combined values (send) or one frame's values (receive).
     scratch: Vec<M>,
+    /// One peer's combined values in a partial superstep, `None` for a
+    /// destination none of whose sources set one.
+    partial: Vec<Option<M>>,
     /// Cached destination routes per *sender* worker (receive side).
     routes: Vec<Vec<u32>>,
     /// Receive-side slots (double-buffered).
@@ -121,6 +269,7 @@ impl<M: Codec + Clone + Send> ScatterCombine<M> {
             slots: slots(),
             set_registered: 0,
             scratch: Vec::new(),
+            partial: Vec::new(),
             routes: vec![Vec::new(); workers],
             incoming: slots(),
             readable: slots(),
@@ -196,8 +345,12 @@ impl<M: Codec + Clone + Send> ScatterCombine<M> {
     /// spaces (peer `p`'s vertices are keys `base[p]..base[p + 1]`), each
     /// bucket sorted. So the result is grouped by peer, then destination,
     /// and a run is ascending however its sources arrived. Each staged
-    /// destination is resolved once and overwritten by its key. A changed
-    /// route set is re-announced to every peer.
+    /// destination is resolved once and overwritten by its key. Then each
+    /// peer's runs are compiled into its schedule in place, through a copy
+    /// of its sources in the staging list's destination column, which is
+    /// resident already; the old column, the key map and the bucket
+    /// offsets are freed by then, so finalize peaks where the bucket sort
+    /// does. A changed route set is re-announced to every peer.
     fn finalize_routes(&mut self) {
         if self.staged.is_empty() {
             return;
@@ -215,66 +368,85 @@ impl<M: Codec + Clone + Send> ScatterCombine<M> {
             .collect();
         staged.map_dsts(|dst| key_of[dst as usize]);
         drop(key_of);
-        // The existing runs go first, so they keep their place at the front
-        // of theirs.
+        // The bucket sort orders each run, so the existing runs may go in
+        // schedule order.
+        let old_srcs = std::mem::take(&mut self.srcs);
         let old = self.peers.iter().zip(&base).flat_map(|(routes, &base)| {
-            let srcs = &self.srcs[routes.at.clone()];
-            let begins = std::iter::once(0).chain(routes.run_ends.iter().copied());
-            let runs = routes.unique_dsts.iter().zip(begins.zip(&routes.run_ends));
-            runs.flat_map(move |(&dst, (begin, &end))| {
-                let run = &srcs[begin as usize..end as usize];
-                run.iter().map(move |&src| (base + dst, src, ()))
+            let srcs = &old_srcs[routes.at.clone()];
+            routes.runs().flat_map(move |run| {
+                let dst = base + routes.unique_dsts[run.index as usize];
+                run.sources(srcs).map(move |src| (dst, src, ()))
             })
         });
         let new = staged.iter().map(|(src, key)| (key, src, ()));
-        let (ends, srcs, _) = bucket_by_key(topo.n(), &[old.chain(new)], false, true);
-        drop(staged);
+        let (ends, mut srcs, _) = bucket_by_key(topo.n(), &[old.chain(new)], false, true);
+        drop(old_srcs);
+        let mut canon = staged.into_dsts();
         // Cut the runs per peer: key k's run is `ends[k]..ends[k + 1]`.
+        // Peer p's run ends (relative to its first source) are
+        // `run_ends[cut[p]..cut[p + 1]]`, in one column allocated once: at
+        // most one run per key.
+        let mut run_ends = Vec::with_capacity(ends.len() - 1);
+        let mut cut = vec![0; self.peers.len() + 1];
         for (peer, routes) in self.peers.iter_mut().enumerate() {
             let keys = base[peer] as usize..base[peer + 1] as usize;
             let start = ends[keys.start];
             let runs = || keys.clone().filter(|&k| ends[k] != ends[k + 1]);
-            let count = runs().count();
-            (routes.unique_dsts, routes.run_ends) =
-                (Vec::with_capacity(count), Vec::with_capacity(count));
-            for k in runs() {
-                routes.unique_dsts.push((k - keys.start) as u32);
-                routes.run_ends.push((ends[k + 1] - start) as u32);
-            }
+            routes.unique_dsts = runs().map(|k| (k - keys.start) as u32).collect();
             routes.at = start..ends[keys.end];
             routes.ids_shipped = false;
+            run_ends.extend(runs().map(|k| (ends[k + 1] - start) as u32));
+            cut[peer + 1] = run_ends.len();
+        }
+        drop(ends);
+        for (routes, cut) in self.peers.iter_mut().zip(cut.windows(2)) {
+            canon.clear();
+            canon.extend_from_slice(&srcs[routes.at.clone()]);
+            let run_ends = &run_ends[cut[0]..cut[1]];
+            routes.compile(run_ends, &canon, &mut srcs[routes.at.clone()]);
         }
         self.srcs = srcs;
         self.generation += 1;
     }
+}
 
-    /// A partial superstep's frame for one peer: scan the CSR skipping the
-    /// sources that set nothing, and write a `(dst, value)` pair per
-    /// destination that gathered anything. Returns the pair count.
-    fn encode_pairs(&self, routes: &PeerRoutes, buf: &mut Vec<u8>) -> u64 {
-        let srcs = &self.srcs[routes.at.clone()];
-        let mut pairs = 0;
-        let mut begin = 0;
-        for (&dst, &end) in routes.unique_dsts.iter().zip(&routes.run_ends) {
-            let mut set = srcs[begin as usize..end as usize]
-                .iter()
-                .filter_map(|&src| self.slots.get(src));
-            if let Some(first) = set.next() {
-                let mut acc = first.clone();
-                for v in set {
-                    self.combine.apply(&mut acc, v.clone());
-                }
-                if pairs == 0 {
-                    MODE_PAIRS.encode(buf);
-                }
-                dst.encode(buf);
-                acc.encode(buf);
-                pairs += 1;
+/// A partial superstep's frame for one peer: fold each run's sources that
+/// set a value, in schedule order, into `acc` (one entry per run), then
+/// write a `(dst, value)` pair per destination that gathered anything,
+/// ascending. Returns the pair count.
+fn encode_pairs<M: Codec + Clone>(
+    combine: &Combine<M>,
+    slots: &Slots<M>,
+    routes: &PeerRoutes,
+    srcs: &[u32],
+    acc: &mut Vec<Option<M>>,
+    buf: &mut Vec<u8>,
+) -> u64 {
+    acc.clear();
+    acc.resize(routes.unique_dsts.len(), None);
+    let srcs = &srcs[routes.at.clone()];
+    for run in routes.runs() {
+        let mut set = run.sources(srcs).filter_map(|src| slots.get(src));
+        if let Some(first) = set.next() {
+            let mut fold = first.clone();
+            for v in set {
+                combine.apply(&mut fold, v.clone());
             }
-            begin = end;
+            acc[run.index as usize] = Some(fold);
         }
-        pairs
     }
+    let mut pairs = 0;
+    for (&dst, fold) in routes.unique_dsts.iter().zip(acc.drain(..)) {
+        if let Some(fold) = fold {
+            if pairs == 0 {
+                MODE_PAIRS.encode(buf);
+            }
+            dst.encode(buf);
+            fold.encode(buf);
+            pairs += 1;
+        }
+    }
+    pairs
 }
 
 /// Fold one frame's values into the incoming slots along `route` and wake
@@ -309,28 +481,31 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
             return; // nothing scattered this superstep
         }
         let complete = self.set_registered == self.registered_count;
-        for peer in 0..self.peers.len() {
-            if self.peers[peer].at.is_empty() {
+        let ScatterCombine {
+            combine,
+            peers,
+            srcs,
+            slots,
+            scratch: vals,
+            partial,
+            messages,
+            ..
+        } = self;
+        for (peer, routes) in peers.iter_mut().enumerate() {
+            if routes.at.is_empty() {
                 continue;
             }
             if !complete {
                 // Explicit pairs, id cache untouched.
-                let routes = &self.peers[peer];
                 let mut pairs = 0;
-                cx.frame(peer, |buf| pairs = self.encode_pairs(routes, buf));
-                self.messages += pairs;
+                cx.frame(peer, |buf| {
+                    pairs = encode_pairs(combine, slots, routes, srcs, partial, buf);
+                });
+                *messages += pairs;
                 continue;
             }
-            let routes = &mut self.peers[peer];
-            let vals = &mut self.scratch;
-            vals.clear();
-            self.combine.gather(
-                &self.slots.vals,
-                &self.srcs[routes.at.clone()],
-                &routes.run_ends,
-                vals,
-            );
-            self.messages += vals.len() as u64;
+            combine.gather(&slots.vals, &routes.schedule(srcs), vals);
+            *messages += vals.len() as u64;
             if routes.ids_shipped {
                 // Static pattern, routes known: bare values only.
                 cx.frame(peer, |buf| {
@@ -450,13 +625,12 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
 
     fn encode_tables(&self, buf: &mut Vec<u8>) {
         // Built by `compute` in early supersteps and never rebuilt on
-        // restore: the by-destination CSR toward every peer and the
-        // destination routes cached from every sender.
+        // restore: the by-destination CSR toward every peer, canonical
+        // whatever its schedule, and the destination routes cached from
+        // every sender.
         self.generation.encode(buf);
         for p in &self.peers {
-            encode_vec(&p.unique_dsts, buf);
-            encode_vec(&p.run_ends, buf);
-            encode_vec(&self.srcs[p.at.clone()], buf);
+            p.encode_canonical(&self.srcs, buf);
         }
         for ids in &self.routes {
             encode_vec(ids, buf);
@@ -471,9 +645,9 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
         self.srcs.clear();
         for (peer, p) in self.peers.iter_mut().enumerate() {
             p.unique_dsts = r.get();
-            p.run_ends = r.get();
+            let run_ends: Vec<u32> = r.get();
             let srcs: Vec<u32> = r.get();
-            ok(p.unique_dsts.len() == p.run_ends.len(), "run count");
+            ok(p.unique_dsts.len() == run_ends.len(), "run count");
             ok(
                 p.unique_dsts.is_sorted_by(|a, b| a < b)
                     && p.unique_dsts
@@ -483,7 +657,7 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
             );
             let mut begin = 0;
             ok(
-                p.run_ends
+                run_ends
                     .iter()
                     .all(|&end| std::mem::replace(&mut begin, end) < end)
                     && begin as usize == srcs.len(),
@@ -494,7 +668,8 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for ScatterCombine<M> {
                 "route source",
             );
             p.at = self.srcs.len()..self.srcs.len() + srcs.len();
-            self.srcs.extend_from_slice(&srcs);
+            self.srcs.resize(p.at.end, 0);
+            p.compile(&run_ends, &srcs, &mut self.srcs[p.at.clone()]);
         }
         for ids in &mut self.routes {
             *ids = r.get();
@@ -846,16 +1021,18 @@ mod tests {
         }
     }
 
-    /// The naive per-edge reference for an `f64` sum: per destination, each
+    /// The naive per-edge reference for any fold: per destination, each
     /// sending worker (ascending) folds its set sources in ascending local
-    /// order, duplicates included, and the receiver folds those partial
-    /// sums in sender order. Returns the bit patterns and the number of
-    /// partial sums (= combined messages).
-    fn sum_oracle(
+    /// order, duplicates included, left to right from the first, and the
+    /// receiver folds those partial values in sender order. Returns what
+    /// every vertex gathered and the number of partial values (= combined
+    /// messages).
+    fn fold_oracle<V: Copy>(
         topo: &Topology,
         edges: &[(VertexId, VertexId)],
-        set: &[Option<f64>],
-    ) -> (Vec<Option<u64>>, u64) {
+        set: &[Option<V>],
+        f: impl Fn(V, V) -> V,
+    ) -> (Vec<Option<V>>, u64) {
         let mut sorted: Vec<(VertexId, usize, u32)> = edges
             .iter()
             .filter(|&&(src, _)| set[src as usize].is_some())
@@ -869,18 +1046,23 @@ mod tests {
             let value = |&(_, _, local): &(VertexId, usize, u32)| {
                 set[topo.locals(sender)[local as usize] as usize].unwrap()
             };
-            let mut partial = value(&per_sender[0]);
-            for edge in &per_sender[1..] {
-                partial += value(edge);
-            }
+            let partial = (per_sender[1..].iter())
+                .fold(value(&per_sender[0]), |acc, edge| f(acc, value(edge)));
             partials += 1;
-            let total: &mut Option<f64> = &mut gathered[dst as usize];
-            *total = Some(total.map_or(partial, |t| t + partial));
+            let total = &mut gathered[dst as usize];
+            *total = Some(total.map_or(partial, |t| f(t, partial)));
         }
-        (
-            gathered.into_iter().map(|g| g.map(f64::to_bits)).collect(),
-            partials,
-        )
+        (gathered, partials)
+    }
+
+    /// [`fold_oracle`] for an `f64` sum, as bit patterns.
+    fn sum_oracle(
+        topo: &Topology,
+        edges: &[(VertexId, VertexId)],
+        set: &[Option<f64>],
+    ) -> (Vec<Option<u64>>, u64) {
+        let (gathered, partials) = fold_oracle(topo, edges, set, |a, b| a + b);
+        (bits(gathered), partials)
     }
 
     fn bits(gathered: Vec<Option<f64>>) -> Vec<Option<u64>> {
@@ -927,6 +1109,112 @@ mod tests {
             edges.len()
         );
         assert!(c.chans().iter().all(|ch| ch.staged.capacity_bytes() == 0));
+    }
+
+    /// An order-sensitive, non-commutative fold: equal results pin the
+    /// order in which a destination's sources were folded.
+    fn ordered() -> Combine<u64> {
+        Combine::new(0u64, |acc: &mut u64, v| {
+            *acc = acc.wrapping_mul(31).wrapping_add(v)
+        })
+    }
+
+    fn pin_owners() -> Vec<u16> {
+        (0..30).map(|v| ((v * 7 + v / 3) % 3) as u16).collect()
+    }
+
+    /// A 3-worker channel over 30 vertices after two registration batches
+    /// and a complete superstep each. The first batch is a random
+    /// multigraph registered from the highest source down, with one
+    /// 70-source run into vertex 0; the second adds sources below, between
+    /// and above the runs the first left, plus destinations with no run
+    /// yet.
+    fn two_batches() -> Cluster<u64> {
+        let n = 30u32;
+        let mut c = Cluster::new(pin_owners(), 3, ordered());
+        let set_all = |c: &mut Cluster<u64>| (0..n).for_each(|v| c.set(v, 1000 + v as u64));
+        let mut rng = 7;
+        for src in (0..n).rev() {
+            let dsts: Vec<u32> = (0..next(&mut rng) % 9)
+                .map(|_| (next(&mut rng) % n as u64) as u32)
+                .collect();
+            c.add_edges(src, &dsts);
+        }
+        let hub_sources: Vec<u32> = (0..n).filter(|&v| c.topo().worker_of(v) == 1).collect();
+        for _ in 0..7 {
+            for &src in &hub_sources[..10] {
+                c.add_edge(src, 0);
+            }
+        }
+        set_all(&mut c);
+        c.exchange();
+        for (src, dst) in [(29, 4), (0, 4), (14, 4), (0, 0), (29, 7), (3, 28), (16, 29)] {
+            c.add_edge(src, dst);
+        }
+        set_all(&mut c);
+        c.exchange();
+        c
+    }
+
+    /// `(length, fnv64)` of each buffer: a pin that names what moved.
+    fn digests(bufs: &[Vec<u8>]) -> Vec<(usize, u64)> {
+        bufs.iter().map(|b| (b.len(), pc_ckpt::fnv64(b))).collect()
+    }
+
+    /// The tables checkpoint bytes, recorded before the routes were
+    /// compiled into a gather schedule: whatever layout the routes keep in
+    /// memory, they are written as the canonical `(unique_dsts, run_ends,
+    /// srcs)` CSR per peer, and a restore writes back the same bytes.
+    #[test]
+    fn tables_bytes_after_two_batches_are_pinned() {
+        let c = two_batches();
+        let tables: Vec<Vec<u8>> = c
+            .chans()
+            .iter()
+            .map(|ch| {
+                let mut buf = Vec::new();
+                Channel::<()>::encode_tables(ch, &mut buf);
+                buf
+            })
+            .collect();
+        let expect = [
+            (548, 0x05dfb1eb060c108f),
+            (840, 0x7d272479b33f8611),
+            (528, 0xa8d6f1990674332d),
+        ];
+        assert_eq!(digests(&tables), expect);
+        let mut restored = Cluster::new(pin_owners(), 3, ordered());
+        for (w, bytes) in tables.iter().enumerate() {
+            let ch = &mut restored.inner.chans[w];
+            Channel::<()>::decode_tables(ch, &mut Reader::new(bytes));
+            let mut again = Vec::new();
+            Channel::<()>::encode_tables(ch, &mut again);
+            assert_eq!(&again, bytes, "worker {w} restored");
+        }
+    }
+
+    /// One partial superstep's `MODE_PAIRS` frames, recorded before the
+    /// routes were compiled into a gather schedule: per destination with a
+    /// set source, ascending, the left fold of its set sources.
+    #[test]
+    fn pairs_frame_bytes_are_pinned() {
+        let mut c = two_batches();
+        for v in (0..30).filter(|v| v % 3 != 1) {
+            c.set(v, 5000 + v as u64 * 17);
+        }
+        let frames: Vec<Vec<u8>> = (0..3).flat_map(|w| c.inner.serialize(w)).collect();
+        let expect = [
+            (103, 0x1a8ae897793de4a1),
+            (103, 0x64e4dfa0adfc0ce7),
+            (103, 0xf15f936baebc5ff3),
+            (103, 0x742b7f4e9c71d332),
+            (91, 0x486bce3e01cda94c),
+            (67, 0x6b7ea07c9a24b107),
+            (91, 0xabe4465265f35a05),
+            (55, 0x612d350e289ab86a),
+            (115, 0x66600a0a41eec768),
+        ];
+        assert_eq!(digests(&frames), expect);
     }
 
     /// A cluster that has shipped its ids along `0 → 1` and `0 → 2` (all on
@@ -1098,6 +1386,104 @@ mod tests {
                 expect_messages += partials;
                 prop_assert_eq!(bits(c.exchange()), expect, "step {}", step);
                 prop_assert_eq!(c.messages(), expect_messages, "messages after step {}", step);
+            }
+        }
+
+        /// The gather schedule against the naive left fold, under a fold
+        /// that is neither commutative nor associative, on multigraphs
+        /// shaped to reach every corner of the schedule: length groups of
+        /// every remainder mod 4, length-1 runs, a run longer than
+        /// [`MAX_GROUPED_LEN`] and a worker that registers nothing. Edges
+        /// arrive shuffled, in late batches; supersteps are complete
+        /// (FULL/VALUES frames) or partial (PAIRS frames); and midway the
+        /// cluster is restored from its tables and state, whose tables
+        /// bytes must encode back unchanged.
+        #[test]
+        fn prop_scheduled_gather_is_the_left_fold_per_destination(
+            n in 1usize..60,
+            workers in 1usize..5,
+            steps in 2usize..6,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = seed;
+            let mut pick = |below: usize| (next(&mut rng) % below as u64) as usize;
+            let owners: Vec<u16> = (0..n).map(|_| pick(workers) as u16).collect();
+            let topo = Topology::from_owners(workers, owners.clone());
+            let idle = (workers > 1).then(|| pick(workers));
+            let senders: Vec<Vec<u32>> = (0..workers)
+                .map(|w| {
+                    let on = |&v: &u32| topo.worker_of(v) == w && Some(w) != idle;
+                    (0..n as u32).filter(on).collect()
+                })
+                .collect();
+            let mut edges = Vec::new();
+            // Length groups: `count` runs of `len` sources each, from one
+            // worker to distinct vertices of one worker.
+            for _ in 0..1 + pick(4) {
+                let (len, count) = (1 + pick(6), pick(14));
+                let (from, to) = (&senders[pick(workers)], pick(workers));
+                let to: Vec<u32> = (0..n as u32).filter(|&v| topo.worker_of(v) == to).collect();
+                let first = pick(n);
+                for i in 0..count.min(to.len()) * usize::from(!from.is_empty()) {
+                    for _ in 0..len {
+                        edges.push((from[pick(from.len())], to[(first + i) % to.len()]));
+                    }
+                }
+            }
+            // A run longer than the cap, and noise.
+            if pick(2) == 0 {
+                let (from, dst) = (&senders[pick(workers)], pick(n) as u32);
+                for _ in 0..(MAX_GROUPED_LEN as usize + 1 + pick(8)) * usize::from(!from.is_empty()) {
+                    edges.push((from[pick(from.len())], dst));
+                }
+            }
+            for _ in 0..pick(30) {
+                let (from, dst) = (&senders[pick(workers)], pick(n) as u32);
+                if !from.is_empty() {
+                    edges.push((from[pick(from.len())], dst));
+                }
+            }
+            for i in (1..edges.len()).rev() {
+                edges.swap(i, pick(i + 1));
+            }
+            let f = |a: u64, b: u64| a.wrapping_mul(31).wrapping_add(b);
+            let mut c = Cluster::new(owners.clone(), workers, ordered());
+            let restore_at = pick(steps);
+            let (mut registered, mut expect_messages) = (0, 0);
+            for step in 0..steps {
+                let left = edges.len() - registered;
+                let batch = if step + 1 == steps { left } else { pick(left + 1) };
+                for row in edges[registered..registered + batch].chunk_by(|a, b| a.0 == b.0) {
+                    let dsts: Vec<VertexId> = row.iter().map(|&(_, dst)| dst).collect();
+                    c.add_edges(row[0].0, &dsts);
+                }
+                registered += batch;
+                let partial = pick(3) == 0;
+                let set: Vec<Option<u64>> = (0..n)
+                    .map(|_| (!partial || pick(2) == 0).then(|| pick(1 << 31) as u64))
+                    .collect();
+                for (v, m) in set.iter().enumerate() {
+                    if let Some(m) = m {
+                        c.set(v as u32, *m);
+                    }
+                }
+                let (expect, partials) = fold_oracle(c.topo(), &edges[..registered], &set, f);
+                expect_messages += partials;
+                prop_assert_eq!(c.exchange(), expect, "step {}", step);
+                prop_assert_eq!(c.messages(), expect_messages, "messages after step {}", step);
+                if step == restore_at {
+                    let mut restored = Cluster::new(owners.clone(), workers, ordered());
+                    for (from, to) in c.chans().iter().zip(&mut restored.inner.chans) {
+                        let (mut tables, mut state, mut again) = (Vec::new(), Vec::new(), Vec::new());
+                        Channel::<()>::encode_tables(from, &mut tables);
+                        Channel::<()>::encode_state(from, &mut state);
+                        Channel::<()>::decode_tables(to, &mut Reader::new(&tables));
+                        Channel::<()>::decode_state(to, &mut Reader::new(&state));
+                        Channel::<()>::encode_tables(to, &mut again);
+                        prop_assert_eq!(again, tables, "tables restored at step {}", step);
+                    }
+                    c = restored;
+                }
             }
         }
     }

@@ -64,23 +64,32 @@ impl<C: Channel<()>> Cluster<C> {
         self.chans[w].deserialize(&mut cx);
     }
 
+    /// Worker `w`'s channel serializes; returns its framed buffer toward
+    /// every peer (empty where it wrote no frame).
+    pub(crate) fn serialize(&mut self, w: usize) -> Vec<Vec<u8>> {
+        let workers = self.chans.len();
+        let mut out = OutBuffers::new(w, workers);
+        let env = self.env(w);
+        let mut cx = SerializeCx {
+            channel_id: 0,
+            env: &env,
+            out: &mut out,
+            bytes: &mut self.bytes,
+        };
+        self.chans[w].serialize(&mut cx);
+        (0..workers)
+            .map(|peer| std::mem::take(out.buf(peer)))
+            .collect()
+    }
+
     /// One exchange round: every channel serializes, every worker
     /// receives. Returns whether any channel asks for another round.
     pub(crate) fn round(&mut self) -> bool {
         let workers = self.chans.len();
         let mut inbox = vec![Vec::new(); workers];
         for w in 0..workers {
-            let mut out = OutBuffers::new(w, workers);
-            let env = self.env(w);
-            let mut cx = SerializeCx {
-                channel_id: 0,
-                env: &env,
-                out: &mut out,
-                bytes: &mut self.bytes,
-            };
-            self.chans[w].serialize(&mut cx);
-            for (peer, column) in inbox.iter_mut().enumerate() {
-                column.push((w, std::mem::take(out.buf(peer))));
+            for (column, buf) in inbox.iter_mut().zip(self.serialize(w)) {
+                column.push((w, buf));
             }
         }
         for (w, bufs) in inbox.iter().enumerate() {
