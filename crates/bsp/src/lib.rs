@@ -42,7 +42,7 @@ pub use codec::{Codec, FixedWidth, Reader};
 pub use exchange::{Hub, Mailbox, SharedReduce, SpinBarrier};
 pub use metrics::{ChannelMetrics, PoolStats, RunStats, SuperstepStats, TransportStats};
 pub use pool::BufferPool;
-pub use tcp::{Tcp, TcpOptions};
+pub use tcp::{MeshListener, Tcp, TcpOptions};
 pub use topology::{MirrorHub, MirrorPlan, Topology};
 pub use trace::{RankTrace, SpanKind, TraceEvent, Tracer};
 pub use transport::{ExchangeTransport, InProcess, TransportError};
@@ -70,7 +70,8 @@ pub enum TransportKind {
     /// simulated cluster; default).
     #[default]
     InProcess,
-    /// A full mesh of loopback TCP sockets ([`tcp::Tcp`]): real
+    /// A full mesh of loopback sockets ([`tcp::Tcp`]; Unix domain
+    /// sockets on Linux, see *Link kinds* there): real
     /// length-prefixed wire traffic under one non-blocking batched driver
     /// (pipelined sends, per-peer send queues, small frames coalesced
     /// into super-frames), every round closed by one `END` frame per peer
@@ -220,7 +221,7 @@ impl Config {
         }
     }
 
-    /// Threaded config exchanging over loopback TCP sockets.
+    /// Threaded config exchanging over a loopback socket mesh.
     pub fn tcp(workers: usize) -> Self {
         Config {
             workers,

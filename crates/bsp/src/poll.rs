@@ -7,7 +7,9 @@
 //! this module issues the raw syscall itself — `poll` on x86-64 Linux,
 //! `ppoll` on aarch64 Linux (which never had a plain `poll` syscall).
 //! Everything else (interest computation, deadline bookkeeping, stall
-//! accounting) stays in safe Rust on top of [`poll`].
+//! accounting) stays in safe Rust on top of [`poll`]. The one socket
+//! option the standard library does not set, a same-host link's send
+//! buffer ([`set_send_buffer`]), is a `setsockopt(2)` call next to it.
 //!
 //! On targets without a wired-up syscall the fallback naps briefly and
 //! reports every registered interest as ready: the caller's progress pass
@@ -109,6 +111,28 @@ fn syscall_result(ret: i64) -> io::Result<usize> {
         Ok(0)
     } else {
         Err(io::Error::from_raw_os_error(-ret as i32))
+    }
+}
+
+/// Ask for a `bytes`-byte send buffer on socket `fd` (`SO_SNDBUF`), the
+/// one socket option the standard library does not set. The kernel caps
+/// the request at `net.core.wmem_max` without an error, so the size
+/// alone never makes this fail.
+#[cfg(target_os = "linux")]
+pub fn set_send_buffer(fd: RawFd, bytes: i32) -> io::Result<()> {
+    const SOL_SOCKET: i32 = 1;
+    const SO_SNDBUF: i32 = 7;
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+    }
+    // SAFETY: `setsockopt(2)` reads exactly `len` = 4 bytes at `value`,
+    // a live `i32` on this stack frame; `fd` is only read, and a closed or
+    // non-socket fd is an error return, not undefined behavior.
+    let ret = unsafe { setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, 4) };
+    if ret == 0 {
+        Ok(())
+    } else {
+        Err(io::Error::last_os_error())
     }
 }
 

@@ -1,12 +1,42 @@
-//! A real-socket exchange transport: every worker behind a loopback TCP
-//! connection.
+//! A real-socket exchange transport: every worker behind a stream socket.
 //!
 //! This backend replaces the shared-memory mailbox of
-//! [`crate::exchange::Hub`] with an N×N mesh of `TcpStream`s while keeping
-//! the engine-observable behavior identical (see
+//! [`crate::exchange::Hub`] with an N×N mesh of stream sockets while
+//! keeping the engine-observable behavior identical (see
 //! `tests/transport_conformance.rs`). It is the deployable shape of the
 //! simulated cluster: swap the loopback addresses for real hosts and the
 //! same wire protocol runs a multi-process deployment.
+//!
+//! ## Link kinds
+//!
+//! Every rank publishes one data-plane address, a TCP `SocketAddr`, and
+//! the address decides the kind of each link to it ([`is_local_link`]):
+//!
+//! * a **loopback** address (`127.0.0.0/8`, `::1`) names a peer on this
+//!   host, and the link is a Unix domain stream socket. Two processes on
+//!   one host need no TCP stack between them: a round trip over one costs
+//!   about half of one over TCP loopback, and a many-round job pays that
+//!   every round.
+//! * any other address gets a TCP link, the only kind that reaches
+//!   another host.
+//!
+//! A [`MeshListener`] listens on both: its TCP listener holds the
+//! published port, and on a loopback address a Unix listener sits beside
+//! it, bound before the address is published. The Unix name is derived
+//! from the address (`pcgraph-mesh-127.0.0.1:PORT`) in Linux's *abstract*
+//! namespace: no file is created, and the kernel frees the name when the
+//! listener closes, even in a process killed by `SIGKILL`. The TCP
+//! listener's hold on the port keeps the name unique. The accept side
+//! takes whichever kind a peer dials.
+//!
+//! A Unix link asks for a 2 MiB send buffer (`SO_SNDBUF`,
+//! `LOCAL_SEND_BUFFER`). With the kernel's default of about 208 KiB,
+//! a bulk `DATA` frame of a megabyte stalls its sender part-way, and the
+//! frames queued behind it coalesce differently than over TCP.
+//!
+//! Only the socket differs. The wire protocol below, the frame codec,
+//! the readiness loop, coalescing, [`TransportStats`] and every
+//! [`TransportError`] are the same code for both kinds.
 //!
 //! ## Wire protocol
 //!
@@ -72,7 +102,9 @@
 //!   against an explicit deadline and fails with a typed
 //!   [`TransportError`] when it expires; a late peer within the
 //!   connect deadline is tolerated, an absent one is an error, not a
-//!   hang.
+//!   hang. A refused connect is an error at once: a peer's listeners are
+//!   bound before its address is published, so a refusal means it is
+//!   gone.
 
 use crate::codec::{Codec, Reader};
 use crate::metrics::TransportStats;
@@ -81,9 +113,10 @@ use crate::pool::BufferPool;
 use crate::transport::{ExchangeTransport, TransportError};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::io::{self, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::{SocketAddr as UnixAddr, UnixListener, UnixStream};
 use std::time::{Duration, Instant};
 
 /// Frame tag: mesh handshake (payload = sender rank as `u32`).
@@ -199,13 +232,210 @@ pub fn configure_stream(stream: &TcpStream) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Put a handshaken mesh link into progress mode: permanently
-/// non-blocking. The driver never blocks in a socket call — every idle
-/// wait is one multiplexed [`poll(2)`](crate::poll) over the whole mesh
-/// (see [`Pump::poll_wait`]), so the socket's own mode never toggles
-/// again for the life of the link.
-fn configure_nonblocking(stream: &TcpStream) -> std::io::Result<()> {
-    stream.set_nonblocking(true)
+/// Send buffer a same-host (Unix) link asks for: room for a bulk `DATA`
+/// frame of a megabyte or two, so its sender does not stall part-way the
+/// way it does at the kernel's default of about 208 KiB.
+const LOCAL_SEND_BUFFER: i32 = 2 << 20;
+
+/// The link rule: the link to a peer published at `addr` is a Unix
+/// domain stream socket when the address is loopback (the peer is on
+/// this host), and TCP otherwise. Abstract socket names exist only on
+/// Linux, so elsewhere every link is TCP.
+pub fn is_local_link(addr: &SocketAddr) -> bool {
+    cfg!(target_os = "linux") && addr.ip().is_loopback()
+}
+
+/// The abstract Unix socket name a mesh listener published at `addr`
+/// also accepts on.
+#[cfg(target_os = "linux")]
+fn unix_name(addr: &SocketAddr) -> io::Result<UnixAddr> {
+    use std::os::linux::net::SocketAddrExt;
+    UnixAddr::from_abstract_name(format!("pcgraph-mesh-{addr}"))
+}
+
+#[cfg(not(target_os = "linux"))]
+fn unix_name(_: &SocketAddr) -> io::Result<UnixAddr> {
+    Err(io::ErrorKind::Unsupported.into())
+}
+
+#[cfg(target_os = "linux")]
+fn set_local_send_buffer(stream: &UnixStream) -> io::Result<()> {
+    poll::set_send_buffer(stream.as_raw_fd(), LOCAL_SEND_BUFFER)
+}
+
+#[cfg(not(target_os = "linux"))]
+fn set_local_send_buffer(_: &UnixStream) -> io::Result<()> {
+    Ok(())
+}
+
+/// One mesh link: a TCP stream to a peer on another host, a Unix stream
+/// to one on this host (see the module docs). Everything above it reads
+/// and writes through `&Link`.
+#[derive(Debug)]
+enum Link {
+    Tcp(TcpStream),
+    Unix(UnixStream),
+}
+
+impl Link {
+    /// Dial the mesh listener published at `addr`, over the kind of link
+    /// the address calls for.
+    fn dial(addr: SocketAddr) -> io::Result<Link> {
+        if !is_local_link(&addr) {
+            return TcpStream::connect(addr).map(Link::Tcp);
+        }
+        let stream = UnixStream::connect_addr(&unix_name(&addr)?)?;
+        set_local_send_buffer(&stream)?;
+        Ok(Link::Unix(stream))
+    }
+
+    /// Prepare the link for the `HELLO` handshake: blocking, with the
+    /// short kernel timeouts [`read_frame_into`] / [`write_frame`] rely
+    /// on (and no Nagle on TCP).
+    fn configure(&self) -> io::Result<()> {
+        self.set_nonblocking(false)?;
+        match self {
+            Link::Tcp(s) => configure_stream(s),
+            Link::Unix(s) => {
+                s.set_read_timeout(Some(POLL))?;
+                s.set_write_timeout(Some(POLL))
+            }
+        }
+    }
+
+    /// `set_nonblocking(true)` puts a handshaken link into progress mode
+    /// for good. The driver never blocks in a socket call — every idle
+    /// wait is one multiplexed [`poll(2)`](crate::poll) over the whole
+    /// mesh (see [`Pump::poll_wait`]), so the socket's own mode never
+    /// toggles again for the life of the link.
+    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+        match self {
+            Link::Tcp(s) => s.set_nonblocking(on),
+            Link::Unix(s) => s.set_nonblocking(on),
+        }
+    }
+}
+
+impl Read for &Link {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Link::Tcp(s) => (&*s).read(buf),
+            Link::Unix(s) => (&*s).read(buf),
+        }
+    }
+}
+
+impl Write for &Link {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Link::Tcp(s) => (&*s).write(buf),
+            Link::Unix(s) => (&*s).write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl AsRawFd for Link {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Link::Tcp(s) => s.as_raw_fd(),
+            Link::Unix(s) => s.as_raw_fd(),
+        }
+    }
+}
+
+/// A rank's mesh listener: the TCP listener whose address the rank
+/// publishes and, when that address is loopback, the Unix listener bound
+/// beside it under the address's abstract name (see the module docs).
+/// The accept takes a link of either kind.
+#[derive(Debug)]
+pub struct MeshListener {
+    /// Declared before `tcp`, so it is dropped first: the name is freed
+    /// before the port it is derived from can be bound again.
+    unix: Option<UnixListener>,
+    tcp: TcpListener,
+}
+
+impl MeshListener {
+    /// Bind a listener on an ephemeral port of `ip`, with its Unix name
+    /// beside it when `ip` is loopback. A failure of either bind is a
+    /// typed [`TransportError::Connect`] blaming `rank`; a failed Unix
+    /// bind never falls back to TCP, since peers dial by the link rule.
+    pub fn bind(ip: IpAddr, rank: usize) -> Result<Self, TransportError> {
+        let tcp = TcpListener::bind((ip, 0)).map_err(|e| TransportError::Connect {
+            peer: rank,
+            detail: format!("bind data-plane listener on {ip}: {e}"),
+        })?;
+        let mut listener = MeshListener::from(tcp);
+        listener.bind_local(rank)?;
+        Ok(listener)
+    }
+
+    /// The published address: the TCP listener's.
+    pub fn local_addr(&self) -> Result<SocketAddr, TransportError> {
+        self.tcp.local_addr().map_err(|e| TransportError::Connect {
+            peer: usize::MAX,
+            detail: format!("data-plane local_addr: {e}"),
+        })
+    }
+
+    /// Bind the Unix listener the link rule has same-host peers dial, if
+    /// the address is loopback and it is not bound yet.
+    fn bind_local(&mut self, rank: usize) -> Result<(), TransportError> {
+        let addr = self.local_addr()?;
+        if self.unix.is_some() || !is_local_link(&addr) {
+            return Ok(());
+        }
+        let unix = unix_name(&addr)
+            .and_then(|name| UnixListener::bind_addr(&name))
+            .map_err(|e| TransportError::Connect {
+                peer: rank,
+                detail: format!("bind the Unix name of data-plane address {addr}: {e}"),
+            })?;
+        self.unix = Some(unix);
+        Ok(())
+    }
+
+    fn set_nonblocking(&self) -> io::Result<()> {
+        self.tcp.set_nonblocking(true)?;
+        match &self.unix {
+            Some(unix) => unix.set_nonblocking(true),
+            None => Ok(()),
+        }
+    }
+
+    /// One non-blocking accept on each listener: the first link either
+    /// has pending, or `None`.
+    fn accept(&self) -> io::Result<Option<Link>> {
+        match self.tcp.accept() {
+            Ok((s, _)) => return Ok(Some(Link::Tcp(s))),
+            Err(e) if !is_poll_expiry(&e) => return Err(e),
+            Err(_) => {}
+        }
+        let Some(unix) = &self.unix else {
+            return Ok(None);
+        };
+        match unix.accept() {
+            Ok((s, _)) => {
+                set_local_send_buffer(&s)?;
+                Ok(Some(Link::Unix(s)))
+            }
+            Err(e) if is_poll_expiry(&e) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+}
+
+/// A listener without its Unix name yet: [`Tcp::mesh`] binds the name
+/// when the address is loopback. Prefer [`MeshListener::bind`], which
+/// binds it before the address can be published.
+impl From<TcpListener> for MeshListener {
+    fn from(tcp: TcpListener) -> Self {
+        MeshListener { unix: None, tcp }
+    }
 }
 
 /// Type an I/O failure. A peer that died with our bytes unread resets the
@@ -231,7 +461,7 @@ fn is_poll_expiry(e: &std::io::Error) -> bool {
 /// returns [`TransportError::Truncated`] on EOF mid-buffer and
 /// [`TransportError::Timeout`] past the deadline — never hangs.
 fn read_exact_deadline(
-    mut stream: &TcpStream,
+    stream: &mut impl Read,
     out: &mut [u8],
     deadline: Instant,
     peer: usize,
@@ -260,7 +490,7 @@ fn read_exact_deadline(
 
 /// `write_all` with a deadline; never hangs.
 fn write_all_deadline(
-    mut stream: &TcpStream,
+    stream: &mut impl Write,
     data: &[u8],
     deadline: Instant,
     peer: usize,
@@ -305,9 +535,10 @@ fn frame_header(
 }
 
 /// Write one `tag + len + payload` frame. The stream must have been set
-/// up with [`configure_stream`]; the deadline bounds the whole write.
+/// up with [`configure_stream`] (a mesh link with its own equivalent);
+/// the deadline bounds the whole write.
 pub fn write_frame(
-    stream: &TcpStream,
+    stream: impl Write,
     tag: u8,
     payload: &[u8],
     deadline: Instant,
@@ -321,7 +552,7 @@ pub fn write_frame(
 /// straight from the borrowed slices — a caller with large buffers to
 /// frame never assembles them into one.
 pub fn write_frame_parts<P: AsRef<[u8]>>(
-    stream: &TcpStream,
+    mut stream: impl Write,
     tag: u8,
     parts: &[P],
     deadline: Instant,
@@ -329,9 +560,15 @@ pub fn write_frame_parts<P: AsRef<[u8]>>(
 ) -> Result<(), TransportError> {
     let len = parts.iter().map(|p| p.as_ref().len()).sum();
     let header = frame_header(tag, len, peer)?;
-    write_all_deadline(stream, &header, deadline, peer, "write frame header")?;
+    write_all_deadline(&mut stream, &header, deadline, peer, "write frame header")?;
     for part in parts {
-        write_all_deadline(stream, part.as_ref(), deadline, peer, "write frame payload")?;
+        write_all_deadline(
+            &mut stream,
+            part.as_ref(),
+            deadline,
+            peer,
+            "write frame payload",
+        )?;
     }
     Ok(())
 }
@@ -341,13 +578,20 @@ pub fn write_frame_parts<P: AsRef<[u8]>>(
 /// yields [`TransportError::Truncated`] / `Disconnected`, a deadline
 /// expiry yields [`TransportError::Timeout`] — this call cannot hang.
 pub fn read_frame_into(
-    stream: &TcpStream,
+    mut stream: impl Read,
     payload: &mut Vec<u8>,
     deadline: Instant,
     peer: usize,
 ) -> Result<u8, TransportError> {
     let mut header = [0u8; FRAME_HEADER as usize];
-    read_exact_deadline(stream, &mut header, deadline, peer, "read frame header").map_err(|e| {
+    read_exact_deadline(
+        &mut stream,
+        &mut header,
+        deadline,
+        peer,
+        "read frame header",
+    )
+    .map_err(|e| {
         // EOF on a frame boundary is a disconnect, not a truncation.
         match e {
             TransportError::Truncated { peer, got: 0, .. } => TransportError::Disconnected {
@@ -367,7 +611,7 @@ pub fn read_frame_into(
     }
     payload.clear();
     payload.resize(len, 0);
-    read_exact_deadline(stream, payload, deadline, peer, "read frame payload")?;
+    read_exact_deadline(&mut stream, payload, deadline, peer, "read frame payload")?;
     Ok(tag)
 }
 
@@ -675,7 +919,7 @@ struct Pump<'a> {
     /// Spin iterations before idle loops sleep in the readiness
     /// multiplexer (0 without a spare core; see [`poll_spins`]).
     spins: u32,
-    links: &'a [Option<TcpStream>],
+    links: &'a [Option<Link>],
     send: &'a mut [SendQueue],
     recv: &'a mut [RecvBuf],
     large: &'a mut [Option<LargeFrame>],
@@ -997,7 +1241,7 @@ struct LargeFrame {
 /// Returns `(bytes, clean_eof)`; a clean end-of-stream is not an error
 /// until someone is still owed a frame from this peer.
 fn recv_step(
-    mut stream: &TcpStream,
+    mut stream: &Link,
     rb: &mut RecvBuf,
     large: &mut Option<LargeFrame>,
     early: &mut VecDeque<(u8, Vec<u8>)>,
@@ -1118,7 +1362,7 @@ fn recv_step(
 /// Drain everything currently available from one link: repeated [`recv_step`]s until the kernel has nothing more.
 #[allow(clippy::too_many_arguments)]
 fn drain_link_nonblocking(
-    stream: &TcpStream,
+    stream: &Link,
     rb: &mut RecvBuf,
     large: &mut Option<LargeFrame>,
     early: &mut VecDeque<(u8, Vec<u8>)>,
@@ -1142,8 +1386,8 @@ fn drain_link_nonblocking(
 /// object `Sync`.
 #[derive(Debug, Default)]
 struct Endpoint {
-    /// Socket to each peer (`None` for self and until the mesh is up).
-    links: Vec<Option<TcpStream>>,
+    /// Link to each peer (`None` for self and until the mesh is up).
+    links: Vec<Option<Link>>,
     /// Buffer posted to self this round (loop-back skips the wire).
     self_slot: Option<Vec<u8>>,
     /// Peers already posted to this round (double-post guard + SKIP set).
@@ -1275,7 +1519,7 @@ pub struct Tcp {
     opts: TcpOptions,
     addrs: Vec<SocketAddr>,
     /// Listener for each rank, taken by its worker during mesh setup.
-    listeners: Vec<Mutex<Option<TcpListener>>>,
+    listeners: Vec<Mutex<Option<MeshListener>>>,
     endpoints: Vec<Mutex<Endpoint>>,
     /// The first [`TransportError`] that made an infallible trait method
     /// panic. A supervisor that catches the worker's unwind reads this
@@ -1290,8 +1534,9 @@ impl Tcp {
     ///
     /// Listeners are bound immediately (so peer addresses are known and
     /// connections queue in the kernel even before a worker thread
-    /// starts); the sockets are connected lazily on each worker's first
-    /// transport operation.
+    /// starts); the links are connected lazily on each worker's first
+    /// transport operation. Every worker is on this host, so on Linux
+    /// every link is a Unix stream socket (see the module docs).
     pub fn loopback(workers: usize) -> Result<Self, TransportError> {
         Tcp::loopback_with(workers, TcpOptions::default())
     }
@@ -1302,15 +1547,8 @@ impl Tcp {
         let mut addrs = Vec::with_capacity(workers);
         let mut listeners = Vec::with_capacity(workers);
         for rank in 0..workers {
-            let listener =
-                TcpListener::bind(("127.0.0.1", 0)).map_err(|e| TransportError::Connect {
-                    peer: rank,
-                    detail: format!("bind 127.0.0.1:0: {e}"),
-                })?;
-            addrs.push(listener.local_addr().map_err(|e| TransportError::Connect {
-                peer: rank,
-                detail: format!("local_addr: {e}"),
-            })?);
+            let listener = MeshListener::bind(IpAddr::V4(Ipv4Addr::LOCALHOST), rank)?;
+            addrs.push(listener.local_addr()?);
             listeners.push(Mutex::new(Some(listener)));
         }
         let endpoints = Tcp::fresh_endpoints(workers);
@@ -1332,10 +1570,13 @@ impl Tcp {
     /// exchanged by the bootstrap rendezvous) and `listener` is this
     /// process's already-bound data listener — it must be the socket whose
     /// address was published as `addrs[rank]`, so peers connecting to that
-    /// address reach it. The mesh links are established lazily on the
-    /// first transport operation, exactly like the loopback shape: connect
-    /// to every lower rank, accept (and `HELLO`-identify) every higher
-    /// one.
+    /// address reach it. A plain [`TcpListener`] on a loopback address
+    /// gets its Unix name bound here; a [`MeshListener::bind`] had it
+    /// bound before the address was published. The mesh links are
+    /// established lazily on the first transport operation, exactly like
+    /// the loopback shape: connect to every lower rank, accept (and
+    /// `HELLO`-identify) every higher one, each link of the kind its
+    /// address calls for.
     ///
     /// Only endpoint `rank` may be driven through the returned object;
     /// driving any other worker panics, because those ranks live in other
@@ -1343,12 +1584,14 @@ impl Tcp {
     pub fn mesh(
         rank: usize,
         addrs: Vec<SocketAddr>,
-        listener: TcpListener,
+        listener: impl Into<MeshListener>,
         opts: TcpOptions,
     ) -> Result<Self, TransportError> {
         let workers = addrs.len();
         assert!(rank < workers, "rank {rank} out of range 0..{workers}");
-        let mut listeners: Vec<Mutex<Option<TcpListener>>> =
+        let mut listener = listener.into();
+        listener.bind_local(rank)?;
+        let mut listeners: Vec<Mutex<Option<MeshListener>>> =
             (0..workers).map(|_| Mutex::new(None)).collect();
         *listeners[rank].get_mut() = Some(listener);
         Ok(Tcp {
@@ -1417,7 +1660,10 @@ impl Tcp {
     }
 
     /// Establish worker `w`'s mesh links: connect to every lower rank,
-    /// accept from every higher rank (identified by their `HELLO`).
+    /// accept from every higher rank (identified by their `HELLO`). A
+    /// refused connect fails at once: the peer bound its listeners before
+    /// its address was published, so it is gone, and recovery should not
+    /// wait out the connect deadline to learn that.
     fn ensure_connected(&self, w: usize, ep: &mut Endpoint) -> Result<(), TransportError> {
         if (0..self.workers).all(|p| p == w || ep.links[p].is_some()) {
             return Ok(());
@@ -1427,40 +1673,43 @@ impl Tcp {
             if ep.links[p].is_some() {
                 continue;
             }
-            let stream = loop {
-                match TcpStream::connect(self.addrs[p]) {
-                    Ok(s) => break s,
-                    Err(e) => {
-                        if Instant::now() >= deadline {
-                            return Err(TransportError::Connect {
-                                peer: p,
-                                detail: format!("connect {}: {e}", self.addrs[p]),
-                            });
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
+            let link = loop {
+                match Link::dial(self.addrs[p]) {
+                    Ok(link) => break link,
+                    Err(e)
+                        if e.kind() == io::ErrorKind::ConnectionRefused
+                            || Instant::now() >= deadline =>
+                    {
+                        return Err(TransportError::Connect {
+                            peer: p,
+                            detail: format!("connect {}: {e}", self.addrs[p]),
+                        });
                     }
+                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
                 }
             };
-            configure_stream(&stream).map_err(|e| io_err(p, "configure stream", e))?;
+            link.configure()
+                .map_err(|e| io_err(p, "configure stream", e))?;
             let mut hello = Vec::with_capacity(4);
             (w as u32).encode(&mut hello);
-            write_frame(&stream, TAG_HELLO, &hello, deadline, p)?;
+            write_frame(&link, TAG_HELLO, &hello, deadline, p)?;
             ep.stats.frames += 1;
             ep.stats.wire_bytes += FRAME_HEADER + hello.len() as u64;
-            configure_nonblocking(&stream).map_err(|e| io_err(p, "mesh mode", e))?;
-            ep.links[p] = Some(stream);
+            link.set_nonblocking(true)
+                .map_err(|e| io_err(p, "mesh mode", e))?;
+            ep.links[p] = Some(link);
         }
         let expect_higher = (w + 1..self.workers).any(|p| ep.links[p].is_none());
         if expect_higher {
             // Borrow the listener; it is only released (closed) once the
             // mesh is complete, so a failed setup can be retried.
-            let mut slot = self.listeners[w].lock();
+            let slot = self.listeners[w].lock();
             let listener = slot.as_ref().ok_or_else(|| TransportError::Connect {
                 peer: w,
                 detail: "listener already released but mesh incomplete".to_string(),
             })?;
             listener
-                .set_nonblocking(true)
+                .set_nonblocking()
                 .map_err(|e| io_err(w, "listener set_nonblocking", e))?;
             let mut scratch = Vec::new();
             while (w + 1..self.workers).any(|p| ep.links[p].is_none()) {
@@ -1473,19 +1722,17 @@ impl Tcp {
                         during: "accept mesh connection",
                     });
                 }
-                let stream = match listener.accept() {
-                    Ok((s, _)) => s,
-                    Err(e) if is_poll_expiry(&e) => {
+                let link = match listener.accept() {
+                    Ok(Some(link)) => link,
+                    Ok(None) => {
                         std::thread::sleep(Duration::from_millis(1));
                         continue;
                     }
                     Err(e) => return Err(io_err(w, "accept", e)),
                 };
-                stream
-                    .set_nonblocking(false)
-                    .map_err(|e| io_err(w, "accepted set_nonblocking", e))?;
-                configure_stream(&stream).map_err(|e| io_err(w, "configure stream", e))?;
-                let tag = read_frame_into(&stream, &mut scratch, deadline, usize::MAX)?;
+                link.configure()
+                    .map_err(|e| io_err(w, "configure stream", e))?;
+                let tag = read_frame_into(&link, &mut scratch, deadline, usize::MAX)?;
                 if tag != TAG_HELLO || scratch.len() != 4 {
                     return Err(TransportError::Protocol {
                         peer: usize::MAX,
@@ -1502,12 +1749,14 @@ impl Tcp {
                         detail: "HELLO from an unexpected or duplicate rank".to_string(),
                     });
                 }
-                configure_nonblocking(&stream).map_err(|e| io_err(peer, "mesh mode", e))?;
-                ep.links[peer] = Some(stream);
+                link.set_nonblocking(true)
+                    .map_err(|e| io_err(peer, "mesh mode", e))?;
+                ep.links[peer] = Some(link);
             }
-            // All higher ranks connected: the listener's job is done.
-            *slot = None;
         }
+        // Every link is up: the listener's job is done, and closing it
+        // frees its Unix name.
+        *self.listeners[w].lock() = None;
         Ok(())
     }
 
@@ -2097,16 +2346,35 @@ mod tests {
         assert_protocol(&nested, "nested batch");
     }
 
+    const LOOPBACK: IpAddr = IpAddr::V4(Ipv4Addr::LOCALHOST);
+    /// Dialable on Linux, but not loopback by the link rule: a mesh bound
+    /// here runs TCP links between processes on one host.
+    const ANY: IpAddr = IpAddr::V4(Ipv4Addr::UNSPECIFIED);
+
+    /// The kind of every link `w` has up.
+    fn link_kinds(t: &Tcp, w: usize) -> Vec<&'static str> {
+        let ep = t.endpoints[w].lock();
+        let kind = |link: &Link| match link {
+            Link::Tcp(_) => "tcp",
+            Link::Unix(_) => "unix",
+        };
+        ep.links.iter().flatten().map(kind).collect()
+    }
+
     /// The multi-process shape: each rank owns its own `Tcp::mesh` object
-    /// (separate listener, shared address table) and the meshes
-    /// interoperate over real sockets exactly like the loopback shape —
-    /// exchange, `END` frames, round words. Returns each rank's stats.
-    fn mesh_rounds(opts: TcpOptions) -> Vec<TransportStats> {
-        let listeners: Vec<TcpListener> = (0..3)
-            .map(|_| TcpListener::bind(("127.0.0.1", 0)).unwrap())
-            .collect();
-        let addrs: Vec<std::net::SocketAddr> =
-            listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    /// (separate listener bound on `ip`, shared address table) and the
+    /// meshes interoperate over real sockets exactly like the loopback
+    /// shape — exchange, `END` frames, round words — over the link kind
+    /// `ip` calls for. Returns each rank's stats.
+    fn mesh_rounds(ip: IpAddr, opts: TcpOptions) -> Vec<TransportStats> {
+        let listeners: Vec<MeshListener> =
+            (0..3).map(|r| MeshListener::bind(ip, r).unwrap()).collect();
+        let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+        let kind = if is_local_link(&addrs[0]) {
+            "unix"
+        } else {
+            "tcp"
+        };
         let mut handles = Vec::new();
         for (rank, listener) in listeners.into_iter().enumerate() {
             let addrs = addrs.clone();
@@ -2118,6 +2386,7 @@ mod tests {
                     ring_round(&t, rank, round, &mut received);
                 }
                 t.flush(rank);
+                assert_eq!(link_kinds(&t, rank), [kind; 2], "rank {rank}");
                 t.worker_stats(rank)
             }));
         }
@@ -2129,7 +2398,7 @@ mod tests {
     /// Mesh endpoints with every message framed on its own.
     #[test]
     fn mesh_endpoints_in_separate_objects_interoperate() {
-        let stats = mesh_rounds(plain());
+        let stats = mesh_rounds(LOOPBACK, plain());
         assert!(stats.iter().all(|s| s.coalesced_frames == 0), "{stats:?}");
     }
 
@@ -2137,9 +2406,200 @@ mod tests {
     /// way and coalesce.
     #[test]
     fn batched_mesh_endpoints_interoperate() {
-        let stats = mesh_rounds(TcpOptions::default());
+        let stats = mesh_rounds(LOOPBACK, TcpOptions::default());
         let coalesced: u64 = stats.iter().map(|s| s.coalesced_frames).sum();
         assert!(coalesced > 0, "mesh endpoints coalesced nothing");
+    }
+
+    /// The link rule: a loopback address is a peer on this host.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn loopback_addresses_get_unix_links() {
+        let local = |a: &str| is_local_link(&a.parse().unwrap());
+        assert!(local("127.0.0.1:4000"));
+        assert!(local("127.0.0.2:4000"));
+        assert!(local("[::1]:4000"));
+        assert!(!local("192.0.2.2:4000"));
+        assert!(!local("0.0.0.0:4000"));
+    }
+
+    /// The same rounds over TCP links and over Unix links put the same
+    /// frames and bytes on the wire, rank by rank.
+    #[test]
+    fn tcp_and_unix_links_carry_the_same_frames() {
+        let unix = mesh_rounds(LOOPBACK, TcpOptions::default());
+        let tcp = mesh_rounds(ANY, TcpOptions::default());
+        let wire = |s: &TransportStats| (s.wire_bytes, s.frames, s.coalesced_frames);
+        let unix: Vec<_> = unix.iter().map(wire).collect();
+        let tcp: Vec<_> = tcp.iter().map(wire).collect();
+        assert_eq!(unix, tcp);
+    }
+
+    /// A rank dialing a lower rank whose listeners were dropped fails at
+    /// once with a typed `Connect`, over either link kind, not at the
+    /// connect deadline.
+    #[test]
+    fn refused_connect_fails_before_the_deadline() {
+        for ip in [LOOPBACK, ANY] {
+            let gone = MeshListener::bind(ip, 0).unwrap();
+            let own = MeshListener::bind(ip, 1).unwrap();
+            let addrs = vec![gone.local_addr().unwrap(), own.local_addr().unwrap()];
+            drop(gone);
+            let opts = TcpOptions {
+                connect_timeout: Duration::from_secs(10),
+                ..TcpOptions::default()
+            };
+            let t = Tcp::mesh(1, addrs, own, opts).unwrap();
+            let started = Instant::now();
+            match t.try_sync(1, [0, 0]) {
+                Err(TransportError::Connect { peer: 0, .. }) => {}
+                other => panic!("{ip}: expected Connect, got {other:?}"),
+            }
+            assert!(
+                started.elapsed() < Duration::from_secs(2),
+                "{ip}: a refusal took {:?}",
+                started.elapsed()
+            );
+        }
+    }
+
+    /// A 2-rank mesh over a Unix link whose rank 1 is a raw socket: it
+    /// says `HELLO`, writes `wire` and dies. Rank 0's take must fail
+    /// typed and promptly; returns its error.
+    fn unix_peer_dies_after(wire: &[u8]) -> TransportError {
+        let listener = MeshListener::bind(LOOPBACK, 0).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let opts = TcpOptions {
+            connect_timeout: Duration::from_secs(5),
+            io_timeout: Duration::from_secs(10),
+            ..TcpOptions::default()
+        };
+        let t = Tcp::mesh(0, vec![addr, addr], listener, opts).unwrap();
+        let fake = UnixStream::connect_addr(&unix_name(&addr).unwrap()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        write_frame(&fake, TAG_HELLO, &1u32.to_le_bytes(), deadline, 0).unwrap();
+        (&fake).write_all(wire).unwrap();
+        drop(fake);
+        let started = Instant::now();
+        let err = t.try_take_all_into(0, &mut Vec::new()).unwrap_err();
+        assert!(started.elapsed() < Duration::from_secs(5), "{err}");
+        assert_eq!(link_kinds(&t, 0), ["unix"]);
+        err
+    }
+
+    #[test]
+    fn unix_peer_dying_between_frames_is_disconnect() {
+        match unix_peer_dies_after(&[]) {
+            TransportError::Disconnected { peer: 1, .. } => {}
+            other => panic!("expected Disconnected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unix_peer_dying_mid_frame_is_truncation() {
+        let mut wire = vec![TAG_DATA];
+        wire.extend_from_slice(&100u32.to_le_bytes());
+        wire.extend_from_slice(&[7; 10]);
+        match unix_peer_dies_after(&wire) {
+            TransportError::Truncated {
+                peer: 1,
+                expected: 105,
+                got: 15,
+            } => {}
+            other => panic!("expected Truncated, got {other:?}"),
+        }
+    }
+
+    /// Whether the Unix name of `addr` is free: a probe listener binds it
+    /// (and frees it again on drop).
+    fn name_is_free(addr: &SocketAddr) -> bool {
+        UnixListener::bind_addr(&unix_name(addr).unwrap()).is_ok()
+    }
+
+    /// A mesh holds its Unix names only until every link is up, and a mesh
+    /// dropped before that frees them too.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn completed_and_dropped_meshes_free_their_unix_names() {
+        let t = Arc::new(Tcp::loopback(2).unwrap());
+        let addrs = t.addrs().to_vec();
+        assert!(addrs.iter().all(|a| !name_is_free(a)), "bound up front");
+        let handles: Vec<_> = (0..2usize)
+            .map(|w| {
+                let t = Arc::clone(&t);
+                std::thread::spawn(move || {
+                    t.sync(w, [0, 0]);
+                    t.take_all_into(w, &mut Vec::new());
+                    t.flush(w);
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(link_kinds(&t, 0), ["unix"]);
+        assert!(addrs.iter().all(name_is_free), "a complete mesh frees them");
+        let t = Tcp::loopback(3).unwrap();
+        let addrs = t.addrs().to_vec();
+        drop(t);
+        assert!(addrs.iter().all(name_is_free), "a dropped mesh frees them");
+    }
+
+    /// A taken Unix name is a typed `Connect` error, never a silent
+    /// fall-back to TCP: peers would dial the name by the link rule.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_taken_unix_name_is_a_typed_connect_error() {
+        let tcp = TcpListener::bind((LOOPBACK, 0)).unwrap();
+        let addr = tcp.local_addr().unwrap();
+        let _squatter = UnixListener::bind_addr(&unix_name(&addr).unwrap()).unwrap();
+        match Tcp::mesh(0, vec![addr, addr], tcp, TcpOptions::default()) {
+            Err(TransportError::Connect { peer: 0, detail }) => {
+                assert!(detail.contains("Unix name"), "{detail}")
+            }
+            other => panic!("expected Connect, got {other:?}"),
+        }
+    }
+
+    /// A rank killed by `SIGKILL` leaves nothing behind: its Unix name is
+    /// abstract (there is no file to remove) and the kernel frees it with
+    /// the process. The rank is this test binary run again as a child.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_sigkilled_rank_frees_its_unix_name() {
+        use std::io::BufRead;
+        use std::os::linux::net::SocketAddrExt;
+        use std::process::{Command, Stdio};
+        const CHILD: &str = "PC_BSP_SIGKILL_CHILD";
+        if std::env::var_os(CHILD).is_some() {
+            let listener = MeshListener::bind(LOOPBACK, 0).unwrap();
+            println!("bound {}", listener.local_addr().unwrap());
+            std::thread::sleep(Duration::from_secs(60));
+            return;
+        }
+        let mut child = Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "tcp::tests::a_sigkilled_rank_frees_its_unix_name",
+            ])
+            .arg("--nocapture")
+            .env(CHILD, "1")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        let stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+        let addr: SocketAddr = stdout
+            .lines()
+            .map_while(Result::ok)
+            .find_map(|line| Some(line.strip_prefix("bound ")?.parse().unwrap()))
+            .expect("the child bound a mesh listener");
+        let name = unix_name(&addr).unwrap();
+        assert!(name.as_pathname().is_none() && name.as_abstract_name().is_some());
+        assert!(!name_is_free(&addr), "the live rank holds its name");
+        child.kill().unwrap();
+        child.wait().unwrap();
+        assert!(name_is_free(&addr), "the killed rank's name is free");
     }
 
     /// Posted buffers come home to the engine pool via reclaim by the time

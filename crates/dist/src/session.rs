@@ -42,9 +42,9 @@ use crate::backoff::Backoff;
 use crate::bootstrap::{
     BootstrapOptions, Coordinator, CtrlState, Follower, JOIN_NEEDS_PLAN, TAG_PLAN,
 };
-use pc_bsp::{Config, Tcp, TcpOptions, TransportError};
+use pc_bsp::{Config, MeshListener, Tcp, TcpOptions, TransportError};
 use pc_ckpt::{Advertisement, CkptError, RunId, Store};
-use std::net::{IpAddr, SocketAddr, TcpListener};
+use std::net::{IpAddr, SocketAddr};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -162,17 +162,13 @@ impl SessionSpec {
         }
     }
 
-    /// Bind a data-plane listener on the bind interface; peers dial the
-    /// address from the rebroadcast peer table.
-    fn bind_data(&self) -> Result<(TcpListener, SocketAddr), TransportError> {
-        let listener = TcpListener::bind((self.bind, 0)).map_err(|e| TransportError::Connect {
-            peer: self.rank,
-            detail: format!("bind data-plane listener on {}: {e}", self.bind),
-        })?;
-        let addr = listener.local_addr().map_err(|e| TransportError::Connect {
-            peer: self.rank,
-            detail: format!("data-plane local_addr: {e}"),
-        })?;
+    /// Bind a data-plane listener on the bind interface, with its Unix
+    /// name beside it on a loopback interface, before the address goes
+    /// out in `JOIN` or `PEERS`; peers dial the address from the
+    /// rebroadcast peer table, over the link kind it calls for.
+    fn bind_data(&self) -> Result<(MeshListener, SocketAddr), TransportError> {
+        let listener = MeshListener::bind(self.bind, self.rank)?;
+        let addr = listener.local_addr()?;
         Ok((listener, addr))
     }
 }
@@ -423,7 +419,7 @@ pub struct Shipping {
     spec: SessionSpec,
     store: Option<Store>,
     coordinator: Coordinator,
-    listener: TcpListener,
+    listener: MeshListener,
 }
 
 impl Shipping {
@@ -523,7 +519,7 @@ pub struct Joined {
     link: Follower,
     acting: usize,
     plan: Vec<u8>,
-    listener: TcpListener,
+    listener: MeshListener,
 }
 
 impl Joined {
@@ -693,7 +689,7 @@ impl Session {
         spec: SessionSpec,
         role: Role,
         publisher: Option<Publisher>,
-        listener: TcpListener,
+        listener: MeshListener,
     ) -> Result<Session, SessionError> {
         let mut session = Session {
             spec,
@@ -863,7 +859,7 @@ impl Session {
     /// coordinator epoch — and everyone else follows that advertisement.
     /// Single-failure model: if the standby died in the same breath, the
     /// join deadline expires with [`SessionError::NoCoordinator`].
-    fn elect(&mut self, listener: TcpListener, data_addr: SocketAddr) -> Result<(), SessionError> {
+    fn elect(&mut self, listener: MeshListener, data_addr: SocketAddr) -> Result<(), SessionError> {
         at(Step::Electing)?;
         let rank = self.spec.rank;
         let Role::Follower {
@@ -937,7 +933,7 @@ impl Session {
     /// the next epoch retries.
     fn coordinate(
         &mut self,
-        listener: TcpListener,
+        listener: MeshListener,
         data_addr: SocketAddr,
     ) -> Result<(), SessionError> {
         let Role::Coordinator { coordinator, plans } = &mut self.role else {
@@ -970,7 +966,7 @@ impl Session {
     /// The mesh step: build this rank's data-plane mesh from the current
     /// peer table, and the engine config over it — gathering to the
     /// acting coordinator and counting the control plane's epoch.
-    fn mesh(&mut self, listener: TcpListener) -> Result<(), SessionError> {
+    fn mesh(&mut self, listener: MeshListener) -> Result<(), SessionError> {
         let (peers, acting, epoch) = match &self.role {
             Role::Coordinator { coordinator, .. } => (
                 coordinator.peers(),

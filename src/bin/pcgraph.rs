@@ -3,7 +3,7 @@
 //! Three execution shapes share one binary:
 //!
 //! * **Single process** (default): the simulated cluster — worker threads
-//!   over the in-process hub or a loopback TCP mesh.
+//!   over the in-process hub or a loopback socket mesh.
 //! * **Launcher** (`--ranks M`): spawn `M` OS processes (one rank each),
 //!   supervise them, and let rank 0 print the merged results. Only rank 0
 //!   reads the input; every other rank receives its partition over the
@@ -138,10 +138,11 @@ INPUT (rank 0 / single process only):
 
 EXECUTION:
     --workers N       simulated workers (single process)         [default 4]
-    --transport NAME  exchange backend: in-process|tcp (tcp = loopback
-                      socket mesh, non-blocking pipelined sends with frame
-                      coalescing; tcp-batched is an alias). --ranks always
-                      runs that mesh between processes           [default in-process]
+    --transport NAME  exchange backend: in-process|tcp (tcp = socket mesh,
+                      non-blocking pipelined sends with frame coalescing,
+                      Unix domain socket links between workers on one host;
+                      tcp-batched is an alias). --ranks always runs that
+                      mesh between processes                     [default in-process]
     --partitioner P   vertex placement: hash|ldg|ldg-deg|bfs     [default hash]
                       (ldg-deg streams vertices in descending-degree order so
                       hubs are placed first — the skew-resistant choice)
@@ -163,8 +164,9 @@ MULTI-PROCESS:
                       --ranks and --coordinator; normally set by the launcher)
     --coordinator A   rendezvous address rank 0 listens on (HOST:PORT)
     --bind IP         interface the data-plane listeners bind (rank mode;
-                      default 127.0.0.1) — use a routable address to spread
-                      ranks across hosts
+                      default 127.0.0.1). A loopback address keeps the ranks
+                      on this host and links them by Unix domain sockets; a
+                      routable one spreads them across hosts over TCP links
     --verify          after the distributed run, rank 0 re-runs the
                       sequential engine and fails on any mismatch
 

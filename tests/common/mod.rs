@@ -52,7 +52,7 @@ pub fn assert_stats_agree(name: &str, a: &RunStats, b: &RunStats) {
 /// The three backend configurations every algorithm must agree across:
 /// the deterministic sequential driver (the reference), the threaded
 /// driver over the shared-memory hub, and the threaded driver over real
-/// loopback TCP sockets.
+/// loopback mesh sockets (Unix domain sockets on Linux).
 pub fn conformance_configs(workers: usize) -> [(&'static str, Config); 3] {
     [
         ("sequential", Config::sequential(workers)),

@@ -5,7 +5,7 @@
 //! messages move between workers; this suite pins the second half down.
 //! For every shipped algorithm, four backend configurations — sequential
 //! (the deterministic reference), threaded over the shared-memory hub,
-//! threaded over real loopback TCP sockets, and one-worker-per-"process"
+//! threaded over a real loopback socket mesh, and one-worker-per-"process"
 //! ranks over a shared socket mesh (the multi-process driver, gather
 //! included) — must produce identical values, message counts, byte
 //! counts, supersteps, rounds, pool traffic, and per-round wire order. A
@@ -17,9 +17,11 @@
 mod common;
 
 use common::{assert_stats_agree, conformance_configs, run_multirank, with_watchdog};
-use pc_bsp::{Config, RunStats, Topology};
+use pc_bsp::tcp::{self, MeshListener, Tcp, TcpOptions};
+use pc_bsp::{Config, ExchangeTransport, RunStats, Topology};
 use pc_graph::gen;
 use proptest::prelude::*;
+use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::sync::Arc;
 
 const WORKERS: usize = 4;
@@ -260,6 +262,72 @@ fn permuted_path_bfs_conforms() {
         assert!(o.stats.rounds > 100, "{} rounds", o.stats.rounds);
         (o.level, o.stats)
     });
+}
+
+/// Run `run` once per rank, each rank over its own `Tcp::mesh` object
+/// with its listener bound on `ip`, the way separate processes would.
+/// Returns every rank's output and wire counters (`wire_bytes`, `frames`,
+/// `coalesced_frames`).
+fn run_mesh_on<V: Send, F>(ip: IpAddr, run: &F) -> Vec<(V, RunStats, [u64; 3])>
+where
+    F: Fn(&Config) -> (V, RunStats) + Sync,
+{
+    let listeners: Vec<MeshListener> = (0..WORKERS)
+        .map(|r| MeshListener::bind(ip, r).unwrap())
+        .collect();
+    let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(w, listener)| {
+                let addrs = addrs.clone();
+                s.spawn(move || {
+                    let tcp = Tcp::mesh(w, addrs, listener, TcpOptions::default()).unwrap();
+                    let tcp = Arc::new(tcp);
+                    let (values, stats) = run(&Config::rank(WORKERS, w, Arc::clone(&tcp)));
+                    let wire = tcp.worker_stats(w);
+                    (
+                        values,
+                        stats,
+                        [wire.wire_bytes, wire.frames, wire.coalesced_frames],
+                    )
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+/// Both link kinds carry byte-identical runs: PageRank over a mesh of
+/// Unix stream sockets (listeners on 127.0.0.1) and over a mesh of TCP
+/// links (listeners on 0.0.0.0, which the link rule does not class as
+/// loopback) agree on every rank's values, bytes, messages, supersteps,
+/// rounds, pool traffic and wire counters.
+#[test]
+fn unix_and_tcp_links_conform() {
+    let loopback = IpAddr::V4(Ipv4Addr::LOCALHOST);
+    let any = IpAddr::V4(Ipv4Addr::UNSPECIFIED);
+    assert!(tcp::is_local_link(&(loopback, 1).into()));
+    assert!(!tcp::is_local_link(&(any, 1).into()));
+    let g = directed();
+    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+    let run = |cfg: &Config| {
+        let o = pc_algos::pagerank::channel_scatter(&g, &topo, cfg, 12);
+        (o.ranks, o.stats)
+    };
+    let unix = run_mesh_on(loopback, &run);
+    let tcp = run_mesh_on(any, &run);
+    for (w, (unix, tcp)) in unix.iter().zip(&tcp).enumerate() {
+        assert!(
+            unix.0 == tcp.0,
+            "rank {w}: values diverge between link kinds"
+        );
+        assert_stats_agree(&format!("rank {w} (unix vs tcp links)"), &unix.1, &tcp.1);
+        assert_eq!(unix.2, tcp.2, "rank {w}: wire counters diverge");
+        let transport = |s: &RunStats| (s.transport.wire_bytes, s.transport.frames);
+        assert_eq!(transport(&unix.1), transport(&tcp.1), "rank {w}");
+    }
 }
 
 mod partial {
