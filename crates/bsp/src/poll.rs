@@ -1,23 +1,32 @@
-//! A `libc`-free `poll(2)` for the TCP transport.
+//! The transport's few raw system calls: a `libc`-free `poll(2)`, and
+//! the shared memory of a same-host link.
 //!
-//! The readiness multiplexer ([`crate::tcp`]) needs exactly one kernel
-//! facility: "sleep until any of these sockets can make progress, or a
-//! deadline passes". The standard library does not expose it and this
-//! workspace deliberately carries no `libc`/`mio`/`tokio` dependency, so
-//! this module issues the raw syscall itself — `poll` on x86-64 Linux,
+//! The readiness multiplexer ([`crate::tcp`]) needs one kernel facility:
+//! "sleep until any of these sockets can make progress, or a deadline
+//! passes". The standard library does not expose it and this workspace
+//! deliberately carries no `libc`/`mio`/`tokio` dependency, so this
+//! module issues the raw syscall itself — `poll` on x86-64 Linux,
 //! `ppoll` on aarch64 Linux (which never had a plain `poll` syscall).
 //! Everything else (interest computation, deadline bookkeeping, stall
-//! accounting) stays in safe Rust on top of [`poll`]. The one socket
-//! option the standard library does not set, a same-host link's send
-//! buffer ([`set_send_buffer`]), is a `setsockopt(2)` call next to it.
+//! accounting) stays in safe Rust on top of [`poll`].
 //!
-//! On targets without a wired-up syscall the fallback naps briefly and
-//! reports every registered interest as ready: the caller's progress pass
-//! probes the non-blocking sockets itself, so behavior degrades to a
+//! A same-host link's bytes travel through a ring in a sealed `memfd`
+//! mapping shared by both ends (see *Link kinds* in [`crate::tcp`]). The
+//! standard library has none of that either, so the C library's
+//! `memfd_create(2)`, `fcntl(2)` seals, `mmap(2)` and `sendmsg(2)` /
+//! `recvmsg(2)` with `SCM_RIGHTS` are declared here (`memfd`, `seals`,
+//! `map_shared`, `send_with_fd`, `recv_with_fd`). They
+//! exist on Linux only; elsewhere they fail with `Unsupported`, and no
+//! link there is a ring.
+//!
+//! On targets without a wired-up `poll` syscall the fallback naps briefly
+//! and reports every registered interest as ready: the caller's progress
+//! pass probes the non-blocking sockets itself, so behavior degrades to a
 //! paced busy-poll instead of breaking.
 
+use std::fs::File;
 use std::io;
-use std::os::fd::RawFd;
+use std::os::fd::{OwnedFd, RawFd};
 use std::time::Duration;
 
 /// Readable data (or a peer's orderly shutdown) is available.
@@ -49,6 +58,11 @@ impl PollFd {
             events,
             revents: 0,
         }
+    }
+
+    /// The descriptor this entry watches.
+    pub fn fd(&self) -> RawFd {
+        self.fd
     }
 
     /// The interest this entry was registered with.
@@ -114,26 +128,312 @@ fn syscall_result(ret: i64) -> io::Result<usize> {
     }
 }
 
-/// Ask for a `bytes`-byte send buffer on socket `fd` (`SO_SNDBUF`), the
-/// one socket option the standard library does not set. The kernel caps
-/// the request at `net.core.wmem_max` without an error, so the size
-/// alone never makes this fail.
+/// Seal: no further seals may be added.
+pub(crate) const SEAL_SEAL: i32 = 0x1;
+/// Seal: the file may not shrink (so a mapping of it never faults).
+pub(crate) const SEAL_SHRINK: i32 = 0x2;
+/// Seal: the file may not grow.
+pub(crate) const SEAL_GROW: i32 = 0x4;
+
+/// A `MAP_SHARED` read-write mapping of a whole file, unmapped on drop.
+/// Which bytes of it each side may touch is the caller's protocol.
+#[derive(Debug)]
+pub(crate) struct SharedMap {
+    ptr: *mut u8,
+    len: usize,
+}
+
+// SAFETY: the mapping is plain memory owned by this value; moving the
+// owner to another thread moves nothing but the pointer.
+unsafe impl Send for SharedMap {}
+
+impl SharedMap {
+    /// The first byte of the mapping (page-aligned).
+    pub(crate) fn as_ptr(&self) -> *mut u8 {
+        self.ptr
+    }
+
+    /// The mapping's length in bytes.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+}
+
 #[cfg(target_os = "linux")]
-pub fn set_send_buffer(fd: RawFd, bytes: i32) -> io::Result<()> {
+mod shm {
+    use super::SharedMap;
+    use std::fs::File;
+    use std::io;
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+
+    const MFD_CLOEXEC: u32 = 0x1;
+    const MFD_ALLOW_SEALING: u32 = 0x2;
+    const F_ADD_SEALS: i32 = 1033;
+    const F_GET_SEALS: i32 = 1034;
+    const PROT_READ_WRITE: i32 = 0x1 | 0x2;
+    const MAP_SHARED: i32 = 0x1;
     const SOL_SOCKET: i32 = 1;
-    const SO_SNDBUF: i32 = 7;
+    const SCM_RIGHTS: i32 = 1;
+    const MSG_CTRUNC: i32 = 0x8;
+    const MSG_NOSIGNAL: i32 = 0x4000;
+    const MSG_CMSG_CLOEXEC: i32 = 0x4000_0000;
+
+    #[repr(C)]
+    struct IoVec {
+        base: *mut u8,
+        len: usize,
+    }
+
+    /// `struct msghdr` (glibc, Linux).
+    #[repr(C)]
+    struct MsgHdr {
+        name: *mut u8,
+        namelen: u32,
+        iov: *mut IoVec,
+        iovlen: usize,
+        control: *mut u8,
+        controllen: usize,
+        flags: i32,
+    }
+
+    /// `struct cmsghdr`; one descriptor's `int` follows it.
+    #[repr(C)]
+    struct CmsgHdr {
+        len: usize,
+        level: i32,
+        kind: i32,
+    }
+
+    /// `CMSG_LEN(sizeof(int))`: the header, then the descriptor.
+    const CMSG_LEN: usize = std::mem::size_of::<CmsgHdr>() + 4;
+    /// `CMSG_SPACE(sizeof(int))`: the length padded to a `size_t`.
+    const CMSG_SPACE: usize = CMSG_LEN.next_multiple_of(std::mem::size_of::<usize>());
+
+    /// Room for exactly one descriptor's control message, `size_t`-aligned.
+    #[repr(C)]
+    struct Control([usize; CMSG_SPACE / std::mem::size_of::<usize>()]);
+
     extern "C" {
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+        fn memfd_create(name: *const std::ffi::c_char, flags: u32) -> i32;
+        fn fcntl(fd: i32, cmd: i32, ...) -> i32;
+        fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, off: i64) -> *mut u8;
+        fn munmap(addr: *mut u8, len: usize) -> i32;
+        fn sendmsg(fd: i32, msg: *const MsgHdr, flags: i32) -> isize;
+        fn recvmsg(fd: i32, msg: *mut MsgHdr, flags: i32) -> isize;
     }
-    // SAFETY: `setsockopt(2)` reads exactly `len` = 4 bytes at `value`,
-    // a live `i32` on this stack frame; `fd` is only read, and a closed or
-    // non-socket fd is an error return, not undefined behavior.
-    let ret = unsafe { setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, 4) };
-    if ret == 0 {
-        Ok(())
-    } else {
-        Err(io::Error::last_os_error())
+
+    fn check(ret: i64) -> io::Result<i64> {
+        if ret < 0 {
+            Err(io::Error::last_os_error())
+        } else {
+            Ok(ret)
+        }
     }
+
+    pub fn memfd(len: u64, seals: i32) -> io::Result<File> {
+        // SAFETY: the name is a NUL-terminated static string; the call
+        // only reads it and returns a new descriptor or -1.
+        let fd =
+            check(
+                unsafe { memfd_create(c"pcgraph-ring".as_ptr(), MFD_CLOEXEC | MFD_ALLOW_SEALING) }
+                    as i64,
+            )?;
+        // SAFETY: `fd` was just returned open by `memfd_create` and is
+        // owned by nothing else.
+        let file = File::from(unsafe { OwnedFd::from_raw_fd(fd as RawFd) });
+        file.set_len(len)?;
+        if seals != 0 {
+            // SAFETY: `F_ADD_SEALS` takes one `int` argument; `file` is open.
+            check(unsafe { fcntl(file.as_raw_fd(), F_ADD_SEALS, seals) } as i64)?;
+        }
+        Ok(file)
+    }
+
+    pub fn seals(file: &File) -> io::Result<i32> {
+        // SAFETY: `F_GET_SEALS` takes no argument; `file` is open, and a
+        // file that cannot carry seals is an error return.
+        check(unsafe { fcntl(file.as_raw_fd(), F_GET_SEALS) } as i64).map(|s| s as i32)
+    }
+
+    pub fn map_shared(file: &File, len: usize) -> io::Result<SharedMap> {
+        if len == 0 {
+            return Err(io::ErrorKind::InvalidInput.into());
+        }
+        // SAFETY: a fresh mapping chosen by the kernel (`addr` null), so
+        // no existing memory is replaced; `file` is open for the call.
+        let ptr = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                len,
+                PROT_READ_WRITE,
+                MAP_SHARED,
+                file.as_raw_fd(),
+                0,
+            )
+        };
+        if ptr as isize == -1 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(SharedMap { ptr, len })
+    }
+
+    pub fn unmap(map: &mut SharedMap) {
+        // SAFETY: `ptr`/`len` describe a mapping made by `map_shared` and
+        // unmapped only here, once, as its owner drops.
+        unsafe { munmap(map.ptr, map.len) };
+    }
+
+    pub fn send_with_fd(sock: RawFd, bytes: &[u8], fd: RawFd) -> io::Result<usize> {
+        let mut iov = IoVec {
+            base: bytes.as_ptr() as *mut u8,
+            len: bytes.len(),
+        };
+        let mut control = Control([0; CMSG_SPACE / std::mem::size_of::<usize>()]);
+        let cmsg = control.0.as_mut_ptr() as *mut CmsgHdr;
+        // SAFETY: `control` is `size_t`-aligned and holds a `CmsgHdr`
+        // followed by the descriptor's 4 bytes (`CMSG_SPACE` ≥ both).
+        unsafe {
+            cmsg.write(CmsgHdr {
+                len: CMSG_LEN,
+                level: SOL_SOCKET,
+                kind: SCM_RIGHTS,
+            });
+            (cmsg.add(1) as *mut i32).write_unaligned(fd);
+        }
+        let msg = MsgHdr {
+            name: std::ptr::null_mut(),
+            namelen: 0,
+            iov: &mut iov,
+            iovlen: 1,
+            control: control.0.as_mut_ptr() as *mut u8,
+            controllen: CMSG_SPACE,
+            flags: 0,
+        };
+        // SAFETY: every pointer in `msg` is live for the call; `sendmsg`
+        // only reads `bytes` and the control message.
+        check(unsafe { sendmsg(sock, &msg, MSG_NOSIGNAL) } as i64).map(|n| n as usize)
+    }
+
+    pub fn recv_with_fd(sock: RawFd, buf: &mut [u8]) -> io::Result<(usize, Option<OwnedFd>)> {
+        let mut iov = IoVec {
+            base: buf.as_mut_ptr(),
+            len: buf.len(),
+        };
+        let mut control = Control([0; CMSG_SPACE / std::mem::size_of::<usize>()]);
+        let mut msg = MsgHdr {
+            name: std::ptr::null_mut(),
+            namelen: 0,
+            iov: &mut iov,
+            iovlen: 1,
+            control: control.0.as_mut_ptr() as *mut u8,
+            controllen: CMSG_SPACE,
+            flags: 0,
+        };
+        // SAFETY: `recvmsg` writes at most `buf.len()` bytes into `buf`
+        // and at most `controllen` bytes into `control`, both live and
+        // exclusively borrowed for the call.
+        let n = check(unsafe { recvmsg(sock, &mut msg, MSG_CMSG_CLOEXEC) } as i64)? as usize;
+        let mut fd = None;
+        if msg.controllen >= CMSG_LEN {
+            // SAFETY: the kernel wrote a complete header (`controllen`
+            // covers it) into the aligned `control` buffer.
+            let cmsg = unsafe { (control.0.as_ptr() as *const CmsgHdr).read() };
+            if cmsg.level == SOL_SOCKET && cmsg.kind == SCM_RIGHTS && cmsg.len >= CMSG_LEN {
+                // SAFETY: an `SCM_RIGHTS` message of `CMSG_LEN` carries one
+                // descriptor, now open in this process and owned by no one.
+                let raw = unsafe {
+                    (control.0.as_ptr().cast::<CmsgHdr>().add(1) as *const i32).read_unaligned()
+                };
+                fd = Some(unsafe { OwnedFd::from_raw_fd(raw) });
+            }
+        }
+        if msg.flags & MSG_CTRUNC != 0 {
+            // More descriptors than one: the kernel closed the excess.
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "more than one descriptor in one message",
+            ));
+        }
+        Ok((n, fd))
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+mod shm {
+    use super::SharedMap;
+    use std::fs::File;
+    use std::io;
+    use std::os::fd::{OwnedFd, RawFd};
+
+    fn unsupported<T>() -> io::Result<T> {
+        Err(io::ErrorKind::Unsupported.into())
+    }
+
+    pub fn memfd(_: u64, _: i32) -> io::Result<File> {
+        unsupported()
+    }
+
+    pub fn seals(_: &File) -> io::Result<i32> {
+        unsupported()
+    }
+
+    pub fn map_shared(_: &File, _: usize) -> io::Result<SharedMap> {
+        unsupported()
+    }
+
+    pub fn unmap(_: &mut SharedMap) {}
+
+    pub fn send_with_fd(_: RawFd, _: &[u8], _: RawFd) -> io::Result<usize> {
+        unsupported()
+    }
+
+    pub fn recv_with_fd(_: RawFd, _: &mut [u8]) -> io::Result<(usize, Option<OwnedFd>)> {
+        unsupported()
+    }
+}
+
+impl Drop for SharedMap {
+    fn drop(&mut self) {
+        shm::unmap(self);
+    }
+}
+
+/// A new anonymous memory file (`memfd_create(2)`, sealing allowed) of
+/// `len` zero bytes, with `seals` added (`0` adds none).
+pub(crate) fn memfd(len: u64, seals: i32) -> io::Result<File> {
+    shm::memfd(len, seals)
+}
+
+/// The seals on `file` (`F_GET_SEALS`); an error for a file that cannot
+/// carry seals, which is any file but a memfd.
+pub(crate) fn seals(file: &File) -> io::Result<i32> {
+    shm::seals(file)
+}
+
+/// Map the first `len` bytes of `file` shared and read-write; a file
+/// shorter than that is `InvalidInput`. The caller makes sure the file
+/// cannot shrink later (a memfd sealed with [`SEAL_SHRINK`]): touching a
+/// mapped page past the end of the file raises `SIGBUS`.
+pub(crate) fn map_shared(file: &File, len: usize) -> io::Result<SharedMap> {
+    if file.metadata()?.len() < len as u64 {
+        return Err(io::ErrorKind::InvalidInput.into());
+    }
+    shm::map_shared(file, len)
+}
+
+/// `sendmsg(2)` of `bytes` on Unix socket `sock`, passing descriptor `fd`
+/// beside them (`SCM_RIGHTS`). Returns the bytes sent; the descriptor
+/// travels with the first of them.
+pub(crate) fn send_with_fd(sock: RawFd, bytes: &[u8], fd: RawFd) -> io::Result<usize> {
+    shm::send_with_fd(sock, bytes, fd)
+}
+
+/// `recvmsg(2)` into `buf` on Unix socket `sock`, returning the bytes
+/// read and the descriptor that came with them, if any (opened
+/// close-on-exec). A message carrying more than one descriptor is an
+/// `InvalidData` error.
+pub(crate) fn recv_with_fd(sock: RawFd, buf: &mut [u8]) -> io::Result<(usize, Option<OwnedFd>)> {
+    shm::recv_with_fd(sock, buf)
 }
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]

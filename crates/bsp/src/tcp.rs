@@ -13,10 +13,9 @@
 //! the address decides the kind of each link to it ([`is_local_link`]):
 //!
 //! * a **loopback** address (`127.0.0.0/8`, `::1`) names a peer on this
-//!   host, and the link is a Unix domain stream socket. Two processes on
-//!   one host need no TCP stack between them: a round trip over one costs
-//!   about half of one over TCP loopback, and a many-round job pays that
-//!   every round.
+//!   host, and the link is a pair of shared-memory rings. Bytes cross it
+//!   with one copy in and one copy out and no system call, so a round
+//!   between two processes costs no kernel crossing while both run.
 //! * any other address gets a TCP link, the only kind that reaches
 //!   another host.
 //!
@@ -29,14 +28,49 @@
 //! listener's hold on the port keeps the name unique. The accept side
 //! takes whichever kind a peer dials.
 //!
-//! A Unix link asks for a 2 MiB send buffer (`SO_SNDBUF`,
-//! `LOCAL_SEND_BUFFER`). With the kernel's default of about 208 KiB,
-//! a bulk `DATA` frame of a megabyte stalls its sender part-way, and the
-//! frames queued behind it coalesce differently than over TCP.
+//! **The rings.** The dialer of a same-host link creates one `memfd`
+//! holding a control page and two single-producer/single-consumer byte
+//! rings, one per direction, of `RING_CAPACITY` (128 KiB) each. It seals
+//! the memfd against shrinking, growing and further sealing, maps it, and
+//! passes it with its `HELLO` over the Unix socket (`SCM_RIGHTS`). The
+//! acceptor maps it only if it carries those seals and is exactly the
+//! size of the rings; anything else is a typed
+//! [`TransportError::Connect`]. The seals are what make the mapping safe:
+//! a file that cannot shrink cannot leave a mapped page past its end,
+//! which would raise `SIGBUS`. Both rings become resident in both
+//! processes, about 2 × 128 KiB per same-host peer.
 //!
-//! Only the socket differs. The wire protocol below, the frame codec,
-//! the readiness loop, coalescing, [`TransportStats`] and every
-//! [`TransportError`] are the same code for both kinds.
+//! Each ring has a `head` (bytes published, written only by its producer)
+//! and a `tail` (bytes taken, written only by its consumer), both
+//! monotone stream positions. A side keeps its own index privately and
+//! reads only the peer's from shared memory, which it does not trust:
+//! before every copy it checks that the peer's index never moved back and
+//! that head and tail are never more than the capacity apart. A bad value
+//! is a [`TransportError::Protocol`], never an out-of-bounds access.
+//!
+//! **Doorbell.** After the handshake the socket carries no data, only
+//! wake-ups and the hang-up. A side about to sleep in the readiness wait
+//! sets its `parked` word (`SeqCst`) to what it waits for — bytes, room,
+//! or both — re-checks its rings, and only then polls the socket. A side
+//! that publishes bytes, or frees room, stores its index (`SeqCst`),
+//! reads the peer's `parked` word, and if it names what just happened
+//! clears it and writes one byte to the socket. With both sides `SeqCst`,
+//! either the sleeper's re-check sees the index or the waker sees
+//! `parked`, so no wake-up is lost. `POLL_WAIT_CAP` only bounds how late
+//! a lost one would be; a wait that expires there while its ring held
+//! what it slept on is counted, and the tests require none. A side that
+//! finds its rings ready while it still yields never touches the socket.
+//!
+//! **Hang-up.** A peer that exits or dies closes its socket, and the
+//! readiness wait sees end-of-stream there. From then on the ring still
+//! yields the bytes the peer published, then reads as end-of-stream, and
+//! a write to it is a broken pipe — the same `Disconnected` and
+//! `Truncated` errors a TCP link gives.
+//!
+//! The rings carry exactly the bytes the socket would. The wire protocol
+//! below, the frame codec, the readiness loop, coalescing,
+//! [`TransportStats`] and every [`TransportError`] are the same code for
+//! both kinds.
 //!
 //! ## Wire protocol
 //!
@@ -112,11 +146,14 @@ use crate::poll::{self, PollFd};
 use crate::pool::BufferPool;
 use crate::transport::{ExchangeTransport, TransportError};
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{SocketAddr as UnixAddr, UnixListener, UnixStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Frame tag: mesh handshake (payload = sender rank as `u32`).
@@ -232,15 +269,10 @@ pub fn configure_stream(stream: &TcpStream) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Send buffer a same-host (Unix) link asks for: room for a bulk `DATA`
-/// frame of a megabyte or two, so its sender does not stall part-way the
-/// way it does at the kernel's default of about 208 KiB.
-const LOCAL_SEND_BUFFER: i32 = 2 << 20;
-
-/// The link rule: the link to a peer published at `addr` is a Unix
-/// domain stream socket when the address is loopback (the peer is on
-/// this host), and TCP otherwise. Abstract socket names exist only on
-/// Linux, so elsewhere every link is TCP.
+/// The link rule: the link to a peer published at `addr` is a
+/// shared-memory ring when the address is loopback (the peer is on this
+/// host), and TCP otherwise. Rings and abstract socket names exist only
+/// on Linux, so elsewhere every link is TCP.
 pub fn is_local_link(addr: &SocketAddr) -> bool {
     cfg!(target_os = "linux") && addr.ip().is_loopback()
 }
@@ -258,35 +290,310 @@ fn unix_name(_: &SocketAddr) -> io::Result<UnixAddr> {
     Err(io::ErrorKind::Unsupported.into())
 }
 
-#[cfg(target_os = "linux")]
-fn set_local_send_buffer(stream: &UnixStream) -> io::Result<()> {
-    poll::set_send_buffer(stream.as_raw_fd(), LOCAL_SEND_BUFFER)
+/// Bytes of each direction's ring on a same-host link. Both rings of a
+/// link become resident in both processes, so every same-host peer costs
+/// a rank about twice this much memory; a larger ring only lets a bulk
+/// `DATA` frame run further ahead of its reader.
+const RING_CAPACITY: usize = 128 << 10;
+
+/// The control page at the start of a ring mapping, ahead of the two
+/// rings' bytes: each ring's `head` and `tail` and each side's `parked`
+/// word, every word on a 128-byte line of its own.
+const RING_CTRL: usize = 4096;
+
+/// Offset of ring `r`'s `head`: the bytes its producer has published.
+const fn ring_head(r: usize) -> usize {
+    r * 256
 }
 
-#[cfg(not(target_os = "linux"))]
-fn set_local_send_buffer(_: &UnixStream) -> io::Result<()> {
-    Ok(())
+/// Offset of ring `r`'s `tail`: the bytes its consumer has taken.
+const fn ring_tail(r: usize) -> usize {
+    r * 256 + 128
 }
 
-/// One mesh link: a TCP stream to a peer on another host, a Unix stream
-/// to one on this host (see the module docs). Everything above it reads
-/// and writes through `&Link`.
+/// Offset of side `s`'s `parked` word: what it sleeps waiting for.
+const fn ring_parked(s: usize) -> usize {
+    512 + s * 128
+}
+
+/// `parked` bit: the side sleeps until bytes arrive in its in-ring.
+const WANT_DATA: u64 = 1;
+/// `parked` bit: the side sleeps until its out-ring has room.
+const WANT_SPACE: u64 = 2;
+
+/// The seals a ring's memfd must carry: its size can never change, so
+/// neither side's mapping can ever reach past the end of the file.
+const RING_SEALS: i32 = poll::SEAL_SHRINK | poll::SEAL_GROW | poll::SEAL_SEAL;
+
+/// Bytes of the shared mapping behind a link with `cap`-byte rings.
+const fn ring_map_len(cap: usize) -> usize {
+    RING_CTRL + 2 * cap
+}
+
+/// The `InvalidData` error a ring index the peer wrote earns; the
+/// transport reports it as a [`TransportError::Protocol`].
+fn bad_index(detail: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, detail)
+}
+
+/// A same-host link: two single-producer/single-consumer byte rings in
+/// one shared mapping, one per direction, beside the Unix socket that
+/// carried the handshake and now carries only doorbells and the hang-up
+/// (see *Link kinds* in the module docs). The dialer is side 0; side `s`
+/// writes ring `s` and reads ring `1 - s`.
+///
+/// The peer can write any byte of the mapping, so every index read from
+/// it is checked before a copy. This side's own indices are kept here and
+/// never read back.
+#[derive(Debug)]
+struct RingLink {
+    sock: UnixStream,
+    map: poll::SharedMap,
+    cap: usize,
+    side: usize,
+    /// Bytes this side has published into its out-ring (its `head`).
+    sent: Cell<u64>,
+    /// Bytes this side has taken from its in-ring (its `tail`).
+    taken: Cell<u64>,
+    /// The peer's `tail` on the out-ring, as last checked.
+    peer_tail: Cell<u64>,
+    /// The peer's `head` on the in-ring, as last checked.
+    peer_head: Cell<u64>,
+    /// The socket reached end-of-stream or failed: the peer is gone, and
+    /// an empty in-ring now reads as end-of-stream.
+    hung_up: Cell<bool>,
+}
+
+impl RingLink {
+    fn new(sock: UnixStream, map: poll::SharedMap, cap: usize, side: usize) -> Self {
+        // Every copy and index access below relies on these.
+        assert!(side < 2 && cap > 0 && map.len() >= ring_map_len(cap));
+        RingLink {
+            sock,
+            map,
+            cap,
+            side,
+            sent: Cell::new(0),
+            taken: Cell::new(0),
+            peer_tail: Cell::new(0),
+            peer_head: Cell::new(0),
+            hung_up: Cell::new(false),
+        }
+    }
+
+    /// The dialer's half: a fresh sealed memfd of `cap`-byte rings,
+    /// mapped, and the memfd itself to pass in the `HELLO`.
+    fn create(sock: UnixStream, cap: usize) -> io::Result<(Self, File)> {
+        let len = ring_map_len(cap);
+        let memfd = poll::memfd(len as u64, RING_SEALS)?;
+        let map = poll::map_shared(&memfd, len)?;
+        Ok((RingLink::new(sock, map, cap, 0), memfd))
+    }
+
+    /// The acceptor's half: map the memfd a `HELLO` passed, once it is
+    /// sealed against resizing and exactly the size of a link's rings.
+    fn adopt(sock: UnixStream, memfd: File) -> Result<Self, String> {
+        let seals = poll::seals(&memfd).map_err(|e| format!("the ring is not a memfd: {e}"))?;
+        if seals & RING_SEALS != RING_SEALS {
+            return Err(format!(
+                "the ring's memfd carries seals {seals:#x}, not shrink, grow and seal"
+            ));
+        }
+        let len = ring_map_len(RING_CAPACITY);
+        let size = memfd
+            .metadata()
+            .map_err(|e| format!("the ring's memfd: {e}"))?
+            .len();
+        if size != len as u64 {
+            return Err(format!(
+                "the ring's memfd holds {size} bytes, expected {len}"
+            ));
+        }
+        let map = poll::map_shared(&memfd, len).map_err(|e| format!("map the ring: {e}"))?;
+        Ok(RingLink::new(sock, map, RING_CAPACITY, 1))
+    }
+
+    /// The shared control word at `offset` of the control page.
+    fn word(&self, offset: usize) -> &AtomicU64 {
+        debug_assert!(offset < RING_CTRL && offset.is_multiple_of(8));
+        // SAFETY: every offset passed here is one of `ring_head`,
+        // `ring_tail` or `ring_parked` of a side or ring below 2 (`new`
+        // checks `side`): 8-aligned and inside the mapping's control page
+        // (the mapping is page-aligned and at least `ring_map_len` long),
+        // which lives as long as `self`. Both processes touch the word
+        // only atomically.
+        unsafe { &*(self.map.as_ptr().add(offset) as *const AtomicU64) }
+    }
+
+    /// Byte `at` (a stream position) of ring `r`: its offset in the
+    /// mapping, and the bytes up to the ring's end.
+    fn slot(&self, r: usize, at: u64) -> (usize, usize) {
+        let off = (at % self.cap as u64) as usize;
+        (RING_CTRL + r * self.cap + off, self.cap - off)
+    }
+
+    /// Publish as much of `buf` as the out-ring has room for, then wake
+    /// the peer if it sleeps waiting for bytes.
+    fn write(&self, buf: &[u8]) -> io::Result<usize> {
+        if self.hung_up.get() {
+            return Err(io::ErrorKind::BrokenPipe.into());
+        }
+        let r = self.side;
+        let sent = self.sent.get();
+        let tail = self.word(ring_tail(r)).load(Ordering::Acquire);
+        if tail < self.peer_tail.get() || tail > sent {
+            return Err(bad_index(format!(
+                "ring tail {tail} outside {}..={sent}",
+                self.peer_tail.get()
+            )));
+        }
+        self.peer_tail.set(tail);
+        let n = (self.cap - (sent - tail) as usize).min(buf.len());
+        if n == 0 {
+            return if buf.is_empty() {
+                Ok(0)
+            } else {
+                Err(io::ErrorKind::WouldBlock.into())
+            };
+        }
+        let (at, room) = self.slot(r, sent);
+        let first = n.min(room);
+        // SAFETY: `[sent, sent + n)` is free ring space (`tail` was
+        // checked to lie within `cap` of `sent`), so both copies stay
+        // inside ring `r`'s bytes of the live mapping, which the peer
+        // does not read until `head` moves past them.
+        unsafe {
+            let ring = self.map.as_ptr();
+            std::ptr::copy_nonoverlapping(buf.as_ptr(), ring.add(at), first);
+            std::ptr::copy_nonoverlapping(
+                buf.as_ptr().add(first),
+                ring.add(RING_CTRL + r * self.cap),
+                n - first,
+            );
+        }
+        self.sent.set(sent + n as u64);
+        self.word(ring_head(r))
+            .store(sent + n as u64, Ordering::SeqCst);
+        self.wake_peer(WANT_DATA);
+        Ok(n)
+    }
+
+    /// Take as much of the in-ring as fits `buf`, then wake the peer if
+    /// it sleeps waiting for room. An empty ring reads as end-of-stream
+    /// once the peer hung up, else as `WouldBlock`.
+    fn read(&self, buf: &mut [u8]) -> io::Result<usize> {
+        let r = 1 - self.side;
+        let taken = self.taken.get();
+        let head = self.word(ring_head(r)).load(Ordering::Acquire);
+        if head < self.peer_head.get() || head - taken > self.cap as u64 {
+            return Err(bad_index(format!(
+                "ring head {head} outside {}..={}",
+                self.peer_head.get(),
+                taken + self.cap as u64
+            )));
+        }
+        self.peer_head.set(head);
+        let n = ((head - taken) as usize).min(buf.len());
+        if n == 0 {
+            return if self.hung_up.get() || buf.is_empty() {
+                Ok(0)
+            } else {
+                Err(io::ErrorKind::WouldBlock.into())
+            };
+        }
+        let (at, room) = self.slot(r, taken);
+        let first = n.min(room);
+        // SAFETY: `[taken, taken + n)` lies below the checked `head`, so
+        // both copies read inside ring `r`'s bytes of the live mapping,
+        // which the peer does not rewrite until `tail` moves past them.
+        unsafe {
+            let ring = self.map.as_ptr();
+            std::ptr::copy_nonoverlapping(ring.add(at), buf.as_mut_ptr(), first);
+            std::ptr::copy_nonoverlapping(
+                ring.add(RING_CTRL + r * self.cap),
+                buf.as_mut_ptr().add(first),
+                n - first,
+            );
+        }
+        self.taken.set(taken + n as u64);
+        self.word(ring_tail(r))
+            .store(taken + n as u64, Ordering::SeqCst);
+        self.wake_peer(WANT_SPACE);
+        Ok(n)
+    }
+
+    /// The waker's half of the doorbell: the index store just made is
+    /// `SeqCst`, so either the peer's re-check after setting `parked`
+    /// sees it, or this load sees `parked` set — and then one byte on the
+    /// socket wakes the peer's `poll`. A full socket buffer already holds
+    /// a wake-up, and a gone peer is the hang-up's business.
+    fn wake_peer(&self, why: u64) {
+        let parked = self.word(ring_parked(1 - self.side));
+        if parked.load(Ordering::SeqCst) & why != 0 && parked.swap(0, Ordering::SeqCst) != 0 {
+            let _ = (&self.sock).write(&[1]);
+        }
+    }
+
+    /// Whether what `want` names is here: bytes in the in-ring, or room
+    /// the peer freed in the out-ring since the last write found it full.
+    fn ready(&self, want: u64) -> bool {
+        (want & WANT_DATA != 0
+            && self.word(ring_head(1 - self.side)).load(Ordering::SeqCst) != self.taken.get())
+            || (want & WANT_SPACE != 0
+                && self.word(ring_tail(self.side)).load(Ordering::SeqCst) != self.peer_tail.get())
+    }
+
+    /// The sleeper's half of the doorbell: publish `want` in `parked`,
+    /// then re-check the rings. `true` means do not sleep.
+    fn park(&self, want: u64) -> bool {
+        self.word(ring_parked(self.side))
+            .store(want, Ordering::SeqCst);
+        self.ready(want)
+    }
+
+    /// Clear `parked` after a wait. `Relaxed`: the word publishes no
+    /// data, and a bell rung meanwhile is only a spurious wake-up.
+    fn unpark(&self) {
+        self.word(ring_parked(self.side))
+            .store(0, Ordering::Relaxed);
+    }
+
+    /// Read away the doorbell bytes a wake-up left on the socket. Its end
+    /// of stream, or any error, is the peer hanging up.
+    fn drain_doorbell(&self) {
+        let mut bells = [0u8; 64];
+        loop {
+            match (&self.sock).read(&mut bells) {
+                Ok(0) => break self.hung_up.set(true),
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(_) => break self.hung_up.set(true),
+            }
+        }
+    }
+}
+
+/// One mesh link: a TCP stream to a peer on another host, a ring to one
+/// on this host (see the module docs). Everything above it reads and
+/// writes through `&Link`.
 #[derive(Debug)]
 enum Link {
     Tcp(TcpStream),
-    Unix(UnixStream),
+    Ring(RingLink),
 }
 
 impl Link {
     /// Dial the mesh listener published at `addr`, over the kind of link
-    /// the address calls for.
-    fn dial(addr: SocketAddr) -> io::Result<Link> {
+    /// the address calls for. A ring comes with its memfd, which the
+    /// `HELLO` passes ([`Link::hello`]).
+    fn dial(addr: SocketAddr) -> io::Result<(Link, Option<File>)> {
         if !is_local_link(&addr) {
-            return TcpStream::connect(addr).map(Link::Tcp);
+            return TcpStream::connect(addr).map(|s| (Link::Tcp(s), None));
         }
-        let stream = UnixStream::connect_addr(&unix_name(&addr)?)?;
-        set_local_send_buffer(&stream)?;
-        Ok(Link::Unix(stream))
+        let sock = UnixStream::connect_addr(&unix_name(&addr)?)?;
+        let (ring, memfd) = RingLink::create(sock, RING_CAPACITY)?;
+        Ok((Link::Ring(ring), Some(memfd)))
     }
 
     /// Prepare the link for the `HELLO` handshake: blocking, with the
@@ -296,10 +603,26 @@ impl Link {
         self.set_nonblocking(false)?;
         match self {
             Link::Tcp(s) => configure_stream(s),
-            Link::Unix(s) => {
-                s.set_read_timeout(Some(POLL))?;
-                s.set_write_timeout(Some(POLL))
+            Link::Ring(r) => configure_local(&r.sock),
+        }
+    }
+
+    /// Send the `HELLO` naming `rank`; a dialed ring's memfd rides it.
+    fn hello(
+        &self,
+        rank: usize,
+        memfd: Option<File>,
+        deadline: Instant,
+        peer: usize,
+    ) -> Result<(), TransportError> {
+        let payload = (rank as u32).to_le_bytes();
+        match (self, memfd) {
+            (Link::Ring(r), Some(memfd)) => {
+                let mut frame = frame_header(TAG_HELLO, payload.len(), peer)?.to_vec();
+                frame.extend_from_slice(&payload);
+                send_hello(&r.sock, &frame, &memfd, deadline, peer)
             }
+            (link, _) => write_frame(link, TAG_HELLO, &payload, deadline, peer),
         }
     }
 
@@ -311,7 +634,7 @@ impl Link {
     fn set_nonblocking(&self, on: bool) -> io::Result<()> {
         match self {
             Link::Tcp(s) => s.set_nonblocking(on),
-            Link::Unix(s) => s.set_nonblocking(on),
+            Link::Ring(r) => r.sock.set_nonblocking(on),
         }
     }
 }
@@ -320,7 +643,7 @@ impl Read for &Link {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
             Link::Tcp(s) => (&*s).read(buf),
-            Link::Unix(s) => (&*s).read(buf),
+            Link::Ring(r) => r.read(buf),
         }
     }
 }
@@ -329,7 +652,7 @@ impl Write for &Link {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
             Link::Tcp(s) => (&*s).write(buf),
-            Link::Unix(s) => (&*s).write(buf),
+            Link::Ring(r) => r.write(buf),
         }
     }
 
@@ -339,10 +662,148 @@ impl Write for &Link {
 }
 
 impl AsRawFd for Link {
+    /// The socket a readiness wait watches: the stream itself, or a
+    /// ring's doorbell and hang-up socket.
     fn as_raw_fd(&self) -> RawFd {
         match self {
             Link::Tcp(s) => s.as_raw_fd(),
-            Link::Unix(s) => s.as_raw_fd(),
+            Link::Ring(r) => r.sock.as_raw_fd(),
+        }
+    }
+}
+
+/// Prepare a same-host link's socket for the handshake, like
+/// [`configure_stream`].
+fn configure_local(sock: &UnixStream) -> io::Result<()> {
+    sock.set_read_timeout(Some(POLL))?;
+    sock.set_write_timeout(Some(POLL))
+}
+
+/// The rank a `HELLO` frame names; any other frame is a protocol error.
+fn hello_rank(tag: u8, payload: &[u8]) -> Result<usize, TransportError> {
+    if tag != TAG_HELLO || payload.len() != 4 {
+        return Err(TransportError::Protocol {
+            peer: usize::MAX,
+            detail: format!(
+                "expected HELLO, got tag {tag:#04x} ({} bytes)",
+                payload.len()
+            ),
+        });
+    }
+    Ok(u32::from_le_bytes(payload.try_into().unwrap()) as usize)
+}
+
+/// Send a `HELLO` frame over a same-host link's socket with the ring's
+/// memfd beside its first byte.
+fn send_hello(
+    sock: &UnixStream,
+    frame: &[u8],
+    memfd: &File,
+    deadline: Instant,
+    peer: usize,
+) -> Result<(), TransportError> {
+    loop {
+        if Instant::now() >= deadline {
+            return Err(TransportError::Timeout {
+                peer,
+                during: "send HELLO",
+            });
+        }
+        match poll::send_with_fd(sock.as_raw_fd(), frame, memfd.as_raw_fd()) {
+            Ok(n) => {
+                return write_all_deadline(&mut &*sock, &frame[n..], deadline, peer, "send HELLO")
+            }
+            Err(e) if is_poll_expiry(&e) => {}
+            Err(e) => return Err(io_err(peer, "send HELLO", e)),
+        }
+    }
+}
+
+/// Read a same-host dialer's `HELLO` and the ring memfd that rides it.
+/// Returns the rank it names and the memfd, if one came.
+fn recv_hello(
+    sock: &UnixStream,
+    deadline: Instant,
+) -> Result<(usize, Option<File>), TransportError> {
+    let mut frame = [0u8; FRAME_HEADER as usize + 4];
+    let mut memfd = None;
+    let mut got = 0;
+    while got < frame.len() {
+        if Instant::now() >= deadline {
+            return Err(TransportError::Timeout {
+                peer: usize::MAX,
+                during: "read frame header",
+            });
+        }
+        match poll::recv_with_fd(sock.as_raw_fd(), &mut frame[got..]) {
+            Ok((0, _)) if got == 0 => {
+                return Err(TransportError::Disconnected {
+                    peer: usize::MAX,
+                    during: "read frame header",
+                })
+            }
+            Ok((0, _)) => {
+                return Err(TransportError::Truncated {
+                    peer: usize::MAX,
+                    expected: frame.len(),
+                    got,
+                })
+            }
+            Ok((n, fd)) => {
+                got += n;
+                if let Some(fd) = fd {
+                    if memfd.replace(File::from(fd)).is_some() {
+                        return Err(TransportError::Protocol {
+                            peer: usize::MAX,
+                            detail: "HELLO passes two descriptors".to_string(),
+                        });
+                    }
+                }
+            }
+            Err(e) if is_poll_expiry(&e) => {}
+            Err(e) => return Err(io_err(usize::MAX, "read frame header", e)),
+        }
+    }
+    let len = u32::from_le_bytes(frame[1..5].try_into().unwrap()) as usize;
+    let payload = if len == 4 { &frame[5..] } else { &[] };
+    Ok((hello_rank(frame[0], payload)?, memfd))
+}
+
+/// A connection a [`MeshListener`] accepted, before its `HELLO`.
+#[derive(Debug)]
+enum Accepted {
+    Tcp(TcpStream),
+    Local(UnixStream),
+}
+
+impl Accepted {
+    /// Read the `HELLO` and make the link: the rank it names, and the
+    /// link of the connection's kind. A same-host `HELLO` must pass a
+    /// ring memfd the right size and sealed against resizing; anything
+    /// else is a typed `Connect` error, never a mapping that could fault.
+    fn hello(
+        self,
+        deadline: Instant,
+        scratch: &mut Vec<u8>,
+    ) -> Result<(usize, Link), TransportError> {
+        match self {
+            Accepted::Tcp(s) => {
+                let link = Link::Tcp(s);
+                link.configure()
+                    .map_err(|e| io_err(usize::MAX, "configure stream", e))?;
+                let tag = read_frame_into(&link, scratch, deadline, usize::MAX)?;
+                Ok((hello_rank(tag, scratch)?, link))
+            }
+            Accepted::Local(sock) => {
+                sock.set_nonblocking(false)
+                    .and_then(|()| configure_local(&sock))
+                    .map_err(|e| io_err(usize::MAX, "configure stream", e))?;
+                let (peer, memfd) = recv_hello(&sock, deadline)?;
+                let connect = |detail: String| TransportError::Connect { peer, detail };
+                let memfd = memfd.ok_or_else(|| connect("HELLO passed no ring".to_string()))?;
+                let ring = RingLink::adopt(sock, memfd).map_err(connect)?;
+                Ok((peer, Link::Ring(ring)))
+            }
         }
     }
 }
@@ -407,11 +868,11 @@ impl MeshListener {
         }
     }
 
-    /// One non-blocking accept on each listener: the first link either
-    /// has pending, or `None`.
-    fn accept(&self) -> io::Result<Option<Link>> {
+    /// One non-blocking accept on each listener: the first connection
+    /// either has pending, or `None`.
+    fn accept(&self) -> io::Result<Option<Accepted>> {
         match self.tcp.accept() {
-            Ok((s, _)) => return Ok(Some(Link::Tcp(s))),
+            Ok((s, _)) => return Ok(Some(Accepted::Tcp(s))),
             Err(e) if !is_poll_expiry(&e) => return Err(e),
             Err(_) => {}
         }
@@ -419,10 +880,7 @@ impl MeshListener {
             return Ok(None);
         };
         match unix.accept() {
-            Ok((s, _)) => {
-                set_local_send_buffer(&s)?;
-                Ok(Some(Link::Unix(s)))
-            }
+            Ok((s, _)) => Ok(Some(Accepted::Local(s))),
             Err(e) if is_poll_expiry(&e) => Ok(None),
             Err(e) => Err(e),
         }
@@ -439,13 +897,18 @@ impl From<TcpListener> for MeshListener {
 }
 
 /// Type an I/O failure. A peer that died with our bytes unread resets the
-/// connection instead of closing it: that is a disconnect too.
+/// connection instead of closing it: that is a disconnect too. A ring
+/// index out of bounds (`InvalidData`) is the peer breaking the protocol.
 fn io_err(peer: usize, during: &'static str, e: std::io::Error) -> TransportError {
-    use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset};
+    use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, InvalidData};
     match e.kind() {
         BrokenPipe | ConnectionAborted | ConnectionReset => {
             TransportError::Disconnected { peer, during }
         }
+        InvalidData => TransportError::Protocol {
+            peer,
+            detail: format!("{during}: {e}"),
+        },
         kind => TransportError::Io { peer, kind, during },
     }
 }
@@ -798,15 +1261,15 @@ fn complete_frame(
 //
 // Every operation of the driver reduces to the same readiness
 // loop: stage queued frames into per-peer wire buffers (coalescing small
-// runs into super-frames), push whatever the kernel will take, drain
-// whatever the kernel has, and consume completed frames from the `early`
-// queues — resuming partial writes and reads from per-peer cursors. The
-// loop never blocks in a socket call; when a full pass moves nothing it
-// spins briefly (cores to spare) and then sleeps in ONE multiplexed
-// `poll(2)` over every mesh link — `POLLIN` interest on each peer still
-// able to send, `POLLOUT` on each link with staged bytes the kernel
-// refused — waking the instant any link can make progress, under the
-// operation's deadline.
+// runs into super-frames), push whatever each link (a socket or a ring)
+// will take, drain whatever it has, and consume completed frames from the
+// `early` queues — resuming partial writes and reads from per-peer
+// cursors. The loop never blocks in a socket call; when a full pass moves
+// nothing it spins briefly (cores to spare), yields, and then sleeps in
+// ONE multiplexed `poll(2)` over every mesh link — `POLLIN` interest on
+// each peer still able to send (a ring's doorbell socket), `POLLOUT` on
+// each TCP link with staged bytes the kernel refused — waking the instant
+// any link can make progress, under the operation's deadline.
 //
 // Because the drain reads greedily, it can observe a peer's orderly
 // close *after* that peer's last frame was already delivered. A clean end-of-stream therefore only marks the peer closed; it
@@ -815,7 +1278,8 @@ fn complete_frame(
 
 /// Cap on one multiplexed readiness wait. Readiness itself wakes the
 /// poll immediately; the cap only bounds how long a deadline check or a
-/// closed-peer re-examination can be deferred when *nothing* happens.
+/// closed-peer re-examination can be deferred when *nothing* happens (or
+/// how late a lost ring doorbell would be: see `Endpoint::late_wakeups`).
 const POLL_WAIT_CAP: Duration = Duration::from_millis(20);
 
 /// Scheduler handoffs an idle progress loop offers before it sleeps in
@@ -930,6 +1394,9 @@ struct Pump<'a> {
     /// Reused pollfd set of [`Pump::poll_wait`] (one entry per live
     /// link with interest, rebuilt before every kernel wait).
     pollfds: &'a mut Vec<PollFd>,
+    /// Waits that expired at [`POLL_WAIT_CAP`] although a ring already
+    /// held what they slept on: each is a lost doorbell.
+    late_wakeups: &'a mut u64,
     stats: &'a mut TransportStats,
 }
 
@@ -970,12 +1437,9 @@ impl Pump<'_> {
             .any(|q| q.staged_pending() > 0 || q.ready() > 0)
     }
 
-    /// True while an engine-posted buffer still waits to be staged: until
-    /// it is, its `Vec` is not back on `send_returns` for the next drain.
-    fn engine_frames_queued(&self) -> bool {
-        self.send
-            .iter()
-            .any(|q| q.frames.iter().any(|f| f.ret == Return::Engine))
+    /// True once every frame queued to any peer is on the wire.
+    fn sends_done(&self) -> bool {
+        self.send.iter().all(SendQueue::is_idle)
     }
 
     /// One non-blocking pass over every mesh link: push staged send
@@ -1108,13 +1572,43 @@ impl Pump<'_> {
         self.poll_wait(deadline)
     }
 
+    /// What a ring link to `p` waits for while this side sleeps: bytes
+    /// while the peer is live, room while staged bytes wait for it.
+    fn ring_want(&self, p: usize) -> u64 {
+        let data = if self.closed[p] { 0 } else { WANT_DATA };
+        let space = if self.send[p].staged_pending() > 0 {
+            WANT_SPACE
+        } else {
+            0
+        };
+        data | space
+    }
+
+    /// The ring links of the mesh, with their peers.
+    fn rings(&self) -> impl Iterator<Item = (usize, &RingLink)> + '_ {
+        self.links
+            .iter()
+            .enumerate()
+            .filter_map(|(p, link)| match link {
+                Some(Link::Ring(r)) => Some((p, r)),
+                _ => None,
+            })
+    }
+
     /// One multiplexed readiness wait over the whole mesh: build a
     /// pollfd set with `POLLIN` interest on every live (not yet closed)
-    /// link and `POLLOUT` interest on every link whose staged bytes the
-    /// kernel refused, sleep in a single [`poll(2)`](crate::poll) until
-    /// something is ready (capped by the remaining deadline and
+    /// link and `POLLOUT` interest on every TCP link whose staged bytes
+    /// the kernel refused, sleep in a single [`poll(2)`](crate::poll)
+    /// until something is ready (capped by the remaining deadline and
     /// [`POLL_WAIT_CAP`]), then run one full progress pass over the
     /// wake-up.
+    ///
+    /// A ring link is watched through its socket, which a peer's
+    /// doorbell makes readable: before the wait this side sets its
+    /// `parked` word on every ring link it waits on and re-checks the
+    /// rings, and a ring already holding what it waits for skips the
+    /// sleep. After the wait the words are cleared and the doorbell
+    /// bytes read away.
     ///
     /// Accounting: the wait is charged to `send_stall_us` when unsent
     /// bytes were among what we waited on, to `recv_stall_us` when the
@@ -1124,28 +1618,39 @@ impl Pump<'_> {
     fn poll_wait(&mut self, deadline: Instant) -> Result<(), TransportError> {
         self.pollfds.clear();
         let mut want_out = false;
+        let mut ring_ready = false;
         for (p, link) in self.links.iter().enumerate() {
             if p == self.worker {
                 continue;
             }
-            let Some(stream) = link else { continue };
+            let Some(link) = link else { continue };
             let mut events = 0i16;
             if !self.closed[p] {
                 events |= poll::POLLIN;
             }
             if self.send[p].staged_pending() > 0 {
-                events |= poll::POLLOUT;
                 want_out = true;
+                if let Link::Tcp(_) = link {
+                    events |= poll::POLLOUT;
+                }
+            }
+            if let Link::Ring(ring) = link {
+                ring_ready |= ring.park(self.ring_want(p));
             }
             if events != 0 {
-                self.pollfds.push(PollFd::new(stream.as_raw_fd(), events));
+                self.pollfds.push(PollFd::new(link.as_raw_fd(), events));
             }
         }
-        if self.pollfds.is_empty() {
-            // Every peer closed and nothing queued: no readiness will
-            // ever arrive; yield so the consumer loop re-examines the
-            // world (and errors out on whatever it is still owed).
-            std::thread::yield_now();
+        if ring_ready || self.pollfds.is_empty() {
+            self.rings().for_each(|(_, ring)| ring.unpark());
+            if ring_ready {
+                self.pump(true)?;
+            } else {
+                // Every peer closed and nothing queued: no readiness will
+                // ever arrive; yield so the consumer loop re-examines the
+                // world (and errors out on whatever it is still owed).
+                std::thread::yield_now();
+            }
             return Ok(());
         }
         let timeout = deadline
@@ -1153,8 +1658,16 @@ impl Pump<'_> {
             .min(POLL_WAIT_CAP);
         let before = Instant::now();
         let ready = poll::poll(self.pollfds, timeout)
-            .map_err(|e| io_err(usize::MAX, "poll mesh readiness", e))?;
+            .map_err(|e| io_err(usize::MAX, "poll mesh readiness", e));
         let waited = before.elapsed().as_micros() as u64;
+        for (_, ring) in self.rings() {
+            ring.unpark();
+            let fd = ring.sock.as_raw_fd();
+            if self.pollfds.iter().any(|f| f.fd() == fd && f.readable()) {
+                ring.drain_doorbell();
+            }
+        }
+        let ready = ready?;
         // Feed the tracing probe, if the driving worker installed one on
         // this thread; one thread-local check otherwise — negligible
         // next to the kernel wait that just happened.
@@ -1166,13 +1679,19 @@ impl Pump<'_> {
             self.stats.recv_stall_us += waited;
         }
         if ready == 0 {
-            return Ok(()); // wait slice expired; the caller re-checks
+            // The wait slice expired; the caller re-checks. A ring that
+            // holds what this side slept on lost its doorbell.
+            if timeout == POLL_WAIT_CAP && self.rings().any(|(p, r)| r.ready(self.ring_want(p))) {
+                *self.late_wakeups += 1;
+            }
+            return Ok(());
         }
         // Something is ready: one full progress pass picks it up —
         // whichever links woke us, and anything else that became ready
         // meanwhile. A wake-up that moves nothing (e.g. a peer's orderly
-        // close, or readiness consumed by a mode change) is recorded as
-        // spurious rather than hiding in the next wait.
+        // close, or a doorbell rung after this side had already found its
+        // bytes) is recorded as spurious rather than hiding in the next
+        // wait.
         let moved = self.pump(true)?;
         if moved == 0 {
             self.stats.wakeups_spurious += 1;
@@ -1189,7 +1708,7 @@ impl Pump<'_> {
     ) -> Result<(), TransportError> {
         let mut idle_rounds = 0;
         let no_owed: &[bool] = &[];
-        while !self.send.iter().all(SendQueue::is_idle) {
+        while !self.sends_done() {
             let moved = self.pump(true)?;
             if moved > 0 {
                 idle_rounds = 0;
@@ -1416,6 +1935,9 @@ struct Endpoint {
     /// Reused pollfd scratch of the readiness multiplexer (see
     /// [`Pump::poll_wait`]).
     pollfds: Vec<PollFd>,
+    /// Lost doorbells seen by the readiness multiplexer
+    /// ([`Pump::poll_wait`]); 0 unless the wake-up protocol is broken.
+    late_wakeups: u64,
     /// Per-peer "still owes this round a frame" scratch of
     /// `take_all_into`.
     owed: Vec<bool>,
@@ -1461,6 +1983,7 @@ impl Endpoint {
             closed,
             send_returns,
             pollfds,
+            late_wakeups,
             owed,
             got_data,
             words,
@@ -1480,6 +2003,7 @@ impl Endpoint {
                 send_returns,
                 closed,
                 pollfds,
+                late_wakeups,
                 stats,
             },
             OpState {
@@ -1536,7 +2060,7 @@ impl Tcp {
     /// connections queue in the kernel even before a worker thread
     /// starts); the links are connected lazily on each worker's first
     /// transport operation. Every worker is on this host, so on Linux
-    /// every link is a Unix stream socket (see the module docs).
+    /// every link is a shared-memory ring (see the module docs).
     pub fn loopback(workers: usize) -> Result<Self, TransportError> {
         Tcp::loopback_with(workers, TcpOptions::default())
     }
@@ -1673,9 +2197,9 @@ impl Tcp {
             if ep.links[p].is_some() {
                 continue;
             }
-            let link = loop {
+            let (link, memfd) = loop {
                 match Link::dial(self.addrs[p]) {
-                    Ok(link) => break link,
+                    Ok(dialed) => break dialed,
                     Err(e)
                         if e.kind() == io::ErrorKind::ConnectionRefused
                             || Instant::now() >= deadline =>
@@ -1690,11 +2214,9 @@ impl Tcp {
             };
             link.configure()
                 .map_err(|e| io_err(p, "configure stream", e))?;
-            let mut hello = Vec::with_capacity(4);
-            (w as u32).encode(&mut hello);
-            write_frame(&link, TAG_HELLO, &hello, deadline, p)?;
+            link.hello(w, memfd, deadline, p)?;
             ep.stats.frames += 1;
-            ep.stats.wire_bytes += FRAME_HEADER + hello.len() as u64;
+            ep.stats.wire_bytes += FRAME_HEADER + 4;
             link.set_nonblocking(true)
                 .map_err(|e| io_err(p, "mesh mode", e))?;
             ep.links[p] = Some(link);
@@ -1722,27 +2244,14 @@ impl Tcp {
                         during: "accept mesh connection",
                     });
                 }
-                let link = match listener.accept() {
-                    Ok(Some(link)) => link,
+                let (peer, link) = match listener.accept() {
+                    Ok(Some(conn)) => conn.hello(deadline, &mut scratch)?,
                     Ok(None) => {
                         std::thread::sleep(Duration::from_millis(1));
                         continue;
                     }
                     Err(e) => return Err(io_err(w, "accept", e)),
                 };
-                link.configure()
-                    .map_err(|e| io_err(w, "configure stream", e))?;
-                let tag = read_frame_into(&link, &mut scratch, deadline, usize::MAX)?;
-                if tag != TAG_HELLO || scratch.len() != 4 {
-                    return Err(TransportError::Protocol {
-                        peer: usize::MAX,
-                        detail: format!(
-                            "expected HELLO, got tag {tag:#04x} ({} bytes)",
-                            scratch.len()
-                        ),
-                    });
-                }
-                let peer = u32::from_le_bytes(scratch[..4].try_into().unwrap()) as usize;
                 if peer <= w || peer >= self.workers || ep.links[peer].is_some() {
                     return Err(TransportError::Protocol {
                         peer,
@@ -1839,8 +2348,10 @@ impl Tcp {
     /// then emit in ascending rank order (self-delivery in rank place)
     /// like every other backend; returns the combined round words. Frames
     /// a fast peer already sent for its next round stay queued behind its
-    /// `END`. The take also waits until this worker's own posted buffers
-    /// are staged, so they are back for its next drain.
+    /// `END`. The take also waits until this worker's own round frames are
+    /// written: its posted buffers are then back for its next drain, and
+    /// no peer waits out this worker's next compute phase for an `END`
+    /// queued behind a partly written `DATA`.
     pub fn try_take_all_into(
         &self,
         worker: usize,
@@ -1897,7 +2408,7 @@ impl Tcp {
                         consumed = true;
                     }
                 }
-                if outstanding == 0 && !cx.engine_frames_queued() {
+                if outstanding == 0 && cx.sends_done() {
                     break;
                 }
                 if consumed {
@@ -2356,7 +2867,7 @@ mod tests {
         let ep = t.endpoints[w].lock();
         let kind = |link: &Link| match link {
             Link::Tcp(_) => "tcp",
-            Link::Unix(_) => "unix",
+            Link::Ring(_) => "ring",
         };
         ep.links.iter().flatten().map(kind).collect()
     }
@@ -2371,7 +2882,7 @@ mod tests {
             (0..3).map(|r| MeshListener::bind(ip, r).unwrap()).collect();
         let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
         let kind = if is_local_link(&addrs[0]) {
-            "unix"
+            "ring"
         } else {
             "tcp"
         };
@@ -2385,6 +2896,17 @@ mod tests {
                 for round in 0..4u8 {
                     ring_round(&t, rank, round, &mut received);
                 }
+                // A bulk round: each rank's `DATA` is several rings long.
+                let bulk = |from: usize| -> Vec<u8> {
+                    (0..3 * RING_CAPACITY + 17)
+                        .map(|i| (i * (from + 3)) as u8)
+                        .collect()
+                };
+                t.post(rank, (rank + 1) % 3, bulk(rank));
+                t.sync(rank, [0, 1]);
+                assert_eq!(t.take_all_into(rank, &mut received), [0, 3]);
+                assert_eq!(received.len(), 1);
+                assert!(received[0].1 == bulk((rank + 2) % 3), "rank {rank}");
                 t.flush(rank);
                 assert_eq!(link_kinds(&t, rank), [kind; 2], "rank {rank}");
                 t.worker_stats(rank)
@@ -2423,16 +2945,17 @@ mod tests {
         assert!(!local("0.0.0.0:4000"));
     }
 
-    /// The same rounds over TCP links and over Unix links put the same
-    /// frames and bytes on the wire, rank by rank.
+    /// The same rounds over TCP links and over ring links deliver the
+    /// same values and put the same frames and bytes on the wire, rank by
+    /// rank — a round whose `DATA` wraps the rings several times included.
     #[test]
     fn tcp_and_unix_links_carry_the_same_frames() {
-        let unix = mesh_rounds(LOOPBACK, TcpOptions::default());
+        let ring = mesh_rounds(LOOPBACK, TcpOptions::default());
         let tcp = mesh_rounds(ANY, TcpOptions::default());
         let wire = |s: &TransportStats| (s.wire_bytes, s.frames, s.coalesced_frames);
-        let unix: Vec<_> = unix.iter().map(wire).collect();
+        let ring: Vec<_> = ring.iter().map(wire).collect();
         let tcp: Vec<_> = tcp.iter().map(wire).collect();
-        assert_eq!(unix, tcp);
+        assert_eq!(ring, tcp);
     }
 
     /// A rank dialing a lower rank whose listeners were dropped fails at
@@ -2463,10 +2986,36 @@ mod tests {
         }
     }
 
-    /// A 2-rank mesh over a Unix link whose rank 1 is a raw socket: it
-    /// says `HELLO`, writes `wire` and dies. Rank 0's take must fail
-    /// typed and promptly; returns its error.
-    fn unix_peer_dies_after(wire: &[u8]) -> TransportError {
+    /// A fake rank 1 on this host: it dials rank 0's Unix name and sends
+    /// its `HELLO` passing a memfd of `len` bytes sealed with `seals`.
+    /// Returns the socket and the memfd.
+    fn fake_ring_hello(addr: &SocketAddr, len: usize, seals: i32) -> (UnixStream, File) {
+        let sock = UnixStream::connect_addr(&unix_name(addr).unwrap()).unwrap();
+        configure_local(&sock).unwrap();
+        let memfd = poll::memfd(len as u64, seals).unwrap();
+        let mut frame = frame_header(TAG_HELLO, 4, 0).unwrap().to_vec();
+        1u32.encode(&mut frame);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        send_hello(&sock, &frame, &memfd, deadline, 0).unwrap();
+        (sock, memfd)
+    }
+
+    /// A fake rank 1 with a well-formed ring: its side of the link.
+    fn fake_ring_peer(addr: &SocketAddr) -> RingLink {
+        let len = ring_map_len(RING_CAPACITY);
+        let (sock, memfd) = fake_ring_hello(addr, len, RING_SEALS);
+        sock.set_nonblocking(true).unwrap();
+        RingLink::new(
+            sock,
+            poll::map_shared(&memfd, len).unwrap(),
+            RING_CAPACITY,
+            0,
+        )
+    }
+
+    /// Rank 0 of a 2-rank mesh on 127.0.0.1, whose rank 1 is faked by the
+    /// test; short deadlines.
+    fn ring_rank0() -> (Tcp, SocketAddr) {
         let listener = MeshListener::bind(LOOPBACK, 0).unwrap();
         let addr = listener.local_addr().unwrap();
         let opts = TcpOptions {
@@ -2474,16 +3023,24 @@ mod tests {
             io_timeout: Duration::from_secs(10),
             ..TcpOptions::default()
         };
-        let t = Tcp::mesh(0, vec![addr, addr], listener, opts).unwrap();
-        let fake = UnixStream::connect_addr(&unix_name(&addr).unwrap()).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        write_frame(&fake, TAG_HELLO, &1u32.to_le_bytes(), deadline, 0).unwrap();
-        (&fake).write_all(wire).unwrap();
+        (
+            Tcp::mesh(0, vec![addr, addr], listener, opts).unwrap(),
+            addr,
+        )
+    }
+
+    /// A 2-rank mesh over a ring link whose rank 1 is faked: it says
+    /// `HELLO` with a good ring, writes `wire` into it and dies. Rank 0's
+    /// take must fail typed and promptly; returns its error.
+    fn unix_peer_dies_after(wire: &[u8]) -> TransportError {
+        let (t, addr) = ring_rank0();
+        let fake = fake_ring_peer(&addr);
+        assert_eq!(fake.write(wire).unwrap(), wire.len());
         drop(fake);
         let started = Instant::now();
         let err = t.try_take_all_into(0, &mut Vec::new()).unwrap_err();
         assert!(started.elapsed() < Duration::from_secs(5), "{err}");
-        assert_eq!(link_kinds(&t, 0), ["unix"]);
+        assert_eq!(link_kinds(&t, 0), ["ring"]);
         err
     }
 
@@ -2507,6 +3064,381 @@ mod tests {
                 got: 15,
             } => {}
             other => panic!("expected Truncated, got {other:?}"),
+        }
+    }
+
+    /// Both sides of one link's rings in this process, with `cap`-byte
+    /// rings: two mappings of one sealed memfd, as two ranks hold them.
+    fn ring_pair(cap: usize) -> (RingLink, RingLink) {
+        let (a, b) = UnixStream::pair().unwrap();
+        a.set_nonblocking(true).unwrap();
+        b.set_nonblocking(true).unwrap();
+        let len = ring_map_len(cap);
+        let memfd = poll::memfd(len as u64, RING_SEALS).unwrap();
+        let map = || poll::map_shared(&memfd, len).unwrap();
+        (
+            RingLink::new(a, map(), cap, 0),
+            RingLink::new(b, map(), cap, 1),
+        )
+    }
+
+    fn kind_of<T>(r: io::Result<T>) -> Option<io::ErrorKind> {
+        r.err().map(|e| e.kind())
+    }
+
+    /// A ring of odd capacity, filled from every byte offset in turn:
+    /// each fill wraps there, is read back in two parts split at every
+    /// length, and a full ring takes no byte while an empty one has none.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn ring_wraps_at_every_offset() {
+        const CAP: usize = 61;
+        let (a, b) = ring_pair(CAP);
+        let mut got = vec![0; CAP];
+        for offset in 0..CAP {
+            let bytes: Vec<u8> = (0..CAP).map(|i| (offset * 31 + i) as u8).collect();
+            assert_eq!(a.write(&bytes).unwrap(), CAP, "offset {offset}");
+            assert_eq!(kind_of(a.write(&[0])), Some(io::ErrorKind::WouldBlock));
+            assert_eq!(b.read(&mut got[..offset]).unwrap(), offset);
+            assert_eq!(b.read(&mut got[offset..]).unwrap(), CAP - offset);
+            assert_eq!(got, bytes, "offset {offset}");
+            assert_eq!(kind_of(b.read(&mut got)), Some(io::ErrorKind::WouldBlock));
+            // Start the next fill one byte further on.
+            assert_eq!(a.write(&[7]).unwrap(), 1);
+            assert_eq!(b.read(&mut got).unwrap(), 1);
+        }
+        // The other direction is the other ring.
+        assert_eq!(b.write(b"back").unwrap(), 4);
+        assert_eq!(a.read(&mut got).unwrap(), 4);
+        assert_eq!(&got[..4], b"back");
+    }
+
+    /// Writes larger than the free room and reads smaller than what is
+    /// there each move what they can, and the stream comes out whole.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn ring_partial_writes_and_reads_keep_the_stream() {
+        let (a, b) = ring_pair(64);
+        let stream: Vec<u8> = (0..20_000).map(|i| (i * 7 % 251) as u8).collect();
+        let (mut sent, mut got, mut partial) = (0, Vec::new(), 0);
+        let mut buf = [0u8; 23];
+        for step in 0.. {
+            if got.len() == stream.len() {
+                break;
+            }
+            let chunk = &stream[sent..(sent + 1 + step % 97).min(stream.len())];
+            match b.write(chunk) {
+                Ok(n) => {
+                    partial += (0 < n && n < chunk.len()) as usize;
+                    sent += n;
+                }
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
+            }
+            match a.read(&mut buf[..1 + step % 23]) {
+                Ok(n) => got.extend_from_slice(&buf[..n]),
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
+            }
+        }
+        assert_eq!(got, stream);
+        assert!(partial > 0, "no write was partial");
+    }
+
+    /// Indices the peer wrote out of bounds are refused before any copy:
+    /// a head more than the capacity ahead or moving backwards, a tail
+    /// past what was sent or moving backwards.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn ring_refuses_indices_out_of_bounds() {
+        const CAP: u64 = 64;
+        let (a, b) = ring_pair(CAP as usize);
+        let mut buf = [0u8; 16];
+        let invalid = Some(io::ErrorKind::InvalidData);
+        let head = a.word(ring_head(0));
+        head.store(CAP + 1, Ordering::SeqCst);
+        assert_eq!(kind_of(b.read(&mut buf)), invalid, "head past the capacity");
+        head.store(10, Ordering::SeqCst);
+        assert_eq!(b.read(&mut buf).unwrap(), 10);
+        head.store(5, Ordering::SeqCst);
+        assert_eq!(kind_of(b.read(&mut buf)), invalid, "head moving back");
+        let tail = b.word(ring_tail(1));
+        tail.store(1, Ordering::SeqCst);
+        assert_eq!(kind_of(b.write(&buf)), invalid, "tail past what was sent");
+        tail.store(0, Ordering::SeqCst);
+        assert_eq!(b.write(&[1; 8]).unwrap(), 8);
+        tail.store(8, Ordering::SeqCst);
+        assert_eq!(b.write(&[1]).unwrap(), 1);
+        tail.store(4, Ordering::SeqCst);
+        assert_eq!(kind_of(b.write(&[1])), invalid, "tail moving back");
+        // The transport reports the refusal as the peer's protocol error.
+        let err = b.read(&mut buf).unwrap_err();
+        match io_err(1, "drain frame", err) {
+            TransportError::Protocol { peer: 1, .. } => {}
+            other => panic!("expected Protocol, got {other:?}"),
+        }
+    }
+
+    /// A peer that hung up leaves its last bytes readable; after them the
+    /// ring reads as end of stream, and writing to it is a broken pipe.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_hung_up_ring_reads_its_bytes_then_ends() {
+        let (a, b) = ring_pair(64);
+        assert_eq!(a.write(b"last words").unwrap(), 10);
+        drop(a);
+        let mut buf = [0u8; 64];
+        b.drain_doorbell();
+        assert!(b.hung_up.get());
+        assert_eq!(b.read(&mut buf).unwrap(), 10);
+        assert_eq!(&buf[..10], b"last words");
+        assert_eq!(b.read(&mut buf).unwrap(), 0);
+        assert_eq!(kind_of(b.write(b"x")), Some(io::ErrorKind::BrokenPipe));
+    }
+
+    /// The doorbell rings a parked peer once, and only for what it waits
+    /// for: bytes for a side waiting for data, room for one waiting to
+    /// write; a side that finds what it waits for when it parks does not
+    /// sleep.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn the_doorbell_rings_only_a_parked_peer() {
+        let (a, b) = ring_pair(64);
+        let bells = |s: &UnixStream| {
+            let mut x = [0u8; 8];
+            let mut n = 0;
+            while let Ok(k @ 1..) = (&*s).read(&mut x) {
+                n += k;
+            }
+            n
+        };
+        let mut buf = [0u8; 64];
+        assert_eq!(a.write(b"x").unwrap(), 1);
+        assert_eq!(bells(&b.sock), 0, "a side that is not parked hears nothing");
+        assert!(b.park(WANT_DATA), "bytes are there: no sleep");
+        b.unpark();
+        assert_eq!(b.read(&mut buf).unwrap(), 1);
+        assert!(!b.park(WANT_DATA));
+        assert_eq!(a.write(b"y").unwrap(), 1);
+        assert_eq!(b.word(ring_parked(1)).load(Ordering::SeqCst), 0);
+        assert_eq!(bells(&b.sock), 1);
+        assert_eq!(a.write(b"z").unwrap(), 1);
+        assert_eq!(bells(&b.sock), 0, "one bell per park");
+        assert_eq!(b.read(&mut buf).unwrap(), 2);
+        assert_eq!(a.write(&[0; 64]).unwrap(), 64);
+        assert!(!a.park(WANT_SPACE));
+        assert_eq!(b.write(b"q").unwrap(), 1);
+        assert_eq!(
+            bells(&a.sock),
+            0,
+            "bytes do not wake a side waiting for room"
+        );
+        assert_eq!(b.read(&mut buf[..1]).unwrap(), 1);
+        assert_eq!(bells(&a.sock), 1, "room does");
+    }
+
+    /// The sleeper's and the waker's halves of the doorbell, raced
+    /// head-on: two threads play ping-pong over one ring pair, each
+    /// parking at once whenever its in-ring is empty. A lost wake-up
+    /// stalls its round until the poll's one-second timeout.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn the_doorbell_wakes_every_ping_pong() {
+        const ROUNDS: u32 = 20_000;
+        let play = |me: RingLink, serves: bool| {
+            move || {
+                let mut ball = [0u8; 1];
+                let mut lost = 0;
+                for round in 0..ROUNDS {
+                    if !serves {
+                        assert_eq!(me.write(&[round as u8]).unwrap(), 1);
+                    }
+                    loop {
+                        match me.read(&mut ball) {
+                            Ok(n) => break assert_eq!(n, 1),
+                            Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
+                        }
+                        if me.park(WANT_DATA) {
+                            me.unpark();
+                            continue;
+                        }
+                        let mut fds = [PollFd::new(me.sock.as_raw_fd(), poll::POLLIN)];
+                        let woke = poll::poll(&mut fds, Duration::from_secs(1)).unwrap();
+                        me.unpark();
+                        if woke == 0 {
+                            lost += 1;
+                        }
+                        me.drain_doorbell();
+                    }
+                    assert_eq!(ball[0], round as u8);
+                    if serves {
+                        assert_eq!(me.write(&ball).unwrap(), 1);
+                    }
+                }
+                lost
+            }
+        };
+        let (a, b) = ring_pair(64);
+        let a = std::thread::spawn(play(a, false));
+        let b = std::thread::spawn(play(b, true));
+        assert_eq!(
+            (a.join().unwrap(), b.join().unwrap()),
+            (0, 0),
+            "lost wake-ups"
+        );
+    }
+
+    /// A same-host `HELLO` whose ring could fault or is no ring — a memfd
+    /// shorter or longer than the rings, one without the seals, or none —
+    /// is a typed `Connect` error at the acceptor, never a mapping that
+    /// could raise `SIGBUS`.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_short_or_unsealed_ring_is_a_typed_connect_error() {
+        let len = ring_map_len(RING_CAPACITY);
+        for (what, len, seals) in [
+            ("short", len - 4096, RING_SEALS),
+            ("long", len + 4096, RING_SEALS),
+            ("unsealed", len, 0),
+            ("shrinkable", len, poll::SEAL_GROW | poll::SEAL_SEAL),
+        ] {
+            let (t, addr) = ring_rank0();
+            let _fake = fake_ring_hello(&addr, len, seals);
+            match t.try_take_all_into(0, &mut Vec::new()) {
+                Err(TransportError::Connect { peer: 1, detail }) => {
+                    assert!(detail.contains("ring"), "{what}: {detail}")
+                }
+                other => panic!("{what}: expected Connect, got {other:?}"),
+            }
+        }
+        let (t, addr) = ring_rank0();
+        let fake = UnixStream::connect_addr(&unix_name(&addr).unwrap()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        write_frame(&fake, TAG_HELLO, &1u32.to_le_bytes(), deadline, 0).unwrap();
+        match t.try_take_all_into(0, &mut Vec::new()) {
+            Err(TransportError::Connect { peer: 1, .. }) => {}
+            other => panic!("no ring: expected Connect, got {other:?}"),
+        }
+    }
+
+    /// Ring indices a peer corrupts are a typed `Protocol` error at the
+    /// next copy: a head more than the capacity ahead at rank 0's read, a
+    /// tail past what rank 0 sent at its write.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn corrupted_ring_indices_are_protocol_errors() {
+        let (t, addr) = ring_rank0();
+        let fake = fake_ring_peer(&addr);
+        fake.word(ring_head(0))
+            .store(RING_CAPACITY as u64 + 1, Ordering::SeqCst);
+        match t.try_take_all_into(0, &mut Vec::new()) {
+            Err(TransportError::Protocol { peer: 1, detail }) => {
+                assert!(detail.contains("ring head"), "{detail}")
+            }
+            other => panic!("expected Protocol, got {other:?}"),
+        }
+        let (t, addr) = ring_rank0();
+        let fake = fake_ring_peer(&addr);
+        fake.word(ring_tail(1)).store(1000, Ordering::SeqCst);
+        match t.try_sync(0, [0, 0]) {
+            Err(TransportError::Protocol { peer: 1, detail }) => {
+                assert!(detail.contains("ring tail"), "{detail}")
+            }
+            other => panic!("expected Protocol, got {other:?}"),
+        }
+    }
+
+    /// Every wake-up of a sleeping ring side comes from a doorbell: on a
+    /// 4-worker mesh with no spinning, about 20 000 rounds — one worker
+    /// pausing now and then, so its peers park in `poll` — never see a
+    /// wait expire at `POLL_WAIT_CAP` while a ring already held what it
+    /// slept on.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn the_doorbell_loses_no_wakeup() {
+        const ROUNDS: usize = 20_000;
+        let opts = TcpOptions {
+            spins: Some(0),
+            ..TcpOptions::default()
+        };
+        let t = Arc::new(Tcp::loopback_with(4, opts).unwrap());
+        let handles: Vec<_> = (0..4usize)
+            .map(|w| {
+                let t = Arc::clone(&t);
+                std::thread::spawn(move || {
+                    let mut received = Vec::new();
+                    for round in 0..ROUNDS {
+                        if round % 1000 == w * 250 {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        t.post(w, (w + 1) % 4, vec![w as u8; 24]);
+                        t.sync(w, [0, 1]);
+                        assert_eq!(t.take_all_into(w, &mut received), [0, 4]);
+                        for (s, buf) in received.drain(..) {
+                            t.recycle(w, s, buf);
+                        }
+                    }
+                    t.flush(w);
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let slept: u64 = (0..4).map(|w| t.worker_stats(w).poll_waits).sum();
+        assert!(slept > 0, "no side ever slept: the doorbell went untested");
+        for w in 0..4 {
+            assert_eq!(t.endpoints[w].lock().late_wakeups, 0, "worker {w}");
+        }
+    }
+
+    /// A `DATA` frame larger than the link's buffering does not hold back
+    /// its `END`: a take returns only once this worker's round frames are
+    /// written, so a rank that computes after its take never makes its
+    /// peer wait out that compute phase. Ring and TCP links put the same
+    /// frames on the wire.
+    #[test]
+    fn a_data_frame_larger_than_the_link_does_not_hold_its_end() {
+        const ROUNDS: usize = 4;
+        const COMPUTE: Duration = Duration::from_millis(50);
+        let run = |ip: IpAddr| -> Vec<TransportStats> {
+            let listeners: Vec<MeshListener> =
+                (0..2).map(|r| MeshListener::bind(ip, r).unwrap()).collect();
+            let addrs: Vec<SocketAddr> =
+                listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+            let handles: Vec<_> = listeners
+                .into_iter()
+                .enumerate()
+                .map(|(rank, listener)| {
+                    let addrs = addrs.clone();
+                    std::thread::spawn(move || {
+                        let t = Tcp::mesh(rank, addrs, listener, TcpOptions::default()).unwrap();
+                        let mut received = Vec::new();
+                        for round in 0..ROUNDS {
+                            t.post(rank, 1 - rank, vec![round as u8; 4 * RING_CAPACITY]);
+                            t.sync(rank, [0, 1]);
+                            assert_eq!(t.take_all_into(rank, &mut received), [0, 2]);
+                            for (s, buf) in received.drain(..) {
+                                t.recycle(rank, s, buf);
+                            }
+                            std::thread::sleep(COMPUTE);
+                        }
+                        t.flush(rank);
+                        t.worker_stats(rank)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        };
+        let ring = run(LOOPBACK);
+        let tcp = run(ANY);
+        for (rank, (ring, tcp)) in ring.iter().zip(&tcp).enumerate() {
+            let wire = |s: &TransportStats| (s.wire_bytes, s.frames, s.coalesced_frames);
+            assert_eq!(wire(ring), wire(tcp), "rank {rank}");
+            for s in [ring, tcp] {
+                assert!(
+                    s.recv_stall_us < COMPUTE.as_micros() as u64,
+                    "rank {rank} waited out a compute phase: {s:?}"
+                );
+            }
         }
     }
 
@@ -2537,7 +3469,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(link_kinds(&t, 0), ["unix"]);
+        assert_eq!(link_kinds(&t, 0), ["ring"]);
         assert!(addrs.iter().all(name_is_free), "a complete mesh frees them");
         let t = Tcp::loopback(3).unwrap();
         let addrs = t.addrs().to_vec();

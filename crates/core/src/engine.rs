@@ -565,17 +565,22 @@ fn assemble<V: Clone + Default>(
 ) -> Vec<V> {
     let mut values = vec![V::default(); n];
     for (pairs, metrics, pool) in parts {
-        // The skew metric: one part = one worker (or rank), so the largest
-        // per-part message volume is the hottest rank's send load.
-        let part_msgs: u64 = metrics.iter().map(|m| m.messages).sum();
-        stats.max_rank_msgs = stats.max_rank_msgs.max(part_msgs);
-        stats.absorb_channels(metrics);
-        stats.pool.merge(&pool);
+        absorb_part(stats, metrics, &pool);
         for (gid, v) in pairs {
             values[gid as usize] = v;
         }
     }
     values
+}
+
+/// Fold one part's counters into the run's: its channel metrics, its
+/// pool, and the skew metric — one part = one worker (or rank), so the
+/// largest per-part message volume is the hottest rank's send load.
+fn absorb_part(stats: &mut RunStats, metrics: Vec<ChannelMetrics>, pool: &PoolStats) {
+    let part_msgs: u64 = metrics.iter().map(|m| m.messages).sum();
+    stats.max_rank_msgs = stats.max_rank_msgs.max(part_msgs);
+    stats.absorb_channels(metrics);
+    stats.pool.merge(pool);
 }
 
 /// One worker's view of the run's checkpoint policy: the opened store,
@@ -1160,17 +1165,12 @@ fn encode_part<A: Algorithm>(
 /// instead.
 fn decode_part<A: Algorithm>(
     r: &mut Reader<'_>,
-) -> (
-    WorkerPart<A::Value>,
-    TransportStats,
-    Option<RankTrace>,
-    (u64, u64),
-) {
+    mut value: impl FnMut(u32, A::Value),
+) -> GatheredPart {
     let npairs: u32 = r.get();
-    let mut pairs = Vec::with_capacity(npairs as usize);
     for _ in 0..npairs {
         let gid: u32 = r.get();
-        pairs.push((gid, A::decode_value(r)));
+        value(gid, A::decode_value(r));
     }
     let metrics = r.get();
     let pool = r.get();
@@ -1185,8 +1185,19 @@ fn decode_part<A: Algorithm>(
     } else {
         (0, 0)
     };
-    ((pairs, metrics, pool), tstats, trace, recovery)
+    (metrics, pool, tstats, trace, recovery)
 }
+
+/// A gather frame's counters, after [`decode_part`] handed its values
+/// on: channel metrics, pool, transport, trace, and recoveries with
+/// their microseconds.
+type GatheredPart = (
+    Vec<ChannelMetrics>,
+    PoolStats,
+    TransportStats,
+    Option<RankTrace>,
+    (u64, u64),
+);
 
 /// The multi-process driver: this process runs exactly one worker
 /// (`role.rank`) over the shared socket mesh; its peers are other OS
@@ -1241,6 +1252,9 @@ fn run_rank<A: Algorithm>(
         &mut frame,
     );
     t.post(w, root, frame);
+    // The root's own values ride its own gather frame: holding them twice
+    // would only raise its peak.
+    let own = (w != root).then_some(part);
     t.sync(w, [0, 0]);
     // Nothing follows the gather round, so the TCP transport's queued
     // frames must be pushed out explicitly — without this, rank 0 could
@@ -1255,7 +1269,7 @@ fn run_rank<A: Algorithm>(
         transport_name: t.name(),
         ..Default::default()
     };
-    if w != root {
+    if let Some(part) = own {
         // Non-root ranks keep their local view; `received` is empty.
         stats.transport = local_tstats;
         stats.recoveries = role.recoveries;
@@ -1268,7 +1282,10 @@ fn run_rank<A: Algorithm>(
         stats.elapsed = start.elapsed();
         return Output { values, stats };
     }
-    let mut parts = Vec::with_capacity(workers);
+    // Each rank's values go straight from its frame into the one column,
+    // and the frame is recycled before the next is decoded.
+    let mut values = vec![A::Value::default(); topo.n()];
+    let mut parts = 0;
     let mut traces: Vec<RankTrace> = Vec::new();
     for (sender, buf) in received.drain(..) {
         let mut r = Reader::new(&buf);
@@ -1279,18 +1296,20 @@ fn run_rank<A: Algorithm>(
             (supersteps, rounds),
             "rank {sender} disagrees on the superstep/round count"
         );
-        let (p, tstats, tr, (recoveries, recovery_us)) = decode_part::<A>(&mut r);
+        let (metrics, pool, tstats, tr, (recoveries, recovery_us)) =
+            decode_part::<A>(&mut r, |gid, v| values[gid as usize] = v);
         assert!(r.is_empty(), "trailing bytes in rank {sender}'s results");
+        absorb_part(&mut stats, metrics, &pool);
         stats.transport.merge(&tstats);
         stats.recoveries = stats.recoveries.max(recoveries);
         stats.recovery_us += recovery_us;
         if let Some(tr) = tr {
             traces.push(tr);
         }
-        parts.push(p);
+        parts += 1;
         t.recycle(w, sender, buf);
     }
-    assert_eq!(parts.len(), workers, "missing rank results in the gather");
+    assert_eq!(parts, workers, "missing rank results in the gather");
     if !traces.is_empty() {
         assert_eq!(traces.len(), workers, "missing rank traces in the gather");
         traces.sort_by_key(|tr| tr.rank);
@@ -1298,7 +1317,6 @@ fn run_rank<A: Algorithm>(
         stats.timeline = trace::merge_timelines(&traces);
         stats.traces = traces;
     }
-    let values = assemble(topo.n(), parts, &mut stats);
     stats.elapsed = start.elapsed();
     Output { values, stats }
 }
@@ -1702,12 +1720,14 @@ mod tests {
                     );
                 }
                 let mut r = Reader::new(&buf);
-                let (p, ts, tr_back, rec_back) = decode_part::<RingSum>(&mut r);
+                let mut pairs = Vec::new();
+                let (metrics, pool, ts, tr_back, rec_back) =
+                    decode_part::<RingSum>(&mut r, |gid, v| pairs.push((gid, v)));
                 assert!(r.is_empty(), "trailing gather bytes");
                 assert_eq!(rec_back, recovery);
-                assert_eq!(p.0, part.0);
-                assert_eq!(p.1, part.1);
-                assert_eq!(p.2, part.2);
+                assert_eq!(pairs, part.0);
+                assert_eq!(metrics, part.1);
+                assert_eq!(pool, part.2);
                 assert_eq!(ts, tstats);
                 assert_eq!(tr_back.as_ref(), trace);
             }

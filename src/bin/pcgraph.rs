@@ -140,9 +140,9 @@ EXECUTION:
     --workers N       simulated workers (single process)         [default 4]
     --transport NAME  exchange backend: in-process|tcp (tcp = socket mesh,
                       non-blocking pipelined sends with frame coalescing,
-                      Unix domain socket links between workers on one host;
-                      tcp-batched is an alias). --ranks always runs that
-                      mesh between processes                     [default in-process]
+                      shared-memory ring links between workers on one
+                      host; tcp-batched is an alias). --ranks always runs
+                      that mesh between processes                [default in-process]
     --partitioner P   vertex placement: hash|ldg|ldg-deg|bfs     [default hash]
                       (ldg-deg streams vertices in descending-degree order so
                       hubs are placed first — the skew-resistant choice)
@@ -165,7 +165,7 @@ MULTI-PROCESS:
     --coordinator A   rendezvous address rank 0 listens on (HOST:PORT)
     --bind IP         interface the data-plane listeners bind (rank mode;
                       default 127.0.0.1). A loopback address keeps the ranks
-                      on this host and links them by Unix domain sockets; a
+                      on this host and links them by shared-memory rings; a
                       routable one spreads them across hosts over TCP links
     --verify          after the distributed run, rank 0 re-runs the
                       sequential engine and fails on any mismatch
@@ -1165,6 +1165,22 @@ fn conclude<V: PartialEq>(
     Ok(())
 }
 
+/// The `k` highest ranks, highest first, ties in vertex order — what a
+/// stable descending sort of every `(vertex, rank)` pair would put first,
+/// without an n-sized copy to sort at the end of the run.
+fn top_ranks(ranks: &[f64], k: usize) -> Vec<(usize, f64)> {
+    let mut top: Vec<(usize, f64)> = Vec::with_capacity(k + 1);
+    for (v, &r) in ranks.iter().enumerate() {
+        if top.len() == k && top.last().is_none_or(|&(_, low)| r.total_cmp(&low).is_le()) {
+            continue;
+        }
+        let at = top.partition_point(|&(_, t)| t.total_cmp(&r).is_ge());
+        top.insert(at, (v, r));
+        top.truncate(k);
+    }
+    top
+}
+
 /// One algorithm's whole run — prepare, execute, conclude — then exit.
 /// `run` drives the engine over a graph, topology and config (the
 /// distributed run, and the sequential rerun of `--verify`); `print`
@@ -1409,9 +1425,7 @@ fn main() {
                 (o.ranks, o.stats)
             },
             |ranks, stats| {
-                let mut top: Vec<(usize, f64)> = ranks.iter().copied().enumerate().collect();
-                top.sort_by(|a, b| b.1.total_cmp(&a.1));
-                for (v, r) in top.iter().take(10) {
+                for (v, r) in top_ranks(ranks, 10) {
                     println!("{v}\t{r:.8}");
                 }
                 report(stats);
@@ -1530,6 +1544,21 @@ fn print_components(what: &'static str) -> impl FnOnce(&Vec<u32>, &RunStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `top_ranks` prints what a stable descending sort of every vertex
+    /// would: the highest first, ties in vertex order, for any `k`.
+    #[test]
+    fn top_ranks_match_a_stable_sort() {
+        let ranks: Vec<f64> = (0..500u64)
+            .map(|i| (i.wrapping_mul(2_654_435_761) % 37) as f64 / 8.0)
+            .collect();
+        let mut sorted: Vec<(usize, f64)> = ranks.iter().copied().enumerate().collect();
+        sorted.sort_by(|a, b| b.1.total_cmp(&a.1));
+        for k in [0, 1, 10, 37, 500, 600] {
+            let want = &sorted[..k.min(sorted.len())];
+            assert_eq!(top_ranks(&ranks, k), want, "k = {k}");
+        }
+    }
 
     fn opts(algorithm: &str) -> Opts {
         Opts {

@@ -300,33 +300,36 @@ where
 }
 
 /// Both link kinds carry byte-identical runs: PageRank over a mesh of
-/// Unix stream sockets (listeners on 127.0.0.1) and over a mesh of TCP
-/// links (listeners on 0.0.0.0, which the link rule does not class as
+/// shared-memory ring links (listeners on 127.0.0.1) and over a mesh of
+/// TCP links (listeners on 0.0.0.0, which the link rule does not class as
 /// loopback) agree on every rank's values, bytes, messages, supersteps,
-/// rounds, pool traffic and wire counters.
+/// rounds, pool traffic and wire counters — on a small graph, and on one
+/// whose per-peer `DATA` frames (≈ 150 KB) outgrow a 128 KiB ring.
 #[test]
 fn unix_and_tcp_links_conform() {
     let loopback = IpAddr::V4(Ipv4Addr::LOCALHOST);
     let any = IpAddr::V4(Ipv4Addr::UNSPECIFIED);
     assert!(tcp::is_local_link(&(loopback, 1).into()));
     assert!(!tcp::is_local_link(&(any, 1).into()));
-    let g = directed();
-    let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
-    let run = |cfg: &Config| {
-        let o = pc_algos::pagerank::channel_scatter(&g, &topo, cfg, 12);
-        (o.ranks, o.stats)
-    };
-    let unix = run_mesh_on(loopback, &run);
-    let tcp = run_mesh_on(any, &run);
-    for (w, (unix, tcp)) in unix.iter().zip(&tcp).enumerate() {
-        assert!(
-            unix.0 == tcp.0,
-            "rank {w}: values diverge between link kinds"
-        );
-        assert_stats_agree(&format!("rank {w} (unix vs tcp links)"), &unix.1, &tcp.1);
-        assert_eq!(unix.2, tcp.2, "rank {w}: wire counters diverge");
-        let transport = |s: &RunStats| (s.transport.wire_bytes, s.transport.frames);
-        assert_eq!(transport(&unix.1), transport(&tcp.1), "rank {w}");
+    let bulky = Arc::new(gen::rmat(18, 600_000, gen::RmatParams::default(), 12, true));
+    for (g, iters) in [(directed(), 12), (bulky, 2)] {
+        let topo = Arc::new(Topology::hashed(g.n(), WORKERS));
+        let run = |cfg: &Config| {
+            let o = pc_algos::pagerank::channel_scatter(&g, &topo, cfg, iters);
+            (o.ranks, o.stats)
+        };
+        let ring = run_mesh_on(loopback, &run);
+        let tcp = run_mesh_on(any, &run);
+        for (w, (ring, tcp)) in ring.iter().zip(&tcp).enumerate() {
+            assert!(
+                ring.0 == tcp.0,
+                "rank {w}: values diverge between link kinds"
+            );
+            assert_stats_agree(&format!("rank {w} (ring vs tcp links)"), &ring.1, &tcp.1);
+            assert_eq!(ring.2, tcp.2, "rank {w}: wire counters diverge");
+            let transport = |s: &RunStats| (s.transport.wire_bytes, s.transport.frames);
+            assert_eq!(transport(&ring.1), transport(&tcp.1), "rank {w}");
+        }
     }
 }
 
