@@ -27,21 +27,29 @@
 //! table build, and reaches every edge its vertex registered by the end of
 //! that superstep's `compute`.
 //!
-//! **Mirror tables** live at the receiver as one flat `targets` array with
-//! a sorted hub index; a ghost message is a binary search plus one bulk
+//! **Mirror tables** live at the receiver as a sorted hub index over row
+//! extents in one arena; a ghost message is a binary search plus one bulk
 //! fold over the hub's run of local targets. When the topology carries a
-//! [`pc_bsp::MirrorPlan`] every table is installed at construction and
-//! none ever ships. Otherwise a hub's tables ship in-band, inside the
-//! frame that carries its first mirrored broadcast, exactly once: when its
-//! row first reaches τ. Edges a hub registers later ship as an extension
-//! of its tables (the receiver appends them to the hub's run).
+//! [`pc_bsp::MirrorPlan`] every table is wired at construction and none
+//! ever ships: a plan-wired row reads its run of this worker's targets in
+//! place, in the plan the topology already holds. Otherwise a hub's
+//! tables ship in-band, inside the frame that carries its first mirrored
+//! broadcast, exactly once: when its row first reaches τ. Edges a hub
+//! registers later ship as an extension of its tables (the receiver
+//! appends them to the hub's run). In-band tables live in an owned column
+//! after the planned runs; a plan-wired row that gains targets moves into
+//! it first, as any row that grows and is not last moves to the arena's
+//! end. The checkpointed tables are that arena — the planned runs at
+//! their first positions, then the owned column — whatever backs it.
 //!
-//! **Cost model.** Registration is O(edges) in bulk — a pre-wired hub's
-//! row is only *counted* (its fan-out is the plan's; the count feeds
-//! `saved`). `finalize` is O(staged edges + the rows they touch). A
-//! broadcast is O(mirror holders) for a hub and O(out-degree) otherwise; a
-//! received ghost is O(log hubs + local targets). The combiner is a direct
-//! call inside each of those loops ([`Combine`]'s bulk folds).
+//! **Cost model.** Construction is O(local vertices + hubs): pre-wiring
+//! indexes each plan hub's run and copies no target. Registration is
+//! O(edges) in bulk — a pre-wired hub's row is only *counted* (its fan-out
+//! is the plan's; the count feeds `saved`). `finalize` is O(staged edges +
+//! the rows they touch). A broadcast is O(mirror holders) for a hub and
+//! O(out-degree) otherwise; a received ghost is O(log hubs + local
+//! targets). The combiner is a direct call inside each of those loops
+//! ([`Combine`]'s bulk folds).
 //!
 //! Compared with [`crate::ScatterCombine`] (receiver-centric combining of
 //! the same static pattern): mirroring ships fewer bytes when hubs
@@ -54,7 +62,9 @@ use super::flat::{check, encode_vec, peer_runs, Adjacency, PeerStage, Rows, Slot
 use crate::channel::{Channel, DeserializeCx, SerializeCx, WorkerEnv};
 use crate::combine::{Combine, Vals};
 use pc_bsp::codec::{Codec, Reader};
+use pc_bsp::MirrorPlan;
 use pc_graph::VertexId;
+use std::sync::Arc;
 
 /// Mirror-table entries not yet shipped to one peer: per hub, its id and
 /// where its run of targets (local indices at the peer) ends.
@@ -85,6 +95,12 @@ impl PendingTables {
 }
 
 /// Receive-side mirror tables: ghosted hub id → its run of local targets.
+///
+/// Row extents are positions in one arena: the plan-wired runs back to
+/// back in plan order, read in place from the plan, then the owned column
+/// `targets` from `owned_at` on. A row shipped in-band lives in the owned
+/// column; a plan-wired row that gains in-band targets moves into it
+/// first, as [`Rows::open`] moves any row that is not last.
 #[derive(Default)]
 struct GhostTables {
     /// `(hub id, row)`: the first `indexed` ascending by id and searched,
@@ -92,41 +108,150 @@ struct GhostTables {
     index: Vec<(VertexId, u32)>,
     indexed: usize,
     rows: Rows,
+    /// The plan the first `wired.len()` rows were wired from, and per such
+    /// row the plan hub and which of its target runs is this worker's.
+    plan: Option<Arc<MirrorPlan>>,
+    wired: Vec<(u32, u32)>,
+    /// Where `targets` starts in the arena: after the last planned run, or
+    /// at its start once that run moved while nothing was owned yet.
+    owned_at: usize,
     targets: Vec<u32>,
 }
 
 impl GhostTables {
+    /// Tables pre-wired from `plan` for `worker`: a row per hub with a run
+    /// of targets there, read in place — O(hubs), not O(targets).
+    fn wired(plan: &Arc<MirrorPlan>, worker: u16) -> Self {
+        let mut tables = GhostTables {
+            plan: Some(Arc::clone(plan)),
+            ..GhostTables::default()
+        };
+        for (hub_at, hub) in plan.hubs.iter().enumerate() {
+            let Some(run_at) = hub.targets.iter().position(|run| run.0 == worker) else {
+                continue;
+            };
+            let row = tables.rows.push_row();
+            let start = tables.owned_at;
+            tables.owned_at += hub.targets[run_at].1.len();
+            tables.rows.set(row, start..tables.owned_at);
+            tables.index.push((hub.id, row));
+            tables.wired.push((hub_at as u32, run_at as u32));
+        }
+        tables.reindex();
+        tables
+    }
+
     fn row_of(&self, hub: VertexId) -> Option<u32> {
         let known = &self.index[..self.indexed];
         let at = known.binary_search_by_key(&hub, |entry| entry.0).ok()?;
         Some(known[at].1)
     }
 
+    /// The plan's `(hub, run)` behind `row`, while the row still reads it.
+    fn wired_at(&self, row: u32) -> Option<(usize, usize)> {
+        let &(hub, run) = self.wired.get(row as usize)?;
+        (self.rows.range(row).start < self.owned_at).then_some((hub as usize, run as usize))
+    }
+
+    /// The plan's run `(hub, run)`.
+    fn planned(plan: &Option<Arc<MirrorPlan>>, (hub, run): (usize, usize)) -> &[u32] {
+        let plan = plan.as_ref().expect("wired rows have a plan");
+        &plan.hubs[hub].targets[run].1
+    }
+
+    /// `row`'s targets, wherever they live.
+    fn run(&self, row: u32) -> &[u32] {
+        match self.wired_at(row) {
+            Some(at) => Self::planned(&self.plan, at),
+            None => {
+                let at = self.rows.range(row);
+                &self.targets[at.start - self.owned_at..at.end - self.owned_at]
+            }
+        }
+    }
+
     /// The local targets of `hub`'s mirror here; none if it has none.
     fn targets_of(&self, hub: VertexId) -> &[u32] {
-        self.row_of(hub)
-            .map_or(&[][..], |row| &self.targets[self.rows.range(row)])
+        self.row_of(hub).map_or(&[][..], |row| self.run(row))
     }
 
     /// Append `targets` to `hub`'s run. A hub not in the index is taken
     /// for a new one (an owner names a hub once per table section), and is
     /// found once [`GhostTables::reindex`] has run.
     fn extend(&mut self, hub: VertexId, targets: impl Iterator<Item = u32>) {
+        let arena_len = self.owned_at + self.targets.len();
         let row = self.row_of(hub).unwrap_or_else(|| {
             let row = self.rows.push_row();
+            self.rows.set(row, arena_len..arena_len);
             self.index.push((hub, row));
             row
         });
-        let moved = self.rows.open(row, self.targets.len());
-        self.targets.extend_from_within(moved);
+        let at = self.rows.range(row);
+        let wired = self.wired_at(row);
+        let moved = self.rows.open(row, arena_len);
+        if let Some(wired) = wired {
+            // A planned run moves into the owned column. The last one, with
+            // nothing owned yet, stays put: the owned column starts there.
+            if at.end == arena_len {
+                self.owned_at = at.start;
+            }
+            self.targets
+                .extend_from_slice(Self::planned(&self.plan, wired));
+        } else {
+            let owned = moved.start - self.owned_at..moved.end - self.owned_at;
+            self.targets.extend_from_within(owned);
+        }
         self.targets.extend(targets);
-        self.rows.close(row, self.targets.len());
+        self.rows.close(row, self.owned_at + self.targets.len());
     }
 
     fn reindex(&mut self) {
         if self.indexed < self.index.len() {
             self.index.sort_unstable_by_key(|entry| entry.0);
             self.indexed = self.index.len();
+        }
+    }
+
+    /// The index, the arena — the planned runs at their first positions,
+    /// moved or not, then the owned column — and the row extents.
+    fn encode(&self, buf: &mut Vec<u8>) {
+        encode_vec(&self.index, buf);
+        let arena_len = self.owned_at + self.targets.len();
+        (arena_len as u32).encode(buf);
+        let mut planned = self.owned_at;
+        for at in &self.wired {
+            let run = Self::planned(&self.plan, (at.0 as usize, at.1 as usize));
+            let run = &run[..run.len().min(planned)];
+            u32::encode_slice(run, buf);
+            planned -= run.len();
+        }
+        u32::encode_slice(&self.targets, buf);
+        self.rows.encode(buf);
+    }
+
+    /// Owned tables from [`GhostTables::encode`]'s bytes, every target a
+    /// local index below `numv`.
+    fn decode(r: &mut Reader<'_>, numv: usize) -> Self {
+        let index: Vec<(VertexId, u32)> = r.get();
+        let targets: Vec<u32> = r.get();
+        let rows = Rows::decode(r, None, targets.len(), "mirror");
+        check(
+            index.is_sorted_by(|a, b| a.0 < b.0)
+                && index.iter().all(|&(_, row)| (row as usize) < rows.count()),
+            "mirror",
+            "ghost index",
+        );
+        check(
+            targets.iter().all(|&t| (t as usize) < numv),
+            "mirror",
+            "ghost target",
+        );
+        GhostTables {
+            indexed: index.len(),
+            index,
+            rows,
+            targets,
+            ..GhostTables::default()
         }
     }
 }
@@ -226,7 +351,6 @@ impl<M: Codec + Clone + Send> Mirror<M> {
         };
         if let Some(plan) = env.topo.mirror_plan() {
             ch.threshold = (plan.threshold as usize).max(1);
-            // Hubs ascend by id, so the ghost index is built sorted.
             for hub in &plan.hubs {
                 if env.worker_of(hub.id) == env.worker {
                     let local = env.local_of(hub.id);
@@ -235,11 +359,8 @@ impl<M: Codec + Clone + Send> Mirror<M> {
                     ch.hub_peers.extend_from_slice(&hub.peers);
                     ch.hubs.set(local, at..ch.hub_peers.len());
                 }
-                if let Some(locals) = hub.targets_for(env.worker as u16) {
-                    ch.ghosts.extend(hub.id, locals.iter().copied());
-                }
             }
-            ch.ghosts.reindex();
+            ch.ghosts = GhostTables::wired(plan, env.worker as u16);
         }
         ch
     }
@@ -486,9 +607,7 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for Mirror<M> {
         self.out.encode(buf);
         encode_vec(&self.hub_peers, buf);
         self.hubs.encode(buf);
-        encode_vec(&self.ghosts.index, buf);
-        encode_vec(&self.ghosts.targets, buf);
-        self.ghosts.rows.encode(buf);
+        self.ghosts.encode(buf);
     }
 
     fn decode_tables(&mut self, r: &mut Reader<'_>) {
@@ -507,21 +626,7 @@ impl<AV, M: Codec + Clone + Send> Channel<AV> for Mirror<M> {
             "mirror holder",
         );
         self.hubs = Rows::decode(r, Some(numv), self.hub_peers.len(), "mirror");
-        let index: Vec<(VertexId, u32)> = r.get();
-        let targets: Vec<u32> = r.get();
-        let rows = Rows::decode(r, None, targets.len(), "mirror");
-        ok(
-            index.is_sorted_by(|a, b| a.0 < b.0)
-                && index.iter().all(|&(_, row)| (row as usize) < rows.count()),
-            "ghost index",
-        );
-        ok(targets.iter().all(|&t| (t as usize) < numv), "ghost target");
-        self.ghosts = GhostTables {
-            indexed: index.len(),
-            index,
-            rows,
-            targets,
-        };
+        self.ghosts = GhostTables::decode(r, numv);
     }
 
     fn decode_state(&mut self, r: &mut Reader<'_>) {
@@ -925,6 +1030,90 @@ mod tests {
         assert!(after[1 - owner] > 0, "received tables only: {after:?}");
         m.broadcast_all();
         assert_eq!(generations(&m), after, "broadcasts alone");
+    }
+
+    // ---- ghost tables read in place from the plan ----
+
+    use pc_bsp::MirrorHub;
+    use proptest::prelude::*;
+
+    const NUMV: u32 = 16;
+
+    /// The oracle: tables copied out of the plan run by run, in plan
+    /// order, as `Mirror::new` built them before it read the plan in place.
+    fn copied(plan: &MirrorPlan, worker: u16) -> GhostTables {
+        let mut tables = GhostTables::default();
+        for hub in &plan.hubs {
+            if let Some(run) = hub.targets_for(worker) {
+                tables.extend(hub.id, run.iter().copied());
+            }
+        }
+        tables.reindex();
+        tables
+    }
+
+    fn encoded(tables: &GhostTables) -> Vec<u8> {
+        let mut buf = Vec::new();
+        tables.encode(&mut buf);
+        buf
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Plan-backed tables answer, encode and decode as copied ones,
+        /// before and after in-band sections that extend planned hubs
+        /// (the last planned run, one in the middle, an empty one) and add
+        /// new hubs. Plan hub `i` has id `2i` and always a run on worker 0;
+        /// worker 1, whose tables these are, has a run where `mine` says.
+        #[test]
+        fn prop_plan_backed_tables_match_copied_ones(
+            planned in proptest::collection::vec(
+                (any::<bool>(), proptest::collection::vec(0..NUMV, 0..6)),
+                0..10,
+            ),
+            sections in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0..24u32, proptest::collection::vec(0..NUMV, 0..5)),
+                    0..4,
+                ),
+                0..5,
+            ),
+        ) {
+            let hubs = planned.iter().enumerate().map(|(i, (mine, run))| {
+                let mut targets = vec![(0, vec![0, 1])];
+                targets.extend(mine.then(|| (1, run.clone())));
+                MirrorHub {
+                    id: 2 * i as u32,
+                    peers: targets.iter().map(|run| run.0).collect(),
+                    targets,
+                }
+            });
+            let plan = Arc::new(MirrorPlan { threshold: 1, hubs: hubs.collect() });
+            let mut got = GhostTables::wired(&plan, 1);
+            let mut want = copied(&plan, 1);
+            prop_assert!(got.targets.is_empty(), "wiring copied no target");
+            for section in std::iter::once(Vec::new()).chain(sections) {
+                let mut named = Vec::new();
+                for (hub, targets) in section {
+                    // An owner names a hub once per section.
+                    if !named.contains(&hub) {
+                        named.push(hub);
+                        got.extend(hub, targets.iter().copied());
+                        want.extend(hub, targets.iter().copied());
+                    }
+                }
+                got.reindex();
+                want.reindex();
+                let bytes = encoded(&got);
+                prop_assert_eq!(&bytes, &encoded(&want));
+                let back = GhostTables::decode(&mut Reader::new(&bytes), NUMV as usize);
+                for hub in 0..24 {
+                    prop_assert_eq!(got.targets_of(hub), want.targets_of(hub), "hub {}", hub);
+                    prop_assert_eq!(back.targets_of(hub), want.targets_of(hub), "hub {}", hub);
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! The on-disk format is a contract with every directory already written:
 //! a file's framing, the engine's payload layout, each channel's
 //! `encode_state`/`encode_tables` and the file digest must not move unless
-//! `FORMAT_VERSION` does. For two fixed 4-worker runs at cadence 2 —
-//! PageRank over `ScatterCombine`, and S-V with request-respond and
-//! scatter composed — this pins which epochs the finished run leaves
+//! `FORMAT_VERSION` does. For three fixed 4-worker runs at cadence 2 —
+//! PageRank over `ScatterCombine`, S-V with request-respond and scatter
+//! composed, and WCC over `Mirror` pre-wired from a shipped mirror plan —
+//! this pins which epochs the finished run leaves
 //! committed, the [`digest`] of every `MANIFEST` and `rank-*.seg` in them,
 //! and the tables files: exactly one per rank (the registration tables are
 //! written once, not per epoch), each pinned the same way.
@@ -16,6 +17,9 @@
 //! bytes themselves — the trailing digests, the segment header's tables
 //! link, and which state sits in a segment and which in a tables file — so
 //! that normalization no longer applies and the pins were re-recorded.
+//! The mirrored run's pins were recorded while `Mirror` still copied its
+//! plan-wired ghost tables out of the plan; reading them in place must not
+//! move a byte.
 
 use pc_bsp::{CkptPolicy, Config, Topology};
 use pc_ckpt::{digest, Store};
@@ -140,6 +144,49 @@ fn sv_both_directory_is_pinned() {
             (2, 0x6f2281730799b7e3),
             (2, 0x64ba1d06ae9c0d4a),
             (2, 0x45b1e6db72ccb51b),
+        ],
+    );
+}
+
+/// Mirrored WCC over a degree-first LDG placement with a shipped mirror
+/// plan, built as `checkpoint_resume::wcc_mirror_resumes_with_a_shipped_plan`
+/// builds it: the Mirror channel's tables are the plan's pre-wired ghost
+/// tables, so this pins their encoding whatever backs them in memory.
+#[test]
+fn wcc_mirror_plan_directory_is_pinned() {
+    let g = Arc::new(gen::rmat(8, 1400, gen::RmatParams::default(), 11, false).symmetrized());
+    let owners = pc_graph::partition::ldg_deg(&*g, WORKERS, 2);
+    let base = Topology::from_owners(WORKERS, owners);
+    let tau = pc_graph::partition::default_mirror_threshold(&*g);
+    let plan = pc_graph::partition::build_mirror_plan(&*g, &base, tau);
+    // Hubs whose plan-wired ghost tables sit on other workers than their
+    // own, so the tables files hold receive-side runs.
+    let remote = |hub: &pc_bsp::MirrorHub| {
+        let own = base.worker_of(hub.id) as u16;
+        hub.targets
+            .iter()
+            .any(|run| run.0 != own && !run.1.is_empty())
+    };
+    assert!(plan.hubs.iter().filter(|hub| remote(hub)).count() > 4);
+    let topo = Arc::new(base.with_mirror(Arc::new(plan)));
+    pinned(
+        "wcc_mirror_plan",
+        |cfg| drop(pc_algos::wcc::channel_mirror(&g, &topo, cfg, tau)),
+        &[(
+            2,
+            0xc7f0b1d297fed3c8,
+            [
+                0x8844cd0af3a7a271,
+                0x9b8d8f6bda0fc487,
+                0x49b9222f2c59864b,
+                0xf93887379897561f,
+            ],
+        )],
+        [
+            (2, 0x18191eba978ac43e),
+            (2, 0x5c688d013ef72d62),
+            (2, 0x675eb04141120712),
+            (2, 0x07b66c1817eead83),
         ],
     );
 }

@@ -18,6 +18,10 @@
 //! exchange round, all inside one superstep — a thousand extra rounds cost
 //! no allocation at all.
 //!
+//! One pin is on construction, in bytes: a `Mirror` pre-wired from a
+//! shipped mirror plan reads the plan's target runs in place, so a plan
+//! with 4× the targets per hub costs its receiver no more bytes.
+//!
 //! The comparisons start at 30 supersteps, not at 10: within its first
 //! ~16 rounds the buffer pool trims its prewarmed 4 KiB buffers to the
 //! observed frame sizes once and regrows the ones that then rotate to a
@@ -37,25 +41,32 @@ use std::sync::Arc;
 thread_local! {
     /// Allocations (fresh or grown) made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a growth counts its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`; the only addition
-// is a bump of a `const`-initialized, destructor-free thread-local, which
-// never allocates or unwinds.
+// is a bump of two `const`-initialized, destructor-free thread-locals, which
+// never allocate or unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
+}
+
+fn count(bytes: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
 
 #[global_allocator]
@@ -65,6 +76,12 @@ fn allocations(run: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
     run();
     ALLOCS.with(Cell::get) - before
+}
+
+fn bytes_allocated(run: impl FnOnce()) -> u64 {
+    let before = BYTES.with(Cell::get);
+    run();
+    BYTES.with(Cell::get) - before
 }
 
 /// Every vertex scatters a constant along its out-edges for `iters`
@@ -179,6 +196,41 @@ fn extra_mirror_supersteps_allocate_nothing() {
     let g = rmat();
     assert!(g.vertices().any(|v| g.degree(v) >= 16) && g.vertices().any(|v| g.degree(v) == 2));
     assert_extra_supersteps_free("mirror", &g, |g, iters| RepeatMirror { g, iters });
+}
+
+/// Pre-wiring a `Mirror` from a shipped plan reads each hub's run of
+/// targets in place: a plan with 4× the targets per hub, over the same
+/// vertices and hubs, costs its receiving worker no more bytes.
+#[test]
+fn prewiring_a_mirror_allocates_nothing_per_planned_target() {
+    let base = Topology::hashed(4096, 2);
+    let hubs: Vec<u32> = (0..4096)
+        .filter(|&v| base.worker_of(v) == 0)
+        .take(64)
+        .collect();
+    let receiver = base.local_count(1) as u32;
+    let construction = |per_hub: u32| {
+        let hubs = hubs.iter().map(|&id| pc_bsp::MirrorHub {
+            id,
+            peers: vec![1],
+            targets: vec![(1, (0..per_hub).map(|t| (id + t) % receiver).collect())],
+        });
+        let plan = pc_bsp::MirrorPlan {
+            threshold: 16,
+            hubs: hubs.collect(),
+        };
+        let env = WorkerEnv {
+            worker: 1,
+            topo: Arc::new(base.clone().with_mirror(Arc::new(plan))),
+        };
+        bytes_allocated(|| drop(Mirror::<u64>::new(&env, Combine::sum_u64(), 16)))
+    };
+    let (narrow, wide) = (construction(256), construction(1024));
+    assert!(
+        wide <= narrow,
+        "a Mirror pre-wired from 1024 targets per hub allocated {wide} bytes, \
+         from 256 per hub {narrow}"
+    );
 }
 
 /// Every vertex sends its id to each out-neighbor for `iters`
